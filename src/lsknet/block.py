@@ -225,7 +225,7 @@ def block_forward(
     normed1, bn1_xhat, bn1_inv = _norm_forward(x, params.norm1, train_norm)
     pre_out = ops.pointwise_conv(normed1, params.pre_weight, params.pre_bias)
     gelu1 = ops.gelu(pre_out)
-    lsk_out = lsk_forward(gelu1, params.lsk, mode, pooling, keep_state=True)
+    lsk_out = lsk_forward(gelu1, params.lsk, mode, pooling, keep_state=keep_state)
     post_out = ops.pointwise_conv(lsk_out.y, params.post_weight, params.post_bias)
     y1 = ops.elementwise(x, ops.channel_scale(post_out, params.scale1), "add")
 

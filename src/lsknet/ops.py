@@ -9,8 +9,16 @@ axes.
 
 Backward functions return gradients of a sum-reduction loss, i.e. they
 contract the upstream gradient ``grad_out`` with the local Jacobian.
-Accumulation order is fixed (kernel taps in row-major order, branches in list
-order), so repeated runs are bit-identical.
+
+Channel mixing (``pointwise_conv``, ``conv2d`` and their backward passes) is
+one BLAS matrix product per batch item; the dense conv first gathers its
+strided windows into an im2col buffer of shape ``(n, c*k*k, oh*ow)``.
+OpenBLAS splits a product across threads by blocks of the output, not along
+the summed dimension, so the thread count changes speed but not the order in
+which an output element is summed (the backbone tests check this under one
+and two threads).  Everything else accumulates in a fixed order (kernel taps
+in row-major order, batch items in index order, branches in list order), so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -187,6 +195,28 @@ def depthwise_conv_backward(
 # Exists as plumbing for the stem, the between-stage downsamplers and the
 # 2->N selection conv; it is not a general-purpose strided-conv API.
 
+def _conv_taps(k: int, stride: int, oh: int, ow: int):
+    """Row and column slices of every kernel tap, in row-major tap order."""
+    for i in range(k):
+        for j in range(k):
+            rows = slice(i, i + stride * (oh - 1) + 1, stride)
+            cols = slice(j, j + stride * (ow - 1) + 1, stride)
+            yield i, j, rows, cols
+
+
+def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """Gather the strided windows of the padded input into (n, c*k*k, oh*ow).
+
+    Rows are ordered (channel, tap row, tap col), matching
+    ``weights.reshape(c_out, c*k*k)``.
+    """
+    n, c = xp.shape[:2]
+    out = np.empty((n, c, k, k, oh, ow), dtype=xp.dtype)
+    for i, j, rows, cols in _conv_taps(k, stride, oh, ow):
+        out[:, :, i, j] = xp[:, :, rows, cols]
+    return out.reshape(n, c * k * k, oh * ow)
+
+
 def conv2d(
     x: Tensor4,
     weights: np.ndarray,
@@ -209,14 +239,11 @@ def conv2d(
     ow = (w + 2 * padding - k) // stride + 1
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: kernel {k} does not fit input {h}x{w} with padding {padding}")
-    xp = _pad2d(x, padding)
-    acc = np.zeros((n, c_out, oh, ow), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            window = xp[:, :, i : i + stride * (oh - 1) + 1 : stride, j : j + stride * (ow - 1) + 1 : stride]
-            acc += np.einsum("oc,nchw->nohw", weights[:, :, i, j], window)
-    acc += bias[None, :, None, None]
-    return acc
+    patches = _im2col(_pad2d(x, padding), k, stride, oh, ow)
+    wmat = weights.reshape(c_out, c * k * k).astype(x.dtype, copy=False)
+    out = np.matmul(wmat, patches).reshape(n, c_out, oh, ow)
+    out += bias[None, :, None, None]
+    return out
 
 
 def conv2d_backward(
@@ -238,15 +265,16 @@ def conv2d_backward(
             f"conv2d_backward: grad_out shape {grad_out.shape} != expected {(n, c_out, *expected)}"
         )
     xp = _pad2d(x, padding)
+    g = grad_out.reshape(n, c_out, oh * ow)
+    patches = _im2col(xp, k, stride, oh, ow)
+    # one (c_out, c*k*k) product per batch item, summed over the batch in index order
+    grad_w = np.matmul(g, patches.transpose(0, 2, 1)).sum(axis=0)
+    grad_w = grad_w.reshape(weights.shape).astype(weights.dtype, copy=False)
+    del patches  # grad_patches has the same size; do not hold both
+    grad_patches = np.matmul(weights.reshape(c_out, c * k * k).T, g).reshape(n, c, k, k, oh, ow)
     grad_xp = np.zeros_like(xp)
-    grad_w = np.zeros_like(weights)
-    for i in range(k):
-        for j in range(k):
-            rows = slice(i, i + stride * (oh - 1) + 1, stride)
-            cols = slice(j, j + stride * (ow - 1) + 1, stride)
-            window = xp[:, :, rows, cols]
-            grad_w[:, :, i, j] = np.einsum("nohw,nchw->oc", grad_out, window)
-            grad_xp[:, :, rows, cols] += np.einsum("oc,nohw->nchw", weights[:, :, i, j], grad_out)
+    for i, j, rows, cols in _conv_taps(k, stride, oh, ow):
+        grad_xp[:, :, rows, cols] += grad_patches[:, :, i, j]
     grad_x = grad_xp[:, :, padding : padding + h, padding : padding + w] if padding else grad_xp
     grad_b = grad_out.sum(axis=(0, 2, 3))
     return np.ascontiguousarray(grad_x), grad_w, grad_b
@@ -266,7 +294,7 @@ def pointwise_conv(x: Tensor4, weights: np.ndarray, bias: np.ndarray) -> Tensor4
         )
     c_out = weights.shape[0]
     _check_vector(bias, c_out, "pointwise_conv: bias")
-    out = np.einsum("oc,nchw->nohw", weights, x)
+    out = np.matmul(weights, x.reshape(n, c, h * w)).reshape(n, c_out, h, w)
     out += bias[None, :, None, None]
     return out
 
@@ -282,8 +310,11 @@ def pointwise_conv_backward(
         )
     if weights.shape != (grad_out.shape[1], x.shape[1]):
         raise ShapeError(f"pointwise_conv_backward: weights shape {weights.shape} invalid")
-    grad_x = np.einsum("oc,nohw->nchw", weights, grad_out)
-    grad_w = np.einsum("nohw,nchw->oc", grad_out, x)
+    n, c, h, w = x.shape
+    g = grad_out.reshape(n, -1, h * w)
+    grad_x = np.matmul(weights.T, g).reshape(x.shape)
+    # one (c_out, c_in) product per batch item, summed over the batch in index order
+    grad_w = np.matmul(g, x.reshape(n, c, h * w).transpose(0, 2, 1)).sum(axis=0)
     grad_b = grad_out.sum(axis=(0, 2, 3))
     return grad_x, grad_w, grad_b
 

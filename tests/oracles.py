@@ -65,6 +65,48 @@ def pointwise_conv_loops(x, weights, bias):
     return out
 
 
+def conv2d_backward_loops(grad_out, x, weights, stride, padding):
+    n, c_in, h, w = x.shape
+    c_out, _, k, _ = weights.shape
+    _, _, oh, ow = grad_out.shape
+    grad_x = np.zeros_like(x)
+    grad_w = np.zeros_like(weights)
+    grad_b = np.zeros(c_out, dtype=grad_out.dtype)
+    for b_i in range(n):
+        for o in range(c_out):
+            for y in range(oh):
+                for x_i in range(ow):
+                    g = grad_out[b_i, o, y, x_i]
+                    grad_b[o] += g
+                    for c_i in range(c_in):
+                        for ky in range(k):
+                            for kx in range(k):
+                                sy = y * stride + ky - padding
+                                sx = x_i * stride + kx - padding
+                                if 0 <= sy < h and 0 <= sx < w:
+                                    grad_w[o, c_i, ky, kx] += g * x[b_i, c_i, sy, sx]
+                                    grad_x[b_i, c_i, sy, sx] += g * weights[o, c_i, ky, kx]
+    return grad_x, grad_w, grad_b
+
+
+def pointwise_conv_backward_loops(grad_out, x, weights):
+    n, c_in, h, w = x.shape
+    c_out = weights.shape[0]
+    grad_x = np.zeros_like(x)
+    grad_w = np.zeros_like(weights)
+    grad_b = np.zeros(c_out, dtype=grad_out.dtype)
+    for b_i in range(n):
+        for y in range(h):
+            for x_i in range(w):
+                for o in range(c_out):
+                    g = grad_out[b_i, o, y, x_i]
+                    grad_b[o] += g
+                    for c_i in range(c_in):
+                        grad_w[o, c_i] += g * x[b_i, c_i, y, x_i]
+                        grad_x[b_i, c_i, y, x_i] += g * weights[o, c_i]
+    return grad_x, grad_w, grad_b
+
+
 def channel_pool_loops(x, mode):
     n, c, h, w = x.shape
     out = np.zeros((n, 1, h, w), dtype=x.dtype)

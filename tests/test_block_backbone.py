@@ -1,9 +1,15 @@
 """Residual blocks and the four-stage backbone: identity behaviour, shape
 ladders, mask bookkeeping, weight round-trips and determinism."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import lsknet
 from lsknet.backbone import (
     BackboneConfig,
     backbone_backward,
@@ -28,6 +34,15 @@ def tiny_block(seed=0, c=4):
 
 
 class TestBlock:
+    def test_inference_keeps_no_state(self, rng):
+        params = tiny_block()
+        x = rng.uniform(-1, 1, size=(2, 4, 8, 8)).astype(np.float32)
+        kept = block_forward(x, params, keep_state=True)
+        dropped = block_forward(x, params, keep_state=False)
+        assert kept.state is not None and dropped.state is None
+        assert (dropped.y == kept.y).all()
+        assert (dropped.masks == kept.masks).all()
+
     def test_zeroed_projections_make_identity(self, rng):
         params = tiny_block()
         params.post_weight[...] = 0.0
@@ -248,3 +263,50 @@ class TestBackboneBackward:
             analytic = float(grads[name][idx])
             denom = max(abs(numeric), abs(analytic), 1e-8)
             assert abs(numeric - analytic) / denom < 1e-4, name
+
+
+# Runs in a fresh interpreter so that LSK_THREADS is applied, through the same
+# hook as the CLI, before numpy loads BLAS.  Prints one digest per array.
+_THREADS_CHILD = """
+import hashlib, json
+from lsknet.cli import _apply_thread_cap
+_apply_thread_cap()
+import numpy as np
+from lsknet.backbone import BackboneConfig, backbone_backward, backbone_forward, init_backbone_params
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+params = init_backbone_params(BackboneConfig.lsknet_t(), seed=0)
+x = np.random.default_rng(0).uniform(-1, 1, (1, 3, 256, 256)).astype(np.float32)
+out = backbone_forward(x, params, keep_state=True)
+grad_x, grads = backbone_backward(np.ones_like(out.features[3]), out.state)
+d = {f"feature{i + 1}": digest(f) for i, f in enumerate(out.features)}
+d.update({f"mask{k}": digest(m) for k, m in out.record.masks.items()})
+d["grad.x"] = digest(grad_x)
+d.update({f"grad.{k}": digest(v) for k, v in grads.items()})
+print(json.dumps(d))
+"""
+_SRC = os.path.dirname(os.path.dirname(lsknet.__file__))  # the child imports this same lsknet
+
+
+def test_bit_identical_across_thread_counts():
+    """T forward (features, masks) and backward (every gradient) at 256x256,
+    where the stage-1 matrix products are large enough for BLAS to split them
+    across threads, give the same bits under LSK_THREADS=1 and 2."""
+    digests = []
+    for threads in ("1", "2"):
+        # the thread cap only sets these when unset, so an inherited value would win
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["LSK_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", _THREADS_CHILD], env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        digests.append(json.loads(result.stdout))
+    one, two = digests
+    assert len(one) > 100 and one.keys() == two.keys()
+    assert [k for k in one if one[k] != two[k]] == []

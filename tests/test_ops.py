@@ -13,10 +13,12 @@ from lsknet.ops import ConvSpec
 from oracles import (
     affine_norm_loops,
     channel_pool_loops,
+    conv2d_backward_loops,
     conv2d_loops,
     depthwise_conv_loops,
     gelu_ref,
     global_avg_pool_loops,
+    pointwise_conv_backward_loops,
     pointwise_conv_loops,
     sigmoid_ref,
 )
@@ -98,6 +100,28 @@ class TestConv2d:
         ref = conv2d_loops(x, w, b, stride, padding)
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
+    @pytest.mark.parametrize("stride", [1, 2, 4])
+    @pytest.mark.parametrize("padding", [0, 1, 3])
+    def test_backward_matches_loop_oracle(self, rng, stride, padding):
+        k = 7 if padding == 3 else 3
+        x = rand(rng, (2, 3, 9, 9))
+        w = rand(rng, (4, 3, k, k))
+        oh = (9 + 2 * padding - k) // stride + 1
+        g = rand(rng, (2, 4, oh, oh))
+        got = ops.conv2d_backward(g, x, w, stride=stride, padding=padding)
+        ref = conv2d_backward_loops(g, x, w, stride, padding)
+        for a, b in zip(got, ref):
+            np.testing.assert_allclose(a, b, atol=1e-6)
+
+    def test_backward_non_contiguous_inputs(self, rng):
+        x = rand(rng, (2, 6, 8, 8))[:, 1:4]  # channel slice
+        w = rand(rng, (5, 3, 3, 3))
+        g = rand(rng, (2, 5, 4, 4)).transpose(0, 1, 3, 2)  # transposed view
+        got = ops.conv2d_backward(g, x, w, stride=2, padding=1)
+        ref = conv2d_backward_loops(g, x, w, 2, 1)
+        for a, b in zip(got, ref):
+            np.testing.assert_allclose(a, b, atol=1e-6)
+
     def test_output_shape_stride(self, rng):
         x = rand(rng, (1, 3, 64, 64))
         w = rand(rng, (8, 3, 7, 7))
@@ -122,6 +146,25 @@ class TestPointwise:
         b = rand(rng, (3,))
         np.testing.assert_allclose(
             ops.pointwise_conv(x, w, b), pointwise_conv_loops(x, w, b), atol=1e-6
+        )
+
+    def test_backward_matches_loop_oracle(self, rng):
+        x = rand(rng, (2, 5, 4, 3))
+        w = rand(rng, (3, 5))
+        g = rand(rng, (2, 3, 4, 3))
+        got = ops.pointwise_conv_backward(g, x, w)
+        for a, b in zip(got, pointwise_conv_backward_loops(g, x, w)):
+            np.testing.assert_allclose(a, b, atol=1e-6)
+
+    def test_backward_non_contiguous_inputs(self, rng):
+        x = rand(rng, (2, 8, 4, 4))[:, 2:7]  # channel slice
+        w = rand(rng, (3, 5))
+        g = rand(rng, (2, 3, 4, 4)).transpose(0, 1, 3, 2)  # transposed view
+        got = ops.pointwise_conv_backward(g, x, w)
+        for a, b in zip(got, pointwise_conv_backward_loops(g, x, w)):
+            np.testing.assert_allclose(a, b, atol=1e-6)
+        np.testing.assert_allclose(
+            ops.pointwise_conv(x, w, np.zeros(3)), pointwise_conv_loops(x, w, np.zeros(3)), atol=1e-6
         )
 
     def test_channel_mismatch(self, rng):
@@ -232,11 +275,33 @@ class TestDeterminismAndFiniteness:
         a = ops.depthwise_conv(x, w, b, ConvSpec(5, 2))
         c = ops.depthwise_conv(x, w, b, ConvSpec(5, 2))
         assert (a == c).all()
+        pw = rand(rng, (6, 4)).astype(np.float32)
+        pb = rand(rng, (6,)).astype(np.float32)
+        assert (ops.pointwise_conv(x, pw, pb) == ops.pointwise_conv(x, pw, pb)).all()
+        cw = rand(rng, (6, 4, 3, 3)).astype(np.float32)
+        a = ops.conv2d(x, cw, pb, stride=2, padding=1)
+        c = ops.conv2d(x, cw, pb, stride=2, padding=1)
+        assert (a == c).all()
 
     def test_float32_stays_float32(self, rng):
         x = rand(rng, (1, 2, 4, 4)).astype(np.float32)
         out = ops.gelu(ops.sigmoid(x))
         assert out.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_channel_mixing_keeps_dtype(self, rng, dtype):
+        x = rand(rng, (2, 3, 8, 8)).astype(dtype)
+        pw, pb = rand(rng, (4, 3)).astype(dtype), rand(rng, (4,)).astype(dtype)
+        cw, cb = rand(rng, (4, 3, 3, 3)).astype(dtype), rand(rng, (4,)).astype(dtype)
+        y = ops.pointwise_conv(x, pw, pb)
+        z = ops.conv2d(x, cw, cb, stride=2, padding=1)
+        outs = [
+            y,
+            *ops.pointwise_conv_backward(np.ones_like(y), x, pw),
+            z,
+            *ops.conv2d_backward(np.ones_like(z), x, cw, stride=2, padding=1),
+        ]
+        assert [o.dtype for o in outs] == [np.dtype(dtype)] * 8
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=6))
     @settings(max_examples=25, deadline=None)
