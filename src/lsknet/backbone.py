@@ -386,8 +386,9 @@ def _lsk_grads_named(prefix: str, g) -> Iterator[tuple[str, np.ndarray]]:
     for i, (w, b) in enumerate(zip(g.mix_weights, g.mix_biases)):
         yield f"{prefix}.mix{i}.weight", w
         yield f"{prefix}.mix{i}.bias", b
-    yield f"{prefix}.select.weight", g.select_weight
-    yield f"{prefix}.select.bias", g.select_bias
+    if g.select_weight is not None:
+        yield f"{prefix}.select.weight", g.select_weight
+        yield f"{prefix}.select.bias", g.select_bias
     yield f"{prefix}.fuse.weight", g.fuse_weight
     yield f"{prefix}.fuse.bias", g.fuse_bias
     if g.cs_squeeze_weight is not None:

@@ -214,8 +214,9 @@ def cost_block(
     c_mid: int | None = None,
 ) -> CostReport:
     """One backbone block: LK-selection sub-block plus FFN sub-block."""
-    cm = c // 2 if c_mid is None else c_mid
-    hidden = round(ffn_ratio * c)
+    # the widths init_block_params gives the arrays, at least 1 each
+    cm = max(c // 2, 1) if c_mid is None else c_mid
+    hidden = max(round(ffn_ratio * c), 1)
     selection = combine(
         [
             ("norm1", cost_norm(c, h, w)),

@@ -298,8 +298,9 @@ def _module_case(mode: SelectionMode):
                 named[f"dw{i}.bias"] = g.dw_biases[i]
                 named[f"mix{i}.weight"] = g.mix_weights[i]
                 named[f"mix{i}.bias"] = g.mix_biases[i]
-            named["select.weight"] = g.select_weight
-            named["select.bias"] = g.select_bias
+            if g.select_weight is not None:
+                named["select.weight"] = g.select_weight
+                named["select.bias"] = g.select_bias
             named["fuse.weight"] = g.fuse_weight
             named["fuse.bias"] = g.fuse_bias
             if g.cs_squeeze_weight is not None:

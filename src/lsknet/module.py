@@ -83,8 +83,8 @@ class LskModuleParams:
     dw_biases: list[np.ndarray]  # per stage: (c_in,)
     mix_weights: list[np.ndarray]  # per branch: (c_mid, c_in)
     mix_biases: list[np.ndarray]  # per branch: (c_mid,)
-    select_weight: np.ndarray  # (n_kernels, n_pools, q, q)
-    select_bias: np.ndarray  # (n_kernels,)
+    select_weight: np.ndarray | None  # (n_kernels, n_pools, q, q); spatial mode only
+    select_bias: np.ndarray | None  # (n_kernels,)
     fuse_weight: np.ndarray  # (c_in, c_mid)
     fuse_bias: np.ndarray  # (c_in,)
     cs: ChannelSelectParams | None = None
@@ -118,16 +118,17 @@ class LskModuleParams:
                     f"mixer {i}: weight shape {self.mix_weights[i].shape} != "
                     f"{(self.c_mid, self.c_in)}"
                 )
-        if self.select_weight.ndim != 4 or self.select_weight.shape[0] != n:
-            raise ShapeError(
-                f"selection conv must map pooled descriptors to {n} maps, "
-                f"got weight shape {self.select_weight.shape}"
-            )
-        if self.select_weight.shape[1] not in (1, 2):
-            raise ShapeError(
-                f"selection conv input channels must match the pooling set (1 or 2), "
-                f"got {self.select_weight.shape[1]}"
-            )
+        if self.select_weight is not None:
+            if self.select_weight.ndim != 4 or self.select_weight.shape[0] != n:
+                raise ShapeError(
+                    f"selection conv must map pooled descriptors to {n} maps, "
+                    f"got weight shape {self.select_weight.shape}"
+                )
+            if self.select_weight.shape[1] not in (1, 2):
+                raise ShapeError(
+                    f"selection conv input channels must match the pooling set (1 or 2), "
+                    f"got {self.select_weight.shape[1]}"
+                )
         if self.fuse_weight.shape != (self.c_in, self.c_mid):
             raise ShapeError(
                 f"fusion conv weight shape {self.fuse_weight.shape} != {(self.c_in, self.c_mid)}"
@@ -142,8 +143,9 @@ class LskModuleParams:
         for i in range(self.n_kernels):
             out.append((f"mix{i}.weight", self.mix_weights[i]))
             out.append((f"mix{i}.bias", self.mix_biases[i]))
-        out.append(("select.weight", self.select_weight))
-        out.append(("select.bias", self.select_bias))
+        if self.select_weight is not None:
+            out.append(("select.weight", self.select_weight))
+            out.append(("select.bias", self.select_bias))
         out.append(("fuse.weight", self.fuse_weight))
         out.append(("fuse.bias", self.fuse_bias))
         if self.cs is not None:
@@ -191,8 +193,11 @@ def init_lsk_params(
     dw_b = [np.zeros(c_in, dtype=np.float32) for _ in plan.stages]
     mix_w = [fan_in_uniform(rng, (cm, c_in), c_in) for _ in range(n)]
     mix_b = [np.zeros(cm, dtype=np.float32) for _ in range(n)]
+    # drawn in every mode, so one seed gives the same other arrays in all modes
     sel_w = fan_in_uniform(rng, (n, len(pooling), q, q), len(pooling) * q * q)
     sel_b = np.zeros(n, dtype=np.float32)
+    if mode is not SelectionMode.SPATIAL:  # only spatial selection has the conv
+        sel_w = sel_b = None
     fuse_w = fan_in_uniform(rng, (c_in, cm), cm)
     fuse_b = np.zeros(c_in, dtype=np.float32)
     cs = None
@@ -259,8 +264,8 @@ class LskGradients:
     dw_biases: list[np.ndarray]
     mix_weights: list[np.ndarray]
     mix_biases: list[np.ndarray]
-    select_weight: np.ndarray
-    select_bias: np.ndarray
+    select_weight: np.ndarray | None
+    select_bias: np.ndarray | None
     fuse_weight: np.ndarray
     fuse_bias: np.ndarray
     cs_squeeze_weight: np.ndarray | None = None
@@ -309,6 +314,8 @@ def lsk_forward(
     cat = pooled = masks = None
     cs_sum = cs_pre = cs_hidden = cs_weights = None
     if mode is SelectionMode.SPATIAL:
+        if params.select_weight is None:
+            raise ShapeError("lsk_forward: spatial mode needs params built with spatial selection")
         pooling = normalize_pooling(pooling)
         if len(pooling) != params.n_pools:
             raise ShapeError(
@@ -394,8 +401,10 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> LskGradients:
     )
 
     grad_mixed = [np.zeros_like(m) for m in state.u_mixed]
-    grad_sel_w = np.zeros_like(params.select_weight)
-    grad_sel_b = np.zeros_like(params.select_bias)
+    grad_sel_w = grad_sel_b = None
+    if params.select_weight is not None:
+        grad_sel_w = np.zeros_like(params.select_weight)
+        grad_sel_b = np.zeros_like(params.select_bias)
     cs_grads: dict[str, np.ndarray] = {}
 
     if state.mode is SelectionMode.SPATIAL:
@@ -509,8 +518,8 @@ def params_astype(params: LskModuleParams, dtype) -> LskModuleParams:
         dw_biases=[b.astype(dtype) for b in params.dw_biases],
         mix_weights=[w.astype(dtype) for w in params.mix_weights],
         mix_biases=[b.astype(dtype) for b in params.mix_biases],
-        select_weight=params.select_weight.astype(dtype),
-        select_bias=params.select_bias.astype(dtype),
+        select_weight=None if params.select_weight is None else params.select_weight.astype(dtype),
+        select_bias=None if params.select_bias is None else params.select_bias.astype(dtype),
         fuse_weight=params.fuse_weight.astype(dtype),
         fuse_bias=params.fuse_bias.astype(dtype),
         cs=new_cs,

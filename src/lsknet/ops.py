@@ -13,12 +13,22 @@ contract the upstream gradient ``grad_out`` with the local Jacobian.
 Channel mixing (``pointwise_conv``, ``conv2d`` and their backward passes) is
 one BLAS matrix product per batch item; the dense conv first gathers its
 strided windows into an im2col buffer of shape ``(n, c*k*k, oh*ow)``.
+
+Depth-wise convolution runs on BLAS too.  Per block of channels it gathers
+the inputs of every tap into an im2col tile ``(n, channels, taps, span)``
+sized by ``_DW_TILE_BYTES`` and multiplies each channel's tile by that
+channel's tap weights with one matmul.  Taps that can only read padding are
+dropped first.  The backward pass gathers such tiles from ``grad_out`` and
+multiplies them by the flipped kernel for the input gradient and by ``x``
+for the weight gradient.
+
 OpenBLAS splits a product across threads by blocks of the output, not along
 the summed dimension, so the thread count changes speed but not the order in
 which an output element is summed (the backbone tests check this under one
-and two threads).  Everything else accumulates in a fixed order (kernel taps
-in row-major order, batch items in index order, branches in list order), so
-repeated runs are bit-identical.
+and two threads).  Tile shapes depend only on the tensor shapes and the
+tile byte budget.  Everything else accumulates in a fixed order (batch items
+in index order, depth-wise weight gradients over tiles in index order,
+branches in list order), so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -134,6 +144,119 @@ def _pad2d(x: np.ndarray, pad: int) -> np.ndarray:
 # depth-wise convolution
 # ---------------------------------------------------------------------------
 
+# Byte budget of one im2col tile, the only tuning value of the depth-wise
+# kernel.  The gather writes a tile and the matmul reads it straight back, so
+# the tile should still be in cache for the second pass: 1 MiB leaves room
+# for the padded source block and the output block in a 2 MiB per-core L2.
+_DW_TILE_BYTES = 1 << 20
+
+
+def _dw_kept(spec: ConvSpec, h: int, w: int) -> tuple[slice, slice]:
+    """Kernel rows and columns whose taps can reach an h x w image; a tap
+    whose offset is at least the map size reads only padding."""
+    k, d, pad = spec.kernel, spec.dilation, spec.padding
+    dr, dc = (max(0, (pad - size) // d + 1) for size in (h, w))
+    return slice(dr, k - dr), slice(dc, k - dc)
+
+
+class _DwTiling:
+    """Im2col tiles of a same-size per-channel correlation of an
+    (n, c, h, w) input with kr x kc centred taps.
+
+    A block of channels is copied into a zero-padded buffer with one flat
+    row per channel and row stride ``wp = w + pc``.  Tap (i, j) is then the
+    constant flat offset ``dilation * (i * wp + j)`` from the first output,
+    and the outputs over the wide grid (h, wp) are contiguous.  The ``pc``
+    extra columns of a row double as the left padding of the next row; their
+    outputs are cropped.  Padding is only as wide as the outermost kept tap.
+
+    Channel blocks are as large as the tile budget allows; a channel that
+    does not fit on its own is cut into spans of the wide grid instead.
+    """
+
+    def __init__(self, shape: tuple[int, ...], kr: int, kc: int, dilation: int, dtype):
+        n, c, self.h, self.w = shape
+        self.kr, self.kc, self.dilation = kr, kc, dilation
+        pr, pc = dilation * (kr // 2), dilation * (kc // 2)
+        self.wp = self.w + pc
+        self.span = self.h * self.wp
+        self.base = pr * self.wp + pc
+        self.dtype = np.dtype(dtype)
+        column = n * kr * kc * self.dtype.itemsize  # tile bytes per flat output
+        self.cb = max(1, min(c, _DW_TILE_BYTES // (column * self.span)))
+        self.sl = self.span if self.cb > 1 else max(1, min(self.span, _DW_TILE_BYTES // column))
+        self._tile = np.empty(n * self.cb * kr * kc * self.sl, dtype=self.dtype)
+
+    def wide(self, flat: np.ndarray) -> np.ndarray:
+        """The (n, m, h, wp) wide-grid view of a padded block's image."""
+        n, m, _ = flat.shape
+        return flat[:, :, self.base : self.base + self.span].reshape(n, m, self.h, self.wp)
+
+    def blocks(self, *arrays: np.ndarray):
+        """Yield ``(channel slice, padded blocks)`` over the channels in order,
+        one padded block per array.  The block buffers are reused: only the
+        image pixels are rewritten, so the padding stays zero."""
+        n, c = arrays[0].shape[:2]
+        bufs = [np.zeros((n, self.cb, self.span + 2 * self.base), self.dtype) for _ in arrays]
+        for c0 in range(0, c, self.cb):
+            cs = slice(c0, min(c0 + self.cb, c))
+            flats = [buf[:, : cs.stop - c0] for buf in bufs]
+            for flat, a in zip(flats, arrays):
+                self.wide(flat)[:, :, :, : self.w] = a[:, cs]
+            yield cs, flats
+
+    def tiles(self, flat: np.ndarray):
+        """Yield ``(span slice, tile)`` over the wide grid of a padded block
+        in order; the (n, m, kr*kc, s) tile holds every kept tap's inputs to
+        those outputs.  Every tile reuses one buffer."""
+        n, m, _ = flat.shape
+        taps, d = self.kr * self.kc, self.dilation
+        sn, sc, se = flat.strides
+        for s0 in range(0, self.span, self.sl):
+            s = min(self.sl, self.span - s0)
+            src = np.lib.stride_tricks.as_strided(
+                flat[:, :, s0:],
+                shape=(n, m, self.kr, self.kc, s),
+                strides=(sn, sc, d * self.wp * se, d * se, se),
+                writeable=False,
+            )
+            tile = self._tile[: n * m * taps * s].reshape(n, m, self.kr, self.kc, s)
+            np.copyto(tile, src)
+            yield slice(s0, s0 + s), tile.reshape(n, m, taps, s)
+
+
+def _dw_correlate(x: np.ndarray, taps: np.ndarray, bias: np.ndarray, dilation: int, against=None):
+    """Same-size per-channel correlation of ``x`` with centred ``taps``
+    (c, kr, kc), plus ``bias``, computed in the dtype of ``taps``: one
+    matmul per tile.
+
+    Returns the correlation and the (c, kr, kc) products of the same tiles
+    with ``against`` (shaped like ``x``; zeros without it), summed over
+    batch items and then over tiles, each in index order.  When ``x`` is the
+    output gradient of a correlation of ``against`` and ``taps`` are its
+    taps flipped, these are the gradients of the flipped taps.
+    """
+    n, c, h, w = x.shape
+    _, kr, kc = taps.shape
+    tiling = _DwTiling(x.shape, kr, kc, dilation, taps.dtype)
+    wmat = np.ascontiguousarray(taps).reshape(c, 1, kr * kc)  # a strided vector falls off BLAS
+    out = np.empty(x.shape, dtype=taps.dtype)
+    wide = np.empty((n, tiling.cb, tiling.span), dtype=taps.dtype)
+    acc = np.zeros((c, kr * kc), dtype=taps.dtype)
+    arrays = (x,) if against is None else (x, against)
+    for cs, (flat, *other) in tiling.blocks(*arrays):
+        m = flat.shape[1]
+        # zero off the image, so the wide-grid outputs that get cropped add nothing
+        other = [tiling.wide(o).reshape(n, m, 1, tiling.span) for o in other]
+        for ss, tile in tiling.tiles(flat):
+            wide[:, :m, ss] = np.matmul(wmat[cs], tile)[:, :, 0]
+            for o in other:
+                acc[cs] += np.matmul(o[..., ss], tile.transpose(0, 1, 3, 2))[:, :, 0].sum(axis=0)
+        crop = wide[:, :m].reshape(n, m, h, tiling.wp)[:, :, :, :w]
+        np.add(crop, bias[cs, None, None], out=out[:, cs])
+    return out, acc.reshape(c, kr, kc)
+
+
 def depthwise_conv(x: Tensor4, weights: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> Tensor4:
     """Per-channel k x k convolution with "same" zero padding.
 
@@ -149,21 +272,20 @@ def depthwise_conv(x: Tensor4, weights: np.ndarray, bias: np.ndarray, spec: Conv
             f"channels {c} and kernel {spec.kernel}"
         )
     _check_vector(bias, c, "depthwise_conv: bias")
-    xp = _pad2d(x, spec.padding)
-    d = spec.dilation
-    acc = np.zeros((n, c, h, w), dtype=x.dtype)
-    for i in range(spec.kernel):
-        for j in range(spec.kernel):
-            window = xp[:, :, i * d : i * d + h, j * d : j * d + w]
-            acc += weights[:, i, j][None, :, None, None] * window
-    acc += bias[None, :, None, None]
-    return acc
+    rows, cols = _dw_kept(spec, h, w)
+    taps = weights[:, rows, cols].astype(x.dtype)
+    return _dw_correlate(x, taps, bias.astype(x.dtype, copy=False), spec.dilation)[0]
 
 
 def depthwise_conv_backward(
     grad_out: Tensor4, x: Tensor4, weights: np.ndarray, spec: ConvSpec
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
-    """Gradients of depthwise_conv w.r.t. input, weights and bias."""
+    """Gradients of depthwise_conv w.r.t. input, weights and bias.
+
+    The input gradient is the forward correlation run on ``grad_out`` with
+    the kernel flipped; the weight gradient multiplies the same tiles of
+    ``grad_out`` by ``x``.
+    """
     check_tensor4(grad_out, "depthwise_conv_backward: grad_out")
     check_tensor4(x, "depthwise_conv_backward: x")
     if grad_out.shape != x.shape:
@@ -173,20 +295,14 @@ def depthwise_conv_backward(
     n, c, h, w = x.shape
     if weights.shape != (c, spec.kernel, spec.kernel):
         raise ShapeError(f"depthwise_conv_backward: weights shape {weights.shape} invalid")
-    d, pad = spec.dilation, spec.padding
-    xp = _pad2d(x, pad)
-    grad_xp = np.zeros_like(xp)
+    rows, cols = _dw_kept(spec, h, w)
+    taps = weights[:, rows, cols].astype(x.dtype)
+    no_bias = np.zeros(c, dtype=x.dtype)
+    grad_x, grad_taps = _dw_correlate(grad_out, taps[:, ::-1, ::-1], no_bias, spec.dilation, against=x)
     grad_w = np.zeros_like(weights)
-    for i in range(spec.kernel):
-        for j in range(spec.kernel):
-            window = xp[:, :, i * d : i * d + h, j * d : j * d + w]
-            grad_w[:, i, j] = (grad_out * window).sum(axis=(0, 2, 3))
-            grad_xp[:, :, i * d : i * d + h, j * d : j * d + w] += (
-                weights[:, i, j][None, :, None, None] * grad_out
-            )
-    grad_x = grad_xp[:, :, pad : pad + h, pad : pad + w] if pad else grad_xp
+    grad_w[:, rows, cols] = grad_taps[:, ::-1, ::-1]
     grad_b = grad_out.sum(axis=(0, 2, 3))
-    return np.ascontiguousarray(grad_x), grad_w, grad_b
+    return grad_x, grad_w, grad_b
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +333,17 @@ def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray
     return out.reshape(n, c * k * k, oh * ow)
 
 
+def _check_conv2d_args(name: str, c: int, weights: np.ndarray, stride: int) -> tuple[int, int]:
+    """Check square (c_out, c, k, k) weights and stride >= 1; return (c_out, k)."""
+    if weights.ndim != 4 or weights.shape[1] != c or weights.shape[2] != weights.shape[3]:
+        raise ShapeError(
+            f"{name}: weights shape {weights.shape} does not match input channels {c}"
+        )
+    if stride < 1:
+        raise ShapeError(f"{name}: stride must be >= 1, got {stride}")
+    return weights.shape[0], weights.shape[2]
+
+
 def conv2d(
     x: Tensor4,
     weights: np.ndarray,
@@ -227,14 +354,8 @@ def conv2d(
     """Dense convolution: weights (c_out, c_in, k, k), square kernel, stride >= 1."""
     check_tensor4(x, "conv2d: x")
     n, c, h, w = x.shape
-    if weights.ndim != 4 or weights.shape[1] != c or weights.shape[2] != weights.shape[3]:
-        raise ShapeError(
-            f"conv2d: weights shape {weights.shape} does not match input channels {c}"
-        )
-    c_out, _, k, _ = weights.shape
+    c_out, k = _check_conv2d_args("conv2d", c, weights, stride)
     _check_vector(bias, c_out, "conv2d: bias")
-    if stride < 1:
-        raise ShapeError(f"conv2d: stride must be >= 1, got {stride}")
     oh = (h + 2 * padding - k) // stride + 1
     ow = (w + 2 * padding - k) // stride + 1
     if oh < 1 or ow < 1:
@@ -257,7 +378,7 @@ def conv2d_backward(
     check_tensor4(grad_out, "conv2d_backward: grad_out")
     check_tensor4(x, "conv2d_backward: x")
     n, c, h, w = x.shape
-    c_out, _, k, _ = weights.shape
+    c_out, k = _check_conv2d_args("conv2d_backward", c, weights, stride)
     oh, ow = grad_out.shape[2], grad_out.shape[3]
     expected = ((h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1)
     if grad_out.shape != (n, c_out, *expected):

@@ -28,6 +28,28 @@ def depthwise_conv_loops(x, weights, bias, kernel, dilation):
     return out
 
 
+def depthwise_conv_backward_loops(grad_out, x, weights, kernel, dilation):
+    n, c, h, w = x.shape
+    pad = dilation * (kernel - 1) // 2
+    grad_x = np.zeros_like(x)
+    grad_w = np.zeros_like(weights)
+    grad_b = np.zeros(c, dtype=grad_out.dtype)
+    for b_i in range(n):
+        for c_i in range(c):
+            for y in range(h):
+                for x_i in range(w):
+                    g = grad_out[b_i, c_i, y, x_i]
+                    grad_b[c_i] += g
+                    for ky in range(kernel):
+                        for kx in range(kernel):
+                            sy = y + ky * dilation - pad
+                            sx = x_i + kx * dilation - pad
+                            if 0 <= sy < h and 0 <= sx < w:
+                                grad_w[c_i, ky, kx] += g * x[b_i, c_i, sy, sx]
+                                grad_x[b_i, c_i, sy, sx] += g * weights[c_i, ky, kx]
+    return grad_x, grad_w, grad_b
+
+
 def conv2d_loops(x, weights, bias, stride, padding):
     n, c_in, h, w = x.shape
     c_out, _, k, _ = weights.shape

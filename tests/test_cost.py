@@ -175,3 +175,30 @@ def test_depthwise_closed_form_property(c, k, h):
     assert rep.params == c * k * k
     assert rep.flops == 2 * h * h * c * k * k
     assert rep.macs == h * h * c * k * k
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    channels=st.lists(st.integers(min_value=1, max_value=6), min_size=4, max_size=4),
+    ffn_ratios=st.lists(
+        st.sampled_from([0.1, 0.4, 0.5, 1.0, 1.5, 4.0]), min_size=4, max_size=4
+    ),
+    mode=st.sampled_from(["spatial", "channel", "none"]),
+    c_mid_divisor=st.integers(min_value=1, max_value=4),
+)
+def test_backbone_params_match_initialised_arrays(channels, ffn_ratios, mode, c_mid_divisor):
+    """The cost model's parameter count is the size of every learnable array
+    the initialiser makes (norm running statistics are buffers), including
+    widths where c // 2 or ffn_ratio * c round to zero."""
+    from lsknet.backbone import init_backbone_params, named_arrays
+
+    cfg = BackboneConfig(
+        channels=tuple(channels),
+        depths=(1, 1, 1, 1),
+        ffn_ratios=tuple(ffn_ratios),
+        selection_mode=mode,
+        c_mid_divisor=c_mid_divisor,
+    )
+    arrays = named_arrays(init_backbone_params(cfg, seed=0))
+    learnable = sum(a.size for name, a in arrays.items() if not name.endswith((".mean", ".var")))
+    assert cost_backbone(cfg, 32, 32).params == learnable

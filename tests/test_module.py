@@ -145,6 +145,14 @@ class TestModes:
         with pytest.raises(ShapeError, match="channel"):
             lsk_forward(rng.uniform(-1, 1, size=(1, 4, 5, 5)), params, mode=SelectionMode.CHANNEL)
 
+    @pytest.mark.parametrize("mode", [SelectionMode.CHANNEL, SelectionMode.NONE])
+    def test_spatial_mode_without_select_conv_fails(self, rng, mode):
+        params = make_params([(3, 1)], c_in=4, c_mid=2, mode=mode)
+        assert params.select_weight is None
+        assert not any(name.startswith("select.") for name, _ in params.parameter_arrays())
+        with pytest.raises(ShapeError, match="spatial"):
+            lsk_forward(rng.uniform(-1, 1, size=(1, 4, 5, 5)), params, mode=SelectionMode.SPATIAL)
+
     @pytest.mark.parametrize("pooling", [("avg",), ("max",)])
     def test_single_pooling_ablation(self, rng, pooling):
         """The pooling-set axis: a one-descriptor selection conv still yields

@@ -3,7 +3,7 @@ shape validation, and determinism."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lsknet import ops
@@ -15,6 +15,7 @@ from oracles import (
     channel_pool_loops,
     conv2d_backward_loops,
     conv2d_loops,
+    depthwise_conv_backward_loops,
     depthwise_conv_loops,
     gelu_ref,
     global_avg_pool_loops,
@@ -88,6 +89,48 @@ class TestDepthwise:
         with pytest.raises(ShapeError, match="weights shape"):
             ops.depthwise_conv(x, rand(rng, (2, 3, 3)), np.zeros(3), ConvSpec(3, 1))
 
+    def test_non_contiguous_inputs(self, rng):
+        x = rand(rng, (2, 6, 5, 7))[:, 1:4]  # channel slice
+        w = rand(rng, (3, 7, 7))
+        g = rand(rng, (2, 3, 7, 5)).transpose(0, 1, 3, 2)  # transposed view
+        b = rand(rng, (3,))
+        np.testing.assert_allclose(
+            ops.depthwise_conv(x, w, b, ConvSpec(7, 2)), depthwise_conv_loops(x, w, b, 7, 2), atol=1e-6
+        )
+        got = ops.depthwise_conv_backward(g, x, w, ConvSpec(7, 2))
+        for a, r in zip(got, depthwise_conv_backward_loops(g, x, w, 7, 2)):
+            np.testing.assert_allclose(a, r, atol=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=2),
+    h=st.integers(min_value=1, max_value=9),
+    w=st.integers(min_value=1, max_value=9),
+    kernel=st.sampled_from([3, 5, 7]),
+    dilation=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+# maps no larger than the padding of 7x7 d=3, where outer taps read only zeros
+@example(n=1, h=1, w=1, kernel=7, dilation=3, seed=0)
+@example(n=2, h=2, w=3, kernel=7, dilation=3, seed=1)
+@example(n=1, h=4, w=4, kernel=7, dilation=3, seed=2)
+@example(n=2, h=4, w=1, kernel=7, dilation=3, seed=3)
+def test_depthwise_matches_loop_oracles(n, h, w, kernel, dilation, seed):
+    """Forward output and all three gradients against the naive loops."""
+    rng = np.random.default_rng(seed)
+    c = 2
+    x = rand(rng, (n, c, h, w))
+    wt, b = rand(rng, (c, kernel, kernel)), rand(rng, (c,))
+    g = rand(rng, (n, c, h, w))
+    spec = ConvSpec(kernel, dilation)
+    np.testing.assert_allclose(
+        ops.depthwise_conv(x, wt, b, spec), depthwise_conv_loops(x, wt, b, kernel, dilation), atol=1e-6
+    )
+    got = ops.depthwise_conv_backward(g, x, wt, spec)
+    for a, r in zip(got, depthwise_conv_backward_loops(g, x, wt, kernel, dilation)):
+        np.testing.assert_allclose(a, r, atol=1e-6)
+
 
 class TestConv2d:
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (4, 3)])
@@ -121,6 +164,17 @@ class TestConv2d:
         ref = conv2d_backward_loops(g, x, w, 2, 1)
         for a, b in zip(got, ref):
             np.testing.assert_allclose(a, b, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "w_shape,stride",
+        [((4, 3, 3, 3), 0), ((4, 3, 3), 1), ((4, 2, 3, 3), 1)],
+        ids=["stride-0", "3d-weights", "channel-mismatch"],
+    )
+    def test_backward_rejects_bad_arguments(self, rng, w_shape, stride):
+        x = rand(rng, (1, 3, 6, 6))
+        g = rand(rng, (1, 4, 6, 6))
+        with pytest.raises(ShapeError):
+            ops.conv2d_backward(g, x, rand(rng, w_shape), stride=stride, padding=1)
 
     def test_output_shape_stride(self, rng):
         x = rand(rng, (1, 3, 64, 64))
@@ -282,6 +336,10 @@ class TestDeterminismAndFiniteness:
         a = ops.conv2d(x, cw, pb, stride=2, padding=1)
         c = ops.conv2d(x, cw, pb, stride=2, padding=1)
         assert (a == c).all()
+        g = rand(rng, x.shape).astype(np.float32)
+        a = ops.depthwise_conv_backward(g, x, w, ConvSpec(5, 2))
+        c = ops.depthwise_conv_backward(g, x, w, ConvSpec(5, 2))
+        assert all((p == q).all() for p, q in zip(a, c))
 
     def test_float32_stays_float32(self, rng):
         x = rand(rng, (1, 2, 4, 4)).astype(np.float32)
@@ -293,15 +351,23 @@ class TestDeterminismAndFiniteness:
         x = rand(rng, (2, 3, 8, 8)).astype(dtype)
         pw, pb = rand(rng, (4, 3)).astype(dtype), rand(rng, (4,)).astype(dtype)
         cw, cb = rand(rng, (4, 3, 3, 3)).astype(dtype), rand(rng, (4,)).astype(dtype)
+        dw, db = rand(rng, (3, 7, 7)).astype(dtype), rand(rng, (3,)).astype(dtype)
         y = ops.pointwise_conv(x, pw, pb)
         z = ops.conv2d(x, cw, cb, stride=2, padding=1)
+        u = ops.depthwise_conv(x, dw, db, ConvSpec(7, 3))
         outs = [
             y,
             *ops.pointwise_conv_backward(np.ones_like(y), x, pw),
             z,
             *ops.conv2d_backward(np.ones_like(z), x, cw, stride=2, padding=1),
+            u,
+            *ops.depthwise_conv_backward(np.ones_like(u), x, dw, ConvSpec(7, 3)),
         ]
-        assert [o.dtype for o in outs] == [np.dtype(dtype)] * 8
+        assert [o.dtype for o in outs] == [np.dtype(dtype)] * 12
+        # a weight gradient keeps the dtype of the weights
+        other = np.float64 if dtype is np.float32 else np.float32
+        grads = ops.depthwise_conv_backward(np.ones_like(u), x, dw.astype(other), ConvSpec(7, 3))
+        assert [a.dtype for a in grads] == [np.dtype(dtype), np.dtype(other), np.dtype(dtype)]
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=6))
     @settings(max_examples=25, deadline=None)
