@@ -16,23 +16,23 @@ match the ``B_<stage>_<depth>`` naming used by the mask export files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 
 from . import ops
 from .block import (
-    BlockGradients,
     BlockParams,
     BlockState,
     NormParams,
-    NORM_EPS,
     block_backward,
     block_forward,
     init_block_params,
+    norm_backward,
+    norm_forward,
+    prefixed,
 )
 from .errors import ShapeError, WeightMismatchError
-from .module import SelectionMode, fan_in_uniform, normalize_pooling
+from .module import SelectionMode, fan_in_uniform, normalize_pooling, params_astype
 from .ops import Tensor4
 from .plan import DecompositionPlan, validate_plan
 
@@ -132,6 +132,9 @@ class DenseConvParams:
     weight: np.ndarray  # (c_out, c_in, k, k)
     bias: np.ndarray
 
+    def parameter_arrays(self) -> list[tuple[str, np.ndarray]]:
+        return [("weight", self.weight), ("bias", self.bias)]
+
 
 @dataclass
 class BackboneParams:
@@ -191,62 +194,23 @@ def init_backbone_params(config: BackboneConfig, seed: int = 0) -> BackboneParam
 
 def backbone_params_astype(params: BackboneParams, dtype) -> BackboneParams:
     """Copy with every array cast to ``dtype`` (float64 for gradient checks)."""
-    return BackboneParams(
-        config=params.config,
-        stem_conv=DenseConvParams(
-            weight=params.stem_conv.weight.astype(dtype), bias=params.stem_conv.bias.astype(dtype)
-        ),
-        stem_norm=params.stem_norm.astype(dtype),
-        stages=[[bp.astype(dtype) for bp in blocks] for blocks in params.stages],
-        down_convs=[
-            DenseConvParams(weight=dc.weight.astype(dtype), bias=dc.bias.astype(dtype))
-            for dc in params.down_convs
-        ],
-        down_norms=[nm.astype(dtype) for nm in params.down_norms],
-    )
+    return params_astype(params, dtype)
 
 
 # ---------------------------------------------------------------------------
 # flat named-array view (shared by the weight-file format and the trainer)
 # ---------------------------------------------------------------------------
 
-def _block_named(prefix: str, bp: BlockParams) -> Iterator[tuple[str, np.ndarray]]:
-    for stat in ("scale", "shift", "mean", "var"):
-        yield f"{prefix}.norm1.{stat}", getattr(bp.norm1, stat)
-    yield f"{prefix}.pre.weight", bp.pre_weight
-    yield f"{prefix}.pre.bias", bp.pre_bias
-    for name, arr in bp.lsk.parameter_arrays():
-        yield f"{prefix}.lsk.{name}", arr
-    yield f"{prefix}.post.weight", bp.post_weight
-    yield f"{prefix}.post.bias", bp.post_bias
-    yield f"{prefix}.scale1", bp.scale1
-    for stat in ("scale", "shift", "mean", "var"):
-        yield f"{prefix}.norm2.{stat}", getattr(bp.norm2, stat)
-    yield f"{prefix}.ffn.fc1.weight", bp.fc1_weight
-    yield f"{prefix}.ffn.fc1.bias", bp.fc1_bias
-    yield f"{prefix}.ffn.dw.weight", bp.ffn_dw_weight
-    yield f"{prefix}.ffn.dw.bias", bp.ffn_dw_bias
-    yield f"{prefix}.ffn.fc2.weight", bp.fc2_weight
-    yield f"{prefix}.ffn.fc2.bias", bp.fc2_bias
-    yield f"{prefix}.scale2", bp.scale2
-
-
 def named_arrays(params: BackboneParams) -> dict[str, np.ndarray]:
     """Stable dotted-name view of every tensor in the backbone."""
-    out: dict[str, np.ndarray] = {}
-    out["stem.conv.weight"] = params.stem_conv.weight
-    out["stem.conv.bias"] = params.stem_conv.bias
-    for stat in ("scale", "shift", "mean", "var"):
-        out[f"stem.norm.{stat}"] = getattr(params.stem_norm, stat)
+    out = dict(prefixed("stem.conv", params.stem_conv.parameter_arrays()))
+    out.update(prefixed("stem.norm", params.stem_norm.parameter_arrays()))
     for i, blocks in enumerate(params.stages):
         for j, bp in enumerate(blocks):
-            for name, arr in _block_named(f"stage{i + 1}.block{j}", bp):
-                out[name] = arr
+            out.update(prefixed(f"stage{i + 1}.block{j}", bp.parameter_arrays()))
         if i < 3:
-            out[f"down{i + 1}.conv.weight"] = params.down_convs[i].weight
-            out[f"down{i + 1}.conv.bias"] = params.down_convs[i].bias
-            for stat in ("scale", "shift", "mean", "var"):
-                out[f"down{i + 1}.norm.{stat}"] = getattr(params.down_norms[i], stat)
+            out.update(prefixed(f"down{i + 1}.conv", params.down_convs[i].parameter_arrays()))
+            out.update(prefixed(f"down{i + 1}.norm", params.down_norms[i].parameter_arrays()))
     return out
 
 
@@ -308,16 +272,6 @@ class BackboneOutput:
     state: BackboneState | None
 
 
-def _norm_apply(x, norm: NormParams, train: bool):
-    if train:
-        return ops.batch_norm(x, norm.scale, norm.shift, NORM_EPS)
-    return (
-        ops.affine_channel_norm(x, norm.scale, norm.shift, norm.mean, norm.var, NORM_EPS),
-        None,
-        None,
-    )
-
-
 def backbone_forward(
     x: Tensor4,
     params: BackboneParams,
@@ -334,7 +288,7 @@ def backbone_forward(
         raise ShapeError(f"backbone_forward: spatial dims {h}x{w} not divisible by 32")
 
     conv_out = ops.conv2d(x, params.stem_conv.weight, params.stem_conv.bias, stride=4, padding=3)
-    cur, xhat, inv = _norm_apply(conv_out, params.stem_norm, train_norm)
+    cur, xhat, inv = norm_forward(conv_out, params.stem_norm, train_norm)
     stem_state = _DownState(x=x, conv_out=conv_out, bn_xhat=xhat, bn_inv=inv)
 
     record = ActivationRecord(rf=config.plan.rf_per_stage)
@@ -362,7 +316,7 @@ def backbone_forward(
         if i < 3:
             dc = params.down_convs[i]
             conv_out = ops.conv2d(cur, dc.weight, dc.bias, stride=2, padding=1)
-            nxt, xhat, inv = _norm_apply(conv_out, params.down_norms[i], train_norm)
+            nxt, xhat, inv = norm_forward(conv_out, params.down_norms[i], train_norm)
             down_states.append(_DownState(x=cur, conv_out=conv_out, bn_xhat=xhat, bn_inv=inv))
             cur = nxt
 
@@ -379,43 +333,13 @@ def backbone_forward(
     return BackboneOutput(features=features, record=record, state=state)
 
 
-def _lsk_grads_named(prefix: str, g) -> Iterator[tuple[str, np.ndarray]]:
-    for i, (w, b) in enumerate(zip(g.dw_weights, g.dw_biases)):
-        yield f"{prefix}.dw{i}.weight", w
-        yield f"{prefix}.dw{i}.bias", b
-    for i, (w, b) in enumerate(zip(g.mix_weights, g.mix_biases)):
-        yield f"{prefix}.mix{i}.weight", w
-        yield f"{prefix}.mix{i}.bias", b
-    if g.select_weight is not None:
-        yield f"{prefix}.select.weight", g.select_weight
-        yield f"{prefix}.select.bias", g.select_bias
-    yield f"{prefix}.fuse.weight", g.fuse_weight
-    yield f"{prefix}.fuse.bias", g.fuse_bias
-    if g.cs_squeeze_weight is not None:
-        yield f"{prefix}.cs_squeeze.weight", g.cs_squeeze_weight
-        yield f"{prefix}.cs_squeeze.bias", g.cs_squeeze_bias
-        yield f"{prefix}.cs_expand.weight", g.cs_expand_weight
-        yield f"{prefix}.cs_expand.bias", g.cs_expand_bias
-
-
-def block_grads_named(prefix: str, g: BlockGradients) -> Iterator[tuple[str, np.ndarray]]:
-    yield f"{prefix}.norm1.scale", g.norm1_scale
-    yield f"{prefix}.norm1.shift", g.norm1_shift
-    yield f"{prefix}.pre.weight", g.pre_weight
-    yield f"{prefix}.pre.bias", g.pre_bias
-    yield from _lsk_grads_named(f"{prefix}.lsk", g.lsk)
-    yield f"{prefix}.post.weight", g.post_weight
-    yield f"{prefix}.post.bias", g.post_bias
-    yield f"{prefix}.scale1", g.scale1
-    yield f"{prefix}.norm2.scale", g.norm2_scale
-    yield f"{prefix}.norm2.shift", g.norm2_shift
-    yield f"{prefix}.ffn.fc1.weight", g.fc1_weight
-    yield f"{prefix}.ffn.fc1.bias", g.fc1_bias
-    yield f"{prefix}.ffn.dw.weight", g.ffn_dw_weight
-    yield f"{prefix}.ffn.dw.bias", g.ffn_dw_bias
-    yield f"{prefix}.ffn.fc2.weight", g.fc2_weight
-    yield f"{prefix}.ffn.fc2.bias", g.fc2_bias
-    yield f"{prefix}.scale2", g.scale2
+def _conv_norm_backward(grad, ds: _DownState, conv: DenseConvParams, norm: NormParams,
+                        train: bool, stride: int, padding: int):
+    """Backward of a dense conv followed by a norm (the stem and the
+    downsamplers): ``(grad_x, grads)`` keyed ``conv.*`` and ``norm.*``."""
+    g_conv, g_scale, g_shift = norm_backward(grad, norm, train, ds.conv_out, ds.bn_xhat, ds.bn_inv)
+    g_in, g_w, g_b = ops.conv2d_backward(g_conv, ds.x, conv.weight, stride=stride, padding=padding)
+    return g_in, {"norm.scale": g_scale, "norm.shift": g_shift, "conv.weight": g_w, "conv.bias": g_b}
 
 
 def backbone_backward(grad_stage4: Tensor4, state: BackboneState) -> tuple[Tensor4, dict[str, np.ndarray]]:
@@ -428,42 +352,16 @@ def backbone_backward(grad_stage4: Tensor4, state: BackboneState) -> tuple[Tenso
     grad = grad_stage4
     for i in range(3, -1, -1):
         if i < 3:
-            ds = state.down_states[i]
-            norm = params.down_norms[i]
-            if state.train_norm:
-                g_conv, g_scale, g_shift = ops.batch_norm_backward(
-                    grad, ds.bn_xhat, ds.bn_inv, norm.scale
-                )
-            else:
-                g_conv, g_scale, g_shift = ops.affine_channel_norm_backward(
-                    grad, ds.conv_out, norm.scale, norm.mean, norm.var, NORM_EPS
-                )
-            grads[f"down{i + 1}.norm.scale"] = g_scale
-            grads[f"down{i + 1}.norm.shift"] = g_shift
-            g_in, g_w, g_b = ops.conv2d_backward(
-                g_conv, ds.x, params.down_convs[i].weight, stride=2, padding=1
+            grad, down_grads = _conv_norm_backward(
+                grad, state.down_states[i], params.down_convs[i], params.down_norms[i],
+                state.train_norm, stride=2, padding=1,
             )
-            grads[f"down{i + 1}.conv.weight"] = g_w
-            grads[f"down{i + 1}.conv.bias"] = g_b
-            grad = g_in
+            grads.update(prefixed(f"down{i + 1}", down_grads.items()))
         for j in range(len(params.stages[i]) - 1, -1, -1):
-            bg = block_backward(grad, state.block_states[i][j])
-            for name, arr in block_grads_named(f"stage{i + 1}.block{j}", bg):
-                grads[name] = arr
-            grad = bg.x
-    stem = state.stem
-    if state.train_norm:
-        g_conv, g_scale, g_shift = ops.batch_norm_backward(
-            grad, stem.bn_xhat, stem.bn_inv, params.stem_norm.scale
-        )
-    else:
-        g_conv, g_scale, g_shift = ops.affine_channel_norm_backward(
-            grad, stem.conv_out, params.stem_norm.scale, params.stem_norm.mean,
-            params.stem_norm.var, NORM_EPS,
-        )
-    grads["stem.norm.scale"] = g_scale
-    grads["stem.norm.shift"] = g_shift
-    g_in, g_w, g_b = ops.conv2d_backward(g_conv, stem.x, params.stem_conv.weight, stride=4, padding=3)
-    grads["stem.conv.weight"] = g_w
-    grads["stem.conv.bias"] = g_b
-    return g_in, grads
+            grad, block_grads = block_backward(grad, state.block_states[i][j])
+            grads.update(prefixed(f"stage{i + 1}.block{j}", block_grads.items()))
+    grad, stem_grads = _conv_norm_backward(
+        grad, state.stem, params.stem_conv, params.stem_norm, state.train_norm, stride=4, padding=3
+    )
+    grads.update(prefixed("stem", stem_grads.items()))
+    return grad, grads

@@ -13,7 +13,7 @@ switches to the batch's own statistics (used by the toy trainer).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +21,6 @@ import numpy as np
 from . import ops
 from .errors import ShapeError
 from .module import (
-    LskGradients,
     LskModuleParams,
     LskState,
     SelectionMode,
@@ -29,7 +28,6 @@ from .module import (
     init_lsk_params,
     lsk_backward,
     lsk_forward,
-    params_astype,
 )
 from .ops import ConvSpec, Tensor4
 from .plan import DecompositionPlan
@@ -38,7 +36,6 @@ __all__ = [
     "NormParams",
     "BlockParams",
     "BlockOutput",
-    "BlockGradients",
     "init_block_params",
     "block_forward",
     "block_backward",
@@ -65,13 +62,13 @@ class NormParams:
             var=np.ones(c, dtype=dtype),
         )
 
-    def astype(self, dtype) -> "NormParams":
-        return NormParams(
-            self.scale.astype(dtype),
-            self.shift.astype(dtype),
-            self.mean.astype(dtype),
-            self.var.astype(dtype),
-        )
+    def parameter_arrays(self) -> list[tuple[str, np.ndarray]]:
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+
+
+def prefixed(prefix: str, listing) -> list[tuple[str, np.ndarray]]:
+    """``(name, array)`` pairs with ``prefix.`` put before every name."""
+    return [(f"{prefix}.{name}", arr) for name, arr in listing]
 
 
 @dataclass
@@ -94,26 +91,26 @@ class BlockParams:
     fc2_bias: np.ndarray
     scale2: np.ndarray  # (c,)
 
-    def astype(self, dtype) -> "BlockParams":
-        return BlockParams(
-            c=self.c,
-            ffn_hidden=self.ffn_hidden,
-            norm1=self.norm1.astype(dtype),
-            pre_weight=self.pre_weight.astype(dtype),
-            pre_bias=self.pre_bias.astype(dtype),
-            lsk=params_astype(self.lsk, dtype),
-            post_weight=self.post_weight.astype(dtype),
-            post_bias=self.post_bias.astype(dtype),
-            scale1=self.scale1.astype(dtype),
-            norm2=self.norm2.astype(dtype),
-            fc1_weight=self.fc1_weight.astype(dtype),
-            fc1_bias=self.fc1_bias.astype(dtype),
-            ffn_dw_weight=self.ffn_dw_weight.astype(dtype),
-            ffn_dw_bias=self.ffn_dw_bias.astype(dtype),
-            fc2_weight=self.fc2_weight.astype(dtype),
-            fc2_bias=self.fc2_bias.astype(dtype),
-            scale2=self.scale2.astype(dtype),
-        )
+    def parameter_arrays(self) -> list[tuple[str, np.ndarray]]:
+        """Stable (name, array) listing of every stored array, the norm
+        statistics included: the weight-file names below the block prefix."""
+        return [
+            *prefixed("norm1", self.norm1.parameter_arrays()),
+            ("pre.weight", self.pre_weight),
+            ("pre.bias", self.pre_bias),
+            *prefixed("lsk", self.lsk.parameter_arrays()),
+            ("post.weight", self.post_weight),
+            ("post.bias", self.post_bias),
+            ("scale1", self.scale1),
+            *prefixed("norm2", self.norm2.parameter_arrays()),
+            ("ffn.fc1.weight", self.fc1_weight),
+            ("ffn.fc1.bias", self.fc1_bias),
+            ("ffn.dw.weight", self.ffn_dw_weight),
+            ("ffn.dw.bias", self.ffn_dw_bias),
+            ("ffn.fc2.weight", self.fc2_weight),
+            ("ffn.fc2.bias", self.fc2_bias),
+            ("scale2", self.scale2),
+        ]
 
 
 def init_block_params(
@@ -181,33 +178,19 @@ class BlockOutput:
     state: BlockState | None
 
 
-@dataclass
-class BlockGradients:
-    x: Tensor4
-    norm1_scale: np.ndarray
-    norm1_shift: np.ndarray
-    pre_weight: np.ndarray
-    pre_bias: np.ndarray
-    lsk: LskGradients
-    post_weight: np.ndarray
-    post_bias: np.ndarray
-    scale1: np.ndarray
-    norm2_scale: np.ndarray
-    norm2_shift: np.ndarray
-    fc1_weight: np.ndarray
-    fc1_bias: np.ndarray
-    ffn_dw_weight: np.ndarray
-    ffn_dw_bias: np.ndarray
-    fc2_weight: np.ndarray
-    fc2_bias: np.ndarray
-    scale2: np.ndarray
-
-
-def _norm_forward(x, norm: NormParams, train: bool):
+def norm_forward(x, norm: NormParams, train: bool):
+    """``(y, xhat, inv_std)``: batch statistics when ``train``, else the stored
+    ones (and no batch-norm caches)."""
     if train:
-        y, xhat, inv = ops.batch_norm(x, norm.scale, norm.shift, NORM_EPS)
-        return y, xhat, inv
+        return ops.batch_norm(x, norm.scale, norm.shift, NORM_EPS)
     return ops.affine_channel_norm(x, norm.scale, norm.shift, norm.mean, norm.var, NORM_EPS), None, None
+
+
+def norm_backward(grad, norm: NormParams, train: bool, x, xhat, inv):
+    """``(grad_x, grad_scale, grad_shift)`` of :func:`norm_forward`."""
+    if train:
+        return ops.batch_norm_backward(grad, xhat, inv, norm.scale)
+    return ops.affine_channel_norm_backward(grad, x, norm.scale, norm.mean, norm.var, NORM_EPS)
 
 
 def block_forward(
@@ -222,14 +205,14 @@ def block_forward(
     if x.shape[1] != params.c:
         raise ShapeError(f"block_forward: input has {x.shape[1]} channels, block expects {params.c}")
 
-    normed1, bn1_xhat, bn1_inv = _norm_forward(x, params.norm1, train_norm)
+    normed1, bn1_xhat, bn1_inv = norm_forward(x, params.norm1, train_norm)
     pre_out = ops.pointwise_conv(normed1, params.pre_weight, params.pre_bias)
     gelu1 = ops.gelu(pre_out)
     lsk_out = lsk_forward(gelu1, params.lsk, mode, pooling, keep_state=keep_state)
     post_out = ops.pointwise_conv(lsk_out.y, params.post_weight, params.post_bias)
     y1 = ops.elementwise(x, ops.channel_scale(post_out, params.scale1), "add")
 
-    normed2, bn2_xhat, bn2_inv = _norm_forward(y1, params.norm2, train_norm)
+    normed2, bn2_xhat, bn2_inv = norm_forward(y1, params.norm2, train_norm)
     fc1_out = ops.pointwise_conv(normed2, params.fc1_weight, params.fc1_bias)
     dw_out = ops.depthwise_conv(fc1_out, params.ffn_dw_weight, params.ffn_dw_bias, _FFN_SPEC)
     gelu2 = ops.gelu(dw_out)
@@ -262,73 +245,47 @@ def block_forward(
     return BlockOutput(y=y, masks=lsk_out.masks, state=state)
 
 
-def block_backward(grad_y: Tensor4, state: BlockState) -> BlockGradients:
+def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[str, np.ndarray]]:
+    """Returns ``(grad_x, grads)``: ``grads`` is keyed by the names of
+    :meth:`BlockParams.parameter_arrays` and covers every learnable array
+    (all but the stored norm statistics)."""
     p = state.params
     if grad_y.shape != state.x.shape:
         raise ShapeError(f"block_backward: grad_y {grad_y.shape} != input {state.x.shape}")
+    grads: dict[str, np.ndarray] = {}
 
     # FFN half: y = y1 + scale2 * fc2_out
     grad_y1 = grad_y.copy()
-    grad_fc2_scaled = grad_y
-    grad_fc2_out, grad_scale2 = ops.channel_scale_backward(grad_fc2_scaled, state.fc2_out, p.scale2)
-    grad_gelu2, grad_fc2_w, grad_fc2_b = ops.pointwise_conv_backward(
+    grad_fc2_out, grads["scale2"] = ops.channel_scale_backward(grad_y, state.fc2_out, p.scale2)
+    grad_gelu2, grads["ffn.fc2.weight"], grads["ffn.fc2.bias"] = ops.pointwise_conv_backward(
         grad_fc2_out, state.gelu2, p.fc2_weight
     )
     grad_dw_out = ops.gelu_backward(grad_gelu2, state.dw_out)
-    grad_fc1_out, grad_ffn_dw_w, grad_ffn_dw_b = ops.depthwise_conv_backward(
+    grad_fc1_out, grads["ffn.dw.weight"], grads["ffn.dw.bias"] = ops.depthwise_conv_backward(
         grad_dw_out, state.fc1_out, p.ffn_dw_weight, _FFN_SPEC
     )
-    grad_normed2, grad_fc1_w, grad_fc1_b = ops.pointwise_conv_backward(
+    grad_normed2, grads["ffn.fc1.weight"], grads["ffn.fc1.bias"] = ops.pointwise_conv_backward(
         grad_fc1_out, state.normed2, p.fc1_weight
     )
-    if state.train_norm:
-        g_y1_norm, grad_n2_scale, grad_n2_shift = ops.batch_norm_backward(
-            grad_normed2, state.bn2_xhat, state.bn2_inv, p.norm2.scale
-        )
-    else:
-        g_y1_norm, grad_n2_scale, grad_n2_shift = ops.affine_channel_norm_backward(
-            grad_normed2, state.y1, p.norm2.scale, p.norm2.mean, p.norm2.var, NORM_EPS
-        )
+    g_y1_norm, grads["norm2.scale"], grads["norm2.shift"] = norm_backward(
+        grad_normed2, p.norm2, state.train_norm, state.y1, state.bn2_xhat, state.bn2_inv
+    )
     grad_y1 += g_y1_norm
 
     # selection half: y1 = x + scale1 * post_out
     grad_x = grad_y1.copy()
-    grad_post_out, grad_scale1 = ops.channel_scale_backward(grad_y1, state.post_out, p.scale1)
-    grad_lsk_y, grad_post_w, grad_post_b = ops.pointwise_conv_backward(
+    grad_post_out, grads["scale1"] = ops.channel_scale_backward(grad_y1, state.post_out, p.scale1)
+    grad_lsk_y, grads["post.weight"], grads["post.bias"] = ops.pointwise_conv_backward(
         grad_post_out, state.lsk_y, p.post_weight
     )
-    lsk_grads = lsk_backward(grad_lsk_y, state.lsk_state)
-    grad_pre_out = ops.gelu_backward(lsk_grads.x, state.pre_out)
-    grad_normed1, grad_pre_w, grad_pre_b = ops.pointwise_conv_backward(
+    grad_gelu1, lsk_grads = lsk_backward(grad_lsk_y, state.lsk_state)
+    grads.update(prefixed("lsk", lsk_grads.items()))
+    grad_pre_out = ops.gelu_backward(grad_gelu1, state.pre_out)
+    grad_normed1, grads["pre.weight"], grads["pre.bias"] = ops.pointwise_conv_backward(
         grad_pre_out, state.normed1, p.pre_weight
     )
-    if state.train_norm:
-        g_x_norm, grad_n1_scale, grad_n1_shift = ops.batch_norm_backward(
-            grad_normed1, state.bn1_xhat, state.bn1_inv, p.norm1.scale
-        )
-    else:
-        g_x_norm, grad_n1_scale, grad_n1_shift = ops.affine_channel_norm_backward(
-            grad_normed1, state.x, p.norm1.scale, p.norm1.mean, p.norm1.var, NORM_EPS
-        )
-    grad_x += g_x_norm
-
-    return BlockGradients(
-        x=grad_x,
-        norm1_scale=grad_n1_scale,
-        norm1_shift=grad_n1_shift,
-        pre_weight=grad_pre_w,
-        pre_bias=grad_pre_b,
-        lsk=lsk_grads,
-        post_weight=grad_post_w,
-        post_bias=grad_post_b,
-        scale1=grad_scale1,
-        norm2_scale=grad_n2_scale,
-        norm2_shift=grad_n2_shift,
-        fc1_weight=grad_fc1_w,
-        fc1_bias=grad_fc1_b,
-        ffn_dw_weight=grad_ffn_dw_w,
-        ffn_dw_bias=grad_ffn_dw_b,
-        fc2_weight=grad_fc2_w,
-        fc2_bias=grad_fc2_b,
-        scale2=grad_scale2,
+    g_x_norm, grads["norm1.scale"], grads["norm1.shift"] = norm_backward(
+        grad_normed1, p.norm1, state.train_norm, state.x, state.bn1_xhat, state.bn1_inv
     )
+    grad_x += g_x_norm
+    return grad_x, grads

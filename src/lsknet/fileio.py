@@ -12,7 +12,8 @@ Images: binary 8-bit PGM (P5) and PPM (P6) only; values are scaled to [0, 1]
 and grayscale is replicated to three channels.
 
 Readers never read past declared lengths; every malformed input maps to a
-distinct error kind (bad magic, truncation, dim overflow, manifest problems).
+distinct error kind (bad magic, truncation, dim overflow, manifest problems);
+a payload holding NaN or Inf is a format error.
 """
 
 from __future__ import annotations
@@ -66,6 +67,13 @@ def _open(target, mode: str):
     return target, False
 
 
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """Return ``arr``; a payload holding NaN or Inf is a format error."""
+    if not np.isfinite(arr).all():
+        raise FormatError(f"{what}: payload holds NaN or Inf values")
+    return arr
+
+
 # ---------------------------------------------------------------------------
 # LSKT tensors
 # ---------------------------------------------------------------------------
@@ -102,7 +110,8 @@ def read_tensor(target, expected_shape: tuple[int, ...] | None = None) -> np.nda
         if expected_shape is not None and tuple(dims) != tuple(expected_shape):
             raise FormatError(f"tensor shape {dims} does not match expected {tuple(expected_shape)}")
         payload = _read_exact(fh, count * 4, "tensor payload")
-        return np.frombuffer(payload, dtype=_F4).reshape(dims).copy()
+        name = str(target) if owned else "stream"
+        return _finite(np.frombuffer(payload, dtype=_F4).reshape(dims).copy(), f"tensor {name}")
     finally:
         if owned:
             fh.close()
@@ -201,9 +210,12 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
                 raise ManifestError(f"tensors {n0!r} and {n1!r} overlap in the payload")
 
         arrays = {
-            name: np.frombuffer(payload, dtype=_F4, count=int(np.prod(shape)), offset=off)
-            .reshape(shape)
-            .copy()
+            name: _finite(
+                np.frombuffer(payload, dtype=_F4, count=int(np.prod(shape)), offset=off)
+                .reshape(shape)
+                .copy(),
+                f"tensor {name!r}",
+            )
             for name, (off, shape) in entries.items()
         }
         return arrays, Manifest(entries=entries, format_version=version)

@@ -270,56 +270,55 @@ def _case_gap(rng) -> _Case:
     return _Case(fwd, inputs, analytic)
 
 
+def _layer_case(rng, params, forward, backward, cat_of=None) -> _Case:
+    """Case over the input and every learnable array of one layer.
+
+    ``forward(x, params)`` returns an output with ``y`` and ``state``, and
+    ``backward(grad_y, state)`` returns ``(grad_x, grads)`` keyed by the names
+    of ``params.parameter_arrays()``; the arrays it returns a gradient for are
+    the learnables, drawn after the input in listing order.  ``cat_of(state)``
+    is the input of a channel max-pool whose winners must stay well separated
+    from the FD step.
+    """
+    arrays = dict(params.parameter_arrays())
+    inputs: dict[str, np.ndarray] = {"x": _uniform(rng, (1, 4, 5, 5))}
+    out = forward(inputs["x"], params)
+    learnable = backward(np.zeros_like(out.y), out.state)[1]
+    for name, arr in arrays.items():
+        if name in learnable:
+            inputs[name] = _uniform(rng, arr.shape, scale=0.5)
+
+    def load(v) -> None:
+        for name in learnable:
+            arrays[name][...] = v[name]
+
+    def fwd(v):
+        load(v)
+        return forward(v["x"], params).y
+
+    def analytic(v, probe):
+        load(v)
+        grad_x, grads = backward(probe, forward(v["x"], params).state)
+        return {"x": grad_x, **grads}
+
+    if cat_of is not None:
+        for _ in range(64):
+            load(inputs)
+            top2 = np.sort(cat_of(forward(inputs["x"], params).state), axis=1)[:, -2:]
+            if float((top2[:, 1] - top2[:, 0]).min()) > 5e-3:
+                break
+            inputs["x"] = _uniform(rng, (1, 4, 5, 5))
+    return _Case(fwd, inputs, analytic)
+
+
 def _module_case(mode: SelectionMode):
     plan = validate_plan([(3, 1), (5, 2)])
+    cat_of = (lambda state: state.cat) if mode is SelectionMode.SPATIAL else None
 
     def build(rng) -> _Case:
         base = init_lsk_params(plan, c_in=4, c_mid=2, select_kernel=3, mode=mode, rng=rng)
-        params = params_astype(base, np.float64)
-        inputs: dict[str, np.ndarray] = {"x": _uniform(rng, (1, 4, 5, 5))}
-        for name, arr in params.parameter_arrays():
-            inputs[name] = _uniform(rng, arr.shape, scale=0.5)
-
-        def load(v) -> None:
-            for name, arr in params.parameter_arrays():
-                arr[...] = v[name]
-
-        def fwd(v):
-            load(v)
-            return lsk_forward(v["x"], params, mode=mode).y
-
-        def analytic(v, probe):
-            load(v)
-            out = lsk_forward(v["x"], params, mode=mode)
-            g = lsk_backward(probe, out.state)
-            named = {"x": g.x}
-            for i in range(plan.n_kernels):
-                named[f"dw{i}.weight"] = g.dw_weights[i]
-                named[f"dw{i}.bias"] = g.dw_biases[i]
-                named[f"mix{i}.weight"] = g.mix_weights[i]
-                named[f"mix{i}.bias"] = g.mix_biases[i]
-            if g.select_weight is not None:
-                named["select.weight"] = g.select_weight
-                named["select.bias"] = g.select_bias
-            named["fuse.weight"] = g.fuse_weight
-            named["fuse.bias"] = g.fuse_bias
-            if g.cs_squeeze_weight is not None:
-                named["cs_squeeze.weight"] = g.cs_squeeze_weight
-                named["cs_squeeze.bias"] = g.cs_squeeze_bias
-                named["cs_expand.weight"] = g.cs_expand_weight
-                named["cs_expand.bias"] = g.cs_expand_bias
-            return named
-
-        if mode is SelectionMode.SPATIAL:
-            # keep the channel-max winners well separated from the FD step
-            for _ in range(64):
-                load(inputs)
-                state = lsk_forward(inputs["x"], params, mode=mode).state
-                top2 = np.sort(state.cat, axis=1)[:, -2:]
-                if float((top2[:, 1] - top2[:, 0]).min()) > 5e-3:
-                    break
-                inputs["x"] = _uniform(rng, (1, 4, 5, 5))
-        return _Case(fwd, inputs, analytic)
+        forward = lambda x, params: lsk_forward(x, params, mode=mode)
+        return _layer_case(rng, params_astype(base, np.float64), forward, lsk_backward, cat_of)
 
     return build
 
@@ -327,83 +326,10 @@ def _module_case(mode: SelectionMode):
 def _case_block(rng) -> _Case:
     plan = validate_plan([(3, 1)])
     base = init_block_params(plan, c=4, ffn_ratio=2.0, c_mid=2, select_kernel=3, rng=rng)
-    params = base.astype(np.float64)
-    named = {
-        "norm1.scale": params.norm1.scale,
-        "norm1.shift": params.norm1.shift,
-        "pre.weight": params.pre_weight,
-        "pre.bias": params.pre_bias,
-        "post.weight": params.post_weight,
-        "post.bias": params.post_bias,
-        "scale1": params.scale1,
-        "norm2.scale": params.norm2.scale,
-        "norm2.shift": params.norm2.shift,
-        "fc1.weight": params.fc1_weight,
-        "fc1.bias": params.fc1_bias,
-        "ffn_dw.weight": params.ffn_dw_weight,
-        "ffn_dw.bias": params.ffn_dw_bias,
-        "fc2.weight": params.fc2_weight,
-        "fc2.bias": params.fc2_bias,
-        "scale2": params.scale2,
-    }
-    for lsk_name, arr in params.lsk.parameter_arrays():
-        named[f"lsk.{lsk_name}"] = arr
-    inputs = {"x": _uniform(rng, (1, 4, 5, 5))}
-    for name, arr in named.items():
-        inputs[name] = _uniform(rng, arr.shape, scale=0.5)
-
-    def load(v) -> None:
-        for name, arr in named.items():
-            arr[...] = v[name]
-
-    def fwd(v):
-        load(v)
-        return block_forward(v["x"], params).y
-
-    def analytic(v, probe):
-        load(v)
-        out = block_forward(v["x"], params)
-        g = block_backward(probe, out.state)
-        result = {
-            "x": g.x,
-            "norm1.scale": g.norm1_scale,
-            "norm1.shift": g.norm1_shift,
-            "pre.weight": g.pre_weight,
-            "pre.bias": g.pre_bias,
-            "post.weight": g.post_weight,
-            "post.bias": g.post_bias,
-            "scale1": g.scale1,
-            "norm2.scale": g.norm2_scale,
-            "norm2.shift": g.norm2_shift,
-            "fc1.weight": g.fc1_weight,
-            "fc1.bias": g.fc1_bias,
-            "ffn_dw.weight": g.ffn_dw_weight,
-            "ffn_dw.bias": g.ffn_dw_bias,
-            "fc2.weight": g.fc2_weight,
-            "fc2.bias": g.fc2_bias,
-            "scale2": g.scale2,
-        }
-        for i in range(plan.n_kernels):
-            result[f"lsk.dw{i}.weight"] = g.lsk.dw_weights[i]
-            result[f"lsk.dw{i}.bias"] = g.lsk.dw_biases[i]
-            result[f"lsk.mix{i}.weight"] = g.lsk.mix_weights[i]
-            result[f"lsk.mix{i}.bias"] = g.lsk.mix_biases[i]
-        result["lsk.select.weight"] = g.lsk.select_weight
-        result["lsk.select.bias"] = g.lsk.select_bias
-        result["lsk.fuse.weight"] = g.lsk.fuse_weight
-        result["lsk.fuse.bias"] = g.lsk.fuse_bias
-        return result
-
-    # margin guard for the max pool inside the selection module
-    for _ in range(64):
-        load(inputs)
-        out = block_forward(inputs["x"], params)
-        cat = out.state.lsk_state.cat
-        top2 = np.sort(cat, axis=1)[:, -2:]
-        if float((top2[:, 1] - top2[:, 0]).min()) > 5e-3:
-            break
-        inputs["x"] = _uniform(rng, (1, 4, 5, 5))
-    return _Case(fwd, inputs, analytic)
+    return _layer_case(
+        rng, params_astype(base, np.float64), block_forward, block_backward,
+        lambda state: state.lsk_state.cat,
+    )
 
 
 _CASES: dict[str, Callable[[np.random.Generator], _Case]] = {

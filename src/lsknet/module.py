@@ -19,7 +19,7 @@ unweighted; both exist for comparison runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from typing import Sequence
 
@@ -35,11 +35,11 @@ __all__ = [
     "ChannelSelectParams",
     "LskModuleParams",
     "LskOutput",
-    "LskGradients",
     "normalize_pooling",
     "init_lsk_params",
     "lsk_forward",
     "lsk_backward",
+    "params_astype",
 ]
 
 POOL_ORDER = ("avg", "max")
@@ -257,23 +257,6 @@ class LskOutput:
     state: LskState | None
 
 
-@dataclass
-class LskGradients:
-    x: Tensor4
-    dw_weights: list[np.ndarray]
-    dw_biases: list[np.ndarray]
-    mix_weights: list[np.ndarray]
-    mix_biases: list[np.ndarray]
-    select_weight: np.ndarray | None
-    select_bias: np.ndarray | None
-    fuse_weight: np.ndarray
-    fuse_bias: np.ndarray
-    cs_squeeze_weight: np.ndarray | None = None
-    cs_squeeze_bias: np.ndarray | None = None
-    cs_expand_weight: np.ndarray | None = None
-    cs_expand_bias: np.ndarray | None = None
-
-
 def _softmax_branches(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
@@ -385,28 +368,28 @@ def lsk_forward(
     return LskOutput(y=y, masks=masks, state=state)
 
 
-def lsk_backward(grad_y: Tensor4, state: LskState) -> LskGradients:
-    """Chain-rule pass through the whole module for a sum-reduction loss."""
+def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, np.ndarray]]:
+    """Chain-rule pass through the whole module for a sum-reduction loss.
+
+    Returns ``(grad_x, grads)``: ``grads`` holds one gradient per entry of
+    :meth:`LskModuleParams.parameter_arrays`, keyed by its name (zeros for an
+    array the mode never reads, such as a selection conv run in ``none`` mode).
+    """
     params = state.params
     n = params.n_kernels
     if grad_y.shape != state.x.shape:
         raise ShapeError(
             f"lsk_backward: grad_y shape {grad_y.shape} != forward input {state.x.shape}"
         )
+    grads: dict[str, np.ndarray] = {}
 
     # y = x * fused
     grad_x_total, grad_fused = ops.elementwise_backward(grad_y, state.x, state.fused, "mul")
-    grad_weighted, grad_fuse_w, grad_fuse_b = ops.pointwise_conv_backward(
+    grad_weighted, grads["fuse.weight"], grads["fuse.bias"] = ops.pointwise_conv_backward(
         grad_fused, state.weighted, params.fuse_weight
     )
 
     grad_mixed = [np.zeros_like(m) for m in state.u_mixed]
-    grad_sel_w = grad_sel_b = None
-    if params.select_weight is not None:
-        grad_sel_w = np.zeros_like(params.select_weight)
-        grad_sel_b = np.zeros_like(params.select_bias)
-    cs_grads: dict[str, np.ndarray] = {}
-
     if state.mode is SelectionMode.SPATIAL:
         masks = state.masks
         grad_masks = np.zeros_like(masks)
@@ -418,7 +401,7 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> LskGradients:
             grad_masks[:, i : i + 1] = g_mask
         grad_logits = ops.sigmoid_backward(grad_masks, masks)
         q = params.select_kernel
-        grad_pooled, grad_sel_w, grad_sel_b = ops.conv2d_backward(
+        grad_pooled, grads["select.weight"], grads["select.bias"] = ops.conv2d_backward(
             grad_logits, state.pooled, params.select_weight, padding=(q - 1) // 2
         )
         desc_grads = ops.concat_channels_backward(grad_pooled, [1] * len(state.pooling))
@@ -442,85 +425,53 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> LskGradients:
         grad_exp_b = np.zeros_like(params.cs.expand_bias)
         for i in range(n):
             g_li = grad_logits[:, i][:, :, None, None]
-            g_h, g_w, g_b = ops.pointwise_conv_backward(
+            g_h, grad_exp_w[i], grad_exp_b[i] = ops.pointwise_conv_backward(
                 g_li, state.cs_hidden, params.cs.expand_weight[i]
             )
             grad_hidden += g_h
-            grad_exp_w[i] = g_w
-            grad_exp_b[i] = g_b
         grad_pre = ops.gelu_backward(grad_hidden, state.cs_pre)
-        grad_sum, grad_sq_w, grad_sq_b = ops.pointwise_conv_backward(
+        grad_sum, grads["cs_squeeze.weight"], grads["cs_squeeze.bias"] = ops.pointwise_conv_backward(
             grad_pre, state.cs_sum, params.cs.squeeze_weight
         )
+        grads["cs_expand.weight"], grads["cs_expand.bias"] = grad_exp_w, grad_exp_b
         for i in range(n):
             grad_mixed[i] += ops.global_avg_pool_backward(grad_sum, state.u_mixed[i])
-        cs_grads = {
-            "cs_squeeze_weight": grad_sq_w,
-            "cs_squeeze_bias": grad_sq_b,
-            "cs_expand_weight": grad_exp_w,
-            "cs_expand_bias": grad_exp_b,
-        }
     else:  # NONE: plain sum of branches
         for i in range(n):
             grad_mixed[i] += grad_weighted
 
     # mixers, then the depth-wise chain in reverse
     grad_u = [np.zeros_like(t) for t in state.u]
-    grad_mix_w, grad_mix_b = [], []
     for i in range(n):
-        g_u, g_w, g_b = ops.pointwise_conv_backward(
+        g_u, grads[f"mix{i}.weight"], grads[f"mix{i}.bias"] = ops.pointwise_conv_backward(
             grad_mixed[i], state.u[i + 1], params.mix_weights[i]
         )
         grad_u[i + 1] += g_u
-        grad_mix_w.append(g_w)
-        grad_mix_b.append(g_b)
-    grad_dw_w: list[np.ndarray] = [None] * n  # type: ignore[list-item]
-    grad_dw_b: list[np.ndarray] = [None] * n  # type: ignore[list-item]
     for i in range(n - 1, -1, -1):
         spec = params.plan.stages[i]
-        g_prev, g_w, g_b = ops.depthwise_conv_backward(
+        g_prev, grads[f"dw{i}.weight"], grads[f"dw{i}.bias"] = ops.depthwise_conv_backward(
             grad_u[i + 1], state.u[i], params.dw_weights[i], ConvSpec(spec.k, spec.d)
         )
-        grad_dw_w[i] = g_w
-        grad_dw_b[i] = g_b
         grad_u[i] += g_prev
-    grad_x_total = grad_x_total + grad_u[0]
-
-    return LskGradients(
-        x=grad_x_total,
-        dw_weights=grad_dw_w,
-        dw_biases=grad_dw_b,
-        mix_weights=grad_mix_w,
-        mix_biases=grad_mix_b,
-        select_weight=grad_sel_w,
-        select_bias=grad_sel_b,
-        fuse_weight=grad_fuse_w,
-        fuse_bias=grad_fuse_b,
-        **cs_grads,
-    )
+    for name, arr in params.parameter_arrays():  # arrays this mode never reads
+        grads.setdefault(name, np.zeros_like(arr))
+    return grad_x_total + grad_u[0], grads
 
 
-def params_astype(params: LskModuleParams, dtype) -> LskModuleParams:
-    """Copy of the params with every array cast to ``dtype`` (gradcheck runs
-    the production code in float64 this way)."""
-    cs = params.cs
-    new_cs = None
-    if cs is not None:
-        new_cs = ChannelSelectParams(
-            squeeze_weight=cs.squeeze_weight.astype(dtype),
-            squeeze_bias=cs.squeeze_bias.astype(dtype),
-            expand_weight=cs.expand_weight.astype(dtype),
-            expand_bias=cs.expand_bias.astype(dtype),
-        )
-    return replace(
-        params,
-        dw_weights=[w.astype(dtype) for w in params.dw_weights],
-        dw_biases=[b.astype(dtype) for b in params.dw_biases],
-        mix_weights=[w.astype(dtype) for w in params.mix_weights],
-        mix_biases=[b.astype(dtype) for b in params.mix_biases],
-        select_weight=None if params.select_weight is None else params.select_weight.astype(dtype),
-        select_bias=None if params.select_bias is None else params.select_bias.astype(dtype),
-        fuse_weight=params.fuse_weight.astype(dtype),
-        fuse_bias=params.fuse_bias.astype(dtype),
-        cs=new_cs,
-    )
+def params_astype(tree, dtype):
+    """Copy of a parameter tree with every array cast to ``dtype`` (gradcheck
+    runs the production code in float64 this way).
+
+    Walks dataclasses, lists and arrays; a dataclass holding no array (a plan
+    or a config) and every other value is shared, not copied.
+    """
+    if isinstance(tree, np.ndarray):
+        return tree.astype(dtype)
+    if isinstance(tree, list):
+        return [params_astype(item, dtype) for item in tree]
+    if is_dataclass(tree):
+        cast = {f.name: params_astype(getattr(tree, f.name), dtype) for f in fields(tree)}
+        if all(value is getattr(tree, name) for name, value in cast.items()):
+            return tree
+        return replace(tree, **cast)
+    return tree

@@ -333,14 +333,19 @@ def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray
     return out.reshape(n, c * k * k, oh * ow)
 
 
-def _check_conv2d_args(name: str, c: int, weights: np.ndarray, stride: int) -> tuple[int, int]:
-    """Check square (c_out, c, k, k) weights and stride >= 1; return (c_out, k)."""
+def _check_conv2d_args(
+    name: str, c: int, weights: np.ndarray, stride: int, padding: int
+) -> tuple[int, int]:
+    """Check square (c_out, c, k, k) weights, stride >= 1 and padding >= 0;
+    return (c_out, k)."""
     if weights.ndim != 4 or weights.shape[1] != c or weights.shape[2] != weights.shape[3]:
         raise ShapeError(
             f"{name}: weights shape {weights.shape} does not match input channels {c}"
         )
     if stride < 1:
         raise ShapeError(f"{name}: stride must be >= 1, got {stride}")
+    if padding < 0:
+        raise ShapeError(f"{name}: padding must be >= 0, got {padding}")
     return weights.shape[0], weights.shape[2]
 
 
@@ -354,7 +359,7 @@ def conv2d(
     """Dense convolution: weights (c_out, c_in, k, k), square kernel, stride >= 1."""
     check_tensor4(x, "conv2d: x")
     n, c, h, w = x.shape
-    c_out, k = _check_conv2d_args("conv2d", c, weights, stride)
+    c_out, k = _check_conv2d_args("conv2d", c, weights, stride, padding)
     _check_vector(bias, c_out, "conv2d: bias")
     oh = (h + 2 * padding - k) // stride + 1
     ow = (w + 2 * padding - k) // stride + 1
@@ -378,7 +383,7 @@ def conv2d_backward(
     check_tensor4(grad_out, "conv2d_backward: grad_out")
     check_tensor4(x, "conv2d_backward: x")
     n, c, h, w = x.shape
-    c_out, k = _check_conv2d_args("conv2d_backward", c, weights, stride)
+    c_out, k = _check_conv2d_args("conv2d_backward", c, weights, stride, padding)
     oh, ow = grad_out.shape[2], grad_out.shape[3]
     expected = ((h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1)
     if grad_out.shape != (n, c_out, *expected):

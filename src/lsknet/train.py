@@ -134,19 +134,9 @@ def _train_module(
         if train_module:
             grad_pooled = np.outer(grad_pred, head_w).astype(x.dtype)
             grad_y = ops.global_avg_pool_backward(grad_pooled[:, :, None, None], out.y)
-            grads = lsk_backward(grad_y, out.state)
-            updates = list(zip(params.dw_weights, grads.dw_weights))
-            updates += list(zip(params.dw_biases, grads.dw_biases))
-            updates += list(zip(params.mix_weights, grads.mix_weights))
-            updates += list(zip(params.mix_biases, grads.mix_biases))
-            updates += [
-                (params.select_weight, grads.select_weight),
-                (params.select_bias, grads.select_bias),
-                (params.fuse_weight, grads.fuse_weight),
-                (params.fuse_bias, grads.fuse_bias),
-            ]
-            for arr, g in updates:
-                arr -= (lr * g).astype(arr.dtype)
+            _, grads = lsk_backward(grad_y, out.state)
+            for name, arr in params.parameter_arrays():
+                arr -= (lr * grads[name]).astype(arr.dtype)
         head_w -= (lr * grad_w).astype(head_w.dtype)
         head_b -= np.float32(lr * grad_b)
     return losses

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import lsknet
 from lsknet.backbone import (
     BackboneConfig,
     backbone_backward,
+    backbone_params_astype,
     backbone_forward,
     expected_shapes,
     init_backbone_params,
@@ -220,24 +222,40 @@ class TestWeightPlumbing:
             params_from_arrays(TINY, arrays)
 
 
+MODES = [SelectionMode.SPATIAL, SelectionMode.CHANNEL, SelectionMode.NONE]
+
+
 class TestBackboneBackward:
-    def test_gradients_cover_every_learnable(self, rng):
-        params = init_backbone_params(TINY, seed=1)
+    @pytest.mark.parametrize("train_norm", [False, True])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_gradients_cover_every_learnable(self, rng, mode, train_norm):
+        params = init_backbone_params(replace(TINY, selection_mode=mode), seed=1)
         x = rng.uniform(-1, 1, size=(1, 3, 32, 32)).astype(np.float32)
-        out = backbone_forward(x, params, keep_state=True)
+        out = backbone_forward(x, params, keep_state=True, train_norm=train_norm)
         grad = np.ones_like(out.features[3])
         gx, grads = backbone_backward(grad, out.state)
-        assert gx.shape == x.shape
-        learnables = {
-            name for name in named_arrays(params) if not name.endswith((".mean", ".var"))
-        }
+        assert gx.shape == x.shape and gx.dtype == x.dtype
+        arrays = named_arrays(params)
+        learnables = {name for name in arrays if not name.endswith((".mean", ".var"))}
         assert set(grads) == learnables
+        for name, g in grads.items():
+            assert (g.shape, g.dtype) == (arrays[name].shape, arrays[name].dtype), name
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_params_astype_copies_every_array(self, mode):
+        params = init_backbone_params(replace(TINY, selection_mode=mode), seed=1)
+        cast = backbone_params_astype(params, np.float64)
+        before, after = named_arrays(params), named_arrays(cast)
+        assert list(after) == list(before)
+        for name, arr in after.items():
+            assert arr.shape == before[name].shape and arr.dtype == np.float64, name
+            np.testing.assert_array_equal(arr, before[name])
+            assert not np.shares_memory(arr, before[name]), name
+        assert cast.config is params.config and cast.config == replace(TINY, selection_mode=mode)
 
     def test_spot_check_against_finite_difference(self, rng):
         """Full-chain sanity: three sampled parameters of a tiny backbone agree
         with central differences in float64."""
-        from lsknet.backbone import backbone_params_astype
-
         params = backbone_params_astype(init_backbone_params(TINY, seed=2), np.float64)
         arrays = named_arrays(params)
         x = rng.uniform(-0.5, 0.5, size=(1, 3, 32, 32))

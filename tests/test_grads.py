@@ -9,11 +9,19 @@ from lsknet.gradcheck import available_checks, run_check, TOLERANCE
 from lsknet.ops import ConvSpec
 
 
-@pytest.mark.parametrize("name", available_checks())
-def test_finite_difference_check(name):
-    result = run_check(name, seed=0)
+# the layer cases draw every learnable array from the seed, so they run at
+# three seeds; the op cases at one
+LAYER_CHECKS = ("lsk_module_spatial", "lsk_module_channel", "lsk_module_none", "lsk_block")
+CHECKS = [pytest.param(name, 0, id=name) for name in available_checks()] + [
+    pytest.param(name, seed, id=f"{name}-seed{seed}") for name in LAYER_CHECKS for seed in (1, 2)
+]
+
+
+@pytest.mark.parametrize("name,seed", CHECKS)
+def test_finite_difference_check(name, seed):
+    result = run_check(name, seed=seed)
     assert result.passed, (
-        f"{name}: max relative error {result.max_rel_error:.3e} >= {TOLERANCE} "
+        f"{name} seed {seed}: max relative error {result.max_rel_error:.3e} >= {TOLERANCE} "
         f"(worst input {result.worst_input!r} at {result.worst_index})"
     )
 

@@ -67,6 +67,15 @@ class TestTensorRoundTrip:
 
 
 class TestTensorErrors:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, rng, tmp_path, bad):
+        x = rng.standard_normal((1, 2, 3, 4)).astype(np.float32)
+        x[0, 1, 2, 3] = bad
+        path = tmp_path / "bad.lskt"
+        write_tensor(path, x)
+        with pytest.raises(FormatError, match="bad.lskt.*NaN or Inf"):
+            read_tensor(path)
+
     def test_bad_magic(self):
         with pytest.raises(BadMagicError):
             read_tensor(io.BytesIO(b"NOPE0001" + b"\x00" * 64))
@@ -103,6 +112,19 @@ class TestWeights:
         assert manifest.entries == manifest2.entries
         for name in arrays:
             assert (arrays[name] == loaded[name]).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, rng, bad):
+        arrays = {
+            "stem.conv.bias": rng.standard_normal(4).astype(np.float32),
+            "stem.conv.weight": rng.standard_normal((4, 3, 7, 7)).astype(np.float32),
+        }
+        arrays["stem.conv.weight"][2, 1, 0, 6] = bad
+        buf = io.BytesIO()
+        write_weights(buf, arrays)
+        buf.seek(0)
+        with pytest.raises(FormatError, match="'stem.conv.weight'.*NaN or Inf"):
+            read_weights(buf)
 
     def test_bad_magic(self):
         with pytest.raises(BadMagicError):

@@ -177,10 +177,26 @@ class TestBackward:
         params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, seed=6)
         x = rng.uniform(-1, 1, size=(1, 4, 6, 6))
         out = lsk_forward(x, params)
-        g = lsk_backward(np.zeros_like(out.y), out.state)
-        assert not g.x.any()
-        assert not any(a.any() for a in g.dw_weights + g.dw_biases)
-        assert not g.select_weight.any() and not g.fuse_weight.any()
+        gx, grads = lsk_backward(np.zeros_like(out.y), out.state)
+        assert not gx.any()
+        assert not any(grads[f"dw{i}.{kind}"].any() for i in range(2) for kind in ("weight", "bias"))
+        assert not grads["select.weight"].any() and not grads["fuse.weight"].any()
+
+    @pytest.mark.parametrize("built", [SelectionMode.SPATIAL, SelectionMode.CHANNEL])
+    def test_one_gradient_per_parameter_array(self, rng, built):
+        """Keys are the parameter_arrays() names in every mode; an array the
+        mode never reads (none mode on built params) gets a zero gradient."""
+        params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, mode=built, seed=3)
+        arrays = dict(params.parameter_arrays())
+        x = rng.uniform(-1, 1, size=(1, 4, 6, 6))
+        for mode in (built, SelectionMode.NONE):
+            out = lsk_forward(x, params, mode=mode)
+            _, grads = lsk_backward(np.ones_like(out.y), out.state)
+            assert grads.keys() == arrays.keys()
+            for name, g in grads.items():
+                assert (g.shape, g.dtype) == (arrays[name].shape, arrays[name].dtype), name
+            selection = [k for k in grads if k.startswith(("select.", "cs_"))]
+            assert selection and all(grads[k].any() == (mode is built) for k in selection)
 
     def test_scalar_closed_form(self):
         """Single pixel, one stage, one channel: y = x * f(x) with every
@@ -212,11 +228,11 @@ class TestBackward:
         s_val = f * mask * ut + fb
         assert out.y[0, 0, 0, 0] == pytest.approx(x_val * s_val, abs=1e-12)
 
-        g = lsk_backward(np.ones_like(out.y), out.state)
+        gx, _ = lsk_backward(np.ones_like(out.y), out.state)
         dmask = mask * (1 - mask) * (sa + sm) * m * wc
         ds_dx = f * (dmask * ut + mask * m * wc)
         expected = s_val + x_val * ds_dx
-        assert g.x[0, 0, 0, 0] == pytest.approx(expected, abs=1e-12)
+        assert gx[0, 0, 0, 0] == pytest.approx(expected, abs=1e-12)
 
 
 class TestInputDependence:

@@ -166,15 +166,18 @@ class TestConv2d:
             np.testing.assert_allclose(a, b, atol=1e-6)
 
     @pytest.mark.parametrize(
-        "w_shape,stride",
-        [((4, 3, 3, 3), 0), ((4, 3, 3), 1), ((4, 2, 3, 3), 1)],
-        ids=["stride-0", "3d-weights", "channel-mismatch"],
+        "w_shape,stride,padding",
+        [((4, 3, 3, 3), 0, 1), ((4, 3, 3), 1, 1), ((4, 2, 3, 3), 1, 1), ((4, 3, 3, 3), 1, -1)],
+        ids=["stride-0", "3d-weights", "channel-mismatch", "negative-padding"],
     )
-    def test_backward_rejects_bad_arguments(self, rng, w_shape, stride):
+    def test_backward_rejects_bad_arguments(self, rng, w_shape, stride, padding):
         x = rand(rng, (1, 3, 6, 6))
         g = rand(rng, (1, 4, 6, 6))
+        w = rand(rng, w_shape)
         with pytest.raises(ShapeError):
-            ops.conv2d_backward(g, x, rand(rng, w_shape), stride=stride, padding=1)
+            ops.conv2d_backward(g, x, w, stride=stride, padding=padding)
+        with pytest.raises(ShapeError):
+            ops.conv2d(x, w, rand(rng, (4,)), stride=stride, padding=padding)
 
     def test_output_shape_stride(self, rng):
         x = rand(rng, (1, 3, 64, 64))
