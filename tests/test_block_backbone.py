@@ -226,9 +226,16 @@ MODES = [SelectionMode.SPATIAL, SelectionMode.CHANNEL, SelectionMode.NONE]
 
 
 class TestBackboneBackward:
+    def test_gradients_cover_every_learnable(self, rng):
+        self._check_gradients_cover_every_learnable(rng, SelectionMode.SPATIAL, False)
+
     @pytest.mark.parametrize("train_norm", [False, True])
     @pytest.mark.parametrize("mode", MODES)
-    def test_gradients_cover_every_learnable(self, rng, mode, train_norm):
+    def test_gradients_cover_every_learnable_per_mode(self, rng, mode, train_norm):
+        self._check_gradients_cover_every_learnable(rng, mode, train_norm)
+
+    @staticmethod
+    def _check_gradients_cover_every_learnable(rng, mode, train_norm):
         params = init_backbone_params(replace(TINY, selection_mode=mode), seed=1)
         x = rng.uniform(-1, 1, size=(1, 3, 32, 32)).astype(np.float32)
         out = backbone_forward(x, params, keep_state=True, train_norm=train_norm)
