@@ -104,7 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train-toy", help="overfit a tiny synthetic problem by gradient descent")
     p.add_argument("--steps", type=int, default=500)
-    p.add_argument("--lr", type=float, default=0.5)
+    p.add_argument(
+        "--lr", type=float, default=None, help="default: per --scope, from lsknet.train.DEFAULT_LR"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scope", choices=("module", "head", "backbone"), default="module")
     p.set_defaults(func=cmd_train_toy)

@@ -22,6 +22,11 @@ dropped first.  The backward pass gathers such tiles from ``grad_out`` and
 multiplies them by the flipped kernel for the input gradient and by ``x``
 for the weight gradient.
 
+GELU and its backward run as chains of in-place ufuncs on buffers allocated
+once per call (one in the forward, the result; three in the backward): on
+the widest tensors every full-size temporary would cost a pass over memory
+and fresh pages to fault in.
+
 OpenBLAS splits a product across threads by blocks of the output, not along
 the summed dimension, so the thread count changes speed but not the order in
 which an output element is summed (the backbone tests check this under one
@@ -515,6 +520,7 @@ def elementwise_backward(
 
 def sigmoid(x: Tensor4) -> Tensor4:
     """Numerically stable logistic function; sigmoid(0) is exactly 0.5."""
+    check_tensor4(x, "sigmoid: x")
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -531,18 +537,47 @@ def sigmoid_backward(grad_out: Tensor4, y: Tensor4) -> Tensor4:
 
 
 def gelu(x: Tensor4) -> Tensor4:
-    """GELU in the tanh approximation: 0.5*x*(1 + tanh(s*(x + 0.044715*x^3)))."""
-    inner = _GELU_SCALE * (x + _GELU_COEFF * x * x * x)
-    return 0.5 * x * (1.0 + np.tanh(inner))
+    """GELU in the tanh approximation: 0.5*x*(1 + tanh(s*(x + 0.044715*x^3))).
+
+    Evaluated as 0.5*x*(1 + tanh(x*(s + s*c*x^2))) by in-place ufuncs on the
+    result, the only full-size buffer.
+    """
+    check_tensor4(x, "gelu: x")
+    out = np.multiply(x, x, dtype=np.result_type(x, 0.5))
+    out *= _GELU_SCALE * _GELU_COEFF
+    out += _GELU_SCALE
+    out *= x
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= x
+    out *= 0.5
+    return out
 
 
 def gelu_backward(grad_out: Tensor4, x: Tensor4) -> Tensor4:
+    """Backward of gelu: grad_out * (1 + t) * (0.5 + a*(1 - t)) with
+    t = tanh(x*(s + s*c*x^2)) and a = 0.5*x*s*(1 + 3*c*x^2).
+
+    This is the derivative 0.5*(1 + t) + 0.5*x*(1 - t^2)*s*(1 + 3*c*x^2)
+    factored so that it needs three full-size buffers, the result included.
+    The result has the dtype of ``np.result_type(grad_out, x)``.
+    """
     if grad_out.shape != x.shape:
         raise ShapeError(f"gelu_backward: shape mismatch {grad_out.shape} vs {x.shape}")
-    inner = _GELU_SCALE * (x + _GELU_COEFF * x * x * x)
-    t = np.tanh(inner)
-    d_inner = _GELU_SCALE * (1.0 + 3.0 * _GELU_COEFF * x * x)
-    return grad_out * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
+    out = np.multiply(x, x, dtype=np.result_type(grad_out, x, 0.5))
+    t = out * (_GELU_SCALE * _GELU_COEFF)
+    t += _GELU_SCALE
+    t *= x
+    np.tanh(t, out=t)
+    out *= 1.5 * _GELU_SCALE * _GELU_COEFF  # a = x*(0.5*s + 1.5*s*c*x^2)
+    out += 0.5 * _GELU_SCALE
+    out *= x
+    out *= np.subtract(1.0, t)
+    out += 0.5
+    t += 1.0
+    out *= t
+    out *= grad_out
+    return out
 
 
 def concat_channels(parts: Sequence[Tensor4]) -> Tensor4:

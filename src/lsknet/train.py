@@ -35,7 +35,8 @@ from .plan import validate_plan
 __all__ = ["ToyProblem", "make_synthetic_dataset", "toy_train", "DEFAULT_LR", "DEFAULT_STEPS"]
 
 DEFAULT_STEPS = 500
-DEFAULT_LR = 0.5
+# Learning rate per scope; the backbone diverges at the module's 0.5.
+DEFAULT_LR = {"module": 0.5, "head": 0.5, "backbone": 0.05}
 MODULE_CHANNELS = 8
 MODULE_SIZE = 8
 MODULE_PLAN = ((3, 1), (5, 2))
@@ -71,7 +72,7 @@ def _check_finite(loss: float, step: int) -> None:
 
 def toy_train(
     steps: int = DEFAULT_STEPS,
-    lr: float = DEFAULT_LR,
+    lr: float | None = None,
     seed: int = 0,
     scope: str = "module",
     n_samples: int = 8,
@@ -81,15 +82,16 @@ def toy_train(
     """Run plain gradient descent; returns the loss trajectory.
 
     ``losses[k]`` is the loss after ``k`` updates, so the list holds
-    ``steps + 1`` values and ``losses[-1]`` is the final loss.
+    ``steps + 1`` values and ``losses[-1]`` is the final loss.  ``lr=None``
+    takes the scope's ``DEFAULT_LR``.
     """
-    if scope == "module":
-        return _train_module(steps, lr, seed, n_samples, dataset, train_module=True)
-    if scope == "head":
-        return _train_module(steps, lr, seed, n_samples, dataset, train_module=False)
+    if scope not in DEFAULT_LR:
+        raise ShapeError(f"toy_train: unknown scope {scope!r} (want head|module|backbone)")
+    if lr is None:
+        lr = DEFAULT_LR[scope]
     if scope == "backbone":
         return _train_backbone(steps, lr, seed, n_samples, config, dataset)
-    raise ShapeError(f"toy_train: unknown scope {scope!r} (want head|module|backbone)")
+    return _train_module(steps, lr, seed, n_samples, dataset, train_module=scope == "module")
 
 
 def _train_module(

@@ -149,6 +149,17 @@ def gelu_ref(x):
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
 
 
+def gelu_backward_ref(grad_out, x):
+    """grad_out * gelu'(x) in float64, in the unfactored form
+    0.5*(1 + t) + 0.5*x*(1 - t^2)*d_inner."""
+    g = np.asarray(grad_out, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    s = np.sqrt(2.0 / np.pi)
+    t = np.tanh(s * (x + 0.044715 * x**3))
+    d_inner = s * (1.0 + 3.0 * 0.044715 * x**2)
+    return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner)
+
+
 def global_avg_pool_loops(x):
     n, c, h, w = x.shape
     out = np.zeros((n, c, 1, 1), dtype=x.dtype)

@@ -229,6 +229,14 @@ class TestTrainToyCommand:
         assert main(["train-toy", "--steps", "50", "--lr", "50", "--seed", "0"]) == 1
         assert "non-finite" in capsys.readouterr().err
 
+    def test_backbone_default_lr_trains(self, capsys):
+        main(["train-toy", "--scope", "backbone", "--steps", "20", "--seed", "0"])
+        out = capsys.readouterr()
+        assert "non-finite" not in out.err
+        losses = [float(line.split("loss=")[1]) for line in out.out.splitlines() if "loss=" in line]
+        assert len(losses) == 21
+        assert np.isfinite(losses).all() and losses[-1] < losses[0]
+
 
 class TestAnalyzeCommand:
     @pytest.fixture

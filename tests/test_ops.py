@@ -1,10 +1,13 @@
 """Forward kernels against the naive-loop oracles, plus the pinned examples,
 shape validation, and determinism."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from lsknet import ops
 from lsknet.errors import ShapeError
@@ -17,6 +20,7 @@ from oracles import (
     conv2d_loops,
     depthwise_conv_backward_loops,
     depthwise_conv_loops,
+    gelu_backward_ref,
     gelu_ref,
     global_avg_pool_loops,
     pointwise_conv_backward_loops,
@@ -273,6 +277,10 @@ class TestElementwiseAndScalars:
         x = rand(rng, (2, 3, 4, 4))
         np.testing.assert_allclose(ops.gelu(x), gelu_ref(x), atol=1e-12)
 
+    def test_sigmoid_rejects_non_4d(self, rng):
+        with pytest.raises(ShapeError, match="sigmoid"):
+            ops.sigmoid(rand(rng, (2, 3, 4)))
+
     def test_elementwise_requires_matching_shapes(self, rng):
         with pytest.raises(ShapeError, match="mismatch"):
             ops.elementwise(rand(rng, (1, 2, 3, 3)), rand(rng, (1, 2, 3, 4)), "mul")
@@ -295,6 +303,91 @@ class TestElementwiseAndScalars:
         np.testing.assert_allclose(ops.broadcast_mask_mul(x, m), x * m, atol=1e-12)
         with pytest.raises(ShapeError):
             ops.broadcast_mask_mul(x, rand(rng, (2, 2, 3, 3)))
+
+
+@st.composite
+def gelu_pairs(draw):
+    """Equal-shape (grad_out, x) float64 arrays up to 2x4x9x9, values in +-30."""
+    shape = draw(
+        st.tuples(
+            st.integers(1, 2), st.integers(1, 4), st.integers(1, 9), st.integers(1, 9)
+        )
+    )
+    values = st.floats(-30.0, 30.0)
+    return draw(arrays(np.float64, shape, elements=values)), draw(
+        arrays(np.float64, shape, elements=values)
+    )
+
+
+def _peak_allocation(fn, *args) -> int:
+    """Peak bytes traced during one call, above what was traced before it."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestGelu:
+    @given(gelu_pairs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_oracles_float64(self, pair):
+        g, x = pair
+        np.testing.assert_allclose(ops.gelu(x), gelu_ref(x), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            ops.gelu_backward(g, x), gelu_backward_ref(g, x), rtol=0, atol=1e-12
+        )
+
+    def test_float32_backward_matches_oracle(self, rng):
+        x = np.concatenate([rng.uniform(-30, 30, 2000), np.linspace(-8, 8, 2000)])
+        x = x.reshape(2, 4, 25, 20).astype(np.float32)
+        g = rng.uniform(-1, 1, x.shape).astype(np.float32)
+        out = ops.gelu_backward(g, x)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, gelu_backward_ref(g, x), rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize(
+        "g_dtype, x_dtype",
+        [
+            (np.float32, np.float32),
+            (np.float64, np.float64),
+            (np.float64, np.float32),
+            (np.float32, np.float64),
+        ],
+    )
+    def test_dtypes_and_inputs_untouched(self, rng, g_dtype, x_dtype):
+        x = rand(rng, (2, 3, 5, 5)).astype(x_dtype)
+        g = rand(rng, x.shape).astype(g_dtype)
+        x_before, g_before = x.copy(), g.copy()
+        y = ops.gelu(x)
+        grad_x = ops.gelu_backward(g, x)
+        np.testing.assert_array_equal(x, x_before)
+        np.testing.assert_array_equal(g, g_before)
+        assert y.dtype == x.dtype
+        assert grad_x.dtype == np.result_type(g, x)
+        for out in (y, grad_x):
+            assert not np.shares_memory(out, x)
+            assert not np.shares_memory(out, g)
+        np.testing.assert_allclose(grad_x, gelu_backward_ref(g, x), rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("op, copies", [("gelu", 1), ("gelu_backward", 3)])
+    def test_peak_allocation(self, rng, op, copies):
+        """gelu allocates only its result; gelu_backward at most three
+        full-size buffers, the result included."""
+        x = rng.standard_normal((1, 64, 64, 64)).astype(np.float32)
+        args = (x,) if op == "gelu" else (np.ones_like(x), x)
+        peak = _peak_allocation(getattr(ops, op), *args)
+        assert peak <= copies * x.nbytes + 64 * 1024
+
+    def test_rejects_non_4d(self, rng):
+        with pytest.raises(ShapeError, match="gelu"):
+            ops.gelu(rand(rng, (2, 3, 4)))
 
 
 class TestNorms:
@@ -343,6 +436,8 @@ class TestDeterminismAndFiniteness:
         a = ops.depthwise_conv_backward(g, x, w, ConvSpec(5, 2))
         c = ops.depthwise_conv_backward(g, x, w, ConvSpec(5, 2))
         assert all((p == q).all() for p, q in zip(a, c))
+        assert (ops.gelu(x) == ops.gelu(x)).all()
+        assert (ops.gelu_backward(g, x) == ops.gelu_backward(g, x)).all()
 
     def test_float32_stays_float32(self, rng):
         x = rand(rng, (1, 2, 4, 4)).astype(np.float32)
