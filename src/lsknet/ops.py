@@ -14,13 +14,20 @@ Channel mixing (``pointwise_conv``, ``conv2d`` and their backward passes) is
 one BLAS matrix product per batch item; the dense conv first gathers its
 strided windows into an im2col buffer of shape ``(n, c*k*k, oh*ow)``.
 
-Depth-wise convolution runs on BLAS too.  Per block of channels it gathers
-the inputs of every tap into an im2col tile ``(n, channels, taps, span)``
-sized by ``_DW_TILE_BYTES`` and multiplies each channel's tile by that
-channel's tap weights with one matmul.  Taps that can only read padding are
-dropped first.  The backward pass gathers such tiles from ``grad_out`` and
-multiplies them by the flipped kernel for the input gradient and by ``x``
-for the weight gradient.
+Depth-wise convolution runs on BLAS too, lowered along one axis only (MEC,
+Cho & Brand, ICML 2017).  Per block of channels of a zero-padded copy it
+gathers just the kc column shifts of a (kr, kc) kernel into a tile
+``(channels, kc, n, L)``, L being the outputs plus ``dilation * (kr - 1)``
+halo rows, and multiplies each channel's taps ``(kr, kc)`` by its tile with
+one matmul that covers every batch item.  Kernel row i's share of the
+outputs is row i of that product read ``dilation * i`` grid rows on, so the
+outputs are the sum of kr shifted rows, the last add writing the cropped
+result.  A k x k im2col would write and re-read all k*k taps instead.
+Taps that can only read padding are dropped first, and ``_DW_TILE_BYTES``
+sizes the tile and the product together.  The backward pass gathers such
+tiles from ``grad_out`` and multiplies them by the flipped kernel for the
+input gradient, and against ``x`` shifted down by each kernel row for the
+weight gradient.
 
 GELU and its backward run as chains of in-place ufuncs on buffers allocated
 once per call (one in the forward, the result; three in the backward): on
@@ -32,8 +39,9 @@ the summed dimension, so the thread count changes speed but not the order in
 which an output element is summed (the backbone tests check this under one
 and two threads).  Tile shapes depend only on the tensor shapes and the
 tile byte budget.  Everything else accumulates in a fixed order (batch items
-in index order, depth-wise weight gradients over tiles in index order,
-branches in list order), so repeated runs are bit-identical.
+in index order, depth-wise kernel rows in index order and their weight
+gradients over bands in index order, branches in list order), so repeated
+runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -149,9 +157,11 @@ def _pad2d(x: np.ndarray, pad: int) -> np.ndarray:
 # depth-wise convolution
 # ---------------------------------------------------------------------------
 
-# Byte budget of one im2col tile, the only tuning value of the depth-wise
-# kernel.  The gather writes a tile and the matmul reads it straight back, so
-# the tile should still be in cache for the second pass: 1 MiB leaves room
+# Byte budget of one tile, the only tuning value of the depth-wise kernel.
+# It holds the kc-row gather of the column shifts and the kr-row product of
+# the taps with it.  The gather is written and read straight back by the
+# matmul, and the product is written and read straight back by the row sum,
+# so both should still be in cache for their second pass: 1 MiB leaves room
 # for the padded source block and the output block in a 2 MiB per-core L2.
 _DW_TILE_BYTES = 1 << 20
 
@@ -165,8 +175,8 @@ def _dw_kept(spec: ConvSpec, h: int, w: int) -> tuple[slice, slice]:
 
 
 class _DwTiling:
-    """Im2col tiles of a same-size per-channel correlation of an
-    (n, c, h, w) input with kr x kc centred taps.
+    """Tiles of a same-size per-channel correlation of an (n, c, h, w) input
+    with kr x kc centred taps.
 
     A block of channels is copied into a zero-padded buffer with one flat
     row per channel and row stride ``wp = w + pc``.  Tap (i, j) is then the
@@ -175,8 +185,16 @@ class _DwTiling:
     extra columns of a row double as the left padding of the next row; their
     outputs are cropped.  Padding is only as wide as the outermost kept tap.
 
+    A tile covers a band of grid rows.  It gathers only the kc column shifts
+    ``flat[q + dilation * j]``, over the band and the ``dilation * (kr - 1)``
+    halo rows below it, laid out (channel, j, batch item, q) so that one
+    matmul per channel multiplies every batch item by the (kr, kc) taps.
+    Row i of that kr-row product, read ``dilation * i * wp`` further on, is
+    kernel row i's share of the outputs, so the outputs are the sum of kr
+    shifted rows rather than a product with a kr*kc-row im2col tile.
+
     Channel blocks are as large as the tile budget allows; a channel that
-    does not fit on its own is cut into spans of the wide grid instead.
+    does not fit on its own is cut into bands of rows instead.
     """
 
     def __init__(self, shape: tuple[int, ...], kr: int, kc: int, dilation: int, dtype):
@@ -186,80 +204,110 @@ class _DwTiling:
         self.wp = self.w + pc
         self.span = self.h * self.wp
         self.base = pr * self.wp + pc
+        self.halo = 2 * pr
         self.dtype = np.dtype(dtype)
-        column = n * kr * kc * self.dtype.itemsize  # tile bytes per flat output
-        self.cb = max(1, min(c, _DW_TILE_BYTES // (column * self.span)))
-        self.sl = self.span if self.cb > 1 else max(1, min(self.span, _DW_TILE_BYTES // column))
-        self._tile = np.empty(n * self.cb * kr * kc * self.sl, dtype=self.dtype)
+        row = (kc + kr) * n * self.wp * self.dtype.itemsize  # tile bytes per grid row
+        self.cb = max(1, min(c, _DW_TILE_BYTES // (row * (self.h + self.halo))))
+        self.rows = max(1, min(self.h, _DW_TILE_BYTES // row - self.halo))
+        length = n * (self.rows + self.halo) * self.wp
+        self._gather = np.empty(self.cb * kc * length, dtype=self.dtype)
+        self._product = np.empty(self.cb * kr * length, dtype=self.dtype)
 
-    def wide(self, flat: np.ndarray) -> np.ndarray:
-        """The (n, m, h, wp) wide-grid view of a padded block's image."""
-        n, m, _ = flat.shape
-        return flat[:, :, self.base : self.base + self.span].reshape(n, m, self.h, self.wp)
-
-    def blocks(self, *arrays: np.ndarray):
-        """Yield ``(channel slice, padded blocks)`` over the channels in order,
-        one padded block per array.  The block buffers are reused: only the
+    def blocks(self, x: np.ndarray):
+        """Yield ``(channel slice, padded block)`` over the channels of ``x``
+        in order.  The (n, cb, ·) block buffer is reused and yielded whole;
+        its first ``len(channel slice)`` channels are current.  Only the
         image pixels are rewritten, so the padding stays zero."""
-        n, c = arrays[0].shape[:2]
-        bufs = [np.zeros((n, self.cb, self.span + 2 * self.base), self.dtype) for _ in arrays]
+        n, c = x.shape[:2]
+        block = np.zeros((n, self.cb, self.span + 2 * self.base), self.dtype)
         for c0 in range(0, c, self.cb):
             cs = slice(c0, min(c0 + self.cb, c))
-            flats = [buf[:, : cs.stop - c0] for buf in bufs]
-            for flat, a in zip(flats, arrays):
-                self.wide(flat)[:, :, :, : self.w] = a[:, cs]
-            yield cs, flats
+            image = block[:, : cs.stop - c0, self.base : self.base + self.span]
+            image.reshape(n, -1, self.h, self.wp)[:, :, :, : self.w] = x[:, cs]
+            yield cs, block
 
-    def tiles(self, flat: np.ndarray):
-        """Yield ``(span slice, tile)`` over the wide grid of a padded block
-        in order; the (n, m, kr*kc, s) tile holds every kept tap's inputs to
-        those outputs.  Every tile reuses one buffer."""
-        n, m, _ = flat.shape
-        taps, d = self.kr * self.kc, self.dilation
-        sn, sc, se = flat.strides
-        for s0 in range(0, self.span, self.sl):
-            s = min(self.sl, self.span - s0)
-            src = np.lib.stride_tricks.as_strided(
-                flat[:, :, s0:],
-                shape=(n, m, self.kr, self.kc, s),
-                strides=(sn, sc, d * self.wp * se, d * se, se),
-                writeable=False,
-            )
-            tile = self._tile[: n * m * taps * s].reshape(n, m, self.kr, self.kc, s)
-            np.copyto(tile, src)
-            yield slice(s0, s0 + s), tile.reshape(n, m, taps, s)
+    def bands(self, block: np.ndarray, m: int):
+        """Yield ``(row slice, gather, product)`` over the grid rows of the
+        first m channels of a padded block in order.  The (m, kc, n, L)
+        gather holds column shift j of the band and its halo at
+        ``[:, j, b]``; the (kr, m, n, L) product is scratch for the matmul,
+        kernel row outermost so that its rows never look like overlapping
+        operands to a ufunc (which would copy one first).  Every band reuses
+        both buffers."""
+        n = block.shape[0]
+        kr, kc, d, wp = self.kr, self.kc, self.dilation, self.wp
+        sn, sc, se = block.strides
+        for r0 in range(0, self.h, self.rows):
+            rows = slice(r0, min(r0 + self.rows, self.h))
+            length = (rows.stop - r0 + self.halo) * wp
+            # np.ndarray builds this overlapping view far faster than as_strided
+            src = np.ndarray((m, kc, n, length), self.dtype, block, r0 * wp * se, (sc, d * se, sn, se))
+            gather = self._gather[: m * kc * n * length].reshape(m, kc, n, length)
+            np.copyto(gather, src)
+            yield rows, gather, self._product[: kr * m * n * length].reshape(kr, m, n, length)
+
+    def shares(self, product: np.ndarray, rows: int, cols: int) -> np.ndarray:
+        """The (kr, m, n, rows, cols) view of a band's product whose [i] is
+        kernel row i's share of the wide-grid outputs: product row i from
+        ``dilation * i * wp`` on."""
+        kr, m, n, length = product.shape
+        e = product.itemsize
+        strides = ((m * n * length + self.dilation * self.wp) * e, n * length * e, length * e, self.wp * e, e)
+        return np.ndarray((kr, m, n, rows, cols), product.dtype, product, 0, strides)
 
 
-def _dw_correlate(x: np.ndarray, taps: np.ndarray, bias: np.ndarray, dilation: int, against=None):
+def _dw_correlate(
+    x: np.ndarray, taps: np.ndarray, bias: np.ndarray | None, dilation: int, against=None
+):
     """Same-size per-channel correlation of ``x`` with centred ``taps``
-    (c, kr, kc), plus ``bias``, computed in the dtype of ``taps``: one
-    matmul per tile.
+    (c, kr, kc), plus ``bias`` unless it is None, computed in the dtype of
+    ``taps``: one matmul per channel and band.
 
-    Returns the correlation and the (c, kr, kc) products of the same tiles
-    with ``against`` (shaped like ``x``; zeros without it), summed over
-    batch items and then over tiles, each in index order.  When ``x`` is the
-    output gradient of a correlation of ``against`` and ``taps`` are its
-    taps flipped, these are the gradients of the flipped taps.
+    Returns the correlation and the (c, kr, kc) products of the same
+    gathers with ``against`` (shaped like ``x``; zeros without it), summed
+    over batch items inside one matmul per channel and band and then over
+    bands in index order.  When ``x`` is the output gradient of a
+    correlation of ``against`` and ``taps`` are its taps flipped, these are
+    the gradients of the flipped taps.
     """
-    n, c, h, w = x.shape
+    n, c, _, w = x.shape
     _, kr, kc = taps.shape
     tiling = _DwTiling(x.shape, kr, kc, dilation, taps.dtype)
-    wmat = np.ascontiguousarray(taps).reshape(c, 1, kr * kc)  # a strided vector falls off BLAS
+    step = dilation * tiling.wp
+    taps = np.ascontiguousarray(taps)  # a strided (flipped) view falls off BLAS
     out = np.empty(x.shape, dtype=taps.dtype)
-    wide = np.empty((n, tiling.cb, tiling.span), dtype=taps.dtype)
-    acc = np.zeros((c, kr * kc), dtype=taps.dtype)
-    arrays = (x,) if against is None else (x, against)
-    for cs, (flat, *other) in tiling.blocks(*arrays):
-        m = flat.shape[1]
-        # zero off the image, so the wide-grid outputs that get cropped add nothing
-        other = [tiling.wide(o).reshape(n, m, 1, tiling.span) for o in other]
-        for ss, tile in tiling.tiles(flat):
-            wide[:, :m, ss] = np.matmul(wmat[cs], tile)[:, :, 0]
-            for o in other:
-                acc[cs] += np.matmul(o[..., ss], tile.transpose(0, 1, 3, 2))[:, :, 0].sum(axis=0)
-        crop = wide[:, :m].reshape(n, m, h, tiling.wp)[:, :, :, :w]
-        np.add(crop, bias[cs, None, None], out=out[:, cs])
-    return out, acc.reshape(c, kr, kc)
+    acc = np.zeros((c, kr, kc), dtype=taps.dtype)
+    for cs, block in tiling.blocks(x):
+        m = cs.stop - cs.start
+        for rows, gather, product in tiling.bands(block, m):
+            r, length = rows.stop - rows.start, gather.shape[-1]
+            columns = gather.reshape(m, kc, n * length)
+            runs = product.reshape(kr, m, n * length)
+            by_channel = runs.transpose(1, 0, 2)
+            np.matmul(taps[cs], columns, out=by_channel)
+            # Kernel row i's share of item b's outputs starts at b * length +
+            # step * i.  The bias and the middle rows are added to row 0 as
+            # runs over all items (the halo between items is summed too, and
+            # dropped), and the last add writes the cropped output.
+            run = (n - 1) * length + r * tiling.wp
+            if bias is not None:
+                runs[0, :, :run] += bias[cs, None]
+            for i in range(1, kr - 1):
+                runs[0, :, :run] += runs[i, :, step * i : step * i + run]
+            shares = tiling.shares(product, r, w)
+            dst = out[:, cs, rows].transpose(1, 0, 2, 3)
+            if kr > 1:
+                np.add(shares[0], shares[-1], out=dst)
+            else:
+                np.copyto(dst, shares[0])
+            if against is not None:
+                # ``against`` laid where each kernel row's share of the outputs
+                # lies and zero elsewhere, so that the cropped and halo outputs
+                # add nothing: one product with the gather gives every tap
+                product[...] = 0
+                tiling.shares(product, r, w)[...] = against[:, cs, rows].transpose(1, 0, 2, 3)
+                acc[cs] += np.matmul(by_channel, columns.transpose(0, 2, 1))
+    return out, acc
 
 
 def depthwise_conv(x: Tensor4, weights: np.ndarray, bias: np.ndarray, spec: ConvSpec) -> Tensor4:
@@ -288,8 +336,8 @@ def depthwise_conv_backward(
     """Gradients of depthwise_conv w.r.t. input, weights and bias.
 
     The input gradient is the forward correlation run on ``grad_out`` with
-    the kernel flipped; the weight gradient multiplies the same tiles of
-    ``grad_out`` by ``x``.
+    the kernel flipped; the weight gradient multiplies the same column
+    gathers of ``grad_out`` by ``x`` shifted down by each kernel row.
     """
     check_tensor4(grad_out, "depthwise_conv_backward: grad_out")
     check_tensor4(x, "depthwise_conv_backward: x")
@@ -302,8 +350,7 @@ def depthwise_conv_backward(
         raise ShapeError(f"depthwise_conv_backward: weights shape {weights.shape} invalid")
     rows, cols = _dw_kept(spec, h, w)
     taps = weights[:, rows, cols].astype(x.dtype)
-    no_bias = np.zeros(c, dtype=x.dtype)
-    grad_x, grad_taps = _dw_correlate(grad_out, taps[:, ::-1, ::-1], no_bias, spec.dilation, against=x)
+    grad_x, grad_taps = _dw_correlate(grad_out, taps[:, ::-1, ::-1], None, spec.dilation, against=x)
     grad_w = np.zeros_like(weights)
     grad_w[:, rows, cols] = grad_taps[:, ::-1, ::-1]
     grad_b = grad_out.sum(axis=(0, 2, 3))
@@ -519,8 +566,13 @@ def elementwise_backward(
 
 
 def sigmoid(x: Tensor4) -> Tensor4:
-    """Numerically stable logistic function; sigmoid(0) is exactly 0.5."""
+    """Numerically stable logistic function; sigmoid(0) is exactly 0.5.
+
+    The result has the dtype of ``np.result_type(x, 0.5)``: floats keep
+    their dtype and integers give float64.
+    """
     check_tensor4(x, "sigmoid: x")
+    x = np.asarray(x, dtype=np.result_type(x, 0.5))
     out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
@@ -531,6 +583,8 @@ def sigmoid(x: Tensor4) -> Tensor4:
 
 def sigmoid_backward(grad_out: Tensor4, y: Tensor4) -> Tensor4:
     """Backward of sigmoid given its saved output ``y``."""
+    check_tensor4(grad_out, "sigmoid_backward: grad_out")
+    check_tensor4(y, "sigmoid_backward: y")
     if grad_out.shape != y.shape:
         raise ShapeError(f"sigmoid_backward: shape mismatch {grad_out.shape} vs {y.shape}")
     return grad_out * y * (1.0 - y)
@@ -562,6 +616,8 @@ def gelu_backward(grad_out: Tensor4, x: Tensor4) -> Tensor4:
     factored so that it needs three full-size buffers, the result included.
     The result has the dtype of ``np.result_type(grad_out, x)``.
     """
+    check_tensor4(grad_out, "gelu_backward: grad_out")
+    check_tensor4(x, "gelu_backward: x")
     if grad_out.shape != x.shape:
         raise ShapeError(f"gelu_backward: shape mismatch {grad_out.shape} vs {x.shape}")
     out = np.multiply(x, x, dtype=np.result_type(grad_out, x, 0.5))

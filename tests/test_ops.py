@@ -136,6 +136,39 @@ def test_depthwise_matches_loop_oracles(n, h, w, kernel, dilation, seed):
         np.testing.assert_allclose(a, r, atol=1e-6)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=2),
+    c=st.integers(min_value=1, max_value=7),
+    h=st.integers(min_value=1, max_value=10),
+    w=st.integers(min_value=1, max_value=10),
+    kernel=st.sampled_from([1, 3, 5, 7]),
+    dilation=st.integers(min_value=1, max_value=3),
+    budget=st.integers(min_value=1 << 10, max_value=16 << 10),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+# several channel blocks with a partial last one; one channel cut into bands
+# of rows; bands of a single row; kernel 1
+@example(n=2, c=7, h=6, w=6, kernel=3, dilation=1, budget=12 << 10, seed=0)
+@example(n=1, c=3, h=10, w=9, kernel=5, dilation=2, budget=16 << 10, seed=1)
+@example(n=2, c=2, h=7, w=10, kernel=7, dilation=1, budget=1 << 10, seed=2)
+@example(n=2, c=5, h=9, w=4, kernel=1, dilation=3, budget=1 << 10, seed=3)
+def test_depthwise_blocks_match_loop_oracles(n, c, h, w, kernel, dilation, budget, seed):
+    """Forward output and all three gradients against the naive loops under a
+    tile budget of a few KiB, so that channel blocks and row bands vary."""
+    rng = np.random.default_rng(seed)
+    x, g = rand(rng, (n, c, h, w)), rand(rng, (n, c, h, w))
+    wt, b = rand(rng, (c, kernel, kernel)), rand(rng, (c,))
+    spec = ConvSpec(kernel, dilation)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ops, "_DW_TILE_BYTES", budget)
+        out = ops.depthwise_conv(x, wt, b, spec)
+        got = ops.depthwise_conv_backward(g, x, wt, spec)
+    np.testing.assert_allclose(out, depthwise_conv_loops(x, wt, b, kernel, dilation), atol=1e-6)
+    for a, r in zip(got, depthwise_conv_backward_loops(g, x, wt, kernel, dilation)):
+        np.testing.assert_allclose(a, r, atol=1e-6)
+
+
 class TestConv2d:
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (4, 3)])
     def test_matches_loop_oracle(self, rng, stride, padding):
@@ -281,6 +314,20 @@ class TestElementwiseAndScalars:
         with pytest.raises(ShapeError, match="sigmoid"):
             ops.sigmoid(rand(rng, (2, 3, 4)))
 
+    @pytest.mark.parametrize(
+        "dtype, expected", [(np.int64, np.float64), (np.float32, np.float32), (np.float64, np.float64)]
+    )
+    def test_sigmoid_result_dtype(self, dtype, expected):
+        out = ops.sigmoid(np.zeros((1, 1, 1, 2), dtype=dtype))
+        assert out.dtype == expected
+        assert (out == 0.5).all()
+
+    @pytest.mark.parametrize("op", ["sigmoid_backward", "gelu_backward"])
+    def test_backward_rejects_non_4d(self, rng, op):
+        a = rand(rng, (3, 4))
+        with pytest.raises(ShapeError, match=op):
+            getattr(ops, op)(a, a)
+
     def test_elementwise_requires_matching_shapes(self, rng):
         with pytest.raises(ShapeError, match="mismatch"):
             ops.elementwise(rand(rng, (1, 2, 3, 3)), rand(rng, (1, 2, 3, 4)), "mul")
@@ -388,6 +435,26 @@ class TestGelu:
     def test_rejects_non_4d(self, rng):
         with pytest.raises(ShapeError, match="gelu"):
             ops.gelu(rand(rng, (2, 3, 4)))
+
+
+class TestDepthwiseMemory:
+    @pytest.mark.parametrize("backward", [False, True], ids=["forward", "backward"])
+    @pytest.mark.parametrize("kernel, dilation", [(3, 1), (7, 3)])
+    def test_peak_allocation(self, rng, backward, kernel, dilation):
+        """Beyond its results (one full-size tensor either way, plus the small
+        weight and bias gradients), the depth-wise conv allocates only its
+        tile budget and slack: the padded source block, at most a sixth of
+        the budget, and the iteration buffers of a ufunc on strided views."""
+        x = rng.standard_normal((1, 64, 64, 64)).astype(np.float32)
+        w = rng.standard_normal((64, kernel, kernel)).astype(np.float32)
+        spec = ConvSpec(kernel, dilation)
+        if backward:
+            peak = _peak_allocation(ops.depthwise_conv_backward, np.ones_like(x), x, w, spec)
+            results = x.nbytes + w.nbytes + 64 * 4
+        else:
+            peak = _peak_allocation(ops.depthwise_conv, x, w, np.zeros(64, np.float32), spec)
+            results = x.nbytes
+        assert peak <= results + ops._DW_TILE_BYTES + ops._DW_TILE_BYTES // 4 + 64 * 1024
 
 
 class TestNorms:
