@@ -13,13 +13,19 @@ Two metrics, computed per object category from oriented-box annotations:
 Both are reported raw and min-max normalized (a singleton or all-equal set
 normalizes to 1.0 by convention).  Masks are summed at each block's native
 resolution; no rescaling across block resolutions is applied.
+
+Each image's record is reduced once, by one routine that yields both the
+RF-weighted activation sum and every block's signed and absolute difference,
+in float64; the images eligible for each category are found in one scan.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -57,8 +63,9 @@ class OrientedBox:
     category: str
     difficulty: int = 0
 
-    @property
+    @cached_property
     def area(self) -> float:
+        """Shoelace area, computed on first use and kept."""
         return polygon_area(self.vertices)
 
 
@@ -74,9 +81,9 @@ def polygon_area(vertices: np.ndarray) -> float:
     v = np.asarray(vertices, dtype=np.float64)
     if v.shape != (4, 2):
         raise AnalysisError(f"polygon_area: expected 4 (x, y) vertices, got shape {v.shape}")
-    x, y = v[:, 0], v[:, 1]
-    twice = np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
-    return float(abs(twice) / 2.0)
+    (x0, y0), (x1, y1), (x2, y2), (x3, y3) = v.tolist()
+    twice = (x0 * y1 - x1 * y0) + (x1 * y2 - x2 * y1) + (x2 * y3 - x3 * y2) + (x3 * y0 - x0 * y3)
+    return abs(twice) / 2.0
 
 
 def parse_annotations(text: str) -> ParseResult:
@@ -84,9 +91,9 @@ def parse_annotations(text: str) -> ParseResult:
 
     Expected line layout: eight reals (four x,y vertices), a category token
     and an integer difficulty flag.  Header lines whose first token is not
-    numeric are skipped silently; lines with the wrong token count or
-    unparsable numbers count as malformed; boxes with zero area are dropped
-    and counted as degenerate.
+    numeric are skipped silently; lines with the wrong token count,
+    unparsable numbers or a NaN or infinite coordinate count as malformed;
+    boxes with zero area are dropped and counted as degenerate.
     """
     result = ParseResult(boxes=[])
     for raw in text.splitlines():
@@ -105,6 +112,9 @@ def parse_annotations(text: str) -> ParseResult:
             coords = [float(t) for t in tokens[:8]]
             difficulty = int(tokens[9])
         except ValueError:
+            result.malformed_lines += 1
+            continue
+        if not all(map(math.isfinite, coords)):
             result.malformed_lines += 1
             continue
         vertices = np.asarray(coords, dtype=np.float64).reshape(4, 2)
@@ -132,53 +142,64 @@ class BlockSelectionDiff:
     delta_abs: float  # mean |larger - smaller|
 
 
+def _record_terms(record: ActivationRecord) -> tuple[float, list[tuple[float, float]] | None]:
+    """Reduce one image's record in float64, in one pass over its masks.
+
+    Returns the activation sum (over blocks and kernels of RF_n times the
+    spatial sum of mask n) and, for a two-kernel record, the signed and
+    absolute mean of (larger - smaller) per block in ``block_keys()`` order.
+    The masks are laid out kernel-major in one buffer of this record only, so
+    every block's sums come from one ``reduceat``.
+    """
+    keys = record.block_keys()
+    sizes = [record.masks[key][:, 0].size for key in keys]
+    starts = np.cumsum([0, *sizes], dtype=np.intp)[:-1]
+    flat = np.empty((record.n_kernels, sum(sizes)))
+    for key, start, size in zip(keys, starts, sizes):
+        masks = record.masks[key]
+        if masks.shape[1] != record.n_kernels:
+            raise AnalysisError(
+                f"block {key}: {masks.shape[1]} mask(s) for {record.n_kernels} receptive field(s)"
+            )
+        planes = masks.swapaxes(0, 1)  # (kernels, n, h, w)
+        flat[:, start : start + size].reshape(planes.shape)[...] = planes
+    activation = 0.0
+    for block_sums in np.add.reduceat(flat, starts, axis=1).T.tolist():
+        for rf, total in zip(record.rf, block_sums):
+            activation += rf * total
+    if record.n_kernels != 2:
+        return activation, None
+    delta = np.subtract(flat[1], flat[0], out=flat[1])
+    signed = np.add.reduceat(delta, starts).tolist()
+    absolute = np.add.reduceat(np.abs(delta, out=delta), starts).tolist()
+    return activation, [(s / n, a / n) for s, a, n in zip(signed, absolute, sizes)]
+
+
 def record_activation_sum(record: ActivationRecord) -> float:
     """Total selective receptive-field area of one image's record:
     sum over blocks and kernels of RF_n * (spatial sum of mask n)."""
-    total = 0.0
-    for key in record.block_keys():
-        masks = record.masks[key]
-        for n_idx, rf in enumerate(record.rf):
-            total += float(rf) * float(masks[:, n_idx].sum(dtype=np.float64))
-    return total
-
-
-def _eligible(
-    images: Sequence[tuple[ActivationRecord, Sequence[OrientedBox]]], category: str
-) -> list[tuple[ActivationRecord, Sequence[OrientedBox]]]:
-    # an image counts for a category only when every box it contains is of
-    # that category (single-category images)
-    return [
-        (rec, boxes)
-        for rec, boxes in images
-        if boxes and all(b.category == category for b in boxes)
-    ]
+    return _record_terms(record)[0]
 
 
 def _normalize(values: Sequence[float]) -> list[float]:
     """Min-max to [0, 1]; singleton or all-equal sets map to 1.0."""
+    if not values:
+        return []
     lo, hi = min(values), max(values)
     if hi == lo:
         return [1.0] * len(values)
     return [(v - lo) / (hi - lo) for v in values]
 
 
-def compute_rc(
-    images: Sequence[tuple[ActivationRecord, Sequence[OrientedBox]]], category: str
-) -> CategoryStats | None:
-    """Selective-RF-area ratio for one category.
-
-    Returns None (with a logged notice) when no image is eligible.  The
-    normalized value uses the singleton convention 1.0; cross-category
-    normalization happens in compute_rc_all.
-    """
+def _rc_stats(category: str, terms: Sequence[tuple[float, float]]) -> CategoryStats | None:
+    """Mean of activation / box area over a category's (activation, area)
+    pairs; images with zero area are skipped, and no images left is None."""
     ratios: list[float] = []
-    for rec, boxes in _eligible(images, category):
-        area = sum(b.area for b in boxes)
+    for activation, area in terms:
         if area <= 0.0:
             log.warning("category %s: image with zero annotated area skipped", category)
             continue
-        ratios.append(record_activation_sum(rec) / area)
+        ratios.append(activation / area)
     if not ratios:
         log.info("category %s excluded: no eligible single-category images", category)
         return None
@@ -186,29 +207,13 @@ def compute_rc(
     return CategoryStats(category=category, r_c_raw=raw, r_c_normalized=1.0, image_count=len(ratios))
 
 
-def compute_rc_all(
-    images: Sequence[tuple[ActivationRecord, Sequence[OrientedBox]]],
-    categories: Iterable[str] | None = None,
-) -> list[CategoryStats]:
-    """R_c for every category, min-max normalized across the reported set."""
-    if categories is None:
-        categories = sorted({b.category for _, boxes in images for b in boxes})
-    stats = [s for c in categories if (s := compute_rc(images, c)) is not None]
-    if stats:
-        for s, norm in zip(stats, _normalize([s.r_c_raw for s in stats])):
-            s.r_c_normalized = norm
-    return stats
-
-
-def compute_selection_diff(
-    records: Sequence[ActivationRecord], category: str
+def _selection_diffs(
+    category: str,
+    records: Sequence[ActivationRecord],
+    deltas: Sequence[list[tuple[float, float]] | None],
 ) -> list[BlockSelectionDiff]:
-    """Per-block kernel selection difference for a category's image records.
-
-    Only two-kernel plans are supported: mask index 0 is the smaller-RF
-    branch, index 1 the larger.  ``records`` must already be restricted to
-    the category's eligible images (same rule as compute_rc).
-    """
+    """Average each block's per-record (signed, absolute) differences over
+    the records, then min-max normalize the signed means across blocks."""
     if not records:
         raise AnalysisError(f"category {category!r}: no records to analyse")
     for rec in records:
@@ -220,25 +225,87 @@ def compute_selection_diff(
     for rec in records[1:]:
         if rec.block_keys() != keys:
             raise AnalysisError("records disagree on block keys; mixed backbone layouts")
-    diffs: list[BlockSelectionDiff] = []
-    for key in keys:
-        signed, absolute = [], []
-        for rec in records:
-            masks = rec.masks[key]
-            delta = masks[:, 1].astype(np.float64) - masks[:, 0].astype(np.float64)
-            signed.append(float(delta.mean()))
-            absolute.append(float(np.abs(delta).mean()))
-        diffs.append(
-            BlockSelectionDiff(
-                block_key=key,
-                delta_raw=float(np.mean(signed)),
-                delta_normalized=1.0,
-                delta_abs=float(np.mean(absolute)),
-            )
+    diffs = [
+        BlockSelectionDiff(
+            block_key=key,
+            delta_raw=float(np.mean([d[b][0] for d in deltas])),
+            delta_normalized=1.0,
+            delta_abs=float(np.mean([d[b][1] for d in deltas])),
         )
+        for b, key in enumerate(keys)
+    ]
     for d, norm in zip(diffs, _normalize([d.delta_raw for d in diffs])):
         d.delta_normalized = norm
     return diffs
+
+
+def _analyze(
+    images: Sequence[tuple[ActivationRecord, Sequence[OrientedBox]]],
+    categories: Iterable[str] | None,
+    selection: bool,
+) -> tuple[list[CategoryStats], dict[str, list[BlockSelectionDiff]]]:
+    """R_c per category, normalized across the reported set, and with
+    ``selection`` the per-block differences of the 2-kernel categories.
+
+    An image counts for a category only when every box it contains is of
+    that category (single-category images).  Each eligible record is reduced
+    once and serves both metrics.
+    """
+    eligible: dict[str, list[tuple[ActivationRecord, Sequence[OrientedBox]]]] = {}
+    for rec, boxes in images:
+        if boxes and all(b.category == boxes[0].category for b in boxes):
+            eligible.setdefault(boxes[0].category, []).append((rec, boxes))
+    if categories is None:
+        categories = sorted({b.category for _, boxes in images for b in boxes})
+    stats: list[CategoryStats] = []
+    diffs: dict[str, list[BlockSelectionDiff]] = {}
+    for category in categories:
+        pairs = eligible.get(category, [])
+        terms = [_record_terms(rec) for rec, _ in pairs]
+        areas = [sum(b.area for b in boxes) for _, boxes in pairs]
+        s = _rc_stats(category, [(t[0], area) for t, area in zip(terms, areas)])
+        if s is None:
+            continue
+        stats.append(s)
+        records = [rec for rec, _ in pairs]
+        if selection and records[0].n_kernels == 2:
+            diffs[category] = _selection_diffs(category, records, [t[1] for t in terms])
+    for s, norm in zip(stats, _normalize([s.r_c_raw for s in stats])):
+        s.r_c_normalized = norm
+    return stats, diffs
+
+
+def compute_rc(
+    images: Sequence[tuple[ActivationRecord, Sequence[OrientedBox]]], category: str
+) -> CategoryStats | None:
+    """Selective-RF-area ratio for one category.
+
+    Returns None (with a logged notice) when no image is eligible.  The
+    normalized value uses the singleton convention 1.0; cross-category
+    normalization happens in compute_rc_all.
+    """
+    stats, _ = _analyze(images, [category], selection=False)
+    return stats[0] if stats else None
+
+
+def compute_rc_all(
+    images: Sequence[tuple[ActivationRecord, Sequence[OrientedBox]]],
+    categories: Iterable[str] | None = None,
+) -> list[CategoryStats]:
+    """R_c for every category, min-max normalized across the reported set."""
+    return _analyze(images, categories, selection=False)[0]
+
+
+def compute_selection_diff(
+    records: Sequence[ActivationRecord], category: str
+) -> list[BlockSelectionDiff]:
+    """Per-block kernel selection difference for a category's image records.
+
+    Only two-kernel plans are supported: mask index 0 is the smaller-RF
+    branch, index 1 the larger.  ``records`` must already be restricted to
+    the category's eligible images (same rule as compute_rc).
+    """
+    return _selection_diffs(category, records, [_record_terms(rec)[1] for rec in records])
 
 
 def analyze_images(
@@ -246,13 +313,7 @@ def analyze_images(
 ) -> tuple[list[CategoryStats], dict[str, list[BlockSelectionDiff]]]:
     """Full pipeline: per-category ratios plus (for 2-kernel plans) the
     per-block selection differences."""
-    stats = compute_rc_all(images)
-    diffs: dict[str, list[BlockSelectionDiff]] = {}
-    for s in stats:
-        records = [rec for rec, _ in _eligible(images, s.category)]
-        if records and records[0].n_kernels == 2:
-            diffs[s.category] = compute_selection_diff(records, s.category)
-    return stats, diffs
+    return _analyze(images, None, selection=True)
 
 
 def emit_analysis(

@@ -14,11 +14,19 @@ and grayscale is replicated to three channels.
 Readers never read past declared lengths; every malformed input maps to a
 distinct error kind (bad magic, truncation, dim overflow, manifest problems);
 a payload holding NaN or Inf is a format error.
+
+Reading a tensor takes one open, one read of the 40-byte header and one
+``readinto`` of the payload straight into the returned array, with no stat
+before the open and no intermediate copy.  A record directory costs one such
+read per mask file plus the manifest; a manifest or mask file that is missing,
+or is a directory, is a ManifestError or FormatError.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,6 +60,7 @@ TENSOR_MAGIC = b"LSKT0001"
 WEIGHTS_MAGIC = b"LSKW0001"
 MAX_ELEMENTS = 1 << 31  # refuse absurd allocations before they happen
 _F4 = np.dtype("<f4")
+_TENSOR_HEADER = 40  # magic plus four u64 dims
 
 
 def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
@@ -61,10 +70,22 @@ def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
     return data
 
 
-def _open(target, mode: str):
+def _open(target, mode: str, buffering: int = -1):
     if isinstance(target, (str, Path)):
-        return open(target, mode), True
+        return open(target, mode, buffering=buffering), True
     return target, False
+
+
+def _readinto_exact(fh: BinaryIO, out: np.ndarray, what: str) -> None:
+    """Fill ``out`` from ``fh``; one ``readinto`` unless the read comes back
+    short (a truncated file, or a payload above one system call's limit)."""
+    got = fh.readinto(out) or 0
+    if got < out.nbytes:
+        view = memoryview(out).cast("B")
+        while got < len(view) and (n := fh.readinto(view[got:])):
+            got += n
+        if got < len(view):
+            raise TruncatedFileError(f"truncated while reading {what}: wanted {len(view)} bytes, got {got}")
 
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -94,24 +115,27 @@ def write_tensor(target, x: np.ndarray) -> None:
 
 def read_tensor(target, expected_shape: tuple[int, ...] | None = None) -> np.ndarray:
     """Read an LSKT file back into a float32 (n, c, h, w) array."""
-    fh, owned = _open(target, "rb")
+    fh, owned = _open(target, "rb", buffering=0)
     try:
-        magic = _read_exact(fh, 8, "magic")
+        header = fh.read(_TENSOR_HEADER)
+        magic = header[:8]
+        if len(magic) != 8:
+            raise TruncatedFileError(f"truncated while reading magic: wanted 8 bytes, got {len(magic)}")
         if magic != TENSOR_MAGIC:
             raise BadMagicError(f"not a tensor file: magic {magic!r}")
-        dims = struct.unpack("<4Q", _read_exact(fh, 32, "dims"))
-        if any(d < 1 for d in dims):
+        if len(header) != _TENSOR_HEADER:
+            raise TruncatedFileError(f"truncated while reading dims: wanted 32 bytes, got {len(header) - 8}")
+        dims = struct.unpack_from("<4Q", header, 8)
+        if min(dims) < 1:
             raise DimOverflowError(f"invalid dims {dims}: all must be >= 1")
-        count = 1
-        for d in dims:
-            count *= d
+        count = math.prod(dims)
         if count > MAX_ELEMENTS:
             raise DimOverflowError(f"dims {dims} declare {count} elements (limit {MAX_ELEMENTS})")
         if expected_shape is not None and tuple(dims) != tuple(expected_shape):
             raise FormatError(f"tensor shape {dims} does not match expected {tuple(expected_shape)}")
-        payload = _read_exact(fh, count * 4, "tensor payload")
-        name = str(target) if owned else "stream"
-        return _finite(np.frombuffer(payload, dtype=_F4).reshape(dims).copy(), f"tensor {name}")
+        out = np.empty(dims, dtype=_F4)
+        _readinto_exact(fh, out, "tensor payload")
+        return _finite(out, f"tensor {target if owned else 'stream'}")
     finally:
         if owned:
             fh.close()
@@ -308,24 +332,42 @@ def save_record(record: ActivationRecord, directory: str | Path) -> list[Path]:
 
 
 def load_record(directory: str | Path) -> ActivationRecord:
-    """Rebuild an activation record from a mask directory."""
+    """Rebuild an activation record from a mask directory.
+
+    Every mask file of a block must hold one (n, 1, h, w) plane of the same
+    shape; the manifest must list at least one positive receptive field and
+    each block once.
+    """
     src = Path(directory)
-    manifest_path = src / RECORD_MANIFEST
-    if not manifest_path.is_file():
-        raise ManifestError(f"no {RECORD_MANIFEST} in {src}")
     try:
-        doc = json.loads(manifest_path.read_text())
+        text = (src / RECORD_MANIFEST).read_text()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise ManifestError(f"no {RECORD_MANIFEST} in {src}") from exc
+    try:
+        doc = json.loads(text)
         rf = tuple(int(v) for v in doc["rf"])
-        blocks = [tuple(int(v) for v in pair) for pair in doc["blocks"]]
+        blocks = [(int(s), int(d)) for s, d in doc["blocks"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"malformed record manifest in {src}: {exc}") from exc
+    if not rf or min(rf) < 1:
+        raise ManifestError(f"record manifest in {src}: rf {list(rf)} must list positive receptive fields")
     record = ActivationRecord(rf=rf)
+    base = str(src)  # joining strings, not Paths: a Path join costs a third of a mask read
     for stage, depth in blocks:
+        if (stage, depth) in record.masks:
+            raise ManifestError(f"record manifest in {src}: block ({stage}, {depth}) is listed twice")
         parts = []
         for n_idx in range(len(rf)):
-            path = src / f"B_{stage}_{depth}_{n_idx + 1}.lskt"
-            if not path.is_file():
-                raise FormatError(f"missing mask file {path.name} in {src}")
-            parts.append(read_tensor(path))
+            name = f"B_{stage}_{depth}_{n_idx + 1}.lskt"
+            try:
+                part = read_tensor(os.path.join(base, name))
+            except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+                raise FormatError(f"missing mask file {name} in {src}") from exc
+            want = parts[0].shape if parts else (part.shape[0], 1, *part.shape[2:])
+            if part.shape != want:
+                raise FormatError(
+                    f"block ({stage}, {depth}) in {src}: mask file {name} has shape {part.shape}, want {want}"
+                )
+            parts.append(part)
         record.masks[(stage, depth)] = np.concatenate(parts, axis=1)
     return record

@@ -554,6 +554,9 @@ def elementwise(a: Tensor4, b: Tensor4, op: str) -> Tensor4:
 def elementwise_backward(
     grad_out: Tensor4, a: Tensor4, b: Tensor4, op: str
 ) -> tuple[Tensor4, Tensor4]:
+    check_tensor4(grad_out, "elementwise_backward: grad_out")
+    check_tensor4(a, "elementwise_backward: a")
+    check_tensor4(b, "elementwise_backward: b")
     if grad_out.shape != a.shape or a.shape != b.shape:
         raise ShapeError(
             f"elementwise_backward: shapes {grad_out.shape}, {a.shape}, {b.shape} must match"
@@ -651,6 +654,7 @@ def concat_channels(parts: Sequence[Tensor4]) -> Tensor4:
 
 
 def concat_channels_backward(grad_out: Tensor4, channel_sizes: Iterable[int]) -> list[Tensor4]:
+    check_tensor4(grad_out, "concat_channels_backward: grad_out")
     sizes = list(channel_sizes)
     if sum(sizes) != grad_out.shape[1]:
         raise ShapeError(
@@ -683,6 +687,9 @@ def broadcast_mask_mul(x: Tensor4, mask: Tensor4) -> Tensor4:
 def broadcast_mask_mul_backward(
     grad_out: Tensor4, x: Tensor4, mask: Tensor4
 ) -> tuple[Tensor4, Tensor4]:
+    check_tensor4(grad_out, "broadcast_mask_mul_backward: grad_out")
+    check_tensor4(x, "broadcast_mask_mul_backward: x")
+    check_tensor4(mask, "broadcast_mask_mul_backward: mask")
     if grad_out.shape != x.shape:
         raise ShapeError(
             f"broadcast_mask_mul_backward: grad_out {grad_out.shape} != x {x.shape}"
@@ -702,6 +709,8 @@ def channel_scale(x: Tensor4, scale: np.ndarray) -> Tensor4:
 def channel_scale_backward(
     grad_out: Tensor4, x: Tensor4, scale: np.ndarray
 ) -> tuple[Tensor4, np.ndarray]:
+    check_tensor4(grad_out, "channel_scale_backward: grad_out")
+    check_tensor4(x, "channel_scale_backward: x")
     if grad_out.shape != x.shape:
         raise ShapeError(f"channel_scale_backward: grad_out {grad_out.shape} != x {x.shape}")
     grad_x = grad_out * scale[None, :, None, None]
@@ -746,6 +755,8 @@ def affine_channel_norm_backward(
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Gradients w.r.t. x, scale and shift.  mean/var are stored statistics
     and treated as constants."""
+    check_tensor4(grad_out, "affine_channel_norm_backward: grad_out")
+    check_tensor4(x, "affine_channel_norm_backward: x")
     if grad_out.shape != x.shape:
         raise ShapeError(
             f"affine_channel_norm_backward: grad_out {grad_out.shape} != x {x.shape}"
@@ -783,6 +794,8 @@ def batch_norm_backward(
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Gradients w.r.t. x, scale and shift, with gradient flowing through the
     batch statistics."""
+    check_tensor4(grad_out, "batch_norm_backward: grad_out")
+    check_tensor4(x_hat, "batch_norm_backward: x_hat")
     if grad_out.shape != x_hat.shape:
         raise ShapeError(
             f"batch_norm_backward: grad_out {grad_out.shape} != x_hat {x_hat.shape}"
@@ -805,7 +818,8 @@ def global_avg_pool(x: Tensor4) -> Tensor4:
 
 
 def global_avg_pool_backward(grad_out: Tensor4, x: Tensor4) -> Tensor4:
-    n, c, h, w = x.shape
+    check_tensor4(grad_out, "global_avg_pool_backward: grad_out")
+    n, c, h, w = check_tensor4(x, "global_avg_pool_backward: x").shape
     if grad_out.shape != (n, c, 1, 1):
         raise ShapeError(
             f"global_avg_pool_backward: grad_out {grad_out.shape} != expected {(n, c, 1, 1)}"

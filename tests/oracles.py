@@ -6,6 +6,8 @@ path with the vectorized kernels under test.  Comparisons run in float64,
 where rounding noise sits far below the 1e-6 gate.
 """
 
+import math
+
 import numpy as np
 
 
@@ -198,3 +200,73 @@ def lsk_composition(x, params, pooling=("avg", "max")):
         weighted = weighted + mixed[i] * masks[:, i : i + 1]
     fused = pointwise_conv_loops(weighted, params.fuse_weight, params.fuse_bias)
     return x * fused, masks
+
+
+def _normalize_loops(values):
+    lo, hi = min(values), max(values)
+    return [1.0 if hi == lo else (v - lo) / (hi - lo) for v in values]
+
+
+def analyze_images_loops(images):
+    """The selection statistics of ``analysis.analyze_images``, element by
+    element with exact sums (``math.fsum``) over float64 values.
+
+    ``images`` is a list of (record, boxes); only ``record.rf``,
+    ``record.masks``, ``box.vertices`` and ``box.category`` are read.
+    Returns ({category: (r_c_raw, r_c_norm, image_count)},
+    {category: {block_key: (delta_raw, delta_norm, delta_abs)}}).
+
+    An image is eligible for a category when all its boxes carry that
+    category. R_c averages activation / total box area over the eligible
+    images with a positive area; a category with none is left out. The
+    selection difference (two-kernel records only) averages every eligible
+    image, a zero-area one included, per block.
+    """
+
+    def shoelace(v):
+        twice = 0.0
+        for i in range(4):
+            x0, y0 = float(v[i][0]), float(v[i][1])
+            x1, y1 = float(v[(i + 1) % 4][0]), float(v[(i + 1) % 4][1])
+            twice += x0 * y1 - x1 * y0
+        return abs(twice) / 2.0
+
+    def elements(plane):
+        return [float(value) for value in np.asarray(plane).ravel()]
+
+    categories = sorted({b.category for _, boxes in images for b in boxes})
+    rc, diffs = {}, {}
+    for cat in categories:
+        eligible = [(rec, boxes) for rec, boxes in images if boxes and all(b.category == cat for b in boxes)]
+        ratios = []
+        for rec, boxes in eligible:
+            area = sum(shoelace(b.vertices) for b in boxes)
+            if area <= 0.0:
+                continue
+            terms = []
+            for key in sorted(rec.masks):
+                for n_idx, rf in enumerate(rec.rf):
+                    terms.extend(float(rf) * v for v in elements(rec.masks[key][:, n_idx]))
+            ratios.append(math.fsum(terms) / area)
+        if not ratios:
+            continue
+        rc[cat] = [math.fsum(ratios) / len(ratios), None, len(ratios)]
+        if len(eligible[0][0].rf) != 2:
+            continue
+        keys = sorted(eligible[0][0].masks)
+        signed, absolute = [], []
+        for key in keys:
+            per_image_signed, per_image_abs = [], []
+            for rec, _ in eligible:
+                m = rec.masks[key]
+                d = [b - a for a, b in zip(elements(m[:, 0]), elements(m[:, 1]))]
+                per_image_signed.append(math.fsum(d) / len(d))
+                per_image_abs.append(math.fsum(abs(v) for v in d) / len(d))
+            signed.append(math.fsum(per_image_signed) / len(eligible))
+            absolute.append(math.fsum(per_image_abs) / len(eligible))
+        diffs[cat] = {
+            key: (s, norm, a) for key, s, norm, a in zip(keys, signed, _normalize_loops(signed), absolute)
+        }
+    for cat, norm in zip(rc, _normalize_loops([v[0] for v in rc.values()]) if rc else []):
+        rc[cat][1] = norm
+    return {cat: tuple(v) for cat, v in rc.items()}, diffs

@@ -5,6 +5,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsknet.analysis import (
     BlockSelectionDiff,
@@ -20,6 +22,7 @@ from lsknet.analysis import (
 )
 from lsknet.backbone import ActivationRecord
 from lsknet.errors import AnalysisError
+from oracles import analyze_images_loops
 
 
 def box(x0, y0, x1, y1, category="ship"):
@@ -74,6 +77,18 @@ class TestParse:
         result = parse_annotations("0 0 1 0 1 1 0 1 ship x")
         assert result.malformed_lines == 1
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("position", [0, 2], ids=["first-token", "coordinate"])
+    def test_non_finite_coordinate_is_malformed(self, bad, position):
+        tokens = "0 0 1 0 1 1 0 1 plane 0".split()
+        tokens[position] = bad
+        result = parse_annotations(" ".join(tokens) + "\n0 0 4 0 4 4 0 4 plane 1\n")
+        assert result.malformed_lines == 1 and result.degenerate_boxes == 0
+        assert [b.area for b in result.boxes] == [16.0]
+        rec = record([23], {(1, 1): np.ones((1, 1, 4, 4))})
+        (stats,) = compute_rc_all([(rec, result.boxes)])
+        assert stats.r_c_raw == 23.0
+
 
 class TestArea:
     def test_axis_aligned_square(self):
@@ -110,6 +125,26 @@ class TestRcRatio:
         rec = record([23], {(1, 1): np.ones((1, 1, 4, 4))})
         mixed = [(rec, [box(0, 0, 2, 2, "ship"), box(3, 3, 5, 5, "plane")])]
         assert compute_rc(mixed, "ship") is None
+
+    def test_zero_area_and_excluded_categories_are_logged(self, caplog):
+        rec = record([23], {(1, 1): np.ones((1, 1, 4, 4))})
+        images = [
+            (rec, [box(0, 0, 0, 5, "ship")]),
+            (rec, [box(0, 0, 2, 2, "ship"), box(0, 0, 2, 2, "plane")]),
+        ]
+        with caplog.at_level("INFO", logger="lsknet.analysis"):
+            assert analyze_images(images) == ([], {})
+        messages = [r.getMessage() for r in caplog.records]
+        assert "category ship: image with zero annotated area skipped" in messages
+        assert "category ship excluded: no eligible single-category images" in messages
+        assert "category plane excluded: no eligible single-category images" in messages
+
+    def test_record_without_blocks(self):
+        rec = record([5, 23], {})
+        assert record_activation_sum(rec) == 0.0
+        assert compute_selection_diff([rec], "ship") == []
+        stats, diffs = analyze_images([(rec, [box(0, 0, 2, 2)])])
+        assert stats[0].r_c_raw == 0.0 and diffs == {"ship": []}
 
     def test_activation_sum_weights_by_rf(self):
         rec = record([5, 23], {(1, 1): const_masks([1.0, 1.0], 2, 2)})
@@ -286,3 +321,65 @@ class TestEmit:
             ["apple", "B_1_2"],
             ["zebra", "B_2_1"],
         ]
+
+
+@st.composite
+def image_sets(draw):
+    """Images sharing one block layout: 1-3 kernels, float32 or float64
+    masks in [0, 1], boxes of three categories (mixed-category images and
+    zero-area boxes included)."""
+    n_kernels = draw(st.integers(1, 3))
+    rf = sorted(draw(st.lists(st.integers(1, 31), min_size=n_kernels, max_size=n_kernels, unique=True)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    batch = draw(st.integers(1, 2))
+    layout = {
+        (stage, depth): (draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+        for stage, depth in draw(
+            st.lists(st.tuples(st.integers(1, 4), st.integers(1, 3)), min_size=1, max_size=3, unique=True)
+        )
+    }
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = []
+    for _ in range(draw(st.integers(1, 6))):
+        rec = ActivationRecord(rf=tuple(rf))
+        for key, (h, w) in layout.items():
+            rec.masks[key] = rng.random((batch, n_kernels, h, w)).astype(dtype)
+        boxes = [
+            box(x0, y0, x0 + bw, y0 + bh, cat)
+            for cat, x0, y0, bw, bh in draw(
+                st.lists(
+                    st.tuples(
+                        st.sampled_from("abc"),
+                        st.integers(0, 50),
+                        st.integers(0, 50),
+                        st.integers(0, 20),
+                        st.integers(0, 20),
+                    ),
+                    max_size=3,
+                )
+            )
+        ]
+        images.append((rec, boxes))
+    return images
+
+
+@settings(max_examples=60, deadline=None)
+@given(images=image_sets())
+def test_analyze_images_matches_loop_oracle(images):
+    stats, diffs = analyze_images(images)
+    want_rc, want_diffs = analyze_images_loops(images)
+    assert [s.category for s in stats] == list(want_rc)
+    for s in stats:
+        raw, norm, count = want_rc[s.category]
+        assert s.r_c_raw == pytest.approx(raw, rel=1e-12)
+        assert s.r_c_normalized == pytest.approx(norm, rel=1e-12)
+        assert s.image_count == count
+    assert set(diffs) == set(want_diffs)
+    for category, block_diffs in diffs.items():
+        want = want_diffs[category]
+        assert [d.block_key for d in block_diffs] == list(want)
+        for d in block_diffs:
+            raw, norm, absolute = want[d.block_key]
+            assert d.delta_raw == pytest.approx(raw, rel=1e-12)
+            assert d.delta_normalized == pytest.approx(norm, rel=1e-12)
+            assert d.delta_abs == pytest.approx(absolute, rel=1e-12)

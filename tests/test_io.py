@@ -2,6 +2,7 @@
 and weight-file validation."""
 
 import io
+import json
 import struct
 
 import numpy as np
@@ -90,11 +91,14 @@ class TestTensorErrors:
         with pytest.raises(DimOverflowError):
             read_tensor(io.BytesIO(raw))
 
-    def test_truncations_fail_cleanly(self, rng):
+    def test_truncations_fail_cleanly(self, rng, tmp_path):
         raw = tensor_bytes(rng.standard_normal((2, 2, 3, 3)).astype(np.float32))
-        for cut in (0, 4, 8, 20, 39, 40, 41, len(raw) - 1):
-            with pytest.raises((BadMagicError, TruncatedFileError)):
-                read_tensor(io.BytesIO(raw[:cut]))
+        path = tmp_path / "cut.lskt"
+        for cut in range(len(raw)):
+            path.write_bytes(raw[:cut])
+            for target in (io.BytesIO(raw[:cut]), path):
+                with pytest.raises(TruncatedFileError):
+                    read_tensor(target)
 
 
 class TestWeights:
@@ -245,6 +249,42 @@ class TestRecords:
         (tmp_path / "img").mkdir()
         with pytest.raises(ManifestError):
             load_record(tmp_path / "img")
+
+    def test_directory_in_place_of_mask_file(self, rng, tmp_path):
+        rec = ActivationRecord(rf=(5, 23))
+        rec.masks[(1, 1)] = rng.uniform(0, 1, (1, 2, 4, 4)).astype(np.float32)
+        save_record(rec, tmp_path / "img")
+        (tmp_path / "img" / "B_1_1_2.lskt").unlink()
+        (tmp_path / "img" / "B_1_1_2.lskt").mkdir()
+        with pytest.raises(FormatError, match="B_1_1_2.lskt"):
+            load_record(tmp_path / "img")
+
+    def test_kernel_files_of_one_block_must_agree_in_shape(self, rng, tmp_path):
+        rec = ActivationRecord(rf=(5, 23))
+        rec.masks[(2, 1)] = rng.uniform(0, 1, (1, 2, 4, 4)).astype(np.float32)
+        save_record(rec, tmp_path / "img")
+        write_tensor(tmp_path / "img" / "B_2_1_2.lskt", np.zeros((1, 1, 4, 5), dtype=np.float32))
+        with pytest.raises(FormatError, match=r"block \(2, 1\).*img.*B_2_1_2.lskt") as info:
+            load_record(tmp_path / "img")
+        assert not isinstance(info.value, ManifestError)
+
+    def _manifest_case(self, rng, tmp_path, **changes):
+        rec = ActivationRecord(rf=(5, 23))
+        rec.masks[(1, 1)] = rng.uniform(0, 1, (1, 2, 4, 4)).astype(np.float32)
+        save_record(rec, tmp_path / "img")
+        manifest = tmp_path / "img" / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), **changes}))
+        return tmp_path / "img"
+
+    def test_manifest_without_receptive_fields(self, rng, tmp_path):
+        directory = self._manifest_case(rng, tmp_path, rf=[])
+        with pytest.raises(ManifestError, match="img.*rf"):
+            load_record(directory)
+
+    def test_manifest_listing_a_block_twice(self, rng, tmp_path):
+        directory = self._manifest_case(rng, tmp_path, blocks=[[1, 1], [1, 1]])
+        with pytest.raises(ManifestError, match=r"img.*block \(1, 1\) is listed twice"):
+            load_record(directory)
 
 
 @settings(max_examples=80, deadline=None)

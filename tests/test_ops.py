@@ -322,11 +322,25 @@ class TestElementwiseAndScalars:
         assert out.dtype == expected
         assert (out == 0.5).all()
 
-    @pytest.mark.parametrize("op", ["sigmoid_backward", "gelu_backward"])
+    # the arguments of each backward op, built from one 2-D array ``a`` and
+    # one vector ``v`` whose length matches a's second axis
+    BACKWARD_ARGS = {
+        "sigmoid_backward": lambda a, v: (a, a),
+        "gelu_backward": lambda a, v: (a, a),
+        "elementwise_backward": lambda a, v: (a, a, a, "mul"),
+        "broadcast_mask_mul_backward": lambda a, v: (a, a, a[:, :1]),
+        "concat_channels_backward": lambda a, v: (a, [1, 3]),
+        "channel_scale_backward": lambda a, v: (a, a, v),
+        "affine_channel_norm_backward": lambda a, v: (a, a, v, v, v * v + 1.0),
+        "batch_norm_backward": lambda a, v: (a, a, v, v),
+        "global_avg_pool_backward": lambda a, v: (a, a),
+    }
+
+    @pytest.mark.parametrize("op", list(BACKWARD_ARGS))
     def test_backward_rejects_non_4d(self, rng, op):
         a = rand(rng, (3, 4))
         with pytest.raises(ShapeError, match=op):
-            getattr(ops, op)(a, a)
+            getattr(ops, op)(*self.BACKWARD_ARGS[op](a, rand(rng, (4,))))
 
     def test_elementwise_requires_matching_shapes(self, rng):
         with pytest.raises(ShapeError, match="mismatch"):
