@@ -38,6 +38,8 @@ from .plan import DecompositionPlan, validate_plan
 
 __all__ = [
     "DEFAULT_PLAN",
+    "STEM_STRIDE_PADDING",
+    "DOWN_STRIDE_PADDING",
     "BackboneConfig",
     "BackboneParams",
     "BackboneOutput",
@@ -52,6 +54,9 @@ __all__ = [
 ]
 
 DEFAULT_PLAN = validate_plan([(5, 1), (7, 3)])
+# (stride, padding) of the dense convs; each kernel size is read off its weight
+STEM_STRIDE_PADDING = (4, 3)
+DOWN_STRIDE_PADDING = (2, 1)
 
 _PRESETS = {
     "T": ((32, 64, 160, 256), (3, 3, 5, 2)),
@@ -287,7 +292,7 @@ def backbone_forward(
     if h % 32 or w % 32:
         raise ShapeError(f"backbone_forward: spatial dims {h}x{w} not divisible by 32")
 
-    conv_out = ops.conv2d(x, params.stem_conv.weight, params.stem_conv.bias, stride=4, padding=3)
+    conv_out = ops.conv2d(x, params.stem_conv.weight, params.stem_conv.bias, *STEM_STRIDE_PADDING)
     cur, xhat, inv = norm_forward(conv_out, params.stem_norm, train_norm)
     stem_state = _DownState(x=x, conv_out=conv_out, bn_xhat=xhat, bn_inv=inv)
 
@@ -315,7 +320,7 @@ def backbone_forward(
         block_states.append(stage_states)
         if i < 3:
             dc = params.down_convs[i]
-            conv_out = ops.conv2d(cur, dc.weight, dc.bias, stride=2, padding=1)
+            conv_out = ops.conv2d(cur, dc.weight, dc.bias, *DOWN_STRIDE_PADDING)
             nxt, xhat, inv = norm_forward(conv_out, params.down_norms[i], train_norm)
             down_states.append(_DownState(x=cur, conv_out=conv_out, bn_xhat=xhat, bn_inv=inv))
             cur = nxt
@@ -334,11 +339,11 @@ def backbone_forward(
 
 
 def _conv_norm_backward(grad, ds: _DownState, conv: DenseConvParams, norm: NormParams,
-                        train: bool, stride: int, padding: int):
+                        train: bool, stride_padding: tuple[int, int]):
     """Backward of a dense conv followed by a norm (the stem and the
     downsamplers): ``(grad_x, grads)`` keyed ``conv.*`` and ``norm.*``."""
     g_conv, g_scale, g_shift = norm_backward(grad, norm, train, ds.conv_out, ds.bn_xhat, ds.bn_inv)
-    g_in, g_w, g_b = ops.conv2d_backward(g_conv, ds.x, conv.weight, stride=stride, padding=padding)
+    g_in, g_w, g_b = ops.conv2d_backward(g_conv, ds.x, conv.weight, *stride_padding)
     return g_in, {"norm.scale": g_scale, "norm.shift": g_shift, "conv.weight": g_w, "conv.bias": g_b}
 
 
@@ -354,14 +359,14 @@ def backbone_backward(grad_stage4: Tensor4, state: BackboneState) -> tuple[Tenso
         if i < 3:
             grad, down_grads = _conv_norm_backward(
                 grad, state.down_states[i], params.down_convs[i], params.down_norms[i],
-                state.train_norm, stride=2, padding=1,
+                state.train_norm, DOWN_STRIDE_PADDING,
             )
             grads.update(prefixed(f"down{i + 1}", down_grads.items()))
         for j in range(len(params.stages[i]) - 1, -1, -1):
             grad, block_grads = block_backward(grad, state.block_states[i][j])
             grads.update(prefixed(f"stage{i + 1}.block{j}", block_grads.items()))
     grad, stem_grads = _conv_norm_backward(
-        grad, state.stem, params.stem_conv, params.stem_norm, state.train_norm, stride=4, padding=3
+        grad, state.stem, params.stem_conv, params.stem_norm, state.train_norm, STEM_STRIDE_PADDING
     )
     grads.update(prefixed("stem", stem_grads.items()))
     return grad, grads

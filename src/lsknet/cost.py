@@ -1,4 +1,11 @@
-"""Closed-form parameter / FLOP / MAC accounting.
+"""Parameter / FLOP / MAC accounting read off the layer tree.
+
+:func:`cost_lsk_module`, :func:`cost_block` and :func:`cost_backbone` walk
+the initialised parameter arrays (``LskModuleParams``, ``BlockParams``,
+``BackboneParams``): every width, kernel size and selection mode is read off
+the arrays a layer holds, so ``params`` equals the learnable array sizes by
+construction.  :func:`cost_plan` is the closed form of the default spatial
+module's convs, for the plan search, where no module exists yet.
 
 Counting rules (also embedded in every report's ``conventions`` field):
 
@@ -12,7 +19,9 @@ Counting rules (also embedded in every report's ``conventions`` field):
   cost.
 * ``macs`` is the fused multiply-add count over conv weights only (biases,
   norms and activations excluded).  This is the figure comparable to the
-  common model-complexity tools and to published backbone tables.
+  common model-complexity tools and to published backbone tables.  Channel
+  selection's squeeze and expand convs run on the pooled 1x1 descriptor and
+  count at 1x1.
 * Normalizations and activations (gelu / sigmoid / softmax) cost 2
   flops/element; plain element-wise add/mul (residuals, gating, mask
   weighting, pooling reductions) cost 1 flop/element.
@@ -23,11 +32,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+import numpy as np
+
+from .backbone import DOWN_STRIDE_PADDING, STEM_STRIDE_PADDING, init_backbone_params
 from .errors import ShapeError
+from .module import POOL_ORDER
+from .ops import ConvSpec, conv_out_size
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .backbone import BackboneConfig
-    from .ops import ConvSpec
+    from .backbone import BackboneConfig, DenseConvParams
+    from .block import BlockParams, NormParams
+    from .module import LskModuleParams
     from .plan import DecompositionPlan
 
 __all__ = [
@@ -101,29 +116,40 @@ def combine(children: Iterable[tuple[str, CostReport]]) -> CostReport:
     )
 
 
-def _conv_cost(weights: int, biases: int, out_hw: int, include_bias: bool) -> CostReport:
-    params = weights + (biases if include_bias else 0)
+def _conv_cost(weights: int, biases: int, out_hw: int) -> CostReport:
+    params = weights + biases
     return CostReport(params=params, flops=2 * out_hw * params, macs=out_hw * weights)
 
 
-def cost_depthwise(c: int, spec: "ConvSpec", h: int, w: int, include_bias: bool = True) -> CostReport:
+def _conv_leaf(weight: np.ndarray, bias: np.ndarray, out_hw: int) -> CostReport:
+    """A conv read off its arrays, evaluated at ``out_hw`` output pixels."""
+    return _conv_cost(weight.size, bias.size, out_hw)
+
+
+def cost_depthwise(c: int, spec: ConvSpec, h: int, w: int, include_bias: bool = True) -> CostReport:
     """Depth-wise conv: c * k^2 weights (+c bias); dilation is free."""
-    return _conv_cost(c * spec.kernel * spec.kernel, c, h * w, include_bias)
+    return _conv_cost(c * spec.kernel * spec.kernel, c if include_bias else 0, h * w)
 
 
 def cost_pointwise(c_in: int, c_out: int, h: int, w: int, include_bias: bool = True) -> CostReport:
-    return _conv_cost(c_out * c_in, c_out, h * w, include_bias)
+    return _conv_cost(c_out * c_in, c_out if include_bias else 0, h * w)
 
 
 def cost_conv2d(
     c_in: int, c_out: int, k: int, out_h: int, out_w: int, include_bias: bool = True
 ) -> CostReport:
     """Dense conv evaluated at its *output* resolution (covers strided layers)."""
-    return _conv_cost(c_out * c_in * k * k, c_out, out_h * out_w, include_bias)
+    return _conv_cost(c_out * c_in * k * k, c_out if include_bias else 0, out_h * out_w)
 
 
-def cost_norm(c: int, h: int, w: int) -> CostReport:
-    return CostReport(params=2 * c, flops=2 * c * h * w)
+def cost_norm(norm: "NormParams", h: int, w: int) -> CostReport:
+    """A per-channel affine norm: its scale and shift are the parameters."""
+    return CostReport(params=norm.scale.size + norm.shift.size, flops=2 * norm.scale.size * h * w)
+
+
+def _cost_scale(scale: np.ndarray, h: int, w: int) -> CostReport:
+    """A per-channel residual scale."""
+    return CostReport(params=scale.size, flops=scale.size * h * w)
 
 
 def cost_activation(c: int, h: int, w: int) -> CostReport:
@@ -134,122 +160,95 @@ def cost_elementwise(c: int, h: int, w: int, n_ops: int = 1) -> CostReport:
     return CostReport(params=0, flops=n_ops * c * h * w)
 
 
-def cost_plan(
-    plan: "DecompositionPlan",
-    c: int,
-    c_mid: int,
-    h: int,
-    w: int,
-    q: int = 7,
-    n_pools: int = 2,
-    include_bias: bool = True,
-    include_select: bool = True,
-) -> CostReport:
-    """Conv cost of the selection module a plan drives: the depth-wise stages
-    plus per-branch 1x1 mixers, the pooled-descriptor selection conv, and the
-    fusion conv.  With c_mid = 0 the mixer/selection/fusion contributions are
-    all zero."""
+def cost_plan(plan: "DecompositionPlan", c: int, c_mid: int, h: int, w: int) -> CostReport:
+    """Closed form of the ``convs`` node of ``init_lsk_params(plan, c, c_mid)``,
+    the default spatial module: the depth-wise stages, the per-branch 1x1
+    mixers, the 7x7 selection conv over both pooled descriptors, and the
+    fusion conv.  The plan search ranks plans no module exists for with it.
+    With c_mid = 0 only the depth-wise stages remain."""
     n = plan.n_kernels
-    parts: list[tuple[str, CostReport]] = []
-    for i, spec in enumerate(plan.stages):
-        from .ops import ConvSpec  # local import: avoid cycle at module load
-
-        parts.append((f"dw{i}", cost_depthwise(c, ConvSpec(spec.k, spec.d), h, w, include_bias)))
+    parts = [(f"dw{i}", cost_depthwise(c, ConvSpec(s.k, s.d), h, w)) for i, s in enumerate(plan.stages)]
     if c_mid > 0:
-        for i in range(n):
-            parts.append((f"mix{i}", cost_pointwise(c, c_mid, h, w, include_bias)))
-        if include_select:
-            parts.append(("select", cost_conv2d(n_pools, n, q, h, w, include_bias)))
-        parts.append(("fuse", cost_pointwise(c_mid, c, h, w, include_bias)))
+        parts += [(f"mix{i}", cost_pointwise(c, c_mid, h, w)) for i in range(n)]
+        parts.append(("select", cost_conv2d(len(POOL_ORDER), n, 7, h, w)))
+        parts.append(("fuse", cost_pointwise(c_mid, c, h, w)))
     return combine(parts)
 
 
-def cost_lsk_module(
-    plan: "DecompositionPlan",
-    c: int,
-    c_mid: int,
-    h: int,
-    w: int,
-    q: int = 7,
-    n_pools: int = 2,
-    selection_mode: str = "spatial",
-) -> CostReport:
-    """Full module cost: the convs of cost_plan plus pooling, mask activation,
-    branch weighting and the final input gating."""
-    n = plan.n_kernels
-    parts: list[tuple[str, CostReport]] = [("convs", cost_plan(plan, c, c_mid, h, w, q, n_pools))]
-    if selection_mode == "spatial":
-        parts.append(("pool", cost_elementwise(n * c_mid, h, w, n_ops=n_pools)))
+def cost_lsk_module(params: "LskModuleParams", h: int, w: int) -> CostReport:
+    """Full module cost: its convs, then the pooling, mask activation and
+    branch weighting of the selection mode whose arrays it holds, and the
+    final input gating."""
+    hw = h * w
+    n = params.n_kernels
+    c, c_mid = params.fuse_weight.shape
+    convs = [(f"dw{i}", _conv_leaf(params.dw_weights[i], params.dw_biases[i], hw)) for i in range(n)]
+    convs += [(f"mix{i}", _conv_leaf(params.mix_weights[i], params.mix_biases[i], hw)) for i in range(n)]
+    if params.select_weight is not None:
+        convs.append(("select", _conv_leaf(params.select_weight, params.select_bias, hw)))
+    convs.append(("fuse", _conv_leaf(params.fuse_weight, params.fuse_bias, hw)))
+    parts = [("convs", combine(convs))]
+    if params.select_weight is not None:
+        parts.append(("pool", cost_elementwise(n * c_mid, h, w, n_ops=params.n_pools)))
         parts.append(("mask_sigmoid", cost_activation(n, h, w)))
         parts.append(("weighting", cost_elementwise(n * c_mid, h, w, n_ops=2)))
-    elif selection_mode == "channel":
-        z = max(c_mid // 4, 4) if c_mid > 0 else 0
-        # the spatial select conv is replaced by the squeeze/expand pair
-        parts = [("convs", cost_plan(plan, c, c_mid, h, w, include_select=False))]
-        parts.append(("cs_squeeze", CostReport(params=z * c_mid + z, flops=2 * (z * c_mid + z))))
-        parts.append(
-            ("cs_expand", CostReport(params=n * c_mid * z + n * c_mid, flops=2 * (n * c_mid * z + n * c_mid)))
-        )
+    elif params.cs is not None:
+        parts.append(("cs_squeeze", _conv_leaf(params.cs.squeeze_weight, params.cs.squeeze_bias, 1)))
+        parts.append(("cs_expand", _conv_leaf(params.cs.expand_weight, params.cs.expand_bias, 1)))
         parts.append(("cs_pool", cost_elementwise(n * c_mid, h, w)))
         parts.append(("cs_softmax", CostReport(params=0, flops=2 * n * c_mid)))
         parts.append(("weighting", cost_elementwise(n * c_mid, h, w, n_ops=2)))
-    elif selection_mode == "none":
-        parts = [("convs", cost_plan(plan, c, c_mid, h, w, include_select=False))]
-        parts.append(("sum", cost_elementwise(c_mid, h, w, n_ops=n - 1 if n > 1 else 0)))
     else:
-        raise ShapeError(f"cost_lsk_module: unknown selection mode {selection_mode!r}")
+        parts.append(("sum", cost_elementwise(c_mid, h, w, n_ops=n - 1)))
     parts.append(("gate", cost_elementwise(c, h, w)))
     return combine(parts)
 
 
-def cost_block(
-    plan: "DecompositionPlan",
-    c: int,
-    ffn_ratio: float,
-    h: int,
-    w: int,
-    q: int = 7,
-    n_pools: int = 2,
-    selection_mode: str = "spatial",
-    c_mid: int | None = None,
-) -> CostReport:
+def cost_block(params: "BlockParams", h: int, w: int) -> CostReport:
     """One backbone block: LK-selection sub-block plus FFN sub-block."""
-    # the widths init_block_params gives the arrays, at least 1 each
-    cm = max(c // 2, 1) if c_mid is None else c_mid
-    hidden = max(round(ffn_ratio * c), 1)
+    hw = h * w
+    c, hidden = params.scale1.size, params.fc1_weight.shape[0]
     selection = combine(
         [
-            ("norm1", cost_norm(c, h, w)),
-            ("pre", cost_pointwise(c, c, h, w)),
+            ("norm1", cost_norm(params.norm1, h, w)),
+            ("pre", _conv_leaf(params.pre_weight, params.pre_bias, hw)),
             ("gelu", cost_activation(c, h, w)),
-            ("lsk", cost_lsk_module(plan, c, cm, h, w, q, n_pools, selection_mode)),
-            ("post", cost_pointwise(c, c, h, w)),
-            ("scale", CostReport(params=c, flops=c * h * w)),
+            ("lsk", cost_lsk_module(params.lsk, h, w)),
+            ("post", _conv_leaf(params.post_weight, params.post_bias, hw)),
+            ("scale", _cost_scale(params.scale1, h, w)),
             ("residual", cost_elementwise(c, h, w)),
         ]
     )
     ffn = combine(
         [
-            ("norm2", cost_norm(c, h, w)),
-            ("fc1", cost_pointwise(c, hidden, h, w)),
-            ("dw", cost_depthwise(hidden, _spec3(), h, w)),
+            ("norm2", cost_norm(params.norm2, h, w)),
+            ("fc1", _conv_leaf(params.fc1_weight, params.fc1_bias, hw)),
+            ("dw", _conv_leaf(params.ffn_dw_weight, params.ffn_dw_bias, hw)),
             ("gelu", cost_activation(hidden, h, w)),
-            ("fc2", cost_pointwise(hidden, c, h, w)),
-            ("scale", CostReport(params=c, flops=c * h * w)),
+            ("fc2", _conv_leaf(params.fc2_weight, params.fc2_bias, hw)),
+            ("scale", _cost_scale(params.scale2, h, w)),
             ("residual", cost_elementwise(c, h, w)),
         ]
     )
     return combine([("lk_selection", selection), ("ffn", ffn)])
 
 
-def _spec3():
-    from .ops import ConvSpec
-
-    return ConvSpec(3, 1)
+def _cost_conv_norm(
+    conv: "DenseConvParams", norm: "NormParams", stride_padding: tuple[int, int], h: int, w: int
+) -> tuple[CostReport, int, int]:
+    """A dense conv and its norm at the conv's output resolution, plus that
+    resolution."""
+    k = conv.weight.shape[2]
+    oh, ow = conv_out_size(h, k, *stride_padding), conv_out_size(w, k, *stride_padding)
+    report = combine(
+        [("conv", _conv_leaf(conv.weight, conv.bias, oh * ow)), ("norm", cost_norm(norm, oh, ow))]
+    )
+    return report, oh, ow
 
 
 def cost_backbone(config: "BackboneConfig", h: int, w: int) -> CostReport:
-    """Whole-backbone cost at input resolution (h, w).
+    """Whole-backbone cost at input resolution (h, w), read off the seed-0
+    parameters of ``config``.
 
     The stem and the between-stage downsamplers are plain dense convolutions
     (the only non-depth-wise convs in the network) and show up as their own
@@ -257,57 +256,17 @@ def cost_backbone(config: "BackboneConfig", h: int, w: int) -> CostReport:
     """
     if h < 32 or w < 32:
         raise ShapeError(f"cost_backbone: input {h}x{w} below the 32x spatial ladder")
-
-    def out_hw(size: int, k: int, s: int, p: int) -> int:
-        return (size + 2 * p - k) // s + 1
-
-    parts: list[tuple[str, CostReport]] = []
-    ch, cw = out_hw(h, 7, 4, 3), out_hw(w, 7, 4, 3)
-    parts.append(
-        (
-            "stem",
-            combine(
-                [
-                    ("conv", cost_conv2d(3, config.channels[0], 7, ch, cw)),
-                    ("norm", cost_norm(config.channels[0], ch, cw)),
-                ]
-            ),
-        )
-    )
-    for i in range(4):
-        c = config.channels[i]
-        blocks = [
-            (
-                f"block{j}",
-                cost_block(
-                    config.plan,
-                    c,
-                    config.ffn_ratios[i],
-                    ch,
-                    cw,
-                    q=config.select_kernel,
-                    n_pools=len(config.pooling),
-                    selection_mode=config.selection_mode.value,
-                    c_mid=config.branch_width(c),
-                ),
+    params = init_backbone_params(config, seed=0)
+    stem, ch, cw = _cost_conv_norm(params.stem_conv, params.stem_norm, STEM_STRIDE_PADDING, h, w)
+    parts = [("stem", stem)]
+    for i, blocks in enumerate(params.stages):
+        stage = combine((f"block{j}", cost_block(bp, ch, cw)) for j, bp in enumerate(blocks))
+        parts.append((f"stage{i + 1}", stage))
+        if i < len(params.down_convs):
+            down, ch, cw = _cost_conv_norm(
+                params.down_convs[i], params.down_norms[i], DOWN_STRIDE_PADDING, ch, cw
             )
-            for j in range(config.depths[i])
-        ]
-        parts.append((f"stage{i + 1}", combine(blocks)))
-        if i < 3:
-            nh, nw = out_hw(ch, 3, 2, 1), out_hw(cw, 3, 2, 1)
-            parts.append(
-                (
-                    f"down{i + 1}",
-                    combine(
-                        [
-                            ("conv", cost_conv2d(c, config.channels[i + 1], 3, nh, nw)),
-                            ("norm", cost_norm(config.channels[i + 1], nh, nw)),
-                        ]
-                    ),
-                )
-            )
-            ch, cw = nh, nw
+            parts.append((f"down{i + 1}", down))
     return combine(parts)
 
 

@@ -8,6 +8,10 @@ Weight files ("LSKW"): 8-byte magic ``LSKW0001``, a little-endian unsigned
 32-bit manifest byte length, a UTF-8 JSON manifest mapping dotted tensor
 names to (byte offset, shape), then the contiguous float32 payload.
 
+Both manifests (the LSKW one and a record directory's ``manifest.json``)
+carry a ``format_version``; the readers refuse any version but 1, and a
+manifest without the key reads as version 1.
+
 Images: binary 8-bit PGM (P5) and PPM (P6) only; values are scaled to [0, 1]
 and grayscale is replicated to three channels.
 
@@ -58,6 +62,7 @@ __all__ = [
 
 TENSOR_MAGIC = b"LSKT0001"
 WEIGHTS_MAGIC = b"LSKW0001"
+FORMAT_VERSION = 1  # the one manifest layout the readers know; a missing key means 1
 MAX_ELEMENTS = 1 << 31  # refuse absurd allocations before they happen
 _F4 = np.dtype("<f4")
 _TENSOR_HEADER = 40  # magic plus four u64 dims
@@ -150,7 +155,7 @@ class Manifest:
     """Ordered name -> (byte offset, shape) directory of a weight file."""
 
     entries: dict[str, tuple[int, tuple[int, ...]]]
-    format_version: int = 1
+    format_version: int = FORMAT_VERSION
 
 
 def write_weights(target, arrays: Mapping[str, np.ndarray]) -> Manifest:
@@ -200,7 +205,11 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
             raise ManifestError(f"manifest is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(doc, dict) or "entries" not in doc:
             raise ManifestError("manifest missing 'entries'")
-        version = doc.get("format_version", 1)
+        version = doc.get("format_version", FORMAT_VERSION)
+        if version != FORMAT_VERSION:
+            raise ManifestError(
+                f"weights {target if owned else 'stream'}: unsupported format_version {version!r}"
+            )
         payload = fh.read()
 
         entries: dict[str, tuple[int, tuple[int, ...]]] = {}
@@ -323,7 +332,7 @@ def save_record(record: ActivationRecord, directory: str | Path) -> list[Path]:
             write_tensor(path, masks[:, n_idx : n_idx + 1])
             written.append(path)
     doc = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "rf": list(record.rf),
         "blocks": [[s, d] for s, d in sorted(record.masks.keys())],
     }
@@ -347,8 +356,11 @@ def load_record(directory: str | Path) -> ActivationRecord:
         doc = json.loads(text)
         rf = tuple(int(v) for v in doc["rf"])
         blocks = [(int(s), int(d)) for s, d in doc["blocks"]]
+        version = doc.get("format_version", FORMAT_VERSION)
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"malformed record manifest in {src}: {exc}") from exc
+    if version != FORMAT_VERSION:
+        raise ManifestError(f"record manifest in {src}: unsupported format_version {version!r}")
     if not rf or min(rf) < 1:
         raise ManifestError(f"record manifest in {src}: rf {list(rf)} must list positive receptive fields")
     record = ActivationRecord(rf=rf)

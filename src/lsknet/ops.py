@@ -60,6 +60,7 @@ __all__ = [
     "depthwise_conv",
     "depthwise_conv_backward",
     "conv2d",
+    "conv_out_size",
     "conv2d_backward",
     "pointwise_conv",
     "pointwise_conv_backward",
@@ -385,6 +386,11 @@ def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray
     return out.reshape(n, c * k * k, oh * ow)
 
 
+def conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
+    """Output length of a dense conv along one axis."""
+    return (size + 2 * padding - k) // stride + 1
+
+
 def _check_conv2d_args(
     name: str, c: int, weights: np.ndarray, stride: int, padding: int
 ) -> tuple[int, int]:
@@ -413,8 +419,7 @@ def conv2d(
     n, c, h, w = x.shape
     c_out, k = _check_conv2d_args("conv2d", c, weights, stride, padding)
     _check_vector(bias, c_out, "conv2d: bias")
-    oh = (h + 2 * padding - k) // stride + 1
-    ow = (w + 2 * padding - k) // stride + 1
+    oh, ow = conv_out_size(h, k, stride, padding), conv_out_size(w, k, stride, padding)
     if oh < 1 or ow < 1:
         raise ShapeError(f"conv2d: kernel {k} does not fit input {h}x{w} with padding {padding}")
     patches = _im2col(_pad2d(x, padding), k, stride, oh, ow)
@@ -437,7 +442,7 @@ def conv2d_backward(
     n, c, h, w = x.shape
     c_out, k = _check_conv2d_args("conv2d_backward", c, weights, stride, padding)
     oh, ow = grad_out.shape[2], grad_out.shape[3]
-    expected = ((h + 2 * padding - k) // stride + 1, (w + 2 * padding - k) // stride + 1)
+    expected = (conv_out_size(h, k, stride, padding), conv_out_size(w, k, stride, padding))
     if grad_out.shape != (n, c_out, *expected):
         raise ShapeError(
             f"conv2d_backward: grad_out shape {grad_out.shape} != expected {(n, c_out, *expected)}"

@@ -128,7 +128,7 @@ def enumerate_plans(target_rf: int, max_stages: int, max_k: int) -> list[Decompo
         raise PlanError(f"target receptive field must be >= 1, got {target_rf}")
     if max_stages < 1 or max_k < 3:
         return []
-    from .cost import cost_plan  # deferred: cost depends on plan types
+    from .cost import cost_plan  # deferred: cost imports backbone, which imports this module
 
     found: list[tuple[int, tuple[tuple[int, int], ...], DecompositionPlan]] = []
     for k in range(3, max_k + 1, 2):

@@ -1,22 +1,27 @@
 """Cost accounting: closed forms, published cost ratios, scaling laws and
 breakdown consistency."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsknet.backbone import BackboneConfig
+from lsknet import ops
+from lsknet.backbone import BackboneConfig, backbone_forward, init_backbone_params, named_arrays
+from lsknet.block import init_block_params
 from lsknet.cost import (
     cost_backbone,
     cost_block,
     cost_depthwise,
+    cost_lsk_module,
     cost_plan,
     cost_pointwise,
     report_to_kv,
     report_to_text,
 )
+from lsknet.module import init_lsk_params
 from lsknet.ops import ConvSpec
-from lsknet.plan import validate_plan
+from lsknet.plan import enumerate_plans, validate_plan
 
 
 class TestDepthwiseClosedForm:
@@ -89,7 +94,8 @@ class TestPlanCosts:
 
 class TestBlockAndBackbone:
     def test_block_breakdown_sums(self):
-        rep = cost_block(validate_plan([(5, 1), (7, 3)]), c=64, ffn_ratio=8.0, h=16, w=16)
+        params = init_block_params(validate_plan([(5, 1), (7, 3)]), c=64, ffn_ratio=8.0)
+        rep = cost_block(params, h=16, w=16)
         rep.validate()
         names = dict(rep.breakdown)
         assert set(names) == {"lk_selection", "ffn"}
@@ -177,6 +183,30 @@ def test_depthwise_closed_form_property(c, k, h):
     assert rep.macs == h * h * c * k * k
 
 
+PLANS = [[(3, 1)], [(5, 1), (7, 3)], [(3, 1), (5, 2), (7, 3)]]
+
+
+def forward_macs(params, h, w):
+    """Multiply-adds of one ``backbone_forward`` on a single image, counted
+    at the conv kernels: ``out_h * out_w * weight.size`` per call."""
+    total = 0
+
+    def counting(fn):
+        def wrapped(x, weights, *args, **kwargs):
+            nonlocal total
+            out = fn(x, weights, *args, **kwargs)
+            total += out.shape[2] * out.shape[3] * weights.size
+            return out
+
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("pointwise_conv", "depthwise_conv", "conv2d"):
+            mp.setattr(ops, name, counting(getattr(ops, name)))
+        backbone_forward(np.zeros((1, 3, h, w), dtype=np.float32), params)
+    return total
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     channels=st.lists(st.integers(min_value=1, max_value=6), min_size=4, max_size=4),
@@ -185,20 +215,50 @@ def test_depthwise_closed_form_property(c, k, h):
     ),
     mode=st.sampled_from(["spatial", "channel", "none"]),
     c_mid_divisor=st.integers(min_value=1, max_value=4),
+    pooling=st.sampled_from([("avg", "max"), ("avg",), ("max",)]),
+    select_kernel=st.sampled_from([3, 5, 7]),
+    plan=st.sampled_from(PLANS),
 )
-def test_backbone_params_match_initialised_arrays(channels, ffn_ratios, mode, c_mid_divisor):
+def test_backbone_params_match_initialised_arrays(
+    channels, ffn_ratios, mode, c_mid_divisor, pooling, select_kernel, plan
+):
     """The cost model's parameter count is the size of every learnable array
     the initialiser makes (norm running statistics are buffers), including
-    widths where c // 2 or ffn_ratio * c round to zero."""
-    from lsknet.backbone import init_backbone_params, named_arrays
-
+    widths where c // 2 or ffn_ratio * c round to zero; its MAC count is the
+    one a forward pass spends in its conv kernels."""
     cfg = BackboneConfig(
         channels=tuple(channels),
         depths=(1, 1, 1, 1),
         ffn_ratios=tuple(ffn_ratios),
+        plan=validate_plan(plan),
         selection_mode=mode,
+        pooling=pooling,
+        select_kernel=select_kernel,
         c_mid_divisor=c_mid_divisor,
     )
-    arrays = named_arrays(init_backbone_params(cfg, seed=0))
+    params = init_backbone_params(cfg, seed=0)
+    arrays = named_arrays(params)
     learnable = sum(a.size for name, a in arrays.items() if not name.endswith((".mean", ".var")))
-    assert cost_backbone(cfg, 32, 32).params == learnable
+    report = cost_backbone(cfg, 32, 32)
+    assert report.params == learnable
+    assert report.macs == forward_macs(params, 32, 32)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    plan=st.sampled_from(
+        [plan for rf in (7, 11, 17, 23) for plan in enumerate_plans(rf, max_stages=3, max_k=11)]
+    ),
+    c=st.integers(min_value=1, max_value=12),
+    c_mid=st.integers(min_value=1, max_value=8),
+    h=st.integers(min_value=1, max_value=9),
+    w=st.integers(min_value=1, max_value=9),
+)
+def test_cost_plan_is_the_default_module_convs(plan, c, c_mid, h, w):
+    """The plan search's closed form equals the convs node of the walk over
+    the module the plan drives by default: params, macs, flops and names."""
+    convs = dict(cost_lsk_module(init_lsk_params(plan, c, c_mid), h, w).breakdown)["convs"]
+    closed = cost_plan(plan, c, c_mid, h, w)
+    assert (closed.params, closed.macs, closed.flops) == (convs.params, convs.macs, convs.flops)
+    assert [name for name, _ in closed.breakdown] == [name for name, _ in convs.breakdown]
+    assert closed == convs

@@ -1,9 +1,11 @@
 """Golden digests of outputs that are pure arithmetic on the layer layout.
 
-The weight-file manifest (tensor names, shapes, byte offsets) and the
-``lsk count`` report do not depend on the random stream, so any change to
-them means the layer tree, its naming or the cost model changed.  Update the
-digests only for an intended change of the weight format or of the report.
+The weight-file manifest (tensor names, shapes, byte offsets), the ``lsk
+count`` and ``lsk plan`` outputs and the cost reports do not depend on the
+random stream, so any change to them means the layer tree, its naming or the
+cost model changed.  Update the digests only for an intended change of the
+weight format or of the report.  The channel-mode report digests were taken
+once the squeeze and expand convs counted their MACs at 1x1.
 """
 
 import hashlib
@@ -14,6 +16,7 @@ import pytest
 
 from lsknet.backbone import BackboneConfig, init_backbone_params, named_arrays
 from lsknet.cli import main
+from lsknet.cost import cost_backbone, report_to_kv
 from lsknet.fileio import WEIGHTS_MAGIC, write_weights
 
 MANIFEST_SHA256 = {
@@ -28,6 +31,25 @@ MANIFEST_SHA256 = {
 COUNT_KV_SHA256 = {
     "T": "138b2fe05ca8e29971a42719c5802b1e577dc77aac320a9a641ff6205368a137",
     "S": "abc0beb789af0605a726589ece267fbf016f00dcb9b8e2ac6db8ace1d7239243",
+}
+
+CLI_SHA256 = {
+    "count --variant T": "0ce90358871517503afe301de5271771665078ccd0be1241cf834dc4aefea041",
+    "count --variant S": "bb45217b5be2dea05421bfc9befa387293b20b9f01226cf25f6429acc15bc243",
+    "plan --target-rf 23 --max-stages 2 --max-k 23 --format kv":
+        "79b8551bf5865b89ecd85ef32b89abe910774b32903fce9be3520789bdc29750",
+    "plan --target-rf 29 --max-stages 3 --max-k 29 --format kv":
+        "d7c402f8ec034a3e03eef1d4eb213fe8d38f9f12f778f3ac453c374d1b2b419d",
+}
+
+# report_to_kv(cost_backbone(config, 96, 160)) per (variant, selection mode, pooling set)
+REPORT_KV_SHA256 = {
+    ("T", "none", "avg+max"): "2a8c5a94ad789116935fe6c8113170d67a24e1db21bdd38246b41a58cd47d3e0",
+    ("T", "spatial", "max"): "13e9321c2a9644747c2ea67083ad3050246b30bef35acc30c87f14b1f0fe8e7b",
+    ("T", "channel", "avg+max"): "2bbc1314ecfa42760e5b8ac94b20f9d65e0853361aa310a3851b3e6a00edde90",
+    ("S", "none", "avg+max"): "78cd6556f625764c6802551d43fd6622f1082e318dcf922193efd5fc0b43c64d",
+    ("S", "spatial", "max"): "74a01e2dd8f2054d9bed68c3ef8111fb42251371b056bdab6d0021ed81febd77",
+    ("S", "channel", "avg+max"): "456ebaf9f071f50ac6741a840d717cc28b860befcc620843676667929bec4694",
 }
 
 
@@ -48,3 +70,17 @@ def test_count_kv_digest(variant, capsys):
     assert main(["count", "--variant", variant, "--format", "kv"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == COUNT_KV_SHA256[variant]
+
+
+@pytest.mark.parametrize("command", list(CLI_SHA256))
+def test_cli_output_digest(command, capsys):
+    assert main(command.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == CLI_SHA256[command]
+
+
+@pytest.mark.parametrize("variant,mode,pooling", list(REPORT_KV_SHA256))
+def test_cost_report_digest(variant, mode, pooling):
+    config = BackboneConfig.variant(variant, selection_mode=mode, pooling=pooling.split("+"))
+    digest = hashlib.sha256(report_to_kv(cost_backbone(config, 96, 160)).encode()).hexdigest()
+    assert digest == REPORT_KV_SHA256[(variant, mode, pooling)]

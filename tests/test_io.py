@@ -173,6 +173,18 @@ class TestWeights:
         with pytest.raises(ManifestError, match="duplicate"):
             read_weights(io.BytesIO(raw))
 
+    def test_format_version_other_than_1_rejected(self, tmp_path):
+        def weights_file(doc: bytes):
+            path = tmp_path / "w.lskw"
+            path.write_bytes(b"LSKW0001" + struct.pack("<I", len(doc)) + doc + b"\x00" * 4)
+            return path
+
+        entries = b'"entries":[{"name":"a","offset":0,"shape":[1]}]'
+        with pytest.raises(ManifestError, match=r"w\.lskw.*format_version 99"):
+            read_weights(weights_file(b'{"format_version":99,' + entries + b"}"))
+        _, manifest = read_weights(weights_file(b"{" + entries + b"}"))
+        assert manifest.format_version == 1  # a missing key reads as version 1
+
     def test_weight_fuzz_truncations(self, rng):
         buf = io.BytesIO()
         write_weights(buf, {"w": rng.standard_normal((3, 3)).astype(np.float32)})
@@ -285,6 +297,16 @@ class TestRecords:
         directory = self._manifest_case(rng, tmp_path, blocks=[[1, 1], [1, 1]])
         with pytest.raises(ManifestError, match=r"img.*block \(1, 1\) is listed twice"):
             load_record(directory)
+
+    def test_manifest_format_version_other_than_1(self, rng, tmp_path):
+        directory = self._manifest_case(rng, tmp_path, format_version=99)
+        with pytest.raises(ManifestError, match=r"img.*format_version 99"):
+            load_record(directory)
+        manifest = directory / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["format_version"]
+        manifest.write_text(json.dumps(doc))
+        assert load_record(directory).rf == (5, 23)  # a missing key reads as version 1
 
 
 @settings(max_examples=80, deadline=None)
