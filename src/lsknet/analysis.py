@@ -5,10 +5,11 @@ Two metrics, computed per object category from oriented-box annotations:
 * the ratio of expected selective receptive-field area to ground-truth box
   area: per image, sum over blocks and kernel branches of (branch RF times
   the spatial sum of its selection mask), divided by the total annotated box
-  area; averaged over the images that contain that category only;
+  area; averaged over the images that contain that category only and
+  whose boxes have a positive total area;
 * the per-block kernel selection difference for two-kernel plans: the mean
   (larger-kernel mask minus smaller-kernel mask), kept signed, with the mean
-  absolute difference alongside.
+  absolute difference alongside, over the same images as the ratio.
 
 Both are reported raw and min-max normalized (a singleton or all-equal set
 normalizes to 1.0 by convention).  Masks are summed at each block's native
@@ -191,22 +192,6 @@ def _normalize(values: Sequence[float]) -> list[float]:
     return [(v - lo) / (hi - lo) for v in values]
 
 
-def _rc_stats(category: str, terms: Sequence[tuple[float, float]]) -> CategoryStats | None:
-    """Mean of activation / box area over a category's (activation, area)
-    pairs; images with zero area are skipped, and no images left is None."""
-    ratios: list[float] = []
-    for activation, area in terms:
-        if area <= 0.0:
-            log.warning("category %s: image with zero annotated area skipped", category)
-            continue
-        ratios.append(activation / area)
-    if not ratios:
-        log.info("category %s excluded: no eligible single-category images", category)
-        return None
-    raw = float(np.mean(ratios))
-    return CategoryStats(category=category, r_c_raw=raw, r_c_normalized=1.0, image_count=len(ratios))
-
-
 def _selection_diffs(
     category: str,
     records: Sequence[ActivationRecord],
@@ -248,25 +233,31 @@ def _analyze(
     ``selection`` the per-block differences of the 2-kernel categories.
 
     An image counts for a category only when every box it contains is of
-    that category (single-category images).  Each eligible record is reduced
-    once and serves both metrics.
+    that category (single-category images) and their total area is positive;
+    one such set serves both metrics.  Each eligible record is reduced once.
     """
-    eligible: dict[str, list[tuple[ActivationRecord, Sequence[OrientedBox]]]] = {}
+    eligible: dict[str, list[tuple[ActivationRecord, float]]] = {}
     for rec, boxes in images:
         if boxes and all(b.category == boxes[0].category for b in boxes):
-            eligible.setdefault(boxes[0].category, []).append((rec, boxes))
+            area = sum(b.area for b in boxes)
+            if area <= 0.0:
+                log.warning("category %s: image with zero annotated area skipped", boxes[0].category)
+                continue
+            eligible.setdefault(boxes[0].category, []).append((rec, area))
     if categories is None:
         categories = sorted({b.category for _, boxes in images for b in boxes})
     stats: list[CategoryStats] = []
     diffs: dict[str, list[BlockSelectionDiff]] = {}
     for category in categories:
         pairs = eligible.get(category, [])
-        terms = [_record_terms(rec) for rec, _ in pairs]
-        areas = [sum(b.area for b in boxes) for _, boxes in pairs]
-        s = _rc_stats(category, [(t[0], area) for t, area in zip(terms, areas)])
-        if s is None:
+        if not pairs:
+            log.info("category %s excluded: no eligible single-category images", category)
             continue
-        stats.append(s)
+        terms = [_record_terms(rec) for rec, _ in pairs]
+        raw = float(np.mean([t[0] / area for t, (_, area) in zip(terms, pairs)]))
+        stats.append(
+            CategoryStats(category=category, r_c_raw=raw, r_c_normalized=1.0, image_count=len(pairs))
+        )
         records = [rec for rec, _ in pairs]
         if selection and records[0].n_kernels == 2:
             diffs[category] = _selection_diffs(category, records, [t[1] for t in terms])

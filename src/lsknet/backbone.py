@@ -32,7 +32,7 @@ from .block import (
     prefixed,
 )
 from .errors import ShapeError, WeightMismatchError
-from .module import SelectionMode, fan_in_uniform, normalize_pooling, params_astype
+from .module import SelectionMode, fan_in_uniform, normalize_pooling, params_astype, params_map
 from .ops import Tensor4
 from .plan import DecompositionPlan, validate_plan
 
@@ -151,9 +151,11 @@ class BackboneParams:
     down_norms: list[NormParams]
 
 
-def init_backbone_params(config: BackboneConfig, seed: int = 0) -> BackboneParams:
-    """Fresh weights with a fixed draw order, reproducible from the seed."""
-    rng = np.random.default_rng(seed)
+def init_backbone_params(config: BackboneConfig, seed: int | None = 0) -> BackboneParams:
+    """Fresh weights with a fixed draw order, reproducible from the seed;
+    ``seed=None`` draws nothing and gives the shape-only tree (read-only zero
+    weights) that the cost walk and the weight loader read."""
+    rng = None if seed is None else np.random.default_rng(seed)
     stem_conv = DenseConvParams(
         weight=fan_in_uniform(rng, (config.channels[0], 3, 7, 7), 3 * 49),
         bias=np.zeros(config.channels[0], dtype=np.float32),
@@ -221,7 +223,7 @@ def named_arrays(params: BackboneParams) -> dict[str, np.ndarray]:
 
 def expected_shapes(config: BackboneConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape map a weight file must satisfy for this configuration."""
-    template = init_backbone_params(config, seed=0)
+    template = init_backbone_params(config, seed=None)
     return {name: tuple(arr.shape) for name, arr in named_arrays(template).items()}
 
 
@@ -229,23 +231,23 @@ def params_from_arrays(config: BackboneConfig, arrays: dict[str, np.ndarray]) ->
     """Rebuild structured params from a flat name -> array map.
 
     Every expected tensor must be present with exactly the expected shape;
-    the first offending tensor is named in the error.
+    the first offending tensor is named in the error.  The result holds the
+    caller's float32 arrays themselves (no copy) and a cast of any other.
     """
-    params = init_backbone_params(config, seed=0)
-    expected = named_arrays(params)
+    template = init_backbone_params(config, seed=None)
+    expected = named_arrays(template)
     for name, target in expected.items():
         if name not in arrays:
             raise WeightMismatchError(f"missing tensor {name!r}")
-        src = arrays[name]
-        if tuple(src.shape) != tuple(target.shape):
+        if tuple(arrays[name].shape) != target.shape:
             raise WeightMismatchError(
-                f"tensor {name!r} has shape {tuple(src.shape)}, expected {tuple(target.shape)}"
+                f"tensor {name!r} has shape {tuple(arrays[name].shape)}, expected {target.shape}"
             )
-        target[...] = src.astype(np.float32, copy=False)
     extra = set(arrays) - set(expected)
     if extra:
         raise WeightMismatchError(f"unexpected tensor(s) in weights: {sorted(extra)[:5]}")
-    return params
+    loaded = {id(target): arrays[name].astype(np.float32, copy=False) for name, target in expected.items()}
+    return params_map(template, lambda arr: loaded[id(arr)])
 
 
 # ---------------------------------------------------------------------------

@@ -123,8 +123,7 @@ def init_block_params(
     mode: SelectionMode = SelectionMode.SPATIAL,
     rng: np.random.Generator | None = None,
 ) -> BlockParams:
-    if rng is None:
-        rng = np.random.default_rng(0)
+    """Block weights drawn from ``rng``; ``rng=None`` gives the shape-only tree."""
     hidden = max(round(ffn_ratio * c), 1)
     return BlockParams(
         c=c,

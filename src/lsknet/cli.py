@@ -125,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def cmd_plan(args) -> int:
-    from .cost import cost_plan
+    from .cost import cost_lsk_module
+    from .module import init_lsk_params
     from .plan import enumerate_plans
 
     plans = enumerate_plans(args.target_rf, args.max_stages, args.max_k)
@@ -140,7 +141,7 @@ def cmd_plan(args) -> int:
         plans = plans[: args.top]
     rows = []
     for plan in plans:
-        report = cost_plan(plan, c=64, c_mid=32, h=1024, w=1024)
+        report = dict(cost_lsk_module(init_lsk_params(plan, 64, 32), 1024, 1024).breakdown)["convs"]
         trace = "->".join(str(r) for r in plan.rf_per_stage)
         rows.append((str(plan), trace, report.params, report.macs, report.flops))
     if args.format == "kv":

@@ -1,11 +1,12 @@
 """Parameter / FLOP / MAC accounting read off the layer tree.
 
 :func:`cost_lsk_module`, :func:`cost_block` and :func:`cost_backbone` walk
-the initialised parameter arrays (``LskModuleParams``, ``BlockParams``,
-``BackboneParams``): every width, kernel size and selection mode is read off
+the shapes of a parameter tree (``LskModuleParams``, ``BlockParams``,
+``BackboneParams``), such as the shape-only tree ``init_*`` build with no
+generator or seed: every width, kernel size and selection mode is read off
 the arrays a layer holds, so ``params`` equals the learnable array sizes by
-construction.  :func:`cost_plan` is the closed form of the default spatial
-module's convs, for the plan search, where no module exists yet.
+construction.  The plan search ranks a plan by the ``convs`` node of the walk
+over ``init_lsk_params(plan, 64, 32)``.
 
 Counting rules (also embedded in every report's ``conventions`` field):
 
@@ -36,14 +37,12 @@ import numpy as np
 
 from .backbone import DOWN_STRIDE_PADDING, STEM_STRIDE_PADDING, init_backbone_params
 from .errors import ShapeError
-from .module import POOL_ORDER
 from .ops import ConvSpec, conv_out_size
 
 if TYPE_CHECKING:  # pragma: no cover
     from .backbone import BackboneConfig, DenseConvParams
     from .block import BlockParams, NormParams
     from .module import LskModuleParams
-    from .plan import DecompositionPlan
 
 __all__ = [
     "CONVENTIONS",
@@ -55,7 +54,6 @@ __all__ = [
     "cost_norm",
     "cost_activation",
     "cost_elementwise",
-    "cost_plan",
     "cost_lsk_module",
     "cost_block",
     "cost_backbone",
@@ -160,21 +158,6 @@ def cost_elementwise(c: int, h: int, w: int, n_ops: int = 1) -> CostReport:
     return CostReport(params=0, flops=n_ops * c * h * w)
 
 
-def cost_plan(plan: "DecompositionPlan", c: int, c_mid: int, h: int, w: int) -> CostReport:
-    """Closed form of the ``convs`` node of ``init_lsk_params(plan, c, c_mid)``,
-    the default spatial module: the depth-wise stages, the per-branch 1x1
-    mixers, the 7x7 selection conv over both pooled descriptors, and the
-    fusion conv.  The plan search ranks plans no module exists for with it.
-    With c_mid = 0 only the depth-wise stages remain."""
-    n = plan.n_kernels
-    parts = [(f"dw{i}", cost_depthwise(c, ConvSpec(s.k, s.d), h, w)) for i, s in enumerate(plan.stages)]
-    if c_mid > 0:
-        parts += [(f"mix{i}", cost_pointwise(c, c_mid, h, w)) for i in range(n)]
-        parts.append(("select", cost_conv2d(len(POOL_ORDER), n, 7, h, w)))
-        parts.append(("fuse", cost_pointwise(c_mid, c, h, w)))
-    return combine(parts)
-
-
 def cost_lsk_module(params: "LskModuleParams", h: int, w: int) -> CostReport:
     """Full module cost: its convs, then the pooling, mask activation and
     branch weighting of the selection mode whose arrays it holds, and the
@@ -247,8 +230,8 @@ def _cost_conv_norm(
 
 
 def cost_backbone(config: "BackboneConfig", h: int, w: int) -> CostReport:
-    """Whole-backbone cost at input resolution (h, w), read off the seed-0
-    parameters of ``config``.
+    """Whole-backbone cost at input resolution (h, w), read off the
+    shape-only parameter tree of ``config`` (no weights are drawn).
 
     The stem and the between-stage downsamplers are plain dense convolutions
     (the only non-depth-wise convs in the network) and show up as their own
@@ -256,7 +239,7 @@ def cost_backbone(config: "BackboneConfig", h: int, w: int) -> CostReport:
     """
     if h < 32 or w < 32:
         raise ShapeError(f"cost_backbone: input {h}x{w} below the 32x spatial ladder")
-    params = init_backbone_params(config, seed=0)
+    params = init_backbone_params(config, seed=None)
     stem, ch, cw = _cost_conv_norm(params.stem_conv, params.stem_norm, STEM_STRIDE_PADDING, h, w)
     parts = [("stem", stem)]
     for i, blocks in enumerate(params.stages):

@@ -191,8 +191,9 @@ def write_weights(target, arrays: Mapping[str, np.ndarray]) -> Manifest:
 
 
 def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
-    """Read a weight file into an ordered name -> float32 array map."""
-    fh, owned = _open(target, "rb")
+    """Read a weight file into an ordered name -> float32 array map; each
+    tensor is read with one ``readinto`` straight into its own array."""
+    fh, owned = _open(target, "rb", buffering=0)
     try:
         magic = _read_exact(fh, 8, "magic")
         if magic != WEIGHTS_MAGIC:
@@ -210,7 +211,8 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
             raise ManifestError(
                 f"weights {target if owned else 'stream'}: unsupported format_version {version!r}"
             )
-        payload = fh.read()
+        start = fh.tell()
+        payload_len = fh.seek(0, os.SEEK_END) - start
 
         entries: dict[str, tuple[int, tuple[int, ...]]] = {}
         spans: list[tuple[int, int, str]] = []
@@ -231,9 +233,9 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
             if count > MAX_ELEMENTS:
                 raise DimOverflowError(f"tensor {name!r}: {count} elements exceeds limit")
             end = offset + count * 4
-            if offset < 0 or end > len(payload):
+            if offset < 0 or end > payload_len:
                 raise TruncatedFileError(
-                    f"tensor {name!r}: extent [{offset}, {end}) outside payload of {len(payload)} bytes"
+                    f"tensor {name!r}: extent [{offset}, {end}) outside payload of {payload_len} bytes"
                 )
             entries[name] = (offset, shape)
             spans.append((offset, end, name))
@@ -242,15 +244,12 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
             if s1 < e0:
                 raise ManifestError(f"tensors {n0!r} and {n1!r} overlap in the payload")
 
-        arrays = {
-            name: _finite(
-                np.frombuffer(payload, dtype=_F4, count=int(np.prod(shape)), offset=off)
-                .reshape(shape)
-                .copy(),
-                f"tensor {name!r}",
-            )
-            for name, (off, shape) in entries.items()
-        }
+        arrays = {}
+        for name, (off, shape) in entries.items():
+            out = np.empty(shape, dtype=_F4)
+            fh.seek(start + off)
+            _readinto_exact(fh, out, f"tensor {name!r}")
+            arrays[name] = _finite(out, f"tensor {name!r}")
         return arrays, Manifest(entries=entries, format_version=version)
     finally:
         if owned:

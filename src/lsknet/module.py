@@ -39,6 +39,7 @@ __all__ = [
     "init_lsk_params",
     "lsk_forward",
     "lsk_backward",
+    "params_map",
     "params_astype",
 ]
 
@@ -156,8 +157,11 @@ class LskModuleParams:
         return out
 
 
-def fan_in_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype=np.float32):
-    """Zero-mean uniform init with bound 1/sqrt(fan_in)."""
+def fan_in_uniform(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int, dtype=np.float32):
+    """Zero-mean uniform init with bound 1/sqrt(fan_in); ``rng=None`` draws
+    nothing and returns a read-only zero view of ``shape`` (all strides 0)."""
+    if rng is None:
+        return np.broadcast_to(np.zeros((), dtype), shape)
     bound = 1.0 / np.sqrt(float(max(fan_in, 1)))
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
@@ -175,10 +179,9 @@ def init_lsk_params(
 
     All biases start at zero; in particular the selection-conv bias is zero so
     every mask starts centred at 0.5.  The draw order is fixed, so a seeded
-    generator reproduces the same weights bit for bit.
+    generator reproduces the same weights bit for bit; ``rng=None`` gives the
+    shape-only tree, whose weights are read-only zero views.
     """
-    if rng is None:
-        rng = np.random.default_rng(0)
     if c_in < 1:
         raise ShapeError(f"c_in must be >= 1, got {c_in}")
     cm = max(c_in // 2, 1) if c_mid is None else c_mid
@@ -458,20 +461,25 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
     return grad_x_total + grad_u[0], grads
 
 
-def params_astype(tree, dtype):
-    """Copy of a parameter tree with every array cast to ``dtype`` (gradcheck
-    runs the production code in float64 this way).
+def params_map(tree, fn):
+    """Copy of a parameter tree with every array replaced by ``fn(array)``.
 
     Walks dataclasses, lists and arrays; a dataclass holding no array (a plan
     or a config) and every other value is shared, not copied.
     """
     if isinstance(tree, np.ndarray):
-        return tree.astype(dtype)
+        return fn(tree)
     if isinstance(tree, list):
-        return [params_astype(item, dtype) for item in tree]
+        return [params_map(item, fn) for item in tree]
     if is_dataclass(tree):
-        cast = {f.name: params_astype(getattr(tree, f.name), dtype) for f in fields(tree)}
-        if all(value is getattr(tree, name) for name, value in cast.items()):
+        mapped = {f.name: params_map(getattr(tree, f.name), fn) for f in fields(tree)}
+        if all(value is getattr(tree, name) for name, value in mapped.items()):
             return tree
-        return replace(tree, **cast)
+        return replace(tree, **mapped)
     return tree
+
+
+def params_astype(tree, dtype):
+    """Copy of a parameter tree with every array cast to ``dtype`` (gradcheck
+    runs the production code in float64 this way)."""
+    return params_map(tree, lambda arr: arr.astype(dtype))

@@ -120,15 +120,16 @@ def enumerate_plans(target_rf: int, max_stages: int, max_k: int) -> list[Decompo
     """All valid plans whose final receptive field is exactly ``target_rf``.
 
     Results are sorted by the parameter cost of the full selection module the
-    plan would drive (computed at the reference width of 64 channels), with
-    ties broken lexicographically by the (k, d) sequence.  An infeasible
+    plan would drive (the cost walk over ``init_lsk_params(plan, 64, 32)``),
+    with ties broken lexicographically by the (k, d) sequence.  An infeasible
     target yields an empty list, not an error.
     """
     if target_rf < 1:
         raise PlanError(f"target receptive field must be >= 1, got {target_rf}")
     if max_stages < 1 or max_k < 3:
         return []
-    from .cost import cost_plan  # deferred: cost imports backbone, which imports this module
+    from .cost import cost_lsk_module  # deferred: cost and module import this module
+    from .module import init_lsk_params
 
     found: list[tuple[int, tuple[tuple[int, int], ...], DecompositionPlan]] = []
     for k in range(3, max_k + 1, 2):
@@ -136,7 +137,7 @@ def enumerate_plans(target_rf: int, max_stages: int, max_k: int) -> list[Decompo
             break
         for seq in _extend([KernelSpec(k, 1)], k, target_rf, max_stages, max_k):
             plan = validate_plan(seq)
-            params = cost_plan(plan, c=64, c_mid=32, h=1, w=1).params
+            params = dict(cost_lsk_module(init_lsk_params(plan, 64, 32), 1, 1).breakdown)["convs"].params
             found.append((params, plan.sequence(), plan))
     found.sort(key=lambda t: (t[0], t[1]))
     return [plan for _, _, plan in found]

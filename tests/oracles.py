@@ -217,10 +217,10 @@ def analyze_images_loops(images):
     {category: {block_key: (delta_raw, delta_norm, delta_abs)}}).
 
     An image is eligible for a category when all its boxes carry that
-    category. R_c averages activation / total box area over the eligible
-    images with a positive area; a category with none is left out. The
-    selection difference (two-kernel records only) averages every eligible
-    image, a zero-area one included, per block.
+    category and their total area is positive. R_c averages activation /
+    total box area over the eligible images; a category with none is left
+    out. The selection difference (two-kernel records only) averages the
+    same eligible images per block.
     """
 
     def shoelace(v):
@@ -237,12 +237,16 @@ def analyze_images_loops(images):
     categories = sorted({b.category for _, boxes in images for b in boxes})
     rc, diffs = {}, {}
     for cat in categories:
-        eligible = [(rec, boxes) for rec, boxes in images if boxes and all(b.category == cat for b in boxes)]
+        eligible = [
+            (rec, boxes)
+            for rec, boxes in images
+            if boxes
+            and all(b.category == cat for b in boxes)
+            and sum(shoelace(b.vertices) for b in boxes) > 0.0
+        ]
         ratios = []
         for rec, boxes in eligible:
             area = sum(shoelace(b.vertices) for b in boxes)
-            if area <= 0.0:
-                continue
             terms = []
             for key in sorted(rec.masks):
                 for n_idx, rf in enumerate(rec.rf):

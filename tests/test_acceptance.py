@@ -14,7 +14,7 @@ import pytest
 
 from lsknet import ops
 from lsknet.backbone import BackboneConfig, backbone_forward, init_backbone_params
-from lsknet.cost import cost_backbone, cost_plan
+from lsknet.cost import cost_backbone, cost_lsk_module
 from lsknet.errors import FormatError
 from lsknet.fileio import read_tensor, read_weights, write_tensor, write_weights
 from lsknet.gradcheck import TOLERANCE, run_suite
@@ -66,14 +66,20 @@ def test_criterion_1_receptive_field_arithmetic():
 
 def test_criterion_2_decomposition_efficiency_ordering():
     with criterion(2, "decomposition cost ratios >= 3.0 (RF 23) and >= 4.0 (RF 29)", 1.0):
-        single_23 = cost_plan(validate_plan([(23, 1)]), 64, 32, 1, 1).params
-        decomp_23 = cost_plan(validate_plan([(5, 1), (7, 3)]), 64, 32, 1, 1).params
+        def module_convs(stages):
+            """The plan search's cost: the convs node of the walk over the
+            plan's default 64-channel module (shape-only tree)."""
+            module = init_lsk_params(validate_plan(stages), 64, 32)
+            return dict(cost_lsk_module(module, 1, 1).breakdown)["convs"]
+
+        single_23 = module_convs([(23, 1)]).params
+        decomp_23 = module_convs([(5, 1), (7, 3)]).params
         assert single_23 / decomp_23 >= 3.0
-        single_29 = cost_plan(validate_plan([(29, 1)]), 64, 32, 1, 1).params
-        decomp_29 = cost_plan(validate_plan([(3, 1), (5, 2), (7, 3)]), 64, 32, 1, 1).params
+        single_29 = module_convs([(29, 1)]).params
+        decomp_29 = module_convs([(3, 1), (5, 2), (7, 3)]).params
         assert single_29 / decomp_29 >= 4.0
         start = time.perf_counter()
-        cost_plan(validate_plan([(23, 1)]), 64, 32, 1, 1)
+        module_convs([(23, 1)])
         assert time.perf_counter() - start < 1e-3
 
 

@@ -249,6 +249,18 @@ class TestSelectionDiff:
         assert by_key[(1, 2)].delta_normalized == 0.0
         assert by_key[(2, 1)].delta_normalized == 1.0
 
+    def test_zero_area_image_is_left_out_of_both_metrics(self):
+        """R_c and the selection difference average one image set: an image
+        whose boxes enclose no area counts for neither."""
+        images = [
+            (record([5, 23], {(1, 1): const_masks([0.0, 1.0])}), [box(0, 0, 4, 4)]),  # delta +1
+            (record([5, 23], {(1, 1): const_masks([1.0, 0.0])}), [box(0, 0, 0, 4)]),  # delta -1, area 0
+        ]
+        (stats,), diffs = analyze_images(images)
+        assert stats.image_count == 1
+        (d,) = diffs["ship"]
+        assert d.delta_raw == 1.0 and d.delta_abs == 1.0
+
     def test_three_kernel_plan_rejected(self):
         rec = record([3, 11, 29], {(1, 1): const_masks([0.2, 0.4, 0.6])})
         with pytest.raises(AnalysisError, match="2-kernel"):

@@ -196,6 +196,14 @@ class TestWeightPlumbing:
         assert set(arrays) == set(rebuilt_arrays)
         for k in arrays:
             np.testing.assert_array_equal(arrays[k], rebuilt_arrays[k])
+            # float32 inputs are taken as they are, not copied into a template
+            assert rebuilt_arrays[k] is arrays[k]
+        wide = {k: v.astype(np.float64) for k, v in arrays.items()}
+        for k, arr in named_arrays(params_from_arrays(TINY, wide)).items():
+            assert arr.dtype == np.float32
+            np.testing.assert_array_equal(arr, arrays[k])
+            # no read-only zero view of the shape-only template survives
+            assert arr.flags.writeable and 0 not in arr.strides
 
     def test_expected_shapes_match_init(self):
         params = init_backbone_params(TINY, seed=0)

@@ -7,21 +7,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsknet import ops
-from lsknet.backbone import BackboneConfig, backbone_forward, init_backbone_params, named_arrays
+from lsknet.backbone import (
+    BackboneConfig,
+    backbone_forward,
+    expected_shapes,
+    init_backbone_params,
+    named_arrays,
+)
 from lsknet.block import init_block_params
 from lsknet.cost import (
     cost_backbone,
     cost_block,
     cost_depthwise,
     cost_lsk_module,
-    cost_plan,
     cost_pointwise,
     report_to_kv,
     report_to_text,
 )
 from lsknet.module import init_lsk_params
 from lsknet.ops import ConvSpec
-from lsknet.plan import enumerate_plans, validate_plan
+from lsknet.plan import validate_plan
 
 
 class TestDepthwiseClosedForm:
@@ -55,40 +60,41 @@ class TestDepthwiseClosedForm:
                 assert rep.flops == 2 * h * w * rep.params
 
 
+def plan_convs(stages, c=64, c_mid=32, h=1, w=1):
+    """The ``convs`` node of the walk over the default module of a plan: the
+    cost the plan search ranks by."""
+    return dict(cost_lsk_module(init_lsk_params(validate_plan(stages), c, c_mid), h, w).breakdown)["convs"]
+
+
 class TestPlanCosts:
     def test_decomposed_23_is_at_least_3x_cheaper(self):
-        single = cost_plan(validate_plan([(23, 1)]), 64, 32, 1, 1).params
-        decomposed = cost_plan(validate_plan([(5, 1), (7, 3)]), 64, 32, 1, 1).params
+        single = plan_convs([(23, 1)]).params
+        decomposed = plan_convs([(5, 1), (7, 3)]).params
         assert decomposed < single
         assert single / decomposed >= 3.0
 
     def test_decomposed_29_is_at_least_4x_cheaper(self):
-        single = cost_plan(validate_plan([(29, 1)]), 64, 32, 1, 1).params
-        decomposed = cost_plan(validate_plan([(3, 1), (5, 2), (7, 3)]), 64, 32, 1, 1).params
+        single = plan_convs([(29, 1)]).params
+        decomposed = plan_convs([(3, 1), (5, 2), (7, 3)]).params
         assert single / decomposed >= 4.0
 
     def test_module_params_match_hand_count(self):
         # c=64, c_mid=32, q=7, both poolings, biases: the 2-stage module
-        rep = cost_plan(validate_plan([(5, 1), (7, 3)]), 64, 32, 1, 1)
+        rep = plan_convs([(5, 1), (7, 3)])
         dw = (64 * 25 + 64) + (64 * 49 + 64)
         mixers = 2 * (32 * 64 + 32)
         select = 2 * 2 * 49 + 2
         fuse = 64 * 32 + 64
         assert rep.params == dw + mixers + select + fuse == 11_334
 
-    def test_zero_branch_width_removes_selection_and_fusion(self):
-        rep = cost_plan(validate_plan([(5, 1), (7, 3)]), 64, 0, 4, 4)
-        names = [name for name, _ in rep.breakdown]
-        assert names == ["dw0", "dw1"]
-
     def test_monotone_in_stages(self):
-        p1 = cost_plan(validate_plan([(5, 1)]), 64, 32, 1, 1).params
-        p2 = cost_plan(validate_plan([(5, 1), (7, 3)]), 64, 32, 1, 1).params
-        p3 = cost_plan(validate_plan([(5, 1), (7, 3), (9, 5)]), 64, 32, 1, 1).params
+        p1 = plan_convs([(5, 1)]).params
+        p2 = plan_convs([(5, 1), (7, 3)]).params
+        p3 = plan_convs([(5, 1), (7, 3), (9, 5)]).params
         assert p1 < p2 < p3
 
     def test_breakdown_sums_exactly(self):
-        rep = cost_plan(validate_plan([(3, 1), (5, 2), (7, 3)]), 32, 16, 8, 8)
+        rep = plan_convs([(3, 1), (5, 2), (7, 3)], 32, 16, 8, 8)
         rep.validate()
 
 
@@ -156,7 +162,7 @@ class TestBlockAndBackbone:
 
 class TestRendering:
     def test_kv_lines_are_stable_and_parseable(self):
-        rep = cost_plan(validate_plan([(5, 1), (7, 3)]), 64, 32, 4, 4)
+        rep = plan_convs([(5, 1), (7, 3)], h=4, w=4)
         text = report_to_kv(rep, "module")
         lines = text.splitlines()
         assert lines[0].startswith("component=module params=")
@@ -242,23 +248,11 @@ def test_backbone_params_match_initialised_arrays(
     report = cost_backbone(cfg, 32, 32)
     assert report.params == learnable
     assert report.macs == forward_macs(params, 32, 32)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    plan=st.sampled_from(
-        [plan for rf in (7, 11, 17, 23) for plan in enumerate_plans(rf, max_stages=3, max_k=11)]
-    ),
-    c=st.integers(min_value=1, max_value=12),
-    c_mid=st.integers(min_value=1, max_value=8),
-    h=st.integers(min_value=1, max_value=9),
-    w=st.integers(min_value=1, max_value=9),
-)
-def test_cost_plan_is_the_default_module_convs(plan, c, c_mid, h, w):
-    """The plan search's closed form equals the convs node of the walk over
-    the module the plan drives by default: params, macs, flops and names."""
-    convs = dict(cost_lsk_module(init_lsk_params(plan, c, c_mid), h, w).breakdown)["convs"]
-    closed = cost_plan(plan, c, c_mid, h, w)
-    assert (closed.params, closed.macs, closed.flops) == (convs.params, convs.macs, convs.flops)
-    assert [name for name, _ in closed.breakdown] == [name for name, _ in convs.breakdown]
-    assert closed == convs
+    # the shape-only tree the walk reads has the seeded tree's shapes, and
+    # its weights are read-only zero views that hold no memory of their own
+    assert expected_shapes(cfg) == {name: a.shape for name, a in arrays.items()}
+    for name, a in named_arrays(init_backbone_params(cfg, seed=None)).items():
+        if name.endswith(".weight"):
+            assert a.shape == arrays[name].shape
+            assert set(a.strides) == {0} and not a.flags.writeable
+            assert not a.any()

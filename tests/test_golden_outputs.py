@@ -6,6 +6,10 @@ random stream, so any change to them means the layer tree, its naming or the
 cost model changed.  Update the digests only for an intended change of the
 weight format or of the report.  The channel-mode report digests were taken
 once the squeeze and expand convs counted their MACs at 1x1.
+
+The payload digests are the one exception: they hash the whole LSKW file of
+``init_backbone_params(config, seed=0)``, so they pin the seeded draw (its
+order, bounds and float32 rounding) as well as the layout.
 """
 
 import hashlib
@@ -26,6 +30,14 @@ MANIFEST_SHA256 = {
     ("S", "spatial"): "8bf92b909c5e9cda11f2a1767faa09a9aaceafd2ba91f32c54d63b82469d2319",
     ("S", "channel"): "6cc795a50094aacca52323407ed7ff76b7e2e0c1a2b1f4655309ca21cfe3b75d",
     ("S", "none"): "138a4e7560924814fe3d3c54b26a2d3e018b1359ad533bd492dccd155a54eae8",
+}
+
+# sha256 of the full LSKW bytes written from init_backbone_params(config, seed=0)
+PAYLOAD_SHA256 = {
+    ("T", "spatial"): "9e6feb49beba9aa1ed1d1400019ece034510a6bf1cb5c697008e57b12d6b70d2",
+    ("T", "channel"): "ba0d8e1fa3591ff2db83754d15ab53e516c14d3cf8f8c8fdda390bb71e6ef94a",
+    ("T", "none"): "b9a986d627ecdd9af3d8573a23fa4ab9351cfcf4b34d157d6d733b7fbba8b7b1",
+    ("S", "spatial"): "5fe839b6035718162f62c84d0017556ec19c7dc18b9b8d48b77dd3f06d300491",
 }
 
 COUNT_KV_SHA256 = {
@@ -63,6 +75,14 @@ def test_weight_manifest_digest(variant, mode):
     (length,) = struct.unpack("<I", raw[8:12])
     digest = hashlib.sha256(raw[12 : 12 + length]).hexdigest()
     assert digest == MANIFEST_SHA256[(variant, mode)]
+
+
+@pytest.mark.parametrize("variant,mode", list(PAYLOAD_SHA256))
+def test_seeded_weight_payload_digest(variant, mode):
+    params = init_backbone_params(BackboneConfig.variant(variant, selection_mode=mode), seed=0)
+    buf = io.BytesIO()
+    write_weights(buf, named_arrays(params))
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == PAYLOAD_SHA256[(variant, mode)]
 
 
 @pytest.mark.parametrize("variant", list(COUNT_KV_SHA256))

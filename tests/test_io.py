@@ -4,13 +4,14 @@ and weight-file validation."""
 import io
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsknet.backbone import ActivationRecord
+from lsknet.backbone import ActivationRecord, BackboneConfig, init_backbone_params, named_arrays
 from lsknet.errors import (
     BadMagicError,
     DimOverflowError,
@@ -184,6 +185,26 @@ class TestWeights:
             read_weights(weights_file(b'{"format_version":99,' + entries + b"}"))
         _, manifest = read_weights(weights_file(b"{" + entries + b"}"))
         assert manifest.format_version == 1  # a missing key reads as version 1
+
+    def test_read_peak_is_about_one_file_size(self, tmp_path):
+        """Each tensor is read straight into its own array: no whole-payload
+        buffer is held beside the arrays."""
+        path = tmp_path / "t.lskw"
+        write_weights(path, named_arrays(init_backbone_params(BackboneConfig.lsknet_t(), seed=0)))
+        size = path.stat().st_size
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            arrays, _ = read_weights(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert sum(a.nbytes for a in arrays.values()) < size
+        assert peak <= size + (1 << 20), f"peak {peak} B for a {size} B file"
 
     def test_weight_fuzz_truncations(self, rng):
         buf = io.BytesIO()
