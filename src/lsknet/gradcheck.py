@@ -6,28 +6,27 @@ differences of the loss L(theta) = sum(forward(theta) * probe) with a fixed
 random probe.  The relative error uses max(|analytic|, |numeric|, 1e-8) as
 denominator and must stay below 1e-4.
 
-Cases that contain a channel max-pool resample their inputs until the
-per-pixel winner margin is comfortably larger than the difference step, so
-the finite differences never straddle an argmax switch.
+The registry ``_CASES`` is a table with one row per op: its inputs in draw
+order, each with shape and draw scale, its forward, and a backward adapter
+returning the gradients in input order (``_op`` turns a row into a case).
+``channel_pool_max`` keeps its own builder to resample until the per-pixel
+winners are 1e-2 apart, so no difference straddles an argmax switch, and
+``affine_channel_norm`` to draw its fixed mean and var before the inputs.
+The layer cases vary the input and every learnable array of the LSK module
+(per selection mode) or the block, and resample likewise around a max-pool.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import ops
 from .block import block_backward, block_forward, init_block_params
-from .module import (
-    SelectionMode,
-    init_lsk_params,
-    lsk_backward,
-    lsk_forward,
-    params_astype,
-)
-from .ops import ConvSpec
+from .module import SelectionMode, init_lsk_params, lsk_backward, lsk_forward, params_astype
 from .plan import validate_plan
 
 __all__ = ["CheckResult", "available_checks", "run_check", "run_suite", "TOLERANCE", "FD_STEP"]
@@ -99,175 +98,44 @@ def _compare(analytic: dict, numeric: dict) -> tuple[float, str, int]:
 # case builders
 # ---------------------------------------------------------------------------
 
-def _case_depthwise(rng) -> _Case:
-    spec = ConvSpec(3, 2)
-    inputs = {
-        "x": _uniform(rng, (2, 3, 5, 5)),
-        "w": _uniform(rng, (3, 3, 3)),
-        "b": _uniform(rng, (3,)),
-    }
-    fwd = lambda v: ops.depthwise_conv(v["x"], v["w"], v["b"], spec)
+def _op(inputs, forward, backward) -> Callable[[np.random.Generator], _Case]:
+    """Builder of one op-table row: ``inputs`` lists ``(name, shape[, scale])``
+    in draw order, ``forward(*arrays)`` runs the op and ``backward(probe,
+    *arrays)`` returns the gradients in input order."""
+    names = [name for name, *_ in inputs]
 
-    def analytic(v, probe):
-        gx, gw, gb = ops.depthwise_conv_backward(probe, v["x"], v["w"], spec)
-        return {"x": gx, "w": gw, "b": gb}
-
-    return _Case(fwd, inputs, analytic)
-
-
-def _case_conv2d(rng) -> _Case:
-    inputs = {
-        "x": _uniform(rng, (2, 3, 6, 6)),
-        "w": _uniform(rng, (4, 3, 3, 3)),
-        "b": _uniform(rng, (4,)),
-    }
-    fwd = lambda v: ops.conv2d(v["x"], v["w"], v["b"], stride=2, padding=1)
-
-    def analytic(v, probe):
-        gx, gw, gb = ops.conv2d_backward(probe, v["x"], v["w"], stride=2, padding=1)
-        return {"x": gx, "w": gw, "b": gb}
-
-    return _Case(fwd, inputs, analytic)
-
-
-def _case_pointwise(rng) -> _Case:
-    inputs = {
-        "x": _uniform(rng, (2, 3, 4, 4)),
-        "w": _uniform(rng, (5, 3)),
-        "b": _uniform(rng, (5,)),
-    }
-    fwd = lambda v: ops.pointwise_conv(v["x"], v["w"], v["b"])
-
-    def analytic(v, probe):
-        gx, gw, gb = ops.pointwise_conv_backward(probe, v["x"], v["w"])
-        return {"x": gx, "w": gw, "b": gb}
-
-    return _Case(fwd, inputs, analytic)
-
-
-def _case_pool_avg(rng) -> _Case:
-    inputs = {"x": _uniform(rng, (2, 5, 3, 3))}
-    fwd = lambda v: ops.channel_pool(v["x"], "avg")
-    analytic = lambda v, probe: {"x": ops.channel_pool_backward(probe, v["x"], "avg")}
-    return _Case(fwd, inputs, analytic)
-
-
-def _case_pool_max(rng) -> _Case:
-    # resample until the winner-vs-runner-up margin dwarfs the FD step
-    while True:
-        x = _uniform(rng, (2, 5, 3, 3))
-        top2 = np.sort(x, axis=1)[:, -2:]
-        if float((top2[:, 1] - top2[:, 0]).min()) > 1e-2:
-            break
-    inputs = {"x": x}
-    fwd = lambda v: ops.channel_pool(v["x"], "max")
-    analytic = lambda v, probe: {"x": ops.channel_pool_backward(probe, v["x"], "max")}
-    return _Case(fwd, inputs, analytic)
-
-
-def _case_elementwise(op: str):
     def build(rng) -> _Case:
-        inputs = {"a": _uniform(rng, (2, 3, 4, 4)), "b": _uniform(rng, (2, 3, 4, 4))}
-        fwd = lambda v: ops.elementwise(v["a"], v["b"], op)
-
-        def analytic(v, probe):
-            ga, gb = ops.elementwise_backward(probe, v["a"], v["b"], op)
-            return {"a": ga, "b": gb}
-
-        return _Case(fwd, inputs, analytic)
+        return _Case(
+            lambda v: forward(*(v[name] for name in names)),
+            {name: _uniform(rng, *draw) for name, *draw in inputs},
+            lambda v, probe: dict(zip(names, backward(probe, *(v[name] for name in names)))),
+        )
 
     return build
 
 
-def _case_sigmoid(rng) -> _Case:
-    inputs = {"x": _uniform(rng, (2, 3, 4, 4), scale=3.0)}
-    fwd = lambda v: ops.sigmoid(v["x"])
-    analytic = lambda v, probe: {"x": ops.sigmoid_backward(probe, ops.sigmoid(v["x"]))}
-    return _Case(fwd, inputs, analytic)
+def _case_channel_pool_max(rng) -> _Case:
+    draw = _op(
+        [("x", (2, 5, 3, 3))],
+        lambda x: ops.channel_pool(x, "max"),
+        lambda g, x: (ops.channel_pool_backward(g, x, "max"),),
+    )
+    # resample until the winner-vs-runner-up margin dwarfs the FD step
+    while True:
+        case = draw(rng)
+        top2 = np.sort(case.inputs["x"], axis=1)[:, -2:]
+        if float((top2[:, 1] - top2[:, 0]).min()) > 1e-2:
+            return case
 
 
-def _case_gelu(rng) -> _Case:
-    inputs = {"x": _uniform(rng, (2, 3, 4, 4), scale=3.0)}
-    fwd = lambda v: ops.gelu(v["x"])
-    analytic = lambda v, probe: {"x": ops.gelu_backward(probe, v["x"])}
-    return _Case(fwd, inputs, analytic)
-
-
-def _case_concat(rng) -> _Case:
-    inputs = {
-        "a": _uniform(rng, (2, 2, 3, 3)),
-        "b": _uniform(rng, (2, 3, 3, 3)),
-        "c": _uniform(rng, (2, 1, 3, 3)),
-    }
-    fwd = lambda v: ops.concat_channels([v["a"], v["b"], v["c"]])
-
-    def analytic(v, probe):
-        ga, gb, gc = ops.concat_channels_backward(probe, [2, 3, 1])
-        return {"a": ga, "b": gb, "c": gc}
-
-    return _Case(fwd, inputs, analytic)
-
-
-def _case_mask_mul(rng) -> _Case:
-    inputs = {"x": _uniform(rng, (2, 4, 3, 3)), "m": _uniform(rng, (2, 1, 3, 3))}
-    fwd = lambda v: ops.broadcast_mask_mul(v["x"], v["m"])
-
-    def analytic(v, probe):
-        gx, gm = ops.broadcast_mask_mul_backward(probe, v["x"], v["m"])
-        return {"x": gx, "m": gm}
-
-    return _Case(fwd, inputs, analytic)
-
-
-def _case_channel_scale(rng) -> _Case:
-    inputs = {"x": _uniform(rng, (2, 4, 3, 3)), "s": _uniform(rng, (4,))}
-    fwd = lambda v: ops.channel_scale(v["x"], v["s"])
-
-    def analytic(v, probe):
-        gx, gs = ops.channel_scale_backward(probe, v["x"], v["s"])
-        return {"x": gx, "s": gs}
-
-    return _Case(fwd, inputs, analytic)
-
-
-def _case_affine_norm(rng) -> _Case:
+def _case_affine_channel_norm(rng) -> _Case:
     mean = _uniform(rng, (4,))
     var = np.abs(_uniform(rng, (4,))) + 0.5
-    inputs = {
-        "x": _uniform(rng, (2, 4, 3, 3)),
-        "scale": _uniform(rng, (4,)),
-        "shift": _uniform(rng, (4,)),
-    }
-    fwd = lambda v: ops.affine_channel_norm(v["x"], v["scale"], v["shift"], mean, var)
-
-    def analytic(v, probe):
-        gx, gs, gh = ops.affine_channel_norm_backward(probe, v["x"], v["scale"], mean, var)
-        return {"x": gx, "scale": gs, "shift": gh}
-
-    return _Case(fwd, inputs, analytic)
-
-
-def _case_batch_norm(rng) -> _Case:
-    inputs = {
-        "x": _uniform(rng, (2, 3, 4, 4)),
-        "scale": _uniform(rng, (3,)),
-        "shift": _uniform(rng, (3,)),
-    }
-    fwd = lambda v: ops.batch_norm(v["x"], v["scale"], v["shift"])[0]
-
-    def analytic(v, probe):
-        _, x_hat, inv_std = ops.batch_norm(v["x"], v["scale"], v["shift"])
-        gx, gs, gh = ops.batch_norm_backward(probe, x_hat, inv_std, v["scale"])
-        return {"x": gx, "scale": gs, "shift": gh}
-
-    return _Case(fwd, inputs, analytic)
-
-
-def _case_gap(rng) -> _Case:
-    inputs = {"x": _uniform(rng, (2, 4, 3, 3))}
-    fwd = lambda v: ops.global_avg_pool(v["x"])
-    analytic = lambda v, probe: {"x": ops.global_avg_pool_backward(probe, v["x"])}
-    return _Case(fwd, inputs, analytic)
+    return _op(
+        [("x", (2, 4, 3, 3)), ("scale", (4,)), ("shift", (4,))],
+        lambda x, scale, shift: ops.affine_channel_norm(x, scale, shift, mean, var),
+        lambda g, x, scale, shift: ops.affine_channel_norm_backward(g, x, scale, mean, var),
+    )(rng)
 
 
 def _layer_case(rng, params, forward, backward, cat_of=None) -> _Case:
@@ -311,19 +179,15 @@ def _layer_case(rng, params, forward, backward, cat_of=None) -> _Case:
     return _Case(fwd, inputs, analytic)
 
 
-def _module_case(mode: SelectionMode):
+def _module_case(rng, mode: SelectionMode) -> _Case:
     plan = validate_plan([(3, 1), (5, 2)])
+    base = init_lsk_params(plan, c_in=4, c_mid=2, select_kernel=3, mode=mode, rng=rng)
+    forward = lambda x, params: lsk_forward(x, params, mode=mode)
     cat_of = (lambda state: state.cat) if mode is SelectionMode.SPATIAL else None
-
-    def build(rng) -> _Case:
-        base = init_lsk_params(plan, c_in=4, c_mid=2, select_kernel=3, mode=mode, rng=rng)
-        forward = lambda x, params: lsk_forward(x, params, mode=mode)
-        return _layer_case(rng, params_astype(base, np.float64), forward, lsk_backward, cat_of)
-
-    return build
+    return _layer_case(rng, params_astype(base, np.float64), forward, lsk_backward, cat_of)
 
 
-def _case_block(rng) -> _Case:
+def _block_case(rng) -> _Case:
     plan = validate_plan([(3, 1)])
     base = init_block_params(plan, c=4, ffn_ratio=2.0, c_mid=2, select_kernel=3, rng=rng)
     return _layer_case(
@@ -332,26 +196,79 @@ def _case_block(rng) -> _Case:
     )
 
 
+# the rows look the ops up when they run, so a patched op is what gets checked
 _CASES: dict[str, Callable[[np.random.Generator], _Case]] = {
-    "depthwise_conv": _case_depthwise,
-    "conv2d": _case_conv2d,
-    "pointwise_conv": _case_pointwise,
-    "channel_pool_avg": _case_pool_avg,
-    "channel_pool_max": _case_pool_max,
-    "elementwise_mul": _case_elementwise("mul"),
-    "elementwise_add": _case_elementwise("add"),
-    "sigmoid": _case_sigmoid,
-    "gelu": _case_gelu,
-    "concat_channels": _case_concat,
-    "broadcast_mask_mul": _case_mask_mul,
-    "channel_scale": _case_channel_scale,
-    "affine_channel_norm": _case_affine_norm,
-    "batch_norm": _case_batch_norm,
-    "global_avg_pool": _case_gap,
-    "lsk_module_spatial": _module_case(SelectionMode.SPATIAL),
-    "lsk_module_channel": _module_case(SelectionMode.CHANNEL),
-    "lsk_module_none": _module_case(SelectionMode.NONE),
-    "lsk_block": _case_block,
+    "depthwise_conv": _op(
+        [("x", (2, 3, 5, 5)), ("w", (3, 3, 3)), ("b", (3,))],
+        lambda x, w, b: ops.depthwise_conv(x, w, b, ops.ConvSpec(3, 2)),
+        lambda g, x, w, b: ops.depthwise_conv_backward(g, x, w, ops.ConvSpec(3, 2)),
+    ),
+    "conv2d": _op(
+        [("x", (2, 3, 6, 6)), ("w", (4, 3, 3, 3)), ("b", (4,))],
+        lambda x, w, b: ops.conv2d(x, w, b, stride=2, padding=1),
+        lambda g, x, w, b: ops.conv2d_backward(g, x, w, stride=2, padding=1),
+    ),
+    "pointwise_conv": _op(
+        [("x", (2, 3, 4, 4)), ("w", (5, 3)), ("b", (5,))],
+        lambda x, w, b: ops.pointwise_conv(x, w, b),
+        lambda g, x, w, b: ops.pointwise_conv_backward(g, x, w),
+    ),
+    "channel_pool_avg": _op(
+        [("x", (2, 5, 3, 3))],
+        lambda x: ops.channel_pool(x, "avg"),
+        lambda g, x: (ops.channel_pool_backward(g, x, "avg"),),
+    ),
+    "channel_pool_max": _case_channel_pool_max,
+    "elementwise_mul": _op(
+        [("a", (2, 3, 4, 4)), ("b", (2, 3, 4, 4))],
+        lambda a, b: ops.elementwise(a, b, "mul"),
+        lambda g, a, b: ops.elementwise_backward(g, a, b, "mul"),
+    ),
+    "elementwise_add": _op(
+        [("a", (2, 3, 4, 4)), ("b", (2, 3, 4, 4))],
+        lambda a, b: ops.elementwise(a, b, "add"),
+        lambda g, a, b: ops.elementwise_backward(g, a, b, "add"),
+    ),
+    "sigmoid": _op(
+        [("x", (2, 3, 4, 4), 3.0)],
+        lambda x: ops.sigmoid(x),
+        lambda g, x: (ops.sigmoid_backward(g, ops.sigmoid(x)),),
+    ),
+    "gelu": _op(
+        [("x", (2, 3, 4, 4), 3.0)], lambda x: ops.gelu(x), lambda g, x: (ops.gelu_backward(g, x),)
+    ),
+    "concat_channels": _op(
+        [("a", (2, 2, 3, 3)), ("b", (2, 3, 3, 3)), ("c", (2, 1, 3, 3))],
+        lambda a, b, c: ops.concat_channels([a, b, c]),
+        lambda g, a, b, c: ops.concat_channels_backward(g, [2, 3, 1]),
+    ),
+    "broadcast_mask_mul": _op(
+        [("x", (2, 4, 3, 3)), ("m", (2, 1, 3, 3))],
+        lambda x, m: ops.broadcast_mask_mul(x, m),
+        lambda g, x, m: ops.broadcast_mask_mul_backward(g, x, m),
+    ),
+    "channel_scale": _op(
+        [("x", (2, 4, 3, 3)), ("s", (4,))],
+        lambda x, s: ops.channel_scale(x, s),
+        lambda g, x, s: ops.channel_scale_backward(g, x, s),
+    ),
+    "affine_channel_norm": _case_affine_channel_norm,
+    "batch_norm": _op(
+        [("x", (2, 3, 4, 4)), ("scale", (3,)), ("shift", (3,))],
+        lambda x, scale, shift: ops.batch_norm(x, scale, shift)[0],
+        lambda g, x, scale, shift: ops.batch_norm_backward(
+            g, *ops.batch_norm(x, scale, shift)[1:], scale
+        ),
+    ),
+    "global_avg_pool": _op(
+        [("x", (2, 4, 3, 3))],
+        lambda x: ops.global_avg_pool(x),
+        lambda g, x: (ops.global_avg_pool_backward(g, x),),
+    ),
+    "lsk_module_spatial": partial(_module_case, mode=SelectionMode.SPATIAL),
+    "lsk_module_channel": partial(_module_case, mode=SelectionMode.CHANNEL),
+    "lsk_module_none": partial(_module_case, mode=SelectionMode.NONE),
+    "lsk_block": _block_case,
 }
 
 

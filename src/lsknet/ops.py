@@ -386,6 +386,15 @@ def _im2col(xp: np.ndarray, k: int, stride: int, oh: int, ow: int) -> np.ndarray
     return out.reshape(n, c * k * k, oh * ow)
 
 
+def _batch_matmul_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_i a[i] @ b[i]``, each batch item's product added into one array
+    in index order, so no (n, ...) stack of products is held."""
+    out = np.matmul(a[0], b[0])
+    for i in range(1, a.shape[0]):
+        out += np.matmul(a[i], b[i])
+    return out
+
+
 def conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
     """Output length of a dense conv along one axis."""
     return (size + 2 * padding - k) // stride + 1
@@ -450,8 +459,7 @@ def conv2d_backward(
     xp = _pad2d(x, padding)
     g = grad_out.reshape(n, c_out, oh * ow)
     patches = _im2col(xp, k, stride, oh, ow)
-    # one (c_out, c*k*k) product per batch item, summed over the batch in index order
-    grad_w = np.matmul(g, patches.transpose(0, 2, 1)).sum(axis=0)
+    grad_w = _batch_matmul_sum(g, patches.transpose(0, 2, 1))
     grad_w = grad_w.reshape(weights.shape).astype(weights.dtype, copy=False)
     del patches  # grad_patches has the same size; do not hold both
     grad_patches = np.matmul(weights.reshape(c_out, c * k * k).T, g).reshape(n, c, k, k, oh, ow)
@@ -496,8 +504,7 @@ def pointwise_conv_backward(
     n, c, h, w = x.shape
     g = grad_out.reshape(n, -1, h * w)
     grad_x = np.matmul(weights.T, g).reshape(x.shape)
-    # one (c_out, c_in) product per batch item, summed over the batch in index order
-    grad_w = np.matmul(g, x.reshape(n, c, h * w).transpose(0, 2, 1)).sum(axis=0)
+    grad_w = _batch_matmul_sum(g, x.reshape(n, c, h * w).transpose(0, 2, 1))
     grad_b = grad_out.sum(axis=(0, 2, 3))
     return grad_x, grad_w, grad_b
 
@@ -581,11 +588,11 @@ def sigmoid(x: Tensor4) -> Tensor4:
     """
     check_tensor4(x, "sigmoid: x")
     x = np.asarray(x, dtype=np.result_type(x, 0.5))
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

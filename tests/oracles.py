@@ -180,6 +180,61 @@ def affine_norm_loops(x, scale, shift, mean, var, eps):
     return out
 
 
+def _channel_values(x, c_i):
+    n, _, h, w = x.shape
+    return [float(x[b_i, c_i, y, x_i]) for b_i in range(n) for y in range(h) for x_i in range(w)]
+
+
+def batch_norm_loops(x, scale, shift, eps):
+    """Training-mode batch norm with the biased per-channel statistics of the
+    batch, element by element; returns (y, x_hat, inv_std)."""
+    n, c, h, w = x.shape
+    out, x_hat = np.zeros_like(x), np.zeros_like(x)
+    inv_std = np.zeros(c, dtype=x.dtype)
+    for c_i in range(c):
+        vals = _channel_values(x, c_i)
+        mean = math.fsum(vals) / len(vals)
+        var = math.fsum((v - mean) ** 2 for v in vals) / len(vals)
+        inv_std[c_i] = 1.0 / math.sqrt(var + eps)
+        for b_i in range(n):
+            for y in range(h):
+                for x_i in range(w):
+                    x_hat[b_i, c_i, y, x_i] = (x[b_i, c_i, y, x_i] - mean) * inv_std[c_i]
+                    out[b_i, c_i, y, x_i] = scale[c_i] * x_hat[b_i, c_i, y, x_i] + shift[c_i]
+    return out, x_hat, inv_std
+
+
+def batch_norm_backward_loops(grad_out, x, scale, eps):
+    """Gradients of ``batch_norm_loops`` w.r.t. x, scale and shift, by the
+    chain rule taken one stage at a time (x_hat, then the variance, then the
+    mean) from the raw input rather than from the saved x_hat."""
+    n, c, h, w = x.shape
+    m = n * h * w
+    grad_x = np.zeros_like(x)
+    grad_scale = np.zeros(c, dtype=x.dtype)
+    grad_shift = np.zeros(c, dtype=x.dtype)
+    for c_i in range(c):
+        vals = _channel_values(x, c_i)
+        g = _channel_values(grad_out, c_i)
+        mean = math.fsum(vals) / m
+        centered = [v - mean for v in vals]
+        inv = 1.0 / math.sqrt(math.fsum(d * d for d in centered) / m + eps)
+        d_hat = [gk * scale[c_i] for gk in g]
+        grad_shift[c_i] = math.fsum(g)
+        grad_scale[c_i] = math.fsum(gk * d * inv for gk, d in zip(g, centered))
+        d_var = math.fsum(dh * d for dh, d in zip(d_hat, centered)) * -0.5 * inv**3
+        d_mean = -inv * math.fsum(d_hat) - 2.0 * d_var * math.fsum(centered) / m
+        k = 0
+        for b_i in range(n):
+            for y in range(h):
+                for x_i in range(w):
+                    grad_x[b_i, c_i, y, x_i] = (
+                        d_hat[k] * inv + 2.0 * d_var * centered[k] / m + d_mean / m
+                    )
+                    k += 1
+    return grad_x, grad_scale, grad_shift
+
+
 def lsk_composition(x, params, pooling=("avg", "max")):
     """Straight-line re-implementation of the spatial selection pipeline,
     composed from the loop oracles above."""

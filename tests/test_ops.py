@@ -15,6 +15,8 @@ from lsknet.ops import ConvSpec
 
 from oracles import (
     affine_norm_loops,
+    batch_norm_backward_loops,
+    batch_norm_loops,
     channel_pool_loops,
     conv2d_backward_loops,
     conv2d_loops,
@@ -265,6 +267,27 @@ class TestPointwise:
         with pytest.raises(ShapeError, match="channels"):
             ops.pointwise_conv(rand(rng, (1, 4, 2, 2)), rand(rng, (3, 5)), np.zeros(3))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weight_gradient_adds_batch_items_in_index_order(self, rng, dtype):
+        """The accumulated weight gradient is bit-identical to summing the
+        stack of per-item products over the batch axis."""
+        for n in range(1, 9):
+            x = rand(rng, (n, 6, 3, 5)).astype(dtype)
+            g = rand(rng, (n, 4, 3, 5)).astype(dtype)
+            _, grad_w, _ = ops.pointwise_conv_backward(g, x, rand(rng, (4, 6)).astype(dtype))
+            xm, gm = x.reshape(n, 6, 15), g.reshape(n, 4, 15)
+            np.testing.assert_array_equal(grad_w, np.matmul(gm, xm.transpose(0, 2, 1)).sum(axis=0))
+
+    def test_backward_peak_allocation(self, rng):
+        """Beyond its results, the backward holds one (c_out, c_in) product
+        at a time: no (n, c_out, c_in) stack of per-item products."""
+        x = rng.standard_normal((4, 512, 4, 4)).astype(np.float32)
+        w = rng.standard_normal((2048, 512)).astype(np.float32)
+        g = rng.standard_normal((4, 2048, 4, 4)).astype(np.float32)
+        results = x.nbytes + w.nbytes + 2048 * 4
+        peak = _peak_allocation(ops.pointwise_conv_backward, g, x, w)
+        assert peak <= results + w.nbytes + 256 * 1024
+
 
 class TestChannelPool:
     def test_single_channel_identity(self, rng):
@@ -305,6 +328,13 @@ class TestElementwiseAndScalars:
         assert np.isfinite(out).all()
         assert out[0, 0, 0, 0] == 0.0 or out[0, 0, 0, 0] < 1e-20
         assert out[0, 0, 0, 4] == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_special_values(self, dtype):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, 1e30, -1e30, np.nan], dtype=dtype)
+        out = ops.sigmoid(x.reshape(1, 1, 1, -1)).reshape(-1)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, [0.5, 0.5, 1.0, 0.0, 1.0, 0.0, np.nan])
 
     def test_gelu_matches_formula(self, rng):
         x = rand(rng, (2, 3, 4, 4))
@@ -496,6 +526,32 @@ class TestNorms:
     def test_global_avg_pool(self, rng):
         x = rand(rng, (2, 3, 4, 4))
         np.testing.assert_allclose(ops.global_avg_pool(x), global_avg_pool_loops(x), atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    c=st.integers(min_value=1, max_value=4),
+    h=st.integers(min_value=1, max_value=5),
+    w=st.integers(min_value=1, max_value=5),
+    constant=st.booleans(),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+# one element per channel, and a constant channel: zero variance either way
+@example(n=1, c=2, h=1, w=1, constant=False, seed=0)
+@example(n=2, c=1, h=3, w=3, constant=True, seed=1)
+def test_batch_norm_matches_loop_oracles(n, c, h, w, constant, seed):
+    """Forward output, saved statistics and all three gradients against the
+    naive loops in float64."""
+    rng = np.random.default_rng(seed)
+    x = np.full((n, c, h, w), 1.5) if constant else rand(rng, (n, c, h, w))
+    scale, shift, g = rand(rng, (c,)), rand(rng, (c,)), rand(rng, (n, c, h, w))
+    y, x_hat, inv_std = ops.batch_norm(x, scale, shift)
+    for a, r in zip((y, x_hat, inv_std), batch_norm_loops(x, scale, shift, 1e-5)):
+        np.testing.assert_allclose(a, r, rtol=0, atol=1e-6)
+    got = ops.batch_norm_backward(g, x_hat, inv_std, scale)
+    for a, r in zip(got, batch_norm_backward_loops(g, x, scale, 1e-5)):
+        np.testing.assert_allclose(a, r, rtol=0, atol=1e-6)
 
 
 class TestDeterminismAndFiniteness:
