@@ -332,7 +332,7 @@ def emit_analysis(
                 writer.writerow(
                     [
                         category,
-                        f"B_{d.block_key[0]}_{d.block_key[1]}",
+                        ActivationRecord.key_name(d.block_key),
                         repr(float(d.delta_raw)),
                         repr(float(d.delta_normalized)),
                         repr(float(d.delta_abs)),

@@ -15,6 +15,7 @@ match the ``B_<stage>_<depth>`` naming used by the mask export files.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,10 @@ class BackboneConfig:
             raise ShapeError("BackboneConfig: channels, depths and ffn_ratios need 4 stages")
         if any(c < 1 for c in self.channels) or any(d < 1 for d in self.depths):
             raise ShapeError("BackboneConfig: channels and depths must be positive")
+        if not all(math.isfinite(r) and r > 0 for r in self.ffn_ratios):
+            raise ShapeError(f"BackboneConfig: ffn ratios must be finite and positive, got {self.ffn_ratios}")
+        if self.c_mid_divisor < 1:
+            raise ShapeError(f"BackboneConfig: c_mid_divisor must be >= 1, got {self.c_mid_divisor}")
         object.__setattr__(self, "pooling", normalize_pooling(self.pooling))
         object.__setattr__(self, "selection_mode", SelectionMode(self.selection_mode))
 
@@ -128,7 +133,9 @@ class ActivationRecord:
     def block_keys(self) -> list[tuple[int, int]]:
         return sorted(self.masks.keys())
 
-    def key_name(self, key: tuple[int, int]) -> str:
+    @staticmethod
+    def key_name(key: tuple[int, int]) -> str:
+        """``B_<stage>_<depth>``: the block name in mask files and reports."""
         return f"B_{key[0]}_{key[1]}"
 
 
@@ -287,7 +294,6 @@ def backbone_forward(
 ) -> BackboneOutput:
     """Run the whole backbone; input spatial dims must be divisible by 32."""
     ops.check_tensor4(x, "backbone_forward: x")
-    config = params.config
     n, c, h, w = x.shape
     if c != 3:
         raise ShapeError(f"backbone_forward: expected 3 input channels, got {c}")
@@ -298,21 +304,14 @@ def backbone_forward(
     cur, xhat, inv = norm_forward(conv_out, params.stem_norm, train_norm)
     stem_state = _DownState(x=x, conv_out=conv_out, bn_xhat=xhat, bn_inv=inv)
 
-    record = ActivationRecord(rf=config.plan.rf_per_stage)
+    record = ActivationRecord(rf=params.config.plan.rf_per_stage)
     features: list[Tensor4] = []
     block_states: list[list[BlockState]] = []
     down_states: list[_DownState] = []
     for i in range(4):
         stage_states: list[BlockState] = []
         for j, bp in enumerate(params.stages[i]):
-            out = block_forward(
-                cur,
-                bp,
-                mode=config.selection_mode,
-                pooling=config.pooling,
-                train_norm=train_norm,
-                keep_state=keep_state,
-            )
+            out = block_forward(cur, bp, train_norm=train_norm, keep_state=keep_state)
             cur = out.y
             if out.masks is not None:
                 record.masks[(i + 1, j + 1)] = out.masks

@@ -8,7 +8,9 @@ and added residually.  Zeroing the projection weights therefore turns the
 whole block into the identity map.
 
 Normalization uses stored per-channel statistics by default; ``train_norm``
-switches to the batch's own statistics (used by the toy trainer).
+switches to the batch's own statistics (used by the toy trainer).  Every width
+is read off the arrays, and the selection module carries its own mode and
+pooling set, so :func:`block_forward` takes only the input and the parameters.
 """
 
 from __future__ import annotations
@@ -73,8 +75,6 @@ def prefixed(prefix: str, listing) -> list[tuple[str, np.ndarray]]:
 
 @dataclass
 class BlockParams:
-    c: int
-    ffn_hidden: int
     norm1: NormParams
     pre_weight: np.ndarray  # (c, c)
     pre_bias: np.ndarray
@@ -90,6 +90,10 @@ class BlockParams:
     fc2_weight: np.ndarray  # (c, hidden)
     fc2_bias: np.ndarray
     scale2: np.ndarray  # (c,)
+
+    @property
+    def c(self) -> int:
+        return int(self.scale1.size)
 
     def parameter_arrays(self) -> list[tuple[str, np.ndarray]]:
         """Stable (name, array) listing of every stored array, the norm
@@ -126,8 +130,6 @@ def init_block_params(
     """Block weights drawn from ``rng``; ``rng=None`` gives the shape-only tree."""
     hidden = max(round(ffn_ratio * c), 1)
     return BlockParams(
-        c=c,
-        ffn_hidden=hidden,
         norm1=NormParams.identity(c),
         pre_weight=fan_in_uniform(rng, (c, c), c),
         pre_bias=np.zeros(c, dtype=np.float32),
@@ -193,12 +195,7 @@ def norm_backward(grad, norm: NormParams, train: bool, x, xhat, inv):
 
 
 def block_forward(
-    x: Tensor4,
-    params: BlockParams,
-    mode: SelectionMode = SelectionMode.SPATIAL,
-    pooling: Sequence[str] = ("avg", "max"),
-    train_norm: bool = False,
-    keep_state: bool = True,
+    x: Tensor4, params: BlockParams, train_norm: bool = False, keep_state: bool = True
 ) -> BlockOutput:
     ops.check_tensor4(x, "block_forward: x")
     if x.shape[1] != params.c:
@@ -207,7 +204,7 @@ def block_forward(
     normed1, bn1_xhat, bn1_inv = norm_forward(x, params.norm1, train_norm)
     pre_out = ops.pointwise_conv(normed1, params.pre_weight, params.pre_bias)
     gelu1 = ops.gelu(pre_out)
-    lsk_out = lsk_forward(gelu1, params.lsk, mode, pooling, keep_state=keep_state)
+    lsk_out = lsk_forward(gelu1, params.lsk, keep_state=keep_state)
     post_out = ops.pointwise_conv(lsk_out.y, params.post_weight, params.post_bias)
     y1 = ops.elementwise(x, ops.channel_scale(post_out, params.scale1), "add")
 

@@ -37,6 +37,7 @@ import numpy as np
 
 from .backbone import DOWN_STRIDE_PADDING, STEM_STRIDE_PADDING, init_backbone_params
 from .errors import ShapeError
+from .module import SelectionMode
 from .ops import ConvSpec, conv_out_size
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -164,18 +165,18 @@ def cost_lsk_module(params: "LskModuleParams", h: int, w: int) -> CostReport:
     final input gating."""
     hw = h * w
     n = params.n_kernels
-    c, c_mid = params.fuse_weight.shape
+    c, c_mid = params.c_in, params.c_mid
     convs = [(f"dw{i}", _conv_leaf(params.dw_weights[i], params.dw_biases[i], hw)) for i in range(n)]
     convs += [(f"mix{i}", _conv_leaf(params.mix_weights[i], params.mix_biases[i], hw)) for i in range(n)]
-    if params.select_weight is not None:
+    if params.mode is SelectionMode.SPATIAL:
         convs.append(("select", _conv_leaf(params.select_weight, params.select_bias, hw)))
     convs.append(("fuse", _conv_leaf(params.fuse_weight, params.fuse_bias, hw)))
     parts = [("convs", combine(convs))]
-    if params.select_weight is not None:
-        parts.append(("pool", cost_elementwise(n * c_mid, h, w, n_ops=params.n_pools)))
+    if params.mode is SelectionMode.SPATIAL:
+        parts.append(("pool", cost_elementwise(n * c_mid, h, w, n_ops=len(params.pooling))))
         parts.append(("mask_sigmoid", cost_activation(n, h, w)))
         parts.append(("weighting", cost_elementwise(n * c_mid, h, w, n_ops=2)))
-    elif params.cs is not None:
+    elif params.mode is SelectionMode.CHANNEL:
         parts.append(("cs_squeeze", _conv_leaf(params.cs.squeeze_weight, params.cs.squeeze_bias, 1)))
         parts.append(("cs_expand", _conv_leaf(params.cs.expand_weight, params.cs.expand_bias, 1)))
         parts.append(("cs_pool", cost_elementwise(n * c_mid, h, w)))

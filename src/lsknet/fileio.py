@@ -325,9 +325,9 @@ def save_record(record: ActivationRecord, directory: str | Path) -> list[Path]:
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for (stage, depth), masks in sorted(record.masks.items()):
+    for key, masks in sorted(record.masks.items()):
         for n_idx in range(record.n_kernels):
-            path = out / f"B_{stage}_{depth}_{n_idx + 1}.lskt"
+            path = out / f"{record.key_name(key)}_{n_idx + 1}.lskt"
             write_tensor(path, masks[:, n_idx : n_idx + 1])
             written.append(path)
     doc = {
@@ -368,8 +368,9 @@ def load_record(directory: str | Path) -> ActivationRecord:
         if (stage, depth) in record.masks:
             raise ManifestError(f"record manifest in {src}: block ({stage}, {depth}) is listed twice")
         parts = []
+        block = record.key_name((stage, depth))
         for n_idx in range(len(rf)):
-            name = f"B_{stage}_{depth}_{n_idx + 1}.lskt"
+            name = f"{block}_{n_idx + 1}.lskt"
             try:
                 part = read_tensor(os.path.join(base, name))
             except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:

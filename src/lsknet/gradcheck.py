@@ -182,9 +182,8 @@ def _layer_case(rng, params, forward, backward, cat_of=None) -> _Case:
 def _module_case(rng, mode: SelectionMode) -> _Case:
     plan = validate_plan([(3, 1), (5, 2)])
     base = init_lsk_params(plan, c_in=4, c_mid=2, select_kernel=3, mode=mode, rng=rng)
-    forward = lambda x, params: lsk_forward(x, params, mode=mode)
     cat_of = (lambda state: state.cat) if mode is SelectionMode.SPATIAL else None
-    return _layer_case(rng, params_astype(base, np.float64), forward, lsk_backward, cat_of)
+    return _layer_case(rng, params_astype(base, np.float64), lsk_forward, lsk_backward, cat_of)
 
 
 def _block_case(rng) -> _Case:

@@ -14,7 +14,10 @@ Forward pipeline (spatial selection, the reference mode):
 
 ``channel`` mode swaps step 3-4 for squeeze-excite style per-channel branch
 weights with a softmax across branches, and ``none`` sums the branches
-unweighted; both exist for comparison runs.
+unweighted; both exist for comparison runs.  A module's mode is read off the
+arrays it holds (a selection conv means spatial, ``cs`` means channel,
+neither means none), and a spatial module stores its own pooling set, so
+:func:`lsk_forward` takes only the input and the parameters.
 """
 
 from __future__ import annotations
@@ -75,20 +78,37 @@ class ChannelSelectParams:
 
 @dataclass
 class LskModuleParams:
-    """All learnable weights of one selection module."""
+    """All learnable weights of one selection module, plus the pooling set its
+    selection conv reads (``()`` unless the module selects spatially)."""
 
     plan: DecompositionPlan
-    c_in: int
-    c_mid: int
     dw_weights: list[np.ndarray]  # per stage: (c_in, k, k)
     dw_biases: list[np.ndarray]  # per stage: (c_in,)
     mix_weights: list[np.ndarray]  # per branch: (c_mid, c_in)
     mix_biases: list[np.ndarray]  # per branch: (c_mid,)
-    select_weight: np.ndarray | None  # (n_kernels, n_pools, q, q); spatial mode only
+    select_weight: np.ndarray | None  # (n_kernels, len(pooling), q, q); spatial mode only
     select_bias: np.ndarray | None  # (n_kernels,)
+    pooling: tuple[str, ...]  # descriptor order of the selection conv's input
     fuse_weight: np.ndarray  # (c_in, c_mid)
     fuse_bias: np.ndarray  # (c_in,)
     cs: ChannelSelectParams | None = None
+
+    @property
+    def mode(self) -> SelectionMode:
+        """Spatial with a selection conv, channel with ``cs``, else none."""
+        if self.select_weight is not None:
+            return SelectionMode.SPATIAL
+        if self.cs is not None:
+            return SelectionMode.CHANNEL
+        return SelectionMode.NONE
+
+    @property
+    def c_in(self) -> int:
+        return int(self.fuse_weight.shape[0])
+
+    @property
+    def c_mid(self) -> int:
+        return int(self.fuse_weight.shape[1])
 
     @property
     def n_kernels(self) -> int:
@@ -98,12 +118,10 @@ class LskModuleParams:
     def select_kernel(self) -> int:
         return int(self.select_weight.shape[2])
 
-    @property
-    def n_pools(self) -> int:
-        return int(self.select_weight.shape[1])
-
     def validate(self) -> None:
         n = self.n_kernels
+        if self.fuse_weight.ndim != 2:
+            raise ShapeError(f"fusion conv weight must be (c_in, c_mid), got shape {self.fuse_weight.shape}")
         if len(self.dw_weights) != n or len(self.dw_biases) != n:
             raise ShapeError(f"expected {n} depth-wise stages, got {len(self.dw_weights)}")
         if len(self.mix_weights) != n or len(self.mix_biases) != n:
@@ -125,14 +143,13 @@ class LskModuleParams:
                     f"selection conv must map pooled descriptors to {n} maps, "
                     f"got weight shape {self.select_weight.shape}"
                 )
-            if self.select_weight.shape[1] not in (1, 2):
-                raise ShapeError(
-                    f"selection conv input channels must match the pooling set (1 or 2), "
-                    f"got {self.select_weight.shape[1]}"
-                )
-        if self.fuse_weight.shape != (self.c_in, self.c_mid):
+            if self.cs is not None:
+                raise ShapeError("a module holds either a selection conv or channel selection, not both")
+        n_desc = 0 if self.select_weight is None else self.select_weight.shape[1]
+        if n_desc != len(self.pooling):
             raise ShapeError(
-                f"fusion conv weight shape {self.fuse_weight.shape} != {(self.c_in, self.c_mid)}"
+                f"pooling set {self.pooling} does not match the selection conv "
+                f"({n_desc} descriptor channels)"
             )
 
     def parameter_arrays(self) -> list[tuple[str, np.ndarray]]:
@@ -214,14 +231,13 @@ def init_lsk_params(
         )
     params = LskModuleParams(
         plan=plan,
-        c_in=c_in,
-        c_mid=cm,
         dw_weights=dw_w,
         dw_biases=dw_b,
         mix_weights=mix_w,
         mix_biases=mix_b,
         select_weight=sel_w,
         select_bias=sel_b,
+        pooling=pooling if mode is SelectionMode.SPATIAL else (),
         fuse_weight=fuse_w,
         fuse_bias=fuse_b,
         cs=cs,
@@ -235,8 +251,6 @@ class LskState:
     """Forward intermediates needed by lsk_backward."""
 
     params: LskModuleParams
-    mode: SelectionMode
-    pooling: tuple[str, ...]
     x: Tensor4
     u: list[Tensor4]  # u[0] = x, u[i] = output of stage i
     u_mixed: list[Tensor4]
@@ -266,15 +280,9 @@ def _softmax_branches(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def lsk_forward(
-    x: Tensor4,
-    params: LskModuleParams,
-    mode: SelectionMode = SelectionMode.SPATIAL,
-    pooling: Sequence[str] = POOL_ORDER,
-    keep_state: bool = True,
-) -> LskOutput:
-    """Run the selection module; returns output, masks and (optionally) the
-    saved state for the backward pass.
+def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) -> LskOutput:
+    """Run the selection module in the mode its arrays give; returns output,
+    masks and (optionally) the saved state for the backward pass.
 
     Masks are the per-branch sigmoid maps, stacked as (n, n_kernels, h, w);
     they are produced by the spatial mode only.
@@ -285,7 +293,7 @@ def lsk_forward(
         raise ShapeError(
             f"lsk_forward: input has {x.shape[1]} channels, module expects {params.c_in}"
         )
-    mode = SelectionMode(mode)
+    mode = params.mode
     n = params.n_kernels
 
     u: list[Tensor4] = [x]
@@ -300,16 +308,8 @@ def lsk_forward(
     cat = pooled = masks = None
     cs_sum = cs_pre = cs_hidden = cs_weights = None
     if mode is SelectionMode.SPATIAL:
-        if params.select_weight is None:
-            raise ShapeError("lsk_forward: spatial mode needs params built with spatial selection")
-        pooling = normalize_pooling(pooling)
-        if len(pooling) != params.n_pools:
-            raise ShapeError(
-                f"lsk_forward: pooling set {pooling} does not match the selection conv "
-                f"({params.n_pools} descriptor channels)"
-            )
         cat = ops.concat_channels(u_mixed)
-        pooled = ops.concat_channels([ops.channel_pool(cat, m) for m in pooling])
+        pooled = ops.concat_channels([ops.channel_pool(cat, m) for m in params.pooling])
         q = params.select_kernel
         logits = ops.conv2d(pooled, params.select_weight, params.select_bias, padding=(q - 1) // 2)
         masks = ops.sigmoid(logits)
@@ -319,8 +319,6 @@ def lsk_forward(
                 weighted, ops.broadcast_mask_mul(u_mixed[i], masks[:, i : i + 1]), "add"
             )
     elif mode is SelectionMode.CHANNEL:
-        if params.cs is None:
-            raise ShapeError("lsk_forward: channel mode needs params built with channel selection")
         cs_sum = ops.global_avg_pool(u_mixed[0])
         for i in range(1, n):
             cs_sum = ops.elementwise(cs_sum, ops.global_avg_pool(u_mixed[i]), "add")
@@ -339,12 +337,10 @@ def lsk_forward(
         weighted = u_mixed[0] * cs_weights[:, 0][:, :, None, None]
         for i in range(1, n):
             weighted = weighted + u_mixed[i] * cs_weights[:, i][:, :, None, None]
-    elif mode is SelectionMode.NONE:
+    else:
         weighted = u_mixed[0]
         for i in range(1, n):
             weighted = ops.elementwise(weighted, u_mixed[i], "add")
-    else:  # pragma: no cover - enum is exhaustive
-        raise ShapeError(f"lsk_forward: unknown mode {mode}")
 
     fused = ops.pointwise_conv(weighted, params.fuse_weight, params.fuse_bias)
     y = ops.elementwise(x, fused, "mul")
@@ -353,8 +349,6 @@ def lsk_forward(
     if keep_state:
         state = LskState(
             params=params,
-            mode=mode,
-            pooling=tuple(pooling) if mode is SelectionMode.SPATIAL else (),
             x=x,
             u=u,
             u_mixed=u_mixed,
@@ -375,8 +369,7 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
     """Chain-rule pass through the whole module for a sum-reduction loss.
 
     Returns ``(grad_x, grads)``: ``grads`` holds one gradient per entry of
-    :meth:`LskModuleParams.parameter_arrays`, keyed by its name (zeros for an
-    array the mode never reads, such as a selection conv run in ``none`` mode).
+    :meth:`LskModuleParams.parameter_arrays`, keyed by its name.
     """
     params = state.params
     n = params.n_kernels
@@ -393,7 +386,7 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
     )
 
     grad_mixed = [np.zeros_like(m) for m in state.u_mixed]
-    if state.mode is SelectionMode.SPATIAL:
+    if params.mode is SelectionMode.SPATIAL:
         masks = state.masks
         grad_masks = np.zeros_like(masks)
         for i in range(n):
@@ -407,15 +400,15 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
         grad_pooled, grads["select.weight"], grads["select.bias"] = ops.conv2d_backward(
             grad_logits, state.pooled, params.select_weight, padding=(q - 1) // 2
         )
-        desc_grads = ops.concat_channels_backward(grad_pooled, [1] * len(state.pooling))
+        desc_grads = ops.concat_channels_backward(grad_pooled, [1] * len(params.pooling))
         grad_cat = np.zeros_like(state.cat)
-        for mode_name, g_desc in zip(state.pooling, desc_grads):
+        for mode_name, g_desc in zip(params.pooling, desc_grads):
             grad_cat += ops.channel_pool_backward(g_desc, state.cat, mode_name)
         for i, g_part in enumerate(
             ops.concat_channels_backward(grad_cat, [params.c_mid] * n)
         ):
             grad_mixed[i] += g_part
-    elif state.mode is SelectionMode.CHANNEL:
+    elif params.mode is SelectionMode.CHANNEL:
         a = state.cs_weights  # (n_batch, n, c_mid)
         grad_a = np.zeros_like(a)
         for i in range(n):
@@ -456,8 +449,6 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
             grad_u[i + 1], state.u[i], params.dw_weights[i], ConvSpec(spec.k, spec.d)
         )
         grad_u[i] += g_prev
-    for name, arr in params.parameter_arrays():  # arrays this mode never reads
-        grads.setdefault(name, np.zeros_like(arr))
     return grad_x_total + grad_u[0], grads
 
 

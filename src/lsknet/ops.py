@@ -105,21 +105,17 @@ class ConvSpec:
 
     kernel: int
     dilation: int = 1
-    padding: int = -1  # -1 means: derive the "same" value
 
     def __post_init__(self):
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ShapeError(f"ConvSpec: kernel must be odd and positive, got {self.kernel}")
         if self.dilation < 1:
             raise ShapeError(f"ConvSpec: dilation must be >= 1, got {self.dilation}")
-        same = self.dilation * (self.kernel - 1) // 2
-        if self.padding == -1:
-            object.__setattr__(self, "padding", same)
-        elif self.padding != same:
-            raise ShapeError(
-                f"ConvSpec: padding {self.padding} breaks the same-size rule "
-                f"(expected {same} for kernel {self.kernel}, dilation {self.dilation})"
-            )
+
+    @property
+    def padding(self) -> int:
+        """The "same" padding: dilation*(kernel-1)//2."""
+        return self.dilation * (self.kernel - 1) // 2
 
     @property
     def span(self) -> int:

@@ -11,7 +11,9 @@ of a scalar linear head over globally pooled features:
                  batch-statistics normalization, head on pooled stage-4
                  features.
 
-A non-finite loss raises :class:`DivergenceError` carrying the step index.
+Each scope only builds its forward, backward and trainable arrays; one loop,
+:func:`_descend`, trains them all.  A non-finite loss raises
+:class:`DivergenceError` carrying the step index.
 """
 
 from __future__ import annotations
@@ -89,87 +91,67 @@ def toy_train(
         raise ShapeError(f"toy_train: unknown scope {scope!r} (want head|module|backbone)")
     if lr is None:
         lr = DEFAULT_LR[scope]
-    if scope == "backbone":
-        return _train_backbone(steps, lr, seed, n_samples, config, dataset)
-    return _train_module(steps, lr, seed, n_samples, dataset, train_module=scope == "module")
-
-
-def _train_module(
-    steps: int,
-    lr: float,
-    seed: int,
-    n_samples: int,
-    dataset: ToyProblem | None,
-    train_module: bool,
-) -> list[float]:
     rng = np.random.default_rng(seed)
-    plan = validate_plan(MODULE_PLAN)
-    params = init_lsk_params(plan, MODULE_CHANNELS, rng=rng)
+    if scope == "backbone":
+        setup = _backbone_scope(seed, n_samples, config, dataset)
+    else:
+        setup = _module_scope(rng, seed, n_samples, dataset, train_module=scope == "module")
+    return _descend(*setup, rng, steps, lr)
+
+
+def _module_scope(rng, seed, n_samples, dataset, train_module):
+    """``(forward, backward, arrays, targets)`` of one selection module; with
+    ``train_module`` off its features are computed once and stay frozen."""
+    params = init_lsk_params(validate_plan(MODULE_PLAN), MODULE_CHANNELS, rng=rng)
     if dataset is None:
         dataset = make_synthetic_dataset(n_samples, MODULE_CHANNELS, MODULE_SIZE, MODULE_SIZE, seed)
-    x, targets = dataset.inputs, dataset.targets
-    m = x.shape[0]
-    head_w = rng.uniform(-0.3, 0.3, size=MODULE_CHANNELS).astype(np.float32)
-    head_b = np.zeros(1, dtype=np.float32)
-
+    x = dataset.inputs
     if not train_module:
-        frozen = lsk_forward(x, params, keep_state=False)
-        frozen_pooled = ops.global_avg_pool(frozen.y)[:, :, 0, 0]
+        frozen = lsk_forward(x, params, keep_state=False).y
+        return (lambda: (frozen, None)), None, {}, dataset.targets
 
-    losses: list[float] = []
-    for step in range(steps + 1):
-        if train_module:
-            out = lsk_forward(x, params)
-            pooled = ops.global_avg_pool(out.y)[:, :, 0, 0]
-        else:
-            pooled = frozen_pooled
-        pred = pooled @ head_w + head_b[0]
-        loss = _mse(pred, targets)
-        _check_finite(loss, step)
-        losses.append(loss)
-        if step == steps:
-            break
+    def forward():
+        out = lsk_forward(x, params)
+        return out.y, out.state
 
-        grad_pred = (2.0 / m) * (pred - targets)
-        grad_w = pooled.T @ grad_pred
-        grad_b = grad_pred.sum()
-        if train_module:
-            grad_pooled = np.outer(grad_pred, head_w).astype(x.dtype)
-            grad_y = ops.global_avg_pool_backward(grad_pooled[:, :, None, None], out.y)
-            _, grads = lsk_backward(grad_y, out.state)
-            for name, arr in params.parameter_arrays():
-                arr -= (lr * grads[name]).astype(arr.dtype)
-        head_w -= (lr * grad_w).astype(head_w.dtype)
-        head_b -= np.float32(lr * grad_b)
-    return losses
+    return forward, lsk_backward, dict(params.parameter_arrays()), dataset.targets
 
 
-def _train_backbone(
-    steps: int,
-    lr: float,
-    seed: int,
-    n_samples: int,
-    config: BackboneConfig | None,
-    dataset: ToyProblem | None,
-) -> list[float]:
+def _backbone_scope(seed, n_samples, config, dataset):
+    """``(forward, backward, arrays, targets)`` of a small backbone trained
+    with batch statistics; the head reads the stage-4 features."""
     if config is None:
         config = BackboneConfig(
             channels=(4, 4, 8, 8), depths=(1, 1, 1, 1), ffn_ratios=(2.0, 2.0, 2.0, 2.0)
         )
-    rng = np.random.default_rng(seed)
     params = init_backbone_params(config, seed=seed)
     if dataset is None:
         dataset = make_synthetic_dataset(min(n_samples, 4), 3, 32, 32, seed)
-    x, targets = dataset.inputs, dataset.targets
-    m = x.shape[0]
-    head_w = rng.uniform(-0.3, 0.3, size=config.channels[3]).astype(np.float32)
-    head_b = np.zeros(1, dtype=np.float32)
-    arrays = named_arrays(params)
+    x = dataset.inputs
 
+    def forward():
+        out = backbone_forward(x, params, keep_state=True, train_norm=True)
+        return out.features[3], out.state
+
+    return forward, backbone_backward, named_arrays(params), dataset.targets
+
+
+def _descend(forward, backward, arrays, targets, rng, steps, lr) -> list[float]:
+    """Full-batch gradient descent on the MSE of a linear head over globally
+    pooled features.
+
+    ``forward()`` returns ``(features, state)`` and ``backward(grad_features,
+    state)`` returns ``(grad_input, grads)`` with ``grads`` keyed by names of
+    ``arrays``; every step moves those arrays and the head, which is drawn
+    from ``rng`` once the first features are known.  With no ``arrays`` only
+    the head trains.
+    """
+    m = targets.shape[0]
+    feat, state = forward()
+    head_w = rng.uniform(-0.3, 0.3, size=feat.shape[1]).astype(np.float32)
+    head_b = np.zeros(1, dtype=np.float32)
     losses: list[float] = []
     for step in range(steps + 1):
-        out = backbone_forward(x, params, keep_state=True, train_norm=True)
-        feat = out.features[3]
         pooled = ops.global_avg_pool(feat)[:, :, 0, 0]
         pred = pooled @ head_w + head_b[0]
         loss = _mse(pred, targets)
@@ -181,11 +163,13 @@ def _train_backbone(
         grad_pred = (2.0 / m) * (pred - targets)
         grad_w = pooled.T @ grad_pred
         grad_b = grad_pred.sum()
-        grad_pooled = np.outer(grad_pred, head_w).astype(x.dtype)
-        grad_feat = ops.global_avg_pool_backward(grad_pooled[:, :, None, None], feat)
-        _, grads = backbone_backward(grad_feat, out.state)
-        for name, g in grads.items():
-            arrays[name] -= (lr * g).astype(arrays[name].dtype)
+        if arrays:
+            grad_pooled = np.outer(grad_pred, head_w).astype(feat.dtype)
+            grad_feat = ops.global_avg_pool_backward(grad_pooled[:, :, None, None], feat)
+            _, grads = backward(grad_feat, state)
+            for name, g in grads.items():
+                arrays[name] -= (lr * g).astype(arrays[name].dtype)
         head_w -= (lr * grad_w).astype(head_w.dtype)
         head_b -= np.float32(lr * grad_b)
+        feat, state = forward()
     return losses

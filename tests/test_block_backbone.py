@@ -114,6 +114,22 @@ class TestBackboneConfig:
         with pytest.raises(ShapeError):
             BackboneConfig(channels=(8, 8, 8), depths=(1, 1, 1), ffn_ratios=(2, 2, 2))
 
+    @pytest.mark.parametrize(
+        "override, match",
+        [
+            ({"ffn_ratios": (float("nan"), 8, 4, 4)}, "ffn ratios"),
+            ({"ffn_ratios": (8, 8, float("inf"), 4)}, "ffn ratios"),
+            ({"ffn_ratios": (8, 8, 4, float("-inf"))}, "ffn ratios"),
+            ({"ffn_ratios": (-1, 8, 4, 4)}, "ffn ratios"),
+            ({"ffn_ratios": (8, 0, 4, 4)}, "ffn ratios"),
+            ({"c_mid_divisor": 0}, "c_mid_divisor"),
+            ({"c_mid_divisor": -2}, "c_mid_divisor"),
+        ],
+    )
+    def test_bad_widths_rejected(self, override, match):
+        with pytest.raises(ShapeError, match=match):
+            BackboneConfig.variant("T", **override)
+
 
 TINY = BackboneConfig(channels=(4, 4, 8, 8), depths=(1, 2, 1, 1), ffn_ratios=(2, 2, 2, 2))
 
@@ -204,6 +220,22 @@ class TestWeightPlumbing:
             np.testing.assert_array_equal(arr, arrays[k])
             # no read-only zero view of the shape-only template survives
             assert arr.flags.writeable and 0 not in arr.strides
+
+    @pytest.mark.parametrize("pooling", [("avg", "max"), ("avg",), ("max",)])
+    @pytest.mark.parametrize("mode", list(SelectionMode))
+    def test_loaded_modules_carry_the_config_mode_and_pooling(self, rng, mode, pooling):
+        """The weight file holds no mode or pooling: a loaded tree takes both
+        from the config and runs bit-identically to the seeded tree."""
+        cfg = replace(TINY, selection_mode=mode, pooling=pooling)
+        seeded = init_backbone_params(cfg, seed=0)
+        loaded = params_from_arrays(cfg, named_arrays(seeded))
+        for bp in (bp for blocks in loaded.stages for bp in blocks):
+            assert bp.lsk.mode is mode
+            assert bp.lsk.pooling == (pooling if mode is SelectionMode.SPATIAL else ())
+        x = rng.uniform(-1, 1, size=(1, 3, 32, 32)).astype(np.float32)
+        want = backbone_forward(x, seeded).features
+        for got, ref in zip(backbone_forward(x, loaded).features, want):
+            np.testing.assert_array_equal(got, ref)
 
     def test_expected_shapes_match_init(self):
         params = init_backbone_params(TINY, seed=0)

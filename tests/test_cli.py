@@ -103,6 +103,13 @@ class TestCountCommand:
             main(["count", "--variant", "XL"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("ratios", ["nan,8,4,4", "8,inf,4,4", "-1,8,4,4", "0,8,4,4"])
+    def test_bad_ffn_ratios_fail_with_error_line(self, capsys, ratios):
+        assert main(["count", "--variant", "T", f"--ffn-ratios={ratios}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "ffn ratios" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
     def test_custom_ffn_ratios_change_param_count(self, capsys):
         assert main(["count", "--variant", "T", "--format", "kv"]) == 0
         base, _, _ = kv_totals(capsys.readouterr().out, "lsknet-t@1024x1024")

@@ -1,6 +1,8 @@
 """The selection module: pinned examples, the straight-line composition
 oracle, the three selection modes, and the scalar closed-form backward."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -68,10 +70,9 @@ class TestForwardContracts:
         with pytest.raises(ShapeError, match="channels"):
             lsk_forward(rng.uniform(-1, 1, size=(1, 3, 5, 5)), params)
 
-    def test_empty_pooling_rejected(self, rng):
-        params = make_params([(3, 1)], c_in=4, c_mid=2)
+    def test_empty_pooling_rejected(self):
         with pytest.raises(ShapeError, match="pooling"):
-            lsk_forward(rng.uniform(-1, 1, size=(1, 4, 5, 5)), params, pooling=())
+            init_lsk_params(validate_plan([(3, 1)]), 4, 2, pooling=())
 
 
 def _dw_chain(x, params):
@@ -107,9 +108,9 @@ class TestCompositionOracle:
 
 class TestModes:
     def test_none_mode_sums_branches_unweighted(self, rng):
-        params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, seed=2)
+        params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, mode=SelectionMode.NONE, seed=2)
         x = rng.uniform(-1, 1, size=(1, 4, 6, 6))
-        out = lsk_forward(x, params, mode=SelectionMode.NONE)
+        out = lsk_forward(x, params)
         assert out.masks is None
         mixed = [
             ops.pointwise_conv(u, params.mix_weights[i], params.mix_biases[i])
@@ -126,32 +127,39 @@ class TestModes:
         params = make_params([(5, 1)], c_in=4, c_mid=2, seed=4)
         params.select_bias[...] = 20.0
         x = rng.uniform(-1, 1, size=(1, 4, 6, 6))
-        spatial = lsk_forward(x, params, mode=SelectionMode.SPATIAL).y
-        unweighted = lsk_forward(x, params, mode=SelectionMode.NONE).y
+        spatial = lsk_forward(x, params).y
+        none = replace(params, select_weight=None, select_bias=None, pooling=())
+        unweighted = lsk_forward(x, none).y
         np.testing.assert_allclose(spatial, unweighted, atol=1e-6)
 
     def test_channel_mode_shapes_and_branch_softmax(self, rng):
         params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, mode=SelectionMode.CHANNEL, seed=5)
         x = rng.uniform(-1, 1, size=(2, 4, 6, 6))
-        out = lsk_forward(x, params, mode=SelectionMode.CHANNEL)
+        out = lsk_forward(x, params)
         assert out.y.shape == x.shape
         assert out.masks is None  # spatial masks exist in spatial mode only
         weights = out.state.cs_weights
         assert weights.shape == (2, 2, 2)  # (batch, branches, c_mid)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
 
-    def test_channel_mode_without_cs_params_fails(self, rng):
-        params = make_params([(3, 1)], c_in=4, c_mid=2, mode=SelectionMode.SPATIAL)
-        with pytest.raises(ShapeError, match="channel"):
-            lsk_forward(rng.uniform(-1, 1, size=(1, 4, 5, 5)), params, mode=SelectionMode.CHANNEL)
-
-    @pytest.mark.parametrize("mode", [SelectionMode.CHANNEL, SelectionMode.NONE])
-    def test_spatial_mode_without_select_conv_fails(self, rng, mode):
+    @pytest.mark.parametrize("mode", list(SelectionMode))
+    def test_mode_is_read_off_the_arrays(self, mode):
+        """Only a spatial module holds a selection conv and a pooling set, and
+        only a channel module holds ``cs``."""
         params = make_params([(3, 1)], c_in=4, c_mid=2, mode=mode)
-        assert params.select_weight is None
-        assert not any(name.startswith("select.") for name, _ in params.parameter_arrays())
-        with pytest.raises(ShapeError, match="spatial"):
-            lsk_forward(rng.uniform(-1, 1, size=(1, 4, 5, 5)), params, mode=SelectionMode.SPATIAL)
+        assert params.mode is mode
+        names = [name for name, _ in params.parameter_arrays()]
+        spatial = mode is SelectionMode.SPATIAL
+        assert (params.select_weight is not None) == spatial
+        assert any(name.startswith("select.") for name in names) == spatial
+        assert params.pooling == (("avg", "max") if spatial else ())
+        assert any(name.startswith("cs_") for name in names) == (mode is SelectionMode.CHANNEL)
+
+    def test_select_conv_and_channel_selection_together_rejected(self, rng):
+        spatial = make_params([(3, 1)], c_in=4, c_mid=2)
+        both = replace(spatial, cs=make_params([(3, 1)], c_in=4, c_mid=2, mode=SelectionMode.CHANNEL).cs)
+        with pytest.raises(ShapeError, match="not both"):
+            lsk_forward(rng.uniform(-1, 1, size=(1, 4, 5, 5)), both)
 
     @pytest.mark.parametrize("pooling", [("avg",), ("max",)])
     def test_single_pooling_ablation(self, rng, pooling):
@@ -161,15 +169,16 @@ class TestModes:
         params = init_lsk_params(
             plan, 4, 2, select_kernel=3, pooling=pooling, rng=np.random.default_rng(0)
         )
-        assert params.select_weight.shape[1] == 1
+        assert params.select_weight.shape[1] == 1 and params.pooling == pooling
         x = rng.uniform(-1, 1, size=(1, 4, 6, 6))
-        out = lsk_forward(x.astype(np.float32), params, pooling=pooling)
+        out = lsk_forward(x.astype(np.float32), params)
         assert out.masks.shape == (1, 2, 6, 6)
 
     def test_pooling_set_mismatch_with_params(self, rng):
         params = make_params([(3, 1)], c_in=4, c_mid=2)  # built for avg+max
-        with pytest.raises(ShapeError, match="pooling"):
-            lsk_forward(rng.uniform(-1, 1, size=(1, 4, 5, 5)), params, pooling=("avg",))
+        for pooling in [("avg",), ()]:
+            with pytest.raises(ShapeError, match="pooling"):
+                lsk_forward(rng.uniform(-1, 1, size=(1, 4, 5, 5)), replace(params, pooling=pooling))
 
 
 class TestBackward:
@@ -182,21 +191,21 @@ class TestBackward:
         assert not any(grads[f"dw{i}.{kind}"].any() for i in range(2) for kind in ("weight", "bias"))
         assert not grads["select.weight"].any() and not grads["fuse.weight"].any()
 
-    @pytest.mark.parametrize("built", [SelectionMode.SPATIAL, SelectionMode.CHANNEL])
+    @pytest.mark.parametrize("built", list(SelectionMode))
     def test_one_gradient_per_parameter_array(self, rng, built):
-        """Keys are the parameter_arrays() names in every mode; an array the
-        mode never reads (none mode on built params) gets a zero gradient."""
+        """Keys are the parameter_arrays() names in every mode, and every
+        selection array the mode holds gets a non-zero gradient."""
         params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, mode=built, seed=3)
         arrays = dict(params.parameter_arrays())
         x = rng.uniform(-1, 1, size=(1, 4, 6, 6))
-        for mode in (built, SelectionMode.NONE):
-            out = lsk_forward(x, params, mode=mode)
-            _, grads = lsk_backward(np.ones_like(out.y), out.state)
-            assert grads.keys() == arrays.keys()
-            for name, g in grads.items():
-                assert (g.shape, g.dtype) == (arrays[name].shape, arrays[name].dtype), name
-            selection = [k for k in grads if k.startswith(("select.", "cs_"))]
-            assert selection and all(grads[k].any() == (mode is built) for k in selection)
+        out = lsk_forward(x, params)
+        _, grads = lsk_backward(np.ones_like(out.y), out.state)
+        assert grads.keys() == arrays.keys()
+        for name, g in grads.items():
+            assert (g.shape, g.dtype) == (arrays[name].shape, arrays[name].dtype), name
+        selection = [k for k in grads if k.startswith(("select.", "cs_"))]
+        assert len(selection) == {"spatial": 2, "channel": 4, "none": 0}[built.value]
+        assert all(grads[k].any() for k in selection)
 
     def test_scalar_closed_form(self):
         """Single pixel, one stage, one channel: y = x * f(x) with every

@@ -45,10 +45,6 @@ class TestConvSpec:
         with pytest.raises(ShapeError):
             ConvSpec(4, 1)
 
-    def test_rejects_wrong_padding(self):
-        with pytest.raises(ShapeError):
-            ConvSpec(5, 1, padding=1)
-
     def test_span(self):
         assert ConvSpec(7, 3).span == 19
 
