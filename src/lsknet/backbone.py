@@ -1,9 +1,10 @@
 """Four-stage pyramid backbone built from selection blocks.
 
-Layout: a 7x7 stride-4 stem (the one dense, non-depth-wise conv besides the
-downsamplers), then four stages of blocks at spatial reductions 4, 8, 16 and
-32, joined by 3x3 stride-2 downsampling convs.  Named presets follow the two
-published variants:
+Layout: a 7x7 stride-4 stem, then four stages of blocks at spatial reductions
+4, 8, 16 and 32, joined by 3x3 stride-2 downsamplers.  The stem and the
+downsamplers are one conv-norm layer (:class:`ConvNormParams`, the released
+code's ``OverlapPatchEmbed``) with one forward and one backward function.
+Named presets follow the two published variants:
 
 * ``T``: channels (32, 64, 160, 256), depths (3, 3, 5, 2)
 * ``S``: channels (64, 128, 320, 512), depths (2, 2, 4, 2)
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +29,7 @@ from .block import (
     NormParams,
     block_backward,
     block_forward,
+    ffn_width,
     init_block_params,
     norm_backward,
     norm_forward,
@@ -39,9 +42,11 @@ from .plan import DecompositionPlan, validate_plan
 
 __all__ = [
     "DEFAULT_PLAN",
-    "STEM_STRIDE_PADDING",
-    "DOWN_STRIDE_PADDING",
+    "STEM_STRIDE",
+    "DOWN_STRIDE",
+    "MAX_ELEMENTS",
     "BackboneConfig",
+    "ConvNormParams",
     "BackboneParams",
     "BackboneOutput",
     "ActivationRecord",
@@ -55,9 +60,10 @@ __all__ = [
 ]
 
 DEFAULT_PLAN = validate_plan([(5, 1), (7, 3)])
-# (stride, padding) of the dense convs; each kernel size is read off its weight
-STEM_STRIDE_PADDING = (4, 3)
-DOWN_STRIDE_PADDING = (2, 1)
+STEM_STRIDE = 4
+DOWN_STRIDE = 2
+# the largest array a configuration may hold; the file readers refuse larger
+MAX_ELEMENTS = 1 << 31
 
 _PRESETS = {
     "T": ((32, 64, 160, 256), (3, 3, 5, 2)),
@@ -75,8 +81,6 @@ class BackboneConfig:
     plan: DecompositionPlan = DEFAULT_PLAN
     selection_mode: SelectionMode = SelectionMode.SPATIAL
     pooling: tuple[str, ...] = ("avg", "max")
-    select_kernel: int = 7
-    c_mid_divisor: int = 2
 
     def __post_init__(self):
         if len(self.channels) != 4 or len(self.depths) != 4 or len(self.ffn_ratios) != 4:
@@ -85,17 +89,13 @@ class BackboneConfig:
             raise ShapeError("BackboneConfig: channels and depths must be positive")
         if not all(math.isfinite(r) and r > 0 for r in self.ffn_ratios):
             raise ShapeError(f"BackboneConfig: ffn ratios must be finite and positive, got {self.ffn_ratios}")
-        if self.c_mid_divisor < 1:
-            raise ShapeError(f"BackboneConfig: c_mid_divisor must be >= 1, got {self.c_mid_divisor}")
+        for c, r in zip(self.channels, self.ffn_ratios):
+            if not math.isfinite(r * c) or ffn_width(c, r) * c > MAX_ELEMENTS:
+                raise ShapeError(
+                    f"BackboneConfig: ffn ratios {self.ffn_ratios} put over {MAX_ELEMENTS} values in an FFN weight"
+                )
         object.__setattr__(self, "pooling", normalize_pooling(self.pooling))
         object.__setattr__(self, "selection_mode", SelectionMode(self.selection_mode))
-
-    def branch_width(self, c: int) -> int:
-        return max(c // self.c_mid_divisor, 1)
-
-    @property
-    def total_blocks(self) -> int:
-        return sum(self.depths)
 
     @classmethod
     def variant(cls, name: str, **overrides) -> "BackboneConfig":
@@ -104,14 +104,6 @@ class BackboneConfig:
             raise ShapeError(f"unknown backbone variant {name!r} (known: {sorted(_PRESETS)})")
         channels, depths = _PRESETS[key]
         return cls(channels=channels, depths=depths, **overrides)
-
-    @classmethod
-    def lsknet_t(cls, **overrides) -> "BackboneConfig":
-        return cls.variant("T", **overrides)
-
-    @classmethod
-    def lsknet_s(cls, **overrides) -> "BackboneConfig":
-        return cls.variant("S", **overrides)
 
 
 @dataclass
@@ -140,22 +132,41 @@ class ActivationRecord:
 
 
 @dataclass
-class DenseConvParams:
+class ConvNormParams:
+    """A dense k x k conv at ``stride`` with padding k // 2, then a norm."""
+
     weight: np.ndarray  # (c_out, c_in, k, k)
     bias: np.ndarray
+    norm: NormParams
+    stride: int
+
+    @property
+    def padding(self) -> int:
+        return self.weight.shape[2] // 2
 
     def parameter_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [("weight", self.weight), ("bias", self.bias)]
+        return [
+            ("conv.weight", self.weight),
+            ("conv.bias", self.bias),
+            *prefixed("norm", self.norm.parameter_arrays()),
+        ]
+
+
+def _init_conv_norm(rng, c_in: int, c_out: int, k: int, stride: int) -> ConvNormParams:
+    return ConvNormParams(
+        weight=fan_in_uniform(rng, (c_out, c_in, k, k), c_in * k * k),
+        bias=np.zeros(c_out, dtype=np.float32),
+        norm=NormParams.identity(c_out),
+        stride=stride,
+    )
 
 
 @dataclass
 class BackboneParams:
     config: BackboneConfig
-    stem_conv: DenseConvParams
-    stem_norm: NormParams
+    stem: ConvNormParams
     stages: list[list[BlockParams]]
-    down_convs: list[DenseConvParams]  # 3 entries, between consecutive stages
-    down_norms: list[NormParams]
+    downs: list[ConvNormParams]  # 3 entries, between consecutive stages
 
 
 def init_backbone_params(config: BackboneConfig, seed: int | None = 0) -> BackboneParams:
@@ -163,14 +174,9 @@ def init_backbone_params(config: BackboneConfig, seed: int | None = 0) -> Backbo
     ``seed=None`` draws nothing and gives the shape-only tree (read-only zero
     weights) that the cost walk and the weight loader read."""
     rng = None if seed is None else np.random.default_rng(seed)
-    stem_conv = DenseConvParams(
-        weight=fan_in_uniform(rng, (config.channels[0], 3, 7, 7), 3 * 49),
-        bias=np.zeros(config.channels[0], dtype=np.float32),
-    )
-    stem_norm = NormParams.identity(config.channels[0])
+    stem = _init_conv_norm(rng, 3, config.channels[0], 7, STEM_STRIDE)
     stages: list[list[BlockParams]] = []
-    down_convs: list[DenseConvParams] = []
-    down_norms: list[NormParams] = []
+    downs: list[ConvNormParams] = []
     for i in range(4):
         c = config.channels[i]
         blocks = [
@@ -178,8 +184,6 @@ def init_backbone_params(config: BackboneConfig, seed: int | None = 0) -> Backbo
                 config.plan,
                 c,
                 config.ffn_ratios[i],
-                c_mid=config.branch_width(c),
-                select_kernel=config.select_kernel,
                 pooling=config.pooling,
                 mode=config.selection_mode,
                 rng=rng,
@@ -188,22 +192,8 @@ def init_backbone_params(config: BackboneConfig, seed: int | None = 0) -> Backbo
         ]
         stages.append(blocks)
         if i < 3:
-            c_next = config.channels[i + 1]
-            down_convs.append(
-                DenseConvParams(
-                    weight=fan_in_uniform(rng, (c_next, c, 3, 3), c * 9),
-                    bias=np.zeros(c_next, dtype=np.float32),
-                )
-            )
-            down_norms.append(NormParams.identity(c_next))
-    return BackboneParams(
-        config=config,
-        stem_conv=stem_conv,
-        stem_norm=stem_norm,
-        stages=stages,
-        down_convs=down_convs,
-        down_norms=down_norms,
-    )
+            downs.append(_init_conv_norm(rng, c, config.channels[i + 1], 3, DOWN_STRIDE))
+    return BackboneParams(config=config, stem=stem, stages=stages, downs=downs)
 
 
 def backbone_params_astype(params: BackboneParams, dtype) -> BackboneParams:
@@ -217,14 +207,12 @@ def backbone_params_astype(params: BackboneParams, dtype) -> BackboneParams:
 
 def named_arrays(params: BackboneParams) -> dict[str, np.ndarray]:
     """Stable dotted-name view of every tensor in the backbone."""
-    out = dict(prefixed("stem.conv", params.stem_conv.parameter_arrays()))
-    out.update(prefixed("stem.norm", params.stem_norm.parameter_arrays()))
+    out = dict(prefixed("stem", params.stem.parameter_arrays()))
     for i, blocks in enumerate(params.stages):
         for j, bp in enumerate(blocks):
             out.update(prefixed(f"stage{i + 1}.block{j}", bp.parameter_arrays()))
         if i < 3:
-            out.update(prefixed(f"down{i + 1}.conv", params.down_convs[i].parameter_arrays()))
-            out.update(prefixed(f"down{i + 1}.norm", params.down_norms[i].parameter_arrays()))
+            out.update(prefixed(f"down{i + 1}", params.downs[i].parameter_arrays()))
     return out
 
 
@@ -262,21 +250,17 @@ def params_from_arrays(config: BackboneConfig, arrays: dict[str, np.ndarray]) ->
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _DownState:
+class _ConvNormState:
+    params: ConvNormParams
     x: Tensor4
     conv_out: Tensor4
-    bn_xhat: Tensor4 | None
-    bn_inv: np.ndarray | None
+    norm_cache: tuple[Tensor4, np.ndarray] | None
 
 
 @dataclass
 class BackboneState:
-    params: BackboneParams
-    train_norm: bool
-    x: Tensor4
-    stem: _DownState
-    block_states: list[list[BlockState]]
-    down_states: list[_DownState]
+    # (weight-name prefix, backward, state) of every layer, in forward order
+    layers: list[tuple[str, Callable, BlockState | _ConvNormState]]
 
 
 @dataclass
@@ -300,51 +284,39 @@ def backbone_forward(
     if h % 32 or w % 32:
         raise ShapeError(f"backbone_forward: spatial dims {h}x{w} not divisible by 32")
 
-    conv_out = ops.conv2d(x, params.stem_conv.weight, params.stem_conv.bias, *STEM_STRIDE_PADDING)
-    cur, xhat, inv = norm_forward(conv_out, params.stem_norm, train_norm)
-    stem_state = _DownState(x=x, conv_out=conv_out, bn_xhat=xhat, bn_inv=inv)
-
+    cur, stem_state = _conv_norm_forward(x, params.stem, train_norm, keep_state)
+    layers = [("stem", _conv_norm_backward, stem_state)]
     record = ActivationRecord(rf=params.config.plan.rf_per_stage)
     features: list[Tensor4] = []
-    block_states: list[list[BlockState]] = []
-    down_states: list[_DownState] = []
     for i in range(4):
-        stage_states: list[BlockState] = []
         for j, bp in enumerate(params.stages[i]):
             out = block_forward(cur, bp, train_norm=train_norm, keep_state=keep_state)
             cur = out.y
             if out.masks is not None:
                 record.masks[(i + 1, j + 1)] = out.masks
-            if keep_state:
-                stage_states.append(out.state)
+            layers.append((f"stage{i + 1}.block{j}", block_backward, out.state))
         features.append(cur)
-        block_states.append(stage_states)
         if i < 3:
-            dc = params.down_convs[i]
-            conv_out = ops.conv2d(cur, dc.weight, dc.bias, *DOWN_STRIDE_PADDING)
-            nxt, xhat, inv = norm_forward(conv_out, params.down_norms[i], train_norm)
-            down_states.append(_DownState(x=cur, conv_out=conv_out, bn_xhat=xhat, bn_inv=inv))
-            cur = nxt
-
-    state = None
-    if keep_state:
-        state = BackboneState(
-            params=params,
-            train_norm=train_norm,
-            x=x,
-            stem=stem_state,
-            block_states=block_states,
-            down_states=down_states,
-        )
+            cur, down_state = _conv_norm_forward(cur, params.downs[i], train_norm, keep_state)
+            layers.append((f"down{i + 1}", _conv_norm_backward, down_state))
+    state = BackboneState(layers) if keep_state else None
     return BackboneOutput(features=features, record=record, state=state)
 
 
-def _conv_norm_backward(grad, ds: _DownState, conv: DenseConvParams, norm: NormParams,
-                        train: bool, stride_padding: tuple[int, int]):
-    """Backward of a dense conv followed by a norm (the stem and the
-    downsamplers): ``(grad_x, grads)`` keyed ``conv.*`` and ``norm.*``."""
-    g_conv, g_scale, g_shift = norm_backward(grad, norm, train, ds.conv_out, ds.bn_xhat, ds.bn_inv)
-    g_in, g_w, g_b = ops.conv2d_backward(g_conv, ds.x, conv.weight, *stride_padding)
+def _conv_norm_forward(x: Tensor4, p: ConvNormParams, train_norm: bool, keep_state: bool):
+    """``(y, state)`` of the stem or a downsampler; ``state`` is ``None``
+    unless ``keep_state``."""
+    conv_out = ops.conv2d(x, p.weight, p.bias, p.stride, p.padding)
+    y, norm_cache = norm_forward(conv_out, p.norm, train_norm)
+    return y, (_ConvNormState(p, x, conv_out, norm_cache) if keep_state else None)
+
+
+def _conv_norm_backward(grad: Tensor4, state: _ConvNormState) -> tuple[Tensor4, dict[str, np.ndarray]]:
+    """``(grad_x, grads)`` of :func:`_conv_norm_forward`, keyed ``conv.*`` and
+    ``norm.*``."""
+    p = state.params
+    g_conv, g_scale, g_shift = norm_backward(grad, p.norm, state.conv_out, state.norm_cache)
+    g_in, g_w, g_b = ops.conv2d_backward(g_conv, state.x, p.weight, p.stride, p.padding)
     return g_in, {"norm.scale": g_scale, "norm.shift": g_shift, "conv.weight": g_w, "conv.bias": g_b}
 
 
@@ -353,21 +325,9 @@ def backbone_backward(grad_stage4: Tensor4, state: BackboneState) -> tuple[Tenso
 
     Returns (grad wrt input, flat name -> gradient map over all learnables).
     """
-    params = state.params
     grads: dict[str, np.ndarray] = {}
     grad = grad_stage4
-    for i in range(3, -1, -1):
-        if i < 3:
-            grad, down_grads = _conv_norm_backward(
-                grad, state.down_states[i], params.down_convs[i], params.down_norms[i],
-                state.train_norm, DOWN_STRIDE_PADDING,
-            )
-            grads.update(prefixed(f"down{i + 1}", down_grads.items()))
-        for j in range(len(params.stages[i]) - 1, -1, -1):
-            grad, block_grads = block_backward(grad, state.block_states[i][j])
-            grads.update(prefixed(f"stage{i + 1}.block{j}", block_grads.items()))
-    grad, stem_grads = _conv_norm_backward(
-        grad, state.stem, params.stem_conv, params.stem_norm, state.train_norm, STEM_STRIDE_PADDING
-    )
-    grads.update(prefixed("stem", stem_grads.items()))
+    for prefix, backward, layer_state in reversed(state.layers):
+        grad, layer_grads = backward(grad, layer_state)
+        grads.update(prefixed(prefix, layer_grads.items()))
     return grad, grads

@@ -8,9 +8,11 @@ and added residually.  Zeroing the projection weights therefore turns the
 whole block into the identity map.
 
 Normalization uses stored per-channel statistics by default; ``train_norm``
-switches to the batch's own statistics (used by the toy trainer).  Every width
-is read off the arrays, and the selection module carries its own mode and
-pooling set, so :func:`block_forward` takes only the input and the parameters.
+switches to the batch's own statistics (used by the toy trainer).  The norm
+cache, ``(x_hat, inv_std)`` or ``None`` for stored statistics, tells the
+backward which path to take.  Every width is read off the arrays, and the
+selection module carries its own mode and pooling set, so
+:func:`block_forward` takes only the input and the parameters.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "NormParams",
     "BlockParams",
     "BlockOutput",
+    "ffn_width",
     "init_block_params",
     "block_forward",
     "block_backward",
@@ -117,6 +120,11 @@ class BlockParams:
         ]
 
 
+def ffn_width(c: int, ffn_ratio: float) -> int:
+    """Hidden width of a ``c``-channel block's FFN: ``round(ffn_ratio * c)``, at least 1."""
+    return max(round(ffn_ratio * c), 1)
+
+
 def init_block_params(
     plan: DecompositionPlan,
     c: int,
@@ -128,7 +136,7 @@ def init_block_params(
     rng: np.random.Generator | None = None,
 ) -> BlockParams:
     """Block weights drawn from ``rng``; ``rng=None`` gives the shape-only tree."""
-    hidden = max(round(ffn_ratio * c), 1)
+    hidden = ffn_width(c, ffn_ratio)
     return BlockParams(
         norm1=NormParams.identity(c),
         pre_weight=fan_in_uniform(rng, (c, c), c),
@@ -151,25 +159,20 @@ def init_block_params(
 @dataclass
 class BlockState:
     params: BlockParams
-    train_norm: bool
     x: Tensor4
     normed1: Tensor4
+    norm1_cache: tuple[Tensor4, np.ndarray] | None
     pre_out: Tensor4
-    gelu1: Tensor4
     lsk_state: LskState
     lsk_y: Tensor4
     post_out: Tensor4
     y1: Tensor4
     normed2: Tensor4
+    norm2_cache: tuple[Tensor4, np.ndarray] | None
     fc1_out: Tensor4
     dw_out: Tensor4
     gelu2: Tensor4
     fc2_out: Tensor4
-    # batch-norm caches (train mode only)
-    bn1_xhat: Tensor4 | None = None
-    bn1_inv: np.ndarray | None = None
-    bn2_xhat: Tensor4 | None = None
-    bn2_inv: np.ndarray | None = None
 
 
 @dataclass
@@ -180,17 +183,19 @@ class BlockOutput:
 
 
 def norm_forward(x, norm: NormParams, train: bool):
-    """``(y, xhat, inv_std)``: batch statistics when ``train``, else the stored
-    ones (and no batch-norm caches)."""
+    """``(y, cache)``: with ``train`` the batch's own statistics and the cache
+    ``(x_hat, inv_std)``, else the stored statistics and the cache ``None``."""
     if train:
-        return ops.batch_norm(x, norm.scale, norm.shift, NORM_EPS)
-    return ops.affine_channel_norm(x, norm.scale, norm.shift, norm.mean, norm.var, NORM_EPS), None, None
+        y, x_hat, inv_std = ops.batch_norm(x, norm.scale, norm.shift, NORM_EPS)
+        return y, (x_hat, inv_std)
+    return ops.affine_channel_norm(x, norm.scale, norm.shift, norm.mean, norm.var, NORM_EPS), None
 
 
-def norm_backward(grad, norm: NormParams, train: bool, x, xhat, inv):
-    """``(grad_x, grad_scale, grad_shift)`` of :func:`norm_forward`."""
-    if train:
-        return ops.batch_norm_backward(grad, xhat, inv, norm.scale)
+def norm_backward(grad, norm: NormParams, x, cache):
+    """``(grad_x, grad_scale, grad_shift)`` of :func:`norm_forward` on ``x``;
+    the cache it returned decides which statistics were used."""
+    if cache is not None:
+        return ops.batch_norm_backward(grad, *cache, norm.scale)
     return ops.affine_channel_norm_backward(grad, x, norm.scale, norm.mean, norm.var, NORM_EPS)
 
 
@@ -201,14 +206,14 @@ def block_forward(
     if x.shape[1] != params.c:
         raise ShapeError(f"block_forward: input has {x.shape[1]} channels, block expects {params.c}")
 
-    normed1, bn1_xhat, bn1_inv = norm_forward(x, params.norm1, train_norm)
+    normed1, norm1_cache = norm_forward(x, params.norm1, train_norm)
     pre_out = ops.pointwise_conv(normed1, params.pre_weight, params.pre_bias)
     gelu1 = ops.gelu(pre_out)
     lsk_out = lsk_forward(gelu1, params.lsk, keep_state=keep_state)
     post_out = ops.pointwise_conv(lsk_out.y, params.post_weight, params.post_bias)
     y1 = ops.elementwise(x, ops.channel_scale(post_out, params.scale1), "add")
 
-    normed2, bn2_xhat, bn2_inv = norm_forward(y1, params.norm2, train_norm)
+    normed2, norm2_cache = norm_forward(y1, params.norm2, train_norm)
     fc1_out = ops.pointwise_conv(normed2, params.fc1_weight, params.fc1_bias)
     dw_out = ops.depthwise_conv(fc1_out, params.ffn_dw_weight, params.ffn_dw_bias, _FFN_SPEC)
     gelu2 = ops.gelu(dw_out)
@@ -219,24 +224,20 @@ def block_forward(
     if keep_state:
         state = BlockState(
             params=params,
-            train_norm=train_norm,
             x=x,
             normed1=normed1,
+            norm1_cache=norm1_cache,
             pre_out=pre_out,
-            gelu1=gelu1,
             lsk_state=lsk_out.state,
             lsk_y=lsk_out.y,
             post_out=post_out,
             y1=y1,
             normed2=normed2,
+            norm2_cache=norm2_cache,
             fc1_out=fc1_out,
             dw_out=dw_out,
             gelu2=gelu2,
             fc2_out=fc2_out,
-            bn1_xhat=bn1_xhat,
-            bn1_inv=bn1_inv,
-            bn2_xhat=bn2_xhat,
-            bn2_inv=bn2_inv,
         )
     return BlockOutput(y=y, masks=lsk_out.masks, state=state)
 
@@ -264,7 +265,7 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
         grad_fc1_out, state.normed2, p.fc1_weight
     )
     g_y1_norm, grads["norm2.scale"], grads["norm2.shift"] = norm_backward(
-        grad_normed2, p.norm2, state.train_norm, state.y1, state.bn2_xhat, state.bn2_inv
+        grad_normed2, p.norm2, state.y1, state.norm2_cache
     )
     grad_y1 += g_y1_norm
 
@@ -281,7 +282,7 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
         grad_pre_out, state.normed1, p.pre_weight
     )
     g_x_norm, grads["norm1.scale"], grads["norm1.shift"] = norm_backward(
-        grad_normed1, p.norm1, state.train_norm, state.x, state.bn1_xhat, state.bn1_inv
+        grad_normed1, p.norm1, state.x, state.norm1_cache
     )
     grad_x += g_x_norm
     return grad_x, grads

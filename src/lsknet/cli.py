@@ -103,12 +103,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="overfit a tiny synthetic problem by gradient descent")
-    p.add_argument("--steps", type=int, default=500)
+    p.add_argument("--steps", type=int, default=None, help="default: lsknet.train.DEFAULT_STEPS")
     p.add_argument(
         "--lr", type=float, default=None, help="default: per --scope, from lsknet.train.DEFAULT_LR"
     )
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--scope", choices=("module", "head", "backbone"), default="module")
+    p.add_argument("--scope", choices=("module", "backbone"), default="module")
     p.set_defaults(func=cmd_train_toy)
 
     p = sub.add_parser("analyze", help="selection-behavior metrics from masks and annotations")
@@ -261,9 +261,10 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train_toy(args) -> int:
-    from .train import toy_train
+    from .train import DEFAULT_STEPS, toy_train
 
-    losses = toy_train(steps=args.steps, lr=args.lr, seed=args.seed, scope=args.scope)
+    steps = DEFAULT_STEPS if args.steps is None else args.steps
+    losses = toy_train(steps=steps, lr=args.lr, seed=args.seed, scope=args.scope)
     for step, loss in enumerate(losses):
         print(f"step {step:>4d}  loss={loss:.6e}")
     final = losses[-1]

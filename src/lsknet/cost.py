@@ -35,13 +35,13 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .backbone import DOWN_STRIDE_PADDING, STEM_STRIDE_PADDING, init_backbone_params
+from .backbone import init_backbone_params
 from .errors import ShapeError
 from .module import SelectionMode
 from .ops import ConvSpec, conv_out_size
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .backbone import BackboneConfig, DenseConvParams
+    from .backbone import BackboneConfig, ConvNormParams
     from .block import BlockParams, NormParams
     from .module import LskModuleParams
 
@@ -217,15 +217,13 @@ def cost_block(params: "BlockParams", h: int, w: int) -> CostReport:
     return combine([("lk_selection", selection), ("ffn", ffn)])
 
 
-def _cost_conv_norm(
-    conv: "DenseConvParams", norm: "NormParams", stride_padding: tuple[int, int], h: int, w: int
-) -> tuple[CostReport, int, int]:
-    """A dense conv and its norm at the conv's output resolution, plus that
+def _cost_conv_norm(p: "ConvNormParams", h: int, w: int) -> tuple[CostReport, int, int]:
+    """The stem or a downsampler at its conv's output resolution, plus that
     resolution."""
-    k = conv.weight.shape[2]
-    oh, ow = conv_out_size(h, k, *stride_padding), conv_out_size(w, k, *stride_padding)
+    k = p.weight.shape[2]
+    oh, ow = conv_out_size(h, k, p.stride, p.padding), conv_out_size(w, k, p.stride, p.padding)
     report = combine(
-        [("conv", _conv_leaf(conv.weight, conv.bias, oh * ow)), ("norm", cost_norm(norm, oh, ow))]
+        [("conv", _conv_leaf(p.weight, p.bias, oh * ow)), ("norm", cost_norm(p.norm, oh, ow))]
     )
     return report, oh, ow
 
@@ -234,22 +232,20 @@ def cost_backbone(config: "BackboneConfig", h: int, w: int) -> CostReport:
     """Whole-backbone cost at input resolution (h, w), read off the
     shape-only parameter tree of ``config`` (no weights are drawn).
 
-    The stem and the between-stage downsamplers are plain dense convolutions
-    (the only non-depth-wise convs in the network) and show up as their own
-    breakdown entries so their contribution to the totals is auditable.
+    The stem and the between-stage downsamplers are conv-norm layers (a dense
+    conv, then a norm) and show up as their own breakdown entries so their
+    contribution to the totals is auditable.
     """
     if h < 32 or w < 32:
         raise ShapeError(f"cost_backbone: input {h}x{w} below the 32x spatial ladder")
     params = init_backbone_params(config, seed=None)
-    stem, ch, cw = _cost_conv_norm(params.stem_conv, params.stem_norm, STEM_STRIDE_PADDING, h, w)
+    stem, ch, cw = _cost_conv_norm(params.stem, h, w)
     parts = [("stem", stem)]
     for i, blocks in enumerate(params.stages):
         stage = combine((f"block{j}", cost_block(bp, ch, cw)) for j, bp in enumerate(blocks))
         parts.append((f"stage{i + 1}", stage))
-        if i < len(params.down_convs):
-            down, ch, cw = _cost_conv_norm(
-                params.down_convs[i], params.down_norms[i], DOWN_STRIDE_PADDING, ch, cw
-            )
+        if i < len(params.downs):
+            down, ch, cw = _cost_conv_norm(params.downs[i], ch, cw)
             parts.append((f"down{i + 1}", down))
     return combine(parts)
 

@@ -38,7 +38,7 @@ from typing import BinaryIO, Mapping
 
 import numpy as np
 
-from .backbone import ActivationRecord
+from .backbone import MAX_ELEMENTS, ActivationRecord
 from .errors import (
     BadMagicError,
     DimOverflowError,
@@ -63,7 +63,6 @@ __all__ = [
 TENSOR_MAGIC = b"LSKT0001"
 WEIGHTS_MAGIC = b"LSKW0001"
 FORMAT_VERSION = 1  # the one manifest layout the readers know; a missing key means 1
-MAX_ELEMENTS = 1 << 31  # refuse absurd allocations before they happen
 _F4 = np.dtype("<f4")
 _TENSOR_HEADER = 40  # magic plus four u64 dims
 

@@ -186,19 +186,19 @@ def test_criterion_5_structural_invariants():
         np.testing.assert_array_equal(block_forward(xb, bp).y, xb)
 
         img = rng.uniform(-1, 1, size=(1, 3, 64, 64)).astype(np.float32)
-        out_t = backbone_forward(img, init_backbone_params(BackboneConfig.lsknet_t(), 0))
+        out_t = backbone_forward(img, init_backbone_params(BackboneConfig.variant("T"), 0))
         assert len(out_t.record.masks) == 13
         for masks in out_t.record.masks.values():
             assert masks.shape[1] == 2
-        out_s = backbone_forward(img, init_backbone_params(BackboneConfig.lsknet_s(), 0))
+        out_s = backbone_forward(img, init_backbone_params(BackboneConfig.variant("S"), 0))
         assert len(out_s.record.masks) == 10
 
 
 def test_criterion_6_count_reproduction():
     with criterion(6, "parameter/FLOP counts near published totals, fully attributed", 1.0):
-        rep_t = cost_backbone(BackboneConfig.lsknet_t(), 1024, 1024)
+        rep_t = cost_backbone(BackboneConfig.variant("T"), 1024, 1024)
         assert abs(rep_t.params - 4.3e6) / 4.3e6 < 0.20
-        rep_s = cost_backbone(BackboneConfig.lsknet_s(), 1024, 1024)
+        rep_s = cost_backbone(BackboneConfig.variant("S"), 1024, 1024)
         assert abs(rep_s.params - 14.4e6) / 14.4e6 < 0.20
         # the published complexity column counts fused multiply-adds, so the
         # comparison runs on the report's mac figure; the 2-flops-per-mac

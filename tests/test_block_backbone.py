@@ -95,16 +95,14 @@ class TestBlock:
 
 class TestBackboneConfig:
     def test_preset_t(self):
-        cfg = BackboneConfig.lsknet_t()
+        cfg = BackboneConfig.variant("T")
         assert cfg.channels == (32, 64, 160, 256)
         assert cfg.depths == (3, 3, 5, 2)
-        assert cfg.total_blocks == 13
 
     def test_preset_s(self):
-        cfg = BackboneConfig.lsknet_s()
+        cfg = BackboneConfig.variant("S")
         assert cfg.channels == (64, 128, 320, 512)
         assert cfg.depths == (2, 2, 4, 2)
-        assert cfg.total_blocks == 10
 
     def test_unknown_variant(self):
         with pytest.raises(ShapeError, match="variant"):
@@ -122,13 +120,19 @@ class TestBackboneConfig:
             ({"ffn_ratios": (8, 8, 4, float("-inf"))}, "ffn ratios"),
             ({"ffn_ratios": (-1, 8, 4, 4)}, "ffn ratios"),
             ({"ffn_ratios": (8, 0, 4, 4)}, "ffn ratios"),
-            ({"c_mid_divisor": 0}, "c_mid_divisor"),
-            ({"c_mid_divisor": -2}, "c_mid_divisor"),
+            # FFN weights over the readers' element limit (stage 1 has 32 channels)
+            ({"ffn_ratios": (1e300, 8, 4, 4)}, "FFN weight"),
+            ({"ffn_ratios": (8, 8, 4, 1e308)}, "FFN weight"),
+            ({"ffn_ratios": (2.0**21 + 1 / 32, 8, 4, 4)}, "FFN weight"),
         ],
     )
     def test_bad_widths_rejected(self, override, match):
         with pytest.raises(ShapeError, match=match):
             BackboneConfig.variant("T", **override)
+
+    def test_largest_ffn_weight_accepted(self):
+        # 2**21 * 32 hidden channels times 32 inputs is exactly MAX_ELEMENTS
+        BackboneConfig.variant("T", ffn_ratios=(2.0**21, 8, 4, 4))
 
 
 TINY = BackboneConfig(channels=(4, 4, 8, 8), depths=(1, 2, 1, 1), ffn_ratios=(2, 2, 2, 2))
@@ -136,7 +140,7 @@ TINY = BackboneConfig(channels=(4, 4, 8, 8), depths=(1, 2, 1, 1), ffn_ratios=(2,
 
 class TestBackboneForward:
     def test_lsknet_t_shape_ladder_and_mask_count(self, rng):
-        cfg = BackboneConfig.lsknet_t()
+        cfg = BackboneConfig.variant("T")
         params = init_backbone_params(cfg, seed=0)
         x = rng.uniform(-1, 1, size=(1, 3, 64, 64)).astype(np.float32)
         out = backbone_forward(x, params)
@@ -150,7 +154,7 @@ class TestBackboneForward:
         assert out.record.rf == (5, 23)
 
     def test_lsknet_s_mask_count(self, rng):
-        params = init_backbone_params(BackboneConfig.lsknet_s(), seed=0)
+        params = init_backbone_params(BackboneConfig.variant("S"), seed=0)
         x = rng.uniform(-1, 1, size=(1, 3, 64, 64)).astype(np.float32)
         out = backbone_forward(x, params)
         assert len(out.record.masks) == 10
@@ -300,22 +304,34 @@ class TestBackboneBackward:
             assert not np.shares_memory(arr, before[name]), name
         assert cast.config is params.config and cast.config == replace(TINY, selection_mode=mode)
 
-    def test_spot_check_against_finite_difference(self, rng):
-        """Full-chain sanity: three sampled parameters of a tiny backbone agree
-        with central differences in float64."""
+    @pytest.mark.parametrize("train_norm", [False, True])
+    def test_spot_check_against_finite_difference(self, rng, train_norm):
+        """Full-chain sanity: sampled parameters of a tiny backbone agree with
+        central differences in float64, with stored and with batch statistics
+        (batch 2, so the 1x1 stage-4 statistics are not degenerate).  The loss
+        weights the features at random: a plain sum of batch-normalized
+        features barely depends on anything before the norm."""
         params = backbone_params_astype(init_backbone_params(TINY, seed=2), np.float64)
         arrays = named_arrays(params)
-        x = rng.uniform(-0.5, 0.5, size=(1, 3, 32, 32))
+        x = rng.uniform(-0.5, 0.5, size=(2, 3, 32, 32))
+        weights = rng.standard_normal((2, 8, 1, 1))
 
         def loss():
-            return float(backbone_forward(x, params, keep_state=False).features[3].sum())
+            return float((backbone_forward(x, params, train_norm=train_norm).features[3] * weights).sum())
 
-        out = backbone_forward(x, params, keep_state=True)
-        _, grads = backbone_backward(np.ones_like(out.features[3]), out.state)
+        out = backbone_forward(x, params, keep_state=True, train_norm=train_norm)
+        _, grads = backbone_backward(weights, out.state)
 
         rng2 = np.random.default_rng(0)
         step = 1e-4
-        for name in ("stem.conv.weight", "stage2.block1.lsk.fuse.weight", "down3.conv.bias"):
+        names = (
+            "stem.conv.weight",
+            "stage1.block0.norm2.scale",
+            "down1.norm.shift",
+            "stage2.block1.lsk.fuse.weight",
+            "down3.conv.bias",
+        )
+        for name in names:
             arr = arrays[name]
             idx = tuple(rng2.integers(0, s) for s in arr.shape)
             original = arr[idx]
@@ -342,7 +358,7 @@ from lsknet.backbone import BackboneConfig, backbone_backward, backbone_forward,
 def digest(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
-params = init_backbone_params(BackboneConfig.lsknet_t(), seed=0)
+params = init_backbone_params(BackboneConfig.variant("T"), seed=0)
 x = np.random.default_rng(0).uniform(-1, 1, (1, 3, 256, 256)).astype(np.float32)
 out = backbone_forward(x, params, keep_state=True)
 grad_x, grads = backbone_backward(np.ones_like(out.features[3]), out.state)

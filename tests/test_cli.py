@@ -103,7 +103,7 @@ class TestCountCommand:
             main(["count", "--variant", "XL"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("ratios", ["nan,8,4,4", "8,inf,4,4", "-1,8,4,4", "0,8,4,4"])
+    @pytest.mark.parametrize("ratios", ["nan,8,4,4", "8,inf,4,4", "-1,8,4,4", "0,8,4,4", "1e300,8,4,4"])
     def test_bad_ffn_ratios_fail_with_error_line(self, capsys, ratios):
         assert main(["count", "--variant", "T", f"--ffn-ratios={ratios}"]) == 1
         captured = capsys.readouterr()
@@ -235,6 +235,13 @@ class TestTrainToyCommand:
     def test_divergent_lr_reports_step(self, capsys):
         assert main(["train-toy", "--steps", "50", "--lr", "50", "--seed", "0"]) == 1
         assert "non-finite" in capsys.readouterr().err
+
+    def test_head_scope_is_usage_error(self):
+        """The frozen-feature head fit cannot reach the 1e-2 rule by plain
+        descent, so the CLI does not offer it; the library still does."""
+        with pytest.raises(SystemExit) as exc:
+            main(["train-toy", "--scope", "head"])
+        assert exc.value.code == 2
 
     def test_backbone_default_lr_trains(self, capsys):
         main(["train-toy", "--scope", "backbone", "--steps", "20", "--seed", "0"])

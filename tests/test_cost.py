@@ -24,7 +24,7 @@ from lsknet.cost import (
     report_to_kv,
     report_to_text,
 )
-from lsknet.module import init_lsk_params
+from lsknet.module import SelectionMode, init_lsk_params
 from lsknet.ops import ConvSpec
 from lsknet.plan import validate_plan
 
@@ -107,21 +107,21 @@ class TestBlockAndBackbone:
         assert set(names) == {"lk_selection", "ffn"}
 
     def test_lsknet_t_params_within_20_percent(self):
-        rep = cost_backbone(BackboneConfig.lsknet_t(), 1024, 1024)
+        rep = cost_backbone(BackboneConfig.variant("T"), 1024, 1024)
         assert abs(rep.params - 4.3e6) / 4.3e6 < 0.20
 
     def test_lsknet_s_params_within_20_percent(self):
-        rep = cost_backbone(BackboneConfig.lsknet_s(), 1024, 1024)
+        rep = cost_backbone(BackboneConfig.variant("S"), 1024, 1024)
         assert abs(rep.params - 14.4e6) / 14.4e6 < 0.20
 
     def test_lsknet_s_macs_within_25_percent_of_published(self):
-        rep = cost_backbone(BackboneConfig.lsknet_s(), 1024, 1024)
+        rep = cost_backbone(BackboneConfig.variant("S"), 1024, 1024)
         assert abs(rep.macs - 54.4e9) / 54.4e9 < 0.25
         # the 2-flops-per-mac convention is visible in the totals
         assert rep.flops > rep.macs
 
     def test_doubling_resolution_exactly_quadruples_flops(self):
-        cfg = BackboneConfig.lsknet_t()
+        cfg = BackboneConfig.variant("T")
         a = cost_backbone(cfg, 1024, 1024)
         b = cost_backbone(cfg, 2048, 2048)
         assert b.flops == 4 * a.flops
@@ -129,13 +129,13 @@ class TestBlockAndBackbone:
         assert b.params == a.params
 
     def test_reports_are_pure_functions(self):
-        cfg = BackboneConfig.lsknet_s()
+        cfg = BackboneConfig.variant("S")
         a = cost_backbone(cfg, 512, 512)
         b = cost_backbone(cfg, 512, 512)
         assert (a.params, a.flops, a.macs) == (b.params, b.flops, b.macs)
 
     def test_backbone_breakdown_sums_and_components(self):
-        rep = cost_backbone(BackboneConfig.lsknet_t(), 256, 256)
+        rep = cost_backbone(BackboneConfig.variant("T"), 256, 256)
         rep.validate()
         names = [name for name, _ in rep.breakdown]
         assert names == [
@@ -220,14 +220,10 @@ def forward_macs(params, h, w):
         st.sampled_from([0.1, 0.4, 0.5, 1.0, 1.5, 4.0]), min_size=4, max_size=4
     ),
     mode=st.sampled_from(["spatial", "channel", "none"]),
-    c_mid_divisor=st.integers(min_value=1, max_value=4),
     pooling=st.sampled_from([("avg", "max"), ("avg",), ("max",)]),
-    select_kernel=st.sampled_from([3, 5, 7]),
     plan=st.sampled_from(PLANS),
 )
-def test_backbone_params_match_initialised_arrays(
-    channels, ffn_ratios, mode, c_mid_divisor, pooling, select_kernel, plan
-):
+def test_backbone_params_match_initialised_arrays(channels, ffn_ratios, mode, pooling, plan):
     """The cost model's parameter count is the size of every learnable array
     the initialiser makes (norm running statistics are buffers), including
     widths where c // 2 or ffn_ratio * c round to zero; its MAC count is the
@@ -239,8 +235,6 @@ def test_backbone_params_match_initialised_arrays(
         plan=validate_plan(plan),
         selection_mode=mode,
         pooling=pooling,
-        select_kernel=select_kernel,
-        c_mid_divisor=c_mid_divisor,
     )
     params = init_backbone_params(cfg, seed=0)
     arrays = named_arrays(params)
@@ -256,3 +250,23 @@ def test_backbone_params_match_initialised_arrays(
             assert a.shape == arrays[name].shape
             assert set(a.strides) == {0} and not a.flags.writeable
             assert not a.any()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    c=st.integers(min_value=1, max_value=12),
+    c_mid=st.integers(min_value=1, max_value=12),
+    select_kernel=st.sampled_from([1, 3, 5, 7]),
+    mode=st.sampled_from(list(SelectionMode)),
+    pooling=st.sampled_from([("avg", "max"), ("avg",), ("max",)]),
+    plan=st.sampled_from(PLANS),
+)
+def test_module_params_match_initialised_arrays(c, c_mid, select_kernel, mode, pooling, plan):
+    """Any branch width and selection kernel, not only the backbone's c // 2
+    and 7: the module walk over the shape-only tree counts exactly the
+    learnable array sizes of the seeded module."""
+    plan = validate_plan(plan)
+    seeded = init_lsk_params(plan, c, c_mid, select_kernel, pooling, mode, np.random.default_rng(0))
+    report = cost_lsk_module(init_lsk_params(plan, c, c_mid, select_kernel, pooling, mode), 5, 7)
+    assert report.params == sum(a.size for _, a in seeded.parameter_arrays())
+    report.validate()

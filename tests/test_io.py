@@ -190,7 +190,7 @@ class TestWeights:
         """Each tensor is read straight into its own array: no whole-payload
         buffer is held beside the arrays."""
         path = tmp_path / "t.lskw"
-        write_weights(path, named_arrays(init_backbone_params(BackboneConfig.lsknet_t(), seed=0)))
+        write_weights(path, named_arrays(init_backbone_params(BackboneConfig.variant("T"), seed=0)))
         size = path.stat().st_size
         started = not tracemalloc.is_tracing()
         if started:
