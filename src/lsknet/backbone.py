@@ -3,7 +3,8 @@
 Layout: a 7x7 stride-4 stem, then four stages of blocks at spatial reductions
 4, 8, 16 and 32, joined by 3x3 stride-2 downsamplers.  The stem and the
 downsamplers are one conv-norm layer (:class:`ConvNormParams`, the released
-code's ``OverlapPatchEmbed``) with one forward and one backward function.
+code's ``OverlapPatchEmbed``: a :class:`~lsknet.module.ConvParams` conv, a
+norm and a stride) with one forward and one backward function.
 Named presets follow the two published variants:
 
 * ``T``: channels (32, 64, 160, 256), depths (3, 3, 5, 2)
@@ -12,6 +13,11 @@ Named presets follow the two published variants:
 Every forward pass can capture the per-block spatial selection masks into an
 :class:`ActivationRecord`, keyed ``(stage, depth)`` with 1-based indices to
 match the ``B_<stage>_<depth>`` naming used by the mask export files.
+
+:func:`named_arrays` lays the layers out as stem, stage 1, down1, stage 2, ...
+and reads the names below each layer's prefix off its field tree
+(:func:`~lsknet.module.parameter_arrays`).  A configuration holding any array
+over :data:`MAX_ELEMENTS` values is refused, since no weight file could hold it.
 """
 
 from __future__ import annotations
@@ -33,10 +39,18 @@ from .block import (
     init_block_params,
     norm_backward,
     norm_forward,
-    prefixed,
 )
 from .errors import ShapeError, WeightMismatchError
-from .module import SelectionMode, fan_in_uniform, normalize_pooling, params_astype, params_map
+from .module import (
+    ConvParams,
+    SelectionMode,
+    init_conv,
+    normalize_pooling,
+    parameter_arrays,
+    params_astype,
+    params_map,
+    prefixed,
+)
 from .ops import Tensor4
 from .plan import DecompositionPlan, validate_plan
 
@@ -96,6 +110,10 @@ class BackboneConfig:
                 )
         object.__setattr__(self, "pooling", normalize_pooling(self.pooling))
         object.__setattr__(self, "selection_mode", SelectionMode(self.selection_mode))
+        # the FFN check above bounds the widths, so this tree can be built
+        for name, arr in named_arrays(init_backbone_params(self, seed=None)).items():
+            if arr.size > MAX_ELEMENTS:
+                raise ShapeError(f"BackboneConfig: {name} would hold {arr.size} values, over {MAX_ELEMENTS}")
 
     @classmethod
     def variant(cls, name: str, **overrides) -> "BackboneConfig":
@@ -135,30 +153,17 @@ class ActivationRecord:
 class ConvNormParams:
     """A dense k x k conv at ``stride`` with padding k // 2, then a norm."""
 
-    weight: np.ndarray  # (c_out, c_in, k, k)
-    bias: np.ndarray
+    conv: ConvParams  # weight (c_out, c_in, k, k)
     norm: NormParams
     stride: int
 
     @property
     def padding(self) -> int:
-        return self.weight.shape[2] // 2
-
-    def parameter_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [
-            ("conv.weight", self.weight),
-            ("conv.bias", self.bias),
-            *prefixed("norm", self.norm.parameter_arrays()),
-        ]
+        return self.conv.weight.shape[2] // 2
 
 
 def _init_conv_norm(rng, c_in: int, c_out: int, k: int, stride: int) -> ConvNormParams:
-    return ConvNormParams(
-        weight=fan_in_uniform(rng, (c_out, c_in, k, k), c_in * k * k),
-        bias=np.zeros(c_out, dtype=np.float32),
-        norm=NormParams.identity(c_out),
-        stride=stride,
-    )
+    return ConvNormParams(init_conv(rng, (c_out, c_in, k, k), c_in * k * k), NormParams.identity(c_out), stride)
 
 
 @dataclass
@@ -207,12 +212,12 @@ def backbone_params_astype(params: BackboneParams, dtype) -> BackboneParams:
 
 def named_arrays(params: BackboneParams) -> dict[str, np.ndarray]:
     """Stable dotted-name view of every tensor in the backbone."""
-    out = dict(prefixed("stem", params.stem.parameter_arrays()))
+    out = dict(prefixed("stem", parameter_arrays(params.stem)))
     for i, blocks in enumerate(params.stages):
         for j, bp in enumerate(blocks):
-            out.update(prefixed(f"stage{i + 1}.block{j}", bp.parameter_arrays()))
+            out.update(prefixed(f"stage{i + 1}.block{j}", parameter_arrays(bp)))
         if i < 3:
-            out.update(prefixed(f"down{i + 1}", params.downs[i].parameter_arrays()))
+            out.update(prefixed(f"down{i + 1}", parameter_arrays(params.downs[i])))
     return out
 
 
@@ -306,7 +311,7 @@ def backbone_forward(
 def _conv_norm_forward(x: Tensor4, p: ConvNormParams, train_norm: bool, keep_state: bool):
     """``(y, state)`` of the stem or a downsampler; ``state`` is ``None``
     unless ``keep_state``."""
-    conv_out = ops.conv2d(x, p.weight, p.bias, p.stride, p.padding)
+    conv_out = ops.conv2d(x, p.conv.weight, p.conv.bias, p.stride, p.padding)
     y, norm_cache = norm_forward(conv_out, p.norm, train_norm)
     return y, (_ConvNormState(p, x, conv_out, norm_cache) if keep_state else None)
 
@@ -316,7 +321,7 @@ def _conv_norm_backward(grad: Tensor4, state: _ConvNormState) -> tuple[Tensor4, 
     ``norm.*``."""
     p = state.params
     g_conv, g_scale, g_shift = norm_backward(grad, p.norm, state.conv_out, state.norm_cache)
-    g_in, g_w, g_b = ops.conv2d_backward(g_conv, state.x, p.weight, p.stride, p.padding)
+    g_in, g_w, g_b = ops.conv2d_backward(g_conv, state.x, p.conv.weight, p.stride, p.padding)
     return g_in, {"norm.scale": g_scale, "norm.shift": g_shift, "conv.weight": g_w, "conv.bias": g_b}
 
 

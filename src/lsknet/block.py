@@ -10,14 +10,18 @@ whole block into the identity map.
 Normalization uses stored per-channel statistics by default; ``train_norm``
 switches to the batch's own statistics (used by the toy trainer).  The norm
 cache, ``(x_hat, inv_std)`` or ``None`` for stored statistics, tells the
-backward which path to take.  Every width is read off the arrays, and the
-selection module carries its own mode and pooling set, so
-:func:`block_forward` takes only the input and the parameters.
+backward which path to take.  Every conv is one
+:class:`~lsknet.module.ConvParams` leaf and every width is read off the
+arrays; the selection module carries its own mode and pooling set, so
+:func:`block_forward` takes only the input and the parameters.  The weight
+names below a block's prefix are read off its field tree
+(:func:`~lsknet.module.parameter_arrays`: ``pre.weight``, ``ffn.fc1.bias``,
+``norm2.var``, ...).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -25,19 +29,22 @@ import numpy as np
 from . import ops
 from .errors import ShapeError
 from .module import (
+    ConvParams,
     LskModuleParams,
     LskState,
     SelectionMode,
-    fan_in_uniform,
+    init_conv,
     init_lsk_params,
     lsk_backward,
     lsk_forward,
+    prefixed,
 )
 from .ops import ConvSpec, Tensor4
 from .plan import DecompositionPlan
 
 __all__ = [
     "NormParams",
+    "FfnParams",
     "BlockParams",
     "BlockOutput",
     "ffn_width",
@@ -67,57 +74,28 @@ class NormParams:
             var=np.ones(c, dtype=dtype),
         )
 
-    def parameter_arrays(self) -> list[tuple[str, np.ndarray]]:
-        return [(f.name, getattr(self, f.name)) for f in fields(self)]
 
-
-def prefixed(prefix: str, listing) -> list[tuple[str, np.ndarray]]:
-    """``(name, array)`` pairs with ``prefix.`` put before every name."""
-    return [(f"{prefix}.{name}", arr) for name, arr in listing]
+@dataclass
+class FfnParams:
+    fc1: ConvParams  # weight (hidden, c)
+    dw: ConvParams  # weight (hidden, 3, 3)
+    fc2: ConvParams  # weight (c, hidden)
 
 
 @dataclass
 class BlockParams:
     norm1: NormParams
-    pre_weight: np.ndarray  # (c, c)
-    pre_bias: np.ndarray
+    pre: ConvParams  # weight (c, c)
     lsk: LskModuleParams
-    post_weight: np.ndarray  # (c, c)
-    post_bias: np.ndarray
+    post: ConvParams  # weight (c, c)
     scale1: np.ndarray  # (c,)
     norm2: NormParams
-    fc1_weight: np.ndarray  # (hidden, c)
-    fc1_bias: np.ndarray
-    ffn_dw_weight: np.ndarray  # (hidden, 3, 3)
-    ffn_dw_bias: np.ndarray
-    fc2_weight: np.ndarray  # (c, hidden)
-    fc2_bias: np.ndarray
+    ffn: FfnParams
     scale2: np.ndarray  # (c,)
 
     @property
     def c(self) -> int:
         return int(self.scale1.size)
-
-    def parameter_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Stable (name, array) listing of every stored array, the norm
-        statistics included: the weight-file names below the block prefix."""
-        return [
-            *prefixed("norm1", self.norm1.parameter_arrays()),
-            ("pre.weight", self.pre_weight),
-            ("pre.bias", self.pre_bias),
-            *prefixed("lsk", self.lsk.parameter_arrays()),
-            ("post.weight", self.post_weight),
-            ("post.bias", self.post_bias),
-            ("scale1", self.scale1),
-            *prefixed("norm2", self.norm2.parameter_arrays()),
-            ("ffn.fc1.weight", self.fc1_weight),
-            ("ffn.fc1.bias", self.fc1_bias),
-            ("ffn.dw.weight", self.ffn_dw_weight),
-            ("ffn.dw.bias", self.ffn_dw_bias),
-            ("ffn.fc2.weight", self.fc2_weight),
-            ("ffn.fc2.bias", self.fc2_bias),
-            ("scale2", self.scale2),
-        ]
 
 
 def ffn_width(c: int, ffn_ratio: float) -> int:
@@ -139,19 +117,16 @@ def init_block_params(
     hidden = ffn_width(c, ffn_ratio)
     return BlockParams(
         norm1=NormParams.identity(c),
-        pre_weight=fan_in_uniform(rng, (c, c), c),
-        pre_bias=np.zeros(c, dtype=np.float32),
+        pre=init_conv(rng, (c, c), c),
         lsk=init_lsk_params(plan, c, c_mid, select_kernel, pooling, mode, rng),
-        post_weight=fan_in_uniform(rng, (c, c), c),
-        post_bias=np.zeros(c, dtype=np.float32),
+        post=init_conv(rng, (c, c), c),
         scale1=np.full(c, RESIDUAL_SCALE_INIT, dtype=np.float32),
         norm2=NormParams.identity(c),
-        fc1_weight=fan_in_uniform(rng, (hidden, c), c),
-        fc1_bias=np.zeros(hidden, dtype=np.float32),
-        ffn_dw_weight=fan_in_uniform(rng, (hidden, 3, 3), 9),
-        ffn_dw_bias=np.zeros(hidden, dtype=np.float32),
-        fc2_weight=fan_in_uniform(rng, (c, hidden), hidden),
-        fc2_bias=np.zeros(c, dtype=np.float32),
+        ffn=FfnParams(
+            fc1=init_conv(rng, (hidden, c), c),
+            dw=init_conv(rng, (hidden, 3, 3), 9),
+            fc2=init_conv(rng, (c, hidden), hidden),
+        ),
         scale2=np.full(c, RESIDUAL_SCALE_INIT, dtype=np.float32),
     )
 
@@ -207,17 +182,18 @@ def block_forward(
         raise ShapeError(f"block_forward: input has {x.shape[1]} channels, block expects {params.c}")
 
     normed1, norm1_cache = norm_forward(x, params.norm1, train_norm)
-    pre_out = ops.pointwise_conv(normed1, params.pre_weight, params.pre_bias)
+    pre_out = ops.pointwise_conv(normed1, params.pre.weight, params.pre.bias)
     gelu1 = ops.gelu(pre_out)
     lsk_out = lsk_forward(gelu1, params.lsk, keep_state=keep_state)
-    post_out = ops.pointwise_conv(lsk_out.y, params.post_weight, params.post_bias)
+    post_out = ops.pointwise_conv(lsk_out.y, params.post.weight, params.post.bias)
     y1 = ops.elementwise(x, ops.channel_scale(post_out, params.scale1), "add")
 
     normed2, norm2_cache = norm_forward(y1, params.norm2, train_norm)
-    fc1_out = ops.pointwise_conv(normed2, params.fc1_weight, params.fc1_bias)
-    dw_out = ops.depthwise_conv(fc1_out, params.ffn_dw_weight, params.ffn_dw_bias, _FFN_SPEC)
+    ffn = params.ffn
+    fc1_out = ops.pointwise_conv(normed2, ffn.fc1.weight, ffn.fc1.bias)
+    dw_out = ops.depthwise_conv(fc1_out, ffn.dw.weight, ffn.dw.bias, _FFN_SPEC)
     gelu2 = ops.gelu(dw_out)
-    fc2_out = ops.pointwise_conv(gelu2, params.fc2_weight, params.fc2_bias)
+    fc2_out = ops.pointwise_conv(gelu2, ffn.fc2.weight, ffn.fc2.bias)
     y = ops.elementwise(y1, ops.channel_scale(fc2_out, params.scale2), "add")
 
     state = None
@@ -243,9 +219,9 @@ def block_forward(
 
 
 def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[str, np.ndarray]]:
-    """Returns ``(grad_x, grads)``: ``grads`` is keyed by the names of
-    :meth:`BlockParams.parameter_arrays` and covers every learnable array
-    (all but the stored norm statistics)."""
+    """Returns ``(grad_x, grads)``: ``grads`` is keyed by the names
+    :func:`~lsknet.module.parameter_arrays` reads off the block and covers
+    every learnable array (all but the stored norm statistics)."""
     p = state.params
     if grad_y.shape != state.x.shape:
         raise ShapeError(f"block_backward: grad_y {grad_y.shape} != input {state.x.shape}")
@@ -255,14 +231,14 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
     grad_y1 = grad_y.copy()
     grad_fc2_out, grads["scale2"] = ops.channel_scale_backward(grad_y, state.fc2_out, p.scale2)
     grad_gelu2, grads["ffn.fc2.weight"], grads["ffn.fc2.bias"] = ops.pointwise_conv_backward(
-        grad_fc2_out, state.gelu2, p.fc2_weight
+        grad_fc2_out, state.gelu2, p.ffn.fc2.weight
     )
     grad_dw_out = ops.gelu_backward(grad_gelu2, state.dw_out)
     grad_fc1_out, grads["ffn.dw.weight"], grads["ffn.dw.bias"] = ops.depthwise_conv_backward(
-        grad_dw_out, state.fc1_out, p.ffn_dw_weight, _FFN_SPEC
+        grad_dw_out, state.fc1_out, p.ffn.dw.weight, _FFN_SPEC
     )
     grad_normed2, grads["ffn.fc1.weight"], grads["ffn.fc1.bias"] = ops.pointwise_conv_backward(
-        grad_fc1_out, state.normed2, p.fc1_weight
+        grad_fc1_out, state.normed2, p.ffn.fc1.weight
     )
     g_y1_norm, grads["norm2.scale"], grads["norm2.shift"] = norm_backward(
         grad_normed2, p.norm2, state.y1, state.norm2_cache
@@ -273,13 +249,13 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
     grad_x = grad_y1.copy()
     grad_post_out, grads["scale1"] = ops.channel_scale_backward(grad_y1, state.post_out, p.scale1)
     grad_lsk_y, grads["post.weight"], grads["post.bias"] = ops.pointwise_conv_backward(
-        grad_post_out, state.lsk_y, p.post_weight
+        grad_post_out, state.lsk_y, p.post.weight
     )
     grad_gelu1, lsk_grads = lsk_backward(grad_lsk_y, state.lsk_state)
     grads.update(prefixed("lsk", lsk_grads.items()))
     grad_pre_out = ops.gelu_backward(grad_gelu1, state.pre_out)
     grad_normed1, grads["pre.weight"], grads["pre.bias"] = ops.pointwise_conv_backward(
-        grad_pre_out, state.normed1, p.pre_weight
+        grad_pre_out, state.normed1, p.pre.weight
     )
     g_x_norm, grads["norm1.scale"], grads["norm1.shift"] = norm_backward(
         grad_normed1, p.norm1, state.x, state.norm1_cache

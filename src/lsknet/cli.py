@@ -161,7 +161,7 @@ def cmd_validate(args) -> int:
 
     plan = validate_plan(args.stages)
     for spec, rf in zip(plan.stages, plan.rf_per_stage):
-        print(f"(k={spec.k}, d={spec.d})  span={spec.span:>4}  rf={rf}")
+        print(f"(k={spec.kernel}, d={spec.dilation})  span={spec.span:>4}  rf={rf}")
     print(f"valid: {plan}  final rf={plan.rf}")
     return EXIT_OK
 

@@ -14,9 +14,9 @@ Counting rules (also embedded in every report's ``conventions`` field):
   and shift, residual scales.  Norm running statistics are buffers, not
   parameters.
 * ``flops`` treats one multiply-accumulate as 2 flops.  A conv component
-  contributes ``2 * out_h * out_w * params`` where params includes its bias
-  when biases are counted, so the flops/params ratio of any conv component is
-  exactly ``2 * h * w`` at its operating resolution.  Dilation never changes
+  contributes ``2 * out_h * out_w * params`` where params includes its bias,
+  so the flops/params ratio of any conv component is exactly ``2 * h * w`` at
+  its operating resolution.  Dilation never changes
   cost.
 * ``macs`` is the fused multiply-add count over conv weights only (biases,
   norms and activations excluded).  This is the figure comparable to the
@@ -43,7 +43,7 @@ from .ops import ConvSpec, conv_out_size
 if TYPE_CHECKING:  # pragma: no cover
     from .backbone import BackboneConfig, ConvNormParams
     from .block import BlockParams, NormParams
-    from .module import LskModuleParams
+    from .module import ConvParams, LskModuleParams
 
 __all__ = [
     "CONVENTIONS",
@@ -120,25 +120,23 @@ def _conv_cost(weights: int, biases: int, out_hw: int) -> CostReport:
     return CostReport(params=params, flops=2 * out_hw * params, macs=out_hw * weights)
 
 
-def _conv_leaf(weight: np.ndarray, bias: np.ndarray, out_hw: int) -> CostReport:
+def _conv_leaf(conv: "ConvParams", out_hw: int) -> CostReport:
     """A conv read off its arrays, evaluated at ``out_hw`` output pixels."""
-    return _conv_cost(weight.size, bias.size, out_hw)
+    return _conv_cost(conv.weight.size, conv.bias.size, out_hw)
 
 
-def cost_depthwise(c: int, spec: ConvSpec, h: int, w: int, include_bias: bool = True) -> CostReport:
-    """Depth-wise conv: c * k^2 weights (+c bias); dilation is free."""
-    return _conv_cost(c * spec.kernel * spec.kernel, c if include_bias else 0, h * w)
+def cost_depthwise(c: int, spec: ConvSpec, h: int, w: int) -> CostReport:
+    """Depth-wise conv: c * k^2 weights plus c biases; dilation is free."""
+    return _conv_cost(c * spec.kernel * spec.kernel, c, h * w)
 
 
-def cost_pointwise(c_in: int, c_out: int, h: int, w: int, include_bias: bool = True) -> CostReport:
-    return _conv_cost(c_out * c_in, c_out if include_bias else 0, h * w)
+def cost_pointwise(c_in: int, c_out: int, h: int, w: int) -> CostReport:
+    return _conv_cost(c_out * c_in, c_out, h * w)
 
 
-def cost_conv2d(
-    c_in: int, c_out: int, k: int, out_h: int, out_w: int, include_bias: bool = True
-) -> CostReport:
+def cost_conv2d(c_in: int, c_out: int, k: int, out_h: int, out_w: int) -> CostReport:
     """Dense conv evaluated at its *output* resolution (covers strided layers)."""
-    return _conv_cost(c_out * c_in * k * k, c_out if include_bias else 0, out_h * out_w)
+    return _conv_cost(c_out * c_in * k * k, c_out, out_h * out_w)
 
 
 def cost_norm(norm: "NormParams", h: int, w: int) -> CostReport:
@@ -166,19 +164,19 @@ def cost_lsk_module(params: "LskModuleParams", h: int, w: int) -> CostReport:
     hw = h * w
     n = params.n_kernels
     c, c_mid = params.c_in, params.c_mid
-    convs = [(f"dw{i}", _conv_leaf(params.dw_weights[i], params.dw_biases[i], hw)) for i in range(n)]
-    convs += [(f"mix{i}", _conv_leaf(params.mix_weights[i], params.mix_biases[i], hw)) for i in range(n)]
+    convs = [(f"dw{i}", _conv_leaf(conv, hw)) for i, conv in enumerate(params.dw)]
+    convs += [(f"mix{i}", _conv_leaf(conv, hw)) for i, conv in enumerate(params.mix)]
     if params.mode is SelectionMode.SPATIAL:
-        convs.append(("select", _conv_leaf(params.select_weight, params.select_bias, hw)))
-    convs.append(("fuse", _conv_leaf(params.fuse_weight, params.fuse_bias, hw)))
+        convs.append(("select", _conv_leaf(params.select, hw)))
+    convs.append(("fuse", _conv_leaf(params.fuse, hw)))
     parts = [("convs", combine(convs))]
     if params.mode is SelectionMode.SPATIAL:
         parts.append(("pool", cost_elementwise(n * c_mid, h, w, n_ops=len(params.pooling))))
         parts.append(("mask_sigmoid", cost_activation(n, h, w)))
         parts.append(("weighting", cost_elementwise(n * c_mid, h, w, n_ops=2)))
     elif params.mode is SelectionMode.CHANNEL:
-        parts.append(("cs_squeeze", _conv_leaf(params.cs.squeeze_weight, params.cs.squeeze_bias, 1)))
-        parts.append(("cs_expand", _conv_leaf(params.cs.expand_weight, params.cs.expand_bias, 1)))
+        parts.append(("cs_squeeze", _conv_leaf(params.cs_squeeze, 1)))
+        parts.append(("cs_expand", _conv_leaf(params.cs_expand, 1)))
         parts.append(("cs_pool", cost_elementwise(n * c_mid, h, w)))
         parts.append(("cs_softmax", CostReport(params=0, flops=2 * n * c_mid)))
         parts.append(("weighting", cost_elementwise(n * c_mid, h, w, n_ops=2)))
@@ -191,14 +189,14 @@ def cost_lsk_module(params: "LskModuleParams", h: int, w: int) -> CostReport:
 def cost_block(params: "BlockParams", h: int, w: int) -> CostReport:
     """One backbone block: LK-selection sub-block plus FFN sub-block."""
     hw = h * w
-    c, hidden = params.scale1.size, params.fc1_weight.shape[0]
+    c, hidden = params.scale1.size, params.ffn.fc1.weight.shape[0]
     selection = combine(
         [
             ("norm1", cost_norm(params.norm1, h, w)),
-            ("pre", _conv_leaf(params.pre_weight, params.pre_bias, hw)),
+            ("pre", _conv_leaf(params.pre, hw)),
             ("gelu", cost_activation(c, h, w)),
             ("lsk", cost_lsk_module(params.lsk, h, w)),
-            ("post", _conv_leaf(params.post_weight, params.post_bias, hw)),
+            ("post", _conv_leaf(params.post, hw)),
             ("scale", _cost_scale(params.scale1, h, w)),
             ("residual", cost_elementwise(c, h, w)),
         ]
@@ -206,10 +204,10 @@ def cost_block(params: "BlockParams", h: int, w: int) -> CostReport:
     ffn = combine(
         [
             ("norm2", cost_norm(params.norm2, h, w)),
-            ("fc1", _conv_leaf(params.fc1_weight, params.fc1_bias, hw)),
-            ("dw", _conv_leaf(params.ffn_dw_weight, params.ffn_dw_bias, hw)),
+            ("fc1", _conv_leaf(params.ffn.fc1, hw)),
+            ("dw", _conv_leaf(params.ffn.dw, hw)),
             ("gelu", cost_activation(hidden, h, w)),
-            ("fc2", _conv_leaf(params.fc2_weight, params.fc2_bias, hw)),
+            ("fc2", _conv_leaf(params.ffn.fc2, hw)),
             ("scale", _cost_scale(params.scale2, h, w)),
             ("residual", cost_elementwise(c, h, w)),
         ]
@@ -220,11 +218,9 @@ def cost_block(params: "BlockParams", h: int, w: int) -> CostReport:
 def _cost_conv_norm(p: "ConvNormParams", h: int, w: int) -> tuple[CostReport, int, int]:
     """The stem or a downsampler at its conv's output resolution, plus that
     resolution."""
-    k = p.weight.shape[2]
+    k = p.conv.weight.shape[2]
     oh, ow = conv_out_size(h, k, p.stride, p.padding), conv_out_size(w, k, p.stride, p.padding)
-    report = combine(
-        [("conv", _conv_leaf(p.weight, p.bias, oh * ow)), ("norm", cost_norm(p.norm, oh, ow))]
-    )
+    report = combine([("conv", _conv_leaf(p.conv, oh * ow)), ("norm", cost_norm(p.norm, oh, ow))])
     return report, oh, ow
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import ops
 from .block import block_backward, block_forward, init_block_params
-from .module import SelectionMode, init_lsk_params, lsk_backward, lsk_forward, params_astype
+from .module import SelectionMode, init_lsk_params, lsk_backward, lsk_forward, parameter_arrays, params_astype
 from .plan import validate_plan
 
 __all__ = ["CheckResult", "available_checks", "run_check", "run_suite", "TOLERANCE", "FD_STEP"]
@@ -143,12 +143,12 @@ def _layer_case(rng, params, forward, backward, cat_of=None) -> _Case:
 
     ``forward(x, params)`` returns an output with ``y`` and ``state``, and
     ``backward(grad_y, state)`` returns ``(grad_x, grads)`` keyed by the names
-    of ``params.parameter_arrays()``; the arrays it returns a gradient for are
+    of ``parameter_arrays(params)``; the arrays it returns a gradient for are
     the learnables, drawn after the input in listing order.  ``cat_of(state)``
     is the input of a channel max-pool whose winners must stay well separated
     from the FD step.
     """
-    arrays = dict(params.parameter_arrays())
+    arrays = dict(parameter_arrays(params))
     inputs: dict[str, np.ndarray] = {"x": _uniform(rng, (1, 4, 5, 5))}
     out = forward(inputs["x"], params)
     learnable = backward(np.zeros_like(out.y), out.state)[1]

@@ -15,9 +15,13 @@ Forward pipeline (spatial selection, the reference mode):
 ``channel`` mode swaps step 3-4 for squeeze-excite style per-channel branch
 weights with a softmax across branches, and ``none`` sums the branches
 unweighted; both exist for comparison runs.  A module's mode is read off the
-arrays it holds (a selection conv means spatial, ``cs`` means channel,
-neither means none), and a spatial module stores its own pooling set, so
-:func:`lsk_forward` takes only the input and the parameters.
+convs it holds (a selection conv means spatial, the squeeze and expand convs
+mean channel, neither means none), and a spatial module stores its own
+pooling set, so :func:`lsk_forward` takes only the input and the parameters.
+
+Every conv is one :class:`ConvParams` leaf, and :func:`parameter_arrays`
+reads the weight-file names of any layer off its field tree (``dw0.weight``,
+``fuse.bias``, ...).
 """
 
 from __future__ import annotations
@@ -31,19 +35,21 @@ import numpy as np
 from . import ops
 from .errors import ShapeError
 from .plan import DecompositionPlan
-from .ops import ConvSpec, Tensor4
+from .ops import Tensor4
 
 __all__ = [
     "SelectionMode",
-    "ChannelSelectParams",
+    "ConvParams",
     "LskModuleParams",
     "LskOutput",
     "normalize_pooling",
+    "init_conv",
     "init_lsk_params",
     "lsk_forward",
     "lsk_backward",
     "params_map",
     "params_astype",
+    "parameter_arrays",
 ]
 
 POOL_ORDER = ("avg", "max")
@@ -67,13 +73,11 @@ def normalize_pooling(pooling: Sequence[str]) -> tuple[str, ...]:
 
 
 @dataclass
-class ChannelSelectParams:
-    """Squeeze/expand weights for the channel-selection comparison mode."""
+class ConvParams:
+    """One conv: its weight and its bias (one value per output channel)."""
 
-    squeeze_weight: np.ndarray  # (z, c_mid)
-    squeeze_bias: np.ndarray  # (z,)
-    expand_weight: np.ndarray  # (n_kernels, c_mid, z)
-    expand_bias: np.ndarray  # (n_kernels, c_mid)
+    weight: np.ndarray
+    bias: np.ndarray
 
 
 @dataclass
@@ -82,33 +86,30 @@ class LskModuleParams:
     selection conv reads (``()`` unless the module selects spatially)."""
 
     plan: DecompositionPlan
-    dw_weights: list[np.ndarray]  # per stage: (c_in, k, k)
-    dw_biases: list[np.ndarray]  # per stage: (c_in,)
-    mix_weights: list[np.ndarray]  # per branch: (c_mid, c_in)
-    mix_biases: list[np.ndarray]  # per branch: (c_mid,)
-    select_weight: np.ndarray | None  # (n_kernels, len(pooling), q, q); spatial mode only
-    select_bias: np.ndarray | None  # (n_kernels,)
+    dw: list[ConvParams]  # per stage: weight (c_in, k, k)
+    mix: list[ConvParams]  # per branch: weight (c_mid, c_in)
+    select: ConvParams | None  # weight (n_kernels, len(pooling), q, q); spatial mode only
     pooling: tuple[str, ...]  # descriptor order of the selection conv's input
-    fuse_weight: np.ndarray  # (c_in, c_mid)
-    fuse_bias: np.ndarray  # (c_in,)
-    cs: ChannelSelectParams | None = None
+    fuse: ConvParams  # weight (c_in, c_mid)
+    cs_squeeze: ConvParams | None = None  # weight (z, c_mid); channel mode only
+    cs_expand: ConvParams | None = None  # weight (n_kernels, c_mid, z), bias (n_kernels, c_mid)
 
     @property
     def mode(self) -> SelectionMode:
-        """Spatial with a selection conv, channel with ``cs``, else none."""
-        if self.select_weight is not None:
+        """Spatial with a selection conv, channel with the squeeze conv, else none."""
+        if self.select is not None:
             return SelectionMode.SPATIAL
-        if self.cs is not None:
+        if self.cs_squeeze is not None:
             return SelectionMode.CHANNEL
         return SelectionMode.NONE
 
     @property
     def c_in(self) -> int:
-        return int(self.fuse_weight.shape[0])
+        return int(self.fuse.weight.shape[0])
 
     @property
     def c_mid(self) -> int:
-        return int(self.fuse_weight.shape[1])
+        return int(self.fuse.weight.shape[1])
 
     @property
     def n_kernels(self) -> int:
@@ -116,62 +117,43 @@ class LskModuleParams:
 
     @property
     def select_kernel(self) -> int:
-        return int(self.select_weight.shape[2])
+        return int(self.select.weight.shape[2])
 
     def validate(self) -> None:
         n = self.n_kernels
-        if self.fuse_weight.ndim != 2:
-            raise ShapeError(f"fusion conv weight must be (c_in, c_mid), got shape {self.fuse_weight.shape}")
-        if len(self.dw_weights) != n or len(self.dw_biases) != n:
-            raise ShapeError(f"expected {n} depth-wise stages, got {len(self.dw_weights)}")
-        if len(self.mix_weights) != n or len(self.mix_biases) != n:
-            raise ShapeError(f"expected {n} mixer branches, got {len(self.mix_weights)}")
+        if self.fuse.weight.ndim != 2:
+            raise ShapeError(f"fusion conv weight must be (c_in, c_mid), got shape {self.fuse.weight.shape}")
+        if len(self.dw) != n:
+            raise ShapeError(f"expected {n} depth-wise stages, got {len(self.dw)}")
+        if len(self.mix) != n:
+            raise ShapeError(f"expected {n} mixer branches, got {len(self.mix)}")
         for i, spec in enumerate(self.plan.stages):
-            if self.dw_weights[i].shape != (self.c_in, spec.k, spec.k):
+            if self.dw[i].weight.shape != (self.c_in, spec.kernel, spec.kernel):
                 raise ShapeError(
-                    f"dw stage {i}: weight shape {self.dw_weights[i].shape} != "
-                    f"{(self.c_in, spec.k, spec.k)}"
+                    f"dw stage {i}: weight shape {self.dw[i].weight.shape} != "
+                    f"{(self.c_in, spec.kernel, spec.kernel)}"
                 )
-            if self.mix_weights[i].shape != (self.c_mid, self.c_in):
+            if self.mix[i].weight.shape != (self.c_mid, self.c_in):
                 raise ShapeError(
-                    f"mixer {i}: weight shape {self.mix_weights[i].shape} != "
+                    f"mixer {i}: weight shape {self.mix[i].weight.shape} != "
                     f"{(self.c_mid, self.c_in)}"
                 )
-        if self.select_weight is not None:
-            if self.select_weight.ndim != 4 or self.select_weight.shape[0] != n:
+        if (self.cs_squeeze is None) != (self.cs_expand is None):
+            raise ShapeError("channel selection needs both its squeeze and its expand conv")
+        if self.select is not None:
+            if self.select.weight.ndim != 4 or self.select.weight.shape[0] != n:
                 raise ShapeError(
                     f"selection conv must map pooled descriptors to {n} maps, "
-                    f"got weight shape {self.select_weight.shape}"
+                    f"got weight shape {self.select.weight.shape}"
                 )
-            if self.cs is not None:
+            if self.cs_squeeze is not None:
                 raise ShapeError("a module holds either a selection conv or channel selection, not both")
-        n_desc = 0 if self.select_weight is None else self.select_weight.shape[1]
+        n_desc = 0 if self.select is None else self.select.weight.shape[1]
         if n_desc != len(self.pooling):
             raise ShapeError(
                 f"pooling set {self.pooling} does not match the selection conv "
                 f"({n_desc} descriptor channels)"
             )
-
-    def parameter_arrays(self) -> list[tuple[str, np.ndarray]]:
-        """Stable (name, array) listing of every learnable array."""
-        out: list[tuple[str, np.ndarray]] = []
-        for i in range(self.n_kernels):
-            out.append((f"dw{i}.weight", self.dw_weights[i]))
-            out.append((f"dw{i}.bias", self.dw_biases[i]))
-        for i in range(self.n_kernels):
-            out.append((f"mix{i}.weight", self.mix_weights[i]))
-            out.append((f"mix{i}.bias", self.mix_biases[i]))
-        if self.select_weight is not None:
-            out.append(("select.weight", self.select_weight))
-            out.append(("select.bias", self.select_bias))
-        out.append(("fuse.weight", self.fuse_weight))
-        out.append(("fuse.bias", self.fuse_bias))
-        if self.cs is not None:
-            out.append(("cs_squeeze.weight", self.cs.squeeze_weight))
-            out.append(("cs_squeeze.bias", self.cs.squeeze_bias))
-            out.append(("cs_expand.weight", self.cs.expand_weight))
-            out.append(("cs_expand.bias", self.cs.expand_bias))
-        return out
 
 
 def fan_in_uniform(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int, dtype=np.float32):
@@ -181,6 +163,12 @@ def fan_in_uniform(rng: np.random.Generator | None, shape: tuple[int, ...], fan_
         return np.broadcast_to(np.zeros((), dtype), shape)
     bound = 1.0 / np.sqrt(float(max(fan_in, 1)))
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
+
+
+def init_conv(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int) -> ConvParams:
+    """A conv with a :func:`fan_in_uniform` weight of ``shape`` and a zero bias
+    of ``shape[0]`` values."""
+    return ConvParams(fan_in_uniform(rng, shape, fan_in), np.zeros(shape[0], dtype=np.float32))
 
 
 def init_lsk_params(
@@ -209,38 +197,19 @@ def init_lsk_params(
     if q < 1 or q % 2 == 0:
         raise ShapeError(f"selection kernel must be odd and positive, got {q}")
     n = plan.n_kernels
-    dw_w = [fan_in_uniform(rng, (c_in, s.k, s.k), s.k * s.k) for s in plan.stages]
-    dw_b = [np.zeros(c_in, dtype=np.float32) for _ in plan.stages]
-    mix_w = [fan_in_uniform(rng, (cm, c_in), c_in) for _ in range(n)]
-    mix_b = [np.zeros(cm, dtype=np.float32) for _ in range(n)]
+    dw = [init_conv(rng, (c_in, s.kernel, s.kernel), s.kernel * s.kernel) for s in plan.stages]
+    mix = [init_conv(rng, (cm, c_in), c_in) for _ in range(n)]
     # drawn in every mode, so one seed gives the same other arrays in all modes
-    sel_w = fan_in_uniform(rng, (n, len(pooling), q, q), len(pooling) * q * q)
-    sel_b = np.zeros(n, dtype=np.float32)
-    if mode is not SelectionMode.SPATIAL:  # only spatial selection has the conv
-        sel_w = sel_b = None
-    fuse_w = fan_in_uniform(rng, (c_in, cm), cm)
-    fuse_b = np.zeros(c_in, dtype=np.float32)
-    cs = None
+    select = init_conv(rng, (n, len(pooling), q, q), len(pooling) * q * q)
+    fuse = init_conv(rng, (c_in, cm), cm)
+    squeeze = expand = None
     if mode is SelectionMode.CHANNEL:
         z = max(cm // 4, 4)
-        cs = ChannelSelectParams(
-            squeeze_weight=fan_in_uniform(rng, (z, cm), cm),
-            squeeze_bias=np.zeros(z, dtype=np.float32),
-            expand_weight=fan_in_uniform(rng, (n, cm, z), z),
-            expand_bias=np.zeros((n, cm), dtype=np.float32),
-        )
+        squeeze = init_conv(rng, (z, cm), cm)
+        expand = ConvParams(fan_in_uniform(rng, (n, cm, z), z), np.zeros((n, cm), dtype=np.float32))
+    spatial = mode is SelectionMode.SPATIAL  # only spatial selection has the conv
     params = LskModuleParams(
-        plan=plan,
-        dw_weights=dw_w,
-        dw_biases=dw_b,
-        mix_weights=mix_w,
-        mix_biases=mix_b,
-        select_weight=sel_w,
-        select_bias=sel_b,
-        pooling=pooling if mode is SelectionMode.SPATIAL else (),
-        fuse_weight=fuse_w,
-        fuse_bias=fuse_b,
-        cs=cs,
+        plan, dw, mix, select if spatial else None, pooling if spatial else (), fuse, squeeze, expand
     )
     params.validate()
     return params
@@ -297,13 +266,9 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
     n = params.n_kernels
 
     u: list[Tensor4] = [x]
-    for i, spec in enumerate(params.plan.stages):
-        u.append(
-            ops.depthwise_conv(u[-1], params.dw_weights[i], params.dw_biases[i], ConvSpec(spec.k, spec.d))
-        )
-    u_mixed = [
-        ops.pointwise_conv(u[i + 1], params.mix_weights[i], params.mix_biases[i]) for i in range(n)
-    ]
+    for conv, spec in zip(params.dw, params.plan.stages):
+        u.append(ops.depthwise_conv(u[-1], conv.weight, conv.bias, spec))
+    u_mixed = [ops.pointwise_conv(u[i + 1], conv.weight, conv.bias) for i, conv in enumerate(params.mix)]
 
     cat = pooled = masks = None
     cs_sum = cs_pre = cs_hidden = cs_weights = None
@@ -311,7 +276,7 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
         cat = ops.concat_channels(u_mixed)
         pooled = ops.concat_channels([ops.channel_pool(cat, m) for m in params.pooling])
         q = params.select_kernel
-        logits = ops.conv2d(pooled, params.select_weight, params.select_bias, padding=(q - 1) // 2)
+        logits = ops.conv2d(pooled, params.select.weight, params.select.bias, padding=(q - 1) // 2)
         masks = ops.sigmoid(logits)
         weighted = ops.broadcast_mask_mul(u_mixed[0], masks[:, 0:1])
         for i in range(1, n):
@@ -322,15 +287,11 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
         cs_sum = ops.global_avg_pool(u_mixed[0])
         for i in range(1, n):
             cs_sum = ops.elementwise(cs_sum, ops.global_avg_pool(u_mixed[i]), "add")
-        cs_pre = ops.pointwise_conv(cs_sum, params.cs.squeeze_weight, params.cs.squeeze_bias)
+        cs_pre = ops.pointwise_conv(cs_sum, params.cs_squeeze.weight, params.cs_squeeze.bias)
         cs_hidden = ops.gelu(cs_pre)
+        expand = params.cs_expand
         branch_logits = np.stack(
-            [
-                ops.pointwise_conv(cs_hidden, params.cs.expand_weight[i], params.cs.expand_bias[i])[
-                    :, :, 0, 0
-                ]
-                for i in range(n)
-            ],
+            [ops.pointwise_conv(cs_hidden, expand.weight[i], expand.bias[i])[:, :, 0, 0] for i in range(n)],
             axis=1,
         )  # (n_batch, n_kernels, c_mid)
         cs_weights = _softmax_branches(branch_logits)
@@ -342,7 +303,7 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
         for i in range(1, n):
             weighted = ops.elementwise(weighted, u_mixed[i], "add")
 
-    fused = ops.pointwise_conv(weighted, params.fuse_weight, params.fuse_bias)
+    fused = ops.pointwise_conv(weighted, params.fuse.weight, params.fuse.bias)
     y = ops.elementwise(x, fused, "mul")
 
     state = None
@@ -369,7 +330,7 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
     """Chain-rule pass through the whole module for a sum-reduction loss.
 
     Returns ``(grad_x, grads)``: ``grads`` holds one gradient per entry of
-    :meth:`LskModuleParams.parameter_arrays`, keyed by its name.
+    :func:`parameter_arrays` of the module, keyed by its name.
     """
     params = state.params
     n = params.n_kernels
@@ -382,7 +343,7 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
     # y = x * fused
     grad_x_total, grad_fused = ops.elementwise_backward(grad_y, state.x, state.fused, "mul")
     grad_weighted, grads["fuse.weight"], grads["fuse.bias"] = ops.pointwise_conv_backward(
-        grad_fused, state.weighted, params.fuse_weight
+        grad_fused, state.weighted, params.fuse.weight
     )
 
     grad_mixed = [np.zeros_like(m) for m in state.u_mixed]
@@ -398,7 +359,7 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
         grad_logits = ops.sigmoid_backward(grad_masks, masks)
         q = params.select_kernel
         grad_pooled, grads["select.weight"], grads["select.bias"] = ops.conv2d_backward(
-            grad_logits, state.pooled, params.select_weight, padding=(q - 1) // 2
+            grad_logits, state.pooled, params.select.weight, padding=(q - 1) // 2
         )
         desc_grads = ops.concat_channels_backward(grad_pooled, [1] * len(params.pooling))
         grad_cat = np.zeros_like(state.cat)
@@ -417,17 +378,17 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
         # softmax over the branch axis
         grad_logits = a * (grad_a - (grad_a * a).sum(axis=1, keepdims=True))
         grad_hidden = np.zeros_like(state.cs_hidden)
-        grad_exp_w = np.zeros_like(params.cs.expand_weight)
-        grad_exp_b = np.zeros_like(params.cs.expand_bias)
+        grad_exp_w = np.zeros_like(params.cs_expand.weight)
+        grad_exp_b = np.zeros_like(params.cs_expand.bias)
         for i in range(n):
             g_li = grad_logits[:, i][:, :, None, None]
             g_h, grad_exp_w[i], grad_exp_b[i] = ops.pointwise_conv_backward(
-                g_li, state.cs_hidden, params.cs.expand_weight[i]
+                g_li, state.cs_hidden, params.cs_expand.weight[i]
             )
             grad_hidden += g_h
         grad_pre = ops.gelu_backward(grad_hidden, state.cs_pre)
         grad_sum, grads["cs_squeeze.weight"], grads["cs_squeeze.bias"] = ops.pointwise_conv_backward(
-            grad_pre, state.cs_sum, params.cs.squeeze_weight
+            grad_pre, state.cs_sum, params.cs_squeeze.weight
         )
         grads["cs_expand.weight"], grads["cs_expand.bias"] = grad_exp_w, grad_exp_b
         for i in range(n):
@@ -440,13 +401,12 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
     grad_u = [np.zeros_like(t) for t in state.u]
     for i in range(n):
         g_u, grads[f"mix{i}.weight"], grads[f"mix{i}.bias"] = ops.pointwise_conv_backward(
-            grad_mixed[i], state.u[i + 1], params.mix_weights[i]
+            grad_mixed[i], state.u[i + 1], params.mix[i].weight
         )
         grad_u[i + 1] += g_u
     for i in range(n - 1, -1, -1):
-        spec = params.plan.stages[i]
         g_prev, grads[f"dw{i}.weight"], grads[f"dw{i}.bias"] = ops.depthwise_conv_backward(
-            grad_u[i + 1], state.u[i], params.dw_weights[i], ConvSpec(spec.k, spec.d)
+            grad_u[i + 1], state.u[i], params.dw[i].weight, params.plan.stages[i]
         )
         grad_u[i] += g_prev
     return grad_x_total + grad_u[0], grads
@@ -468,6 +428,33 @@ def params_map(tree, fn):
             return tree
         return replace(tree, **mapped)
     return tree
+
+
+def prefixed(prefix: str, listing) -> list[tuple[str, np.ndarray]]:
+    """``(name, array)`` pairs with ``prefix.`` put before every name."""
+    return [(f"{prefix}.{name}", arr) for name, arr in listing]
+
+
+def parameter_arrays(tree) -> list[tuple[str, np.ndarray]]:
+    """``(name, array)`` of every array in a layer's field tree, in field order:
+    the weight-file names below the layer's prefix.
+
+    A field contributes its name, a list item appends its index to it
+    (``dw0``) and a nested layer adds ``.`` and its own names
+    (``dw0.weight``).  ``None`` and every other value (a plan, a pooling set,
+    a stride) are skipped.
+    """
+    out: list[tuple[str, np.ndarray]] = []
+    for f in fields(tree):
+        value = getattr(tree, f.name)
+        items = enumerate(value) if isinstance(value, list) else [("", value)]
+        for suffix, item in items:
+            name = f"{f.name}{suffix}"
+            if isinstance(item, np.ndarray):
+                out.append((name, item))
+            elif is_dataclass(item):
+                out += prefixed(name, parameter_arrays(item))
+    return out
 
 
 def params_astype(tree, dtype):

@@ -1,11 +1,12 @@
 """Kernel-decomposition calculus for sequences of dilated depth-wise convs.
 
-A plan is a sequence of (kernel size, dilation) pairs applied back to back.
+A plan is a sequence of (kernel size, dilation) stages applied back to back,
+each held as the :class:`~lsknet.ops.ConvSpec` its depth-wise conv runs with.
 The construction rules guarantee that the composed receptive field grows
 quickly while no dilated kernel skips over pixels the previous stage has not
 already covered:
 
-    k[i-1] <= k[i]
+    k[i] odd, k[i] >= 3,  k[i-1] <= k[i]
     d[1] = 1,  d[i-1] < d[i] <= RF[i-1]
 
 and the cumulative receptive field obeys
@@ -19,33 +20,16 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import PlanError
+from .ops import ConvSpec
 
-__all__ = ["KernelSpec", "DecompositionPlan", "validate_plan", "enumerate_plans"]
-
-
-@dataclass(frozen=True, order=True)
-class KernelSpec:
-    """One depth-wise stage: odd kernel size k >= 3 and dilation d >= 1."""
-
-    k: int
-    d: int
-
-    def __post_init__(self):
-        if self.k < 3 or self.k % 2 == 0:
-            raise PlanError(f"kernel size must be an odd integer >= 3, got k={self.k}")
-        if self.d < 1:
-            raise PlanError(f"dilation must be an integer >= 1, got d={self.d}")
-
-    @property
-    def span(self) -> int:
-        return self.d * (self.k - 1) + 1
+__all__ = ["DecompositionPlan", "validate_plan", "enumerate_plans"]
 
 
 @dataclass(frozen=True)
 class DecompositionPlan:
     """A validated stage sequence plus its cumulative receptive fields."""
 
-    stages: tuple[KernelSpec, ...]
+    stages: tuple[ConvSpec, ...]
     rf_per_stage: tuple[int, ...]
 
     @property
@@ -58,60 +42,66 @@ class DecompositionPlan:
         return self.rf_per_stage[-1]
 
     def sequence(self) -> tuple[tuple[int, int], ...]:
-        return tuple((s.k, s.d) for s in self.stages)
+        return tuple((s.kernel, s.dilation) for s in self.stages)
 
     def __str__(self) -> str:
-        return " -> ".join(f"({s.k},{s.d})" for s in self.stages)
+        return " -> ".join(f"({k},{d})" for k, d in self.sequence())
 
 
-def _as_specs(stages: Sequence[KernelSpec | tuple[int, int]]) -> list[KernelSpec]:
-    return [s if isinstance(s, KernelSpec) else KernelSpec(*s) for s in stages]
+def _as_spec(stage: ConvSpec | tuple[int, int]) -> ConvSpec:
+    """One plan stage: an odd kernel size k >= 3 and a dilation d >= 1."""
+    k, d = (stage.kernel, stage.dilation) if isinstance(stage, ConvSpec) else stage
+    if k < 3 or k % 2 == 0:
+        raise PlanError(f"kernel size must be an odd integer >= 3, got k={k}")
+    if d < 1:
+        raise PlanError(f"dilation must be an integer >= 1, got d={d}")
+    return ConvSpec(k, d)
 
 
-def validate_plan(stages: Sequence[KernelSpec | tuple[int, int]]) -> DecompositionPlan:
+def validate_plan(stages: Sequence[ConvSpec | tuple[int, int]]) -> DecompositionPlan:
     """Check the construction constraints and fill in receptive fields.
 
     Raises :class:`PlanError` naming the first violated inequality.
     """
-    specs = _as_specs(stages)
+    specs = [_as_spec(s) for s in stages]
     if not specs:
         raise PlanError("a decomposition plan needs at least one stage")
-    if specs[0].d != 1:
-        raise PlanError(f"d_1 must be 1, got d_1={specs[0].d}")
-    rf = [specs[0].k]
+    if specs[0].dilation != 1:
+        raise PlanError(f"d_1 must be 1, got d_1={specs[0].dilation}")
+    rf = [specs[0].kernel]
     for i in range(1, len(specs)):
         prev, cur = specs[i - 1], specs[i]
-        if cur.k < prev.k:
+        if cur.kernel < prev.kernel:
             raise PlanError(
-                f"kernel sizes must be non-decreasing: k_{i + 1}={cur.k} < k_{i}={prev.k}"
+                f"kernel sizes must be non-decreasing: k_{i + 1}={cur.kernel} < k_{i}={prev.kernel}"
             )
-        if cur.d <= prev.d:
+        if cur.dilation <= prev.dilation:
             raise PlanError(
-                f"dilations must be strictly increasing: d_{i + 1}={cur.d} <= d_{i}={prev.d}"
+                f"dilations must be strictly increasing: d_{i + 1}={cur.dilation} <= d_{i}={prev.dilation}"
             )
-        if cur.d > rf[-1]:
+        if cur.dilation > rf[-1]:
             raise PlanError(
-                f"d_{i + 1}={cur.d} > RF_{i}={rf[-1]}: dilation would skip uncovered pixels"
+                f"d_{i + 1}={cur.dilation} > RF_{i}={rf[-1]}: dilation would skip uncovered pixels"
             )
-        rf.append(cur.d * (cur.k - 1) + rf[-1])
+        rf.append(cur.dilation * (cur.kernel - 1) + rf[-1])
     return DecompositionPlan(stages=tuple(specs), rf_per_stage=tuple(rf))
 
 
 def _extend(
-    seq: list[KernelSpec], rf: int, target: int, max_stages: int, max_k: int
-) -> Iterator[tuple[KernelSpec, ...]]:
+    seq: list[ConvSpec], rf: int, target: int, max_stages: int, max_k: int
+) -> Iterator[tuple[ConvSpec, ...]]:
     if rf == target:
         yield tuple(seq)
         # a longer sequence cannot keep RF constant, so stop here
         return
     if len(seq) == max_stages:
         return
-    for k in range(seq[-1].k, max_k + 1, 2):
-        for d in range(seq[-1].d + 1, rf + 1):
+    for k in range(seq[-1].kernel, max_k + 1, 2):
+        for d in range(seq[-1].dilation + 1, rf + 1):
             gain = d * (k - 1)
             if rf + gain > target:
                 break
-            seq.append(KernelSpec(k, d))
+            seq.append(ConvSpec(k, d))
             yield from _extend(seq, rf + gain, target, max_stages, max_k)
             seq.pop()
 
@@ -135,7 +125,7 @@ def enumerate_plans(target_rf: int, max_stages: int, max_k: int) -> list[Decompo
     for k in range(3, max_k + 1, 2):
         if k > target_rf:
             break
-        for seq in _extend([KernelSpec(k, 1)], k, target_rf, max_stages, max_k):
+        for seq in _extend([ConvSpec(k, 1)], k, target_rf, max_stages, max_k):
             plan = validate_plan(seq)
             params = dict(cost_lsk_module(init_lsk_params(plan, 64, 32), 1, 1).breakdown)["convs"].params
             found.append((params, plan.sequence(), plan))

@@ -31,7 +31,7 @@ from .backbone import (
     named_arrays,
 )
 from .errors import DivergenceError, ShapeError
-from .module import init_lsk_params, lsk_backward, lsk_forward
+from .module import init_lsk_params, lsk_backward, lsk_forward, parameter_arrays
 from .plan import validate_plan
 
 __all__ = ["ToyProblem", "make_synthetic_dataset", "toy_train", "DEFAULT_LR", "DEFAULT_STEPS"]
@@ -114,7 +114,7 @@ def _module_scope(rng, seed, n_samples, dataset, train_module):
         out = lsk_forward(x, params)
         return out.y, out.state
 
-    return forward, lsk_backward, dict(params.parameter_arrays()), dataset.targets
+    return forward, lsk_backward, dict(parameter_arrays(params)), dataset.targets
 
 
 def _backbone_scope(seed, n_samples, config, dataset):

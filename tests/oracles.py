@@ -241,19 +241,19 @@ def lsk_composition(x, params, pooling=("avg", "max")):
     n_kernels = params.plan.n_kernels
     u = x
     mixed = []
-    for i, spec in enumerate(params.plan.stages):
-        u = depthwise_conv_loops(u, params.dw_weights[i], params.dw_biases[i], spec.k, spec.d)
-        mixed.append(pointwise_conv_loops(u, params.mix_weights[i], params.mix_biases[i]))
+    for dw, mix, spec in zip(params.dw, params.mix, params.plan.stages):
+        u = depthwise_conv_loops(u, dw.weight, dw.bias, spec.kernel, spec.dilation)
+        mixed.append(pointwise_conv_loops(u, mix.weight, mix.bias))
     cat = np.concatenate(mixed, axis=1)
     descriptors = [channel_pool_loops(cat, m) for m in pooling]
     pooled = np.concatenate(descriptors, axis=1)
-    q = params.select_weight.shape[2]
-    logits = conv2d_loops(pooled, params.select_weight, params.select_bias, 1, (q - 1) // 2)
+    q = params.select.weight.shape[2]
+    logits = conv2d_loops(pooled, params.select.weight, params.select.bias, 1, (q - 1) // 2)
     masks = sigmoid_ref(logits)
     weighted = np.zeros_like(mixed[0])
     for i in range(n_kernels):
         weighted = weighted + mixed[i] * masks[:, i : i + 1]
-    fused = pointwise_conv_loops(weighted, params.fuse_weight, params.fuse_bias)
+    fused = pointwise_conv_loops(weighted, params.fuse.weight, params.fuse.bias)
     return x * fused, masks
 
 

@@ -168,8 +168,8 @@ def test_criterion_5_structural_invariants():
         plan = validate_plan([(5, 1), (7, 3)])
 
         params = init_lsk_params(plan, 8, rng=rng)
-        params.select_weight[...] = 0.0
-        params.select_bias[...] = 0.0
+        params.select.weight[...] = 0.0
+        params.select.bias[...] = 0.0
         x = rng.uniform(-1, 1, size=(2, 8, 12, 12)).astype(np.float32)
         out = lsk_forward(x, params)
         assert (out.masks == 0.5).all()
@@ -178,10 +178,10 @@ def test_criterion_5_structural_invariants():
         from lsknet.block import block_forward, init_block_params
 
         bp = init_block_params(plan, c=8, ffn_ratio=2.0, rng=np.random.default_rng(1))
-        bp.post_weight[...] = 0.0
-        bp.post_bias[...] = 0.0
-        bp.fc2_weight[...] = 0.0
-        bp.fc2_bias[...] = 0.0
+        bp.post.weight[...] = 0.0
+        bp.post.bias[...] = 0.0
+        bp.ffn.fc2.weight[...] = 0.0
+        bp.ffn.fc2.bias[...] = 0.0
         xb = rng.uniform(-1, 1, size=(1, 8, 8, 8)).astype(np.float32)
         np.testing.assert_array_equal(block_forward(xb, bp).y, xb)
 

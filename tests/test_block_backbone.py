@@ -47,10 +47,10 @@ class TestBlock:
 
     def test_zeroed_projections_make_identity(self, rng):
         params = tiny_block()
-        params.post_weight[...] = 0.0
-        params.post_bias[...] = 0.0
-        params.fc2_weight[...] = 0.0
-        params.fc2_bias[...] = 0.0
+        params.post.weight[...] = 0.0
+        params.post.bias[...] = 0.0
+        params.ffn.fc2.weight[...] = 0.0
+        params.ffn.fc2.bias[...] = 0.0
         x = rng.uniform(-1, 1, size=(2, 4, 8, 8))
         out = block_forward(x, params)
         np.testing.assert_array_equal(out.y, x)
@@ -78,16 +78,16 @@ class TestBlock:
         n1 = ops.affine_channel_norm(
             x, params.norm1.scale, params.norm1.shift, params.norm1.mean, params.norm1.var, 1e-5
         )
-        branch = ops.gelu(ops.pointwise_conv(n1, params.pre_weight, params.pre_bias))
+        branch = ops.gelu(ops.pointwise_conv(n1, params.pre.weight, params.pre.bias))
         branch = lsk_forward(branch, params.lsk).y
-        branch = ops.pointwise_conv(branch, params.post_weight, params.post_bias)
+        branch = ops.pointwise_conv(branch, params.post.weight, params.post.bias)
         y1 = x + ops.channel_scale(branch, params.scale1)
         n2 = ops.affine_channel_norm(
             y1, params.norm2.scale, params.norm2.shift, params.norm2.mean, params.norm2.var, 1e-5
         )
-        ffn = ops.pointwise_conv(n2, params.fc1_weight, params.fc1_bias)
-        ffn = ops.depthwise_conv(ffn, params.ffn_dw_weight, params.ffn_dw_bias, ConvSpec(3, 1))
-        ffn = ops.pointwise_conv(ops.gelu(ffn), params.fc2_weight, params.fc2_bias)
+        ffn = ops.pointwise_conv(n2, params.ffn.fc1.weight, params.ffn.fc1.bias)
+        ffn = ops.depthwise_conv(ffn, params.ffn.dw.weight, params.ffn.dw.bias, ConvSpec(3, 1))
+        ffn = ops.pointwise_conv(ops.gelu(ffn), params.ffn.fc2.weight, params.ffn.fc2.bias)
         expected = y1 + ops.channel_scale(ffn, params.scale2)
         out = block_forward(x, params)
         np.testing.assert_allclose(out.y, expected, atol=1e-12)
@@ -133,6 +133,12 @@ class TestBackboneConfig:
     def test_largest_ffn_weight_accepted(self):
         # 2**21 * 32 hidden channels times 32 inputs is exactly MAX_ELEMENTS
         BackboneConfig.variant("T", ffn_ratios=(2.0**21, 8, 4, 4))
+
+    def test_any_array_over_the_limit_rejected(self):
+        """Not only the FFN weight: 65536 stage-1 channels put 2**32 values in
+        the block's (c, c) projection, and the first such array is named."""
+        with pytest.raises(ShapeError, match=r"stage1\.block0\.pre\.weight"):
+            BackboneConfig(channels=(65536, 8, 8, 8), depths=(1, 1, 1, 1), ffn_ratios=(1e-5, 2, 2, 2))
 
 
 TINY = BackboneConfig(channels=(4, 4, 8, 8), depths=(1, 2, 1, 1), ffn_ratios=(2, 2, 2, 2))

@@ -24,27 +24,26 @@ from lsknet.cost import (
     report_to_kv,
     report_to_text,
 )
-from lsknet.module import SelectionMode, init_lsk_params
+from lsknet.module import SelectionMode, init_lsk_params, parameter_arrays
 from lsknet.ops import ConvSpec
 from lsknet.plan import validate_plan
 
 
 class TestDepthwiseClosedForm:
+    # at 1x1 output the MAC count is the weight count
     def test_k23_c64_weights(self):
-        report = cost_depthwise(64, ConvSpec(23, 1), 1, 1, include_bias=False)
-        assert report.params == 64 * 23 * 23 == 33_856
+        report = cost_depthwise(64, ConvSpec(23, 1), 1, 1)
+        assert report.macs == 64 * 23 * 23 == 33_856
 
     def test_two_stage_weights_and_seven_fold_saving(self):
-        two = cost_depthwise(64, ConvSpec(5, 1), 1, 1, include_bias=False).params + cost_depthwise(
-            64, ConvSpec(7, 3), 1, 1, include_bias=False
-        ).params
+        two = cost_depthwise(64, ConvSpec(5, 1), 1, 1).macs + cost_depthwise(64, ConvSpec(7, 3), 1, 1).macs
         assert two == 64 * 25 + 64 * 49 == 4_736
-        single = cost_depthwise(64, ConvSpec(23, 1), 1, 1, include_bias=False).params
+        single = cost_depthwise(64, ConvSpec(23, 1), 1, 1).macs
         assert 7.0 < single / two < 7.3
 
     def test_one_by_one(self):
-        assert cost_depthwise(1, ConvSpec(1, 1), 1, 1, include_bias=False).params == 1
-        assert cost_depthwise(1, ConvSpec(1, 1), 1, 1, include_bias=True).params == 2
+        assert cost_depthwise(1, ConvSpec(1, 1), 1, 1).macs == 1
+        assert cost_depthwise(1, ConvSpec(1, 1), 1, 1).params == 2
 
     def test_dilation_does_not_change_cost(self):
         a = cost_depthwise(16, ConvSpec(5, 1), 10, 10)
@@ -52,12 +51,11 @@ class TestDepthwiseClosedForm:
         assert (a.params, a.flops, a.macs) == (b.params, b.flops, b.macs)
 
     def test_flops_params_ratio_is_exactly_2hw(self):
-        for include_bias in (False, True):
-            for h, w in ((7, 9), (16, 16)):
-                rep = cost_depthwise(8, ConvSpec(3, 2), h, w, include_bias)
-                assert rep.flops == 2 * h * w * rep.params
-                rep = cost_pointwise(8, 16, h, w, include_bias)
-                assert rep.flops == 2 * h * w * rep.params
+        for h, w in ((7, 9), (16, 16)):
+            rep = cost_depthwise(8, ConvSpec(3, 2), h, w)
+            assert rep.flops == 2 * h * w * rep.params
+            rep = cost_pointwise(8, 16, h, w)
+            assert rep.flops == 2 * h * w * rep.params
 
 
 def plan_convs(stages, c=64, c_mid=32, h=1, w=1):
@@ -183,9 +181,9 @@ class TestRendering:
     h=st.integers(min_value=1, max_value=64),
 )
 def test_depthwise_closed_form_property(c, k, h):
-    rep = cost_depthwise(c, ConvSpec(k, 1), h, h, include_bias=False)
-    assert rep.params == c * k * k
-    assert rep.flops == 2 * h * h * c * k * k
+    rep = cost_depthwise(c, ConvSpec(k, 1), h, h)
+    assert rep.params == c * k * k + c
+    assert rep.flops == 2 * h * h * (c * k * k + c)
     assert rep.macs == h * h * c * k * k
 
 
@@ -268,5 +266,5 @@ def test_module_params_match_initialised_arrays(c, c_mid, select_kernel, mode, p
     plan = validate_plan(plan)
     seeded = init_lsk_params(plan, c, c_mid, select_kernel, pooling, mode, np.random.default_rng(0))
     report = cost_lsk_module(init_lsk_params(plan, c, c_mid, select_kernel, pooling, mode), 5, 7)
-    assert report.params == sum(a.size for _, a in seeded.parameter_arrays())
+    assert report.params == sum(a.size for _, a in parameter_arrays(seeded))
     report.validate()

@@ -1,7 +1,8 @@
 """The selection module: pinned examples, the straight-line composition
-oracle, the three selection modes, and the scalar closed-form backward."""
+oracle, the three selection modes, the scalar closed-form backward, and the
+walk that names a layer tree's arrays."""
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ import pytest
 from lsknet import ops
 from lsknet.errors import ShapeError
 from lsknet.module import (
+    ConvParams,
     SelectionMode,
     init_lsk_params,
     lsk_backward,
     lsk_forward,
+    parameter_arrays,
     params_astype,
 )
 from lsknet.plan import validate_plan
@@ -38,18 +41,18 @@ class TestForwardContracts:
 
     def test_zero_selection_conv_gives_masks_of_exactly_half(self, rng):
         params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2)
-        params.select_weight[...] = 0.0
-        params.select_bias[...] = 0.0
+        params.select.weight[...] = 0.0
+        params.select.bias[...] = 0.0
         x = rng.uniform(-1, 1, size=(2, 4, 6, 6))
         out = lsk_forward(x, params)
         assert (out.masks == 0.5).all()
         # hence the fused feature is fuse(0.5 * sum of mixed branches)
         mixed_sum = sum(
-            ops.pointwise_conv(u, params.mix_weights[i], params.mix_biases[i])
+            ops.pointwise_conv(u, params.mix[i].weight, params.mix[i].bias)
             for i, u in enumerate(_dw_chain(x, params))
         )
         expected = ops.elementwise(
-            x, ops.pointwise_conv(0.5 * mixed_sum, params.fuse_weight, params.fuse_bias), "mul"
+            x, ops.pointwise_conv(0.5 * mixed_sum, params.fuse.weight, params.fuse.bias), "mul"
         )
         np.testing.assert_allclose(out.y, expected, atol=1e-12)
 
@@ -77,11 +80,9 @@ class TestForwardContracts:
 
 def _dw_chain(x, params):
     """Outputs of each depth-wise stage (test helper mirroring the recursion)."""
-    from lsknet.ops import ConvSpec
-
     outs, u = [], x
-    for i, spec in enumerate(params.plan.stages):
-        u = ops.depthwise_conv(u, params.dw_weights[i], params.dw_biases[i], ConvSpec(spec.k, spec.d))
+    for conv, spec in zip(params.dw, params.plan.stages):
+        u = ops.depthwise_conv(u, conv.weight, conv.bias, spec)
         outs.append(u)
     return outs
 
@@ -113,11 +114,11 @@ class TestModes:
         out = lsk_forward(x, params)
         assert out.masks is None
         mixed = [
-            ops.pointwise_conv(u, params.mix_weights[i], params.mix_biases[i])
+            ops.pointwise_conv(u, params.mix[i].weight, params.mix[i].bias)
             for i, u in enumerate(_dw_chain(x, params))
         ]
         expected = ops.elementwise(
-            x, ops.pointwise_conv(sum(mixed), params.fuse_weight, params.fuse_bias), "mul"
+            x, ops.pointwise_conv(sum(mixed), params.fuse.weight, params.fuse.bias), "mul"
         )
         np.testing.assert_allclose(out.y, expected, atol=1e-12)
 
@@ -125,10 +126,10 @@ class TestModes:
         # one branch with the selection logit pushed to +inf (bias 20):
         # the mask saturates at 1 and spatial selection degenerates to a sum
         params = make_params([(5, 1)], c_in=4, c_mid=2, seed=4)
-        params.select_bias[...] = 20.0
+        params.select.bias[...] = 20.0
         x = rng.uniform(-1, 1, size=(1, 4, 6, 6))
         spatial = lsk_forward(x, params).y
-        none = replace(params, select_weight=None, select_bias=None, pooling=())
+        none = replace(params, select=None, pooling=())
         unweighted = lsk_forward(x, none).y
         np.testing.assert_allclose(spatial, unweighted, atol=1e-6)
 
@@ -145,21 +146,28 @@ class TestModes:
     @pytest.mark.parametrize("mode", list(SelectionMode))
     def test_mode_is_read_off_the_arrays(self, mode):
         """Only a spatial module holds a selection conv and a pooling set, and
-        only a channel module holds ``cs``."""
+        only a channel module holds the squeeze and expand convs."""
         params = make_params([(3, 1)], c_in=4, c_mid=2, mode=mode)
         assert params.mode is mode
-        names = [name for name, _ in params.parameter_arrays()]
+        names = [name for name, _ in parameter_arrays(params)]
         spatial = mode is SelectionMode.SPATIAL
-        assert (params.select_weight is not None) == spatial
+        assert (params.select is not None) == spatial
         assert any(name.startswith("select.") for name in names) == spatial
         assert params.pooling == (("avg", "max") if spatial else ())
         assert any(name.startswith("cs_") for name in names) == (mode is SelectionMode.CHANNEL)
 
     def test_select_conv_and_channel_selection_together_rejected(self, rng):
         spatial = make_params([(3, 1)], c_in=4, c_mid=2)
-        both = replace(spatial, cs=make_params([(3, 1)], c_in=4, c_mid=2, mode=SelectionMode.CHANNEL).cs)
+        channel = make_params([(3, 1)], c_in=4, c_mid=2, mode=SelectionMode.CHANNEL)
+        both = replace(spatial, cs_squeeze=channel.cs_squeeze, cs_expand=channel.cs_expand)
         with pytest.raises(ShapeError, match="not both"):
             lsk_forward(rng.uniform(-1, 1, size=(1, 4, 5, 5)), both)
+
+    @pytest.mark.parametrize("missing", ["cs_squeeze", "cs_expand"])
+    def test_channel_selection_needs_both_convs(self, missing):
+        params = make_params([(3, 1)], c_in=4, c_mid=2, mode=SelectionMode.CHANNEL)
+        with pytest.raises(ShapeError, match="both its squeeze and its expand"):
+            replace(params, **{missing: None}).validate()
 
     @pytest.mark.parametrize("pooling", [("avg",), ("max",)])
     def test_single_pooling_ablation(self, rng, pooling):
@@ -169,7 +177,7 @@ class TestModes:
         params = init_lsk_params(
             plan, 4, 2, select_kernel=3, pooling=pooling, rng=np.random.default_rng(0)
         )
-        assert params.select_weight.shape[1] == 1 and params.pooling == pooling
+        assert params.select.weight.shape[1] == 1 and params.pooling == pooling
         x = rng.uniform(-1, 1, size=(1, 4, 6, 6))
         out = lsk_forward(x.astype(np.float32), params)
         assert out.masks.shape == (1, 2, 6, 6)
@@ -196,7 +204,7 @@ class TestBackward:
         """Keys are the parameter_arrays() names in every mode, and every
         selection array the mode holds gets a non-zero gradient."""
         params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, mode=built, seed=3)
-        arrays = dict(params.parameter_arrays())
+        arrays = dict(parameter_arrays(params))
         x = rng.uniform(-1, 1, size=(1, 4, 6, 6))
         out = lsk_forward(x, params)
         _, grads = lsk_backward(np.ones_like(out.y), out.state)
@@ -215,17 +223,17 @@ class TestBackward:
         sa, sm, sb = 0.4, -0.3, 0.05  # selection taps (avg, max) and bias
         f, fb = 0.9, 0.2  # fusion
         params = make_params([(3, 1)], c_in=1, c_mid=1, q=3)
-        params.dw_weights[0][...] = 0.0
-        params.dw_weights[0][0, 1, 1] = wc
-        params.dw_biases[0][...] = bd
-        params.mix_weights[0][...] = m
-        params.mix_biases[0][...] = mb
-        params.select_weight[...] = 0.0
-        params.select_weight[0, 0, 1, 1] = sa
-        params.select_weight[0, 1, 1, 1] = sm
-        params.select_bias[...] = sb
-        params.fuse_weight[...] = f
-        params.fuse_bias[...] = fb
+        params.dw[0].weight[...] = 0.0
+        params.dw[0].weight[0, 1, 1] = wc
+        params.dw[0].bias[...] = bd
+        params.mix[0].weight[...] = m
+        params.mix[0].bias[...] = mb
+        params.select.weight[...] = 0.0
+        params.select.weight[0, 0, 1, 1] = sa
+        params.select.weight[0, 1, 1, 1] = sm
+        params.select.bias[...] = sb
+        params.fuse.weight[...] = f
+        params.fuse.bias[...] = fb
 
         x_val = 0.6
         x = np.full((1, 1, 1, 1), x_val)
@@ -264,3 +272,28 @@ class TestInputDependence:
         a = lsk_forward(x, params).y
         b = lsk_forward(x, params).y
         assert (a == b).all()
+
+
+@dataclass
+class _Inner:
+    weight: np.ndarray
+    tag: str = "skipped"
+
+
+@dataclass
+class _Outer:
+    first: np.ndarray
+    convs: list
+    missing: ConvParams | None
+    inner: _Inner
+    stride: int = 2
+
+
+def test_parameter_arrays_walk_rules():
+    """A field gives its name, a list item appends its index, a nested layer
+    adds ``.`` and its own names; ``None`` and non-array values are skipped."""
+    a, b, c, d, e = (np.full(1, float(i)) for i in range(5))
+    tree = _Outer(a, [ConvParams(b, c), _Inner(d)], None, _Inner(e))
+    named = parameter_arrays(tree)
+    assert [name for name, _ in named] == ["first", "convs0.weight", "convs0.bias", "convs1.weight", "inner.weight"]
+    assert all(arr is want for (_, arr), want in zip(named, (a, b, c, d, e)))

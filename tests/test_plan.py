@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lsknet.errors import PlanError
-from lsknet.plan import KernelSpec, enumerate_plans, validate_plan
+from lsknet.ops import ConvSpec
+from lsknet.plan import enumerate_plans, validate_plan
 
 
 class TestValidate:
@@ -50,9 +51,12 @@ class TestValidate:
         with pytest.raises(PlanError, match="at least one"):
             validate_plan([])
 
-    def test_accepts_kernelspec_instances(self):
-        plan = validate_plan([KernelSpec(3, 1), KernelSpec(3, 2)])
+    def test_accepts_convspec_instances(self):
+        plan = validate_plan([ConvSpec(3, 1), ConvSpec(3, 2)])
         assert plan.rf == 7
+        # a valid conv spec is not always a valid plan stage
+        with pytest.raises(PlanError, match="odd integer >= 3"):
+            validate_plan([ConvSpec(1, 1)])
 
 
 class TestEnumerate:
