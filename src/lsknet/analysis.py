@@ -15,9 +15,9 @@ Both are reported raw and min-max normalized (a singleton or all-equal set
 normalizes to 1.0 by convention).  Masks are summed at each block's native
 resolution; no rescaling across block resolutions is applied.
 
-Each image's record is reduced once, by one routine that yields both the
-RF-weighted activation sum and every block's signed and absolute difference,
-in float64; the images eligible for each category are found in one scan.
+:func:`analyze_images` finds each category's eligible images in one scan and
+reduces each record once, in float64, into both its RF-weighted activation
+sum and every block's signed and absolute difference.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -42,9 +42,6 @@ __all__ = [
     "BlockSelectionDiff",
     "parse_annotations",
     "polygon_area",
-    "record_activation_sum",
-    "compute_rc",
-    "compute_rc_all",
     "compute_selection_diff",
     "analyze_images",
     "emit_analysis",
@@ -176,12 +173,6 @@ def _record_terms(record: ActivationRecord) -> tuple[float, list[tuple[float, fl
     return activation, [(s / n, a / n) for s, a, n in zip(signed, absolute, sizes)]
 
 
-def record_activation_sum(record: ActivationRecord) -> float:
-    """Total selective receptive-field area of one image's record:
-    sum over blocks and kernels of RF_n * (spatial sum of mask n)."""
-    return _record_terms(record)[0]
-
-
 def _normalize(values: Sequence[float]) -> list[float]:
     """Min-max to [0, 1]; singleton or all-equal sets map to 1.0."""
     if not values:
@@ -224,13 +215,12 @@ def _selection_diffs(
     return diffs
 
 
-def _analyze(
+def analyze_images(
     images: Sequence[tuple[ActivationRecord, Sequence[OrientedBox]]],
-    categories: Iterable[str] | None,
-    selection: bool,
 ) -> tuple[list[CategoryStats], dict[str, list[BlockSelectionDiff]]]:
-    """R_c per category, normalized across the reported set, and with
-    ``selection`` the per-block differences of the 2-kernel categories.
+    """R_c per category, min-max normalized across the reported set, and the
+    per-block selection differences of every category recorded with a
+    2-kernel plan.
 
     An image counts for a category only when every box it contains is of
     that category (single-category images) and their total area is positive;
@@ -244,11 +234,9 @@ def _analyze(
                 log.warning("category %s: image with zero annotated area skipped", boxes[0].category)
                 continue
             eligible.setdefault(boxes[0].category, []).append((rec, area))
-    if categories is None:
-        categories = sorted({b.category for _, boxes in images for b in boxes})
     stats: list[CategoryStats] = []
     diffs: dict[str, list[BlockSelectionDiff]] = {}
-    for category in categories:
+    for category in sorted({b.category for _, boxes in images for b in boxes}):
         pairs = eligible.get(category, [])
         if not pairs:
             log.info("category %s excluded: no eligible single-category images", category)
@@ -259,32 +247,11 @@ def _analyze(
             CategoryStats(category=category, r_c_raw=raw, r_c_normalized=1.0, image_count=len(pairs))
         )
         records = [rec for rec, _ in pairs]
-        if selection and records[0].n_kernels == 2:
+        if records[0].n_kernels == 2:
             diffs[category] = _selection_diffs(category, records, [t[1] for t in terms])
     for s, norm in zip(stats, _normalize([s.r_c_raw for s in stats])):
         s.r_c_normalized = norm
     return stats, diffs
-
-
-def compute_rc(
-    images: Sequence[tuple[ActivationRecord, Sequence[OrientedBox]]], category: str
-) -> CategoryStats | None:
-    """Selective-RF-area ratio for one category.
-
-    Returns None (with a logged notice) when no image is eligible.  The
-    normalized value uses the singleton convention 1.0; cross-category
-    normalization happens in compute_rc_all.
-    """
-    stats, _ = _analyze(images, [category], selection=False)
-    return stats[0] if stats else None
-
-
-def compute_rc_all(
-    images: Sequence[tuple[ActivationRecord, Sequence[OrientedBox]]],
-    categories: Iterable[str] | None = None,
-) -> list[CategoryStats]:
-    """R_c for every category, min-max normalized across the reported set."""
-    return _analyze(images, categories, selection=False)[0]
 
 
 def compute_selection_diff(
@@ -294,17 +261,9 @@ def compute_selection_diff(
 
     Only two-kernel plans are supported: mask index 0 is the smaller-RF
     branch, index 1 the larger.  ``records`` must already be restricted to
-    the category's eligible images (same rule as compute_rc).
+    the category's eligible images (same rule as :func:`analyze_images`).
     """
     return _selection_diffs(category, records, [_record_terms(rec)[1] for rec in records])
-
-
-def analyze_images(
-    images: Sequence[tuple[ActivationRecord, Sequence[OrientedBox]]],
-) -> tuple[list[CategoryStats], dict[str, list[BlockSelectionDiff]]]:
-    """Full pipeline: per-category ratios plus (for 2-kernel plans) the
-    per-block selection differences."""
-    return _analyze(images, None, selection=True)
 
 
 def emit_analysis(

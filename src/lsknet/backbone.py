@@ -16,14 +16,18 @@ match the ``B_<stage>_<depth>`` naming used by the mask export files.
 
 :func:`named_arrays` lays the layers out as stem, stage 1, down1, stage 2, ...
 and reads the names below each layer's prefix off its field tree
-(:func:`~lsknet.module.parameter_arrays`).  A configuration holding any array
-over :data:`MAX_ELEMENTS` values is refused, since no weight file could hold it.
+(:func:`~lsknet.module.parameter_arrays`).  A config builds its shape-only tree
+once (:attr:`BackboneConfig.shape_tree`), which its size check, the cost walk
+and the weight loader share.  A configuration holding any array over
+:data:`MAX_ELEMENTS` values is refused, since no weight file could hold it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -69,7 +73,6 @@ __all__ = [
     "backbone_forward",
     "backbone_backward",
     "named_arrays",
-    "expected_shapes",
     "params_from_arrays",
 ]
 
@@ -97,23 +100,35 @@ class BackboneConfig:
     pooling: tuple[str, ...] = ("avg", "max")
 
     def __post_init__(self):
-        if len(self.channels) != 4 or len(self.depths) != 4 or len(self.ffn_ratios) != 4:
-            raise ShapeError("BackboneConfig: channels, depths and ffn_ratios need 4 stages")
-        if any(c < 1 for c in self.channels) or any(d < 1 for d in self.depths):
-            raise ShapeError("BackboneConfig: channels and depths must be positive")
-        if not all(math.isfinite(r) and r > 0 for r in self.ffn_ratios):
-            raise ShapeError(f"BackboneConfig: ffn ratios must be finite and positive, got {self.ffn_ratios}")
-        for c, r in zip(self.channels, self.ffn_ratios):
-            if not math.isfinite(r * c) or ffn_width(c, r) * c > MAX_ELEMENTS:
-                raise ShapeError(
-                    f"BackboneConfig: ffn ratios {self.ffn_ratios} put over {MAX_ELEMENTS} values in an FFN weight"
-                )
+        for name in ("channels", "depths"):
+            values = getattr(self, name)
+            if len(values) != 4 or not all(isinstance(v, numbers.Integral) and v >= 1 for v in values):
+                raise ShapeError(f"BackboneConfig: {name} must be 4 positive integers, got {name}={values}")
+            object.__setattr__(self, name, tuple(int(v) for v in values))
+        ratios = self.ffn_ratios
+        if len(ratios) != 4 or not all(isinstance(r, numbers.Real) and math.isfinite(r) and r > 0 for r in ratios):
+            raise ShapeError(f"BackboneConfig: ffn ratios must be 4 finite positive numbers, got ffn_ratios={ratios}")
+        if any(not math.isfinite(r * c) or ffn_width(c, r) * c > MAX_ELEMENTS for c, r in zip(self.channels, ratios)):
+            raise ShapeError(f"BackboneConfig: ffn ratios {ratios} put over {MAX_ELEMENTS} values in an FFN weight")
+        if not isinstance(self.plan, DecompositionPlan):
+            raise ShapeError(f"BackboneConfig: plan must be a DecompositionPlan, got plan={self.plan!r}")
+        try:
+            object.__setattr__(self, "selection_mode", SelectionMode(self.selection_mode))
+        except ValueError:
+            raise ShapeError(f"BackboneConfig: unknown selection_mode={self.selection_mode!r}") from None
         object.__setattr__(self, "pooling", normalize_pooling(self.pooling))
-        object.__setattr__(self, "selection_mode", SelectionMode(self.selection_mode))
-        # the FFN check above bounds the widths, so this tree can be built
-        for name, arr in named_arrays(init_backbone_params(self, seed=None)).items():
+        try:
+            arrays = named_arrays(self.shape_tree)
+        except ValueError:  # the FFN check bounds c, but a (c, c) weight can pass numpy's size limit
+            raise ShapeError(f"BackboneConfig: channels={self.channels} put an array past numpy's limit") from None
+        for name, arr in arrays.items():
             if arr.size > MAX_ELEMENTS:
                 raise ShapeError(f"BackboneConfig: {name} would hold {arr.size} values, over {MAX_ELEMENTS}")
+
+    @cached_property
+    def shape_tree(self) -> "BackboneParams":
+        """``init_backbone_params(self, seed=None)``: built once, read by every shape reader."""
+        return init_backbone_params(self, seed=None)
 
     @classmethod
     def variant(cls, name: str, **overrides) -> "BackboneConfig":
@@ -163,7 +178,7 @@ class ConvNormParams:
 
 
 def _init_conv_norm(rng, c_in: int, c_out: int, k: int, stride: int) -> ConvNormParams:
-    return ConvNormParams(init_conv(rng, (c_out, c_in, k, k), c_in * k * k), NormParams.identity(c_out), stride)
+    return ConvNormParams(init_conv(rng, (c_out, c_in, k, k), c_in * k * k), NormParams.identity(c_out, rng), stride)
 
 
 @dataclass
@@ -176,8 +191,9 @@ class BackboneParams:
 
 def init_backbone_params(config: BackboneConfig, seed: int | None = 0) -> BackboneParams:
     """Fresh weights with a fixed draw order, reproducible from the seed;
-    ``seed=None`` draws nothing and gives the shape-only tree (read-only zero
-    weights) that the cost walk and the weight loader read."""
+    ``seed=None`` draws nothing and gives the shape-only tree, whose arrays are
+    all read-only zero-stride views holding no memory (read it as
+    ``config.shape_tree``, built once per config)."""
     rng = None if seed is None else np.random.default_rng(seed)
     stem = _init_conv_norm(rng, 3, config.channels[0], 7, STEM_STRIDE)
     stages: list[list[BlockParams]] = []
@@ -221,12 +237,6 @@ def named_arrays(params: BackboneParams) -> dict[str, np.ndarray]:
     return out
 
 
-def expected_shapes(config: BackboneConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape map a weight file must satisfy for this configuration."""
-    template = init_backbone_params(config, seed=None)
-    return {name: tuple(arr.shape) for name, arr in named_arrays(template).items()}
-
-
 def params_from_arrays(config: BackboneConfig, arrays: dict[str, np.ndarray]) -> BackboneParams:
     """Rebuild structured params from a flat name -> array map.
 
@@ -234,7 +244,7 @@ def params_from_arrays(config: BackboneConfig, arrays: dict[str, np.ndarray]) ->
     the first offending tensor is named in the error.  The result holds the
     caller's float32 arrays themselves (no copy) and a cast of any other.
     """
-    template = init_backbone_params(config, seed=None)
+    template = config.shape_tree
     expected = named_arrays(template)
     for name, target in expected.items():
         if name not in arrays:

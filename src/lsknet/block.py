@@ -33,6 +33,7 @@ from .module import (
     LskModuleParams,
     LskState,
     SelectionMode,
+    constant,
     init_conv,
     init_lsk_params,
     lsk_backward,
@@ -66,12 +67,13 @@ class NormParams:
     var: np.ndarray
 
     @classmethod
-    def identity(cls, c: int, dtype=np.float32) -> "NormParams":
+    def identity(cls, c: int, rng: np.random.Generator | None) -> "NormParams":
+        """Scale 1, shift 0, mean 0, var 1 as :func:`~lsknet.module.constant` arrays."""
         return cls(
-            scale=np.ones(c, dtype=dtype),
-            shift=np.zeros(c, dtype=dtype),
-            mean=np.zeros(c, dtype=dtype),
-            var=np.ones(c, dtype=dtype),
+            scale=constant(rng, (c,), 1.0),
+            shift=constant(rng, (c,), 0.0),
+            mean=constant(rng, (c,), 0.0),
+            var=constant(rng, (c,), 1.0),
         )
 
 
@@ -116,18 +118,18 @@ def init_block_params(
     """Block weights drawn from ``rng``; ``rng=None`` gives the shape-only tree."""
     hidden = ffn_width(c, ffn_ratio)
     return BlockParams(
-        norm1=NormParams.identity(c),
+        norm1=NormParams.identity(c, rng),
         pre=init_conv(rng, (c, c), c),
         lsk=init_lsk_params(plan, c, c_mid, select_kernel, pooling, mode, rng),
         post=init_conv(rng, (c, c), c),
-        scale1=np.full(c, RESIDUAL_SCALE_INIT, dtype=np.float32),
-        norm2=NormParams.identity(c),
+        scale1=constant(rng, (c,), RESIDUAL_SCALE_INIT),
+        norm2=NormParams.identity(c, rng),
         ffn=FfnParams(
             fc1=init_conv(rng, (hidden, c), c),
             dw=init_conv(rng, (hidden, 3, 3), 9),
             fc2=init_conv(rng, (c, hidden), hidden),
         ),
-        scale2=np.full(c, RESIDUAL_SCALE_INIT, dtype=np.float32),
+        scale2=constant(rng, (c,), RESIDUAL_SCALE_INIT),
     )
 
 

@@ -5,8 +5,9 @@ the shapes of a parameter tree (``LskModuleParams``, ``BlockParams``,
 ``BackboneParams``), such as the shape-only tree ``init_*`` build with no
 generator or seed: every width, kernel size and selection mode is read off
 the arrays a layer holds, so ``params`` equals the learnable array sizes by
-construction.  The plan search ranks a plan by the ``convs`` node of the walk
-over ``init_lsk_params(plan, 64, 32)``.
+construction; :func:`cost_backbone` reads the config's own ``shape_tree``.
+The plan search ranks a plan by the ``convs`` node of the walk over
+``init_lsk_params(plan, 64, 32)``.
 
 Counting rules (also embedded in every report's ``conventions`` field):
 
@@ -35,7 +36,6 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .backbone import init_backbone_params
 from .errors import ShapeError
 from .module import SelectionMode
 from .ops import ConvSpec, conv_out_size
@@ -225,8 +225,8 @@ def _cost_conv_norm(p: "ConvNormParams", h: int, w: int) -> tuple[CostReport, in
 
 
 def cost_backbone(config: "BackboneConfig", h: int, w: int) -> CostReport:
-    """Whole-backbone cost at input resolution (h, w), read off the
-    shape-only parameter tree of ``config`` (no weights are drawn).
+    """Whole-backbone cost at input resolution (h, w), read off
+    ``config.shape_tree``, the shape-only tree the config built once.
 
     The stem and the between-stage downsamplers are conv-norm layers (a dense
     conv, then a norm) and show up as their own breakdown entries so their
@@ -234,7 +234,7 @@ def cost_backbone(config: "BackboneConfig", h: int, w: int) -> CostReport:
     """
     if h < 32 or w < 32:
         raise ShapeError(f"cost_backbone: input {h}x{w} below the 32x spatial ladder")
-    params = init_backbone_params(config, seed=None)
+    params = config.shape_tree
     stem, ch, cw = _cost_conv_norm(params.stem, h, w)
     parts = [("stem", stem)]
     for i, blocks in enumerate(params.stages):

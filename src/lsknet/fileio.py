@@ -226,9 +226,7 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
                 raise ManifestError(f"duplicate tensor name {name!r}")
             if not shape or any(s < 1 for s in shape) or len(shape) > 4:
                 raise DimOverflowError(f"tensor {name!r}: invalid shape {shape}")
-            count = 1
-            for s in shape:
-                count *= s
+            count = math.prod(shape)
             if count > MAX_ELEMENTS:
                 raise DimOverflowError(f"tensor {name!r}: {count} elements exceeds limit")
             end = offset + count * 4

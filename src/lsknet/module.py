@@ -43,6 +43,7 @@ __all__ = [
     "LskModuleParams",
     "LskOutput",
     "normalize_pooling",
+    "constant",
     "init_conv",
     "init_lsk_params",
     "lsk_forward",
@@ -156,19 +157,26 @@ class LskModuleParams:
             )
 
 
-def fan_in_uniform(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int, dtype=np.float32):
-    """Zero-mean uniform init with bound 1/sqrt(fan_in); ``rng=None`` draws
-    nothing and returns a read-only zero view of ``shape`` (all strides 0)."""
+def constant(rng: np.random.Generator | None, shape: tuple[int, ...], value: float) -> np.ndarray:
+    """A float32 array of ``shape`` filled with ``value``, drawing nothing;
+    ``rng=None`` gives a read-only view whose strides are all 0."""
+    if rng is None:  # a view of one read-only scalar (cheaper than np.broadcast_to)
+        return np.ndarray(shape, np.float32, np.float32(value), strides=(0,) * len(shape))
+    return np.full(shape, value, np.float32)
+
+
+def fan_in_uniform(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int) -> np.ndarray:
+    """Zero-mean float32 uniform init, bound 1/sqrt(fan_in); ``rng=None`` gives a zero :func:`constant`."""
     if rng is None:
-        return np.broadcast_to(np.zeros((), dtype), shape)
+        return constant(None, shape, 0.0)
     bound = 1.0 / np.sqrt(float(max(fan_in, 1)))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
 def init_conv(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: int) -> ConvParams:
     """A conv with a :func:`fan_in_uniform` weight of ``shape`` and a zero bias
     of ``shape[0]`` values."""
-    return ConvParams(fan_in_uniform(rng, shape, fan_in), np.zeros(shape[0], dtype=np.float32))
+    return ConvParams(fan_in_uniform(rng, shape, fan_in), constant(rng, shape[:1], 0.0))
 
 
 def init_lsk_params(
@@ -185,7 +193,7 @@ def init_lsk_params(
     All biases start at zero; in particular the selection-conv bias is zero so
     every mask starts centred at 0.5.  The draw order is fixed, so a seeded
     generator reproduces the same weights bit for bit; ``rng=None`` gives the
-    shape-only tree, whose weights are read-only zero views.
+    shape-only tree, whose arrays are read-only zero-stride views.
     """
     if c_in < 1:
         raise ShapeError(f"c_in must be >= 1, got {c_in}")
@@ -206,7 +214,7 @@ def init_lsk_params(
     if mode is SelectionMode.CHANNEL:
         z = max(cm // 4, 4)
         squeeze = init_conv(rng, (z, cm), cm)
-        expand = ConvParams(fan_in_uniform(rng, (n, cm, z), z), np.zeros((n, cm), dtype=np.float32))
+        expand = ConvParams(fan_in_uniform(rng, (n, cm, z), z), constant(rng, (n, cm), 0.0))
     spatial = mode is SelectionMode.SPATIAL  # only spatial selection has the conv
     params = LskModuleParams(
         plan, dw, mix, select if spatial else None, pooling if spatial else (), fuse, squeeze, expand

@@ -211,7 +211,7 @@ def test_criterion_6_count_reproduction():
 
 def test_criterion_7_analysis_correctness():
     with criterion(7, "analysis metrics match hand oracles; biased fixture ordering", 5.0):
-        from lsknet.analysis import OrientedBox, analyze_images, compute_rc, compute_selection_diff
+        from lsknet.analysis import OrientedBox, analyze_images, compute_selection_diff
         from lsknet.backbone import ActivationRecord
 
         def box(x0, y0, x1, y1, category="ship"):
@@ -225,7 +225,7 @@ def test_criterion_7_analysis_correctness():
             return rec
 
         rec = record([23], {(1, 1): np.ones((1, 1, 4, 4))})
-        stats = compute_rc([(rec, [box(0, 0, 10, 4.6)])], "ship")
+        (stats,), _ = analyze_images([(rec, [box(0, 0, 10, 4.6)])])
         assert abs(stats.r_c_raw - 8.0) < 1e-9
 
         def const(vals, h=4, w=4):

@@ -12,13 +12,10 @@ from lsknet.analysis import (
     BlockSelectionDiff,
     OrientedBox,
     analyze_images,
-    compute_rc,
-    compute_rc_all,
     compute_selection_diff,
     emit_analysis,
     parse_annotations,
     polygon_area,
-    record_activation_sum,
 )
 from lsknet.backbone import ActivationRecord
 from lsknet.errors import AnalysisError
@@ -35,6 +32,12 @@ def record(rf, entries):
     for key, mask in entries.items():
         rec.masks[key] = np.asarray(mask, dtype=np.float64)
     return rec
+
+
+def rc(images):
+    """The stats of the one category the images hold (normalized to 1.0)."""
+    (stats,), _ = analyze_images(images)
+    return stats
 
 
 def const_masks(values, h=4, w=4):
@@ -86,8 +89,7 @@ class TestParse:
         assert result.malformed_lines == 1 and result.degenerate_boxes == 0
         assert [b.area for b in result.boxes] == [16.0]
         rec = record([23], {(1, 1): np.ones((1, 1, 4, 4))})
-        (stats,) = compute_rc_all([(rec, result.boxes)])
-        assert stats.r_c_raw == 23.0
+        assert rc([(rec, result.boxes)]).r_c_raw == 23.0
 
 
 class TestArea:
@@ -111,20 +113,21 @@ class TestRcRatio:
         # one block, one kernel with RF 23, all-ones 4x4 mask, box area 46:
         # A = 23 * 16 = 368, R = 368 / 46 = 8
         rec = record([23], {(1, 1): np.ones((1, 1, 4, 4))})
-        stats = compute_rc([(rec, [box(0, 0, 10, 4.6)])], "ship")
+        stats = rc([(rec, [box(0, 0, 10, 4.6)])])
         assert stats.r_c_raw == pytest.approx(8.0, abs=1e-9)
         assert stats.image_count == 1
         assert stats.r_c_normalized == 1.0  # singleton convention
 
     def test_zero_masks_give_zero_ratio(self):
         rec = record([23], {(1, 1): np.zeros((1, 1, 4, 4))})
-        stats = compute_rc([(rec, [box(0, 0, 10, 10)])], "ship")
+        stats = rc([(rec, [box(0, 0, 10, 10)])])
         assert stats.r_c_raw == 0.0
 
     def test_mixed_category_images_are_excluded(self):
         rec = record([23], {(1, 1): np.ones((1, 1, 4, 4))})
         mixed = [(rec, [box(0, 0, 2, 2, "ship"), box(3, 3, 5, 5, "plane")])]
-        assert compute_rc(mixed, "ship") is None
+        stats, diffs = analyze_images(mixed)
+        assert stats == [] and diffs == {}
 
     def test_zero_area_and_excluded_categories_are_logged(self, caplog):
         rec = record([23], {(1, 1): np.ones((1, 1, 4, 4))})
@@ -141,15 +144,15 @@ class TestRcRatio:
 
     def test_record_without_blocks(self):
         rec = record([5, 23], {})
-        assert record_activation_sum(rec) == 0.0
         assert compute_selection_diff([rec], "ship") == []
-        stats, diffs = analyze_images([(rec, [box(0, 0, 2, 2)])])
+        # a unit-area box makes r_c_raw the record's activation sum
+        stats, diffs = analyze_images([(rec, [box(0, 0, 1, 1)])])
         assert stats[0].r_c_raw == 0.0 and diffs == {"ship": []}
 
     def test_activation_sum_weights_by_rf(self):
         rec = record([5, 23], {(1, 1): const_masks([1.0, 1.0], 2, 2)})
-        # 5 * 4 + 23 * 4
-        assert record_activation_sum(rec) == pytest.approx(112.0)
+        # 5 * 4 + 23 * 4, over a unit-area box
+        assert rc([(rec, [box(0, 0, 1, 1)])]).r_c_raw == pytest.approx(112.0)
 
     def test_batch_order_invariance(self):
         rng = np.random.default_rng(0)
@@ -157,18 +160,16 @@ class TestRcRatio:
         for _ in range(6):
             rec = record([5, 23], {(1, 1): rng.uniform(0.1, 0.9, (1, 2, 4, 4))})
             images.append((rec, [box(0, 0, 10, 10)]))
-        forward = compute_rc(images, "ship").r_c_raw
-        backward = compute_rc(list(reversed(images)), "ship").r_c_raw
+        forward = rc(images).r_c_raw
+        backward = rc(list(reversed(images))).r_c_raw
         assert forward == pytest.approx(backward, abs=1e-9)
 
     def test_mask_scaling_scales_raw_ratio_linearly(self):
         rng = np.random.default_rng(1)
         masks = rng.uniform(0.1, 0.9, (1, 2, 4, 4))
         lam = 0.37
-        base = compute_rc([(record([5, 23], {(1, 1): masks}), [box(0, 0, 10, 10)])], "ship")
-        scaled = compute_rc(
-            [(record([5, 23], {(1, 1): lam * masks}), [box(0, 0, 10, 10)])], "ship"
-        )
+        base = rc([(record([5, 23], {(1, 1): masks}), [box(0, 0, 10, 10)])])
+        scaled = rc([(record([5, 23], {(1, 1): lam * masks}), [box(0, 0, 10, 10)])])
         assert scaled.r_c_raw == pytest.approx(lam * base.r_c_raw, rel=1e-6)
 
     def test_mask_scaling_preserves_normalized_ordering(self):
@@ -182,14 +183,14 @@ class TestRcRatio:
             return out
 
         order = lambda stats: [s.category for s in sorted(stats, key=lambda s: s.r_c_normalized)]
-        assert order(compute_rc_all(images(1.0))) == order(compute_rc_all(images(0.25)))
+        assert order(analyze_images(images(1.0))[0]) == order(analyze_images(images(0.25))[0])
 
     def test_normalization_across_categories(self):
         def image(cat, level):
             rec = record([23], {(1, 1): np.full((1, 1, 4, 4), level, dtype=np.float32)})
             return rec, [box(0, 0, 10, 10, cat)]
 
-        stats = compute_rc_all([image("low", 0.2), image("mid", 0.5), image("high", 0.8)])
+        stats, _ = analyze_images([image("low", 0.2), image("mid", 0.5), image("high", 0.8)])
         by_cat = {s.category: s for s in stats}
         assert by_cat["low"].r_c_normalized == 0.0
         assert by_cat["high"].r_c_normalized == 1.0
@@ -200,7 +201,7 @@ class TestRcRatio:
             rec = record([23], {(1, 1): np.full((1, 1, 4, 4), 0.5, dtype=np.float32)})
             return rec, [box(0, 0, 10, 10, cat)]
 
-        stats = compute_rc_all([image("a"), image("b")])
+        stats, _ = analyze_images([image("a"), image("b")])
         assert [s.r_c_normalized for s in stats] == [1.0, 1.0]
 
 

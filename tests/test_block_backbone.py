@@ -5,6 +5,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +18,6 @@ from lsknet.backbone import (
     backbone_backward,
     backbone_params_astype,
     backbone_forward,
-    expected_shapes,
     init_backbone_params,
     named_arrays,
     params_from_arrays,
@@ -124,11 +125,25 @@ class TestBackboneConfig:
             ({"ffn_ratios": (1e300, 8, 4, 4)}, "FFN weight"),
             ({"ffn_ratios": (8, 8, 4, 1e308)}, "FFN weight"),
             ({"ffn_ratios": (2.0**21 + 1 / 32, 8, 4, 4)}, "FFN weight"),
+            # every field of the wrong type is named
+            ({"channels": (32.5, 64, 160, 256)}, "channels"),
+            ({"channels": (32, 64, "160", 256)}, "channels"),
+            ({"depths": (3, 3, 5.0, 2)}, "depths"),
+            ({"ffn_ratios": ("8", 8, 4, 4)}, "ffn_ratios"),
+            ({"selection_mode": "bogus"}, "selection_mode"),
+            ({"plan": ((5, 1), (7, 3))}, "plan"),
+            # within the FFN limit, but a (c, c) weight numpy cannot describe
+            ({"channels": (2**31, 8, 8, 8), "ffn_ratios": (1e-12, 2, 2, 2)}, "channels"),
         ],
     )
     def test_bad_widths_rejected(self, override, match):
         with pytest.raises(ShapeError, match=match):
-            BackboneConfig.variant("T", **override)
+            BackboneConfig(**{"channels": (32, 64, 160, 256), "depths": (3, 3, 5, 2), **override})
+
+    def test_numpy_integer_widths_accepted(self):
+        cfg = BackboneConfig(channels=tuple(np.int64([32, 64, 160, 256])), depths=tuple(np.int32([3, 3, 5, 2])))
+        assert cfg == BackboneConfig.variant("T")
+        assert all(type(v) is int for v in cfg.channels + cfg.depths)
 
     def test_largest_ffn_weight_accepted(self):
         # 2**21 * 32 hidden channels times 32 inputs is exactly MAX_ELEMENTS
@@ -139,6 +154,29 @@ class TestBackboneConfig:
         the block's (c, c) projection, and the first such array is named."""
         with pytest.raises(ShapeError, match=r"stage1\.block0\.pre\.weight"):
             BackboneConfig(channels=(65536, 8, 8, 8), depths=(1, 1, 1, 1), ffn_ratios=(1e-5, 2, 2, 2))
+
+    def test_oversized_config_refused_without_memory(self):
+        """2**22 stage-1 channels put 2**44 values in the (c, c) projection.
+        The shape-only tree holds no memory, so the refusal costs the same
+        at any width: under 1 MiB traced and under 10 ms."""
+
+        def refuse():
+            with pytest.raises(ShapeError, match=r"stage1\.block0\.pre\.weight"):
+                BackboneConfig(channels=(2**22, 8, 8, 8), depths=(1, 1, 1, 1), ffn_ratios=(1e-9, 2, 2, 2))
+
+        tracemalloc.start()
+        try:
+            refuse()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            refuse()
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.010
 
 
 TINY = BackboneConfig(channels=(4, 4, 8, 8), depths=(1, 2, 1, 1), ffn_ratios=(2, 2, 2, 2))
@@ -247,9 +285,9 @@ class TestWeightPlumbing:
         for got, ref in zip(backbone_forward(x, loaded).features, want):
             np.testing.assert_array_equal(got, ref)
 
-    def test_expected_shapes_match_init(self):
+    def test_shape_tree_matches_init(self):
         params = init_backbone_params(TINY, seed=0)
-        shapes = expected_shapes(TINY)
+        shapes = {name: arr.shape for name, arr in named_arrays(TINY.shape_tree).items()}
         for name, arr in named_arrays(params).items():
             assert shapes[name] == tuple(arr.shape)
 

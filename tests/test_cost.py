@@ -1,6 +1,8 @@
 """Cost accounting: closed forms, published cost ratios, scaling laws and
 breakdown consistency."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,9 @@ from lsknet import ops
 from lsknet.backbone import (
     BackboneConfig,
     backbone_forward,
-    expected_shapes,
     init_backbone_params,
     named_arrays,
+    params_from_arrays,
 )
 from lsknet.block import init_block_params
 from lsknet.cost import (
@@ -240,14 +242,49 @@ def test_backbone_params_match_initialised_arrays(channels, ffn_ratios, mode, po
     report = cost_backbone(cfg, 32, 32)
     assert report.params == learnable
     assert report.macs == forward_macs(params, 32, 32)
-    # the shape-only tree the walk reads has the seeded tree's shapes, and
-    # its weights are read-only zero views that hold no memory of their own
-    assert expected_shapes(cfg) == {name: a.shape for name, a in arrays.items()}
-    for name, a in named_arrays(init_backbone_params(cfg, seed=None)).items():
+    # the shape-only tree the walk reads has the seeded tree's names and
+    # shapes; every array is a read-only zero-stride view holding no memory,
+    # zero for a weight and the seeded value for everything else
+    shape_only = named_arrays(cfg.shape_tree)
+    assert {name: a.shape for name, a in shape_only.items()} == {name: a.shape for name, a in arrays.items()}
+    for name, a in shape_only.items():
+        assert set(a.strides) == {0} and not a.flags.writeable
+        assert a.dtype == arrays[name].dtype
         if name.endswith(".weight"):
-            assert a.shape == arrays[name].shape
-            assert set(a.strides) == {0} and not a.flags.writeable
             assert not a.any()
+        else:
+            np.testing.assert_array_equal(a, arrays[name])
+
+
+@pytest.mark.parametrize("mode", ["spatial", "channel", "none"])
+@pytest.mark.parametrize("variant", ["T", "S"])
+def test_preset_shape_trees_hold_no_memory(variant, mode):
+    cfg = BackboneConfig.variant(variant, selection_mode=mode)
+    for name, a in named_arrays(cfg.shape_tree).items():
+        assert set(a.strides) == {0} and not a.flags.writeable, name
+
+
+def test_one_config_builds_one_tree():
+    """The config builds its shape-only tree once, and the cost walk and the
+    weight loader read that tree instead of building their own.  A profile
+    hook counts every call of the builder, however it was imported."""
+    arrays = named_arrays(init_backbone_params(BackboneConfig.variant("T"), seed=0))
+    seeds = []
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is init_backbone_params.__code__:
+            seeds.append(frame.f_locals["seed"])
+
+    sys.setprofile(count)
+    try:
+        cfg = BackboneConfig.variant("T")
+        built = list(seeds)
+        cost_backbone(cfg, 64, 64)
+        loaded = params_from_arrays(cfg, arrays)
+    finally:
+        sys.setprofile(None)
+    assert built == [None] and seeds == [None]
+    assert loaded.config is cfg
 
 
 @settings(max_examples=30, deadline=None)
