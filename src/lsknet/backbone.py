@@ -100,6 +100,12 @@ class BackboneConfig:
     pooling: tuple[str, ...] = ("avg", "max")
 
     def __post_init__(self):
+        for name in ("channels", "depths", "ffn_ratios", "pooling"):
+            values = getattr(self, name)
+            try:
+                object.__setattr__(self, name, tuple(values))
+            except TypeError:
+                raise ShapeError(f"BackboneConfig: {name} must be a sequence, got {name}={values!r}") from None
         for name in ("channels", "depths"):
             values = getattr(self, name)
             if len(values) != 4 or not all(isinstance(v, numbers.Integral) and v >= 1 for v in values):

@@ -13,7 +13,10 @@ cache, ``(x_hat, inv_std)`` or ``None`` for stored statistics, tells the
 backward which path to take.  Every conv is one
 :class:`~lsknet.module.ConvParams` leaf and every width is read off the
 arrays; the selection module carries its own mode and pooling set, so
-:func:`block_forward` takes only the input and the parameters.  The weight
+:func:`block_forward` takes only the input and the parameters.  It frees each
+intermediate after its last use and builds the backward's state only when
+``keep_state`` is set, so an inference block holds at most two FFN-wide
+tensors at once; both modes run the same ops in the same order.  The weight
 names below a block's prefix are read off its field tree
 (:func:`~lsknet.module.parameter_arrays`: ``pre.weight``, ``ffn.fc1.bias``,
 ``norm2.var``, ...).
@@ -183,41 +186,38 @@ def block_forward(
     if x.shape[1] != params.c:
         raise ShapeError(f"block_forward: input has {x.shape[1]} channels, block expects {params.c}")
 
-    normed1, norm1_cache = norm_forward(x, params.norm1, train_norm)
-    pre_out = ops.pointwise_conv(normed1, params.pre.weight, params.pre.bias)
-    gelu1 = ops.gelu(pre_out)
-    lsk_out = lsk_forward(gelu1, params.lsk, keep_state=keep_state)
-    post_out = ops.pointwise_conv(lsk_out.y, params.post.weight, params.post.bias)
-    y1 = ops.elementwise(x, ops.channel_scale(post_out, params.scale1), "add")
+    # ``h`` is rebound along each half, so every intermediate is freed after
+    # its last use unless ``keep`` stored it as a state field
+    kept: dict = {}
+    keep = kept.update if keep_state else lambda **fields: None
 
-    normed2, norm2_cache = norm_forward(y1, params.norm2, train_norm)
+    h, cache = norm_forward(x, params.norm1, train_norm)
+    keep(normed1=h, norm1_cache=cache)
+    h = ops.pointwise_conv(h, params.pre.weight, params.pre.bias)
+    keep(pre_out=h)
+    h = ops.gelu(h)
+    lsk_out = lsk_forward(h, params.lsk, keep_state=keep_state)
+    keep(lsk_state=lsk_out.state, lsk_y=lsk_out.y)
+    h, masks = lsk_out.y, lsk_out.masks
+    del lsk_out
+    h = ops.pointwise_conv(h, params.post.weight, params.post.bias)
+    keep(post_out=h)
+    y1 = ops.elementwise(x, ops.channel_scale(h, params.scale1), "add")
+    keep(y1=y1)
+
     ffn = params.ffn
-    fc1_out = ops.pointwise_conv(normed2, ffn.fc1.weight, ffn.fc1.bias)
-    dw_out = ops.depthwise_conv(fc1_out, ffn.dw.weight, ffn.dw.bias, _FFN_SPEC)
-    gelu2 = ops.gelu(dw_out)
-    fc2_out = ops.pointwise_conv(gelu2, ffn.fc2.weight, ffn.fc2.bias)
-    y = ops.elementwise(y1, ops.channel_scale(fc2_out, params.scale2), "add")
-
-    state = None
-    if keep_state:
-        state = BlockState(
-            params=params,
-            x=x,
-            normed1=normed1,
-            norm1_cache=norm1_cache,
-            pre_out=pre_out,
-            lsk_state=lsk_out.state,
-            lsk_y=lsk_out.y,
-            post_out=post_out,
-            y1=y1,
-            normed2=normed2,
-            norm2_cache=norm2_cache,
-            fc1_out=fc1_out,
-            dw_out=dw_out,
-            gelu2=gelu2,
-            fc2_out=fc2_out,
-        )
-    return BlockOutput(y=y, masks=lsk_out.masks, state=state)
+    h, cache = norm_forward(y1, params.norm2, train_norm)
+    keep(normed2=h, norm2_cache=cache)
+    h = ops.pointwise_conv(h, ffn.fc1.weight, ffn.fc1.bias)
+    keep(fc1_out=h)
+    h = ops.depthwise_conv(h, ffn.dw.weight, ffn.dw.bias, _FFN_SPEC)
+    keep(dw_out=h)
+    h = ops.gelu(h)
+    keep(gelu2=h)
+    h = ops.pointwise_conv(h, ffn.fc2.weight, ffn.fc2.bias)
+    keep(fc2_out=h)
+    y = ops.elementwise(y1, ops.channel_scale(h, params.scale2), "add")
+    return BlockOutput(y=y, masks=masks, state=BlockState(params=params, x=x, **kept) if keep_state else None)
 
 
 def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[str, np.ndarray]]:

@@ -158,15 +158,14 @@ class Manifest:
 
 
 def write_weights(target, arrays: Mapping[str, np.ndarray]) -> Manifest:
-    """Write named float arrays contiguously; returns the manifest written."""
+    """Write named float arrays contiguously; returns the manifest written.
+    The offsets come from the shapes, and each tensor is written from its own
+    float32 array, so at most one converted copy is held at a time."""
     entries: dict[str, tuple[int, tuple[int, ...]]] = {}
-    blobs: list[bytes] = []
     offset = 0
     for name, arr in arrays.items():
-        blob = np.ascontiguousarray(arr, dtype=_F4).tobytes()
         entries[name] = (offset, tuple(arr.shape))
-        blobs.append(blob)
-        offset += len(blob)
+        offset += math.prod(arr.shape) * _F4.itemsize
     manifest = Manifest(entries=entries)
     doc = {
         "format_version": manifest.format_version,
@@ -181,8 +180,8 @@ def write_weights(target, arrays: Mapping[str, np.ndarray]) -> Manifest:
         fh.write(WEIGHTS_MAGIC)
         fh.write(struct.pack("<I", len(payload)))
         fh.write(payload)
-        for blob in blobs:
-            fh.write(blob)
+        for arr in arrays.values():
+            fh.write(np.ascontiguousarray(arr, dtype=_F4))
     finally:
         if owned:
             fh.close()

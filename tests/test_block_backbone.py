@@ -6,11 +6,12 @@ import os
 import subprocess
 import sys
 import time
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lsknet
 from lsknet.backbone import (
@@ -26,6 +27,8 @@ from lsknet.block import block_forward, init_block_params
 from lsknet.errors import ShapeError, WeightMismatchError
 from lsknet.module import SelectionMode
 from lsknet.plan import validate_plan
+
+from conftest import peak_allocation
 
 PLAN = validate_plan([(3, 1), (5, 2)])
 
@@ -134,6 +137,11 @@ class TestBackboneConfig:
             ({"plan": ((5, 1), (7, 3))}, "plan"),
             # within the FFN limit, but a (c, c) weight numpy cannot describe
             ({"channels": (2**31, 8, 8, 8), "ffn_ratios": (1e-12, 2, 2, 2)}, "channels"),
+            # a field that is not a sequence at all is named too
+            ({"channels": 32}, "channels"),
+            ({"depths": 3}, "depths"),
+            ({"ffn_ratios": 8.0}, "ffn_ratios"),
+            ({"pooling": 5}, "pooling"),
         ],
     )
     def test_bad_widths_rejected(self, override, match):
@@ -164,13 +172,7 @@ class TestBackboneConfig:
             with pytest.raises(ShapeError, match=r"stage1\.block0\.pre\.weight"):
                 BackboneConfig(channels=(2**22, 8, 8, 8), depths=(1, 1, 1, 1), ffn_ratios=(1e-9, 2, 2, 2))
 
-        tracemalloc.start()
-        try:
-            refuse()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+        assert peak_allocation(refuse) < 1 << 20
         times = []
         for _ in range(3):
             start = time.perf_counter()
@@ -249,6 +251,41 @@ class TestBackboneForward:
             out = backbone_forward(x, init_backbone_params(cfg, seed=0), keep_state=False)
             assert out.record.masks == {}
             assert [f.shape[1] for f in out.features] == list(cfg.channels)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        channels=st.tuples(*[st.integers(4, 16)] * 4),
+        depths=st.tuples(*[st.integers(1, 2)] * 4),
+        mode=st.sampled_from(list(SelectionMode)),
+        pooling=st.sampled_from([("avg", "max"), ("avg",), ("max",)]),
+        train_norm=st.booleans(),
+        side=st.sampled_from([32, 64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_inference_matches_kept_state(self, channels, depths, mode, pooling, train_norm, side, seed):
+        """An inference forward frees what a kept-state forward keeps, but
+        runs the same ops in the same order: features and masks agree bit
+        for bit."""
+        cfg = BackboneConfig(channels=channels, depths=depths, selection_mode=mode, pooling=pooling)
+        params = init_backbone_params(cfg, seed=seed)
+        x = np.random.default_rng(seed).uniform(-1, 1, size=(1, 3, side, side)).astype(np.float32)
+        dropped = backbone_forward(x, params, train_norm=train_norm)
+        kept = backbone_forward(x, params, keep_state=True, train_norm=train_norm)
+        assert dropped.state is None and kept.state is not None
+        assert [f.tobytes() for f in dropped.features] == [f.tobytes() for f in kept.features]
+        assert dropped.record.masks.keys() == kept.record.masks.keys()
+        assert all(dropped.record.masks[k].tobytes() == m.tobytes() for k, m in kept.record.masks.items())
+
+    def test_inference_frees_block_intermediates(self):
+        """Each block intermediate is freed after its last use, so a T
+        inference forward at 256x256 peaks at no more than three stage-1 FFN
+        hidden tensors; a kept-state forward holds what it always held
+        (113.9 MiB traced)."""
+        params = init_backbone_params(BackboneConfig.variant("T"), seed=0)
+        x = np.random.default_rng(0).uniform(-1, 1, size=(1, 3, 256, 256)).astype(np.float32)
+        hidden = params.stages[0][0].ffn.fc1.weight.shape[0] * 64 * 64 * x.itemsize  # 4 MiB
+        assert peak_allocation(backbone_forward, x, params) <= 3 * hidden
+        assert peak_allocation(backbone_forward, x, params, True) <= 113.9 * 2**20
 
 
 class TestWeightPlumbing:
@@ -408,6 +445,9 @@ out = backbone_forward(x, params, keep_state=True)
 grad_x, grads = backbone_backward(np.ones_like(out.features[3]), out.state)
 d = {f"feature{i + 1}": digest(f) for i, f in enumerate(out.features)}
 d.update({f"mask{k}": digest(m) for k, m in out.record.masks.items()})
+inference = backbone_forward(x, params)
+d.update({f"inference.feature{i + 1}": digest(f) for i, f in enumerate(inference.features)})
+d.update({f"inference.mask{k}": digest(m) for k, m in inference.record.masks.items()})
 d["grad.x"] = digest(grad_x)
 d.update({f"grad.{k}": digest(v) for k, v in grads.items()})
 print(json.dumps(d))
@@ -416,9 +456,10 @@ _SRC = os.path.dirname(os.path.dirname(lsknet.__file__))  # the child imports th
 
 
 def test_bit_identical_across_thread_counts():
-    """T forward (features, masks) and backward (every gradient) at 256x256,
-    where the stage-1 matrix products are large enough for BLAS to split them
-    across threads, give the same bits under LSK_THREADS=1 and 2."""
+    """T forward (features, masks) with and without kept state, and backward
+    (every gradient) at 256x256, where the stage-1 matrix products are large
+    enough for BLAS to split them across threads, give the same bits under
+    LSK_THREADS=1 and 2."""
     digests = []
     for threads in ("1", "2"):
         # the thread cap only sets these when unset, so an inherited value would win

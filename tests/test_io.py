@@ -4,7 +4,6 @@ and weight-file validation."""
 import io
 import json
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +28,8 @@ from lsknet.fileio import (
     write_tensor,
     write_weights,
 )
+
+from conftest import peak_allocation
 
 
 def tensor_bytes(x):
@@ -192,19 +193,18 @@ class TestWeights:
         path = tmp_path / "t.lskw"
         write_weights(path, named_arrays(init_backbone_params(BackboneConfig.variant("T"), seed=0)))
         size = path.stat().st_size
-        started = not tracemalloc.is_tracing()
-        if started:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            arrays, _ = read_weights(path)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            if started:
-                tracemalloc.stop()
-        assert sum(a.nbytes for a in arrays.values()) < size
+        peak = peak_allocation(read_weights, path)
+        assert sum(a.nbytes for a in read_weights(path)[0].values()) < size
         assert peak <= size + (1 << 20), f"peak {peak} B for a {size} B file"
+
+    def test_write_peak_is_under_two_tensors(self, tmp_path):
+        """Offsets come from the shapes and each tensor is written from its own
+        array, so no copy of the whole payload is held while writing."""
+        arrays = named_arrays(init_backbone_params(BackboneConfig.variant("T"), seed=0))
+        largest = max(a.nbytes for a in arrays.values())
+        peak = peak_allocation(write_weights, tmp_path / "t.lskw", arrays)
+        assert peak < 2 * largest, f"peak {peak} B, largest tensor {largest} B"
+        assert (tmp_path / "t.lskw").stat().st_size > sum(a.nbytes for a in arrays.values())
 
     def test_weight_fuzz_truncations(self, rng):
         buf = io.BytesIO()

@@ -1,8 +1,6 @@
 """Forward kernels against the naive-loop oracles, plus the pinned examples,
 shape validation, and determinism."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +11,7 @@ from lsknet import ops
 from lsknet.errors import ShapeError
 from lsknet.ops import ConvSpec
 
+from conftest import peak_allocation
 from oracles import (
     affine_norm_loops,
     batch_norm_backward_loops,
@@ -281,7 +280,7 @@ class TestPointwise:
         w = rng.standard_normal((2048, 512)).astype(np.float32)
         g = rng.standard_normal((4, 2048, 4, 4)).astype(np.float32)
         results = x.nbytes + w.nbytes + 2048 * 4
-        peak = _peak_allocation(ops.pointwise_conv_backward, g, x, w)
+        peak = peak_allocation(ops.pointwise_conv_backward, g, x, w)
         assert peak <= results + w.nbytes + 256 * 1024
 
 
@@ -406,21 +405,6 @@ def gelu_pairs(draw):
     )
 
 
-def _peak_allocation(fn, *args) -> int:
-    """Peak bytes traced during one call, above what was traced before it."""
-    started = not tracemalloc.is_tracing()
-    if started:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if started:
-            tracemalloc.stop()
-
-
 class TestGelu:
     @given(gelu_pairs())
     @settings(max_examples=60, deadline=None)
@@ -469,7 +453,7 @@ class TestGelu:
         full-size buffers, the result included."""
         x = rng.standard_normal((1, 64, 64, 64)).astype(np.float32)
         args = (x,) if op == "gelu" else (np.ones_like(x), x)
-        peak = _peak_allocation(getattr(ops, op), *args)
+        peak = peak_allocation(getattr(ops, op), *args)
         assert peak <= copies * x.nbytes + 64 * 1024
 
     def test_rejects_non_4d(self, rng):
@@ -489,10 +473,10 @@ class TestDepthwiseMemory:
         w = rng.standard_normal((64, kernel, kernel)).astype(np.float32)
         spec = ConvSpec(kernel, dilation)
         if backward:
-            peak = _peak_allocation(ops.depthwise_conv_backward, np.ones_like(x), x, w, spec)
+            peak = peak_allocation(ops.depthwise_conv_backward, np.ones_like(x), x, w, spec)
             results = x.nbytes + w.nbytes + 64 * 4
         else:
-            peak = _peak_allocation(ops.depthwise_conv, x, w, np.zeros(64, np.float32), spec)
+            peak = peak_allocation(ops.depthwise_conv, x, w, np.zeros(64, np.float32), spec)
             results = x.nbytes
         assert peak <= results + ops._DW_TILE_BYTES + ops._DW_TILE_BYTES // 4 + 64 * 1024
 
