@@ -68,6 +68,7 @@ __all__ = [
     "BackboneParams",
     "BackboneOutput",
     "ActivationRecord",
+    "check_input_size",
     "init_backbone_params",
     "backbone_params_astype",
     "backbone_forward",
@@ -291,19 +292,26 @@ class BackboneOutput:
     state: BackboneState | None
 
 
+def check_input_size(h: int, w: int, where: str) -> None:
+    """Refuse input sides that are not positive multiples of the product of
+    the stem's and the three downsamplers' strides (32)."""
+    m = STEM_STRIDE * DOWN_STRIDE**3
+    if min(h, w) < 1 or h % m or w % m:
+        raise ShapeError(f"{where}: spatial dims {h}x{w} not positive and divisible by {m}")
+
+
 def backbone_forward(
     x: Tensor4,
     params: BackboneParams,
     keep_state: bool = False,
     train_norm: bool = False,
 ) -> BackboneOutput:
-    """Run the whole backbone; input spatial dims must be divisible by 32."""
+    """Run the whole backbone; see :func:`check_input_size` for the input sides."""
     ops.check_tensor4(x, "backbone_forward: x")
     n, c, h, w = x.shape
     if c != 3:
         raise ShapeError(f"backbone_forward: expected 3 input channels, got {c}")
-    if h % 32 or w % 32:
-        raise ShapeError(f"backbone_forward: spatial dims {h}x{w} not divisible by 32")
+    check_input_size(h, w, "backbone_forward")
 
     cur, stem_state = _conv_norm_forward(x, params.stem, train_norm, keep_state)
     layers = [("stem", _conv_norm_backward, stem_state)]

@@ -13,10 +13,12 @@ cache, ``(x_hat, inv_std)`` or ``None`` for stored statistics, tells the
 backward which path to take.  Every conv is one
 :class:`~lsknet.module.ConvParams` leaf and every width is read off the
 arrays; the selection module carries its own mode and pooling set, so
-:func:`block_forward` takes only the input and the parameters.  It frees each
-intermediate after its last use and builds the backward's state only when
-``keep_state`` is set, so an inference block holds at most two FFN-wide
-tensors at once; both modes run the same ops in the same order.  The weight
+:func:`block_forward` takes only the input and the parameters.  Like
+:func:`~lsknet.module.lsk_forward`, it frees each intermediate after its last
+use, builds the backward's state only when ``keep_state`` is set and returns a
+:class:`~lsknet.module.LayerOutput`, so an inference block holds at most two
+FFN-wide tensors at once; both modes run the same ops in the same order, and
+:func:`block_backward` starts every gradient from its first term.  The weight
 names below a block's prefix are read off its field tree
 (:func:`~lsknet.module.parameter_arrays`: ``pre.weight``, ``ffn.fc1.bias``,
 ``norm2.var``, ...).
@@ -33,6 +35,7 @@ from . import ops
 from .errors import ShapeError
 from .module import (
     ConvParams,
+    LayerOutput,
     LskModuleParams,
     LskState,
     SelectionMode,
@@ -50,7 +53,6 @@ __all__ = [
     "NormParams",
     "FfnParams",
     "BlockParams",
-    "BlockOutput",
     "ffn_width",
     "init_block_params",
     "block_forward",
@@ -112,7 +114,6 @@ def init_block_params(
     plan: DecompositionPlan,
     c: int,
     ffn_ratio: float,
-    c_mid: int | None = None,
     select_kernel: int = 7,
     pooling: Sequence[str] = ("avg", "max"),
     mode: SelectionMode = SelectionMode.SPATIAL,
@@ -123,7 +124,7 @@ def init_block_params(
     return BlockParams(
         norm1=NormParams.identity(c, rng),
         pre=init_conv(rng, (c, c), c),
-        lsk=init_lsk_params(plan, c, c_mid, select_kernel, pooling, mode, rng),
+        lsk=init_lsk_params(plan, c, select_kernel=select_kernel, pooling=pooling, mode=mode, rng=rng),
         post=init_conv(rng, (c, c), c),
         scale1=constant(rng, (c,), RESIDUAL_SCALE_INIT),
         norm2=NormParams.identity(c, rng),
@@ -155,13 +156,6 @@ class BlockState:
     fc2_out: Tensor4
 
 
-@dataclass
-class BlockOutput:
-    y: Tensor4
-    masks: Tensor4 | None
-    state: BlockState | None
-
-
 def norm_forward(x, norm: NormParams, train: bool):
     """``(y, cache)``: with ``train`` the batch's own statistics and the cache
     ``(x_hat, inv_std)``, else the stored statistics and the cache ``None``."""
@@ -181,7 +175,7 @@ def norm_backward(grad, norm: NormParams, x, cache):
 
 def block_forward(
     x: Tensor4, params: BlockParams, train_norm: bool = False, keep_state: bool = True
-) -> BlockOutput:
+) -> LayerOutput:
     ops.check_tensor4(x, "block_forward: x")
     if x.shape[1] != params.c:
         raise ShapeError(f"block_forward: input has {x.shape[1]} channels, block expects {params.c}")
@@ -217,7 +211,7 @@ def block_forward(
     h = ops.pointwise_conv(h, ffn.fc2.weight, ffn.fc2.bias)
     keep(fc2_out=h)
     y = ops.elementwise(y1, ops.channel_scale(h, params.scale2), "add")
-    return BlockOutput(y=y, masks=masks, state=BlockState(params=params, x=x, **kept) if keep_state else None)
+    return LayerOutput(y=y, masks=masks, state=BlockState(params=params, x=x, **kept) if keep_state else None)
 
 
 def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[str, np.ndarray]]:
@@ -230,7 +224,6 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
     grads: dict[str, np.ndarray] = {}
 
     # FFN half: y = y1 + scale2 * fc2_out
-    grad_y1 = grad_y.copy()
     grad_fc2_out, grads["scale2"] = ops.channel_scale_backward(grad_y, state.fc2_out, p.scale2)
     grad_gelu2, grads["ffn.fc2.weight"], grads["ffn.fc2.bias"] = ops.pointwise_conv_backward(
         grad_fc2_out, state.gelu2, p.ffn.fc2.weight
@@ -242,13 +235,12 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
     grad_normed2, grads["ffn.fc1.weight"], grads["ffn.fc1.bias"] = ops.pointwise_conv_backward(
         grad_fc1_out, state.normed2, p.ffn.fc1.weight
     )
-    g_y1_norm, grads["norm2.scale"], grads["norm2.shift"] = norm_backward(
+    grad_y1, grads["norm2.scale"], grads["norm2.shift"] = norm_backward(
         grad_normed2, p.norm2, state.y1, state.norm2_cache
     )
-    grad_y1 += g_y1_norm
+    grad_y1 += grad_y  # the residual path
 
     # selection half: y1 = x + scale1 * post_out
-    grad_x = grad_y1.copy()
     grad_post_out, grads["scale1"] = ops.channel_scale_backward(grad_y1, state.post_out, p.scale1)
     grad_lsk_y, grads["post.weight"], grads["post.bias"] = ops.pointwise_conv_backward(
         grad_post_out, state.lsk_y, p.post.weight
@@ -259,8 +251,8 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
     grad_normed1, grads["pre.weight"], grads["pre.bias"] = ops.pointwise_conv_backward(
         grad_pre_out, state.normed1, p.pre.weight
     )
-    g_x_norm, grads["norm1.scale"], grads["norm1.shift"] = norm_backward(
+    grad_x, grads["norm1.scale"], grads["norm1.shift"] = norm_backward(
         grad_normed1, p.norm1, state.x, state.norm1_cache
     )
-    grad_x += g_x_norm
+    grad_x += grad_y1  # the residual path
     return grad_x, grads

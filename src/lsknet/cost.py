@@ -32,18 +32,15 @@ Counting rules (also embedded in every report's ``conventions`` field):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
 
+from .backbone import BackboneConfig, ConvNormParams, check_input_size
+from .block import BlockParams, NormParams
 from .errors import ShapeError
-from .module import SelectionMode
+from .module import ConvParams, LskModuleParams, SelectionMode
 from .ops import ConvSpec, conv_out_size
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .backbone import BackboneConfig, ConvNormParams
-    from .block import BlockParams, NormParams
-    from .module import ConvParams, LskModuleParams
 
 __all__ = [
     "CONVENTIONS",
@@ -120,7 +117,7 @@ def _conv_cost(weights: int, biases: int, out_hw: int) -> CostReport:
     return CostReport(params=params, flops=2 * out_hw * params, macs=out_hw * weights)
 
 
-def _conv_leaf(conv: "ConvParams", out_hw: int) -> CostReport:
+def _conv_leaf(conv: ConvParams, out_hw: int) -> CostReport:
     """A conv read off its arrays, evaluated at ``out_hw`` output pixels."""
     return _conv_cost(conv.weight.size, conv.bias.size, out_hw)
 
@@ -139,7 +136,7 @@ def cost_conv2d(c_in: int, c_out: int, k: int, out_h: int, out_w: int) -> CostRe
     return _conv_cost(c_out * c_in * k * k, c_out, out_h * out_w)
 
 
-def cost_norm(norm: "NormParams", h: int, w: int) -> CostReport:
+def cost_norm(norm: NormParams, h: int, w: int) -> CostReport:
     """A per-channel affine norm: its scale and shift are the parameters."""
     return CostReport(params=norm.scale.size + norm.shift.size, flops=2 * norm.scale.size * h * w)
 
@@ -157,7 +154,7 @@ def cost_elementwise(c: int, h: int, w: int, n_ops: int = 1) -> CostReport:
     return CostReport(params=0, flops=n_ops * c * h * w)
 
 
-def cost_lsk_module(params: "LskModuleParams", h: int, w: int) -> CostReport:
+def cost_lsk_module(params: LskModuleParams, h: int, w: int) -> CostReport:
     """Full module cost: its convs, then the pooling, mask activation and
     branch weighting of the selection mode whose arrays it holds, and the
     final input gating."""
@@ -186,7 +183,7 @@ def cost_lsk_module(params: "LskModuleParams", h: int, w: int) -> CostReport:
     return combine(parts)
 
 
-def cost_block(params: "BlockParams", h: int, w: int) -> CostReport:
+def cost_block(params: BlockParams, h: int, w: int) -> CostReport:
     """One backbone block: LK-selection sub-block plus FFN sub-block."""
     hw = h * w
     c, hidden = params.scale1.size, params.ffn.fc1.weight.shape[0]
@@ -215,7 +212,7 @@ def cost_block(params: "BlockParams", h: int, w: int) -> CostReport:
     return combine([("lk_selection", selection), ("ffn", ffn)])
 
 
-def _cost_conv_norm(p: "ConvNormParams", h: int, w: int) -> tuple[CostReport, int, int]:
+def _cost_conv_norm(p: ConvNormParams, h: int, w: int) -> tuple[CostReport, int, int]:
     """The stem or a downsampler at its conv's output resolution, plus that
     resolution."""
     k = p.conv.weight.shape[2]
@@ -224,7 +221,7 @@ def _cost_conv_norm(p: "ConvNormParams", h: int, w: int) -> tuple[CostReport, in
     return report, oh, ow
 
 
-def cost_backbone(config: "BackboneConfig", h: int, w: int) -> CostReport:
+def cost_backbone(config: BackboneConfig, h: int, w: int) -> CostReport:
     """Whole-backbone cost at input resolution (h, w), read off
     ``config.shape_tree``, the shape-only tree the config built once.
 
@@ -232,8 +229,7 @@ def cost_backbone(config: "BackboneConfig", h: int, w: int) -> CostReport:
     conv, then a norm) and show up as their own breakdown entries so their
     contribution to the totals is auditable.
     """
-    if h < 32 or w < 32:
-        raise ShapeError(f"cost_backbone: input {h}x{w} below the 32x spatial ladder")
+    check_input_size(h, w, "cost_backbone")
     params = config.shape_tree
     stem, ch, cw = _cost_conv_norm(params.stem, h, w)
     parts = [("stem", stem)]

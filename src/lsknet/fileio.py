@@ -111,7 +111,7 @@ def write_tensor(target, x: np.ndarray) -> None:
     try:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<4Q", *x.shape))
-        fh.write(np.ascontiguousarray(x, dtype=_F4).tobytes())
+        fh.write(np.ascontiguousarray(x, dtype=_F4))
     finally:
         if owned:
             fh.close()

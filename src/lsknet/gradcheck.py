@@ -188,7 +188,7 @@ def _module_case(rng, mode: SelectionMode) -> _Case:
 
 def _block_case(rng) -> _Case:
     plan = validate_plan([(3, 1)])
-    base = init_block_params(plan, c=4, ffn_ratio=2.0, c_mid=2, select_kernel=3, rng=rng)
+    base = init_block_params(plan, c=4, ffn_ratio=2.0, select_kernel=3, rng=rng)
     return _layer_case(
         rng, params_astype(base, np.float64), block_forward, block_backward,
         lambda state: state.lsk_state.cat,

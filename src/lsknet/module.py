@@ -18,6 +18,10 @@ unweighted; both exist for comparison runs.  A module's mode is read off the
 convs it holds (a selection conv means spatial, the squeeze and expand convs
 mean channel, neither means none), and a spatial module stores its own
 pooling set, so :func:`lsk_forward` takes only the input and the parameters.
+It frees each intermediate after its last use and builds the backward's
+state only when ``keep_state`` is set; both modes run the same ops in the
+same order.  The module and the block return the same :class:`LayerOutput`,
+and their backward passes start every gradient from its first term.
 
 Every conv is one :class:`ConvParams` leaf, and :func:`parameter_arrays`
 reads the weight-file names of any layer off its field tree (``dw0.weight``,
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -37,11 +41,14 @@ from .errors import ShapeError
 from .plan import DecompositionPlan
 from .ops import Tensor4
 
+if TYPE_CHECKING:  # pragma: no cover
+    from .block import BlockState
+
 __all__ = [
     "SelectionMode",
     "ConvParams",
     "LskModuleParams",
-    "LskOutput",
+    "LayerOutput",
     "normalize_pooling",
     "constant",
     "init_conv",
@@ -245,10 +252,12 @@ class LskState:
 
 
 @dataclass
-class LskOutput:
+class LayerOutput:
+    """What a selection module's or a block's forward returns."""
+
     y: Tensor4
     masks: Tensor4 | None  # (n, n_kernels, h, w) in spatial mode, else None
-    state: LskState | None
+    state: LskState | BlockState | None  # the backward's state, only when kept
 
 
 def _softmax_branches(logits: np.ndarray) -> np.ndarray:
@@ -257,7 +266,7 @@ def _softmax_branches(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) -> LskOutput:
+def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) -> LayerOutput:
     """Run the selection module in the mode its arrays give; returns output,
     masks and (optionally) the saved state for the backward pass.
 
@@ -273,65 +282,59 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
     mode = params.mode
     n = params.n_kernels
 
-    u: list[Tensor4] = [x]
+    # every intermediate is freed after its last use unless ``keep`` stored
+    # it as a state field
+    kept: dict = {}
+    keep = kept.update if keep_state else lambda **fields: None
+
+    u = [x]
     for conv, spec in zip(params.dw, params.plan.stages):
         u.append(ops.depthwise_conv(u[-1], conv.weight, conv.bias, spec))
-    u_mixed = [ops.pointwise_conv(u[i + 1], conv.weight, conv.bias) for i, conv in enumerate(params.mix)]
+    keep(u=u[:])
+    # each stage output u[i + 1] is dropped once mixer i has read it
+    mixed = [ops.pointwise_conv(u.pop(1), conv.weight, conv.bias) for conv in params.mix]
+    keep(u_mixed=mixed)
 
-    cat = pooled = masks = None
-    cs_sum = cs_pre = cs_hidden = cs_weights = None
+    masks = None
     if mode is SelectionMode.SPATIAL:
-        cat = ops.concat_channels(u_mixed)
-        pooled = ops.concat_channels([ops.channel_pool(cat, m) for m in params.pooling])
+        h = ops.concat_channels(mixed)
+        keep(cat=h)
+        h = ops.concat_channels([ops.channel_pool(h, m) for m in params.pooling])
+        keep(pooled=h)
         q = params.select_kernel
-        logits = ops.conv2d(pooled, params.select.weight, params.select.bias, padding=(q - 1) // 2)
-        masks = ops.sigmoid(logits)
-        weighted = ops.broadcast_mask_mul(u_mixed[0], masks[:, 0:1])
+        masks = ops.sigmoid(ops.conv2d(h, params.select.weight, params.select.bias, padding=(q - 1) // 2))
+        keep(masks=masks)
+        h = ops.broadcast_mask_mul(mixed[0], masks[:, 0:1])
         for i in range(1, n):
-            weighted = ops.elementwise(
-                weighted, ops.broadcast_mask_mul(u_mixed[i], masks[:, i : i + 1]), "add"
-            )
+            h = ops.elementwise(h, ops.broadcast_mask_mul(mixed[i], masks[:, i : i + 1]), "add")
     elif mode is SelectionMode.CHANNEL:
-        cs_sum = ops.global_avg_pool(u_mixed[0])
+        h = ops.global_avg_pool(mixed[0])
         for i in range(1, n):
-            cs_sum = ops.elementwise(cs_sum, ops.global_avg_pool(u_mixed[i]), "add")
-        cs_pre = ops.pointwise_conv(cs_sum, params.cs_squeeze.weight, params.cs_squeeze.bias)
-        cs_hidden = ops.gelu(cs_pre)
+            h = ops.elementwise(h, ops.global_avg_pool(mixed[i]), "add")
+        keep(cs_sum=h)
+        h = ops.pointwise_conv(h, params.cs_squeeze.weight, params.cs_squeeze.bias)
+        keep(cs_pre=h)
+        h = ops.gelu(h)
+        keep(cs_hidden=h)
         expand = params.cs_expand
-        branch_logits = np.stack(
-            [ops.pointwise_conv(cs_hidden, expand.weight[i], expand.bias[i])[:, :, 0, 0] for i in range(n)],
-            axis=1,
+        a = _softmax_branches(
+            np.stack([ops.pointwise_conv(h, expand.weight[i], expand.bias[i])[:, :, 0, 0] for i in range(n)], axis=1)
         )  # (n_batch, n_kernels, c_mid)
-        cs_weights = _softmax_branches(branch_logits)
-        weighted = u_mixed[0] * cs_weights[:, 0][:, :, None, None]
+        keep(cs_weights=a)
+        h = mixed[0] * a[:, 0][:, :, None, None]
         for i in range(1, n):
-            weighted = weighted + u_mixed[i] * cs_weights[:, i][:, :, None, None]
+            h = h + mixed[i] * a[:, i][:, :, None, None]
     else:
-        weighted = u_mixed[0]
+        h = mixed[0]
         for i in range(1, n):
-            weighted = ops.elementwise(weighted, u_mixed[i], "add")
+            h = ops.elementwise(h, mixed[i], "add")
+    del mixed
 
-    fused = ops.pointwise_conv(weighted, params.fuse.weight, params.fuse.bias)
-    y = ops.elementwise(x, fused, "mul")
-
-    state = None
-    if keep_state:
-        state = LskState(
-            params=params,
-            x=x,
-            u=u,
-            u_mixed=u_mixed,
-            weighted=weighted,
-            fused=fused,
-            cat=cat,
-            pooled=pooled,
-            masks=masks,
-            cs_sum=cs_sum,
-            cs_pre=cs_pre,
-            cs_hidden=cs_hidden,
-            cs_weights=cs_weights,
-        )
-    return LskOutput(y=y, masks=masks, state=state)
+    keep(weighted=h)
+    h = ops.pointwise_conv(h, params.fuse.weight, params.fuse.bias)
+    keep(fused=h)
+    y = ops.elementwise(x, h, "mul")
+    return LayerOutput(y=y, masks=masks, state=LskState(params=params, x=x, **kept) if keep_state else None)
 
 
 def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, np.ndarray]]:
@@ -349,43 +352,38 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
     grads: dict[str, np.ndarray] = {}
 
     # y = x * fused
-    grad_x_total, grad_fused = ops.elementwise_backward(grad_y, state.x, state.fused, "mul")
+    grad_x, grad_fused = ops.elementwise_backward(grad_y, state.x, state.fused, "mul")
     grad_weighted, grads["fuse.weight"], grads["fuse.bias"] = ops.pointwise_conv_backward(
         grad_fused, state.weighted, params.fuse.weight
     )
 
-    grad_mixed = [np.zeros_like(m) for m in state.u_mixed]
     if params.mode is SelectionMode.SPATIAL:
         masks = state.masks
-        grad_masks = np.zeros_like(masks)
+        grad_mixed, grad_masks = [], []
         for i in range(n):
             g_m, g_mask = ops.broadcast_mask_mul_backward(
                 grad_weighted, state.u_mixed[i], masks[:, i : i + 1]
             )
-            grad_mixed[i] += g_m
-            grad_masks[:, i : i + 1] = g_mask
-        grad_logits = ops.sigmoid_backward(grad_masks, masks)
+            grad_mixed.append(g_m)
+            grad_masks.append(g_mask)
+        grad_logits = ops.sigmoid_backward(ops.concat_channels(grad_masks), masks)
         q = params.select_kernel
         grad_pooled, grads["select.weight"], grads["select.bias"] = ops.conv2d_backward(
             grad_logits, state.pooled, params.select.weight, padding=(q - 1) // 2
         )
         desc_grads = ops.concat_channels_backward(grad_pooled, [1] * len(params.pooling))
-        grad_cat = np.zeros_like(state.cat)
-        for mode_name, g_desc in zip(params.pooling, desc_grads):
+        grad_cat = ops.channel_pool_backward(desc_grads[0], state.cat, params.pooling[0])
+        for mode_name, g_desc in zip(params.pooling[1:], desc_grads[1:]):
             grad_cat += ops.channel_pool_backward(g_desc, state.cat, mode_name)
-        for i, g_part in enumerate(
-            ops.concat_channels_backward(grad_cat, [params.c_mid] * n)
-        ):
-            grad_mixed[i] += g_part
+        for g_m, g_part in zip(grad_mixed, ops.concat_channels_backward(grad_cat, [params.c_mid] * n)):
+            g_m += g_part
     elif params.mode is SelectionMode.CHANNEL:
         a = state.cs_weights  # (n_batch, n, c_mid)
-        grad_a = np.zeros_like(a)
-        for i in range(n):
-            grad_mixed[i] += grad_weighted * a[:, i][:, :, None, None]
-            grad_a[:, i] = (grad_weighted * state.u_mixed[i]).sum(axis=(2, 3))
+        grad_mixed = [grad_weighted * a[:, i][:, :, None, None] for i in range(n)]
+        grad_a = np.stack([(grad_weighted * m).sum(axis=(2, 3)) for m in state.u_mixed], axis=1)
         # softmax over the branch axis
         grad_logits = a * (grad_a - (grad_a * a).sum(axis=1, keepdims=True))
-        grad_hidden = np.zeros_like(state.cs_hidden)
+        grad_hidden = []
         grad_exp_w = np.zeros_like(params.cs_expand.weight)
         grad_exp_b = np.zeros_like(params.cs_expand.bias)
         for i in range(n):
@@ -393,31 +391,32 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
             g_h, grad_exp_w[i], grad_exp_b[i] = ops.pointwise_conv_backward(
                 g_li, state.cs_hidden, params.cs_expand.weight[i]
             )
-            grad_hidden += g_h
-        grad_pre = ops.gelu_backward(grad_hidden, state.cs_pre)
+            grad_hidden.append(g_h)
+        grad_pre = ops.gelu_backward(sum(grad_hidden[1:], grad_hidden[0]), state.cs_pre)
         grad_sum, grads["cs_squeeze.weight"], grads["cs_squeeze.bias"] = ops.pointwise_conv_backward(
             grad_pre, state.cs_sum, params.cs_squeeze.weight
         )
         grads["cs_expand.weight"], grads["cs_expand.bias"] = grad_exp_w, grad_exp_b
-        for i in range(n):
-            grad_mixed[i] += ops.global_avg_pool_backward(grad_sum, state.u_mixed[i])
+        for g_m, m in zip(grad_mixed, state.u_mixed):
+            g_m += ops.global_avg_pool_backward(grad_sum, m)
     else:  # NONE: plain sum of branches
-        for i in range(n):
-            grad_mixed[i] += grad_weighted
+        grad_mixed = [grad_weighted] * n
 
-    # mixers, then the depth-wise chain in reverse
-    grad_u = [np.zeros_like(t) for t in state.u]
+    # mixers, then the depth-wise chain in reverse; stage i's input u[i] also
+    # feeds mixer i - 1, or the gate for i = 0, so their gradients join there
+    grad_u = []  # mixer i's gradient on u[i + 1]
     for i in range(n):
         g_u, grads[f"mix{i}.weight"], grads[f"mix{i}.bias"] = ops.pointwise_conv_backward(
             grad_mixed[i], state.u[i + 1], params.mix[i].weight
         )
-        grad_u[i + 1] += g_u
+        grad_u.append(g_u)
+    grad = grad_u[-1]
     for i in range(n - 1, -1, -1):
-        g_prev, grads[f"dw{i}.weight"], grads[f"dw{i}.bias"] = ops.depthwise_conv_backward(
-            grad_u[i + 1], state.u[i], params.dw[i].weight, params.plan.stages[i]
+        grad, grads[f"dw{i}.weight"], grads[f"dw{i}.bias"] = ops.depthwise_conv_backward(
+            grad, state.u[i], params.dw[i].weight, params.plan.stages[i]
         )
-        grad_u[i] += g_prev
-    return grad_x_total + grad_u[0], grads
+        grad += grad_u[i - 1] if i else grad_x
+    return grad, grads
 
 
 def params_map(tree, fn):

@@ -78,8 +78,6 @@ def toy_train(
     seed: int = 0,
     scope: str = "module",
     n_samples: int = 8,
-    config: BackboneConfig | None = None,
-    dataset: ToyProblem | None = None,
 ) -> list[float]:
     """Run plain gradient descent; returns the loss trajectory.
 
@@ -89,22 +87,23 @@ def toy_train(
     """
     if scope not in DEFAULT_LR:
         raise ShapeError(f"toy_train: unknown scope {scope!r} (want head|module|backbone)")
+    if steps < 0:
+        raise ShapeError(f"toy_train: steps must be >= 0, got {steps}")
     if lr is None:
         lr = DEFAULT_LR[scope]
     rng = np.random.default_rng(seed)
     if scope == "backbone":
-        setup = _backbone_scope(seed, n_samples, config, dataset)
+        setup = _backbone_scope(seed, n_samples)
     else:
-        setup = _module_scope(rng, seed, n_samples, dataset, train_module=scope == "module")
+        setup = _module_scope(rng, seed, n_samples, train_module=scope == "module")
     return _descend(*setup, rng, steps, lr)
 
 
-def _module_scope(rng, seed, n_samples, dataset, train_module):
+def _module_scope(rng, seed, n_samples, train_module):
     """``(forward, backward, arrays, targets)`` of one selection module; with
     ``train_module`` off its features are computed once and stay frozen."""
     params = init_lsk_params(validate_plan(MODULE_PLAN), MODULE_CHANNELS, rng=rng)
-    if dataset is None:
-        dataset = make_synthetic_dataset(n_samples, MODULE_CHANNELS, MODULE_SIZE, MODULE_SIZE, seed)
+    dataset = make_synthetic_dataset(n_samples, MODULE_CHANNELS, MODULE_SIZE, MODULE_SIZE, seed)
     x = dataset.inputs
     if not train_module:
         frozen = lsk_forward(x, params, keep_state=False).y
@@ -117,16 +116,12 @@ def _module_scope(rng, seed, n_samples, dataset, train_module):
     return forward, lsk_backward, dict(parameter_arrays(params)), dataset.targets
 
 
-def _backbone_scope(seed, n_samples, config, dataset):
+def _backbone_scope(seed, n_samples):
     """``(forward, backward, arrays, targets)`` of a small backbone trained
     with batch statistics; the head reads the stage-4 features."""
-    if config is None:
-        config = BackboneConfig(
-            channels=(4, 4, 8, 8), depths=(1, 1, 1, 1), ffn_ratios=(2.0, 2.0, 2.0, 2.0)
-        )
+    config = BackboneConfig(channels=(4, 4, 8, 8), depths=(1, 1, 1, 1), ffn_ratios=(2.0, 2.0, 2.0, 2.0))
     params = init_backbone_params(config, seed=seed)
-    if dataset is None:
-        dataset = make_synthetic_dataset(min(n_samples, 4), 3, 32, 32, seed)
+    dataset = make_synthetic_dataset(min(n_samples, 4), 3, 32, 32, seed)
     x = dataset.inputs
 
     def forward():

@@ -35,7 +35,7 @@ PLAN = validate_plan([(3, 1), (5, 2)])
 
 def tiny_block(seed=0, c=4):
     return init_block_params(
-        PLAN, c=c, ffn_ratio=2.0, c_mid=2, select_kernel=3, rng=np.random.default_rng(seed)
+        PLAN, c=c, ffn_ratio=2.0, select_kernel=3, rng=np.random.default_rng(seed)
     )
 
 

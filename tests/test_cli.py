@@ -110,6 +110,11 @@ class TestCountCommand:
         assert captured.err.startswith("error:") and "ffn ratios" in captured.err
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("size", [["--h", "48"], ["--h", "33", "--w", "1000"], ["--w", "0"]])
+    def test_input_sizes_the_forward_refuses_fail(self, capsys, size):
+        assert main(["count", "--variant", "T", *size]) == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_custom_ffn_ratios_change_param_count(self, capsys):
         assert main(["count", "--variant", "T", "--format", "kv"]) == 0
         base, _, _ = kv_totals(capsys.readouterr().out, "lsknet-t@1024x1024")
@@ -235,6 +240,10 @@ class TestTrainToyCommand:
     def test_divergent_lr_reports_step(self, capsys):
         assert main(["train-toy", "--steps", "50", "--lr", "50", "--seed", "0"]) == 1
         assert "non-finite" in capsys.readouterr().err
+
+    def test_negative_steps_fail_with_error_line(self, capsys):
+        assert main(["train-toy", "--steps", "-1"]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_head_scope_is_usage_error(self):
         """The frozen-feature head fit cannot reach the 1e-2 rule by plain

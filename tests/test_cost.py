@@ -26,6 +26,7 @@ from lsknet.cost import (
     report_to_kv,
     report_to_text,
 )
+from lsknet.errors import ShapeError
 from lsknet.module import SelectionMode, init_lsk_params, parameter_arrays
 from lsknet.ops import ConvSpec
 from lsknet.plan import validate_plan
@@ -148,6 +149,16 @@ class TestBlockAndBackbone:
             "down3",
             "stage4",
         ]
+
+    @pytest.mark.parametrize("h, w", [(48, 64), (16, 64), (64, 0), (-32, 64)])
+    def test_refuses_the_sizes_the_forward_refuses(self, h, w):
+        cfg = BackboneConfig(channels=(4, 4, 8, 8), depths=(1, 1, 1, 1), ffn_ratios=(2, 2, 2, 2))
+        with pytest.raises(ShapeError, match="divisible by 32"):
+            cost_backbone(cfg, h, w)
+        if min(h, w) > 0:
+            x = np.zeros((1, 3, h, w), dtype=np.float32)
+            with pytest.raises(ShapeError, match="divisible by 32"):
+                backbone_forward(x, init_backbone_params(cfg, seed=0))
 
     def test_selection_mode_changes_cost_structure(self):
         base = dict(channels=(8, 8, 8, 8), depths=(1, 1, 1, 1), ffn_ratios=(2, 2, 2, 2))

@@ -50,6 +50,19 @@ class TestTensorRoundTrip:
         write_tensor(path, x)
         assert (read_tensor(path) == x).all()
 
+    def test_write_holds_no_copy_of_the_tensor(self, tmp_path):
+        x = np.zeros((1, 256, 128, 128), dtype=np.float32)  # 16 MiB
+        path = tmp_path / "t.lskt"
+        peak = peak_allocation(write_tensor, path, x)
+        assert peak < 1 << 20, f"peak {peak} B for a {x.nbytes} B tensor"
+        assert path.stat().st_size == 40 + x.nbytes
+
+    def test_non_contiguous_slice_round_trip(self, rng):
+        masks = rng.standard_normal((2, 3, 5, 7)).astype(np.float32)
+        part = masks[:, 1:2]
+        assert not part.flags.c_contiguous
+        assert (read_tensor(io.BytesIO(tensor_bytes(part))) == part).all()
+
     def test_header_layout(self):
         x = np.zeros((1, 2, 3, 4), dtype=np.float32)
         raw = tensor_bytes(x)

@@ -20,6 +20,7 @@ from lsknet.module import (
 )
 from lsknet.plan import validate_plan
 
+from conftest import peak_allocation
 from oracles import lsk_composition, sigmoid_ref
 
 
@@ -272,6 +273,20 @@ class TestInputDependence:
         a = lsk_forward(x, params).y
         b = lsk_forward(x, params).y
         assert (a == b).all()
+
+
+@pytest.mark.parametrize("mode", list(SelectionMode))
+def test_inference_frees_each_intermediate(mode):
+    """Without kept state each stage output, the concatenation and the
+    weighted sum are freed after their last use, so the module never holds
+    all its branch tensors at once."""
+    params = init_lsk_params(validate_plan([(5, 1), (7, 3)]), 64, mode=mode, rng=np.random.default_rng(0))
+    x = np.random.default_rng(1).standard_normal((1, 64, 128, 128)).astype(np.float32)
+    kept = lsk_forward(x, params)
+    dropped = lsk_forward(x, params, keep_state=False)
+    assert dropped.state is None and (dropped.y == kept.y).all()
+    peak = peak_allocation(lsk_forward, x, params, False)
+    assert peak <= 3.5 * x.nbytes, f"peak {peak / x.nbytes:.2f}x the input"
 
 
 @dataclass

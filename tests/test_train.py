@@ -54,6 +54,12 @@ def test_unknown_scope():
         toy_train(steps=1, lr=0.1, scope="everything")
 
 
+def test_negative_steps_rejected():
+    with pytest.raises(ShapeError, match="steps"):
+        toy_train(steps=-1)
+    assert len(toy_train(steps=0, lr=0.1)) == 1
+
+
 def test_trajectory_is_deterministic_per_seed():
     a = toy_train(steps=20, lr=0.3, seed=7)
     b = toy_train(steps=20, lr=0.3, seed=7)
