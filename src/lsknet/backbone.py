@@ -44,7 +44,7 @@ from .block import (
     norm_backward,
     norm_forward,
 )
-from .errors import ShapeError, WeightMismatchError
+from .errors import LskError, ShapeError, WeightMismatchError
 from .module import (
     ConvParams,
     SelectionMode,
@@ -306,12 +306,20 @@ def backbone_forward(
     keep_state: bool = False,
     train_norm: bool = False,
 ) -> BackboneOutput:
-    """Run the whole backbone; see :func:`check_input_size` for the input sides."""
+    """Run the whole backbone; see :func:`check_input_size` for the input sides.
+
+    The input must be a finite float array: an integer or boolean dtype is a
+    :class:`ShapeError` and a NaN or Inf entry an :class:`LskError`, both
+    raised before any layer runs."""
     ops.check_tensor4(x, "backbone_forward: x")
     n, c, h, w = x.shape
     if c != 3:
         raise ShapeError(f"backbone_forward: expected 3 input channels, got {c}")
     check_input_size(h, w, "backbone_forward")
+    if x.dtype.kind != "f":
+        raise ShapeError(f"backbone_forward: expected a float input, got dtype {x.dtype}")
+    if not np.isfinite(x).all():
+        raise LskError("backbone_forward: input holds NaN or Inf values")
 
     cur, stem_state = _conv_norm_forward(x, params.stem, train_norm, keep_state)
     layers = [("stem", _conv_norm_backward, stem_state)]

@@ -16,9 +16,18 @@ arrays; the selection module carries its own mode and pooling set, so
 :func:`block_forward` takes only the input and the parameters.  Like
 :func:`~lsknet.module.lsk_forward`, it frees each intermediate after its last
 use, builds the backward's state only when ``keep_state`` is set and returns a
-:class:`~lsknet.module.LayerOutput`, so an inference block holds at most two
-FFN-wide tensors at once; both modes run the same ops in the same order, and
-:func:`block_backward` starts every gradient from its first term.  The weight
+:class:`~lsknet.module.LayerOutput`; both modes run the same ops in the same
+order, and :func:`block_backward` starts every gradient from its first term.
+
+The FFN runs over consecutive groups of hidden channels (:func:`ffn_groups`):
+each group takes its rows of ``fc1``, its channels of the depth-wise conv and
+GELU, and its columns of ``fc2``, whose partial products are added into the
+c-wide output in group order before the bias.  A group's per-image plane
+fits the depth-wise tile budget, so an inference block never holds an
+FFN-wide tensor; the state keeps each group's hidden tensors and the
+backward walks the same groups.  Only two sums change order against the
+whole-width FFN, ``fc2``'s forward sum and ``fc1``'s input-gradient sum, and
+only in blocks with two or more groups.  The weight
 names below a block's prefix are read off its field tree
 (:func:`~lsknet.module.parameter_arrays`: ``pre.weight``, ``ffn.fc1.bias``,
 ``norm2.var``, ...).
@@ -54,6 +63,7 @@ __all__ = [
     "FfnParams",
     "BlockParams",
     "ffn_width",
+    "ffn_groups",
     "init_block_params",
     "block_forward",
     "block_backward",
@@ -110,6 +120,16 @@ def ffn_width(c: int, ffn_ratio: float) -> int:
     return max(round(ffn_ratio * c), 1)
 
 
+def ffn_groups(hidden: int, x: Tensor4) -> list[slice]:
+    """Consecutive slices of an FFN's ``hidden`` channels run one at a time
+    on the block's ``x``-shaped input.  A group's per-image plane fits the
+    depth-wise tile budget (at least one channel each), so the group count
+    depends on the image size and dtype, not on the batch."""
+    _, _, h, w = x.shape
+    width = min(hidden, max(1, ops._DW_TILE_BYTES // (h * w * x.itemsize)))
+    return [slice(lo, min(lo + width, hidden)) for lo in range(0, hidden, width)]
+
+
 def init_block_params(
     plan: DecompositionPlan,
     c: int,
@@ -150,9 +170,9 @@ class BlockState:
     y1: Tensor4
     normed2: Tensor4
     norm2_cache: tuple[Tensor4, np.ndarray] | None
-    fc1_out: Tensor4
-    dw_out: Tensor4
-    gelu2: Tensor4
+    fc1_out: list[Tensor4]  # one tensor per hidden-channel group
+    dw_out: list[Tensor4]
+    gelu2: list[Tensor4]
     fc2_out: Tensor4
 
 
@@ -200,18 +220,39 @@ def block_forward(
     keep(y1=y1)
 
     ffn = params.ffn
-    h, cache = norm_forward(y1, params.norm2, train_norm)
-    keep(normed2=h, norm2_cache=cache)
-    h = ops.pointwise_conv(h, ffn.fc1.weight, ffn.fc1.bias)
-    keep(fc1_out=h)
-    h = ops.depthwise_conv(h, ffn.dw.weight, ffn.dw.bias, _FFN_SPEC)
-    keep(dw_out=h)
-    h = ops.gelu(h)
-    keep(gelu2=h)
-    h = ops.pointwise_conv(h, ffn.fc2.weight, ffn.fc2.bias)
+    normed2, cache = norm_forward(y1, params.norm2, train_norm)
+    keep(normed2=normed2, norm2_cache=cache)
+    # ``t`` is rebound along each group, so a group's hidden tensors are freed
+    # within its iteration unless ``keep_group`` appended them to the state's
+    # lists; the fc2 partial products are summed in group order, then the
+    # bias is added
+    fc1_out, dw_out, gelu2 = [], [], []
+    keep(fc1_out=fc1_out, dw_out=dw_out, gelu2=gelu2)
+    keep_group = list.append if keep_state else lambda group, t: None
+    h = None
+    for g in ffn_groups(ffn.fc1.weight.shape[0], normed2):
+        t = ops.pointwise_conv(normed2, ffn.fc1.weight[g], ffn.fc1.bias[g])
+        keep_group(fc1_out, t)
+        t = ops.depthwise_conv(t, ffn.dw.weight[g], ffn.dw.bias[g], _FFN_SPEC)
+        keep_group(dw_out, t)
+        t = ops.gelu(t)
+        keep_group(gelu2, t)
+        t = ops.pointwise_conv(t, ffn.fc2.weight[:, g], None)
+        if h is None:
+            h = t
+        else:
+            h += t
+    del normed2, t
+    h += ffn.fc2.bias[None, :, None, None]
     keep(fc2_out=h)
     y = ops.elementwise(y1, ops.channel_scale(h, params.scale2), "add")
     return LayerOutput(y=y, masks=masks, state=BlockState(params=params, x=x, **kept) if keep_state else None)
+
+
+def _joined(parts: list[np.ndarray], axis: int = 0) -> np.ndarray:
+    """The per-group gradient slices as one array; a single group's is
+    returned as it is, not copied (stage-4 FFN weights are 4 MiB each)."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
 def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[str, np.ndarray]]:
@@ -225,16 +266,31 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
 
     # FFN half: y = y1 + scale2 * fc2_out
     grad_fc2_out, grads["scale2"] = ops.channel_scale_backward(grad_y, state.fc2_out, p.scale2)
-    grad_gelu2, grads["ffn.fc2.weight"], grads["ffn.fc2.bias"] = ops.pointwise_conv_backward(
-        grad_fc2_out, state.gelu2, p.ffn.fc2.weight
-    )
-    grad_dw_out = ops.gelu_backward(grad_gelu2, state.dw_out)
-    grad_fc1_out, grads["ffn.dw.weight"], grads["ffn.dw.bias"] = ops.depthwise_conv_backward(
-        grad_dw_out, state.fc1_out, p.ffn.dw.weight, _FFN_SPEC
-    )
-    grad_normed2, grads["ffn.fc1.weight"], grads["ffn.fc1.bias"] = ops.pointwise_conv_backward(
-        grad_fc1_out, state.normed2, p.ffn.fc1.weight
-    )
+    ffn = p.ffn
+    grad_normed2 = None
+    fc2_w, dw_w, dw_b, fc1_w, fc1_b = [], [], [], [], []
+    groups = ffn_groups(ffn.fc1.weight.shape[0], state.normed2)
+    for g, fc1_out, dw_out, gelu2 in zip(groups, state.fc1_out, state.dw_out, state.gelu2, strict=True):
+        grad, w, fc2_b = ops.pointwise_conv_backward(grad_fc2_out, gelu2, ffn.fc2.weight[:, g])
+        fc2_w.append(w)
+        grad = ops.gelu_backward(grad, dw_out)
+        grad, w, b = ops.depthwise_conv_backward(grad, fc1_out, ffn.dw.weight[g], _FFN_SPEC)
+        dw_w.append(w)
+        dw_b.append(b)
+        grad, w, b = ops.pointwise_conv_backward(grad, state.normed2, ffn.fc1.weight[g])
+        fc1_w.append(w)
+        fc1_b.append(b)
+        if grad_normed2 is None:
+            grad_normed2 = grad
+        else:
+            grad_normed2 += grad
+    del grad
+    grads["ffn.fc2.weight"] = _joined(fc2_w, axis=1)
+    grads["ffn.fc2.bias"] = fc2_b  # every group's call sums the same grad_fc2_out
+    grads["ffn.dw.weight"] = _joined(dw_w)
+    grads["ffn.dw.bias"] = _joined(dw_b)
+    grads["ffn.fc1.weight"] = _joined(fc1_w)
+    grads["ffn.fc1.bias"] = _joined(fc1_b)
     grad_y1, grads["norm2.scale"], grads["norm2.shift"] = norm_backward(
         grad_normed2, p.norm2, state.y1, state.norm2_cache
     )

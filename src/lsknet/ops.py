@@ -471,8 +471,11 @@ def conv2d_backward(
 # point-wise (1x1) convolution
 # ---------------------------------------------------------------------------
 
-def pointwise_conv(x: Tensor4, weights: np.ndarray, bias: np.ndarray) -> Tensor4:
-    """1x1 convolution: pure per-pixel channel mixing with weights (c_out, c_in)."""
+def pointwise_conv(x: Tensor4, weights: np.ndarray, bias: np.ndarray | None) -> Tensor4:
+    """1x1 convolution: pure per-pixel channel mixing with weights (c_out, c_in).
+
+    ``bias=None`` gives the bare product, a partial sum over some input
+    channels that the caller adds up (the block's grouped FFN)."""
     check_tensor4(x, "pointwise_conv: x")
     n, c, h, w = x.shape
     if weights.ndim != 2 or weights.shape[1] != c:
@@ -480,9 +483,9 @@ def pointwise_conv(x: Tensor4, weights: np.ndarray, bias: np.ndarray) -> Tensor4
             f"pointwise_conv: weights shape {weights.shape} does not match input channels {c}"
         )
     c_out = weights.shape[0]
-    _check_vector(bias, c_out, "pointwise_conv: bias")
     out = np.matmul(weights, x.reshape(n, c, h * w)).reshape(n, c_out, h, w)
-    out += bias[None, :, None, None]
+    if bias is not None:
+        out += _check_vector(bias, c_out, "pointwise_conv: bias")[None, :, None, None]
     return out
 
 

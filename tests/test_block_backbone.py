@@ -23,9 +23,9 @@ from lsknet.backbone import (
     named_arrays,
     params_from_arrays,
 )
-from lsknet.block import block_forward, init_block_params
-from lsknet.errors import ShapeError, WeightMismatchError
-from lsknet.module import SelectionMode
+from lsknet.block import block_backward, block_forward, ffn_groups, init_block_params
+from lsknet.errors import LskError, ShapeError, WeightMismatchError
+from lsknet.module import SelectionMode, parameter_arrays, params_astype
 from lsknet.plan import validate_plan
 
 from conftest import peak_allocation
@@ -33,10 +33,38 @@ from conftest import peak_allocation
 PLAN = validate_plan([(3, 1), (5, 2)])
 
 
-def tiny_block(seed=0, c=4):
+def tiny_block(seed=0, c=4, ffn_ratio=2.0):
     return init_block_params(
-        PLAN, c=c, ffn_ratio=2.0, select_kernel=3, rng=np.random.default_rng(seed)
+        PLAN, c=c, ffn_ratio=ffn_ratio, select_kernel=3, rng=np.random.default_rng(seed)
     )
+
+
+def manual_block(x, params):
+    """The block wired by hand from whole-width ops: norm -> pre -> gelu ->
+    lsk -> post -> +x, then norm -> fc1 -> dw -> gelu -> fc2 -> +."""
+    from lsknet import ops
+    from lsknet.module import lsk_forward
+    from lsknet.ops import ConvSpec
+
+    n1 = ops.affine_channel_norm(
+        x, params.norm1.scale, params.norm1.shift, params.norm1.mean, params.norm1.var, 1e-5
+    )
+    branch = ops.gelu(ops.pointwise_conv(n1, params.pre.weight, params.pre.bias))
+    branch = lsk_forward(branch, params.lsk).y
+    branch = ops.pointwise_conv(branch, params.post.weight, params.post.bias)
+    y1 = x + ops.channel_scale(branch, params.scale1)
+    n2 = ops.affine_channel_norm(
+        y1, params.norm2.scale, params.norm2.shift, params.norm2.mean, params.norm2.var, 1e-5
+    )
+    ffn = ops.pointwise_conv(n2, params.ffn.fc1.weight, params.ffn.fc1.bias)
+    ffn = ops.depthwise_conv(ffn, params.ffn.dw.weight, params.ffn.dw.bias, ConvSpec(3, 1))
+    ffn = ops.pointwise_conv(ops.gelu(ffn), params.ffn.fc2.weight, params.ffn.fc2.bias)
+    return y1 + ops.channel_scale(ffn, params.scale2)
+
+
+# hidden width 7 on a float64 256x256 plane (512 KiB a channel) under the
+# 1 MiB budget: groups of 2, 2, 2 and 1 hidden channels
+GROUPED_SHAPE = (1, 4, 256, 256)
 
 
 class TestBlock:
@@ -70,31 +98,78 @@ class TestBlock:
         with pytest.raises(ShapeError, match="channels"):
             block_forward(rng.uniform(-1, 1, size=(1, 3, 8, 8)), tiny_block())
 
-    def test_composition_matches_manual_wiring(self, rng):
+    @pytest.mark.parametrize(
+        "ffn_ratio,shape,groups",
+        [(2.0, (1, 4, 6, 6), [8]), (1.75, GROUPED_SHAPE, [2, 2, 2, 1])],
+        ids=["one-group", "four-groups"],
+    )
+    def test_composition_matches_manual_wiring(self, rng, ffn_ratio, shape, groups):
         """The block is exactly norm -> pre -> gelu -> lsk -> post -> +x, then
-        norm -> fc1 -> dw -> gelu -> fc2 -> +."""
-        from lsknet import ops
-        from lsknet.module import lsk_forward
-        from lsknet.ops import ConvSpec
+        norm -> fc1 -> dw -> gelu -> fc2 -> +, also when the FFN runs over
+        several hidden-channel groups with an uneven last one; inference and
+        kept-state forwards run the same groups bit for bit."""
+        params = tiny_block(3, ffn_ratio=ffn_ratio)
+        x = rng.uniform(-1, 1, size=shape)
+        kept = block_forward(x, params)
+        np.testing.assert_allclose(kept.y, manual_block(x, params), atol=1e-12)
+        assert [t.shape[1] for t in kept.state.gelu2] == groups
+        dropped = block_forward(x, params, keep_state=False)
+        assert dropped.y.tobytes() == kept.y.tobytes()
+        assert dropped.masks.tobytes() == kept.masks.tobytes()
 
-        params = tiny_block(3)
-        x = rng.uniform(-1, 1, size=(1, 4, 6, 6))
-        n1 = ops.affine_channel_norm(
-            x, params.norm1.scale, params.norm1.shift, params.norm1.mean, params.norm1.var, 1e-5
-        )
-        branch = ops.gelu(ops.pointwise_conv(n1, params.pre.weight, params.pre.bias))
-        branch = lsk_forward(branch, params.lsk).y
-        branch = ops.pointwise_conv(branch, params.post.weight, params.post.bias)
-        y1 = x + ops.channel_scale(branch, params.scale1)
-        n2 = ops.affine_channel_norm(
-            y1, params.norm2.scale, params.norm2.shift, params.norm2.mean, params.norm2.var, 1e-5
-        )
-        ffn = ops.pointwise_conv(n2, params.ffn.fc1.weight, params.ffn.fc1.bias)
-        ffn = ops.depthwise_conv(ffn, params.ffn.dw.weight, params.ffn.dw.bias, ConvSpec(3, 1))
-        ffn = ops.pointwise_conv(ops.gelu(ffn), params.ffn.fc2.weight, params.ffn.fc2.bias)
-        expected = y1 + ops.channel_scale(ffn, params.scale2)
-        out = block_forward(x, params)
-        np.testing.assert_allclose(out.y, expected, atol=1e-12)
+    def test_ffn_groups_fit_the_tile_budget(self):
+        """The group width is the budget over one image's plane, at least one
+        channel and at most the hidden width, whatever the batch."""
+        from lsknet import ops
+
+        budget = ops._DW_TILE_BYTES
+        for n in (1, 4):
+            assert ffn_groups(256, np.empty((n, 32, 128, 128), np.float32)) == [
+                slice(lo, lo + 16) for lo in range(0, 256, 16)
+            ]
+        assert ffn_groups(1024, np.empty((2, 256, 16, 16), np.float32)) == [slice(0, 1024)]
+        assert ffn_groups(7, np.empty(GROUPED_SHAPE)) == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 7)]
+        huge = np.empty((1, 1, 1, budget // 4 + 1), np.float32)
+        assert ffn_groups(3, huge) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+    @pytest.mark.parametrize("train_norm", [False, True])
+    def test_grouped_backward_against_finite_difference(self, rng, train_norm):
+        """block_backward through four FFN groups: sampled fc1, dw and fc2
+        weights in the first and the last group, and input entries, agree
+        with central differences in float64; every learnable is named."""
+        params = params_astype(tiny_block(5, ffn_ratio=1.75), np.float64)
+        x = rng.uniform(-1, 1, size=GROUPED_SHAPE)
+        probe = rng.uniform(-1, 1, size=GROUPED_SHAPE)
+        out = block_forward(x, params, train_norm=train_norm)
+        assert len(out.state.fc1_out) == 4
+        grad_x, grads = block_backward(probe, out.state)
+
+        arrays = dict(parameter_arrays(params))
+        assert set(grads) == {k for k in arrays if not k.endswith((".mean", ".var"))}
+        for name, g in grads.items():
+            assert g.shape == arrays[name].shape, name
+
+        def loss():
+            return float((block_forward(x, params, train_norm=train_norm, keep_state=False).y * probe).sum())
+
+        step = 1e-4
+        samples = [
+            ("ffn.fc1.weight", (0, 1)), ("ffn.fc1.weight", (6, 2)), ("ffn.fc1.bias", (5,)),
+            ("ffn.dw.weight", (1, 0, 2)), ("ffn.dw.weight", (6, 1, 1)),
+            ("ffn.fc2.weight", (3, 0)), ("ffn.fc2.weight", (0, 6)), ("ffn.fc2.bias", (2,)),
+        ]
+        checks = [(arrays[name], idx, grads[name][idx], name) for name, idx in samples]
+        checks += [(x, idx, grad_x[idx], "x") for idx in ((0, 0, 0, 0), (0, 3, 128, 77))]
+        for arr, idx, analytic, name in checks:
+            original = arr[idx]
+            arr[idx] = original + step
+            hi = loss()
+            arr[idx] = original - step
+            lo = loss()
+            arr[idx] = original
+            numeric = (hi - lo) / (2 * step)
+            denom = max(abs(numeric), abs(analytic), 1e-8)
+            assert abs(numeric - analytic) / denom < 1e-4, (name, idx)
 
 
 class TestBackboneConfig:
@@ -222,6 +297,21 @@ class TestBackboneForward:
         with pytest.raises(ShapeError, match="3 input channels"):
             backbone_forward(rng.uniform(-1, 1, size=(1, 4, 32, 32)).astype(np.float32), params)
 
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.bool_])
+    def test_non_float_input_rejected(self, dtype):
+        params = init_backbone_params(TINY, seed=0)
+        with pytest.raises(ShapeError, match=np.dtype(dtype).name):
+            backbone_forward(np.ones((1, 3, 64, 64), dtype=dtype), params)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, rng, bad):
+        params = init_backbone_params(TINY, seed=0)
+        x = rng.uniform(-1, 1, size=(1, 3, 32, 32)).astype(np.float32)
+        x[0, 2, 31, 0] = bad
+        for keep_state in (False, True):
+            with pytest.raises(LskError, match="NaN or Inf"):
+                backbone_forward(x, params, keep_state=keep_state)
+
     def test_determinism_bit_identical(self, rng):
         params = init_backbone_params(TINY, seed=5)
         x = rng.uniform(-1, 1, size=(2, 3, 32, 32)).astype(np.float32)
@@ -277,14 +367,14 @@ class TestBackboneForward:
         assert all(dropped.record.masks[k].tobytes() == m.tobytes() for k, m in kept.record.masks.items())
 
     def test_inference_frees_block_intermediates(self):
-        """Each block intermediate is freed after its last use, so a T
-        inference forward at 256x256 peaks at no more than three stage-1 FFN
-        hidden tensors; a kept-state forward holds what it always held
-        (113.9 MiB traced)."""
+        """Each block intermediate is freed after its last use and the FFN runs
+        over groups of hidden channels, so a T inference forward at 256x256
+        peaks at no more than 1.5 stage-1 FFN hidden tensors (5.3 MiB traced);
+        a kept-state forward holds what it always held (113.9 MiB traced)."""
         params = init_backbone_params(BackboneConfig.variant("T"), seed=0)
         x = np.random.default_rng(0).uniform(-1, 1, size=(1, 3, 256, 256)).astype(np.float32)
         hidden = params.stages[0][0].ffn.fc1.weight.shape[0] * 64 * 64 * x.itemsize  # 4 MiB
-        assert peak_allocation(backbone_forward, x, params) <= 3 * hidden
+        assert peak_allocation(backbone_forward, x, params) <= 1.5 * hidden
         assert peak_allocation(backbone_forward, x, params, True) <= 113.9 * 2**20
 
 

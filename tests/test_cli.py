@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import lsknet
 from lsknet import cli, ops
 from lsknet.cli import main
 from lsknet.fileio import write_tensor
@@ -328,10 +329,15 @@ class TestCliPlumbing:
         assert "OMP_NUM_THREADS" not in os.environ
 
     def test_console_script_runs(self):
+        # the child imports this same lsknet, installed or not
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(lsknet.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "lsknet.cli", "validate", "5,1", "7,3"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert result.returncode == 0
         assert "rf=23" in result.stdout
