@@ -275,8 +275,7 @@ def params_from_arrays(config: BackboneConfig, arrays: dict[str, np.ndarray]) ->
 class _ConvNormState:
     params: ConvNormParams
     x: Tensor4
-    conv_out: Tensor4
-    norm_cache: tuple[Tensor4, np.ndarray] | None
+    norm_cache: tuple[Tensor4, np.ndarray] | Tensor4  # the conv output under stored statistics
 
 
 @dataclass
@@ -311,13 +310,11 @@ def backbone_forward(
     The input must be a finite float array: an integer or boolean dtype is a
     :class:`ShapeError` and a NaN or Inf entry an :class:`LskError`, both
     raised before any layer runs."""
-    ops.check_tensor4(x, "backbone_forward: x")
+    ops.check_float_input(x, "backbone_forward")
     n, c, h, w = x.shape
     if c != 3:
         raise ShapeError(f"backbone_forward: expected 3 input channels, got {c}")
     check_input_size(h, w, "backbone_forward")
-    if x.dtype.kind != "f":
-        raise ShapeError(f"backbone_forward: expected a float input, got dtype {x.dtype}")
     if not np.isfinite(x).all():
         raise LskError("backbone_forward: input holds NaN or Inf values")
 
@@ -345,14 +342,14 @@ def _conv_norm_forward(x: Tensor4, p: ConvNormParams, train_norm: bool, keep_sta
     unless ``keep_state``."""
     conv_out = ops.conv2d(x, p.conv.weight, p.conv.bias, p.stride, p.padding)
     y, norm_cache = norm_forward(conv_out, p.norm, train_norm)
-    return y, (_ConvNormState(p, x, conv_out, norm_cache) if keep_state else None)
+    return y, (_ConvNormState(p, x, norm_cache) if keep_state else None)
 
 
 def _conv_norm_backward(grad: Tensor4, state: _ConvNormState) -> tuple[Tensor4, dict[str, np.ndarray]]:
     """``(grad_x, grads)`` of :func:`_conv_norm_forward`, keyed ``conv.*`` and
     ``norm.*``."""
     p = state.params
-    g_conv, g_scale, g_shift = norm_backward(grad, p.norm, state.conv_out, state.norm_cache)
+    g_conv, g_scale, g_shift = norm_backward(grad, p.norm, state.norm_cache)
     g_in, g_w, g_b = ops.conv2d_backward(g_conv, state.x, p.conv.weight, p.stride, p.padding)
     return g_in, {"norm.scale": g_scale, "norm.shift": g_shift, "conv.weight": g_w, "conv.bias": g_b}
 

@@ -9,8 +9,8 @@ whole block into the identity map.
 
 Normalization uses stored per-channel statistics by default; ``train_norm``
 switches to the batch's own statistics (used by the toy trainer).  The norm
-cache, ``(x_hat, inv_std)`` or ``None`` for stored statistics, tells the
-backward which path to take.  Every conv is one
+cache, ``(x_hat, inv_std)`` for batch statistics or the norm's input itself
+for stored ones, is all its backward reads.  Every conv is one
 :class:`~lsknet.module.ConvParams` leaf and every width is read off the
 arrays; the selection module carries its own mode and pooling set, so
 :func:`block_forward` takes only the input and the parameters.  Like
@@ -24,13 +24,13 @@ each group takes its rows of ``fc1``, its channels of the depth-wise conv and
 GELU, and its columns of ``fc2``, whose partial products are added into the
 c-wide output in group order before the bias.  A group's per-image plane
 fits the depth-wise tile budget, so an inference block never holds an
-FFN-wide tensor; the state keeps each group's hidden tensors and the
-backward walks the same groups.  Only two sums change order against the
-whole-width FFN, ``fc2``'s forward sum and ``fc1``'s input-gradient sum, and
-only in blocks with two or more groups.  The weight
-names below a block's prefix are read off its field tree
-(:func:`~lsknet.module.parameter_arrays`: ``pre.weight``, ``ffn.fc1.bias``,
-``norm2.var``, ...).
+FFN-wide tensor.  The state keeps each group's ``fc1`` and depth-wise
+outputs, and the backward walks the same groups, taking each GELU again from
+its depth-wise output.  Only two sums change order against the whole-width
+FFN, ``fc2``'s forward sum and ``fc1``'s input-gradient sum, and only in
+blocks with two or more groups.  The weight names below a block's prefix are
+read off its field tree (:func:`~lsknet.module.parameter_arrays`:
+``pre.weight``, ``ffn.fc1.bias``, ``norm2.var``, ...).
 """
 
 from __future__ import annotations
@@ -162,41 +162,39 @@ class BlockState:
     params: BlockParams
     x: Tensor4
     normed1: Tensor4
-    norm1_cache: tuple[Tensor4, np.ndarray] | None
+    norm1_cache: tuple[Tensor4, np.ndarray] | Tensor4
     pre_out: Tensor4
     lsk_state: LskState
     lsk_y: Tensor4
     post_out: Tensor4
-    y1: Tensor4
     normed2: Tensor4
-    norm2_cache: tuple[Tensor4, np.ndarray] | None
+    norm2_cache: tuple[Tensor4, np.ndarray] | Tensor4
     fc1_out: list[Tensor4]  # one tensor per hidden-channel group
     dw_out: list[Tensor4]
-    gelu2: list[Tensor4]
     fc2_out: Tensor4
 
 
 def norm_forward(x, norm: NormParams, train: bool):
     """``(y, cache)``: with ``train`` the batch's own statistics and the cache
-    ``(x_hat, inv_std)``, else the stored statistics and the cache ``None``."""
+    ``(x_hat, inv_std)``, else the stored statistics and the cache ``x``."""
     if train:
         y, x_hat, inv_std = ops.batch_norm(x, norm.scale, norm.shift, NORM_EPS)
         return y, (x_hat, inv_std)
-    return ops.affine_channel_norm(x, norm.scale, norm.shift, norm.mean, norm.var, NORM_EPS), None
+    return ops.affine_channel_norm(x, norm.scale, norm.shift, norm.mean, norm.var, NORM_EPS), x
 
 
-def norm_backward(grad, norm: NormParams, x, cache):
-    """``(grad_x, grad_scale, grad_shift)`` of :func:`norm_forward` on ``x``;
-    the cache it returned decides which statistics were used."""
-    if cache is not None:
+def norm_backward(grad, norm: NormParams, cache):
+    """``(grad_x, grad_scale, grad_shift)`` of :func:`norm_forward`; the
+    cache it returned decides which statistics were used."""
+    if isinstance(cache, tuple):
         return ops.batch_norm_backward(grad, *cache, norm.scale)
-    return ops.affine_channel_norm_backward(grad, x, norm.scale, norm.mean, norm.var, NORM_EPS)
+    return ops.affine_channel_norm_backward(grad, cache, norm.scale, norm.mean, norm.var, NORM_EPS)
 
 
 def block_forward(
     x: Tensor4, params: BlockParams, train_norm: bool = False, keep_state: bool = True
 ) -> LayerOutput:
-    ops.check_tensor4(x, "block_forward: x")
+    ops.check_float_input(x, "block_forward")
     if x.shape[1] != params.c:
         raise ShapeError(f"block_forward: input has {x.shape[1]} channels, block expects {params.c}")
 
@@ -217,7 +215,6 @@ def block_forward(
     h = ops.pointwise_conv(h, params.post.weight, params.post.bias)
     keep(post_out=h)
     y1 = ops.elementwise(x, ops.channel_scale(h, params.scale1), "add")
-    keep(y1=y1)
 
     ffn = params.ffn
     normed2, cache = norm_forward(y1, params.norm2, train_norm)
@@ -226,8 +223,8 @@ def block_forward(
     # within its iteration unless ``keep_group`` appended them to the state's
     # lists; the fc2 partial products are summed in group order, then the
     # bias is added
-    fc1_out, dw_out, gelu2 = [], [], []
-    keep(fc1_out=fc1_out, dw_out=dw_out, gelu2=gelu2)
+    fc1_out, dw_out = [], []
+    keep(fc1_out=fc1_out, dw_out=dw_out)
     keep_group = list.append if keep_state else lambda group, t: None
     h = None
     for g in ffn_groups(ffn.fc1.weight.shape[0], normed2):
@@ -236,7 +233,6 @@ def block_forward(
         t = ops.depthwise_conv(t, ffn.dw.weight[g], ffn.dw.bias[g], _FFN_SPEC)
         keep_group(dw_out, t)
         t = ops.gelu(t)
-        keep_group(gelu2, t)
         t = ops.pointwise_conv(t, ffn.fc2.weight[:, g], None)
         if h is None:
             h = t
@@ -270,8 +266,8 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
     grad_normed2 = None
     fc2_w, dw_w, dw_b, fc1_w, fc1_b = [], [], [], [], []
     groups = ffn_groups(ffn.fc1.weight.shape[0], state.normed2)
-    for g, fc1_out, dw_out, gelu2 in zip(groups, state.fc1_out, state.dw_out, state.gelu2, strict=True):
-        grad, w, fc2_b = ops.pointwise_conv_backward(grad_fc2_out, gelu2, ffn.fc2.weight[:, g])
+    for g, fc1_out, dw_out in zip(groups, state.fc1_out, state.dw_out, strict=True):
+        grad, w, fc2_b = ops.pointwise_conv_backward(grad_fc2_out, ops.gelu(dw_out), ffn.fc2.weight[:, g])
         fc2_w.append(w)
         grad = ops.gelu_backward(grad, dw_out)
         grad, w, b = ops.depthwise_conv_backward(grad, fc1_out, ffn.dw.weight[g], _FFN_SPEC)
@@ -291,9 +287,7 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
     grads["ffn.dw.bias"] = _joined(dw_b)
     grads["ffn.fc1.weight"] = _joined(fc1_w)
     grads["ffn.fc1.bias"] = _joined(fc1_b)
-    grad_y1, grads["norm2.scale"], grads["norm2.shift"] = norm_backward(
-        grad_normed2, p.norm2, state.y1, state.norm2_cache
-    )
+    grad_y1, grads["norm2.scale"], grads["norm2.shift"] = norm_backward(grad_normed2, p.norm2, state.norm2_cache)
     grad_y1 += grad_y  # the residual path
 
     # selection half: y1 = x + scale1 * post_out
@@ -307,8 +301,6 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
     grad_normed1, grads["pre.weight"], grads["pre.bias"] = ops.pointwise_conv_backward(
         grad_pre_out, state.normed1, p.pre.weight
     )
-    grad_x, grads["norm1.scale"], grads["norm1.shift"] = norm_backward(
-        grad_normed1, p.norm1, state.x, state.norm1_cache
-    )
+    grad_x, grads["norm1.scale"], grads["norm1.shift"] = norm_backward(grad_normed1, p.norm1, state.norm1_cache)
     grad_x += grad_y1  # the residual path
     return grad_x, grads

@@ -43,6 +43,12 @@ def _stage_pair(token: str):
         raise argparse.ArgumentTypeError(f"expected 'k,d' pair, got {token!r}") from exc
 
 
+def _seed(token: str) -> int:
+    if not (token.isascii() and token.isdigit()):  # numpy's generators take no negative seed
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {token!r}")
+    return int(token)
+
+
 def _pool_list(token: str):
     return tuple(p.strip() for p in token.split(",") if p.strip())
 
@@ -89,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("T", "S"), required=True)
     p.add_argument("--out", required=True, help="directory for stage feature tensors")
     p.add_argument("--weights", default="random", help="LSKW file, or 'random' for seeded init")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--export-masks", default=None, help="directory for per-block mask tensors")
     p.add_argument("--mode", choices=("spatial", "channel", "none"), default="spatial")
     p.add_argument("--pool", type=_pool_list, default=("avg", "max"))
@@ -99,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference checks of the backward passes")
     p.add_argument("--op", default=None, help="single check name (default: all)")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="overfit a tiny synthetic problem by gradient descent")
@@ -107,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--lr", type=float, default=None, help="default: per --scope, from lsknet.train.DEFAULT_LR"
     )
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--scope", choices=("module", "backbone"), default="module")
     p.set_defaults(func=cmd_train_toy)
 

@@ -182,7 +182,7 @@ def _layer_case(rng, params, forward, backward, cat_of=None) -> _Case:
 def _module_case(rng, mode: SelectionMode) -> _Case:
     plan = validate_plan([(3, 1), (5, 2)])
     base = init_lsk_params(plan, c_in=4, c_mid=2, select_kernel=3, mode=mode, rng=rng)
-    cat_of = (lambda state: state.cat) if mode is SelectionMode.SPATIAL else None
+    cat_of = (lambda state: ops.concat_channels(state.u_mixed)) if mode is SelectionMode.SPATIAL else None
     return _layer_case(rng, params_astype(base, np.float64), lsk_forward, lsk_backward, cat_of)
 
 
@@ -191,7 +191,7 @@ def _block_case(rng) -> _Case:
     base = init_block_params(plan, c=4, ffn_ratio=2.0, select_kernel=3, rng=rng)
     return _layer_case(
         rng, params_astype(base, np.float64), block_forward, block_backward,
-        lambda state: state.lsk_state.cat,
+        lambda state: ops.concat_channels(state.lsk_state.u_mixed),
     )
 
 

@@ -20,8 +20,10 @@ mean channel, neither means none), and a spatial module stores its own
 pooling set, so :func:`lsk_forward` takes only the input and the parameters.
 It frees each intermediate after its last use and builds the backward's
 state only when ``keep_state`` is set; both modes run the same ops in the
-same order.  The module and the block return the same :class:`LayerOutput`,
-and their backward passes start every gradient from its first term.
+same order.  The state keeps each value once: the input is ``u[0]``, and the
+spatial backward concatenates the mixed branches again.  The module and the
+block return the same :class:`LayerOutput`, and their backward passes start
+every gradient from its first term.
 
 Every conv is one :class:`ConvParams` leaf, and :func:`parameter_arrays`
 reads the weight-file names of any layer off its field tree (``dw0.weight``,
@@ -235,13 +237,11 @@ class LskState:
     """Forward intermediates needed by lsk_backward."""
 
     params: LskModuleParams
-    x: Tensor4
-    u: list[Tensor4]  # u[0] = x, u[i] = output of stage i
+    u: list[Tensor4]  # u[0] = the input, u[i] = output of stage i
     u_mixed: list[Tensor4]
     weighted: Tensor4
     fused: Tensor4
     # spatial mode
-    cat: Tensor4 | None = None
     pooled: Tensor4 | None = None
     masks: Tensor4 | None = None
     # channel mode
@@ -273,12 +273,10 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
     Masks are the per-branch sigmoid maps, stacked as (n, n_kernels, h, w);
     they are produced by the spatial mode only.
     """
-    ops.check_tensor4(x, "lsk_forward: x")
+    ops.check_float_input(x, "lsk_forward")
     params.validate()
     if x.shape[1] != params.c_in:
-        raise ShapeError(
-            f"lsk_forward: input has {x.shape[1]} channels, module expects {params.c_in}"
-        )
+        raise ShapeError(f"lsk_forward: input has {x.shape[1]} channels, module expects {params.c_in}")
     mode = params.mode
     n = params.n_kernels
 
@@ -298,7 +296,6 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
     masks = None
     if mode is SelectionMode.SPATIAL:
         h = ops.concat_channels(mixed)
-        keep(cat=h)
         h = ops.concat_channels([ops.channel_pool(h, m) for m in params.pooling])
         keep(pooled=h)
         q = params.select_kernel
@@ -334,7 +331,7 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
     h = ops.pointwise_conv(h, params.fuse.weight, params.fuse.bias)
     keep(fused=h)
     y = ops.elementwise(x, h, "mul")
-    return LayerOutput(y=y, masks=masks, state=LskState(params=params, x=x, **kept) if keep_state else None)
+    return LayerOutput(y=y, masks=masks, state=LskState(params=params, **kept) if keep_state else None)
 
 
 def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, np.ndarray]]:
@@ -345,14 +342,12 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
     """
     params = state.params
     n = params.n_kernels
-    if grad_y.shape != state.x.shape:
-        raise ShapeError(
-            f"lsk_backward: grad_y shape {grad_y.shape} != forward input {state.x.shape}"
-        )
+    if grad_y.shape != state.u[0].shape:
+        raise ShapeError(f"lsk_backward: grad_y shape {grad_y.shape} != forward input {state.u[0].shape}")
     grads: dict[str, np.ndarray] = {}
 
-    # y = x * fused
-    grad_x, grad_fused = ops.elementwise_backward(grad_y, state.x, state.fused, "mul")
+    # y = x * fused, with x = u[0]
+    grad_x, grad_fused = ops.elementwise_backward(grad_y, state.u[0], state.fused, "mul")
     grad_weighted, grads["fuse.weight"], grads["fuse.bias"] = ops.pointwise_conv_backward(
         grad_fused, state.weighted, params.fuse.weight
     )
@@ -361,9 +356,7 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
         masks = state.masks
         grad_mixed, grad_masks = [], []
         for i in range(n):
-            g_m, g_mask = ops.broadcast_mask_mul_backward(
-                grad_weighted, state.u_mixed[i], masks[:, i : i + 1]
-            )
+            g_m, g_mask = ops.broadcast_mask_mul_backward(grad_weighted, state.u_mixed[i], masks[:, i : i + 1])
             grad_mixed.append(g_m)
             grad_masks.append(g_mask)
         grad_logits = ops.sigmoid_backward(ops.concat_channels(grad_masks), masks)
@@ -372,9 +365,11 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
             grad_logits, state.pooled, params.select.weight, padding=(q - 1) // 2
         )
         desc_grads = ops.concat_channels_backward(grad_pooled, [1] * len(params.pooling))
-        grad_cat = ops.channel_pool_backward(desc_grads[0], state.cat, params.pooling[0])
+        cat = ops.concat_channels(state.u_mixed)
+        grad_cat = ops.channel_pool_backward(desc_grads[0], cat, params.pooling[0])
         for mode_name, g_desc in zip(params.pooling[1:], desc_grads[1:]):
-            grad_cat += ops.channel_pool_backward(g_desc, state.cat, mode_name)
+            grad_cat += ops.channel_pool_backward(g_desc, cat, mode_name)
+        del cat
         for g_m, g_part in zip(grad_mixed, ops.concat_channels_backward(grad_cat, [params.c_mid] * n)):
             g_m += g_part
     elif params.mode is SelectionMode.CHANNEL:

@@ -57,6 +57,7 @@ __all__ = [
     "ConvSpec",
     "Tensor4",
     "check_tensor4",
+    "check_float_input",
     "depthwise_conv",
     "depthwise_conv_backward",
     "conv2d",
@@ -131,6 +132,15 @@ def check_tensor4(x: np.ndarray, name: str = "tensor") -> np.ndarray:
         raise ShapeError(f"{name}: expected 4 dims (n,c,h,w), got shape {x.shape}")
     if any(d < 1 for d in x.shape):
         raise ShapeError(f"{name}: all dims must be >= 1, got shape {x.shape}")
+    return x
+
+
+def check_float_input(x: np.ndarray, where: str) -> np.ndarray:
+    """:func:`check_tensor4` plus a float dtype: a layer casts its weights to
+    its input's dtype, which truncates them for an integer or boolean one."""
+    check_tensor4(x, f"{where}: x")
+    if x.dtype.kind != "f":
+        raise ShapeError(f"{where}: expected a float input, got dtype {x.dtype}")
     return x
 
 

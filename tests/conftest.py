@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,3 +31,26 @@ def peak_allocation(fn, *args) -> int:
     finally:
         if started:
             tracemalloc.stop()
+
+
+def state_bytes(state) -> int:
+    """Bytes of the distinct arrays a kept backward state holds: each base
+    array counts once, wherever it is referenced, and ``params`` fields are
+    skipped."""
+    seen: dict[int, int] = {}
+
+    def walk(obj):
+        if isinstance(obj, np.ndarray):
+            base = obj if obj.base is None else obj.base
+            if isinstance(base, np.ndarray):
+                seen[id(base)] = base.nbytes
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                walk(item)
+        elif is_dataclass(obj):
+            for f in fields(obj):
+                if f.name != "params":
+                    walk(getattr(obj, f.name))
+
+    walk(state)
+    return sum(seen.values())

@@ -25,10 +25,10 @@ from lsknet.backbone import (
 )
 from lsknet.block import block_backward, block_forward, ffn_groups, init_block_params
 from lsknet.errors import LskError, ShapeError, WeightMismatchError
-from lsknet.module import SelectionMode, parameter_arrays, params_astype
+from lsknet.module import SelectionMode, lsk_forward, parameter_arrays, params_astype
 from lsknet.plan import validate_plan
 
-from conftest import peak_allocation
+from conftest import peak_allocation, state_bytes
 
 PLAN = validate_plan([(3, 1), (5, 2)])
 
@@ -112,7 +112,7 @@ class TestBlock:
         x = rng.uniform(-1, 1, size=shape)
         kept = block_forward(x, params)
         np.testing.assert_allclose(kept.y, manual_block(x, params), atol=1e-12)
-        assert [t.shape[1] for t in kept.state.gelu2] == groups
+        assert [t.shape[1] for t in kept.state.dw_out] == groups
         dropped = block_forward(x, params, keep_state=False)
         assert dropped.y.tobytes() == kept.y.tobytes()
         assert dropped.masks.tobytes() == kept.masks.tobytes()
@@ -298,10 +298,22 @@ class TestBackboneForward:
             backbone_forward(rng.uniform(-1, 1, size=(1, 4, 32, 32)).astype(np.float32), params)
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.bool_])
-    def test_non_float_input_rejected(self, dtype):
-        params = init_backbone_params(TINY, seed=0)
-        with pytest.raises(ShapeError, match=np.dtype(dtype).name):
-            backbone_forward(np.ones((1, 3, 64, 64), dtype=dtype), params)
+    @pytest.mark.parametrize(
+        "forward,make_params,shape",
+        [
+            (backbone_forward, lambda: init_backbone_params(TINY, seed=0), (1, 3, 64, 64)),
+            (block_forward, tiny_block, (1, 4, 6, 6)),
+            (lsk_forward, lambda: tiny_block().lsk, (1, 4, 6, 6)),
+        ],
+        ids=["backbone", "block", "lsk"],
+    )
+    def test_non_float_input_rejected(self, dtype, forward, make_params, shape):
+        """A layer casts its weights to the input's dtype, so an integer or
+        boolean input would run with truncated weights: every entry point
+        refuses it."""
+        message = f"{forward.__name__}: expected a float input, got dtype {np.dtype(dtype)}"
+        with pytest.raises(ShapeError, match=message):
+            forward(np.ones(shape, dtype=dtype), make_params())
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, rng, bad):
@@ -370,12 +382,13 @@ class TestBackboneForward:
         """Each block intermediate is freed after its last use and the FFN runs
         over groups of hidden channels, so a T inference forward at 256x256
         peaks at no more than 1.5 stage-1 FFN hidden tensors (5.3 MiB traced);
-        a kept-state forward holds what it always held (113.9 MiB traced)."""
+        a kept-state forward holds only what the backward reads (89.4 MiB
+        traced)."""
         params = init_backbone_params(BackboneConfig.variant("T"), seed=0)
         x = np.random.default_rng(0).uniform(-1, 1, size=(1, 3, 256, 256)).astype(np.float32)
         hidden = params.stages[0][0].ffn.fc1.weight.shape[0] * 64 * 64 * x.itemsize  # 4 MiB
         assert peak_allocation(backbone_forward, x, params) <= 1.5 * hidden
-        assert peak_allocation(backbone_forward, x, params, True) <= 113.9 * 2**20
+        assert peak_allocation(backbone_forward, x, params, True) <= 89.4 * 2**20
 
 
 class TestWeightPlumbing:
@@ -462,6 +475,16 @@ class TestBackboneBackward:
         assert set(grads) == learnables
         for name, g in grads.items():
             assert (g.shape, g.dtype) == (arrays[name].shape, arrays[name].dtype), name
+
+    def test_training_state_keeps_each_value_once(self):
+        """A kept training state holds no array that another kept array gives
+        by one op: the S@128 batch-2 state with batch statistics is at most
+        68,143,104 bytes (89,606,144 while it also kept each FFN GELU output,
+        each norm input and each selection module's concatenation)."""
+        params = init_backbone_params(BackboneConfig.variant("S"), seed=0)
+        x = np.random.default_rng(0).uniform(-1, 1, size=(2, 3, 128, 128)).astype(np.float32)
+        out = backbone_forward(x, params, keep_state=True, train_norm=True)
+        assert state_bytes(out.state) <= 68_143_104
 
     @pytest.mark.parametrize("mode", MODES)
     def test_params_astype_copies_every_array(self, mode):

@@ -313,6 +313,22 @@ class TestCliPlumbing:
             main(["count"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "command",
+        [["forward", "--input", "x.lskt", "--variant", "T", "--out", "o"], ["gradcheck"], ["train-toy"]],
+        ids=["forward", "gradcheck", "train-toy"],
+    )
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_usage_error(self, command, seed, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", seed])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"lsk {command[0]}: error: argument --seed: expected a non-negative integer, got {seed!r}"
+        )
+
     def test_thread_cap_env(self, monkeypatch):
         monkeypatch.setenv("LSK_THREADS", "2")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
