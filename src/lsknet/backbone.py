@@ -247,8 +247,9 @@ def named_arrays(params: BackboneParams) -> dict[str, np.ndarray]:
 def params_from_arrays(config: BackboneConfig, arrays: dict[str, np.ndarray]) -> BackboneParams:
     """Rebuild structured params from a flat name -> array map.
 
-    Every expected tensor must be present with exactly the expected shape;
-    the first offending tensor is named in the error.  The result holds the
+    Every expected tensor must be present with exactly the expected shape,
+    and no stored norm variance negative (every feature would be NaN); the
+    first offending tensor is named in the error.  The result holds the
     caller's float32 arrays themselves (no copy) and a cast of any other.
     """
     template = config.shape_tree
@@ -260,6 +261,8 @@ def params_from_arrays(config: BackboneConfig, arrays: dict[str, np.ndarray]) ->
             raise WeightMismatchError(
                 f"tensor {name!r} has shape {tuple(arrays[name].shape)}, expected {target.shape}"
             )
+        if name.endswith(".var") and (arrays[name] < 0).any():
+            raise WeightMismatchError(f"tensor {name!r} holds a negative variance")
     extra = set(arrays) - set(expected)
     if extra:
         raise WeightMismatchError(f"unexpected tensor(s) in weights: {sorted(extra)[:5]}")
@@ -275,7 +278,7 @@ def params_from_arrays(config: BackboneConfig, arrays: dict[str, np.ndarray]) ->
 class _ConvNormState:
     params: ConvNormParams
     x: Tensor4
-    norm_cache: tuple[Tensor4, np.ndarray] | Tensor4  # the conv output under stored statistics
+    norm_cache: tuple[Tensor4, np.ndarray, np.ndarray] | Tensor4  # made from the conv output
 
 
 @dataclass

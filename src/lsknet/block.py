@@ -9,8 +9,9 @@ whole block into the identity map.
 
 Normalization uses stored per-channel statistics by default; ``train_norm``
 switches to the batch's own statistics (used by the toy trainer).  The norm
-cache, ``(x_hat, inv_std)`` for batch statistics or the norm's input itself
-for stored ones, is all its backward reads.  Every conv is one
+cache, ``(x, mean, var)`` for batch statistics or the norm's input ``x`` for
+stored ones, is all its backward reads; no norm output is kept, and
+:func:`norm_output` rebuilds it bit for bit from the cache.  Every conv is one
 :class:`~lsknet.module.ConvParams` leaf and every width is read off the
 arrays; the selection module carries its own mode and pooling set, so
 :func:`block_forward` takes only the input and the parameters.  Like
@@ -161,33 +162,39 @@ def init_block_params(
 class BlockState:
     params: BlockParams
     x: Tensor4
-    normed1: Tensor4
-    norm1_cache: tuple[Tensor4, np.ndarray] | Tensor4
+    norm1_cache: tuple[Tensor4, np.ndarray, np.ndarray] | Tensor4
     pre_out: Tensor4
     lsk_state: LskState
     lsk_y: Tensor4
     post_out: Tensor4
-    normed2: Tensor4
-    norm2_cache: tuple[Tensor4, np.ndarray] | Tensor4
+    norm2_cache: tuple[Tensor4, np.ndarray, np.ndarray] | Tensor4
     fc1_out: list[Tensor4]  # one tensor per hidden-channel group
     dw_out: list[Tensor4]
     fc2_out: Tensor4
 
 
+def norm_output(norm: NormParams, cache) -> Tensor4:
+    """The ``y`` that :func:`norm_forward` returned with ``cache``, rebuilt
+    bit for bit by the same op on the same inputs."""
+    x, mean, var = cache if isinstance(cache, tuple) else (cache, norm.mean, norm.var)
+    return ops.affine_channel_norm(x, norm.scale, norm.shift, mean, var, NORM_EPS)
+
+
 def norm_forward(x, norm: NormParams, train: bool):
     """``(y, cache)``: with ``train`` the batch's own statistics and the cache
-    ``(x_hat, inv_std)``, else the stored statistics and the cache ``x``."""
+    ``(x, mean, var)``, else the stored statistics and the cache ``x``."""
     if train:
-        y, x_hat, inv_std = ops.batch_norm(x, norm.scale, norm.shift, NORM_EPS)
-        return y, (x_hat, inv_std)
-    return ops.affine_channel_norm(x, norm.scale, norm.shift, norm.mean, norm.var, NORM_EPS), x
+        y, mean, var = ops.batch_norm(x, norm.scale, norm.shift, NORM_EPS)
+        return y, (x, mean, var)
+    return norm_output(norm, x), x
 
 
 def norm_backward(grad, norm: NormParams, cache):
     """``(grad_x, grad_scale, grad_shift)`` of :func:`norm_forward`; the
     cache it returned decides which statistics were used."""
     if isinstance(cache, tuple):
-        return ops.batch_norm_backward(grad, *cache, norm.scale)
+        x, mean, var = cache
+        return ops.batch_norm_backward(grad, x, norm.scale, mean, var, NORM_EPS)
     return ops.affine_channel_norm_backward(grad, cache, norm.scale, norm.mean, norm.var, NORM_EPS)
 
 
@@ -204,7 +211,7 @@ def block_forward(
     keep = kept.update if keep_state else lambda **fields: None
 
     h, cache = norm_forward(x, params.norm1, train_norm)
-    keep(normed1=h, norm1_cache=cache)
+    keep(norm1_cache=cache)
     h = ops.pointwise_conv(h, params.pre.weight, params.pre.bias)
     keep(pre_out=h)
     h = ops.gelu(h)
@@ -218,7 +225,7 @@ def block_forward(
 
     ffn = params.ffn
     normed2, cache = norm_forward(y1, params.norm2, train_norm)
-    keep(normed2=normed2, norm2_cache=cache)
+    keep(norm2_cache=cache)
     # ``t`` is rebound along each group, so a group's hidden tensors are freed
     # within its iteration unless ``keep_group`` appended them to the state's
     # lists; the fc2 partial products are summed in group order, then the
@@ -263,9 +270,10 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
     # FFN half: y = y1 + scale2 * fc2_out
     grad_fc2_out, grads["scale2"] = ops.channel_scale_backward(grad_y, state.fc2_out, p.scale2)
     ffn = p.ffn
+    normed2 = norm_output(p.norm2, state.norm2_cache)
     grad_normed2 = None
     fc2_w, dw_w, dw_b, fc1_w, fc1_b = [], [], [], [], []
-    groups = ffn_groups(ffn.fc1.weight.shape[0], state.normed2)
+    groups = ffn_groups(ffn.fc1.weight.shape[0], normed2)
     for g, fc1_out, dw_out in zip(groups, state.fc1_out, state.dw_out, strict=True):
         grad, w, fc2_b = ops.pointwise_conv_backward(grad_fc2_out, ops.gelu(dw_out), ffn.fc2.weight[:, g])
         fc2_w.append(w)
@@ -273,14 +281,14 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
         grad, w, b = ops.depthwise_conv_backward(grad, fc1_out, ffn.dw.weight[g], _FFN_SPEC)
         dw_w.append(w)
         dw_b.append(b)
-        grad, w, b = ops.pointwise_conv_backward(grad, state.normed2, ffn.fc1.weight[g])
+        grad, w, b = ops.pointwise_conv_backward(grad, normed2, ffn.fc1.weight[g])
         fc1_w.append(w)
         fc1_b.append(b)
         if grad_normed2 is None:
             grad_normed2 = grad
         else:
             grad_normed2 += grad
-    del grad
+    del grad, normed2
     grads["ffn.fc2.weight"] = _joined(fc2_w, axis=1)
     grads["ffn.fc2.bias"] = fc2_b  # every group's call sums the same grad_fc2_out
     grads["ffn.dw.weight"] = _joined(dw_w)
@@ -299,7 +307,7 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
     grads.update(prefixed("lsk", lsk_grads.items()))
     grad_pre_out = ops.gelu_backward(grad_gelu1, state.pre_out)
     grad_normed1, grads["pre.weight"], grads["pre.bias"] = ops.pointwise_conv_backward(
-        grad_pre_out, state.normed1, p.pre.weight
+        grad_pre_out, norm_output(p.norm1, state.norm1_cache), p.pre.weight
     )
     grad_x, grads["norm1.scale"], grads["norm1.shift"] = norm_backward(grad_normed1, p.norm1, state.norm1_cache)
     grad_x += grad_y1  # the residual path

@@ -43,7 +43,7 @@ def _stage_pair(token: str):
         raise argparse.ArgumentTypeError(f"expected 'k,d' pair, got {token!r}") from exc
 
 
-def _seed(token: str) -> int:
+def _non_negative_int(token: str) -> int:
     if not (token.isascii() and token.isdigit()):  # numpy's generators take no negative seed
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {token!r}")
     return int(token)
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-rf", type=int, required=True)
     p.add_argument("--max-stages", type=int, required=True)
     p.add_argument("--max-k", type=int, required=True)
-    p.add_argument("--top", type=int, default=0, help="limit output to the T cheapest plans")
+    p.add_argument("--top", type=_non_negative_int, default=0, help="limit output to the T cheapest plans (0: all)")
     p.add_argument("--format", choices=("table", "kv"), default="table")
     p.set_defaults(func=cmd_plan)
 
@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", choices=("T", "S"), required=True)
     p.add_argument("--out", required=True, help="directory for stage feature tensors")
     p.add_argument("--weights", default="random", help="LSKW file, or 'random' for seeded init")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--export-masks", default=None, help="directory for per-block mask tensors")
     p.add_argument("--mode", choices=("spatial", "channel", "none"), default="spatial")
     p.add_argument("--pool", type=_pool_list, default=("avg", "max"))
@@ -105,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference checks of the backward passes")
     p.add_argument("--op", default=None, help="single check name (default: all)")
     p.add_argument("--all", action="store_true")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="overfit a tiny synthetic problem by gradient descent")
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--lr", type=float, default=None, help="default: per --scope, from lsknet.train.DEFAULT_LR"
     )
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--scope", choices=("module", "backbone"), default="module")
     p.set_defaults(func=cmd_train_toy)
 

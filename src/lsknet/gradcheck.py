@@ -255,9 +255,7 @@ _CASES: dict[str, Callable[[np.random.Generator], _Case]] = {
     "batch_norm": _op(
         [("x", (2, 3, 4, 4)), ("scale", (3,)), ("shift", (3,))],
         lambda x, scale, shift: ops.batch_norm(x, scale, shift)[0],
-        lambda g, x, scale, shift: ops.batch_norm_backward(
-            g, *ops.batch_norm(x, scale, shift)[1:], scale
-        ),
+        lambda g, x, scale, shift: ops.batch_norm_backward(g, x, scale, *ops.batch_norm(x, scale, shift)[1:]),
     ),
     "global_avg_pool": _op(
         [("x", (2, 4, 3, 3))],

@@ -792,43 +792,32 @@ def affine_channel_norm_backward(
 
 def batch_norm(
     x: Tensor4, scale: np.ndarray, shift: np.ndarray, eps: float = 1e-5
-) -> tuple[Tensor4, Tensor4, np.ndarray]:
-    """Training-mode normalization using the batch's own per-channel statistics.
-
-    Returns (y, x_hat, inv_std); the latter two feed batch_norm_backward.
-    Variance is the biased estimate over batch and space.
-    """
+) -> tuple[Tensor4, np.ndarray, np.ndarray]:
+    """Training-mode normalization: :func:`affine_channel_norm` fed the
+    batch's per-channel mean and biased variance over batch and space.
+    Returns ``(y, mean, var)``; :func:`batch_norm_backward` takes both."""
     check_tensor4(x, "batch_norm: x")
-    c = x.shape[1]
-    _check_vector(scale, c, "batch_norm: scale")
-    _check_vector(shift, c, "batch_norm: shift")
     mean = x.mean(axis=(0, 2, 3))
     var = ((x - mean[None, :, None, None]) ** 2).mean(axis=(0, 2, 3))
-    inv_std = 1.0 / np.sqrt(var + eps)
-    x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
-    y = x_hat * scale[None, :, None, None] + shift[None, :, None, None]
-    return y, x_hat, inv_std
+    return affine_channel_norm(x, scale, shift, mean, var, eps), mean, var
 
 
 def batch_norm_backward(
-    grad_out: Tensor4, x_hat: Tensor4, inv_std: np.ndarray, scale: np.ndarray
+    grad_out: Tensor4, x: Tensor4, scale: np.ndarray, mean: np.ndarray, var: np.ndarray, eps: float = 1e-5
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
-    """Gradients w.r.t. x, scale and shift, with gradient flowing through the
-    batch statistics."""
+    """Gradients w.r.t. x, scale and shift of :func:`batch_norm`, given its
+    ``mean`` and ``var``: those of :func:`affine_channel_norm_backward`, plus
+    the part of ``grad_x`` that flows through the statistics, with
+    d(mean)/dx = 1/m and d(var)/dx = 2 (x - mean) / m over a channel's m values."""
     check_tensor4(grad_out, "batch_norm_backward: grad_out")
-    check_tensor4(x_hat, "batch_norm_backward: x_hat")
-    if grad_out.shape != x_hat.shape:
-        raise ShapeError(
-            f"batch_norm_backward: grad_out {grad_out.shape} != x_hat {x_hat.shape}"
-        )
-    n, _, h, w = grad_out.shape
+    n, _, h, w = check_tensor4(x, "batch_norm_backward: x").shape
+    grad_x, grad_scale, grad_shift = affine_channel_norm_backward(grad_out, x, scale, mean, var, eps)
     m = n * h * w
-    grad_shift = grad_out.sum(axis=(0, 2, 3))
-    grad_scale = (grad_out * x_hat).sum(axis=(0, 2, 3))
-    g_hat = grad_out * scale[None, :, None, None]
-    sum_g = g_hat.sum(axis=(0, 2, 3), keepdims=True)
-    sum_gx = (g_hat * x_hat).sum(axis=(0, 2, 3), keepdims=True)
-    grad_x = (inv_std[None, :, None, None] / m) * (m * g_hat - sum_g - x_hat * sum_gx)
+    inv = 1.0 / np.sqrt(var + eps)
+    grad_mean = -scale * inv * grad_shift  # dL/dmean = -scale * inv * sum(grad_out)
+    grad_var = -0.5 * scale * inv * inv * grad_scale  # -scale * inv**3 * sum(grad_out * (x - mean)) / 2
+    grad_x += (x - mean[None, :, None, None]) * (2.0 * grad_var / m)[None, :, None, None]
+    grad_x += (grad_mean / m)[None, :, None, None]
     return grad_x, grad_scale, grad_shift
 
 

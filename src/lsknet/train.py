@@ -7,9 +7,9 @@ of a scalar linear head over globally pooled features:
                  head trains (a convex problem, used for descent checks).
 * ``module``   - one selection module plus the head train end to end; the
                  default smoke test overfits 8 synthetic samples.
-* ``backbone`` - a small four-stage backbone trains end to end with
-                 batch-statistics normalization, head on pooled stage-4
-                 features.
+* ``backbone`` - a small four-stage backbone trains end to end on 4
+                 samples with batch-statistics normalization, head on
+                 pooled stage-4 features.
 
 Each scope only builds its forward, backward and trainable arrays; one loop,
 :func:`_descend`, trains them all.  A non-finite loss raises
@@ -42,6 +42,8 @@ DEFAULT_LR = {"module": 0.5, "head": 0.5, "backbone": 0.05}
 MODULE_CHANNELS = 8
 MODULE_SIZE = 8
 MODULE_PLAN = ((3, 1), (5, 2))
+MODULE_SAMPLES = 8
+BACKBONE_SAMPLES = 4
 MAX_SAMPLES = 16
 
 
@@ -77,7 +79,6 @@ def toy_train(
     lr: float | None = None,
     seed: int = 0,
     scope: str = "module",
-    n_samples: int = 8,
 ) -> list[float]:
     """Run plain gradient descent; returns the loss trajectory.
 
@@ -93,17 +94,17 @@ def toy_train(
         lr = DEFAULT_LR[scope]
     rng = np.random.default_rng(seed)
     if scope == "backbone":
-        setup = _backbone_scope(seed, n_samples)
+        setup = _backbone_scope(seed)
     else:
-        setup = _module_scope(rng, seed, n_samples, train_module=scope == "module")
+        setup = _module_scope(rng, seed, train_module=scope == "module")
     return _descend(*setup, rng, steps, lr)
 
 
-def _module_scope(rng, seed, n_samples, train_module):
+def _module_scope(rng, seed, train_module):
     """``(forward, backward, arrays, targets)`` of one selection module; with
     ``train_module`` off its features are computed once and stay frozen."""
     params = init_lsk_params(validate_plan(MODULE_PLAN), MODULE_CHANNELS, rng=rng)
-    dataset = make_synthetic_dataset(n_samples, MODULE_CHANNELS, MODULE_SIZE, MODULE_SIZE, seed)
+    dataset = make_synthetic_dataset(MODULE_SAMPLES, MODULE_CHANNELS, MODULE_SIZE, MODULE_SIZE, seed)
     x = dataset.inputs
     if not train_module:
         frozen = lsk_forward(x, params, keep_state=False).y
@@ -116,12 +117,12 @@ def _module_scope(rng, seed, n_samples, train_module):
     return forward, lsk_backward, dict(parameter_arrays(params)), dataset.targets
 
 
-def _backbone_scope(seed, n_samples):
+def _backbone_scope(seed):
     """``(forward, backward, arrays, targets)`` of a small backbone trained
     with batch statistics; the head reads the stage-4 features."""
     config = BackboneConfig(channels=(4, 4, 8, 8), depths=(1, 1, 1, 1), ffn_ratios=(2.0, 2.0, 2.0, 2.0))
     params = init_backbone_params(config, seed=seed)
-    dataset = make_synthetic_dataset(min(n_samples, 4), 3, 32, 32, seed)
+    dataset = make_synthetic_dataset(BACKBONE_SAMPLES, 3, 32, 32, seed)
     x = dataset.inputs
 
     def forward():

@@ -187,27 +187,27 @@ def _channel_values(x, c_i):
 
 def batch_norm_loops(x, scale, shift, eps):
     """Training-mode batch norm with the biased per-channel statistics of the
-    batch, element by element; returns (y, x_hat, inv_std)."""
+    batch, element by element; returns (y, mean, var)."""
     n, c, h, w = x.shape
-    out, x_hat = np.zeros_like(x), np.zeros_like(x)
-    inv_std = np.zeros(c, dtype=x.dtype)
+    out = np.zeros_like(x)
+    means, variances = np.zeros(c, dtype=x.dtype), np.zeros(c, dtype=x.dtype)
     for c_i in range(c):
         vals = _channel_values(x, c_i)
         mean = math.fsum(vals) / len(vals)
         var = math.fsum((v - mean) ** 2 for v in vals) / len(vals)
-        inv_std[c_i] = 1.0 / math.sqrt(var + eps)
+        means[c_i], variances[c_i] = mean, var
+        inv_std = 1.0 / math.sqrt(var + eps)
         for b_i in range(n):
             for y in range(h):
                 for x_i in range(w):
-                    x_hat[b_i, c_i, y, x_i] = (x[b_i, c_i, y, x_i] - mean) * inv_std[c_i]
-                    out[b_i, c_i, y, x_i] = scale[c_i] * x_hat[b_i, c_i, y, x_i] + shift[c_i]
-    return out, x_hat, inv_std
+                    out[b_i, c_i, y, x_i] = scale[c_i] * (x[b_i, c_i, y, x_i] - mean) * inv_std + shift[c_i]
+    return out, means, variances
 
 
 def batch_norm_backward_loops(grad_out, x, scale, eps):
     """Gradients of ``batch_norm_loops`` w.r.t. x, scale and shift, by the
-    chain rule taken one stage at a time (x_hat, then the variance, then the
-    mean) from the raw input rather than from the saved x_hat."""
+    chain rule taken one stage at a time (the normalized value, then the
+    variance, then the mean) from the raw input."""
     n, c, h, w = x.shape
     m = n * h * w
     grad_x = np.zeros_like(x)

@@ -263,7 +263,7 @@ def test_criterion_7_analysis_correctness():
 
 def test_criterion_8_toy_training_overfits():
     with criterion(8, "selection module + linear head overfits 8 samples to MSE < 1e-2", 120.0):
-        losses = toy_train(steps=500, lr=0.5, seed=0, scope="module", n_samples=8)
+        losses = toy_train(steps=500, lr=0.5, seed=0, scope="module")
         assert losses[-1] < 1e-2, f"final loss {losses[-1]:.3e}"
         assert len(losses) == 501
 

@@ -200,6 +200,20 @@ class TestForwardCommand:
         assert rc == 1
         assert "stem.conv" in capsys.readouterr().err
 
+    def test_negative_variance_fails_with_tensor_name(self, tmp_path, lskt_input, capsys):
+        from lsknet.backbone import BackboneConfig, init_backbone_params, named_arrays
+        from lsknet.fileio import write_weights
+
+        arrays = named_arrays(init_backbone_params(BackboneConfig.variant("T"), seed=0))
+        arrays["stage2.block1.norm2.var"][3] = -0.5
+        wpath = tmp_path / "negvar.lskw"
+        write_weights(wpath, arrays)
+        rc = main(["forward", "--input", str(lskt_input), "--variant", "T",
+                   "--out", str(tmp_path / "f"), "--weights", str(wpath)])
+        assert rc == 1
+        assert "'stage2.block1.norm2.var' holds a negative variance" in capsys.readouterr().err
+        assert not (tmp_path / "f").exists()
+
 
 class TestGradcheckCommand:
     def test_single_smooth_op_reports_tiny_error(self, capsys):
@@ -328,6 +342,14 @@ class TestCliPlumbing:
         assert err.splitlines()[-1] == (
             f"lsk {command[0]}: error: argument --seed: expected a non-negative integer, got {seed!r}"
         )
+
+    def test_negative_top_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--target-rf", "23", "--max-stages", "2", "--max-k", "23", "--top", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == "lsk plan: error: argument --top: expected a non-negative integer, got '-1'"
 
     def test_thread_cap_env(self, monkeypatch):
         monkeypatch.setenv("LSK_THREADS", "2")

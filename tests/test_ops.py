@@ -357,7 +357,7 @@ class TestElementwiseAndScalars:
         "concat_channels_backward": lambda a, v: (a, [1, 3]),
         "channel_scale_backward": lambda a, v: (a, a, v),
         "affine_channel_norm_backward": lambda a, v: (a, a, v, v, v * v + 1.0),
-        "batch_norm_backward": lambda a, v: (a, a, v, v),
+        "batch_norm_backward": lambda a, v: (a, a, v, v, v * v + 1.0),
         "global_avg_pool_backward": lambda a, v: (a, a),
     }
 
@@ -499,9 +499,11 @@ class TestNorms:
 
     def test_batch_norm_zero_mean_unit_var(self, rng):
         x = rand(rng, (4, 3, 5, 5))
-        y, _, _ = ops.batch_norm(x, np.ones(3), np.zeros(3))
+        y, mean, var = ops.batch_norm(x, np.ones(3), np.zeros(3))
         assert abs(y.mean()) < 1e-10
         np.testing.assert_allclose(y.var(axis=(0, 2, 3)), 1.0, atol=1e-3)
+        np.testing.assert_allclose(mean, x.mean(axis=(0, 2, 3)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(var, x.var(axis=(0, 2, 3)), rtol=0, atol=1e-12)
 
     def test_global_avg_pool(self, rng):
         x = rand(rng, (2, 3, 4, 4))
@@ -521,15 +523,15 @@ class TestNorms:
 @example(n=1, c=2, h=1, w=1, constant=False, seed=0)
 @example(n=2, c=1, h=3, w=3, constant=True, seed=1)
 def test_batch_norm_matches_loop_oracles(n, c, h, w, constant, seed):
-    """Forward output, saved statistics and all three gradients against the
+    """Forward output, batch statistics and all three gradients against the
     naive loops in float64."""
     rng = np.random.default_rng(seed)
     x = np.full((n, c, h, w), 1.5) if constant else rand(rng, (n, c, h, w))
     scale, shift, g = rand(rng, (c,)), rand(rng, (c,)), rand(rng, (n, c, h, w))
-    y, x_hat, inv_std = ops.batch_norm(x, scale, shift)
-    for a, r in zip((y, x_hat, inv_std), batch_norm_loops(x, scale, shift, 1e-5)):
+    y, mean, var = ops.batch_norm(x, scale, shift)
+    for a, r in zip((y, mean, var), batch_norm_loops(x, scale, shift, 1e-5)):
         np.testing.assert_allclose(a, r, rtol=0, atol=1e-6)
-    got = ops.batch_norm_backward(g, x_hat, inv_std, scale)
+    got = ops.batch_norm_backward(g, x, scale, mean, var)
     for a, r in zip(got, batch_norm_backward_loops(g, x, scale, 1e-5)):
         np.testing.assert_allclose(a, r, rtol=0, atol=1e-6)
 
