@@ -25,9 +25,12 @@ each group takes its rows of ``fc1``, its channels of the depth-wise conv and
 GELU, and its columns of ``fc2``, whose partial products are added into the
 c-wide output in group order before the bias.  A group's per-image plane
 fits the depth-wise tile budget, so an inference block never holds an
-FFN-wide tensor.  The state keeps each group's ``fc1`` and depth-wise
-outputs, and the backward walks the same groups, taking each GELU again from
-its depth-wise output.  Only two sums change order against the whole-width
+FFN-wide tensor.  The state keeps each group's depth-wise output only, and
+the backward walks the same groups: it takes each GELU again from the
+depth-wise output and each ``fc1`` output again from the rebuilt norm output,
+with the forward's call, so a training block holds one FFN hidden tensor per
+group.  The selection module's output is rebuilt the same way from its kept
+input and fused map.  Only two sums change order against the whole-width
 FFN, ``fc2``'s forward sum and ``fc1``'s input-gradient sum, and only in
 blocks with two or more groups.  The weight names below a block's prefix are
 read off its field tree (:func:`~lsknet.module.parameter_arrays`:
@@ -165,11 +168,9 @@ class BlockState:
     norm1_cache: tuple[Tensor4, np.ndarray, np.ndarray] | Tensor4
     pre_out: Tensor4
     lsk_state: LskState
-    lsk_y: Tensor4
     post_out: Tensor4
     norm2_cache: tuple[Tensor4, np.ndarray, np.ndarray] | Tensor4
-    fc1_out: list[Tensor4]  # one tensor per hidden-channel group
-    dw_out: list[Tensor4]
+    dw_out: list[Tensor4]  # one tensor per hidden-channel group
     fc2_out: Tensor4
 
 
@@ -216,7 +217,7 @@ def block_forward(
     keep(pre_out=h)
     h = ops.gelu(h)
     lsk_out = lsk_forward(h, params.lsk, keep_state=keep_state)
-    keep(lsk_state=lsk_out.state, lsk_y=lsk_out.y)
+    keep(lsk_state=lsk_out.state)
     h, masks = lsk_out.y, lsk_out.masks
     del lsk_out
     h = ops.pointwise_conv(h, params.post.weight, params.post.bias)
@@ -227,16 +228,15 @@ def block_forward(
     normed2, cache = norm_forward(y1, params.norm2, train_norm)
     keep(norm2_cache=cache)
     # ``t`` is rebound along each group, so a group's hidden tensors are freed
-    # within its iteration unless ``keep_group`` appended them to the state's
-    # lists; the fc2 partial products are summed in group order, then the
-    # bias is added
-    fc1_out, dw_out = [], []
-    keep(fc1_out=fc1_out, dw_out=dw_out)
+    # within its iteration unless ``keep_group`` appended its depth-wise output
+    # to the state's list; the fc2 partial products are summed in group
+    # order, then the bias is added
+    dw_out = []
+    keep(dw_out=dw_out)
     keep_group = list.append if keep_state else lambda group, t: None
     h = None
     for g in ffn_groups(ffn.fc1.weight.shape[0], normed2):
         t = ops.pointwise_conv(normed2, ffn.fc1.weight[g], ffn.fc1.bias[g])
-        keep_group(fc1_out, t)
         t = ops.depthwise_conv(t, ffn.dw.weight[g], ffn.dw.bias[g], _FFN_SPEC)
         keep_group(dw_out, t)
         t = ops.gelu(t)
@@ -274,11 +274,15 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
     grad_normed2 = None
     fc2_w, dw_w, dw_b, fc1_w, fc1_b = [], [], [], [], []
     groups = ffn_groups(ffn.fc1.weight.shape[0], normed2)
-    for g, fc1_out, dw_out in zip(groups, state.fc1_out, state.dw_out, strict=True):
+    for g, dw_out in zip(groups, state.dw_out, strict=True):
         grad, w, fc2_b = ops.pointwise_conv_backward(grad_fc2_out, ops.gelu(dw_out), ffn.fc2.weight[:, g])
         fc2_w.append(w)
         grad = ops.gelu_backward(grad, dw_out)
+        # the group's fc1 output is rebuilt by the forward's call and freed
+        # once the depth-wise backward has read it
+        fc1_out = ops.pointwise_conv(normed2, ffn.fc1.weight[g], ffn.fc1.bias[g])
         grad, w, b = ops.depthwise_conv_backward(grad, fc1_out, ffn.dw.weight[g], _FFN_SPEC)
+        del fc1_out
         dw_w.append(w)
         dw_b.append(b)
         grad, w, b = ops.pointwise_conv_backward(grad, normed2, ffn.fc1.weight[g])
@@ -300,10 +304,11 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
 
     # selection half: y1 = x + scale1 * post_out
     grad_post_out, grads["scale1"] = ops.channel_scale_backward(grad_y1, state.post_out, p.scale1)
+    lsk = state.lsk_state
     grad_lsk_y, grads["post.weight"], grads["post.bias"] = ops.pointwise_conv_backward(
-        grad_post_out, state.lsk_y, p.post.weight
+        grad_post_out, ops.elementwise(lsk.u[0], lsk.fused, "mul"), p.post.weight  # the LSK output
     )
-    grad_gelu1, lsk_grads = lsk_backward(grad_lsk_y, state.lsk_state)
+    grad_gelu1, lsk_grads = lsk_backward(grad_lsk_y, lsk)
     grads.update(prefixed("lsk", lsk_grads.items()))
     grad_pre_out = ops.gelu_backward(grad_gelu1, state.pre_out)
     grad_normed1, grads["pre.weight"], grads["pre.bias"] = ops.pointwise_conv_backward(

@@ -21,13 +21,15 @@ gathers just the kc column shifts of a (kr, kc) kernel into a tile
 halo rows, and multiplies each channel's taps ``(kr, kc)`` by its tile with
 one matmul that covers every batch item.  Kernel row i's share of the
 outputs is row i of that product read ``dilation * i`` grid rows on, so the
-outputs are the sum of kr shifted rows, the last add writing the cropped
-result.  A k x k im2col would write and re-read all k*k taps instead.
-Taps that can only read padding are dropped first, and ``_DW_TILE_BYTES``
-sizes the tile and the product together.  The backward pass gathers such
-tiles from ``grad_out`` and multiplies them by the flipped kernel for the
-input gradient, and against ``x`` shifted down by each kernel row for the
-weight gradient.
+outputs are the sum of kr shifted rows: each is added into row 0 over
+contiguous runs, and one copy writes row 0's cropped share.  A k x k im2col
+would write and re-read all k*k taps instead.  Taps that can only read
+padding are dropped first, and ``_DW_TILE_BYTES`` sizes the tile and the
+product together.  The backward pass gathers such tiles from ``grad_out``
+and multiplies them by the flipped kernel for the input gradient, and
+against ``x`` shifted down by each kernel row for the weight gradient: ``x``
+is copied into row 0's share of the product once, and every other row is a
+contiguous copy of row 0 moved on by its shift.
 
 GELU and its backward run as chains of in-place ufuncs on buffers allocated
 once per call (one in the forward, the result; three in the backward): on
@@ -253,14 +255,14 @@ class _DwTiling:
             np.copyto(gather, src)
             yield rows, gather, self._product[: kr * m * n * length].reshape(kr, m, n, length)
 
-    def shares(self, product: np.ndarray, rows: int, cols: int) -> np.ndarray:
-        """The (kr, m, n, rows, cols) view of a band's product whose [i] is
-        kernel row i's share of the wide-grid outputs: product row i from
-        ``dilation * i * wp`` on."""
-        kr, m, n, length = product.shape
+    def share(self, product: np.ndarray, rows: int, cols: int) -> np.ndarray:
+        """The (m, n, rows, cols) view of a band's product row 0 that holds
+        the cropped wide-grid outputs; row i's share of the same outputs
+        starts ``dilation * i * wp`` further on."""
+        _, m, n, length = product.shape
         e = product.itemsize
-        strides = ((m * n * length + self.dilation * self.wp) * e, n * length * e, length * e, self.wp * e, e)
-        return np.ndarray((kr, m, n, rows, cols), product.dtype, product, 0, strides)
+        strides = (n * length * e, length * e, self.wp * e, e)
+        return np.ndarray((m, n, rows, cols), product.dtype, product, 0, strides)
 
 
 def _dw_correlate(
@@ -293,26 +295,27 @@ def _dw_correlate(
             by_channel = runs.transpose(1, 0, 2)
             np.matmul(taps[cs], columns, out=by_channel)
             # Kernel row i's share of item b's outputs starts at b * length +
-            # step * i.  The bias and the middle rows are added to row 0 as
-            # runs over all items (the halo between items is summed too, and
-            # dropped), and the last add writes the cropped output.
+            # step * i.  The bias and rows 1 to kr - 1 are added to row 0 in
+            # index order as runs over all items (the halo between items is
+            # summed too, and dropped), and one copy crops row 0 into the output
             run = (n - 1) * length + r * tiling.wp
             if bias is not None:
                 runs[0, :, :run] += bias[cs, None]
-            for i in range(1, kr - 1):
+            for i in range(1, kr):
                 runs[0, :, :run] += runs[i, :, step * i : step * i + run]
-            shares = tiling.shares(product, r, w)
-            dst = out[:, cs, rows].transpose(1, 0, 2, 3)
-            if kr > 1:
-                np.add(shares[0], shares[-1], out=dst)
-            else:
-                np.copyto(dst, shares[0])
+            share = tiling.share(product, r, w)
+            np.copyto(out[:, cs, rows].transpose(1, 0, 2, 3), share)
             if against is not None:
                 # ``against`` laid where each kernel row's share of the outputs
                 # lies and zero elsewhere, so that the cropped and halo outputs
-                # add nothing: one product with the gather gives every tap
-                product[...] = 0
-                tiling.shares(product, r, w)[...] = against[:, cs, rows].transpose(1, 0, 2, 3)
+                # add nothing: one product with the gather gives every tap.
+                # Row 0 takes it once, and row i is row 0 moved on by step * i
+                runs[0] = 0
+                np.copyto(share, against[:, cs, rows].transpose(1, 0, 2, 3))
+                for i in range(1, kr):
+                    runs[i, :, : step * i] = 0
+                    runs[i, :, step * i : step * i + run] = runs[0, :, :run]
+                    runs[i, :, step * i + run :] = 0
                 acc[cs] += np.matmul(by_channel, columns.transpose(0, 2, 1))
     return out, acc
 
@@ -546,7 +549,7 @@ def channel_pool_backward(grad_out: Tensor4, x: Tensor4, mode: str) -> Tensor4:
             f"channel_pool_backward: grad_out {grad_out.shape} != expected {(n, 1, h, w)}"
         )
     if mode == "avg":
-        return (np.broadcast_to(grad_out, x.shape) / x.dtype.type(c)).astype(x.dtype, copy=True)
+        return (np.broadcast_to(grad_out, x.shape) / x.dtype.type(c)).astype(x.dtype, copy=False)
     if mode == "max":
         winner = np.argmax(x, axis=1)  # first occurrence wins
         grad_x = np.zeros_like(x)
@@ -766,6 +769,22 @@ def affine_channel_norm(
     ]
 
 
+def _affine_norm_backward(grad_out, x, scale, mean, var, eps, where: str):
+    """The three gradients of :func:`affine_channel_norm_backward` and the
+    centred input ``x - mean`` formed on the way, which
+    :func:`batch_norm_backward` reuses; errors are named after ``where``."""
+    check_tensor4(grad_out, f"{where}: grad_out")
+    check_tensor4(x, f"{where}: x")
+    if grad_out.shape != x.shape:
+        raise ShapeError(f"{where}: grad_out {grad_out.shape} != x {x.shape}")
+    inv = 1.0 / np.sqrt(var + eps)
+    grad_x = grad_out * (scale * inv)[None, :, None, None]
+    centered = x - mean[None, :, None, None]
+    grad_scale = (grad_out * centered * inv[None, :, None, None]).sum(axis=(0, 2, 3))
+    grad_shift = grad_out.sum(axis=(0, 2, 3))
+    return grad_x, grad_scale, grad_shift, centered
+
+
 def affine_channel_norm_backward(
     grad_out: Tensor4,
     x: Tensor4,
@@ -776,18 +795,7 @@ def affine_channel_norm_backward(
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Gradients w.r.t. x, scale and shift.  mean/var are stored statistics
     and treated as constants."""
-    check_tensor4(grad_out, "affine_channel_norm_backward: grad_out")
-    check_tensor4(x, "affine_channel_norm_backward: x")
-    if grad_out.shape != x.shape:
-        raise ShapeError(
-            f"affine_channel_norm_backward: grad_out {grad_out.shape} != x {x.shape}"
-        )
-    inv = 1.0 / np.sqrt(var + eps)
-    grad_x = grad_out * (scale * inv)[None, :, None, None]
-    centered = x - mean[None, :, None, None]
-    grad_scale = (grad_out * centered * inv[None, :, None, None]).sum(axis=(0, 2, 3))
-    grad_shift = grad_out.sum(axis=(0, 2, 3))
-    return grad_x, grad_scale, grad_shift
+    return _affine_norm_backward(grad_out, x, scale, mean, var, eps, "affine_channel_norm_backward")[:3]
 
 
 def batch_norm(
@@ -809,14 +817,15 @@ def batch_norm_backward(
     ``mean`` and ``var``: those of :func:`affine_channel_norm_backward`, plus
     the part of ``grad_x`` that flows through the statistics, with
     d(mean)/dx = 1/m and d(var)/dx = 2 (x - mean) / m over a channel's m values."""
-    check_tensor4(grad_out, "batch_norm_backward: grad_out")
-    n, _, h, w = check_tensor4(x, "batch_norm_backward: x").shape
-    grad_x, grad_scale, grad_shift = affine_channel_norm_backward(grad_out, x, scale, mean, var, eps)
+    grad_x, grad_scale, grad_shift, centered = _affine_norm_backward(
+        grad_out, x, scale, mean, var, eps, "batch_norm_backward"
+    )
+    n, _, h, w = x.shape
     m = n * h * w
     inv = 1.0 / np.sqrt(var + eps)
     grad_mean = -scale * inv * grad_shift  # dL/dmean = -scale * inv * sum(grad_out)
     grad_var = -0.5 * scale * inv * inv * grad_scale  # -scale * inv**3 * sum(grad_out * (x - mean)) / 2
-    grad_x += (x - mean[None, :, None, None]) * (2.0 * grad_var / m)[None, :, None, None]
+    grad_x += centered * (2.0 * grad_var / m)[None, :, None, None]
     grad_x += (grad_mean / m)[None, :, None, None]
     return grad_x, grad_scale, grad_shift
 
@@ -834,4 +843,4 @@ def global_avg_pool_backward(grad_out: Tensor4, x: Tensor4) -> Tensor4:
         raise ShapeError(
             f"global_avg_pool_backward: grad_out {grad_out.shape} != expected {(n, c, 1, 1)}"
         )
-    return (np.broadcast_to(grad_out, x.shape) / x.dtype.type(h * w)).astype(x.dtype, copy=True)
+    return (np.broadcast_to(grad_out, x.shape) / x.dtype.type(h * w)).astype(x.dtype, copy=False)
