@@ -21,15 +21,19 @@ gathers just the kc column shifts of a (kr, kc) kernel into a tile
 halo rows, and multiplies each channel's taps ``(kr, kc)`` by its tile with
 one matmul that covers every batch item.  Kernel row i's share of the
 outputs is row i of that product read ``dilation * i`` grid rows on, so the
-outputs are the sum of kr shifted rows: each is added into row 0 over
-contiguous runs, and one copy writes row 0's cropped share.  A k x k im2col
-would write and re-read all k*k taps instead.  Taps that can only read
-padding are dropped first, and ``_DW_TILE_BYTES`` sizes the tile and the
-product together.  The backward pass gathers such tiles from ``grad_out``
-and multiplies them by the flipped kernel for the input gradient, and
-against ``x`` shifted down by each kernel row for the weight gradient: ``x``
-is copied into row 0's share of the product once, and every other row is a
-contiguous copy of row 0 moved on by its shift.
+outputs are the sum of kr shifted rows: each is added into row 0 as one
+contiguous pass over the whole tile, and one copy writes row 0's cropped
+share.  The halo rows keep every output's shifted reads inside its own
+batch item; only sums in the halo rows read on into the next item or
+channel, and the crop drops them.  A k x k im2col would write and re-read
+all k*k taps instead.  Taps that can only read padding are dropped first,
+and ``_DW_TILE_BYTES`` sizes the tile and the product together.  The
+backward pass gathers such tiles from ``grad_out`` and multiplies them by
+the flipped kernel for the input gradient, and against ``x`` shifted down by
+each kernel row for the weight gradient: ``x`` is copied into row 0's share
+of the product once, and every other row is one contiguous copy of the
+whole of row 0 moved on by its shift, row 0's zero halo rows filling the
+gaps between items.
 
 GELU and its backward run as chains of in-place ufuncs on buffers allocated
 once per call (one in the forward, the result; three in the backward): on
@@ -296,26 +300,26 @@ def _dw_correlate(
             np.matmul(taps[cs], columns, out=by_channel)
             # Kernel row i's share of item b's outputs starts at b * length +
             # step * i.  The bias and rows 1 to kr - 1 are added to row 0 in
-            # index order as runs over all items (the halo between items is
-            # summed too, and dropped), and one copy crops row 0 into the output
-            run = (n - 1) * length + r * tiling.wp
+            # index order, each as one pass over the tile, and one copy crops
+            # row 0.  An output reads at most halo * wp on, inside its own item:
+            # only halo sums, which are dropped, read into the next segment
+            flat = product.reshape(kr, -1)
             if bias is not None:
-                runs[0, :, :run] += bias[cs, None]
+                runs[0] += bias[cs, None]
             for i in range(1, kr):
-                runs[0, :, :run] += runs[i, :, step * i : step * i + run]
+                flat[0, : -step * i] += flat[i, step * i :]
             share = tiling.share(product, r, w)
             np.copyto(out[:, cs, rows].transpose(1, 0, 2, 3), share)
             if against is not None:
-                # ``against`` laid where each kernel row's share of the outputs
-                # lies and zero elsewhere, so that the cropped and halo outputs
-                # add nothing: one product with the gather gives every tap.
-                # Row 0 takes it once, and row i is row 0 moved on by step * i
+                # ``against`` laid where each kernel row's outputs lie and zero
+                # elsewhere (cropped and halo outputs add nothing), so one product
+                # with the gather gives every tap.  Row 0 takes it once; row i is
+                # row 0 moved on by step * i, whose zero halo rows fill the gaps
                 runs[0] = 0
                 np.copyto(share, against[:, cs, rows].transpose(1, 0, 2, 3))
                 for i in range(1, kr):
-                    runs[i, :, : step * i] = 0
-                    runs[i, :, step * i : step * i + run] = runs[0, :, :run]
-                    runs[i, :, step * i + run :] = 0
+                    flat[i, : step * i] = 0
+                    flat[i, step * i :] = flat[0, : -step * i]
                 acc[cs] += np.matmul(by_channel, columns.transpose(0, 2, 1))
     return out, acc
 
@@ -327,7 +331,7 @@ def depthwise_conv(x: Tensor4, weights: np.ndarray, bias: np.ndarray, spec: Conv
     matching input channel.  Dilation spreads the taps without changing the
     parameter count.
     """
-    check_tensor4(x, "depthwise_conv: x")
+    check_float_input(x, "depthwise_conv")
     n, c, h, w = x.shape
     if weights.ndim != 3 or weights.shape != (c, spec.kernel, spec.kernel):
         raise ShapeError(
@@ -350,7 +354,7 @@ def depthwise_conv_backward(
     gathers of ``grad_out`` by ``x`` shifted down by each kernel row.
     """
     check_tensor4(grad_out, "depthwise_conv_backward: grad_out")
-    check_tensor4(x, "depthwise_conv_backward: x")
+    check_float_input(x, "depthwise_conv_backward")
     if grad_out.shape != x.shape:
         raise ShapeError(
             f"depthwise_conv_backward: grad_out {grad_out.shape} != x {x.shape}"
@@ -433,7 +437,7 @@ def conv2d(
     padding: int = 0,
 ) -> Tensor4:
     """Dense convolution: weights (c_out, c_in, k, k), square kernel, stride >= 1."""
-    check_tensor4(x, "conv2d: x")
+    check_float_input(x, "conv2d")
     n, c, h, w = x.shape
     c_out, k = _check_conv2d_args("conv2d", c, weights, stride, padding)
     _check_vector(bias, c_out, "conv2d: bias")
@@ -456,7 +460,7 @@ def conv2d_backward(
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Gradients of conv2d w.r.t. input, weights and bias."""
     check_tensor4(grad_out, "conv2d_backward: grad_out")
-    check_tensor4(x, "conv2d_backward: x")
+    check_float_input(x, "conv2d_backward")
     n, c, h, w = x.shape
     c_out, k = _check_conv2d_args("conv2d_backward", c, weights, stride, padding)
     oh, ow = grad_out.shape[2], grad_out.shape[3]

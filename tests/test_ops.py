@@ -166,6 +166,68 @@ def test_depthwise_blocks_match_loop_oracles(n, c, h, w, kernel, dilation, budge
         np.testing.assert_allclose(a, r, atol=1e-6)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=3),
+    c=st.integers(min_value=1, max_value=8),
+    h=st.integers(min_value=1, max_value=12),
+    w=st.integers(min_value=1, max_value=12),
+    kernel=st.sampled_from([1, 3, 5, 7]),
+    dilation=st.integers(min_value=1, max_value=3),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+# the widest halo over three items and eight channels; bands of one row
+@example(n=3, c=8, h=12, w=12, kernel=7, dilation=3, seed=0)
+@example(n=3, c=2, h=12, w=5, kernel=7, dilation=1, seed=1)
+def test_depthwise_tile_budget_keeps_bits(n, c, h, w, kernel, dilation, seed):
+    """The kernel-row sums and fills run over whole tiles, so sums in the
+    halo rows read across items, channels and band edges.  None of that may
+    reach an output: under budgets of 1, 3 and 16 KiB, which cut the same
+    tensors into other channel blocks and row bands, the forward output and
+    the input gradient equal the 1 MiB result bit for bit.  (The weight
+    gradient adds its bands in index order, so it may round differently.)"""
+    rng = np.random.default_rng(seed)
+    x, g = (rand(rng, (n, c, h, w)).astype(np.float32) for _ in range(2))
+    wt, b = rand(rng, (c, kernel, kernel)).astype(np.float32), rand(rng, (c,)).astype(np.float32)
+    spec = ConvSpec(kernel, dilation)
+
+    def run(budget):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "_DW_TILE_BYTES", budget)
+            return ops.depthwise_conv(x, wt, b, spec), ops.depthwise_conv_backward(g, x, wt, spec)[0]
+
+    out, grad_x = run(1 << 20)
+    for budget in (1 << 10, 3 << 10, 16 << 10):
+        got_out, got_grad_x = run(budget)
+        np.testing.assert_array_equal(got_out, out)
+        np.testing.assert_array_equal(got_grad_x, grad_x)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("depthwise_conv", lambda x: ops.depthwise_conv(x, np.full((1, 3, 3), 0.4), np.zeros(1), ConvSpec(3))),
+        (
+            "depthwise_conv_backward",
+            lambda x: ops.depthwise_conv_backward(np.ones((1, 1, 3, 3)), x, np.full((1, 3, 3), 0.4), ConvSpec(3)),
+        ),
+        ("conv2d", lambda x: ops.conv2d(x, np.full((2, 1, 3, 3), 0.4), np.zeros(2), padding=1)),
+        (
+            "conv2d_backward",
+            lambda x: ops.conv2d_backward(np.ones((1, 2, 3, 3)), x, np.full((2, 1, 3, 3), 0.4), padding=1),
+        ),
+    ],
+    ids=["depthwise_conv", "depthwise_conv_backward", "conv2d", "conv2d_backward"],
+)
+def test_convs_reject_non_float_input(dtype, name, call):
+    """The convs cast their weights to the input's dtype, so an integer or
+    boolean input would run with its 0.4 taps truncated to zero (or fail
+    inside numpy's casting): each refuses it by name."""
+    with pytest.raises(ShapeError, match=f"{name}: expected a float input, got dtype {np.dtype(dtype)}"):
+        call(np.ones((1, 1, 3, 3), dtype=dtype))
+
+
 class TestConv2d:
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (4, 3)])
     def test_matches_loop_oracle(self, rng, stride, padding):
