@@ -170,15 +170,15 @@ def cost_lsk_module(params: LskModuleParams, h: int, w: int) -> CostReport:
     if params.mode is SelectionMode.SPATIAL:
         parts.append(("pool", cost_elementwise(n * c_mid, h, w, n_ops=len(params.pooling))))
         parts.append(("mask_sigmoid", cost_activation(n, h, w)))
-        parts.append(("weighting", cost_elementwise(n * c_mid, h, w, n_ops=2)))
     elif params.mode is SelectionMode.CHANNEL:
         parts.append(("cs_squeeze", _conv_leaf(params.cs_squeeze, 1)))
         parts.append(("cs_expand", _conv_leaf(params.cs_expand, 1)))
         parts.append(("cs_pool", cost_elementwise(n * c_mid, h, w)))
         parts.append(("cs_softmax", CostReport(params=0, flops=2 * n * c_mid)))
-        parts.append(("weighting", cost_elementwise(n * c_mid, h, w, n_ops=2)))
     else:
         parts.append(("sum", cost_elementwise(c_mid, h, w, n_ops=n - 1)))
+    if params.mode is not SelectionMode.NONE:  # a product and an add per branch
+        parts.append(("weighting", cost_elementwise(n * c_mid, h, w, n_ops=2)))
     parts.append(("gate", cost_elementwise(c, h, w)))
     return combine(parts)
 

@@ -10,7 +10,8 @@ The registry ``_CASES`` is a table with one row per op: its inputs in draw
 order, each with shape and draw scale, its forward, and a backward adapter
 returning the gradients in input order (``_op`` turns a row into a case).
 ``channel_pool_max`` keeps its own builder to resample until the per-pixel
-winners are 1e-2 apart, so no difference straddles an argmax switch, and
+winners are 1e-2 apart (:func:`_winners_apart`), so no difference straddles
+an argmax switch, and
 ``affine_channel_norm`` to draw its fixed mean and var before the inputs.
 The layer cases vary the input and every learnable array of the LSK module
 (per selection mode) or the block, and resample likewise around a max-pool.
@@ -114,6 +115,13 @@ def _op(inputs, forward, backward) -> Callable[[np.random.Generator], _Case]:
     return build
 
 
+def _winners_apart(x: np.ndarray, margin: float) -> bool:
+    """Whether every per-pixel channel maximum of ``x`` beats its runner-up by
+    more than ``margin``, so no FD step straddles an argmax switch."""
+    top2 = np.sort(x, axis=1)[:, -2:]
+    return float((top2[:, 1] - top2[:, 0]).min()) > margin
+
+
 def _case_channel_pool_max(rng) -> _Case:
     draw = _op(
         [("x", (2, 5, 3, 3))],
@@ -123,8 +131,7 @@ def _case_channel_pool_max(rng) -> _Case:
     # resample until the winner-vs-runner-up margin dwarfs the FD step
     while True:
         case = draw(rng)
-        top2 = np.sort(case.inputs["x"], axis=1)[:, -2:]
-        if float((top2[:, 1] - top2[:, 0]).min()) > 1e-2:
+        if _winners_apart(case.inputs["x"], 1e-2):
             return case
 
 
@@ -172,8 +179,7 @@ def _layer_case(rng, params, forward, backward, cat_of=None) -> _Case:
     if cat_of is not None:
         for _ in range(64):
             load(inputs)
-            top2 = np.sort(cat_of(forward(inputs["x"], params).state), axis=1)[:, -2:]
-            if float((top2[:, 1] - top2[:, 0]).min()) > 5e-3:
+            if _winners_apart(cat_of(forward(inputs["x"], params).state), 5e-3):
                 break
             inputs["x"] = _uniform(rng, (1, 4, 5, 5))
     return _Case(fwd, inputs, analytic)
@@ -243,6 +249,11 @@ _CASES: dict[str, Callable[[np.random.Generator], _Case]] = {
     ),
     "broadcast_mask_mul": _op(
         [("x", (2, 4, 3, 3)), ("m", (2, 1, 3, 3))],
+        lambda x, m: ops.broadcast_mask_mul(x, m),
+        lambda g, x, m: ops.broadcast_mask_mul_backward(g, x, m),
+    ),
+    "broadcast_mask_mul_channel": _op(
+        [("x", (2, 4, 3, 3)), ("m", (2, 4, 1, 1))],
         lambda x, m: ops.broadcast_mask_mul(x, m),
         lambda g, x, m: ops.broadcast_mask_mul_backward(g, x, m),
     ),

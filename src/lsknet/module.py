@@ -14,16 +14,18 @@ Forward pipeline (spatial selection, the reference mode):
 
 ``channel`` mode swaps step 3-4 for squeeze-excite style per-channel branch
 weights with a softmax across branches, and ``none`` sums the branches
-unweighted; both exist for comparison runs.  A module's mode is read off the
+unweighted; both exist for comparison runs.  A mode only produces the branch
+weights (a mask (n, 1, h, w) or a softmax slice (n, c_mid, 1, 1) per branch,
+or none), which one loop weighs and sums.  A module's mode is read off the
 convs it holds (a selection conv means spatial, the squeeze and expand convs
 mean channel, neither means none), and a spatial module stores its own
 pooling set, so :func:`lsk_forward` takes only the input and the parameters.
 It frees each intermediate after its last use and builds the backward's
 state only when ``keep_state`` is set; both modes run the same ops in the
 same order.  The state keeps each value once: the input is ``u[0]``, and the
-spatial backward concatenates the mixed branches again.  The module and the
-block return the same :class:`LayerOutput`, and their backward passes start
-every gradient from its first term.
+backward concatenates the mixed branches and takes the channel GELU again.
+The module and the block return the same :class:`LayerOutput`, and their
+backward passes start every gradient from its first term.
 
 Every conv is one :class:`ConvParams` leaf, and :func:`parameter_arrays`
 reads the weight-file names of any layer off its field tree (``dw0.weight``,
@@ -241,14 +243,13 @@ class LskState:
     u_mixed: list[Tensor4]
     weighted: Tensor4
     fused: Tensor4
+    weights: list[Tensor4] | None = None  # per branch; None: summed unweighted
     # spatial mode
     pooled: Tensor4 | None = None
     masks: Tensor4 | None = None
     # channel mode
     cs_sum: Tensor4 | None = None
     cs_pre: Tensor4 | None = None
-    cs_hidden: Tensor4 | None = None
-    cs_weights: np.ndarray | None = None  # softmax output (n, n_kernels, c_mid)
 
 
 @dataclass
@@ -293,7 +294,7 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
     mixed = [ops.pointwise_conv(u.pop(1), conv.weight, conv.bias) for conv in params.mix]
     keep(u_mixed=mixed)
 
-    masks = None
+    masks = weights = None
     if mode is SelectionMode.SPATIAL:
         h = ops.concat_channels(mixed)
         h = ops.concat_channels([ops.channel_pool(h, m) for m in params.pooling])
@@ -301,9 +302,7 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
         q = params.select_kernel
         masks = ops.sigmoid(ops.conv2d(h, params.select.weight, params.select.bias, padding=(q - 1) // 2))
         keep(masks=masks)
-        h = ops.broadcast_mask_mul(mixed[0], masks[:, 0:1])
-        for i in range(1, n):
-            h = ops.elementwise(h, ops.broadcast_mask_mul(mixed[i], masks[:, i : i + 1]), "add")
+        weights = [masks[:, i : i + 1] for i in range(n)]
     elif mode is SelectionMode.CHANNEL:
         h = ops.global_avg_pool(mixed[0])
         for i in range(1, n):
@@ -311,20 +310,15 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
         keep(cs_sum=h)
         h = ops.pointwise_conv(h, params.cs_squeeze.weight, params.cs_squeeze.bias)
         keep(cs_pre=h)
-        h = ops.gelu(h)
-        keep(cs_hidden=h)
         expand = params.cs_expand
-        a = _softmax_branches(
-            np.stack([ops.pointwise_conv(h, expand.weight[i], expand.bias[i])[:, :, 0, 0] for i in range(n)], axis=1)
-        )  # (n_batch, n_kernels, c_mid)
-        keep(cs_weights=a)
-        h = mixed[0] * a[:, 0][:, :, None, None]
-        for i in range(1, n):
-            h = h + mixed[i] * a[:, i][:, :, None, None]
-    else:
-        h = mixed[0]
-        for i in range(1, n):
-            h = ops.elementwise(h, mixed[i], "add")
+        h = ops.pointwise_conv(ops.gelu(h), expand.weight.reshape(n * params.c_mid, -1), expand.bias.reshape(-1))
+        a = _softmax_branches(h.reshape(len(h), n, -1, 1, 1))
+        weights = [a[:, i] for i in range(n)]
+    keep(weights=weights)
+    weigh = (lambda i: mixed[i]) if weights is None else (lambda i: ops.broadcast_mask_mul(mixed[i], weights[i]))
+    h = weigh(0)
+    for i in range(1, n):
+        h = ops.elementwise(h, weigh(i), "add")
     del mixed
 
     keep(weighted=h)
@@ -352,14 +346,13 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
         grad_fused, state.weighted, params.fuse.weight
     )
 
+    if state.weights is None:  # the branches were summed unweighted
+        grad_mixed = [grad_weighted] * n
+    else:
+        pairs = [ops.broadcast_mask_mul_backward(grad_weighted, m, w) for m, w in zip(state.u_mixed, state.weights)]
+        grad_mixed, grad_weights = zip(*pairs)
     if params.mode is SelectionMode.SPATIAL:
-        masks = state.masks
-        grad_mixed, grad_masks = [], []
-        for i in range(n):
-            g_m, g_mask = ops.broadcast_mask_mul_backward(grad_weighted, state.u_mixed[i], masks[:, i : i + 1])
-            grad_mixed.append(g_m)
-            grad_masks.append(g_mask)
-        grad_logits = ops.sigmoid_backward(ops.concat_channels(grad_masks), masks)
+        grad_logits = ops.sigmoid_backward(ops.concat_channels(grad_weights), state.masks)
         q = params.select_kernel
         grad_pooled, grads["select.weight"], grads["select.bias"] = ops.conv2d_backward(
             grad_logits, state.pooled, params.select.weight, padding=(q - 1) // 2
@@ -373,29 +366,20 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
         for g_m, g_part in zip(grad_mixed, ops.concat_channels_backward(grad_cat, [params.c_mid] * n)):
             g_m += g_part
     elif params.mode is SelectionMode.CHANNEL:
-        a = state.cs_weights  # (n_batch, n, c_mid)
-        grad_mixed = [grad_weighted * a[:, i][:, :, None, None] for i in range(n)]
-        grad_a = np.stack([(grad_weighted * m).sum(axis=(2, 3)) for m in state.u_mixed], axis=1)
-        # softmax over the branch axis
-        grad_logits = a * (grad_a - (grad_a * a).sum(axis=1, keepdims=True))
-        grad_hidden = []
-        grad_exp_w = np.zeros_like(params.cs_expand.weight)
-        grad_exp_b = np.zeros_like(params.cs_expand.bias)
-        for i in range(n):
-            g_li = grad_logits[:, i][:, :, None, None]
-            g_h, grad_exp_w[i], grad_exp_b[i] = ops.pointwise_conv_backward(
-                g_li, state.cs_hidden, params.cs_expand.weight[i]
-            )
-            grad_hidden.append(g_h)
-        grad_pre = ops.gelu_backward(sum(grad_hidden[1:], grad_hidden[0]), state.cs_pre)
+        a, grad_a = np.stack(state.weights, axis=1), np.stack(grad_weights, axis=1)  # (n_batch, n, c_mid, 1, 1)
+        grad_logits = a * (grad_a - (grad_a * a).sum(axis=1, keepdims=True))  # softmax over the branches
+        expand = params.cs_expand
+        grad_hidden, grad_exp_w, grad_exp_b = ops.pointwise_conv_backward(
+            grad_logits.reshape(len(a), -1, 1, 1), ops.gelu(state.cs_pre), expand.weight.reshape(n * params.c_mid, -1)
+        )
+        grad_pre = ops.gelu_backward(grad_hidden, state.cs_pre)
         grad_sum, grads["cs_squeeze.weight"], grads["cs_squeeze.bias"] = ops.pointwise_conv_backward(
             grad_pre, state.cs_sum, params.cs_squeeze.weight
         )
-        grads["cs_expand.weight"], grads["cs_expand.bias"] = grad_exp_w, grad_exp_b
+        grads["cs_expand.weight"] = grad_exp_w.reshape(expand.weight.shape)
+        grads["cs_expand.bias"] = grad_exp_b.reshape(expand.bias.shape)
         for g_m, m in zip(grad_mixed, state.u_mixed):
             g_m += ops.global_avg_pool_backward(grad_sum, m)
-    else:  # NONE: plain sum of branches
-        grad_mixed = [grad_weighted] * n
 
     # mixers, then the depth-wise chain in reverse; stage i's input u[i] also
     # feeds mixer i - 1, or the gate for i = 0, so their gradients join there

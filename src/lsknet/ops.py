@@ -546,7 +546,7 @@ def channel_pool_backward(grad_out: Tensor4, x: Tensor4, mode: str) -> Tensor4:
     maximum, so ties resolve deterministically.
     """
     check_tensor4(grad_out, "channel_pool_backward: grad_out")
-    check_tensor4(x, "channel_pool_backward: x")
+    check_float_input(x, "channel_pool_backward")
     n, c, h, w = x.shape
     if grad_out.shape != (n, 1, h, w):
         raise ShapeError(
@@ -696,18 +696,19 @@ def concat_channels_backward(grad_out: Tensor4, channel_sizes: Iterable[int]) ->
 
 
 def broadcast_mask_mul(x: Tensor4, mask: Tensor4) -> Tensor4:
-    """Scale every channel of ``x`` by a single-channel spatial mask.
+    """Scale ``x`` by a branch weight: a per-pixel mask (n,1,h,w) or a
+    per-channel weight (n,c,1,1).
 
-    This is the one sanctioned broadcast in the library (mask weighting of a
-    branch, where the mask is (n,1,h,w)); it is explicit so that elementwise()
-    can keep rejecting shape mismatches.
+    This is the one sanctioned broadcast in the library (the weighting of a
+    branch by its per-pixel or per-channel weight); it is explicit so that
+    elementwise() can keep rejecting shape mismatches.
     """
     check_tensor4(x, "broadcast_mask_mul: x")
     check_tensor4(mask, "broadcast_mask_mul: mask")
-    n, _, h, w = x.shape
-    if mask.shape != (n, 1, h, w):
+    n, c, h, w = x.shape
+    if mask.shape not in ((n, 1, h, w), (n, c, 1, 1)):
         raise ShapeError(
-            f"broadcast_mask_mul: mask shape {mask.shape} != expected {(n, 1, h, w)}"
+            f"broadcast_mask_mul: mask shape {mask.shape} is neither {(n, 1, h, w)} nor {(n, c, 1, 1)}"
         )
     return x * mask
 
@@ -715,6 +716,8 @@ def broadcast_mask_mul(x: Tensor4, mask: Tensor4) -> Tensor4:
 def broadcast_mask_mul_backward(
     grad_out: Tensor4, x: Tensor4, mask: Tensor4
 ) -> tuple[Tensor4, Tensor4]:
+    """The mask's gradient sums ``grad_out * x`` over exactly the axes along
+    which the mask broadcasts, so it keeps the mask's shape."""
     check_tensor4(grad_out, "broadcast_mask_mul_backward: grad_out")
     check_tensor4(x, "broadcast_mask_mul_backward: x")
     check_tensor4(mask, "broadcast_mask_mul_backward: mask")
@@ -723,7 +726,8 @@ def broadcast_mask_mul_backward(
             f"broadcast_mask_mul_backward: grad_out {grad_out.shape} != x {x.shape}"
         )
     grad_x = grad_out * mask
-    grad_mask = (grad_out * x).sum(axis=1, keepdims=True)
+    spread = tuple(a for a in range(4) if mask.shape[a] < x.shape[a])
+    grad_mask = (grad_out * x).sum(axis=spread, keepdims=True)
     return grad_x, grad_mask
 
 
@@ -842,7 +846,7 @@ def global_avg_pool(x: Tensor4) -> Tensor4:
 
 def global_avg_pool_backward(grad_out: Tensor4, x: Tensor4) -> Tensor4:
     check_tensor4(grad_out, "global_avg_pool_backward: grad_out")
-    n, c, h, w = check_tensor4(x, "global_avg_pool_backward: x").shape
+    n, c, h, w = check_float_input(x, "global_avg_pool_backward").shape
     if grad_out.shape != (n, c, 1, 1):
         raise ShapeError(
             f"global_avg_pool_backward: grad_out {grad_out.shape} != expected {(n, c, 1, 1)}"

@@ -9,6 +9,7 @@ import pytest
 
 from lsknet import ops
 from lsknet.errors import ShapeError
+from lsknet.gradcheck import TOLERANCE, numeric_gradients
 from lsknet.module import (
     ConvParams,
     SelectionMode,
@@ -140,9 +141,9 @@ class TestModes:
         out = lsk_forward(x, params)
         assert out.y.shape == x.shape
         assert out.masks is None  # spatial masks exist in spatial mode only
-        weights = out.state.cs_weights
-        assert weights.shape == (2, 2, 2)  # (batch, branches, c_mid)
-        np.testing.assert_allclose(weights.sum(axis=1), 1.0, atol=1e-12)
+        weights = out.state.weights
+        assert [w.shape for w in weights] == [(2, 2, 1, 1)] * 2  # per branch: (batch, c_mid, 1, 1)
+        np.testing.assert_allclose(sum(weights), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("mode", list(SelectionMode))
     def test_mode_is_read_off_the_arrays(self, mode):
@@ -273,6 +274,25 @@ class TestInputDependence:
         a = lsk_forward(x, params).y
         b = lsk_forward(x, params).y
         assert (a == b).all()
+
+
+@pytest.mark.parametrize(
+    "mode, c_in, c_mid, side",
+    [(SelectionMode.CHANNEL, 2, 1, 5), (SelectionMode.SPATIAL, 4, 2, 1), (SelectionMode.NONE, 4, 2, 1)],
+    ids=["channel-c_mid1", "spatial-1x1", "none-1x1"],
+)
+def test_input_gradient_where_weight_shapes_coincide(mode, c_in, c_mid, side):
+    """A per-pixel branch weight (n, 1, h, w) and a per-channel one
+    (n, c_mid, 1, 1) have the same shape when c_mid = 1 or h = w = 1; the
+    input gradient still matches central differences."""
+    params = make_params([(3, 1), (5, 2)], c_in=c_in, c_mid=c_mid, mode=mode, seed=11)
+    rng = np.random.default_rng(12)
+    inputs = {"x": rng.uniform(-1, 1, size=(2, c_in, side, side))}
+    probe = rng.uniform(-1, 1, size=inputs["x"].shape)
+    numeric = numeric_gradients(lambda v: lsk_forward(v["x"], params, False).y, inputs, probe, ["x"])["x"]
+    analytic = lsk_backward(probe, lsk_forward(inputs["x"], params).state)[0]
+    rel = np.abs(analytic - numeric) / np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    assert rel.max() < TOLERANCE
 
 
 @pytest.mark.parametrize("mode", list(SelectionMode))

@@ -228,6 +228,23 @@ def test_convs_reject_non_float_input(dtype, name, call):
         call(np.ones((1, 1, 3, 3), dtype=dtype))
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("global_avg_pool_backward", lambda x: ops.global_avg_pool_backward(np.ones((1, 4, 1, 1)), x)),
+        ("channel_pool_backward", lambda x: ops.channel_pool_backward(np.ones((1, 1, 2, 2)), x, "avg")),
+    ],
+    ids=["global_avg_pool_backward", "channel_pool_backward"],
+)
+def test_average_pool_backwards_reject_non_float_input(dtype, name, call):
+    """Both average-pool backwards give the gradient x's dtype, so an integer
+    ``x`` would turn each 0.25 share into 0 and a boolean one into True: each
+    refuses it by name."""
+    with pytest.raises(ShapeError, match=f"{name}: expected a float input, got dtype {np.dtype(dtype)}"):
+        call(np.ones((1, 4, 2, 2), dtype=dtype))
+
+
 class TestConv2d:
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (4, 3)])
     def test_matches_loop_oracle(self, rng, stride, padding):
@@ -447,8 +464,9 @@ class TestElementwiseAndScalars:
 
     def test_broadcast_mask_mul(self, rng):
         x = rand(rng, (2, 4, 3, 3))
-        m = rand(rng, (2, 1, 3, 3))
-        np.testing.assert_allclose(ops.broadcast_mask_mul(x, m), x * m, atol=1e-12)
+        for shape in ((2, 1, 3, 3), (2, 4, 1, 1)):  # a per-pixel and a per-channel weight
+            m = rand(rng, shape)
+            np.testing.assert_allclose(ops.broadcast_mask_mul(x, m), x * m, atol=1e-12)
         with pytest.raises(ShapeError):
             ops.broadcast_mask_mul(x, rand(rng, (2, 2, 3, 3)))
 
