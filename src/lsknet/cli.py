@@ -254,6 +254,7 @@ def cmd_gradcheck(args) -> int:
     if args.op is not None and args.op not in available_checks():
         print(f"unknown op {args.op!r}; available: {', '.join(available_checks())}", file=sys.stderr)
         return EXIT_USAGE
+    width = max(map(len, available_checks()))  # every line's max_rel_err= in one column
     failures = 0
     for name in names:
         result = run_check(name, seed=args.seed)
@@ -262,7 +263,7 @@ def cmd_gradcheck(args) -> int:
         if not result.passed:
             detail = f"  (worst input {result.worst_input!r}, flat index {result.worst_index})"
             failures += 1
-        print(f"{name:<24} max_rel_err={result.max_rel_error:.3e}  {status}{detail}")
+        print(f"{name:<{width}} max_rel_err={result.max_rel_error:.3e}  {status}{detail}")
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 

@@ -10,7 +10,11 @@ names to (byte offset, shape), then the contiguous float32 payload.
 
 Both manifests (the LSKW one and a record directory's ``manifest.json``)
 carry a ``format_version``; the readers refuse any version but 1, and a
-manifest without the key reads as version 1.
+manifest without the key reads as version 1.  Every number in a manifest
+(the version, a tensor's offset and shape dims, a record's receptive fields
+and block indices) must be a JSON integer: a bool, a float such as 4.0 or a
+numeric string is a ManifestError that names the field.  A record's ``rf``
+must strictly ascend, as every plan's receptive fields do.
 
 Images: binary 8-bit PGM (P5) and PPM (P6) only; values are scaled to [0, 1]
 and grayscale is replicated to three channels.
@@ -90,6 +94,14 @@ def _readinto_exact(fh: BinaryIO, out: np.ndarray, what: str) -> None:
             got += n
         if got < len(view):
             raise TruncatedFileError(f"truncated while reading {what}: wanted {len(view)} bytes, got {got}")
+
+
+def _json_int(value, what: str) -> int:
+    """Return ``value`` if it is a JSON integer.  ``int()`` would truncate a
+    float, read ``true`` as 1 and parse a numeric string."""
+    if type(value) is not int:
+        raise ManifestError(f"{what} must be a JSON integer, got {value!r}")
+    return value
 
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -204,11 +216,10 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
             raise ManifestError(f"manifest is not valid UTF-8 JSON: {exc}") from exc
         if not isinstance(doc, dict) or "entries" not in doc:
             raise ManifestError("manifest missing 'entries'")
-        version = doc.get("format_version", FORMAT_VERSION)
+        where = f"weights {target if owned else 'stream'}"
+        version = _json_int(doc.get("format_version", FORMAT_VERSION), f"{where}: format_version")
         if version != FORMAT_VERSION:
-            raise ManifestError(
-                f"weights {target if owned else 'stream'}: unsupported format_version {version!r}"
-            )
+            raise ManifestError(f"{where}: unsupported format_version {version!r}")
         start = fh.tell()
         payload_len = fh.seek(0, os.SEEK_END) - start
 
@@ -217,8 +228,8 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
         for item in doc["entries"]:
             try:
                 name = item["name"]
-                offset = int(item["offset"])
-                shape = tuple(int(s) for s in item["shape"])
+                offset = _json_int(item["offset"], f"tensor {name!r}: offset")
+                shape = tuple(_json_int(s, f"tensor {name!r}: shape dim") for s in item["shape"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ManifestError(f"malformed manifest entry {item!r}") from exc
             if name in entries:
@@ -340,29 +351,35 @@ def load_record(directory: str | Path) -> ActivationRecord:
 
     Every mask file of a block must hold one (n, 1, h, w) plane of the same
     shape; the manifest must list at least one positive receptive field and
-    each block once.
+    each block once.  Every manifest number must be a JSON integer, block
+    indices must be positive and ``rf`` must strictly ascend.
     """
     src = Path(directory)
     try:
         text = (src / RECORD_MANIFEST).read_text()
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         raise ManifestError(f"no {RECORD_MANIFEST} in {src}") from exc
+    where = f"record manifest in {src}"
     try:
         doc = json.loads(text)
-        rf = tuple(int(v) for v in doc["rf"])
-        blocks = [(int(s), int(d)) for s, d in doc["blocks"]]
-        version = doc.get("format_version", FORMAT_VERSION)
+        rf = tuple(_json_int(v, f"{where}: rf value") for v in doc["rf"])
+        blocks = [tuple(_json_int(i, f"{where}: block index") for i in pair) for pair in doc["blocks"]]
+        version = _json_int(doc.get("format_version", FORMAT_VERSION), f"{where}: format_version")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"malformed record manifest in {src}: {exc}") from exc
     if version != FORMAT_VERSION:
-        raise ManifestError(f"record manifest in {src}: unsupported format_version {version!r}")
+        raise ManifestError(f"{where}: unsupported format_version {version!r}")
     if not rf or min(rf) < 1:
-        raise ManifestError(f"record manifest in {src}: rf {list(rf)} must list positive receptive fields")
+        raise ManifestError(f"{where}: rf {list(rf)} must list positive receptive fields")
+    if any(a >= b for a, b in zip(rf, rf[1:])):
+        raise ManifestError(f"{where}: rf {list(rf)} must strictly ascend")
+    if any(len(key) != 2 or min(key) < 1 for key in blocks):
+        raise ManifestError(f"{where}: blocks {doc['blocks']} must be pairs of positive indices")
     record = ActivationRecord(rf=rf)
     base = str(src)  # joining strings, not Paths: a Path join costs a third of a mask read
     for stage, depth in blocks:
         if (stage, depth) in record.masks:
-            raise ManifestError(f"record manifest in {src}: block ({stage}, {depth}) is listed twice")
+            raise ManifestError(f"{where}: block ({stage}, {depth}) is listed twice")
         parts = []
         block = record.key_name((stage, depth))
         for n_idx in range(len(rf)):

@@ -15,25 +15,35 @@ one BLAS matrix product per batch item; the dense conv first gathers its
 strided windows into an im2col buffer of shape ``(n, c*k*k, oh*ow)``.
 
 Depth-wise convolution runs on BLAS too, lowered along one axis only (MEC,
-Cho & Brand, ICML 2017).  Per block of channels of a zero-padded copy it
-gathers just the kc column shifts of a (kr, kc) kernel into a tile
-``(channels, kc, n, L)``, L being the outputs plus ``dilation * (kr - 1)``
-halo rows, and multiplies each channel's taps ``(kr, kc)`` by its tile with
-one matmul that covers every batch item.  Kernel row i's share of the
-outputs is row i of that product read ``dilation * i`` grid rows on, so the
-outputs are the sum of kr shifted rows: each is added into row 0 as one
-contiguous pass over the whole tile, and one copy writes row 0's cropped
-share.  The halo rows keep every output's shifted reads inside its own
-batch item; only sums in the halo rows read on into the next item or
-channel, and the crop drops them.  A k x k im2col would write and re-read
-all k*k taps instead.  Taps that can only read padding are dropped first,
-and ``_DW_TILE_BYTES`` sizes the tile and the product together.  The
-backward pass gathers such tiles from ``grad_out`` and multiplies them by
-the flipped kernel for the input gradient, and against ``x`` shifted down by
-each kernel row for the weight gradient: ``x`` is copied into row 0's share
-of the product once, and every other row is one contiguous copy of the
-whole of row 0 moved on by its shift, row 0's zero halo rows filling the
-gaps between items.
+Cho & Brand, ICML 2017).  Taps that can only read padding are dropped
+first.  A block of channels of the input is copied into a zero-padded
+buffer with one flat row per channel and row stride ``wp = w + pc``, the
+padding only as wide as the outermost kept tap.  Tap (i, j) of a (kr, kc)
+kernel is then the constant flat offset ``dilation * (i * wp + j)`` from the
+first output, and the outputs over the wide grid (h, wp) are contiguous;
+the ``pc`` extra columns of a row double as the left padding of the next
+row, and their outputs are cropped.  A tile covers a band of grid rows.  It
+gathers only the kc column shifts ``flat[q + dilation * j]``, over the band
+and the ``dilation * (kr - 1)`` halo rows below it, laid out ``(channel, j,
+batch item, q)`` so that one matmul per channel multiplies every batch item
+by the channel's taps.  The product is laid out ``(i, channel, batch item,
+q)``, kernel row outermost so that its rows never look like overlapping
+operands to a ufunc (which would copy one first).  Row i of the product,
+read ``dilation * i * wp`` further on, is kernel row i's share of the
+outputs, so the outputs are the sum of kr shifted rows: each is added into
+row 0 as one contiguous pass over the whole tile, and one copy writes row
+0's cropped share.  The halo rows keep every output's shifted reads inside
+its own batch item; only sums in the halo rows read on into the next item
+or channel, and the crop drops them.  A k x k im2col would write and re-read
+all k*k taps instead.  ``_DW_TILE_BYTES`` sizes the gather and the product
+together: channel blocks are as large as it allows, a channel that does not
+fit on its own is cut into bands of rows instead, and every band reuses
+both buffers.  The backward pass gathers such tiles from ``grad_out`` and
+multiplies them by the flipped kernel for the input gradient, and against
+``x`` shifted down by each kernel row for the weight gradient: ``x`` is
+copied into row 0's share of the product once, and every other row is one
+contiguous copy of the whole of row 0 moved on by its shift, row 0's zero
+halo rows filling the gaps between items.
 
 GELU and its backward run as chains of in-place ufuncs on buffers allocated
 once per call (one in the forward, the result; three in the backward): on
@@ -187,94 +197,12 @@ def _dw_kept(spec: ConvSpec, h: int, w: int) -> tuple[slice, slice]:
     return slice(dr, k - dr), slice(dc, k - dc)
 
 
-class _DwTiling:
-    """Tiles of a same-size per-channel correlation of an (n, c, h, w) input
-    with kr x kc centred taps.
-
-    A block of channels is copied into a zero-padded buffer with one flat
-    row per channel and row stride ``wp = w + pc``.  Tap (i, j) is then the
-    constant flat offset ``dilation * (i * wp + j)`` from the first output,
-    and the outputs over the wide grid (h, wp) are contiguous.  The ``pc``
-    extra columns of a row double as the left padding of the next row; their
-    outputs are cropped.  Padding is only as wide as the outermost kept tap.
-
-    A tile covers a band of grid rows.  It gathers only the kc column shifts
-    ``flat[q + dilation * j]``, over the band and the ``dilation * (kr - 1)``
-    halo rows below it, laid out (channel, j, batch item, q) so that one
-    matmul per channel multiplies every batch item by the (kr, kc) taps.
-    Row i of that kr-row product, read ``dilation * i * wp`` further on, is
-    kernel row i's share of the outputs, so the outputs are the sum of kr
-    shifted rows rather than a product with a kr*kc-row im2col tile.
-
-    Channel blocks are as large as the tile budget allows; a channel that
-    does not fit on its own is cut into bands of rows instead.
-    """
-
-    def __init__(self, shape: tuple[int, ...], kr: int, kc: int, dilation: int, dtype):
-        n, c, self.h, self.w = shape
-        self.kr, self.kc, self.dilation = kr, kc, dilation
-        pr, pc = dilation * (kr // 2), dilation * (kc // 2)
-        self.wp = self.w + pc
-        self.span = self.h * self.wp
-        self.base = pr * self.wp + pc
-        self.halo = 2 * pr
-        self.dtype = np.dtype(dtype)
-        row = (kc + kr) * n * self.wp * self.dtype.itemsize  # tile bytes per grid row
-        self.cb = max(1, min(c, _DW_TILE_BYTES // (row * (self.h + self.halo))))
-        self.rows = max(1, min(self.h, _DW_TILE_BYTES // row - self.halo))
-        length = n * (self.rows + self.halo) * self.wp
-        self._gather = np.empty(self.cb * kc * length, dtype=self.dtype)
-        self._product = np.empty(self.cb * kr * length, dtype=self.dtype)
-
-    def blocks(self, x: np.ndarray):
-        """Yield ``(channel slice, padded block)`` over the channels of ``x``
-        in order.  The (n, cb, ·) block buffer is reused and yielded whole;
-        its first ``len(channel slice)`` channels are current.  Only the
-        image pixels are rewritten, so the padding stays zero."""
-        n, c = x.shape[:2]
-        block = np.zeros((n, self.cb, self.span + 2 * self.base), self.dtype)
-        for c0 in range(0, c, self.cb):
-            cs = slice(c0, min(c0 + self.cb, c))
-            image = block[:, : cs.stop - c0, self.base : self.base + self.span]
-            image.reshape(n, -1, self.h, self.wp)[:, :, :, : self.w] = x[:, cs]
-            yield cs, block
-
-    def bands(self, block: np.ndarray, m: int):
-        """Yield ``(row slice, gather, product)`` over the grid rows of the
-        first m channels of a padded block in order.  The (m, kc, n, L)
-        gather holds column shift j of the band and its halo at
-        ``[:, j, b]``; the (kr, m, n, L) product is scratch for the matmul,
-        kernel row outermost so that its rows never look like overlapping
-        operands to a ufunc (which would copy one first).  Every band reuses
-        both buffers."""
-        n = block.shape[0]
-        kr, kc, d, wp = self.kr, self.kc, self.dilation, self.wp
-        sn, sc, se = block.strides
-        for r0 in range(0, self.h, self.rows):
-            rows = slice(r0, min(r0 + self.rows, self.h))
-            length = (rows.stop - r0 + self.halo) * wp
-            # np.ndarray builds this overlapping view far faster than as_strided
-            src = np.ndarray((m, kc, n, length), self.dtype, block, r0 * wp * se, (sc, d * se, sn, se))
-            gather = self._gather[: m * kc * n * length].reshape(m, kc, n, length)
-            np.copyto(gather, src)
-            yield rows, gather, self._product[: kr * m * n * length].reshape(kr, m, n, length)
-
-    def share(self, product: np.ndarray, rows: int, cols: int) -> np.ndarray:
-        """The (m, n, rows, cols) view of a band's product row 0 that holds
-        the cropped wide-grid outputs; row i's share of the same outputs
-        starts ``dilation * i * wp`` further on."""
-        _, m, n, length = product.shape
-        e = product.itemsize
-        strides = (n * length * e, length * e, self.wp * e, e)
-        return np.ndarray((m, n, rows, cols), product.dtype, product, 0, strides)
-
-
 def _dw_correlate(
     x: np.ndarray, taps: np.ndarray, bias: np.ndarray | None, dilation: int, against=None
 ):
     """Same-size per-channel correlation of ``x`` with centred ``taps``
     (c, kr, kc), plus ``bias`` unless it is None, computed in the dtype of
-    ``taps``: one matmul per channel and band.
+    ``taps``.
 
     Returns the correlation and the (c, kr, kc) products of the same
     gathers with ``against`` (shaped like ``x``; zeros without it), summed
@@ -283,19 +211,38 @@ def _dw_correlate(
     correlation of ``against`` and ``taps`` are its taps flipped, these are
     the gradients of the flipped taps.
     """
-    n, c, _, w = x.shape
+    n, c, h, w = x.shape
     _, kr, kc = taps.shape
-    tiling = _DwTiling(x.shape, kr, kc, dilation, taps.dtype)
-    step = dilation * tiling.wp
+    dtype = taps.dtype
+    pr, pc = dilation * (kr // 2), dilation * (kc // 2)
+    wp = w + pc
+    base, halo, step = pr * wp + pc, 2 * pr, dilation * wp
+    row = (kc + kr) * n * wp * dtype.itemsize  # tile bytes per grid row
+    cb = max(1, min(c, _DW_TILE_BYTES // (row * (h + halo))))
+    band = max(1, min(h, _DW_TILE_BYTES // row - halo))
+    size = n * (band + halo) * wp
+    gathers = np.empty(cb * kc * size, dtype=dtype)
+    products = np.empty(cb * kr * size, dtype=dtype)
     taps = np.ascontiguousarray(taps)  # a strided (flipped) view falls off BLAS
-    out = np.empty(x.shape, dtype=taps.dtype)
-    acc = np.zeros((c, kr, kc), dtype=taps.dtype)
-    for cs, block in tiling.blocks(x):
-        m = cs.stop - cs.start
-        for rows, gather, product in tiling.bands(block, m):
-            r, length = rows.stop - rows.start, gather.shape[-1]
+    out = np.empty(x.shape, dtype=dtype)
+    acc = np.zeros((c, kr, kc), dtype=dtype)
+    # Only the image pixels of the block are rewritten, so its padding stays zero
+    block = np.zeros((n, cb, h * wp + 2 * base), dtype)
+    sn, sc, e = block.strides
+    for c0 in range(0, c, cb):
+        cs = slice(c0, min(c0 + cb, c))
+        m = cs.stop - c0
+        block[:, :m, base : base + h * wp].reshape(n, m, h, wp)[:, :, :, :w] = x[:, cs]
+        for r0 in range(0, h, band):
+            rows = slice(r0, min(r0 + band, h))
+            r = rows.stop - r0
+            length = (r + halo) * wp
+            # np.ndarray builds this overlapping view far faster than as_strided
+            src = np.ndarray((m, kc, n, length), dtype, block, r0 * wp * e, (sc, dilation * e, sn, e))
+            gather = gathers[: m * kc * n * length].reshape(m, kc, n, length)
+            np.copyto(gather, src)
             columns = gather.reshape(m, kc, n * length)
-            runs = product.reshape(kr, m, n * length)
+            runs = products[: kr * m * n * length].reshape(kr, m, n * length)
             by_channel = runs.transpose(1, 0, 2)
             np.matmul(taps[cs], columns, out=by_channel)
             # Kernel row i's share of item b's outputs starts at b * length +
@@ -303,12 +250,12 @@ def _dw_correlate(
             # index order, each as one pass over the tile, and one copy crops
             # row 0.  An output reads at most halo * wp on, inside its own item:
             # only halo sums, which are dropped, read into the next segment
-            flat = product.reshape(kr, -1)
+            flat = runs.reshape(kr, -1)
             if bias is not None:
                 runs[0] += bias[cs, None]
             for i in range(1, kr):
                 flat[0, : -step * i] += flat[i, step * i :]
-            share = tiling.share(product, r, w)
+            share = np.ndarray((m, n, r, w), dtype, runs, 0, (n * length * e, length * e, wp * e, e))
             np.copyto(out[:, cs, rows].transpose(1, 0, 2, 3), share)
             if against is not None:
                 # ``against`` laid where each kernel row's outputs lie and zero

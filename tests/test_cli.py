@@ -228,6 +228,13 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out and out.count("PASS") >= 15
 
+    def test_all_ops_report_errors_in_one_column(self, capsys):
+        assert main(["gradcheck", "--all"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) >= 15
+        assert len({line.index("max_rel_err=") for line in lines}) == 1
+        assert any(line.startswith("broadcast_mask_mul_channel max_rel_err=") for line in lines)
+
     def test_perturbed_backward_is_caught(self, capsys, monkeypatch):
         true_backward = ops.sigmoid_backward
 

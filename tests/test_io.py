@@ -1,6 +1,7 @@
 """Binary formats: bit-exact round trips, truncation fuzzing, image decoding
 and weight-file validation."""
 
+import copy
 import io
 import json
 import struct
@@ -15,6 +16,7 @@ from lsknet.errors import (
     BadMagicError,
     DimOverflowError,
     FormatError,
+    LskError,
     ManifestError,
     TruncatedFileError,
 )
@@ -355,3 +357,76 @@ def test_tensor_round_trip_property(n, c, h, w, seed):
     x = np.random.default_rng(seed).standard_normal((n, c, h, w)).astype(np.float32)
     y = read_tensor(io.BytesIO(tensor_bytes(x)))
     assert (x.view(np.uint32) == y.view(np.uint32)).all()
+
+
+# A bool, a non-integral float, a numeric string or a negative integer: none
+# may stand for a manifest number (int() would take the first three).
+_BAD_NUMBERS = st.one_of(
+    st.booleans(),
+    st.floats(-1e3, 1e3).filter(lambda v: not v.is_integer()),
+    st.integers(0, 99).map(str),
+    st.integers(-99, -1),
+)
+_WEIGHTS_DOC = {
+    "format_version": 1,
+    "entries": [{"name": "a", "offset": 0, "shape": [2, 3]}, {"name": "b", "offset": 32, "shape": [2]}],
+}
+
+
+def _weights_file(doc) -> io.BytesIO:
+    raw = json.dumps(doc).encode("utf-8")
+    return io.BytesIO(b"LSKW0001" + struct.pack("<I", len(raw)) + raw + np.arange(10, dtype="<f4").tobytes())
+
+
+@pytest.fixture(scope="module")
+def record_dir(tmp_path_factory):
+    rec = ActivationRecord(rf=(5, 23))
+    for key in [(1, 1), (2, 1)]:
+        rec.masks[key] = np.full((1, 2, 4, 4), 0.5, dtype=np.float32)
+    directory = tmp_path_factory.mktemp("record")
+    save_record(rec, directory)
+    return directory
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    field=st.sampled_from(["offset", "shape dim", "weights version", "record version", "rf value", "block index"]),
+    bad=_BAD_NUMBERS,
+    where=st.integers(0, 3),
+    descending=st.tuples(st.integers(1, 60), st.integers(0, 60)).map(lambda p: [p[0] + p[1], p[0]]),
+)
+def test_manifest_numbers_are_json_integers_and_rf_ascends(record_dir, field, bad, where, descending):
+    """Replacing one manifest number of a valid weight file or record by a
+    non-integer or negative value, or the record's ``rf`` by a pair that does
+    not strictly ascend, is a named error, never a load."""
+    weights = copy.deepcopy(_WEIGHTS_DOC)
+    manifest = record_dir / "manifest.json"
+    record = {"format_version": 1, "rf": [5, 23], "blocks": [[1, 1], [2, 1]]}
+    manifest.write_text(json.dumps(record))
+    read_weights(_weights_file(weights))
+    load_record(record_dir)
+
+    entry = weights["entries"][where % 2]
+    if field == "offset":
+        entry["offset"] = bad
+    elif field == "shape dim":
+        entry["shape"][where % len(entry["shape"])] = bad
+    elif field == "weights version":
+        weights["format_version"] = bad
+    elif field == "record version":
+        record["format_version"] = bad
+    elif field == "rf value":
+        record["rf"][where % 2] = bad
+    else:
+        record["blocks"][where // 2][where % 2] = bad
+    manifest.write_text(json.dumps(record))
+    with pytest.raises(LskError) as info:
+        if field in ("offset", "shape dim", "weights version"):
+            read_weights(_weights_file(weights))
+        else:
+            load_record(record_dir)
+    assert type(info.value) is not LskError
+
+    manifest.write_text(json.dumps({**record, "format_version": 1, "rf": descending, "blocks": [[1, 1]]}))
+    with pytest.raises(ManifestError, match="record.*rf.*must strictly ascend"):
+        load_record(record_dir)
