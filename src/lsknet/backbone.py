@@ -107,6 +107,8 @@ class BackboneConfig:
                 object.__setattr__(self, name, tuple(values))
             except TypeError:
                 raise ShapeError(f"BackboneConfig: {name} must be a sequence, got {name}={values!r}") from None
+            if any(isinstance(v, bool) for v in getattr(self, name)):  # an Integral and a Real, but no width
+                raise ShapeError(f"BackboneConfig: {name} must not hold booleans, got {name}={getattr(self, name)}")
         for name in ("channels", "depths"):
             values = getattr(self, name)
             if len(values) != 4 or not all(isinstance(v, numbers.Integral) and v >= 1 for v in values):

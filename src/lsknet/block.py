@@ -222,7 +222,7 @@ def block_forward(
     del lsk_out
     h = ops.pointwise_conv(h, params.post.weight, params.post.bias)
     keep(post_out=h)
-    y1 = ops.elementwise(x, ops.channel_scale(h, params.scale1), "add")
+    y1 = ops.add(x, ops.broadcast_mask_mul(h, params.scale1.reshape(1, -1, 1, 1)))
 
     ffn = params.ffn
     normed2, cache = norm_forward(y1, params.norm2, train_norm)
@@ -248,7 +248,7 @@ def block_forward(
     del normed2, t
     h += ffn.fc2.bias[None, :, None, None]
     keep(fc2_out=h)
-    y = ops.elementwise(y1, ops.channel_scale(h, params.scale2), "add")
+    y = ops.add(y1, ops.broadcast_mask_mul(h, params.scale2.reshape(1, -1, 1, 1)))
     return LayerOutput(y=y, masks=masks, state=BlockState(params=params, x=x, **kept) if keep_state else None)
 
 
@@ -268,7 +268,8 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
     grads: dict[str, np.ndarray] = {}
 
     # FFN half: y = y1 + scale2 * fc2_out
-    grad_fc2_out, grads["scale2"] = ops.channel_scale_backward(grad_y, state.fc2_out, p.scale2)
+    grad_fc2_out, grad_scale = ops.broadcast_mask_mul_backward(grad_y, state.fc2_out, p.scale2.reshape(1, -1, 1, 1))
+    grads["scale2"] = grad_scale.reshape(-1)
     ffn = p.ffn
     normed2 = norm_output(p.norm2, state.norm2_cache)
     grad_normed2 = None
@@ -303,10 +304,11 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
     grad_y1 += grad_y  # the residual path
 
     # selection half: y1 = x + scale1 * post_out
-    grad_post_out, grads["scale1"] = ops.channel_scale_backward(grad_y1, state.post_out, p.scale1)
+    grad_post_out, grad_scale = ops.broadcast_mask_mul_backward(grad_y1, state.post_out, p.scale1.reshape(1, -1, 1, 1))
+    grads["scale1"] = grad_scale.reshape(-1)
     lsk = state.lsk_state
     grad_lsk_y, grads["post.weight"], grads["post.bias"] = ops.pointwise_conv_backward(
-        grad_post_out, ops.elementwise(lsk.u[0], lsk.fused, "mul"), p.post.weight  # the LSK output
+        grad_post_out, ops.broadcast_mask_mul(lsk.u[0], lsk.fused), p.post.weight  # the LSK output
     )
     grad_gelu1, lsk_grads = lsk_backward(grad_lsk_y, lsk)
     grads.update(prefixed("lsk", lsk_grads.items()))

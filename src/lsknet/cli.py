@@ -30,7 +30,9 @@ def _apply_thread_cap() -> None:
     except ValueError:
         print(f"warning: ignoring non-integer LSK_THREADS={raw!r}", file=sys.stderr)
         return
-    if n > 0:
+    if n < 0:
+        print(f"warning: ignoring negative LSK_THREADS={raw!r} (want 0 or a positive integer)", file=sys.stderr)
+    elif n > 0:
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
             os.environ.setdefault(var, str(n))
 

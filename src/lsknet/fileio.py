@@ -228,6 +228,8 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
         for item in doc["entries"]:
             try:
                 name = item["name"]
+                if not isinstance(name, str):
+                    raise ManifestError(f"manifest entry {item!r}: name {name!r} is not a string")
                 offset = _json_int(item["offset"], f"tensor {name!r}: offset")
                 shape = tuple(_json_int(s, f"tensor {name!r}: shape dim") for s in item["shape"])
             except (KeyError, TypeError, ValueError) as exc:

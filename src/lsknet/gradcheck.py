@@ -224,15 +224,10 @@ _CASES: dict[str, Callable[[np.random.Generator], _Case]] = {
         lambda g, x: (ops.channel_pool_backward(g, x, "avg"),),
     ),
     "channel_pool_max": _case_channel_pool_max,
-    "elementwise_mul": _op(
-        [("a", (2, 3, 4, 4)), ("b", (2, 3, 4, 4))],
-        lambda a, b: ops.elementwise(a, b, "mul"),
-        lambda g, a, b: ops.elementwise_backward(g, a, b, "mul"),
-    ),
-    "elementwise_add": _op(
-        [("a", (2, 3, 4, 4)), ("b", (2, 3, 4, 4))],
-        lambda a, b: ops.elementwise(a, b, "add"),
-        lambda g, a, b: ops.elementwise_backward(g, a, b, "add"),
+    "broadcast_mask_mul_full": _op(
+        [("x", (2, 3, 4, 4)), ("m", (2, 3, 4, 4))],
+        lambda x, m: ops.broadcast_mask_mul(x, m),
+        lambda g, x, m: ops.broadcast_mask_mul_backward(g, x, m),
     ),
     "sigmoid": _op(
         [("x", (2, 3, 4, 4), 3.0)],
@@ -257,10 +252,10 @@ _CASES: dict[str, Callable[[np.random.Generator], _Case]] = {
         lambda x, m: ops.broadcast_mask_mul(x, m),
         lambda g, x, m: ops.broadcast_mask_mul_backward(g, x, m),
     ),
-    "channel_scale": _op(
-        [("x", (2, 4, 3, 3)), ("s", (4,))],
-        lambda x, s: ops.channel_scale(x, s),
-        lambda g, x, s: ops.channel_scale_backward(g, x, s),
+    "broadcast_mask_mul_scale": _op(
+        [("x", (2, 4, 3, 3)), ("m", (1, 4, 1, 1))],
+        lambda x, m: ops.broadcast_mask_mul(x, m),
+        lambda g, x, m: ops.broadcast_mask_mul_backward(g, x, m),
     ),
     "affine_channel_norm": _case_affine_channel_norm,
     "batch_norm": _op(

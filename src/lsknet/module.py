@@ -306,7 +306,7 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
     elif mode is SelectionMode.CHANNEL:
         h = ops.global_avg_pool(mixed[0])
         for i in range(1, n):
-            h = ops.elementwise(h, ops.global_avg_pool(mixed[i]), "add")
+            h = ops.add(h, ops.global_avg_pool(mixed[i]))
         keep(cs_sum=h)
         h = ops.pointwise_conv(h, params.cs_squeeze.weight, params.cs_squeeze.bias)
         keep(cs_pre=h)
@@ -318,13 +318,13 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
     weigh = (lambda i: mixed[i]) if weights is None else (lambda i: ops.broadcast_mask_mul(mixed[i], weights[i]))
     h = weigh(0)
     for i in range(1, n):
-        h = ops.elementwise(h, weigh(i), "add")
+        h = ops.add(h, weigh(i))
     del mixed
 
     keep(weighted=h)
     h = ops.pointwise_conv(h, params.fuse.weight, params.fuse.bias)
     keep(fused=h)
-    y = ops.elementwise(x, h, "mul")
+    y = ops.broadcast_mask_mul(x, h)
     return LayerOutput(y=y, masks=masks, state=LskState(params=params, **kept) if keep_state else None)
 
 
@@ -341,7 +341,7 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
     grads: dict[str, np.ndarray] = {}
 
     # y = x * fused, with x = u[0]
-    grad_x, grad_fused = ops.elementwise_backward(grad_y, state.u[0], state.fused, "mul")
+    grad_x, grad_fused = ops.broadcast_mask_mul_backward(grad_y, state.u[0], state.fused)
     grad_weighted, grads["fuse.weight"], grads["fuse.bias"] = ops.pointwise_conv_backward(
         grad_fused, state.weighted, params.fuse.weight
     )

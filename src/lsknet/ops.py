@@ -2,8 +2,10 @@
 
 All operations work on plain ``numpy`` arrays in ``(batch, channels, rows,
 cols)`` layout.  The production dtype is float32; every kernel also accepts
-float64 inputs unchanged, which is what the gradient checker uses.  There is
-no implicit broadcasting anywhere: mismatched shapes raise :class:`ShapeError`
+float64 inputs unchanged, which is what the gradient checker uses.  The one
+broadcast is the weight of :func:`broadcast_mask_mul`, each dim x's or 1:
+a mask (n,1,h,w), a channel weight (n,c,1,1), a residual scale (1,c,1,1) or
+the full-size gate.  Anywhere else mismatched shapes raise :class:`ShapeError`
 so wiring bugs in module assembly fail loudly instead of silently stretching
 axes.
 
@@ -83,8 +85,7 @@ __all__ = [
     "pointwise_conv_backward",
     "channel_pool",
     "channel_pool_backward",
-    "elementwise",
-    "elementwise_backward",
+    "add",
     "sigmoid",
     "sigmoid_backward",
     "gelu",
@@ -93,8 +94,6 @@ __all__ = [
     "concat_channels_backward",
     "broadcast_mask_mul",
     "broadcast_mask_mul_backward",
-    "channel_scale",
-    "channel_scale_backward",
     "affine_channel_norm",
     "affine_channel_norm_backward",
     "batch_norm",
@@ -513,34 +512,13 @@ def channel_pool_backward(grad_out: Tensor4, x: Tensor4, mode: str) -> Tensor4:
 # element-wise operations
 # ---------------------------------------------------------------------------
 
-def elementwise(a: Tensor4, b: Tensor4, op: str) -> Tensor4:
-    """Element-wise 'mul' or 'add' of two identically shaped tensors."""
-    check_tensor4(a, "elementwise: a")
-    check_tensor4(b, "elementwise: b")
+def add(a: Tensor4, b: Tensor4) -> Tensor4:
+    """Sum of two identically shaped tensors."""
+    check_tensor4(a, "add: a")
+    check_tensor4(b, "add: b")
     if a.shape != b.shape:
-        raise ShapeError(f"elementwise: shape mismatch {a.shape} vs {b.shape}")
-    if op == "mul":
-        return a * b
-    if op == "add":
-        return a + b
-    raise ShapeError(f"elementwise: unknown op {op!r} (want 'mul' or 'add')")
-
-
-def elementwise_backward(
-    grad_out: Tensor4, a: Tensor4, b: Tensor4, op: str
-) -> tuple[Tensor4, Tensor4]:
-    check_tensor4(grad_out, "elementwise_backward: grad_out")
-    check_tensor4(a, "elementwise_backward: a")
-    check_tensor4(b, "elementwise_backward: b")
-    if grad_out.shape != a.shape or a.shape != b.shape:
-        raise ShapeError(
-            f"elementwise_backward: shapes {grad_out.shape}, {a.shape}, {b.shape} must match"
-        )
-    if op == "mul":
-        return grad_out * b, grad_out * a
-    if op == "add":
-        return grad_out.copy(), grad_out.copy()
-    raise ShapeError(f"elementwise_backward: unknown op {op!r}")
+        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
+    return a + b
 
 
 def sigmoid(x: Tensor4) -> Tensor4:
@@ -642,21 +620,22 @@ def concat_channels_backward(grad_out: Tensor4, channel_sizes: Iterable[int]) ->
     return grads
 
 
-def broadcast_mask_mul(x: Tensor4, mask: Tensor4) -> Tensor4:
-    """Scale ``x`` by a branch weight: a per-pixel mask (n,1,h,w) or a
-    per-channel weight (n,c,1,1).
+def _check_mask(x: Tensor4, mask: Tensor4, name: str) -> None:
+    check_tensor4(x, f"{name}: x")
+    check_tensor4(mask, f"{name}: mask")
+    if any(m not in (1, d) for m, d in zip(mask.shape, x.shape)):
+        raise ShapeError(f"{name}: mask shape {mask.shape} does not fit x {x.shape}: each dim must be x's or 1")
 
-    This is the one sanctioned broadcast in the library (the weighting of a
-    branch by its per-pixel or per-channel weight); it is explicit so that
-    elementwise() can keep rejecting shape mismatches.
+
+def broadcast_mask_mul(x: Tensor4, mask: Tensor4) -> Tensor4:
+    """``x * mask`` for a weight whose every dim is x's or 1: a per-pixel
+    mask (n,1,h,w), a per-channel selection weight (n,c,1,1), a residual
+    scale (1,c,1,1) or the full-size gate (n,c,h,w).
+
+    This is the library's one multiply and its one sanctioned broadcast;
+    it is explicit so that add() can keep rejecting shape mismatches.
     """
-    check_tensor4(x, "broadcast_mask_mul: x")
-    check_tensor4(mask, "broadcast_mask_mul: mask")
-    n, c, h, w = x.shape
-    if mask.shape not in ((n, 1, h, w), (n, c, 1, 1)):
-        raise ShapeError(
-            f"broadcast_mask_mul: mask shape {mask.shape} is neither {(n, 1, h, w)} nor {(n, c, 1, 1)}"
-        )
+    _check_mask(x, mask, "broadcast_mask_mul")
     return x * mask
 
 
@@ -664,37 +643,18 @@ def broadcast_mask_mul_backward(
     grad_out: Tensor4, x: Tensor4, mask: Tensor4
 ) -> tuple[Tensor4, Tensor4]:
     """The mask's gradient sums ``grad_out * x`` over exactly the axes along
-    which the mask broadcasts, so it keeps the mask's shape."""
+    which the mask broadcasts, so it keeps the mask's shape (a full-size
+    mask's is that product as it is: no extra pass)."""
     check_tensor4(grad_out, "broadcast_mask_mul_backward: grad_out")
-    check_tensor4(x, "broadcast_mask_mul_backward: x")
-    check_tensor4(mask, "broadcast_mask_mul_backward: mask")
+    _check_mask(x, mask, "broadcast_mask_mul_backward")
     if grad_out.shape != x.shape:
         raise ShapeError(
             f"broadcast_mask_mul_backward: grad_out {grad_out.shape} != x {x.shape}"
         )
     grad_x = grad_out * mask
     spread = tuple(a for a in range(4) if mask.shape[a] < x.shape[a])
-    grad_mask = (grad_out * x).sum(axis=spread, keepdims=True)
-    return grad_x, grad_mask
-
-
-def channel_scale(x: Tensor4, scale: np.ndarray) -> Tensor4:
-    """Multiply each channel by a learnable scalar (residual-branch scaling)."""
-    check_tensor4(x, "channel_scale: x")
-    _check_vector(scale, x.shape[1], "channel_scale: scale")
-    return x * scale[None, :, None, None]
-
-
-def channel_scale_backward(
-    grad_out: Tensor4, x: Tensor4, scale: np.ndarray
-) -> tuple[Tensor4, np.ndarray]:
-    check_tensor4(grad_out, "channel_scale_backward: grad_out")
-    check_tensor4(x, "channel_scale_backward: x")
-    if grad_out.shape != x.shape:
-        raise ShapeError(f"channel_scale_backward: grad_out {grad_out.shape} != x {x.shape}")
-    grad_x = grad_out * scale[None, :, None, None]
-    grad_scale = (grad_out * x).sum(axis=(0, 2, 3))
-    return grad_x, grad_scale
+    grad_mask = grad_out * x
+    return grad_x, grad_mask.sum(axis=spread, keepdims=True) if spread else grad_mask
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,8 @@ def test_criterion_3_forward_oracle_equivalence():
                     ops.channel_pool(x, mode), channel_pool_loops(x, mode), atol=1e-6
                 )
             y = rand(x.shape)
-            np.testing.assert_allclose(ops.elementwise(x, y, "mul"), x * y, atol=1e-6)
-            np.testing.assert_allclose(ops.elementwise(x, y, "add"), x + y, atol=1e-6)
+            np.testing.assert_allclose(ops.broadcast_mask_mul(x, y), x * y, atol=1e-6)
+            np.testing.assert_allclose(ops.add(x, y), x + y, atol=1e-6)
             np.testing.assert_allclose(ops.sigmoid(x), sigmoid_ref(x), atol=1e-6)
             np.testing.assert_allclose(ops.gelu(x), gelu_ref(x), atol=1e-6)
             np.testing.assert_allclose(

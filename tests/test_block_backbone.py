@@ -54,14 +54,14 @@ def manual_block(x, params):
     branch = ops.gelu(ops.pointwise_conv(n1, params.pre.weight, params.pre.bias))
     branch = lsk_forward(branch, params.lsk).y
     branch = ops.pointwise_conv(branch, params.post.weight, params.post.bias)
-    y1 = x + ops.channel_scale(branch, params.scale1)
+    y1 = x + branch * params.scale1[None, :, None, None]
     n2 = ops.affine_channel_norm(
         y1, params.norm2.scale, params.norm2.shift, params.norm2.mean, params.norm2.var, 1e-5
     )
     ffn = ops.pointwise_conv(n2, params.ffn.fc1.weight, params.ffn.fc1.bias)
     ffn = ops.depthwise_conv(ffn, params.ffn.dw.weight, params.ffn.dw.bias, ConvSpec(3, 1))
     ffn = ops.pointwise_conv(ops.gelu(ffn), params.ffn.fc2.weight, params.ffn.fc2.bias)
-    return y1 + ops.channel_scale(ffn, params.scale2)
+    return y1 + ffn * params.scale2[None, :, None, None]
 
 
 # hidden width 7 on a float64 256x256 plane (512 KiB a channel) under the
@@ -219,6 +219,10 @@ class TestBackboneConfig:
             ({"depths": 3}, "depths"),
             ({"ffn_ratios": 8.0}, "ffn_ratios"),
             ({"pooling": 5}, "pooling"),
+            # a bool is an Integral and a Real, but not a width
+            ({"channels": (True, 4, 8, 8)}, "channels"),
+            ({"depths": (1, True, 1, 1)}, "depths"),
+            ({"ffn_ratios": (True, 2.0, 2.0, 2.0)}, "ffn_ratios"),
         ],
     )
     def test_bad_widths_rejected(self, override, match):

@@ -373,6 +373,13 @@ class TestCliPlumbing:
         cli._apply_thread_cap()
         assert "OMP_NUM_THREADS" not in os.environ
 
+    def test_thread_cap_negative_is_ignored_with_a_warning(self, monkeypatch, capsys):
+        monkeypatch.setenv("LSK_THREADS", "-3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        cli._apply_thread_cap()
+        assert "OMP_NUM_THREADS" not in os.environ
+        assert "ignoring negative LSK_THREADS='-3' (want 0 or a positive integer)" in capsys.readouterr().err
+
     def test_console_script_runs(self):
         # the child imports this same lsknet, installed or not
         env = dict(os.environ)

@@ -190,6 +190,13 @@ class TestWeights:
         with pytest.raises(ManifestError, match="duplicate"):
             read_weights(io.BytesIO(raw))
 
+    @pytest.mark.parametrize("name", [["x"], 5, None, True, {}])
+    def test_entry_name_must_be_a_string(self, name):
+        doc = json.dumps({"format_version": 1, "entries": [{"name": name, "offset": 0, "shape": [2]}]}).encode()
+        raw = b"LSKW0001" + struct.pack("<I", len(doc)) + doc + b"\x00" * 8
+        with pytest.raises(ManifestError, match="is not a string"):
+            read_weights(io.BytesIO(raw))
+
     def test_format_version_other_than_1_rejected(self, tmp_path):
         def weights_file(doc: bytes):
             path = tmp_path / "w.lskw"

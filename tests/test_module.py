@@ -53,8 +53,8 @@ class TestForwardContracts:
             ops.pointwise_conv(u, params.mix[i].weight, params.mix[i].bias)
             for i, u in enumerate(_dw_chain(x, params))
         )
-        expected = ops.elementwise(
-            x, ops.pointwise_conv(0.5 * mixed_sum, params.fuse.weight, params.fuse.bias), "mul"
+        expected = ops.broadcast_mask_mul(
+            x, ops.pointwise_conv(0.5 * mixed_sum, params.fuse.weight, params.fuse.bias)
         )
         np.testing.assert_allclose(out.y, expected, atol=1e-12)
 
@@ -119,8 +119,8 @@ class TestModes:
             ops.pointwise_conv(u, params.mix[i].weight, params.mix[i].bias)
             for i, u in enumerate(_dw_chain(x, params))
         ]
-        expected = ops.elementwise(
-            x, ops.pointwise_conv(sum(mixed), params.fuse.weight, params.fuse.bias), "mul"
+        expected = ops.broadcast_mask_mul(
+            x, ops.pointwise_conv(sum(mixed), params.fuse.weight, params.fuse.bias)
         )
         np.testing.assert_allclose(out.y, expected, atol=1e-12)
 
