@@ -116,7 +116,13 @@ class BlockParams:
 
     @property
     def c(self) -> int:
-        return int(self.scale1.size)
+        return int(self.pre.weight.shape[0])
+
+    def __post_init__(self):
+        # a (1,) residual scale or bias would broadcast over every channel
+        for name, vector in (("scale1", self.scale1), ("scale2", self.scale2), ("ffn.fc2.bias", self.ffn.fc2.bias)):
+            if vector.shape != (self.c,):
+                raise ShapeError(f"BlockParams: {name} has shape {vector.shape}, want ({self.c},)")
 
 
 def ffn_width(c: int, ffn_ratio: float) -> int:

@@ -25,9 +25,19 @@ a payload holding NaN or Inf is a format error.
 
 Reading a tensor takes one open, one read of the 40-byte header and one
 ``readinto`` of the payload straight into the returned array, with no stat
-before the open and no intermediate copy.  A record directory costs one such
-read per mask file plus the manifest; a manifest or mask file that is missing,
-or is a directory, is a ManifestError or FormatError.
+before the open and no intermediate copy.  A record directory costs one read
+of the manifest, then per mask file one unbuffered open, one 40-byte header
+read and one ``readinto`` of the payload into its kernel's plane of one
+(k, n, h, w) float32 array per block; the block's masks are that array's
+(n, k, h, w) transpose (C-contiguous when n = 1).  The first file's header is
+parsed by the same check as a tensor's, each later file's must equal it byte
+for byte, and each block gets one finite check.  A manifest or mask file that
+is missing, or is a directory, is a ManifestError or FormatError naming it.
+
+Writing a record refuses, before any file is written, a block that is not 4-D,
+does not hold one plane per receptive field, or holds values that are not
+finite as float32: a FormatError naming the block, since the reader would
+refuse the files or the record would lose planes.
 """
 
 from __future__ import annotations
@@ -129,29 +139,36 @@ def write_tensor(target, x: np.ndarray) -> None:
             fh.close()
 
 
+def _tensor_dims(header: bytes, what: str) -> tuple[int, int, int, int]:
+    """The dims of a 40-byte LSKT header, checked: magic, length, every dim
+    at least 1 and the element count within ``MAX_ELEMENTS``."""
+    magic = header[:8]
+    if len(magic) != 8:
+        raise TruncatedFileError(f"{what}: truncated while reading magic: wanted 8 bytes, got {len(magic)}")
+    if magic != TENSOR_MAGIC:
+        raise BadMagicError(f"{what}: not a tensor file: magic {magic!r}")
+    if len(header) != _TENSOR_HEADER:
+        raise TruncatedFileError(f"{what}: truncated while reading dims: wanted 32 bytes, got {len(header) - 8}")
+    dims = struct.unpack_from("<4Q", header, 8)
+    if min(dims) < 1:
+        raise DimOverflowError(f"{what}: invalid dims {dims}: all must be >= 1")
+    count = math.prod(dims)
+    if count > MAX_ELEMENTS:
+        raise DimOverflowError(f"{what}: dims {dims} declare {count} elements (limit {MAX_ELEMENTS})")
+    return dims
+
+
 def read_tensor(target, expected_shape: tuple[int, ...] | None = None) -> np.ndarray:
     """Read an LSKT file back into a float32 (n, c, h, w) array."""
     fh, owned = _open(target, "rb", buffering=0)
+    what = f"tensor {target if owned else 'stream'}"
     try:
-        header = fh.read(_TENSOR_HEADER)
-        magic = header[:8]
-        if len(magic) != 8:
-            raise TruncatedFileError(f"truncated while reading magic: wanted 8 bytes, got {len(magic)}")
-        if magic != TENSOR_MAGIC:
-            raise BadMagicError(f"not a tensor file: magic {magic!r}")
-        if len(header) != _TENSOR_HEADER:
-            raise TruncatedFileError(f"truncated while reading dims: wanted 32 bytes, got {len(header) - 8}")
-        dims = struct.unpack_from("<4Q", header, 8)
-        if min(dims) < 1:
-            raise DimOverflowError(f"invalid dims {dims}: all must be >= 1")
-        count = math.prod(dims)
-        if count > MAX_ELEMENTS:
-            raise DimOverflowError(f"dims {dims} declare {count} elements (limit {MAX_ELEMENTS})")
+        dims = _tensor_dims(fh.read(_TENSOR_HEADER), what)
         if expected_shape is not None and tuple(dims) != tuple(expected_shape):
             raise FormatError(f"tensor shape {dims} does not match expected {tuple(expected_shape)}")
         out = np.empty(dims, dtype=_F4)
-        _readinto_exact(fh, out, "tensor payload")
-        return _finite(out, f"tensor {target if owned else 'stream'}")
+        _readinto_exact(fh, out, f"{what} payload")
+        return _finite(out, what)
     finally:
         if owned:
             fh.close()
@@ -329,14 +346,31 @@ def save_record(record: ActivationRecord, directory: str | Path) -> list[Path]:
     """Write one LSKT file per (block, kernel) mask: ``B_<stage>_<depth>_<n>``.
 
     A manifest.json carries the per-kernel receptive fields and block keys so
-    the analysis stage can rebuild the record.
+    the analysis stage can rebuild the record.  Before any file is written,
+    every block must be a 4-D (n, len(rf), h, w) stack whose values are
+    finite as float32; otherwise it is a FormatError naming the block, since
+    :func:`load_record` would refuse the files or drop planes.
     """
+    blocks = {}
+    for key, masks in sorted(record.masks.items()):
+        block = record.key_name(key)
+        if masks.ndim != 4 or masks.shape[1] != record.n_kernels or min(masks.shape) < 1:
+            raise FormatError(
+                f"save_record: block {block} has masks of shape {masks.shape}, "
+                f"want (n, {record.n_kernels}, h, w) for rf {list(record.rf)}"
+            )
+        if masks.dtype != _F4:  # converted once per block; an overflow reads as Inf below
+            with np.errstate(over="ignore"):
+                masks = masks.astype(_F4)
+        if not np.isfinite(masks).all():
+            raise FormatError(f"save_record: block {block} holds NaN or Inf values (as float32)")
+        blocks[block] = masks
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
-    for key, masks in sorted(record.masks.items()):
+    for block, masks in blocks.items():
         for n_idx in range(record.n_kernels):
-            path = out / f"{record.key_name(key)}_{n_idx + 1}.lskt"
+            path = out / f"{block}_{n_idx + 1}.lskt"
             write_tensor(path, masks[:, n_idx : n_idx + 1])
             written.append(path)
     doc = {
@@ -355,6 +389,12 @@ def load_record(directory: str | Path) -> ActivationRecord:
     shape; the manifest must list at least one positive receptive field and
     each block once.  Every manifest number must be a JSON integer, block
     indices must be positive and ``rf`` must strictly ascend.
+
+    A block's k files are read straight into one (k, n, h, w) array, whose
+    (n, k, h, w) transpose becomes the block's masks.  The first file's
+    header sets the block's shape; every later file's header must equal it
+    byte for byte, and only a header that differs is parsed, to name what is
+    wrong with it.
     """
     src = Path(directory)
     try:
@@ -378,23 +418,35 @@ def load_record(directory: str | Path) -> ActivationRecord:
     if any(len(key) != 2 or min(key) < 1 for key in blocks):
         raise ManifestError(f"{where}: blocks {doc['blocks']} must be pairs of positive indices")
     record = ActivationRecord(rf=rf)
-    base = str(src)  # joining strings, not Paths: a Path join costs a third of a mask read
+    # joining strings, not Paths: a Path join costs a third of a mask read
+    folder = str(src)
+    base = os.path.join(folder, "")
     for stage, depth in blocks:
         if (stage, depth) in record.masks:
             raise ManifestError(f"{where}: block ({stage}, {depth}) is listed twice")
-        parts = []
         block = record.key_name((stage, depth))
-        for n_idx in range(len(rf)):
-            name = f"{block}_{n_idx + 1}.lskt"
+        names = [f"{block}_{n_idx + 1}.lskt" for n_idx in range(len(rf))]
+        planes = first = None
+        for plane, name in enumerate(names):
+            what = f"mask file {name} in {folder}"
             try:
-                part = read_tensor(os.path.join(base, name))
+                fh = open(base + name, "rb", buffering=0)
             except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-                raise FormatError(f"missing mask file {name} in {src}") from exc
-            want = parts[0].shape if parts else (part.shape[0], 1, *part.shape[2:])
-            if part.shape != want:
-                raise FormatError(
-                    f"block ({stage}, {depth}) in {src}: mask file {name} has shape {part.shape}, want {want}"
-                )
-            parts.append(part)
-        record.masks[(stage, depth)] = np.concatenate(parts, axis=1)
+                raise FormatError(f"missing {what}") from exc
+            with fh:
+                header = fh.read(_TENSOR_HEADER)
+                if header != first:
+                    # the first header, or a later one that is bound to fail
+                    dims = _tensor_dims(header, what)
+                    want = (dims[0], 1, *dims[2:]) if planes is None else (planes.shape[1], 1, *planes.shape[2:])
+                    if planes is not None or dims != want:
+                        raise FormatError(
+                            f"block ({stage}, {depth}) in {folder}: mask file {name} has shape {dims}, want {want}"
+                        )
+                    first, planes = header, np.empty((len(rf), dims[0], *dims[2:]), dtype=_F4)
+                _readinto_exact(fh, planes[plane], what)
+        if not np.isfinite(planes).all():  # then find the file to name
+            for name, plane in zip(names, planes):
+                _finite(plane, f"mask file {name} in {folder}")
+        record.masks[(stage, depth)] = planes.transpose(1, 0, 2, 3)
     return record

@@ -4,6 +4,7 @@ ladders, mask bookkeeping, weight round-trips and determinism."""
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -99,6 +100,24 @@ class TestBlock:
     def test_wrong_channel_count(self, rng):
         with pytest.raises(ShapeError, match="channels"):
             block_forward(rng.uniform(-1, 1, size=(1, 3, 8, 8)), tiny_block())
+
+    @pytest.mark.parametrize("field", ["scale1", "scale2", "ffn.fc2.bias", "norm2.scale"])
+    @pytest.mark.parametrize("shape", [(1,), (5,), (4, 1)])
+    def test_per_channel_vectors_must_match_the_width(self, rng, field, shape):
+        """A hand-built c=4 block whose residual scale or fc2 bias is not (4,)
+        is refused by name when it is built, instead of broadcast over the
+        channels; a wrong norm scale is refused by the forward."""
+        params = tiny_block()
+        vector = np.ones(shape, dtype=np.float32)
+        x = rng.uniform(-1, 1, size=(1, 4, 8, 8))
+        with pytest.raises(ShapeError, match=re.escape(field.removeprefix("norm2."))):
+            if field == "ffn.fc2.bias":
+                params = replace(params, ffn=replace(params.ffn, fc2=replace(params.ffn.fc2, bias=vector)))
+            elif field == "norm2.scale":
+                params = replace(params, norm2=replace(params.norm2, scale=vector))
+            else:
+                params = replace(params, **{field: vector})
+            block_forward(x, params)
 
     @pytest.mark.parametrize(
         "ffn_ratio,shape,groups",

@@ -9,19 +9,23 @@ once the squeeze and expand convs counted their MACs at 1x1.
 
 The payload digests are the one exception: they hash the whole LSKW file of
 ``init_backbone_params(config, seed=0)``, so they pin the seeded draw (its
-order, bounds and float32 rounding) as well as the layout.
+order, bounds and float32 rounding) as well as the layout.  The ``lsk
+analyze`` digests likewise pin the two CSV reports over a seeded corpus that
+goes through ``save_record`` and ``load_record``, so they catch a change of
+the mask files' round trip or of the analysis arithmetic.
 """
 
 import hashlib
 import io
 import struct
 
+import numpy as np
 import pytest
 
-from lsknet.backbone import BackboneConfig, init_backbone_params, named_arrays
+from lsknet.backbone import ActivationRecord, BackboneConfig, init_backbone_params, named_arrays
 from lsknet.cli import main
 from lsknet.cost import cost_backbone, report_to_kv
-from lsknet.fileio import WEIGHTS_MAGIC, write_weights
+from lsknet.fileio import WEIGHTS_MAGIC, save_record, write_weights
 
 MANIFEST_SHA256 = {
     ("T", "spatial"): "4119940704501a460d76726c842c74d1d31c1f91b380039bd2311023eea6e082",
@@ -104,3 +108,44 @@ def test_cost_report_digest(variant, mode, pooling):
     config = BackboneConfig.variant(variant, selection_mode=mode, pooling=pooling.split("+"))
     digest = hashlib.sha256(report_to_kv(cost_backbone(config, 96, 160)).encode()).hexdigest()
     assert digest == REPORT_KV_SHA256[(variant, mode, pooling)]
+
+
+# the two ``lsk analyze`` reports over the corpus of write_analyze_corpus()
+ANALYZE_SHA256 = {
+    "rc.csv": "d15394ac51ea68a24ad4a6635118d60691c047e151253765ad12621135e56b14",
+    "selection_diff.csv": "ba00ac717668fa5695d965a483d6d864a6d38a36e80e160b69dab8e710f07856",
+}
+
+
+def write_analyze_corpus(root):
+    """Eight images from one seeded stream: two-kernel mask records of batch 1
+    and batch 2 (four blocks at three resolutions), and annotation text with
+    header lines, single- and two-category images and one malformed line."""
+    rng = np.random.default_rng(2023)
+    sides = {(1, 1): 8, (1, 2): 8, (2, 1): 4, (3, 1): 2}
+    categories = ["harbor", "plane", "ship"]
+    (root / "annotations").mkdir(parents=True)
+    for j in range(8):
+        record = ActivationRecord(rf=(5, 23))
+        for key, side in sides.items():
+            record.masks[key] = rng.random((1 + j % 2, 2, side, side), dtype=np.float32)
+        save_record(record, root / "masks" / f"img{j}")
+        lines = ["imagesource:GoogleEarth", f"gsd:{rng.uniform(0.1, 1.0):.6f}"]
+        for b in range(1 + j % 3):
+            category = categories[(j + (b if j == 5 else 0)) % 3]  # image 5 holds two categories
+            x, y = (int(v) for v in rng.integers(0, 64, 2))
+            w, h = (int(v) for v in rng.integers(2, 24, 2))
+            lines.append(f"{x}.0 {y}.0 {x + w}.0 {y}.0 {x + w}.0 {y + h}.0 {x}.0 {y + h}.0 {category} {b % 2}")
+        if j == 3:
+            lines.append("1.0 2.0 3.0 4.0 5.0 6.0 7.0 plane 0")  # seven coordinates
+        (root / "annotations" / f"img{j}.txt").write_text("\n".join(lines) + "\n")
+
+
+def test_analyze_report_digest(tmp_path, capsys):
+    write_analyze_corpus(tmp_path)
+    out = tmp_path / "out"
+    argv = ["analyze", "--masks", str(tmp_path / "masks"), "--annotations", str(tmp_path / "annotations")]
+    assert main([*argv, "--out", str(out)]) == 0
+    assert "skipped 1 malformed line(s)" in capsys.readouterr().err
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ANALYZE_SHA256}
+    assert digests == ANALYZE_SHA256

@@ -5,6 +5,9 @@ import copy
 import io
 import json
 import struct
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -437,3 +440,140 @@ def test_manifest_numbers_are_json_integers_and_rf_ascends(record_dir, field, ba
     manifest.write_text(json.dumps({**record, "format_version": 1, "rf": descending, "blocks": [[1, 1]]}))
     with pytest.raises(ManifestError, match="record.*rf.*must strictly ascend"):
         load_record(record_dir)
+
+
+def _random_record(n, k, sides, dtype, seed):
+    """A record of len(sides) blocks (stage b, depth 1) of (n, k, h, w) masks."""
+    rng = np.random.default_rng(seed)
+    rec = ActivationRecord(rf=tuple(range(3, 3 + 4 * k, 4)))
+    for stage, (h, w) in enumerate(sides, start=1):
+        rec.masks[(stage, 1)] = rng.standard_normal((n, k, h, w)).astype(dtype)
+    return rec
+
+
+_SIDES = st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    k=st.integers(1, 3),
+    sides=_SIDES,
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_record_round_trip_property(n, k, sides, dtype, seed):
+    """A saved record loads back bit for bit as the float32 values written,
+    each block as an (n, k, h, w) array (C-contiguous for a batch of one)."""
+    rec = _random_record(n, k, sides, dtype, seed)
+    with tempfile.TemporaryDirectory() as directory:
+        save_record(rec, directory)
+        loaded = load_record(directory)
+    assert loaded.rf == rec.rf and loaded.block_keys() == rec.block_keys()
+    for key, masks in rec.masks.items():
+        got = loaded.masks[key]
+        assert got.dtype == np.float32 and got.shape == masks.shape
+        assert (got.view(np.uint32) == masks.astype(np.float32).view(np.uint32)).all()
+        assert got.flags.c_contiguous or n > 1
+
+
+def _corrupt(path: Path, kind: str) -> type:
+    """Damage one saved mask file; return the error class loading must raise."""
+    raw = path.read_bytes()
+    n, _, h, w = struct.unpack_from("<4Q", raw, 8)
+    if kind == "truncated payload":
+        path.write_bytes(raw[:-2])
+        return TruncatedFileError
+    if kind == "other dims":  # two planes where a mask file holds one
+        path.write_bytes(raw[:8] + struct.pack("<4Q", n, 2, h, w) + raw[40:])
+        return FormatError
+    if kind == "bad magic":
+        path.write_bytes(b"LSKX0001" + raw[8:])
+        return BadMagicError
+    if kind == "NaN":
+        path.write_bytes(raw[:-4] + struct.pack("<f", float("nan")))
+        return FormatError
+    path.unlink()  # a directory in place of the file
+    path.mkdir()
+    return FormatError
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 3),
+    k=st.integers(2, 3),
+    sides=_SIDES,
+    kind=st.sampled_from(["truncated payload", "other dims", "bad magic", "NaN", "directory"]),
+    later_file=st.booleans(),
+    later_block=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_damaged_mask_file_is_named(n, k, sides, kind, later_file, later_block, seed):
+    """Each kind of damage to the first or a later kernel file of a block is
+    its own error class, and the message names the file.  The first file of a
+    block sets its shape and later ones are checked against it, so both are
+    covered."""
+    rec = _random_record(n, k, sides, np.float32, seed)
+    with tempfile.TemporaryDirectory() as directory:
+        save_record(rec, directory)
+        stage = len(sides) if later_block else 1
+        name = f"B_{stage}_1_{k if later_file else 1}.lskt"
+        expected = _corrupt(Path(directory) / name, kind)
+        with pytest.raises(FormatError, match=name) as info:
+            load_record(directory)
+    assert type(info.value) is expected
+
+
+class _OpenLog:
+    """Paths opened while ``paths`` is a list.  An audit hook sees every open,
+    whatever the call; hooks cannot be removed, so one is added on first use
+    and left idle."""
+
+    paths: list[str] | None = None
+    hooked = False
+
+    @classmethod
+    def _hook(cls, event, args):
+        if event == "open" and cls.paths is not None:
+            cls.paths.append(str(args[0]))
+
+    @classmethod
+    def record(cls, fn, *args) -> list[str]:
+        if not cls.hooked:
+            sys.addaudithook(cls._hook)
+            cls.hooked = True
+        cls.paths = []
+        try:
+            fn(*args)
+            return cls.paths
+        finally:
+            cls.paths = None
+
+
+def test_load_record_opens_the_manifest_and_each_mask_file_once(tmp_path):
+    rec = _random_record(2, 3, [(4, 4), (2, 3), (1, 1)], np.float32, 0)
+    files = save_record(rec, tmp_path)
+    opened = _OpenLog.record(load_record, tmp_path)
+    assert sorted(Path(p).name for p in opened) == sorted(["manifest.json", *(f.name for f in files)])
+
+
+@pytest.mark.parametrize(
+    "masks",
+    [
+        np.full((1, 3, 4, 4), 0.5, np.float32),  # a third plane under a two-value rf
+        np.full((1, 1, 4, 4), 0.5, np.float32),  # one plane short
+        np.full((2, 4, 4), 0.5, np.float32),  # not 4-D
+        np.full((1, 2, 0, 4), 0.5, np.float32),  # an empty plane
+        np.array([np.nan, 0.5]).reshape(1, 2, 1, 1),
+        np.array([1e39, 0.5]).reshape(1, 2, 1, 1),  # finite, but not as float32
+    ],
+    ids=["three-planes", "one-plane", "3-D", "empty", "NaN", "float32-overflow"],
+)
+def test_save_record_refuses_what_it_cannot_round_trip(tmp_path, masks):
+    rec = ActivationRecord(rf=(5, 23))
+    rec.masks[(1, 1)] = np.full((1, 2, 4, 4), 0.5, np.float32)
+    rec.masks[(2, 1)] = masks
+    with pytest.raises(FormatError, match="block B_2_1") as info:
+        save_record(rec, tmp_path / "img")
+    assert type(info.value) is FormatError
+    assert not (tmp_path / "img").exists()  # nothing written, not even the good block
