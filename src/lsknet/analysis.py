@@ -90,8 +90,11 @@ def parse_annotations(text: str) -> ParseResult:
     Expected line layout: eight reals (four x,y vertices), a category token
     and an integer difficulty flag.  Header lines whose first token is not
     numeric are skipped silently; lines with the wrong token count,
-    unparsable numbers or a NaN or infinite coordinate count as malformed;
-    boxes with zero area are dropped and counted as degenerate.
+    unparsable numbers, a coordinate or difficulty written with an underscore
+    or a non-ASCII digit (forms ``float`` and ``int`` accept, such as ``1_0``)
+    or a NaN or infinite coordinate count as malformed; the category token
+    may be any text.  Boxes with zero area are dropped and counted as
+    degenerate.
     """
     result = ParseResult(boxes=[])
     for raw in text.splitlines():
@@ -104,6 +107,10 @@ def parse_annotations(text: str) -> ParseResult:
         except ValueError:
             continue  # metadata header such as image source or resolution
         if len(tokens) != 10:
+            result.malformed_lines += 1
+            continue
+        numerals = "".join(tokens[:8]) + tokens[9]
+        if "_" in numerals or not numerals.isascii():
             result.malformed_lines += 1
             continue
         try:

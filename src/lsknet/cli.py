@@ -11,6 +11,7 @@ the command handlers.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -49,6 +50,16 @@ def _non_negative_int(token: str) -> int:
     if not (token.isascii() and token.isdigit()):  # numpy's generators take no negative seed
         raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {token!r}")
     return int(token)
+
+
+def _learning_rate(token: str) -> float:
+    try:
+        lr = float(token)
+    except ValueError:
+        lr = math.nan
+    if not (math.isfinite(lr) and lr >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {token!r}")
+    return lr
 
 
 def _pool_list(token: str):
@@ -113,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-toy", help="overfit a tiny synthetic problem by gradient descent")
     p.add_argument("--steps", type=int, default=None, help="default: lsknet.train.DEFAULT_STEPS")
     p.add_argument(
-        "--lr", type=float, default=None, help="default: per --scope, from lsknet.train.DEFAULT_LR"
+        "--lr", type=_learning_rate, default=None, help="default: per --scope, from lsknet.train.DEFAULT_LR"
     )
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.add_argument("--scope", choices=("module", "backbone"), default="module")
@@ -288,6 +299,7 @@ def cmd_analyze(args) -> int:
     from pathlib import Path
 
     from .analysis import analyze_images, emit_analysis, parse_annotations
+    from .errors import AnalysisError
     from .fileio import load_record
 
     masks_root = Path(args.masks)
@@ -314,7 +326,11 @@ def cmd_analyze(args) -> int:
     malformed = degenerate = 0
     for stem in stems:
         record = load_record(mask_dirs[stem])
-        parsed = parse_annotations(ann_files[stem].read_text())
+        try:
+            text = ann_files[stem].read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise AnalysisError(f"annotation file {ann_files[stem]} is not valid UTF-8: {exc}") from exc
+        parsed = parse_annotations(text)
         malformed += parsed.malformed_lines
         degenerate += parsed.degenerate_boxes
         images.append((record, parsed.boxes))

@@ -25,14 +25,19 @@ a payload holding NaN or Inf is a format error.
 
 Reading a tensor takes one open, one read of the 40-byte header and one
 ``readinto`` of the payload straight into the returned array, with no stat
-before the open and no intermediate copy.  A record directory costs one read
-of the manifest, then per mask file one unbuffered open, one 40-byte header
-read and one ``readinto`` of the payload into its kernel's plane of one
-(k, n, h, w) float32 array per block; the block's masks are that array's
-(n, k, h, w) transpose (C-contiguous when n = 1).  The first file's header is
-parsed by the same check as a tensor's, each later file's must equal it byte
-for byte, and each block gets one finite check.  A manifest or mask file that
-is missing, or is a directory, is a ManifestError or FormatError naming it.
+before the open and no intermediate copy.  A record directory is read with
+``os``-level calls and no file objects: the manifest takes one ``os.open``,
+``os.read`` calls until the end of the file and one ``os.close``, then an
+explicit UTF-8 decode.  Each mask file takes one ``os.open``, one
+``os.readv`` and one ``os.close``: the readv fills a reused 40-byte header
+buffer and the file's kernel plane of one (k, n, h, w) float32 array per
+block, whose (n, k, h, w) transpose is the block's masks (C-contiguous when
+n = 1).  A block's first file sets its shape, so it reads its header alone
+(``os.read``) and the same check as a tensor's parses it; each later file's
+header must equal it byte for byte, and each block gets one finite check.
+Short reads are retried until the file ends.  A manifest or mask file that is
+missing, or is a directory, is a ManifestError or FormatError naming it.
+``os.readv`` exists on POSIX systems only, so loading a record needs one.
 
 Writing a record refuses, before any file is written, a block that is not 4-D,
 does not hold one plane per receptive field, or holds values that are not
@@ -106,11 +111,36 @@ def _readinto_exact(fh: BinaryIO, out: np.ndarray, what: str) -> None:
             raise TruncatedFileError(f"truncated while reading {what}: wanted {len(view)} bytes, got {got}")
 
 
-def _json_int(value, what: str) -> int:
+def _read_header(fd: int) -> bytes:
+    """The first 40 bytes of ``fd``; fewer only when the file ends sooner."""
+    data = os.read(fd, _TENSOR_HEADER)
+    while len(data) < _TENSOR_HEADER and (more := os.read(fd, _TENSOR_HEADER - len(data))):
+        data += more
+    return data
+
+
+def _read_rest(fd: int, buffers, got: int) -> int:
+    """Finish an ``os.readv`` that came back short after ``got`` bytes: read
+    into what ``buffers`` still lack until they are full or the file ends, and
+    return the bytes read in all."""
+    views = [memoryview(b).cast("B") for b in buffers]
+    while True:
+        rest, skip = [], got
+        for view in views:
+            if skip < len(view):
+                rest.append(view[skip:])
+            skip = max(0, skip - len(view))
+        if not rest or not (n := os.readv(fd, rest)):
+            return got
+        got += n
+
+
+def _json_int(value, where: str, field: str) -> int:
     """Return ``value`` if it is a JSON integer.  ``int()`` would truncate a
-    float, read ``true`` as 1 and parse a numeric string."""
+    float, read ``true`` as 1 and parse a numeric string.  The message naming
+    ``where`` and ``field`` is built only when the check fails."""
     if type(value) is not int:
-        raise ManifestError(f"{what} must be a JSON integer, got {value!r}")
+        raise ManifestError(f"{where}: {field} must be a JSON integer, got {value!r}")
     return value
 
 
@@ -234,7 +264,7 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
         if not isinstance(doc, dict) or "entries" not in doc:
             raise ManifestError("manifest missing 'entries'")
         where = f"weights {target if owned else 'stream'}"
-        version = _json_int(doc.get("format_version", FORMAT_VERSION), f"{where}: format_version")
+        version = _json_int(doc.get("format_version", FORMAT_VERSION), where, "format_version")
         if version != FORMAT_VERSION:
             raise ManifestError(f"{where}: unsupported format_version {version!r}")
         start = fh.tell()
@@ -247,8 +277,8 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
                 name = item["name"]
                 if not isinstance(name, str):
                     raise ManifestError(f"manifest entry {item!r}: name {name!r} is not a string")
-                offset = _json_int(item["offset"], f"tensor {name!r}: offset")
-                shape = tuple(_json_int(s, f"tensor {name!r}: shape dim") for s in item["shape"])
+                offset = _json_int(item["offset"], f"tensor {name!r}", "offset")
+                shape = tuple(_json_int(s, f"tensor {name!r}", "shape dim") for s in item["shape"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise ManifestError(f"malformed manifest entry {item!r}") from exc
             if name in entries:
@@ -382,6 +412,10 @@ def save_record(record: ActivationRecord, directory: str | Path) -> list[Path]:
     return written
 
 
+def _shape_error(stage: int, depth: int, folder: str, name: str, dims, want) -> FormatError:
+    return FormatError(f"block ({stage}, {depth}) in {folder}: mask file {name} has shape {dims}, want {want}")
+
+
 def load_record(directory: str | Path) -> ActivationRecord:
     """Rebuild an activation record from a mask directory.
 
@@ -392,22 +426,32 @@ def load_record(directory: str | Path) -> ActivationRecord:
 
     A block's k files are read straight into one (k, n, h, w) array, whose
     (n, k, h, w) transpose becomes the block's masks.  The first file's
-    header sets the block's shape; every later file's header must equal it
-    byte for byte, and only a header that differs is parsed, to name what is
-    wrong with it.
+    header sets the block's shape; every later file's header is read with its
+    payload by one ``os.readv`` and must equal the first byte for byte, and
+    only a header that differs is parsed, to name what is wrong with it.
+    Error messages are built only when a check fails.
     """
     src = Path(directory)
+    # joining strings, not Paths: a Path join costs a third of a mask read
+    folder = str(src)
+    base = os.path.join(folder, "")
     try:
-        text = (src / RECORD_MANIFEST).read_text()
+        fd = os.open(base + RECORD_MANIFEST, os.O_RDONLY)
+        try:
+            chunks = []
+            while chunk := os.read(fd, 1 << 16):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         raise ManifestError(f"no {RECORD_MANIFEST} in {src}") from exc
     where = f"record manifest in {src}"
     try:
-        doc = json.loads(text)
-        rf = tuple(_json_int(v, f"{where}: rf value") for v in doc["rf"])
-        blocks = [tuple(_json_int(i, f"{where}: block index") for i in pair) for pair in doc["blocks"]]
-        version = _json_int(doc.get("format_version", FORMAT_VERSION), f"{where}: format_version")
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+        doc = json.loads(b"".join(chunks).decode("utf-8"))
+        rf = tuple(_json_int(v, where, "rf value") for v in doc["rf"])
+        blocks = [tuple(_json_int(i, where, "block index") for i in pair) for pair in doc["blocks"]]
+        version = _json_int(doc.get("format_version", FORMAT_VERSION), where, "format_version")
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"malformed record manifest in {src}: {exc}") from exc
     if version != FORMAT_VERSION:
         raise ManifestError(f"{where}: unsupported format_version {version!r}")
@@ -418,9 +462,7 @@ def load_record(directory: str | Path) -> ActivationRecord:
     if any(len(key) != 2 or min(key) < 1 for key in blocks):
         raise ManifestError(f"{where}: blocks {doc['blocks']} must be pairs of positive indices")
     record = ActivationRecord(rf=rf)
-    # joining strings, not Paths: a Path join costs a third of a mask read
-    folder = str(src)
-    base = os.path.join(folder, "")
+    header = bytearray(_TENSOR_HEADER)  # every later file's header lands here
     for stage, depth in blocks:
         if (stage, depth) in record.masks:
             raise ManifestError(f"{where}: block ({stage}, {depth}) is listed twice")
@@ -428,23 +470,35 @@ def load_record(directory: str | Path) -> ActivationRecord:
         names = [f"{block}_{n_idx + 1}.lskt" for n_idx in range(len(rf))]
         planes = first = None
         for plane, name in enumerate(names):
-            what = f"mask file {name} in {folder}"
             try:
-                fh = open(base + name, "rb", buffering=0)
+                fd = os.open(base + name, os.O_RDONLY)
+                try:
+                    if first is None:  # the block's first file sets its shape
+                        first = _read_header(fd)
+                        dims = _tensor_dims(first, f"mask file {name} in {folder}")
+                        if dims[1] != 1:
+                            raise _shape_error(stage, depth, folder, name, dims, (dims[0], 1, *dims[2:]))
+                        planes = np.empty((len(rf), dims[0], *dims[2:]), dtype=_F4)
+                        payload = planes[0].nbytes
+                        buffers, want = (planes[0],), payload
+                    else:
+                        buffers, want = (header, planes[plane]), _TENSOR_HEADER + payload
+                    got = os.readv(fd, buffers)
+                    if got < want:
+                        got = _read_rest(fd, buffers, got)
+                finally:
+                    os.close(fd)
             except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
-                raise FormatError(f"missing {what}") from exc
-            with fh:
-                header = fh.read(_TENSOR_HEADER)
-                if header != first:
-                    # the first header, or a later one that is bound to fail
-                    dims = _tensor_dims(header, what)
-                    want = (dims[0], 1, *dims[2:]) if planes is None else (planes.shape[1], 1, *planes.shape[2:])
-                    if planes is not None or dims != want:
-                        raise FormatError(
-                            f"block ({stage}, {depth}) in {folder}: mask file {name} has shape {dims}, want {want}"
-                        )
-                    first, planes = header, np.empty((len(rf), dims[0], *dims[2:]), dtype=_F4)
-                _readinto_exact(fh, planes[plane], what)
+                raise FormatError(f"missing mask file {name} in {folder}") from exc
+            if plane and (got < _TENSOR_HEADER or header != first):
+                # a later header that is bound to fail: parse it to name the fault
+                dims = _tensor_dims(header[:got], f"mask file {name} in {folder}")
+                raise _shape_error(stage, depth, folder, name, dims, (planes.shape[1], 1, *planes.shape[2:]))
+            if got < want:
+                raise TruncatedFileError(
+                    f"truncated while reading mask file {name} in {folder}: "
+                    f"wanted {payload} bytes, got {got - (want - payload)}"
+                )
         if not np.isfinite(planes).all():  # then find the file to name
             for name, plane in zip(names, planes):
                 _finite(plane, f"mask file {name} in {folder}")

@@ -18,6 +18,7 @@ Each scope only builds its forward, backward and trainable arrays; one loop,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,7 +85,8 @@ def toy_train(
 
     ``losses[k]`` is the loss after ``k`` updates, so the list holds
     ``steps + 1`` values and ``losses[-1]`` is the final loss.  ``lr=None``
-    takes the scope's ``DEFAULT_LR``.
+    takes the scope's ``DEFAULT_LR``; any other ``lr`` must be a finite number
+    >= 0 (0 keeps the loss constant, a negative rate would ascend).
     """
     if scope not in DEFAULT_LR:
         raise ShapeError(f"toy_train: unknown scope {scope!r} (want head|module|backbone)")
@@ -92,6 +94,8 @@ def toy_train(
         raise ShapeError(f"toy_train: steps must be >= 0, got {steps}")
     if lr is None:
         lr = DEFAULT_LR[scope]
+    elif not (math.isfinite(lr) and lr >= 0):
+        raise ShapeError(f"toy_train: lr must be a finite number >= 0, got {lr!r}")
     rng = np.random.default_rng(seed)
     if scope == "backbone":
         setup = _backbone_scope(seed)

@@ -80,8 +80,8 @@ class TestParse:
         result = parse_annotations("0 0 1 0 1 1 0 1 ship x")
         assert result.malformed_lines == 1
 
-    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("position", [0, 2], ids=["first-token", "coordinate"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1_0", "\u0661", "\uff11"])
+    @pytest.mark.parametrize("position", [0, 2, 9], ids=["first-token", "coordinate", "difficulty"])
     def test_non_finite_coordinate_is_malformed(self, bad, position):
         tokens = "0 0 1 0 1 1 0 1 plane 0".split()
         tokens[position] = bad

@@ -267,6 +267,17 @@ class TestTrainToyCommand:
         assert main(["train-toy", "--steps", "-1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lr", ["nan", "inf", "-0.5", "x"])
+    def test_bad_lr_is_usage_error(self, lr, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-toy", "--steps", "1", "--lr", lr])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"lsk train-toy: error: argument --lr: expected a finite number >= 0, got {lr!r}"
+        )
+
     def test_head_scope_is_usage_error(self):
         """The frozen-feature head fit cannot reach the 1e-2 rule by plain
         descent, so the CLI does not offer it; the library still does."""
@@ -306,6 +317,15 @@ class TestAnalyzeCommand:
         assert rc_lines[1].startswith("ship,")
         diff_lines = (out / "selection_diff.csv").read_text().splitlines()
         assert len(diff_lines) == 1 + 13  # one row per block
+
+    def test_annotation_file_that_is_not_utf8_is_named(self, tmp_path, mask_and_ann_dirs, capsys):
+        masks, anns = mask_and_ann_dirs
+        (anns / "input.txt").write_bytes(b"0 0 10 0 10 10 0 10 caf\xe9 0\n")
+        assert main(["analyze", "--masks", str(masks), "--annotations", str(anns),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(f"error: annotation file {anns / 'input.txt'} is not valid UTF-8")
 
     def test_missing_masks_dir_fails(self, tmp_path, capsys):
         assert main(["analyze", "--masks", str(tmp_path / "nope"),

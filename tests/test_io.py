@@ -4,6 +4,7 @@ and weight-file validation."""
 import copy
 import io
 import json
+import os
 import struct
 import sys
 import tempfile
@@ -25,6 +26,7 @@ from lsknet.errors import (
 )
 from lsknet.fileio import (
     TENSOR_MAGIC,
+    _read_rest,
     load_record,
     read_image,
     read_tensor,
@@ -354,6 +356,17 @@ class TestRecords:
         manifest.write_text(json.dumps(doc))
         assert load_record(directory).rf == (5, 23)  # a missing key reads as version 1
 
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"rf": [5, 23], "blocks": [[1, 1]], "note": "caf\xe9"}', b"\xff\xfe{}"],
+        ids=["latin-1-byte", "utf-16-bom"],
+    )
+    def test_manifest_that_is_not_utf8(self, rng, tmp_path, raw):
+        directory = self._manifest_case(rng, tmp_path)
+        (directory / "manifest.json").write_bytes(raw)
+        with pytest.raises(ManifestError, match=r"malformed record manifest in .*img.*utf-8"):
+            load_record(directory)
+
 
 @settings(max_examples=80, deadline=None)
 @given(
@@ -484,6 +497,12 @@ def _corrupt(path: Path, kind: str) -> type:
     if kind == "truncated payload":
         path.write_bytes(raw[:-2])
         return TruncatedFileError
+    if kind == "truncated header":  # cut inside the dims
+        path.write_bytes(raw[:20])
+        return TruncatedFileError
+    if kind == "empty file":
+        path.write_bytes(b"")
+        return TruncatedFileError
     if kind == "other dims":  # two planes where a mask file holds one
         path.write_bytes(raw[:8] + struct.pack("<4Q", n, 2, h, w) + raw[40:])
         return FormatError
@@ -503,7 +522,9 @@ def _corrupt(path: Path, kind: str) -> type:
     n=st.integers(1, 3),
     k=st.integers(2, 3),
     sides=_SIDES,
-    kind=st.sampled_from(["truncated payload", "other dims", "bad magic", "NaN", "directory"]),
+    kind=st.sampled_from(
+        ["truncated payload", "truncated header", "empty file", "other dims", "bad magic", "NaN", "directory"]
+    ),
     later_file=st.booleans(),
     later_block=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
@@ -555,6 +576,27 @@ def test_load_record_opens_the_manifest_and_each_mask_file_once(tmp_path):
     files = save_record(rec, tmp_path)
     opened = _OpenLog.record(load_record, tmp_path)
     assert sorted(Path(p).name for p in opened) == sorted(["manifest.json", *(f.name for f in files)])
+
+
+@pytest.mark.parametrize(
+    "first, sent", [(30, 64), (30, 50), (50, 64)], ids=["header-then-all", "header-then-cut", "plane-then-all"]
+)
+def test_short_vectored_read_is_finished(first, sent):
+    """A vectored read that returns early, as a pipe does, inside the header
+    or inside the plane, is continued into what the two buffers still lack,
+    until they are full or the data ends."""
+    data = bytes(range(40)) + np.arange(6, dtype="<f4").tobytes()
+    header, plane = bytearray(40), np.zeros(6, np.float32)
+    r, w = os.pipe()
+    try:
+        os.write(w, data[:first])
+        assert os.readv(r, [header, plane]) == first
+        os.write(w, data[first:sent])
+        os.close(w)
+        assert _read_rest(r, [header, plane], first) == sent
+    finally:
+        os.close(r)
+    assert bytes(header) + plane.tobytes()[: sent - 40] == data[:sent]
 
 
 @pytest.mark.parametrize(

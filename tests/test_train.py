@@ -60,6 +60,12 @@ def test_negative_steps_rejected():
     assert len(toy_train(steps=0, lr=0.1)) == 1
 
 
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -0.5])
+def test_learning_rate_must_be_finite_and_not_negative(lr):
+    with pytest.raises(ShapeError, match="lr"):
+        toy_train(steps=1, lr=lr)
+
+
 def test_trajectory_is_deterministic_per_seed():
     a = toy_train(steps=20, lr=0.3, seed=7)
     b = toy_train(steps=20, lr=0.3, seed=7)
