@@ -94,10 +94,10 @@ def parse_annotations(text: str) -> ParseResult:
     or a non-ASCII digit (forms ``float`` and ``int`` accept, such as ``1_0``)
     or a NaN or infinite coordinate count as malformed; the category token
     may be any text.  Boxes with zero area are dropped and counted as
-    degenerate.
+    degenerate.  One leading byte-order mark (U+FEFF) is ignored.
     """
     result = ParseResult(boxes=[])
-    for raw in text.splitlines():
+    for raw in text.removeprefix("\ufeff").splitlines():
         line = raw.strip()
         if not line:
             continue

@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-toy", help="overfit a tiny synthetic problem by gradient descent")
-    p.add_argument("--steps", type=int, default=None, help="default: lsknet.train.DEFAULT_STEPS")
+    p.add_argument("--steps", type=_non_negative_int, default=None, help="default: lsknet.train.DEFAULT_STEPS")
     p.add_argument(
         "--lr", type=_learning_rate, default=None, help="default: per --scope, from lsknet.train.DEFAULT_LR"
     )

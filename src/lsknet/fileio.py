@@ -23,21 +23,17 @@ Readers never read past declared lengths; every malformed input maps to a
 distinct error kind (bad magic, truncation, dim overflow, manifest problems);
 a payload holding NaN or Inf is a format error.
 
-Reading a tensor takes one open, one read of the 40-byte header and one
-``readinto`` of the payload straight into the returned array, with no stat
-before the open and no intermediate copy.  A record directory is read with
-``os``-level calls and no file objects: the manifest takes one ``os.open``,
-``os.read`` calls until the end of the file and one ``os.close``, then an
-explicit UTF-8 decode.  Each mask file takes one ``os.open``, one
-``os.readv`` and one ``os.close``: the readv fills a reused 40-byte header
-buffer and the file's kernel plane of one (k, n, h, w) float32 array per
-block, whose (n, k, h, w) transpose is the block's masks (C-contiguous when
-n = 1).  A block's first file sets its shape, so it reads its header alone
-(``os.read``) and the same check as a tensor's parses it; each later file's
-header must equal it byte for byte, and each block gets one finite check.
-Short reads are retried until the file ends.  A manifest or mask file that is
-missing, or is a directory, is a ManifestError or FormatError naming it.
-``os.readv`` exists on POSIX systems only, so loading a record needs one.
+Paths are opened by one helper and closed on exit (reads unbuffered, writes
+buffered); a stream is used as given and left open.  Every reader error names
+the path, or ``stream``.  A tensor read is one read of the 40-byte header and
+one ``readinto`` of the payload straight into the returned array.  A record is
+read with ``os`` calls and no file objects: ``os.read`` of the manifest until
+the end of the file, then per mask file one ``os.open``, one ``os.readv`` and
+one ``os.close`` (a block's first file reads its header alone, as it sets the
+block's shape; see :func:`load_record`).  Only a read that comes back short (a
+truncated file, a pipe, or a payload above one system call's limit) enters the
+one fill loop, so a record of B blocks of k kernels takes 2 + B * (k + 1)
+reads.  ``os.readv`` exists on POSIX only, so loading a record needs it.
 
 Writing a record refuses, before any file is written, a block that is not 4-D,
 does not hold one plane per receptive field, or holds values that are not
@@ -51,9 +47,10 @@ import json
 import math
 import os
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -86,53 +83,46 @@ _F4 = np.dtype("<f4")
 _TENSOR_HEADER = 40  # magic plus four u64 dims
 
 
-def _read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise TruncatedFileError(f"truncated while reading {what}: wanted {count} bytes, got {len(data)}")
-    return data
-
-
-def _open(target, mode: str, buffering: int = -1):
+def _opened(target, mode: str):
+    """``target`` ready for ``with``: a path opened (reads unbuffered, writes
+    buffered) and closed on exit, or a stream as given and left open.  Not a
+    generator: its frames would cost ``save_record`` about 6%."""
     if isinstance(target, (str, Path)):
-        return open(target, mode, buffering=buffering), True
-    return target, False
+        return open(target, mode, buffering=0 if "r" in mode else -1)
+    return nullcontext(target)
 
 
-def _readinto_exact(fh: BinaryIO, out: np.ndarray, what: str) -> None:
-    """Fill ``out`` from ``fh``; one ``readinto`` unless the read comes back
-    short (a truncated file, or a payload above one system call's limit)."""
-    got = fh.readinto(out) or 0
-    if got < out.nbytes:
-        view = memoryview(out).cast("B")
-        while got < len(view) and (n := fh.readinto(view[got:])):
-            got += n
-        if got < len(view):
-            raise TruncatedFileError(f"truncated while reading {what}: wanted {len(view)} bytes, got {got}")
+def _name(target) -> str:
+    """How a reader's errors name ``target``: its path, or ``stream``."""
+    return target if isinstance(target, (str, Path)) else "stream"
 
 
-def _read_header(fd: int) -> bytes:
-    """The first 40 bytes of ``fd``; fewer only when the file ends sooner."""
-    data = os.read(fd, _TENSOR_HEADER)
-    while len(data) < _TENSOR_HEADER and (more := os.read(fd, _TENSOR_HEADER - len(data))):
-        data += more
-    return data
+def _fill(read, buffers, got: int = 0) -> int:
+    """Read on into ``buffers``, in order, past the ``got`` bytes they hold,
+    until they are full or the source ends; return the bytes they then hold.
+    ``read`` fills the start of one byte view and returns its count (0 or None
+    at the end): a stream's ``readinto``, or ``os.readv`` of the one view."""
+    done = 0  # the bytes held by the buffers before this one
+    for buf in buffers:
+        view = memoryview(buf).cast("B")
+        held = min(max(got - done, 0), len(view))
+        while held < len(view) and (n := read(view[held:])):
+            held += n
+        done += held
+        if held < len(view):  # the source ended
+            break
+    return done
 
 
-def _read_rest(fd: int, buffers, got: int) -> int:
-    """Finish an ``os.readv`` that came back short after ``got`` bytes: read
-    into what ``buffers`` still lack until they are full or the file ends, and
-    return the bytes read in all."""
-    views = [memoryview(b).cast("B") for b in buffers]
-    while True:
-        rest, skip = [], got
-        for view in views:
-            if skip < len(view):
-                rest.append(view[skip:])
-            skip = max(0, skip - len(view))
-        if not rest or not (n := os.readv(fd, rest)):
-            return got
-        got += n
+def _read_full(fh, buf, what: str):
+    """Fill ``buf``, a bytearray or an array, from the stream ``fh`` and return
+    it; a stream ending sooner is a truncated ``what``.  Only a short first
+    read enters the fill loop, whose byte view costs numpy memory per array."""
+    want = buf.nbytes if isinstance(buf, np.ndarray) else len(buf)
+    got = fh.readinto(buf) or 0
+    if got < want and (got := _fill(fh.readinto, (buf,), got)) < want:
+        raise TruncatedFileError(f"truncated while reading {what}: wanted {want} bytes, got {got}")
+    return buf
 
 
 def _json_int(value, where: str, field: str) -> int:
@@ -142,6 +132,22 @@ def _json_int(value, where: str, field: str) -> int:
     if type(value) is not int:
         raise ManifestError(f"{where}: {field} must be a JSON integer, got {value!r}")
     return value
+
+
+def _manifest(raw, where: str, malformed: str) -> dict:
+    """Decode a manifest: UTF-8 JSON (else ``malformed: <reason>``), an
+    object, and a ``format_version`` that is a JSON integer and 1; a missing
+    key reads as 1.  ``where`` names the file in the other errors."""
+    try:
+        doc = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ManifestError(f"{malformed}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ManifestError(f"{where}: not a JSON object")
+    version = _json_int(doc.get("format_version", FORMAT_VERSION), where, "format_version")
+    if version != FORMAT_VERSION:
+        raise ManifestError(f"{where}: unsupported format_version {version!r}")
+    return doc
 
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
@@ -159,20 +165,16 @@ def write_tensor(target, x: np.ndarray) -> None:
     """Write a rank-4 float array as an LSKT file (path or binary stream)."""
     if x.ndim != 4:
         raise FormatError(f"write_tensor: expected rank-4 array, got shape {x.shape}")
-    fh, owned = _open(target, "wb")
-    try:
+    with _opened(target, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<4Q", *x.shape))
         fh.write(np.ascontiguousarray(x, dtype=_F4))
-    finally:
-        if owned:
-            fh.close()
 
 
 def _tensor_dims(header: bytes, what: str) -> tuple[int, int, int, int]:
     """The dims of a 40-byte LSKT header, checked: magic, length, every dim
     at least 1 and the element count within ``MAX_ELEMENTS``."""
-    magic = header[:8]
+    magic = bytes(header[:8])
     if len(magic) != 8:
         raise TruncatedFileError(f"{what}: truncated while reading magic: wanted 8 bytes, got {len(magic)}")
     if magic != TENSOR_MAGIC:
@@ -188,20 +190,14 @@ def _tensor_dims(header: bytes, what: str) -> tuple[int, int, int, int]:
     return dims
 
 
-def read_tensor(target, expected_shape: tuple[int, ...] | None = None) -> np.ndarray:
+def read_tensor(target) -> np.ndarray:
     """Read an LSKT file back into a float32 (n, c, h, w) array."""
-    fh, owned = _open(target, "rb", buffering=0)
-    what = f"tensor {target if owned else 'stream'}"
-    try:
-        dims = _tensor_dims(fh.read(_TENSOR_HEADER), what)
-        if expected_shape is not None and tuple(dims) != tuple(expected_shape):
-            raise FormatError(f"tensor shape {dims} does not match expected {tuple(expected_shape)}")
-        out = np.empty(dims, dtype=_F4)
-        _readinto_exact(fh, out, f"{what} payload")
-        return _finite(out, what)
-    finally:
-        if owned:
-            fh.close()
+    what = f"tensor {_name(target)}"
+    with _opened(target, "rb") as fh:
+        header = bytearray(_TENSOR_HEADER)
+        dims = _tensor_dims(header[: _fill(fh.readinto, (header,))], what)
+        out = _read_full(fh, np.empty(dims, dtype=_F4), f"{what} payload")
+    return _finite(out, what)
 
 
 # ---------------------------------------------------------------------------
@@ -234,39 +230,28 @@ def write_weights(target, arrays: Mapping[str, np.ndarray]) -> Manifest:
         ],
     }
     payload = json.dumps(doc).encode("utf-8")
-    fh, owned = _open(target, "wb")
-    try:
+    with _opened(target, "wb") as fh:
         fh.write(WEIGHTS_MAGIC)
         fh.write(struct.pack("<I", len(payload)))
         fh.write(payload)
         for arr in arrays.values():
             fh.write(np.ascontiguousarray(arr, dtype=_F4))
-    finally:
-        if owned:
-            fh.close()
     return manifest
 
 
 def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
     """Read a weight file into an ordered name -> float32 array map; each
     tensor is read with one ``readinto`` straight into its own array."""
-    fh, owned = _open(target, "rb", buffering=0)
-    try:
-        magic = _read_exact(fh, 8, "magic")
+    where = f"weights {_name(target)}"
+    with _opened(target, "rb") as fh:
+        magic = bytes(_read_full(fh, bytearray(8), f"{where} magic"))
         if magic != WEIGHTS_MAGIC:
-            raise BadMagicError(f"not a weights file: magic {magic!r}")
-        (manifest_len,) = struct.unpack("<I", _read_exact(fh, 4, "manifest length"))
-        manifest_raw = _read_exact(fh, manifest_len, "manifest")
-        try:
-            doc = json.loads(manifest_raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ManifestError(f"manifest is not valid UTF-8 JSON: {exc}") from exc
-        if not isinstance(doc, dict) or "entries" not in doc:
-            raise ManifestError("manifest missing 'entries'")
-        where = f"weights {target if owned else 'stream'}"
-        version = _json_int(doc.get("format_version", FORMAT_VERSION), where, "format_version")
-        if version != FORMAT_VERSION:
-            raise ManifestError(f"{where}: unsupported format_version {version!r}")
+            raise BadMagicError(f"{where}: not a weights file: magic {magic!r}")
+        (manifest_len,) = struct.unpack("<I", _read_full(fh, bytearray(4), f"{where} manifest length"))
+        manifest_raw = _read_full(fh, bytearray(manifest_len), f"{where} manifest")
+        doc = _manifest(manifest_raw, where, f"{where}: manifest is not valid UTF-8 JSON")
+        if not isinstance(doc.get("entries"), list):  # absent, or nothing to iterate
+            raise ManifestError(f"{where}: manifest missing 'entries'")
         start = fh.tell()
         payload_len = fh.seek(0, os.SEEK_END) - start
 
@@ -276,40 +261,36 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
             try:
                 name = item["name"]
                 if not isinstance(name, str):
-                    raise ManifestError(f"manifest entry {item!r}: name {name!r} is not a string")
-                offset = _json_int(item["offset"], f"tensor {name!r}", "offset")
-                shape = tuple(_json_int(s, f"tensor {name!r}", "shape dim") for s in item["shape"])
+                    raise ManifestError(f"{where}: manifest entry {item!r}: name {name!r} is not a string")
+                offset = _json_int(item["offset"], f"{where}: tensor {name!r}", "offset")
+                shape = tuple(_json_int(s, f"{where}: tensor {name!r}", "shape dim") for s in item["shape"])
             except (KeyError, TypeError, ValueError) as exc:
-                raise ManifestError(f"malformed manifest entry {item!r}") from exc
+                raise ManifestError(f"{where}: malformed manifest entry {item!r}") from exc
             if name in entries:
-                raise ManifestError(f"duplicate tensor name {name!r}")
+                raise ManifestError(f"{where}: duplicate tensor name {name!r}")
             if not shape or any(s < 1 for s in shape) or len(shape) > 4:
-                raise DimOverflowError(f"tensor {name!r}: invalid shape {shape}")
+                raise DimOverflowError(f"{where}: tensor {name!r}: invalid shape {shape}")
             count = math.prod(shape)
             if count > MAX_ELEMENTS:
-                raise DimOverflowError(f"tensor {name!r}: {count} elements exceeds limit")
+                raise DimOverflowError(f"{where}: tensor {name!r}: {count} elements exceeds limit")
             end = offset + count * 4
             if offset < 0 or end > payload_len:
                 raise TruncatedFileError(
-                    f"tensor {name!r}: extent [{offset}, {end}) outside payload of {payload_len} bytes"
+                    f"{where}: tensor {name!r}: extent [{offset}, {end}) outside payload of {payload_len} bytes"
                 )
             entries[name] = (offset, shape)
             spans.append((offset, end, name))
         spans.sort()
         for (s0, e0, n0), (s1, _e1, n1) in zip(spans, spans[1:]):
             if s1 < e0:
-                raise ManifestError(f"tensors {n0!r} and {n1!r} overlap in the payload")
+                raise ManifestError(f"{where}: tensors {n0!r} and {n1!r} overlap in the payload")
 
         arrays = {}
         for name, (off, shape) in entries.items():
-            out = np.empty(shape, dtype=_F4)
             fh.seek(start + off)
-            _readinto_exact(fh, out, f"tensor {name!r}")
-            arrays[name] = _finite(out, f"tensor {name!r}")
-        return arrays, Manifest(entries=entries, format_version=version)
-    finally:
-        if owned:
-            fh.close()
+            out = _read_full(fh, np.empty(shape, dtype=_F4), f"{where} tensor {name!r}")
+            arrays[name] = _finite(out, f"{where}: tensor {name!r}")
+    return arrays, Manifest(entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -318,21 +299,18 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
 
 def read_image(target) -> np.ndarray:
     """Read a binary P5/P6 image into a (1, 3, h, w) float32 tensor in [0, 1]."""
-    fh, owned = _open(target, "rb")
-    try:
+    with _opened(target, "rb") as fh:
         data = fh.read()
-    finally:
-        if owned:
-            fh.close()
+    what = f"image {_name(target)}"
     if len(data) < 2 or data[:2] not in (b"P5", b"P6"):
-        raise BadMagicError(f"not a binary PGM/PPM: starts with {data[:2]!r}")
+        raise BadMagicError(f"{what}: not a binary PGM/PPM: starts with {data[:2]!r}")
     kind = data[:2]
 
     pos = 2
     tokens: list[int] = []
     while len(tokens) < 3:
         if pos >= len(data):
-            raise TruncatedFileError("image header ended before width/height/maxval")
+            raise TruncatedFileError(f"{what}: header ended before width/height/maxval")
         ch = data[pos : pos + 1]
         if ch == b"#":
             while pos < len(data) and data[pos : pos + 1] != b"\n":
@@ -345,19 +323,19 @@ def read_image(target) -> np.ndarray:
                 pos += 1
             token = data[start:pos]
             if not token.isdigit():
-                raise FormatError(f"non-numeric header token {token!r}")
+                raise FormatError(f"{what}: non-numeric header token {token!r}")
             tokens.append(int(token))
     pos += 1  # single whitespace byte after maxval
     width, height, maxval = tokens
     if width < 1 or height < 1:
-        raise DimOverflowError(f"invalid image size {width}x{height}")
+        raise DimOverflowError(f"{what}: invalid image size {width}x{height}")
     if not 0 < maxval <= 255:
-        raise FormatError(f"only 8-bit images supported, maxval={maxval}")
+        raise FormatError(f"{what}: only 8-bit images supported, maxval={maxval}")
     n_channels = 1 if kind == b"P5" else 3
     need = width * height * n_channels
     raw = data[pos : pos + need]
     if len(raw) != need:
-        raise TruncatedFileError(f"image payload: wanted {need} bytes, got {len(raw)}")
+        raise TruncatedFileError(f"{what}: truncated payload: wanted {need} bytes, got {len(raw)}")
     pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float32) / np.float32(maxval)
     if kind == b"P5":
         plane = pixels.reshape(1, 1, height, width)
@@ -425,11 +403,11 @@ def load_record(directory: str | Path) -> ActivationRecord:
     indices must be positive and ``rf`` must strictly ascend.
 
     A block's k files are read straight into one (k, n, h, w) array, whose
-    (n, k, h, w) transpose becomes the block's masks.  The first file's
-    header sets the block's shape; every later file's header is read with its
-    payload by one ``os.readv`` and must equal the first byte for byte, and
-    only a header that differs is parsed, to name what is wrong with it.
-    Error messages are built only when a check fails.
+    (n, k, h, w) transpose becomes the block's masks (C-contiguous if n = 1).
+    The first file's header sets the block's shape; every later file's header
+    is read with its payload by one ``os.readv`` and must equal the first byte
+    for byte, and only a header that differs is parsed, to name what is wrong
+    with it.  Error messages are built only when a check fails.
     """
     src = Path(directory)
     # joining strings, not Paths: a Path join costs a third of a mask read
@@ -446,15 +424,12 @@ def load_record(directory: str | Path) -> ActivationRecord:
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         raise ManifestError(f"no {RECORD_MANIFEST} in {src}") from exc
     where = f"record manifest in {src}"
+    doc = _manifest(b"".join(chunks), where, f"malformed {where}")
     try:
-        doc = json.loads(b"".join(chunks).decode("utf-8"))
         rf = tuple(_json_int(v, where, "rf value") for v in doc["rf"])
         blocks = [tuple(_json_int(i, where, "block index") for i in pair) for pair in doc["blocks"]]
-        version = _json_int(doc.get("format_version", FORMAT_VERSION), where, "format_version")
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"malformed record manifest in {src}: {exc}") from exc
-    if version != FORMAT_VERSION:
-        raise ManifestError(f"{where}: unsupported format_version {version!r}")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestError(f"malformed {where}: {exc}") from exc
     if not rf or min(rf) < 1:
         raise ManifestError(f"{where}: rf {list(rf)} must list positive receptive fields")
     if any(a >= b for a, b in zip(rf, rf[1:])):
@@ -462,7 +437,7 @@ def load_record(directory: str | Path) -> ActivationRecord:
     if any(len(key) != 2 or min(key) < 1 for key in blocks):
         raise ManifestError(f"{where}: blocks {doc['blocks']} must be pairs of positive indices")
     record = ActivationRecord(rf=rf)
-    header = bytearray(_TENSOR_HEADER)  # every later file's header lands here
+    header = bytearray(_TENSOR_HEADER)  # every file's header lands here
     for stage, depth in blocks:
         if (stage, depth) in record.masks:
             raise ManifestError(f"{where}: block ({stage}, {depth}) is listed twice")
@@ -473,19 +448,20 @@ def load_record(directory: str | Path) -> ActivationRecord:
             try:
                 fd = os.open(base + name, os.O_RDONLY)
                 try:
-                    if first is None:  # the block's first file sets its shape
-                        first = _read_header(fd)
-                        dims = _tensor_dims(first, f"mask file {name} in {folder}")
+                    if first is None:  # the block's first file sets its shape: its header comes alone
+                        if (got := os.readv(fd, (header,))) < _TENSOR_HEADER:
+                            got = _fill(lambda view: os.readv(fd, (view,)), (header,), got)
+                        dims = _tensor_dims(header[:got], f"mask file {name} in {folder}")
                         if dims[1] != 1:
                             raise _shape_error(stage, depth, folder, name, dims, (dims[0], 1, *dims[2:]))
+                        first = bytes(header)
                         planes = np.empty((len(rf), dims[0], *dims[2:]), dtype=_F4)
                         payload = planes[0].nbytes
                         buffers, want = (planes[0],), payload
                     else:
                         buffers, want = (header, planes[plane]), _TENSOR_HEADER + payload
-                    got = os.readv(fd, buffers)
-                    if got < want:
-                        got = _read_rest(fd, buffers, got)
+                    if (got := os.readv(fd, buffers)) < want:
+                        got = _fill(lambda view: os.readv(fd, (view,)), buffers, got)
                 finally:
                     os.close(fd)
             except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:

@@ -72,6 +72,11 @@ class TestParse:
         assert len(result.boxes) == 1 and result.malformed_lines == 0
         assert result.boxes[0].difficulty == 1
 
+    def test_leading_byte_order_mark_is_ignored(self):
+        result = parse_annotations("\ufeff0 0 10 0 10 10 0 10 ship 0\n0 0 4 0 4 4 0 4 plane 1\n")
+        assert [b.category for b in result.boxes] == ["ship", "plane"]
+        assert result.malformed_lines == 0
+
     def test_degenerate_box_dropped_with_count(self):
         result = parse_annotations("0 0 1 1 2 2 3 3 ship 0")  # collinear
         assert result.boxes == [] and result.degenerate_boxes == 1

@@ -264,8 +264,12 @@ class TestTrainToyCommand:
         assert "non-finite" in capsys.readouterr().err
 
     def test_negative_steps_fail_with_error_line(self, capsys):
-        assert main(["train-toy", "--steps", "-1"]) == 1
-        assert "error:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["train-toy", "--steps", "-1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "lsk train-toy: error: argument --steps: expected a non-negative integer, got '-1'"
+        )
 
     @pytest.mark.parametrize("lr", ["nan", "inf", "-0.5", "x"])
     def test_bad_lr_is_usage_error(self, lr, capsys):
@@ -317,6 +321,16 @@ class TestAnalyzeCommand:
         assert rc_lines[1].startswith("ship,")
         diff_lines = (out / "selection_diff.csv").read_text().splitlines()
         assert len(diff_lines) == 1 + 13  # one row per block
+
+    def test_byte_order_mark_in_annotation_file_changes_nothing(self, tmp_path, mask_and_ann_dirs):
+        masks, anns = mask_and_ann_dirs
+        args = ["analyze", "--masks", str(masks), "--annotations", str(anns)]
+        ann = anns / "input.txt"
+        ann.write_text(ann.read_text().split("\n", 1)[1])  # a box on the first line
+        assert main([*args, "--out", str(tmp_path / "plain")]) == 0
+        ann.write_bytes(b"\xef\xbb\xbf" + ann.read_bytes())
+        assert main([*args, "--out", str(tmp_path / "bom")]) == 0
+        assert (tmp_path / "bom" / "rc.csv").read_bytes() == (tmp_path / "plain" / "rc.csv").read_bytes()
 
     def test_annotation_file_that_is_not_utf8_is_named(self, tmp_path, mask_and_ann_dirs, capsys):
         masks, anns = mask_and_ann_dirs

@@ -5,6 +5,7 @@ import copy
 import io
 import json
 import os
+import re
 import struct
 import sys
 import tempfile
@@ -26,7 +27,7 @@ from lsknet.errors import (
 )
 from lsknet.fileio import (
     TENSOR_MAGIC,
-    _read_rest,
+    _fill,
     load_record,
     read_image,
     read_tensor,
@@ -76,11 +77,6 @@ class TestTensorRoundTrip:
         assert raw[:8] == b"LSKT0001"
         assert struct.unpack("<4Q", raw[8:40]) == (1, 2, 3, 4)
         assert len(raw) == 40 + 24 * 4
-
-    def test_expected_shape_mismatch(self, rng):
-        raw = tensor_bytes(rng.standard_normal((1, 2, 3, 4)).astype(np.float32))
-        with pytest.raises(FormatError, match="expected"):
-            read_tensor(io.BytesIO(raw), expected_shape=(1, 2, 3, 5))
 
     def test_special_values_survive(self):
         x = np.array([0.0, -0.0, 1e-38, 3.4e38, np.pi], dtype=np.float32)
@@ -243,6 +239,46 @@ class TestWeights:
             except FormatError:
                 pass  # every failure must be a clean, typed error
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"LSKT0001" + b"\x00" * 16,
+            b"LSKW0",
+            b"LSKW0001\x05",
+            b"LSKW0001" + struct.pack("<I", 100) + b"{}",
+            b"LSKW0001" + struct.pack("<I", 8) + b"not json",
+            b"LSKW0001" + struct.pack("<I", 2) + b"[]",
+            b"LSKW0001" + struct.pack("<I", 21) + b'{"format_version":99}',
+            b"LSKW0001" + struct.pack("<I", 2) + b"{}",
+            b"LSKW0001" + struct.pack("<I", 14) + b'{"entries":5}',
+            *(
+                b"LSKW0001" + struct.pack("<I", len(doc)) + doc + struct.pack("<2f", 1.0, payload)
+                for doc, payload in [
+                    (b'{"entries":[{"name":"a"}]}', 0.0),
+                    (b'{"entries":[{"name":5,"offset":0,"shape":[1]}]}', 0.0),
+                    (b'{"entries":[{"name":"a","offset":"0","shape":[1]}]}', 0.0),
+                    (b'{"entries":[{"name":"a","offset":0,"shape":[0]}]}', 0.0),
+                    (b'{"entries":[{"name":"a","offset":0,"shape":[1]},{"name":"a","offset":4,"shape":[1]}]}',
+                     0.0),
+                    (b'{"entries":[{"name":"a","offset":0,"shape":[2]},{"name":"b","offset":4,"shape":[1]}]}',
+                     0.0),
+                    (b'{"entries":[{"name":"a","offset":0,"shape":[3]}]}', 0.0),
+                    (b'{"entries":[{"name":"a","offset":0,"shape":[2]}]}', np.nan),
+                ]
+            ),
+        ],
+        ids=[
+            "bad-magic", "magic-cut", "length-cut", "manifest-cut", "not-json", "not-an-object", "version",
+            "no-entries", "entries-not-a-list", "entry", "name", "offset", "shape", "duplicate", "overlap",
+            "extent", "NaN",
+        ],
+    )
+    def test_every_error_names_the_file(self, tmp_path, raw):
+        path = tmp_path / "w.lskw"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=re.escape(f"weights {path}")):
+            read_weights(path)
+
 
 class TestImages:
     def test_p5_grayscale_replicates_channels(self):
@@ -278,6 +314,18 @@ class TestImages:
     def test_truncated_payload(self):
         with pytest.raises(TruncatedFileError):
             read_image(io.BytesIO(b"P5\n4 4\n255\n\x00\x00"))
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"", b"P3\n1 1\n255\n0", b"P5\n2 2", b"P5\nx 2 255\n", b"P5\n0 2 255\n", b"P5\n1 1 65535\n\x00\x00",
+         b"P5\n4 4\n255\n\x00\x00"],
+        ids=["empty", "bad-magic", "header-cut", "token", "size", "maxval", "payload-cut"],
+    )
+    def test_every_error_names_the_file(self, tmp_path, raw):
+        path = tmp_path / "i.pgm"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=re.escape(f"image {path}")):
+            read_image(path)
 
 
 class TestRecords:
@@ -593,10 +641,59 @@ def test_short_vectored_read_is_finished(first, sent):
         assert os.readv(r, [header, plane]) == first
         os.write(w, data[first:sent])
         os.close(w)
-        assert _read_rest(r, [header, plane], first) == sent
+        assert _fill(lambda view: os.readv(r, [view]), [header, plane], first) == sent
     finally:
         os.close(r)
     assert bytes(header) + plane.tobytes()[: sent - 40] == data[:sent]
+
+
+class _SevenByteStream(io.BytesIO):
+    """A stream whose ``readinto`` returns at most 7 bytes per call, as a pipe
+    or a socket may."""
+
+    def readinto(self, buf):
+        return super().readinto(memoryview(buf).cast("B")[:7])
+
+
+def test_seven_byte_reads_round_trip_bit_exact(rng):
+    x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
+    y = read_tensor(_SevenByteStream(tensor_bytes(x)))
+    assert y.shape == x.shape and (x.view(np.uint32) == y.view(np.uint32)).all()
+    arrays = {"a.weight": rng.standard_normal((4, 3, 3)).astype(np.float32), "a.bias": np.float32([0.5, -0.0])}
+    buf = io.BytesIO()
+    write_weights(buf, arrays)
+    loaded, _ = read_weights(_SevenByteStream(buf.getvalue()))
+    assert list(loaded) == list(arrays)
+    for name, arr in arrays.items():
+        assert loaded[name].shape == arr.shape and (loaded[name].view(np.uint32) == arr.view(np.uint32)).all()
+
+
+@pytest.mark.parametrize("cut", [3, 10, 30, -3])
+@pytest.mark.parametrize("reader", [read_tensor, read_weights])
+def test_truncated_seven_byte_stream_names_the_stream(rng, reader, cut):
+    x = rng.standard_normal((1, 2, 3, 4)).astype(np.float32)
+    buf = io.BytesIO()
+    if reader is read_tensor:
+        write_tensor(buf, x)
+    else:
+        write_weights(buf, {"x": x})
+    with pytest.raises(TruncatedFileError, match="stream"):
+        reader(_SevenByteStream(buf.getvalue()[:cut]))
+
+
+def test_load_record_takes_one_read_per_file_and_one_per_block_header(tmp_path, monkeypatch):
+    """The manifest takes its data and an empty read at its end; a block's
+    first file a header read and one ``readv``, each later file one ``readv``.
+    Only a short read would take more."""
+    blocks, k = 3, 3
+    save_record(_random_record(2, k, [(4, 4), (2, 3), (1, 1)], np.float32, 0), tmp_path)
+    calls = []
+    for fn in ("read", "readv"):
+        monkeypatch.setattr(os, fn, lambda *args, _fn=getattr(os, fn), _name=fn: calls.append(_name) or _fn(*args))
+    load_record(tmp_path)
+    monkeypatch.undo()
+    assert calls[:2] == ["read", "read"]
+    assert len(calls) == 2 + blocks * (k + 1)
 
 
 @pytest.mark.parametrize(
