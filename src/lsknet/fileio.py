@@ -25,12 +25,11 @@ a payload holding NaN or Inf is a format error.
 
 Paths are opened by one helper and closed on exit (reads unbuffered, writes
 buffered); a stream is used as given and left open.  Every reader error names
-the path, or ``stream``.  A tensor read is one read of the 40-byte header and
-one ``readinto`` of the payload straight into the returned array.  A record is
-read with ``os`` calls and no file objects: ``os.read`` of the manifest until
-the end of the file, then per mask file one ``os.open``, one ``os.readv`` and
-one ``os.close`` (a block's first file reads its header alone, as it sets the
-block's shape; see :func:`load_record`).  Only a read that comes back short (a
+the path, or ``stream``.  Every read is first one direct call: a tensor is one
+read of its 40-byte header and one ``readinto`` straight into the returned
+array; a record is ``os.read`` of its manifest to the end, then per mask file
+one ``os.open``, one ``os.readv`` and one ``os.close`` (a block's first file
+reads its header alone, as it sets the block's shape).  Only a short read (a
 truncated file, a pipe, or a payload above one system call's limit) enters the
 one fill loop, so a record of B blocks of k kernels takes 2 + B * (k + 1)
 reads.  ``os.readv`` exists on POSIX only, so loading a record needs it.
@@ -114,15 +113,30 @@ def _fill(read, buffers, got: int = 0) -> int:
     return done
 
 
-def _read_full(fh, buf, what: str):
+def _read_full(read, src, buffers, want: int) -> int:
+    """Read ``buffers`` full from ``src`` and return the bytes read, fewer than
+    ``want`` only if ``src`` ended.  ``read(src, buffers)`` is ``os.readv`` on
+    a descriptor, or a stream's ``readinto`` of its one buffer.  One direct
+    call reads all the buffers; only a short one enters the fill loop, whose
+    byte views cost numpy memory per array."""
+    got = read(src, buffers) or 0
+    if got < want:
+        got = _fill(lambda view: read(src, (view,)), buffers, got)
+    return got
+
+
+def _read_stream(fh, buf, what: str):
     """Fill ``buf``, a bytearray or an array, from the stream ``fh`` and return
-    it; a stream ending sooner is a truncated ``what``.  Only a short first
-    read enters the fill loop, whose byte view costs numpy memory per array."""
+    it; a stream ending sooner is a truncated ``what``."""
     want = buf.nbytes if isinstance(buf, np.ndarray) else len(buf)
-    got = fh.readinto(buf) or 0
-    if got < want and (got := _fill(fh.readinto, (buf,), got)) < want:
-        raise TruncatedFileError(f"truncated while reading {what}: wanted {want} bytes, got {got}")
+    got = _read_full(lambda stream, bufs: stream.readinto(*bufs), fh, (buf,), want)
+    if got < want:
+        raise _truncated(what, want, got)
     return buf
+
+
+def _truncated(what: str, want: int, got: int) -> TruncatedFileError:
+    return TruncatedFileError(f"truncated while reading {what}: wanted {want} bytes, got {got}")
 
 
 def _json_int(value, where: str, field: str) -> int:
@@ -143,7 +157,7 @@ def _manifest(raw, where: str, malformed: str) -> dict:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"{malformed}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ManifestError(f"{where}: not a JSON object")
+        raise ManifestError(f"{malformed}: not a JSON object")
     version = _json_int(doc.get("format_version", FORMAT_VERSION), where, "format_version")
     if version != FORMAT_VERSION:
         raise ManifestError(f"{where}: unsupported format_version {version!r}")
@@ -195,8 +209,9 @@ def read_tensor(target) -> np.ndarray:
     what = f"tensor {_name(target)}"
     with _opened(target, "rb") as fh:
         header = bytearray(_TENSOR_HEADER)
-        dims = _tensor_dims(header[: _fill(fh.readinto, (header,))], what)
-        out = _read_full(fh, np.empty(dims, dtype=_F4), f"{what} payload")
+        got = _fill(fh.readinto, (header,))
+        dims = _tensor_dims(header[:got], what)
+        out = _read_stream(fh, np.empty(dims, dtype=_F4), f"{what} payload")
     return _finite(out, what)
 
 
@@ -244,16 +259,21 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
     tensor is read with one ``readinto`` straight into its own array."""
     where = f"weights {_name(target)}"
     with _opened(target, "rb") as fh:
-        magic = bytes(_read_full(fh, bytearray(8), f"{where} magic"))
+        magic = bytes(_read_stream(fh, bytearray(8), f"{where} magic"))
         if magic != WEIGHTS_MAGIC:
             raise BadMagicError(f"{where}: not a weights file: magic {magic!r}")
-        (manifest_len,) = struct.unpack("<I", _read_full(fh, bytearray(4), f"{where} manifest length"))
-        manifest_raw = _read_full(fh, bytearray(manifest_len), f"{where} manifest")
+        (manifest_len,) = struct.unpack("<I", _read_stream(fh, bytearray(4), f"{where} manifest length"))
+        start = fh.tell()
+        size = fh.seek(0, os.SEEK_END)
+        if manifest_len > size - start:  # checked before a buffer of the length the file claims is made
+            raise _truncated(f"{where} manifest", manifest_len, size - start)
+        fh.seek(start)
+        manifest_raw = _read_stream(fh, bytearray(manifest_len), f"{where} manifest")
         doc = _manifest(manifest_raw, where, f"{where}: manifest is not valid UTF-8 JSON")
         if not isinstance(doc.get("entries"), list):  # absent, or nothing to iterate
             raise ManifestError(f"{where}: manifest missing 'entries'")
-        start = fh.tell()
-        payload_len = fh.seek(0, os.SEEK_END) - start
+        start += manifest_len
+        payload_len = size - start
 
         entries: dict[str, tuple[int, tuple[int, ...]]] = {}
         spans: list[tuple[int, int, str]] = []
@@ -288,7 +308,7 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
         arrays = {}
         for name, (off, shape) in entries.items():
             fh.seek(start + off)
-            out = _read_full(fh, np.empty(shape, dtype=_F4), f"{where} tensor {name!r}")
+            out = _read_stream(fh, np.empty(shape, dtype=_F4), f"{where} tensor {name!r}")
             arrays[name] = _finite(out, f"{where}: tensor {name!r}")
     return arrays, Manifest(entries=entries)
 
@@ -449,8 +469,7 @@ def load_record(directory: str | Path) -> ActivationRecord:
                 fd = os.open(base + name, os.O_RDONLY)
                 try:
                     if first is None:  # the block's first file sets its shape: its header comes alone
-                        if (got := os.readv(fd, (header,))) < _TENSOR_HEADER:
-                            got = _fill(lambda view: os.readv(fd, (view,)), (header,), got)
+                        got = _read_full(os.readv, fd, (header,), _TENSOR_HEADER)
                         dims = _tensor_dims(header[:got], f"mask file {name} in {folder}")
                         if dims[1] != 1:
                             raise _shape_error(stage, depth, folder, name, dims, (dims[0], 1, *dims[2:]))
@@ -460,7 +479,9 @@ def load_record(directory: str | Path) -> ActivationRecord:
                         buffers, want = (planes[0],), payload
                     else:
                         buffers, want = (header, planes[plane]), _TENSOR_HEADER + payload
-                    if (got := os.readv(fd, buffers)) < want:
+                    # _read_full written out: a call per file costs load_record about 3%
+                    got = os.readv(fd, buffers)
+                    if got < want:
                         got = _fill(lambda view: os.readv(fd, (view,)), buffers, got)
                 finally:
                     os.close(fd)
@@ -471,10 +492,7 @@ def load_record(directory: str | Path) -> ActivationRecord:
                 dims = _tensor_dims(header[:got], f"mask file {name} in {folder}")
                 raise _shape_error(stage, depth, folder, name, dims, (planes.shape[1], 1, *planes.shape[2:]))
             if got < want:
-                raise TruncatedFileError(
-                    f"truncated while reading mask file {name} in {folder}: "
-                    f"wanted {payload} bytes, got {got - (want - payload)}"
-                )
+                raise _truncated(f"mask file {name} in {folder}", payload, got - (want - payload))
         if not np.isfinite(planes).all():  # then find the file to name
             for name, plane in zip(names, planes):
                 _finite(plane, f"mask file {name} in {folder}")

@@ -159,6 +159,20 @@ class TestWeights:
         with pytest.raises(TruncatedFileError):
             read_weights(io.BytesIO(raw[:10]))
 
+    @pytest.mark.parametrize("as_path", [True, False], ids=["path", "stream"])
+    def test_manifest_length_beyond_the_file_allocates_nothing(self, tmp_path, as_path):
+        """A 12-byte file claiming a 4 GiB manifest is refused before a buffer
+        of that size is made."""
+        raw = b"LSKW0001" + struct.pack("<I", 0xFFFFFFFF)
+        path = tmp_path / "bad.lskw"
+        path.write_bytes(raw)
+        target = path if as_path else io.BytesIO(raw)
+        name = re.escape(str(path) if as_path else "stream")
+        with pytest.raises(TruncatedFileError, match=f"weights {name} manifest: wanted 4294967295 bytes, got 0"):
+            read_weights(target)
+        target = path if as_path else io.BytesIO(raw)
+        assert peak_allocation(lambda: pytest.raises(TruncatedFileError, read_weights, target)) < 1 << 16
+
     def test_manifest_must_be_json(self):
         payload = b"this is not json"
         raw = b"LSKW0001" + struct.pack("<I", len(payload)) + payload
@@ -413,6 +427,13 @@ class TestRecords:
         directory = self._manifest_case(rng, tmp_path)
         (directory / "manifest.json").write_bytes(raw)
         with pytest.raises(ManifestError, match=r"malformed record manifest in .*img.*utf-8"):
+            load_record(directory)
+
+    @pytest.mark.parametrize("raw", [b"[5, 23]", b'"rf"', b"7"], ids=["list", "string", "number"])
+    def test_manifest_that_is_not_an_object(self, rng, tmp_path, raw):
+        directory = self._manifest_case(rng, tmp_path)
+        (directory / "manifest.json").write_bytes(raw)
+        with pytest.raises(ManifestError, match=r"malformed record manifest in .*img: not a JSON object"):
             load_record(directory)
 
 
