@@ -248,14 +248,16 @@ def analyze_images(
         if not pairs:
             log.info("category %s excluded: no eligible single-category images", category)
             continue
+        counts = sorted({rec.n_kernels for rec, _ in pairs})
+        if len(counts) > 1:  # one count decides whether differences are computed, in any image order
+            raise AnalysisError(f"category {category!r}: records hold different kernel counts {counts}")
         terms = [_record_terms(rec) for rec, _ in pairs]
         raw = float(np.mean([t[0] / area for t, (_, area) in zip(terms, pairs)]))
         stats.append(
             CategoryStats(category=category, r_c_raw=raw, r_c_normalized=1.0, image_count=len(pairs))
         )
-        records = [rec for rec, _ in pairs]
-        if records[0].n_kernels == 2:
-            diffs[category] = _selection_diffs(category, records, [t[1] for t in terms])
+        if counts == [2]:
+            diffs[category] = _selection_diffs(category, [rec for rec, _ in pairs], [t[1] for t in terms])
     for s, norm in zip(stats, _normalize([s.r_c_raw for s in stats])):
         s.r_c_normalized = norm
     return stats, diffs

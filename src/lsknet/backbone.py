@@ -1,10 +1,10 @@
 """Four-stage pyramid backbone built from selection blocks.
 
-Layout: a 7x7 stride-4 stem, then four stages of blocks at spatial reductions
-4, 8, 16 and 32, joined by 3x3 stride-2 downsamplers.  The stem and the
-downsamplers are one conv-norm layer (:class:`ConvNormParams`, the released
-code's ``OverlapPatchEmbed``: a :class:`~lsknet.module.ConvParams` conv, a
-norm and a stride) with one forward and one backward function.
+Layout: four stages (:class:`StageParams`) at spatial reductions 4, 8, 16
+and 32, each its embedding, then its blocks.  An embedding is one conv-norm
+layer (:class:`ConvNormParams`, the released code's ``OverlapPatchEmbed``: a
+conv zero-padded by k // 2, a norm and a stride) with one forward and one
+backward function: the 7x7 stride-4 ``stem``, then 3x3 stride-2 ``down<i>``.
 Named presets follow the two published variants:
 
 * ``T``: channels (32, 64, 160, 256), depths (3, 3, 5, 2)
@@ -62,9 +62,11 @@ __all__ = [
     "DEFAULT_PLAN",
     "STEM_STRIDE",
     "DOWN_STRIDE",
+    "EMBED_NAMES",
     "MAX_ELEMENTS",
     "BackboneConfig",
     "ConvNormParams",
+    "StageParams",
     "BackboneParams",
     "BackboneOutput",
     "ActivationRecord",
@@ -80,6 +82,9 @@ __all__ = [
 DEFAULT_PLAN = validate_plan([(5, 1), (7, 3)])
 STEM_STRIDE = 4
 DOWN_STRIDE = 2
+# the weight-name prefix, and the kernel and stride, of each stage's embedding
+EMBED_NAMES = ("stem", "down1", "down2", "down3")
+_EMBEDS = ((7, STEM_STRIDE), (3, DOWN_STRIDE), (3, DOWN_STRIDE), (3, DOWN_STRIDE))
 # the largest array a configuration may hold; the file readers refuse larger
 MAX_ELEMENTS = 1 << 31
 
@@ -175,15 +180,11 @@ class ActivationRecord:
 
 @dataclass
 class ConvNormParams:
-    """A dense k x k conv at ``stride`` with padding k // 2, then a norm."""
+    """A dense k x k conv at ``stride`` (the op pads k // 2), then a norm."""
 
     conv: ConvParams  # weight (c_out, c_in, k, k)
     norm: NormParams
     stride: int
-
-    @property
-    def padding(self) -> int:
-        return self.conv.weight.shape[2] // 2
 
 
 def _init_conv_norm(rng, c_in: int, c_out: int, k: int, stride: int) -> ConvNormParams:
@@ -191,11 +192,17 @@ def _init_conv_norm(rng, c_in: int, c_out: int, k: int, stride: int) -> ConvNorm
 
 
 @dataclass
+class StageParams:
+    """One stage: its embedding conv-norm layer, then its blocks."""
+
+    embed: ConvNormParams
+    blocks: list[BlockParams]
+
+
+@dataclass
 class BackboneParams:
     config: BackboneConfig
-    stem: ConvNormParams
-    stages: list[list[BlockParams]]
-    downs: list[ConvNormParams]  # 3 entries, between consecutive stages
+    stages: list[StageParams]  # 4 entries
 
 
 def init_backbone_params(config: BackboneConfig, seed: int | None = 0) -> BackboneParams:
@@ -204,11 +211,9 @@ def init_backbone_params(config: BackboneConfig, seed: int | None = 0) -> Backbo
     all read-only zero-stride views holding no memory (read it as
     ``config.shape_tree``, built once per config)."""
     rng = None if seed is None else np.random.default_rng(seed)
-    stem = _init_conv_norm(rng, 3, config.channels[0], 7, STEM_STRIDE)
-    stages: list[list[BlockParams]] = []
-    downs: list[ConvNormParams] = []
-    for i in range(4):
-        c = config.channels[i]
+    stages: list[StageParams] = []
+    for i, (c_in, c) in enumerate(zip((3, *config.channels), config.channels)):
+        embed = _init_conv_norm(rng, c_in, c, *_EMBEDS[i])
         blocks = [
             init_block_params(
                 config.plan,
@@ -220,10 +225,8 @@ def init_backbone_params(config: BackboneConfig, seed: int | None = 0) -> Backbo
             )
             for _ in range(config.depths[i])
         ]
-        stages.append(blocks)
-        if i < 3:
-            downs.append(_init_conv_norm(rng, c, config.channels[i + 1], 3, DOWN_STRIDE))
-    return BackboneParams(config=config, stem=stem, stages=stages, downs=downs)
+        stages.append(StageParams(embed, blocks))
+    return BackboneParams(config=config, stages=stages)
 
 
 def backbone_params_astype(params: BackboneParams, dtype) -> BackboneParams:
@@ -237,12 +240,11 @@ def backbone_params_astype(params: BackboneParams, dtype) -> BackboneParams:
 
 def named_arrays(params: BackboneParams) -> dict[str, np.ndarray]:
     """Stable dotted-name view of every tensor in the backbone."""
-    out = dict(prefixed("stem", parameter_arrays(params.stem)))
-    for i, blocks in enumerate(params.stages):
-        for j, bp in enumerate(blocks):
+    out: dict[str, np.ndarray] = {}
+    for i, stage in enumerate(params.stages):
+        out.update(prefixed(EMBED_NAMES[i], parameter_arrays(stage.embed)))
+        for j, bp in enumerate(stage.blocks):
             out.update(prefixed(f"stage{i + 1}.block{j}", parameter_arrays(bp)))
-        if i < 3:
-            out.update(prefixed(f"down{i + 1}", parameter_arrays(params.downs[i])))
     return out
 
 
@@ -323,29 +325,28 @@ def backbone_forward(
     if not np.isfinite(x).all():
         raise LskError("backbone_forward: input holds NaN or Inf values")
 
-    cur, stem_state = _conv_norm_forward(x, params.stem, train_norm, keep_state)
-    layers = [("stem", _conv_norm_backward, stem_state)]
+    layers = []
     record = ActivationRecord(rf=params.config.plan.rf_per_stage)
     features: list[Tensor4] = []
-    for i in range(4):
-        for j, bp in enumerate(params.stages[i]):
+    cur = x
+    for i, stage in enumerate(params.stages):
+        cur, embed_state = _conv_norm_forward(cur, stage.embed, train_norm, keep_state)
+        layers.append((EMBED_NAMES[i], _conv_norm_backward, embed_state))
+        for j, bp in enumerate(stage.blocks):
             out = block_forward(cur, bp, train_norm=train_norm, keep_state=keep_state)
             cur = out.y
             if out.masks is not None:
                 record.masks[(i + 1, j + 1)] = out.masks
             layers.append((f"stage{i + 1}.block{j}", block_backward, out.state))
         features.append(cur)
-        if i < 3:
-            cur, down_state = _conv_norm_forward(cur, params.downs[i], train_norm, keep_state)
-            layers.append((f"down{i + 1}", _conv_norm_backward, down_state))
     state = BackboneState(layers) if keep_state else None
     return BackboneOutput(features=features, record=record, state=state)
 
 
 def _conv_norm_forward(x: Tensor4, p: ConvNormParams, train_norm: bool, keep_state: bool):
-    """``(y, state)`` of the stem or a downsampler; ``state`` is ``None``
-    unless ``keep_state``."""
-    conv_out = ops.conv2d(x, p.conv.weight, p.conv.bias, p.stride, p.padding)
+    """``(y, state)`` of a stage's embedding; ``state`` is ``None`` unless
+    ``keep_state``."""
+    conv_out = ops.conv2d(x, p.conv.weight, p.conv.bias, p.stride)
     y, norm_cache = norm_forward(conv_out, p.norm, train_norm)
     return y, (_ConvNormState(p, x, norm_cache) if keep_state else None)
 
@@ -355,7 +356,7 @@ def _conv_norm_backward(grad: Tensor4, state: _ConvNormState) -> tuple[Tensor4, 
     ``norm.*``."""
     p = state.params
     g_conv, g_scale, g_shift = norm_backward(grad, p.norm, state.norm_cache)
-    g_in, g_w, g_b = ops.conv2d_backward(g_conv, state.x, p.conv.weight, p.stride, p.padding)
+    g_in, g_w, g_b = ops.conv2d_backward(g_conv, state.x, p.conv.weight, p.stride)
     return g_in, {"norm.scale": g_scale, "norm.shift": g_shift, "conv.weight": g_w, "conv.bias": g_b}
 
 

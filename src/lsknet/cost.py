@@ -5,7 +5,8 @@ the shapes of a parameter tree (``LskModuleParams``, ``BlockParams``,
 ``BackboneParams``), such as the shape-only tree ``init_*`` build with no
 generator or seed: every width, kernel size and selection mode is read off
 the arrays a layer holds, so ``params`` equals the learnable array sizes by
-construction; :func:`cost_backbone` reads the config's own ``shape_tree``.
+construction.  :func:`cost_backbone` walks the config's own ``shape_tree``
+stage by stage: the embedding at ceil(side / stride), then the blocks there.
 The plan search ranks a plan by the ``convs`` node of the walk over
 ``init_lsk_params(plan, 64, 32)``.
 
@@ -36,7 +37,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .backbone import BackboneConfig, ConvNormParams, check_input_size
+from .backbone import BackboneConfig, ConvNormParams, EMBED_NAMES, check_input_size
 from .block import BlockParams, NormParams
 from .errors import ShapeError
 from .module import ConvParams, LskModuleParams, SelectionMode
@@ -213,10 +214,9 @@ def cost_block(params: BlockParams, h: int, w: int) -> CostReport:
 
 
 def _cost_conv_norm(p: ConvNormParams, h: int, w: int) -> tuple[CostReport, int, int]:
-    """The stem or a downsampler at its conv's output resolution, plus that
+    """A stage's embedding at its conv's output resolution, plus that
     resolution."""
-    k = p.conv.weight.shape[2]
-    oh, ow = conv_out_size(h, k, p.stride, p.padding), conv_out_size(w, k, p.stride, p.padding)
+    oh, ow = conv_out_size(h, p.stride), conv_out_size(w, p.stride)
     report = combine([("conv", _conv_leaf(p.conv, oh * ow)), ("norm", cost_norm(p.norm, oh, ow))])
     return report, oh, ow
 
@@ -225,20 +225,16 @@ def cost_backbone(config: BackboneConfig, h: int, w: int) -> CostReport:
     """Whole-backbone cost at input resolution (h, w), read off
     ``config.shape_tree``, the shape-only tree the config built once.
 
-    The stem and the between-stage downsamplers are conv-norm layers (a dense
-    conv, then a norm) and show up as their own breakdown entries so their
-    contribution to the totals is auditable.
+    Each stage's embedding (the stem or a downsampler: a dense conv, then a
+    norm) shows up as its own breakdown entry before the stage's blocks, so
+    its contribution to the totals is auditable.
     """
     check_input_size(h, w, "cost_backbone")
-    params = config.shape_tree
-    stem, ch, cw = _cost_conv_norm(params.stem, h, w)
-    parts = [("stem", stem)]
-    for i, blocks in enumerate(params.stages):
-        stage = combine((f"block{j}", cost_block(bp, ch, cw)) for j, bp in enumerate(blocks))
-        parts.append((f"stage{i + 1}", stage))
-        if i < len(params.downs):
-            down, ch, cw = _cost_conv_norm(params.downs[i], ch, cw)
-            parts.append((f"down{i + 1}", down))
+    parts = []
+    for i, stage in enumerate(config.shape_tree.stages):
+        embed, h, w = _cost_conv_norm(stage.embed, h, w)
+        blocks = combine((f"block{j}", cost_block(bp, h, w)) for j, bp in enumerate(stage.blocks))
+        parts += [(EMBED_NAMES[i], embed), (f"stage{i + 1}", blocks)]
     return combine(parts)
 
 

@@ -34,10 +34,12 @@ truncated file, a pipe, or a payload above one system call's limit) enters the
 one fill loop, so a record of B blocks of k kernels takes 2 + B * (k + 1)
 reads.  ``os.readv`` exists on POSIX only, so loading a record needs it.
 
-Writing a record refuses, before any file is written, a block that is not 4-D,
-does not hold one plane per receptive field, or holds values that are not
-finite as float32: a FormatError naming the block, since the reader would
-refuse the files or the record would lose planes.
+Writing refuses what the readers refuse, before any byte is written or any
+path created: values that are not finite as float32 (NaN, Inf, or a float64
+past float32's range) are a FormatError naming the tensor, the weight entry
+or the record's block.  A record's block must also be 4-D and hold one plane
+per receptive field, else the reader would refuse the files or the record
+would lose planes; its planes are then written unchecked.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ WEIGHTS_MAGIC = b"LSKW0001"
 FORMAT_VERSION = 1  # the one manifest layout the readers know; a missing key means 1
 _F4 = np.dtype("<f4")
 _TENSOR_HEADER = 40  # magic plus four u64 dims
+_FINITE_CHUNK = 1 << 16  # values per finiteness check of a writer
 
 
 def _opened(target, mode: str):
@@ -164,6 +167,23 @@ def _manifest(raw, where: str, malformed: str) -> dict:
     return doc
 
 
+def _float32(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` as a C-contiguous float32 array; a value that is not finite as
+    float32 is a FormatError naming ``what``.  The check reads
+    ``_FINITE_CHUNK`` values at a time, so its boolean mask stays small: a
+    writer holds no copy of a float32 tensor."""
+    if arr.dtype == _F4:  # numpy's error state costs about 1 us per call
+        out = np.ascontiguousarray(arr)
+    else:
+        with np.errstate(over="ignore"):  # an overflow reads as Inf below
+            out = np.ascontiguousarray(arr, dtype=_F4)
+    flat = out.reshape(-1)
+    for i in range(0, flat.size, _FINITE_CHUNK):
+        if not np.isfinite(flat[i : i + _FINITE_CHUNK]).all():
+            raise FormatError(f"{what} holds NaN or Inf values (as float32)")
+    return out
+
+
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     """Return ``arr``; a payload holding NaN or Inf is a format error."""
     if not np.isfinite(arr).all():
@@ -176,9 +196,15 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def write_tensor(target, x: np.ndarray) -> None:
-    """Write a rank-4 float array as an LSKT file (path or binary stream)."""
+    """Write a rank-4 float array, finite as float32, as an LSKT file (path or
+    binary stream)."""
     if x.ndim != 4:
         raise FormatError(f"write_tensor: expected rank-4 array, got shape {x.shape}")
+    _write_tensor(target, _float32(x, f"write_tensor: tensor {_name(target)}"))
+
+
+def _write_tensor(target, x: np.ndarray) -> None:
+    """:func:`write_tensor` without its checks, for arrays already checked."""
     with _opened(target, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<4Q", *x.shape))
@@ -230,10 +256,12 @@ class Manifest:
 def write_weights(target, arrays: Mapping[str, np.ndarray]) -> Manifest:
     """Write named float arrays contiguously; returns the manifest written.
     The offsets come from the shapes, and each tensor is written from its own
-    float32 array, so at most one converted copy is held at a time."""
+    float32 array, so at most one converted copy is held at a time; every
+    array is checked finite as float32 before the first byte is written."""
     entries: dict[str, tuple[int, tuple[int, ...]]] = {}
     offset = 0
     for name, arr in arrays.items():
+        _float32(arr, f"write_weights: entry {name!r}")
         entries[name] = (offset, tuple(arr.shape))
         offset += math.prod(arr.shape) * _F4.itemsize
     manifest = Manifest(entries=entries)
@@ -387,19 +415,14 @@ def save_record(record: ActivationRecord, directory: str | Path) -> list[Path]:
                 f"save_record: block {block} has masks of shape {masks.shape}, "
                 f"want (n, {record.n_kernels}, h, w) for rf {list(record.rf)}"
             )
-        if masks.dtype != _F4:  # converted once per block; an overflow reads as Inf below
-            with np.errstate(over="ignore"):
-                masks = masks.astype(_F4)
-        if not np.isfinite(masks).all():
-            raise FormatError(f"save_record: block {block} holds NaN or Inf values (as float32)")
-        blocks[block] = masks
+        blocks[block] = _float32(masks, f"save_record: block {block}")  # converted once per block
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     for block, masks in blocks.items():
         for n_idx in range(record.n_kernels):
             path = out / f"{block}_{n_idx + 1}.lskt"
-            write_tensor(path, masks[:, n_idx : n_idx + 1])
+            _write_tensor(path, masks[:, n_idx : n_idx + 1])  # checked above
             written.append(path)
     doc = {
         "format_version": FORMAT_VERSION,

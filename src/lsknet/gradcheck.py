@@ -210,8 +210,8 @@ _CASES: dict[str, Callable[[np.random.Generator], _Case]] = {
     ),
     "conv2d": _op(
         [("x", (2, 3, 6, 6)), ("w", (4, 3, 3, 3)), ("b", (4,))],
-        lambda x, w, b: ops.conv2d(x, w, b, stride=2, padding=1),
-        lambda g, x, w, b: ops.conv2d_backward(g, x, w, stride=2, padding=1),
+        lambda x, w, b: ops.conv2d(x, w, b, stride=2),
+        lambda g, x, w, b: ops.conv2d_backward(g, x, w, stride=2),
     ),
     "pointwise_conv": _op(
         [("x", (2, 3, 4, 4)), ("w", (5, 3)), ("b", (5,))],

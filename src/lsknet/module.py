@@ -127,10 +127,6 @@ class LskModuleParams:
     def n_kernels(self) -> int:
         return self.plan.n_kernels
 
-    @property
-    def select_kernel(self) -> int:
-        return int(self.select.weight.shape[2])
-
     def validate(self) -> None:
         n = self.n_kernels
         if self.fuse.weight.ndim != 2:
@@ -299,8 +295,7 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
         h = ops.concat_channels(mixed)
         h = ops.concat_channels([ops.channel_pool(h, m) for m in params.pooling])
         keep(pooled=h)
-        q = params.select_kernel
-        masks = ops.sigmoid(ops.conv2d(h, params.select.weight, params.select.bias, padding=(q - 1) // 2))
+        masks = ops.sigmoid(ops.conv2d(h, params.select.weight, params.select.bias))
         keep(masks=masks)
         weights = [masks[:, i : i + 1] for i in range(n)]
     elif mode is SelectionMode.CHANNEL:
@@ -353,9 +348,8 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
         grad_mixed, grad_weights = zip(*pairs)
     if params.mode is SelectionMode.SPATIAL:
         grad_logits = ops.sigmoid_backward(ops.concat_channels(grad_weights), state.masks)
-        q = params.select_kernel
         grad_pooled, grads["select.weight"], grads["select.bias"] = ops.conv2d_backward(
-            grad_logits, state.pooled, params.select.weight, padding=(q - 1) // 2
+            grad_logits, state.pooled, params.select.weight
         )
         desc_grads = ops.concat_channels_backward(grad_pooled, [1] * len(params.pooling))
         cat = ops.concat_channels(state.u_mixed)

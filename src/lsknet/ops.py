@@ -321,7 +321,8 @@ def depthwise_conv_backward(
 # dense (channel-mixing) convolution
 # ---------------------------------------------------------------------------
 # Exists as plumbing for the stem, the between-stage downsamplers and the
-# 2->N selection conv; it is not a general-purpose strided-conv API.
+# 2->N selection conv, all three same-padded by k // 2, so the op pads that
+# itself and takes odd kernels only; it is not a general-purpose conv API.
 
 def _conv_taps(k: int, stride: int, oh: int, ow: int):
     """Row and column slices of every kernel tap, in row-major tap order."""
@@ -354,24 +355,22 @@ def _batch_matmul_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def conv_out_size(size: int, k: int, stride: int, padding: int) -> int:
-    """Output length of a dense conv along one axis."""
-    return (size + 2 * padding - k) // stride + 1
+def conv_out_size(size: int, stride: int) -> int:
+    """Output length of a dense conv along one axis: ceil(size / stride)."""
+    return -(-size // stride)
 
 
-def _check_conv2d_args(
-    name: str, c: int, weights: np.ndarray, stride: int, padding: int
-) -> tuple[int, int]:
-    """Check square (c_out, c, k, k) weights, stride >= 1 and padding >= 0;
+def _check_conv2d_args(name: str, c: int, weights: np.ndarray, stride: int) -> tuple[int, int]:
+    """Check square (c_out, c, k, k) weights with k odd, and stride >= 1;
     return (c_out, k)."""
     if weights.ndim != 4 or weights.shape[1] != c or weights.shape[2] != weights.shape[3]:
         raise ShapeError(
             f"{name}: weights shape {weights.shape} does not match input channels {c}"
         )
+    if weights.shape[2] % 2 == 0:
+        raise ShapeError(f"{name}: kernel must be odd to pad k // 2, got {weights.shape[2]}")
     if stride < 1:
         raise ShapeError(f"{name}: stride must be >= 1, got {stride}")
-    if padding < 0:
-        raise ShapeError(f"{name}: padding must be >= 0, got {padding}")
     return weights.shape[0], weights.shape[2]
 
 
@@ -380,17 +379,14 @@ def conv2d(
     weights: np.ndarray,
     bias: np.ndarray,
     stride: int = 1,
-    padding: int = 0,
 ) -> Tensor4:
-    """Dense convolution: weights (c_out, c_in, k, k), square kernel, stride >= 1."""
+    """Dense convolution padded by k // 2: weights (c_out, c_in, k, k), odd k, stride >= 1."""
     check_float_input(x, "conv2d")
     n, c, h, w = x.shape
-    c_out, k = _check_conv2d_args("conv2d", c, weights, stride, padding)
+    c_out, k = _check_conv2d_args("conv2d", c, weights, stride)
     _check_vector(bias, c_out, "conv2d: bias")
-    oh, ow = conv_out_size(h, k, stride, padding), conv_out_size(w, k, stride, padding)
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"conv2d: kernel {k} does not fit input {h}x{w} with padding {padding}")
-    patches = _im2col(_pad2d(x, padding), k, stride, oh, ow)
+    oh, ow = conv_out_size(h, stride), conv_out_size(w, stride)
+    patches = _im2col(_pad2d(x, k // 2), k, stride, oh, ow)
     wmat = weights.reshape(c_out, c * k * k).astype(x.dtype, copy=False)
     out = np.matmul(wmat, patches).reshape(n, c_out, oh, ow)
     out += bias[None, :, None, None]
@@ -402,20 +398,20 @@ def conv2d_backward(
     x: Tensor4,
     weights: np.ndarray,
     stride: int = 1,
-    padding: int = 0,
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Gradients of conv2d w.r.t. input, weights and bias."""
     check_tensor4(grad_out, "conv2d_backward: grad_out")
     check_float_input(x, "conv2d_backward")
     n, c, h, w = x.shape
-    c_out, k = _check_conv2d_args("conv2d_backward", c, weights, stride, padding)
+    c_out, k = _check_conv2d_args("conv2d_backward", c, weights, stride)
     oh, ow = grad_out.shape[2], grad_out.shape[3]
-    expected = (conv_out_size(h, k, stride, padding), conv_out_size(w, k, stride, padding))
+    expected = (conv_out_size(h, stride), conv_out_size(w, stride))
     if grad_out.shape != (n, c_out, *expected):
         raise ShapeError(
             f"conv2d_backward: grad_out shape {grad_out.shape} != expected {(n, c_out, *expected)}"
         )
-    xp = _pad2d(x, padding)
+    pad = k // 2
+    xp = _pad2d(x, pad)
     g = grad_out.reshape(n, c_out, oh * ow)
     patches = _im2col(xp, k, stride, oh, ow)
     grad_w = _batch_matmul_sum(g, patches.transpose(0, 2, 1))
@@ -425,7 +421,7 @@ def conv2d_backward(
     grad_xp = np.zeros_like(xp)
     for i, j, rows, cols in _conv_taps(k, stride, oh, ow):
         grad_xp[:, :, rows, cols] += grad_patches[:, :, i, j]
-    grad_x = grad_xp[:, :, padding : padding + h, padding : padding + w] if padding else grad_xp
+    grad_x = grad_xp[:, :, pad : pad + h, pad : pad + w] if pad else grad_xp
     grad_b = grad_out.sum(axis=(0, 2, 3))
     return np.ascontiguousarray(grad_x), grad_w, grad_b
 

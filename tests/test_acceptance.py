@@ -111,7 +111,7 @@ def test_criterion_3_forward_oracle_equivalence():
             stride = int(rng.choice([1, 2]))
             wc, bc = rand((c_out, c, 3, 3)), rand((c_out,))
             np.testing.assert_allclose(
-                ops.conv2d(x, wc, bc, stride=stride, padding=1),
+                ops.conv2d(x, wc, bc, stride=stride),
                 conv2d_loops(x, wc, bc, stride, 1),
                 atol=1e-6,
             )

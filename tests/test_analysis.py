@@ -267,6 +267,21 @@ class TestSelectionDiff:
         (d,) = diffs["ship"]
         assert d.delta_raw == 1.0 and d.delta_abs == 1.0
 
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["one-kernel-first", "two-kernel-first"])
+    def test_mixed_kernel_counts_in_a_category_are_refused(self, order):
+        """Whatever the image order, a category whose records hold different
+        kernel counts is an error naming the category and the counts; a
+        category of its own count alone is analysed as before."""
+        ship = [
+            (record([5], {(1, 1): const_masks([0.5])}), [box(0, 0, 4, 4)]),
+            (record([5, 23], {(1, 1): const_masks([0.2, 0.4])}), [box(0, 0, 4, 4)]),
+        ]
+        with pytest.raises(AnalysisError, match=r"^category 'ship': records hold different kernel counts \[1, 2\]$"):
+            analyze_images([ship[i] for i in order])
+        plane = (record([5, 23], {(1, 1): const_masks([0.2, 0.4])}), [box(0, 0, 4, 4, "plane")])
+        stats, diffs = analyze_images([ship[0], plane][:: 1 if order[0] == 0 else -1])
+        assert [s.category for s in stats] == ["plane", "ship"] and list(diffs) == ["plane"]
+
     def test_three_kernel_plan_rejected(self):
         rec = record([3, 11, 29], {(1, 1): const_masks([0.2, 0.4, 0.6])})
         with pytest.raises(AnalysisError, match="2-kernel"):

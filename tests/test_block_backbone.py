@@ -2,6 +2,7 @@
 ladders, mask bookkeeping, weight round-trips and determinism."""
 
 import io
+import itertools
 import json
 import os
 import re
@@ -26,6 +27,7 @@ from lsknet.backbone import (
     params_from_arrays,
 )
 from lsknet.block import block_backward, block_forward, ffn_groups, init_block_params
+from lsknet.cost import cost_backbone
 from lsknet.errors import LskError, ShapeError, WeightMismatchError
 from lsknet.fileio import read_weights, write_weights
 from lsknet.module import SelectionMode, lsk_forward, parameter_arrays, params_astype
@@ -437,7 +439,7 @@ class TestBackboneForward:
         selection module's output, 89.4 while it also kept its norm outputs)."""
         params = init_backbone_params(BackboneConfig.variant("T"), seed=0)
         x = np.random.default_rng(0).uniform(-1, 1, size=(1, 3, 256, 256)).astype(np.float32)
-        hidden = params.stages[0][0].ffn.fc1.weight.shape[0] * 64 * 64 * x.itemsize  # 4 MiB
+        hidden = params.stages[0].blocks[0].ffn.fc1.weight.shape[0] * 64 * 64 * x.itemsize  # 4 MiB
         assert peak_allocation(backbone_forward, x, params) <= 1.5 * hidden
         assert peak_allocation(backbone_forward, x, params, True) <= 58.6 * 2**20
 
@@ -456,6 +458,25 @@ class TestBackboneForward:
 
 
 class TestWeightPlumbing:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        channels=st.tuples(*[st.integers(1, 8)] * 4),
+        depths=st.tuples(*[st.integers(1, 3)] * 4),
+        mode=st.sampled_from(list(SelectionMode)),
+    )
+    def test_names_and_cost_tree_follow_the_stage_order(self, channels, depths, mode):
+        """Each stage is its embedding, then its blocks: the weight names run
+        stem.*, stage1.block0.* ... , down1.*, ... , stage4.block{d-1}.*, and
+        the cost tree's top level reads stem, stage1, down1, ... , stage4."""
+        cfg = BackboneConfig(channels=channels, depths=depths, selection_mode=mode)
+        layers = [re.match(r"(stem|down\d|stage\d\.block\d+)\.", name)[1] for name in named_arrays(cfg.shape_tree)]
+        want = []
+        for i, depth in enumerate(depths):
+            want += [f"down{i}" if i else "stem", *(f"stage{i + 1}.block{j}" for j in range(depth))]
+        assert [layer for layer, _ in itertools.groupby(layers)] == want
+        top = ["stem", "stage1", "down1", "stage2", "down2", "stage3", "down3", "stage4"]
+        assert [name for name, _ in cost_backbone(cfg, 32, 32).breakdown] == top
+
     def test_named_arrays_round_trip(self):
         params = init_backbone_params(TINY, seed=3)
         arrays = {k: v.copy() for k, v in named_arrays(params).items()}
@@ -481,7 +502,7 @@ class TestWeightPlumbing:
         cfg = replace(TINY, selection_mode=mode, pooling=pooling)
         seeded = init_backbone_params(cfg, seed=0)
         loaded = params_from_arrays(cfg, named_arrays(seeded))
-        for bp in (bp for blocks in loaded.stages for bp in blocks):
+        for bp in (bp for stage in loaded.stages for bp in stage.blocks):
             assert bp.lsk.mode is mode
             assert bp.lsk.pooling == (pooling if mode is SelectionMode.SPATIAL else ())
         x = rng.uniform(-1, 1, size=(1, 3, 32, 32)).astype(np.float32)

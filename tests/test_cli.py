@@ -10,8 +10,9 @@ import pytest
 
 import lsknet
 from lsknet import cli, ops
+from lsknet.backbone import ActivationRecord
 from lsknet.cli import main
-from lsknet.fileio import write_tensor
+from lsknet.fileio import save_record, write_tensor
 
 
 @pytest.fixture
@@ -340,6 +341,22 @@ class TestAnalyzeCommand:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert err.splitlines()[-1].startswith(f"error: annotation file {anns / 'input.txt'} is not valid UTF-8")
+
+    @pytest.mark.parametrize("one_kernel_stem", ["a", "b"])
+    def test_mixed_kernel_counts_in_a_category_fail(self, tmp_path, one_kernel_stem, capsys):
+        """Whichever image sorts first, a category recorded with 1- and
+        2-kernel plans fails naming the category and both counts."""
+        masks, anns = tmp_path / "masks", tmp_path / "anns"
+        anns.mkdir()
+        for stem in ("a", "b"):
+            rf = (5,) if stem == one_kernel_stem else (5, 23)
+            save_record(ActivationRecord(rf=rf, masks={(1, 1): np.full((1, len(rf), 4, 4), 0.5)}), masks / stem)
+            (anns / f"{stem}.txt").write_text("0 0 10 0 10 10 0 10 ship 0\n")
+        assert main(["analyze", "--masks", str(masks), "--annotations", str(anns),
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: category 'ship': records hold different kernel counts [1, 2]"
+        assert not (tmp_path / "o").exists()
 
     def test_missing_masks_dir_fails(self, tmp_path, capsys):
         assert main(["analyze", "--masks", str(tmp_path / "nope"),

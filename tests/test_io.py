@@ -46,6 +46,15 @@ def tensor_bytes(x):
     return buf.getvalue()
 
 
+def with_value_at(raw: bytes, x: np.ndarray, index, value) -> bytes:
+    """``raw``, the file written from ``x``, with the float32 bytes of
+    ``x[index]`` replaced by those of ``value``: the writers refuse a file
+    holding a non-finite value, so the readers' tests make one this way."""
+    old = np.float32(x[index]).tobytes()
+    assert raw.count(old) == 1
+    return raw.replace(old, np.float32(value).tobytes())
+
+
 class TestTensorRoundTrip:
     def test_simple_round_trip_bit_exact(self, rng):
         x = rng.standard_normal((2, 3, 4, 5)).astype(np.float32)
@@ -89,9 +98,8 @@ class TestTensorErrors:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_payload_rejected(self, rng, tmp_path, bad):
         x = rng.standard_normal((1, 2, 3, 4)).astype(np.float32)
-        x[0, 1, 2, 3] = bad
         path = tmp_path / "bad.lskt"
-        write_tensor(path, x)
+        path.write_bytes(with_value_at(tensor_bytes(x), x, (0, 1, 2, 3), bad))
         with pytest.raises(FormatError, match="bad.lskt.*NaN or Inf"):
             read_tensor(path)
 
@@ -141,12 +149,11 @@ class TestWeights:
             "stem.conv.bias": rng.standard_normal(4).astype(np.float32),
             "stem.conv.weight": rng.standard_normal((4, 3, 7, 7)).astype(np.float32),
         }
-        arrays["stem.conv.weight"][2, 1, 0, 6] = bad
         buf = io.BytesIO()
         write_weights(buf, arrays)
-        buf.seek(0)
+        raw = with_value_at(buf.getvalue(), arrays["stem.conv.weight"], (2, 1, 0, 6), bad)
         with pytest.raises(FormatError, match="'stem.conv.weight'.*NaN or Inf"):
-            read_weights(buf)
+            read_weights(io.BytesIO(raw))
 
     def test_bad_magic(self):
         with pytest.raises(BadMagicError):
@@ -715,6 +722,30 @@ def test_load_record_takes_one_read_per_file_and_one_per_block_header(tmp_path, 
     monkeypatch.undo()
     assert calls[:2] == ["read", "read"]
     assert len(calls) == 2 + blocks * (k + 1)
+
+
+@pytest.mark.parametrize("as_path", [True, False], ids=["path", "stream"])
+@pytest.mark.parametrize(
+    "dtype, bad", [(np.float32, np.nan), (np.float32, -np.inf), (np.float64, 1e39)], ids=["NaN", "Inf", "1e39"]
+)
+@pytest.mark.parametrize("writer", ["write_tensor", "write_weights"])
+def test_writers_refuse_what_their_readers_refuse(tmp_path, writer, dtype, bad, as_path):
+    """A value that is not finite as float32 (1e39 is finite only as float64)
+    is refused, naming the tensor or the entry, before any byte is written:
+    no path is created and a stream receives nothing.  The value is the last
+    of three checked chunks."""
+    x = np.full((1, 2, 3, 1 << 15), 0.5, dtype)
+    x[0, 1, 2, -1] = bad
+    target = tmp_path / "out" if as_path else io.BytesIO()
+    if writer == "write_tensor":
+        what = f"write_tensor: tensor {target if as_path else 'stream'}"
+        call = lambda: write_tensor(target, x)  # noqa: E731
+    else:
+        what = "write_weights: entry 'b'"
+        call = lambda: write_weights(target, {"a": np.zeros(3, np.float32), "b": x})  # noqa: E731
+    with pytest.raises(FormatError, match=f"^{re.escape(what)} holds NaN or Inf values"):
+        call()
+    assert not target.exists() if as_path else target.getvalue() == b""
 
 
 @pytest.mark.parametrize(

@@ -215,10 +215,10 @@ def test_depthwise_tile_budget_keeps_bits(n, c, h, w, kernel, dilation, seed):
             "depthwise_conv_backward",
             lambda x: ops.depthwise_conv_backward(np.ones((1, 1, 3, 3)), x, np.full((1, 3, 3), 0.4), ConvSpec(3)),
         ),
-        ("conv2d", lambda x: ops.conv2d(x, np.full((2, 1, 3, 3), 0.4), np.zeros(2), padding=1)),
+        ("conv2d", lambda x: ops.conv2d(x, np.full((2, 1, 3, 3), 0.4), np.zeros(2))),
         (
             "conv2d_backward",
-            lambda x: ops.conv2d_backward(np.ones((1, 2, 3, 3)), x, np.full((2, 1, 3, 3), 0.4), padding=1),
+            lambda x: ops.conv2d_backward(np.ones((1, 2, 3, 3)), x, np.full((2, 1, 3, 3), 0.4)),
         ),
     ],
     ids=["depthwise_conv", "depthwise_conv_backward", "conv2d", "conv2d_backward"],
@@ -249,25 +249,51 @@ def test_average_pool_backwards_reject_non_float_input(dtype, name, call):
 
 
 class TestConv2d:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=2),
+        c=st.integers(min_value=1, max_value=3),
+        h=st.integers(min_value=1, max_value=9),
+        w=st.integers(min_value=1, max_value=9),
+        kernel=st.sampled_from([1, 3, 5, 7]),
+        stride=st.integers(min_value=1, max_value=4),
+        seed=st.integers(min_value=0, max_value=10_000),
+    )
+    # odd sides, where the output is ceil(side / stride); a map smaller than the kernel
+    @example(n=1, c=2, h=9, w=7, kernel=3, stride=2, seed=0)
+    @example(n=2, c=1, h=1, w=2, kernel=7, stride=4, seed=1)
+    def test_matches_loop_oracles(self, n, c, h, w, kernel, stride, seed):
+        """Forward output and all three gradients against the naive loops
+        padded by k // 2, in float64."""
+        rng = np.random.default_rng(seed)
+        x = rand(rng, (n, c, h, w))
+        wt, b = rand(rng, (3, c, kernel, kernel)), rand(rng, (3,))
+        out = ops.conv2d(x, wt, b, stride=stride)
+        np.testing.assert_allclose(out, conv2d_loops(x, wt, b, stride, kernel // 2), atol=1e-6)
+        g = rand(rng, out.shape)
+        got = ops.conv2d_backward(g, x, wt, stride=stride)
+        for a, r in zip(got, conv2d_backward_loops(g, x, wt, stride, kernel // 2)):
+            np.testing.assert_allclose(a, r, atol=1e-6)
+
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 1), (4, 3)])
     def test_matches_loop_oracle(self, rng, stride, padding):
         k = 3 if padding == 1 else 7
         x = rand(rng, (2, 3, 8, 8))
         w = rand(rng, (4, 3, k, k))
         b = rand(rng, (4,))
-        out = ops.conv2d(x, w, b, stride=stride, padding=padding)
+        out = ops.conv2d(x, w, b, stride=stride)
         ref = conv2d_loops(x, w, b, stride, padding)
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
     @pytest.mark.parametrize("stride", [1, 2, 4])
-    @pytest.mark.parametrize("padding", [0, 1, 3])
+    @pytest.mark.parametrize("padding", [1, 3])
     def test_backward_matches_loop_oracle(self, rng, stride, padding):
         k = 7 if padding == 3 else 3
         x = rand(rng, (2, 3, 9, 9))
         w = rand(rng, (4, 3, k, k))
         oh = (9 + 2 * padding - k) // stride + 1
         g = rand(rng, (2, 4, oh, oh))
-        got = ops.conv2d_backward(g, x, w, stride=stride, padding=padding)
+        got = ops.conv2d_backward(g, x, w, stride=stride)
         ref = conv2d_backward_loops(g, x, w, stride, padding)
         for a, b in zip(got, ref):
             np.testing.assert_allclose(a, b, atol=1e-6)
@@ -276,29 +302,31 @@ class TestConv2d:
         x = rand(rng, (2, 6, 8, 8))[:, 1:4]  # channel slice
         w = rand(rng, (5, 3, 3, 3))
         g = rand(rng, (2, 5, 4, 4)).transpose(0, 1, 3, 2)  # transposed view
-        got = ops.conv2d_backward(g, x, w, stride=2, padding=1)
+        got = ops.conv2d_backward(g, x, w, stride=2)
         ref = conv2d_backward_loops(g, x, w, 2, 1)
         for a, b in zip(got, ref):
             np.testing.assert_allclose(a, b, atol=1e-6)
 
     @pytest.mark.parametrize(
-        "w_shape,stride,padding",
-        [((4, 3, 3, 3), 0, 1), ((4, 3, 3), 1, 1), ((4, 2, 3, 3), 1, 1), ((4, 3, 3, 3), 1, -1)],
-        ids=["stride-0", "3d-weights", "channel-mismatch", "negative-padding"],
+        "w_shape,stride",
+        [((4, 3, 3, 3), 0), ((4, 3, 3), 1), ((4, 2, 3, 3), 1), ((4, 3, 2, 2), 1), ((4, 3, 4, 4), 1)],
+        ids=["stride-0", "3d-weights", "channel-mismatch", "even-kernel-2", "even-kernel-4"],
     )
-    def test_backward_rejects_bad_arguments(self, rng, w_shape, stride, padding):
+    def test_backward_rejects_bad_arguments(self, rng, w_shape, stride):
+        """An even kernel has no k // 2 padding that keeps the output at
+        ceil(side / stride), so both ops refuse it."""
         x = rand(rng, (1, 3, 6, 6))
         g = rand(rng, (1, 4, 6, 6))
         w = rand(rng, w_shape)
         with pytest.raises(ShapeError):
-            ops.conv2d_backward(g, x, w, stride=stride, padding=padding)
+            ops.conv2d_backward(g, x, w, stride=stride)
         with pytest.raises(ShapeError):
-            ops.conv2d(x, w, rand(rng, (4,)), stride=stride, padding=padding)
+            ops.conv2d(x, w, rand(rng, (4,)), stride=stride)
 
     def test_output_shape_stride(self, rng):
         x = rand(rng, (1, 3, 64, 64))
         w = rand(rng, (8, 3, 7, 7))
-        out = ops.conv2d(x, w, np.zeros(8), stride=4, padding=3)
+        out = ops.conv2d(x, w, np.zeros(8), stride=4)
         assert out.shape == (1, 8, 16, 16)
 
 
@@ -660,8 +688,8 @@ class TestDeterminismAndFiniteness:
         pb = rand(rng, (6,)).astype(np.float32)
         assert (ops.pointwise_conv(x, pw, pb) == ops.pointwise_conv(x, pw, pb)).all()
         cw = rand(rng, (6, 4, 3, 3)).astype(np.float32)
-        a = ops.conv2d(x, cw, pb, stride=2, padding=1)
-        c = ops.conv2d(x, cw, pb, stride=2, padding=1)
+        a = ops.conv2d(x, cw, pb, stride=2)
+        c = ops.conv2d(x, cw, pb, stride=2)
         assert (a == c).all()
         g = rand(rng, x.shape).astype(np.float32)
         a = ops.depthwise_conv_backward(g, x, w, ConvSpec(5, 2))
@@ -682,13 +710,13 @@ class TestDeterminismAndFiniteness:
         cw, cb = rand(rng, (4, 3, 3, 3)).astype(dtype), rand(rng, (4,)).astype(dtype)
         dw, db = rand(rng, (3, 7, 7)).astype(dtype), rand(rng, (3,)).astype(dtype)
         y = ops.pointwise_conv(x, pw, pb)
-        z = ops.conv2d(x, cw, cb, stride=2, padding=1)
+        z = ops.conv2d(x, cw, cb, stride=2)
         u = ops.depthwise_conv(x, dw, db, ConvSpec(7, 3))
         outs = [
             y,
             *ops.pointwise_conv_backward(np.ones_like(y), x, pw),
             z,
-            *ops.conv2d_backward(np.ones_like(z), x, cw, stride=2, padding=1),
+            *ops.conv2d_backward(np.ones_like(z), x, cw, stride=2),
             u,
             *ops.depthwise_conv_backward(np.ones_like(u), x, dw, ConvSpec(7, 3)),
         ]
