@@ -207,7 +207,7 @@ def _selection_diffs(
     keys = records[0].block_keys()
     for rec in records[1:]:
         if rec.block_keys() != keys:
-            raise AnalysisError("records disagree on block keys; mixed backbone layouts")
+            raise AnalysisError(f"category {category!r}: records disagree on block keys {keys} and {rec.block_keys()}")
     diffs = [
         BlockSelectionDiff(
             block_key=key,

@@ -73,7 +73,6 @@ __all__ = [
     "block_backward",
 ]
 
-NORM_EPS = 1e-5
 RESIDUAL_SCALE_INIT = 1e-2  # near-identity start keeps deep random stacks stable
 _FFN_SPEC = ConvSpec(3, 1)
 
@@ -144,7 +143,6 @@ def init_block_params(
     plan: DecompositionPlan,
     c: int,
     ffn_ratio: float,
-    select_kernel: int = 7,
     pooling: Sequence[str] = ("avg", "max"),
     mode: SelectionMode = SelectionMode.SPATIAL,
     rng: np.random.Generator | None = None,
@@ -154,7 +152,7 @@ def init_block_params(
     return BlockParams(
         norm1=NormParams.identity(c, rng),
         pre=init_conv(rng, (c, c), c),
-        lsk=init_lsk_params(plan, c, select_kernel=select_kernel, pooling=pooling, mode=mode, rng=rng),
+        lsk=init_lsk_params(plan, c, pooling=pooling, mode=mode, rng=rng),
         post=init_conv(rng, (c, c), c),
         scale1=constant(rng, (c,), RESIDUAL_SCALE_INIT),
         norm2=NormParams.identity(c, rng),
@@ -184,14 +182,14 @@ def norm_output(norm: NormParams, cache) -> Tensor4:
     """The ``y`` that :func:`norm_forward` returned with ``cache``, rebuilt
     bit for bit by the same op on the same inputs."""
     x, mean, var = cache if isinstance(cache, tuple) else (cache, norm.mean, norm.var)
-    return ops.affine_channel_norm(x, norm.scale, norm.shift, mean, var, NORM_EPS)
+    return ops.affine_channel_norm(x, norm.scale, norm.shift, mean, var)
 
 
 def norm_forward(x, norm: NormParams, train: bool):
     """``(y, cache)``: with ``train`` the batch's own statistics and the cache
     ``(x, mean, var)``, else the stored statistics and the cache ``x``."""
     if train:
-        y, mean, var = ops.batch_norm(x, norm.scale, norm.shift, NORM_EPS)
+        y, mean, var = ops.batch_norm(x, norm.scale, norm.shift)
         return y, (x, mean, var)
     return norm_output(norm, x), x
 
@@ -201,8 +199,8 @@ def norm_backward(grad, norm: NormParams, cache):
     cache it returned decides which statistics were used."""
     if isinstance(cache, tuple):
         x, mean, var = cache
-        return ops.batch_norm_backward(grad, x, norm.scale, mean, var, NORM_EPS)
-    return ops.affine_channel_norm_backward(grad, cache, norm.scale, norm.mean, norm.var, NORM_EPS)
+        return ops.batch_norm_backward(grad, x, norm.scale, mean, var)
+    return ops.affine_channel_norm_backward(grad, cache, norm.scale, norm.mean, norm.var)
 
 
 def block_forward(

@@ -117,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference checks of the backward passes")
     p.add_argument("--op", default=None, help="single check name (default: all)")
-    p.add_argument("--all", action="store_true")
     p.add_argument("--seed", type=_non_negative_int, default=0)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -160,7 +159,7 @@ def cmd_plan(args) -> int:
         plans = plans[: args.top]
     rows = []
     for plan in plans:
-        report = dict(cost_lsk_module(init_lsk_params(plan, 64, 32), 1024, 1024).breakdown)["convs"]
+        report = dict(cost_lsk_module(init_lsk_params(plan, 64), 1024, 1024).breakdown)["convs"]
         trace = "->".join(str(r) for r in plan.rf_per_stage)
         rows.append((str(plan), trace, report.params, report.macs, report.flops))
     if args.format == "kv":
@@ -198,7 +197,7 @@ def cmd_count(args) -> int:
     if args.format == "kv":
         print(report_to_kv(report, name))
     else:
-        print(report_to_text(report, name, max_depth=2))
+        print(report_to_text(report, name))
     return EXIT_OK
 
 
@@ -260,9 +259,6 @@ def cmd_forward(args) -> int:
 def cmd_gradcheck(args) -> int:
     from .gradcheck import available_checks, run_check
 
-    if args.op is not None and args.all:
-        print("choose either --op NAME or --all, not both", file=sys.stderr)
-        return EXIT_USAGE
     names = available_checks() if args.op is None else [args.op]
     if args.op is not None and args.op not in available_checks():
         print(f"unknown op {args.op!r}; available: {', '.join(available_checks())}", file=sys.stderr)

@@ -8,7 +8,7 @@ the arrays a layer holds, so ``params`` equals the learnable array sizes by
 construction.  :func:`cost_backbone` walks the config's own ``shape_tree``
 stage by stage: the embedding at ceil(side / stride), then the blocks there.
 The plan search ranks a plan by the ``convs`` node of the walk over
-``init_lsk_params(plan, 64, 32)``.
+``init_lsk_params(plan, 64)``.
 
 Counting rules (also embedded in every report's ``conventions`` field):
 
@@ -238,17 +238,18 @@ def cost_backbone(config: BackboneConfig, h: int, w: int) -> CostReport:
     return combine(parts)
 
 
-def report_to_text(report: CostReport, name: str = "total", indent: int = 0, max_depth: int = 8) -> str:
-    """Indented human-readable rendering of a report tree."""
-    pad = "  " * indent
-    lines = [f"{pad}{name}: params={report.params:,} macs={report.macs:,} flops={report.flops:,}"]
-    if indent < max_depth:
-        for child_name, child in report.breakdown:
-            lines.append(report_to_text(child, child_name, indent + 1, max_depth))
-    if indent == 0:
-        lines.append(f"{pad}conventions:")
-        for conv in report.conventions:
-            lines.append(f"{pad}  - {conv}")
+def report_to_text(report: CostReport, name: str = "total") -> str:
+    """Indented human-readable rendering of a report two levels deep (its
+    parts and theirs, as ``lsk count`` prints), then the counting conventions."""
+    rows = [(0, name, report)]
+    for child_name, child in report.breakdown:
+        rows += [(1, child_name, child)] + [(2, part, rep) for part, rep in child.breakdown]
+    lines = [
+        f"{'  ' * depth}{label}: params={rep.params:,} macs={rep.macs:,} flops={rep.flops:,}"
+        for depth, label, rep in rows
+    ]
+    lines.append("conventions:")
+    lines += [f"  - {conv}" for conv in report.conventions]
     return "\n".join(lines)
 
 

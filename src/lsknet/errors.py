@@ -47,9 +47,9 @@ class DivergenceError(LskError):
     ``step`` is the 0-based gradient step at which divergence was detected.
     """
 
-    def __init__(self, step: int, message: str | None = None):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"loss became non-finite at step {step}")
+        super().__init__(f"loss became non-finite at step {step}")
 
 
 class AnalysisError(LskError):

@@ -21,7 +21,7 @@ and grayscale is replicated to three channels.
 
 Readers never read past declared lengths; every malformed input maps to a
 distinct error kind (bad magic, truncation, dim overflow, manifest problems);
-a payload holding NaN or Inf is a format error.
+a payload holding NaN or Inf is a format error, found by one chunked check.
 
 Paths are opened by one helper and closed on exit (reads unbuffered, writes
 buffered); a stream is used as given and left open.  Every reader error names
@@ -37,9 +37,9 @@ reads.  ``os.readv`` exists on POSIX only, so loading a record needs it.
 Writing refuses what the readers refuse, before any byte is written or any
 path created: values that are not finite as float32 (NaN, Inf, or a float64
 past float32's range) are a FormatError naming the tensor, the weight entry
-or the record's block.  A record's block must also be 4-D and hold one plane
-per receptive field, else the reader would refuse the files or the record
-would lose planes; its planes are then written unchecked.
+or the record's block.  A record's manifest must pass the reader's checks
+and each block be 4-D with one plane per receptive field, else the reader
+would refuse the files or drop planes; the planes are then written unchecked.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ import math
 import os
 import struct
 from contextlib import nullcontext
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
@@ -67,7 +66,6 @@ from .errors import (
 __all__ = [
     "TENSOR_MAGIC",
     "WEIGHTS_MAGIC",
-    "Manifest",
     "read_tensor",
     "write_tensor",
     "read_weights",
@@ -82,7 +80,8 @@ WEIGHTS_MAGIC = b"LSKW0001"
 FORMAT_VERSION = 1  # the one manifest layout the readers know; a missing key means 1
 _F4 = np.dtype("<f4")
 _TENSOR_HEADER = 40  # magic plus four u64 dims
-_FINITE_CHUNK = 1 << 16  # values per finiteness check of a writer
+_FINITE_CHUNK = 1 << 16  # values per finiteness check
+WeightEntries = dict[str, tuple[int, tuple[int, ...]]]  # name -> (byte offset, shape), in file order
 
 
 def _opened(target, mode: str):
@@ -168,26 +167,24 @@ def _manifest(raw, where: str, malformed: str) -> dict:
 
 
 def _float32(arr: np.ndarray, what: str) -> np.ndarray:
-    """``arr`` as a C-contiguous float32 array; a value that is not finite as
-    float32 is a FormatError naming ``what``.  The check reads
-    ``_FINITE_CHUNK`` values at a time, so its boolean mask stays small: a
-    writer holds no copy of a float32 tensor."""
+    """``arr`` as a C-contiguous float32 array checked by :func:`_finite`;
+    with that chunked check a writer holds no copy of a float32 tensor."""
     if arr.dtype == _F4:  # numpy's error state costs about 1 us per call
         out = np.ascontiguousarray(arr)
     else:
         with np.errstate(over="ignore"):  # an overflow reads as Inf below
             out = np.ascontiguousarray(arr, dtype=_F4)
-    flat = out.reshape(-1)
-    for i in range(0, flat.size, _FINITE_CHUNK):
-        if not np.isfinite(flat[i : i + _FINITE_CHUNK]).all():
-            raise FormatError(f"{what} holds NaN or Inf values (as float32)")
-    return out
+    return _finite(out, what)
 
 
 def _finite(arr: np.ndarray, what: str) -> np.ndarray:
-    """Return ``arr``; a payload holding NaN or Inf is a format error."""
-    if not np.isfinite(arr).all():
-        raise FormatError(f"{what}: payload holds NaN or Inf values")
+    """Return the C-contiguous float32 ``arr``; a NaN or Inf in it is a
+    FormatError naming ``what``.  The check reads ``_FINITE_CHUNK`` values at
+    a time, so its boolean mask stays small beside the array."""
+    flat = arr.reshape(-1)
+    for i in range(0, flat.size, _FINITE_CHUNK):
+        if not np.isfinite(flat[i : i + _FINITE_CHUNK]).all():
+            raise FormatError(f"{what} holds NaN or Inf values (as float32)")
     return arr
 
 
@@ -245,28 +242,19 @@ def read_tensor(target) -> np.ndarray:
 # LSKW weight files
 # ---------------------------------------------------------------------------
 
-@dataclass
-class Manifest:
-    """Ordered name -> (byte offset, shape) directory of a weight file."""
-
-    entries: dict[str, tuple[int, tuple[int, ...]]]
-    format_version: int = FORMAT_VERSION
-
-
-def write_weights(target, arrays: Mapping[str, np.ndarray]) -> Manifest:
-    """Write named float arrays contiguously; returns the manifest written.
+def write_weights(target, arrays: Mapping[str, np.ndarray]) -> WeightEntries:
+    """Write named float arrays contiguously; returns the manifest's entries.
     The offsets come from the shapes, and each tensor is written from its own
     float32 array, so at most one converted copy is held at a time; every
     array is checked finite as float32 before the first byte is written."""
-    entries: dict[str, tuple[int, tuple[int, ...]]] = {}
+    entries: WeightEntries = {}
     offset = 0
     for name, arr in arrays.items():
         _float32(arr, f"write_weights: entry {name!r}")
         entries[name] = (offset, tuple(arr.shape))
         offset += math.prod(arr.shape) * _F4.itemsize
-    manifest = Manifest(entries=entries)
     doc = {
-        "format_version": manifest.format_version,
+        "format_version": FORMAT_VERSION,
         "entries": [
             {"name": name, "offset": off, "shape": list(shape)}
             for name, (off, shape) in entries.items()
@@ -279,12 +267,12 @@ def write_weights(target, arrays: Mapping[str, np.ndarray]) -> Manifest:
         fh.write(payload)
         for arr in arrays.values():
             fh.write(np.ascontiguousarray(arr, dtype=_F4))
-    return manifest
+    return entries
 
 
-def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
-    """Read a weight file into an ordered name -> float32 array map; each
-    tensor is read with one ``readinto`` straight into its own array."""
+def read_weights(target) -> tuple[dict[str, np.ndarray], WeightEntries]:
+    """Read a weight file: its name -> float32 array map and its manifest's
+    entries, in file order; each tensor is one ``readinto`` into its own array."""
     where = f"weights {_name(target)}"
     with _opened(target, "rb") as fh:
         magic = bytes(_read_stream(fh, bytearray(8), f"{where} magic"))
@@ -303,7 +291,7 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
         start += manifest_len
         payload_len = size - start
 
-        entries: dict[str, tuple[int, tuple[int, ...]]] = {}
+        entries: WeightEntries = {}
         spans: list[tuple[int, int, str]] = []
         for item in doc["entries"]:
             try:
@@ -338,7 +326,7 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], Manifest]:
             fh.seek(start + off)
             out = _read_stream(fh, np.empty(shape, dtype=_F4), f"{where} tensor {name!r}")
             arrays[name] = _finite(out, f"{where}: tensor {name!r}")
-    return arrays, Manifest(entries=entries)
+    return arrays, entries
 
 
 # ---------------------------------------------------------------------------
@@ -398,15 +386,45 @@ def read_image(target) -> np.ndarray:
 RECORD_MANIFEST = "manifest.json"
 
 
+def _record_keys(doc: dict, where: str) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """``rf`` and the block keys of a record manifest ``doc``: JSON integers,
+    ``rf`` non-empty, positive and strictly ascending, every key a pair of
+    positive indices; else a ManifestError naming ``where``."""
+    try:
+        rf = tuple(_json_int(v, where, "rf value") for v in doc["rf"])
+        blocks = [tuple(_json_int(i, where, "block index") for i in pair) for pair in doc["blocks"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ManifestError(f"malformed {where}: {exc}") from exc
+    if not rf or min(rf) < 1:
+        raise ManifestError(f"{where}: rf {list(rf)} must list positive receptive fields")
+    if any(a >= b for a, b in zip(rf, rf[1:])):
+        raise ManifestError(f"{where}: rf {list(rf)} must strictly ascend")
+    if any(len(key) != 2 or min(key) < 1 for key in blocks):
+        raise ManifestError(f"{where}: blocks {doc['blocks']} must be pairs of positive indices")
+    return rf, blocks
+
+
+def _json_ints(values) -> list:
+    """``values`` with every numpy integer as an int, as JSON writes it."""
+    return [int(v) if isinstance(v, np.integer) else v for v in values]
+
+
 def save_record(record: ActivationRecord, directory: str | Path) -> list[Path]:
     """Write one LSKT file per (block, kernel) mask: ``B_<stage>_<depth>_<n>``.
 
-    A manifest.json carries the per-kernel receptive fields and block keys so
-    the analysis stage can rebuild the record.  Before any file is written,
-    every block must be a 4-D (n, len(rf), h, w) stack whose values are
-    finite as float32; otherwise it is a FormatError naming the block, since
-    :func:`load_record` would refuse the files or drop planes.
+    A manifest.json carries the per-kernel receptive fields and block keys
+    (numpy integers as JSON integers) so the analysis stage can rebuild the
+    record.  Before any path is created, it must pass :func:`load_record`'s
+    checks, else a ManifestError names the field, and every block must be a
+    4-D (n, len(rf), h, w) stack finite as float32, else a FormatError names
+    the block: the reader would refuse the files or drop planes.
     """
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "rf": _json_ints(record.rf),
+        "blocks": [_json_ints(key) for key in sorted(record.masks)],
+    }
+    _record_keys(doc, "save_record: manifest")
     blocks = {}
     for key, masks in sorted(record.masks.items()):
         block = record.key_name(key)
@@ -424,11 +442,6 @@ def save_record(record: ActivationRecord, directory: str | Path) -> list[Path]:
             path = out / f"{block}_{n_idx + 1}.lskt"
             _write_tensor(path, masks[:, n_idx : n_idx + 1])  # checked above
             written.append(path)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "rf": list(record.rf),
-        "blocks": [[s, d] for s, d in sorted(record.masks.keys())],
-    }
     (out / RECORD_MANIFEST).write_text(json.dumps(doc, indent=1))
     return written
 
@@ -441,9 +454,8 @@ def load_record(directory: str | Path) -> ActivationRecord:
     """Rebuild an activation record from a mask directory.
 
     Every mask file of a block must hold one (n, 1, h, w) plane of the same
-    shape; the manifest must list at least one positive receptive field and
-    each block once.  Every manifest number must be a JSON integer, block
-    indices must be positive and ``rf`` must strictly ascend.
+    shape, and the manifest must pass :func:`_record_keys` and list each
+    block once.
 
     A block's k files are read straight into one (k, n, h, w) array, whose
     (n, k, h, w) transpose becomes the block's masks (C-contiguous if n = 1).
@@ -468,17 +480,7 @@ def load_record(directory: str | Path) -> ActivationRecord:
         raise ManifestError(f"no {RECORD_MANIFEST} in {src}") from exc
     where = f"record manifest in {src}"
     doc = _manifest(b"".join(chunks), where, f"malformed {where}")
-    try:
-        rf = tuple(_json_int(v, where, "rf value") for v in doc["rf"])
-        blocks = [tuple(_json_int(i, where, "block index") for i in pair) for pair in doc["blocks"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"malformed {where}: {exc}") from exc
-    if not rf or min(rf) < 1:
-        raise ManifestError(f"{where}: rf {list(rf)} must list positive receptive fields")
-    if any(a >= b for a, b in zip(rf, rf[1:])):
-        raise ManifestError(f"{where}: rf {list(rf)} must strictly ascend")
-    if any(len(key) != 2 or min(key) < 1 for key in blocks):
-        raise ManifestError(f"{where}: blocks {doc['blocks']} must be pairs of positive indices")
+    rf, blocks = _record_keys(doc, where)
     record = ActivationRecord(rf=rf)
     header = bytearray(_TENSOR_HEADER)  # every file's header lands here
     for stage, depth in blocks:

@@ -61,9 +61,8 @@ def numeric_gradients(
     inputs: dict[str, np.ndarray],
     probe: np.ndarray,
     keys: Sequence[str],
-    step: float = FD_STEP,
 ) -> dict[str, np.ndarray]:
-    """Central finite differences of sum(forward(inputs) * probe)."""
+    """Central differences, step ``FD_STEP``, of sum(forward(inputs) * probe)."""
     grads: dict[str, np.ndarray] = {}
     for key in keys:
         arr = inputs[key]
@@ -72,12 +71,12 @@ def numeric_gradients(
         gflat = grad.reshape(-1)
         for idx in range(flat.size):
             original = flat[idx]
-            flat[idx] = original + step
+            flat[idx] = original + FD_STEP
             hi = float((forward(inputs) * probe).sum())
-            flat[idx] = original - step
+            flat[idx] = original - FD_STEP
             lo = float((forward(inputs) * probe).sum())
             flat[idx] = original
-            gflat[idx] = (hi - lo) / (2.0 * step)
+            gflat[idx] = (hi - lo) / (2.0 * FD_STEP)
         grads[key] = grad
     return grads
 
@@ -187,14 +186,14 @@ def _layer_case(rng, params, forward, backward, cat_of=None) -> _Case:
 
 def _module_case(rng, mode: SelectionMode) -> _Case:
     plan = validate_plan([(3, 1), (5, 2)])
-    base = init_lsk_params(plan, c_in=4, c_mid=2, select_kernel=3, mode=mode, rng=rng)
+    base = init_lsk_params(plan, c_in=4, mode=mode, rng=rng)
     cat_of = (lambda state: ops.concat_channels(state.u_mixed)) if mode is SelectionMode.SPATIAL else None
     return _layer_case(rng, params_astype(base, np.float64), lsk_forward, lsk_backward, cat_of)
 
 
 def _block_case(rng) -> _Case:
     plan = validate_plan([(3, 1)])
-    base = init_block_params(plan, c=4, ffn_ratio=2.0, select_kernel=3, rng=rng)
+    base = init_block_params(plan, c=4, ffn_ratio=2.0, rng=rng)
     return _layer_case(
         rng, params_astype(base, np.float64), block_forward, block_backward,
         lambda state: ops.concat_channels(state.lsk_state.u_mixed),

@@ -65,6 +65,7 @@ __all__ = [
 ]
 
 POOL_ORDER = ("avg", "max")
+SELECT_KERNEL = 7  # the selection conv's side, as the released LSKblock's conv_squeeze
 
 
 class SelectionMode(str, Enum):
@@ -100,7 +101,7 @@ class LskModuleParams:
     plan: DecompositionPlan
     dw: list[ConvParams]  # per stage: weight (c_in, k, k)
     mix: list[ConvParams]  # per branch: weight (c_mid, c_in)
-    select: ConvParams | None  # weight (n_kernels, len(pooling), q, q); spatial mode only
+    select: ConvParams | None  # weight (n_kernels, len(pooling), SELECT_KERNEL, SELECT_KERNEL); spatial mode only
     pooling: tuple[str, ...]  # descriptor order of the selection conv's input
     fuse: ConvParams  # weight (c_in, c_mid)
     cs_squeeze: ConvParams | None = None  # weight (z, c_mid); channel mode only
@@ -189,13 +190,11 @@ def init_conv(rng: np.random.Generator | None, shape: tuple[int, ...], fan_in: i
 def init_lsk_params(
     plan: DecompositionPlan,
     c_in: int,
-    c_mid: int | None = None,
-    select_kernel: int = 7,
     pooling: Sequence[str] = POOL_ORDER,
     mode: SelectionMode = SelectionMode.SPATIAL,
     rng: np.random.Generator | None = None,
 ) -> LskModuleParams:
-    """Build freshly initialized module weights.
+    """Fresh module weights: half-width branches (at least 1 channel), a :data:`SELECT_KERNEL`-square selection conv.
 
     All biases start at zero; in particular the selection-conv bias is zero so
     every mask starts centred at 0.5.  The draw order is fixed, so a seeded
@@ -204,18 +203,13 @@ def init_lsk_params(
     """
     if c_in < 1:
         raise ShapeError(f"c_in must be >= 1, got {c_in}")
-    cm = max(c_in // 2, 1) if c_mid is None else c_mid
-    if cm < 1:
-        raise ShapeError(f"c_mid must be >= 1, got {cm}")
+    cm = max(c_in // 2, 1)
     pooling = normalize_pooling(pooling)
-    q = select_kernel
-    if q < 1 or q % 2 == 0:
-        raise ShapeError(f"selection kernel must be odd and positive, got {q}")
     n = plan.n_kernels
     dw = [init_conv(rng, (c_in, s.kernel, s.kernel), s.kernel * s.kernel) for s in plan.stages]
     mix = [init_conv(rng, (cm, c_in), c_in) for _ in range(n)]
     # drawn in every mode, so one seed gives the same other arrays in all modes
-    select = init_conv(rng, (n, len(pooling), q, q), len(pooling) * q * q)
+    select = init_conv(rng, (n, len(pooling), SELECT_KERNEL, SELECT_KERNEL), len(pooling) * SELECT_KERNEL**2)
     fuse = init_conv(rng, (c_in, cm), cm)
     squeeze = expand = None
     if mode is SelectionMode.CHANNEL:

@@ -106,6 +106,7 @@ __all__ = [
 # exists for signatures, the invariants are enforced by check_tensor4.
 Tensor4 = np.ndarray
 
+NORM_EPS = 1e-5  # every norm's variance offset, as the released code's BatchNorm2d
 _GELU_COEFF = 0.044715
 _GELU_SCALE = float(np.sqrt(2.0 / np.pi))
 
@@ -663,24 +664,23 @@ def affine_channel_norm(
     shift: np.ndarray,
     mean: np.ndarray,
     var: np.ndarray,
-    eps: float = 1e-5,
 ) -> Tensor4:
     """Per-channel affine normalization with externally supplied statistics.
 
-    y = scale * (x - mean) / sqrt(var + eps) + shift, per channel.  With
-    mean 0, var 1, scale 1, shift 0 and eps 0 this is the identity.
+    y = scale * (x - mean) / sqrt(var + NORM_EPS) + shift, per channel.  With
+    mean 0, var 1 - NORM_EPS, scale 1 and shift 0 this is the identity.
     """
     check_tensor4(x, "affine_channel_norm: x")
     c = x.shape[1]
     for name, v in (("scale", scale), ("shift", shift), ("mean", mean), ("var", var)):
         _check_vector(v, c, f"affine_channel_norm: {name}")
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     return (x - mean[None, :, None, None]) * (scale * inv)[None, :, None, None] + shift[
         None, :, None, None
     ]
 
 
-def _affine_norm_backward(grad_out, x, scale, mean, var, eps, where: str):
+def _affine_norm_backward(grad_out, x, scale, mean, var, where: str):
     """The three gradients of :func:`affine_channel_norm_backward` and the
     centred input ``x - mean`` formed on the way, which
     :func:`batch_norm_backward` reuses; errors are named after ``where``."""
@@ -688,7 +688,7 @@ def _affine_norm_backward(grad_out, x, scale, mean, var, eps, where: str):
     check_tensor4(x, f"{where}: x")
     if grad_out.shape != x.shape:
         raise ShapeError(f"{where}: grad_out {grad_out.shape} != x {x.shape}")
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     grad_x = grad_out * (scale * inv)[None, :, None, None]
     centered = x - mean[None, :, None, None]
     grad_scale = (grad_out * centered * inv[None, :, None, None]).sum(axis=(0, 2, 3))
@@ -702,15 +702,14 @@ def affine_channel_norm_backward(
     scale: np.ndarray,
     mean: np.ndarray,
     var: np.ndarray,
-    eps: float = 1e-5,
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Gradients w.r.t. x, scale and shift.  mean/var are stored statistics
     and treated as constants."""
-    return _affine_norm_backward(grad_out, x, scale, mean, var, eps, "affine_channel_norm_backward")[:3]
+    return _affine_norm_backward(grad_out, x, scale, mean, var, "affine_channel_norm_backward")[:3]
 
 
 def batch_norm(
-    x: Tensor4, scale: np.ndarray, shift: np.ndarray, eps: float = 1e-5
+    x: Tensor4, scale: np.ndarray, shift: np.ndarray
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Training-mode normalization: :func:`affine_channel_norm` fed the
     batch's per-channel mean and biased variance over batch and space.
@@ -718,22 +717,22 @@ def batch_norm(
     check_tensor4(x, "batch_norm: x")
     mean = x.mean(axis=(0, 2, 3))
     var = ((x - mean[None, :, None, None]) ** 2).mean(axis=(0, 2, 3))
-    return affine_channel_norm(x, scale, shift, mean, var, eps), mean, var
+    return affine_channel_norm(x, scale, shift, mean, var), mean, var
 
 
 def batch_norm_backward(
-    grad_out: Tensor4, x: Tensor4, scale: np.ndarray, mean: np.ndarray, var: np.ndarray, eps: float = 1e-5
+    grad_out: Tensor4, x: Tensor4, scale: np.ndarray, mean: np.ndarray, var: np.ndarray
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Gradients w.r.t. x, scale and shift of :func:`batch_norm`, given its
     ``mean`` and ``var``: those of :func:`affine_channel_norm_backward`, plus
     the part of ``grad_x`` that flows through the statistics, with
     d(mean)/dx = 1/m and d(var)/dx = 2 (x - mean) / m over a channel's m values."""
     grad_x, grad_scale, grad_shift, centered = _affine_norm_backward(
-        grad_out, x, scale, mean, var, eps, "batch_norm_backward"
+        grad_out, x, scale, mean, var, "batch_norm_backward"
     )
     n, _, h, w = x.shape
     m = n * h * w
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + NORM_EPS)
     grad_mean = -scale * inv * grad_shift  # dL/dmean = -scale * inv * sum(grad_out)
     grad_var = -0.5 * scale * inv * inv * grad_scale  # -scale * inv**3 * sum(grad_out * (x - mean)) / 2
     grad_x += centered * (2.0 * grad_var / m)[None, :, None, None]

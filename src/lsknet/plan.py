@@ -110,7 +110,7 @@ def enumerate_plans(target_rf: int, max_stages: int, max_k: int) -> list[Decompo
     """All valid plans whose final receptive field is exactly ``target_rf``.
 
     Results are sorted by the parameter cost of the full selection module the
-    plan would drive (the cost walk over ``init_lsk_params(plan, 64, 32)``),
+    plan would drive (the cost walk over ``init_lsk_params(plan, 64)``),
     with ties broken lexicographically by the (k, d) sequence.  An infeasible
     target yields an empty list, not an error.
     """
@@ -127,7 +127,7 @@ def enumerate_plans(target_rf: int, max_stages: int, max_k: int) -> list[Decompo
             break
         for seq in _extend([ConvSpec(k, 1)], k, target_rf, max_stages, max_k):
             plan = validate_plan(seq)
-            params = dict(cost_lsk_module(init_lsk_params(plan, 64, 32), 1, 1).breakdown)["convs"].params
+            params = dict(cost_lsk_module(init_lsk_params(plan, 64), 1, 1).breakdown)["convs"].params
             found.append((params, plan.sequence(), plan))
     found.sort(key=lambda t: (t[0], t[1]))
     return [plan for _, _, plan in found]

@@ -69,7 +69,7 @@ def test_criterion_2_decomposition_efficiency_ordering():
         def module_convs(stages):
             """The plan search's cost: the convs node of the walk over the
             plan's default 64-channel module (shape-only tree)."""
-            module = init_lsk_params(validate_plan(stages), 64, 32)
+            module = init_lsk_params(validate_plan(stages), 64)
             return dict(cost_lsk_module(module, 1, 1).breakdown)["convs"]
 
         single_23 = module_convs([(23, 1)]).params
@@ -136,16 +136,14 @@ def test_criterion_3_forward_oracle_equivalence():
                 var[None, :, None, None] + 1e-5
             ) + shift[None, :, None, None]
             np.testing.assert_allclose(
-                ops.affine_channel_norm(x, scale, shift, mean, var, 1e-5), ref_norm, atol=1e-6
+                ops.affine_channel_norm(x, scale, shift, mean, var), ref_norm, atol=1e-6
             )
 
         # module forward against the straight-line composition oracle
         for seed in range(10):
             rng_i = np.random.default_rng(seed)
             plan = validate_plan([(3, 1), (5, 2)])
-            params = params_astype(
-                init_lsk_params(plan, 4, 2, select_kernel=3, rng=rng_i), np.float64
-            )
+            params = params_astype(init_lsk_params(plan, 4, rng=rng_i), np.float64)
             x = rng_i.uniform(-2, 2, size=(1, 4, 6, 6))
             out = lsk_forward(x, params)
             ref_y, ref_masks = lsk_composition(x, params)

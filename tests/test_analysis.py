@@ -282,6 +282,18 @@ class TestSelectionDiff:
         stats, diffs = analyze_images([ship[0], plane][:: 1 if order[0] == 0 else -1])
         assert [s.category for s in stats] == ["plane", "ship"] and list(diffs) == ["plane"]
 
+    def test_records_with_different_block_keys_name_the_category(self):
+        """A category whose records hold different blocks is refused, naming
+        the category and both key lists, so ``lsk analyze`` points at them."""
+        images = [
+            (record([5, 23], {(1, 1): const_masks([0.2, 0.4])}), [box(0, 0, 4, 4)]),
+            (record([5, 23], {(1, 2): const_masks([0.2, 0.4])}), [box(0, 0, 4, 4)]),
+        ]
+        with pytest.raises(
+            AnalysisError, match=r"^category 'ship': records disagree on block keys \[\(1, 1\)\] and \[\(1, 2\)\]$"
+        ):
+            analyze_images(images)
+
     def test_three_kernel_plan_rejected(self):
         rec = record([3, 11, 29], {(1, 1): const_masks([0.2, 0.4, 0.6])})
         with pytest.raises(AnalysisError, match="2-kernel"):

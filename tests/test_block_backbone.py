@@ -39,9 +39,7 @@ PLAN = validate_plan([(3, 1), (5, 2)])
 
 
 def tiny_block(seed=0, c=4, ffn_ratio=2.0):
-    return init_block_params(
-        PLAN, c=c, ffn_ratio=ffn_ratio, select_kernel=3, rng=np.random.default_rng(seed)
-    )
+    return init_block_params(PLAN, c=c, ffn_ratio=ffn_ratio, rng=np.random.default_rng(seed))
 
 
 def manual_block(x, params):
@@ -51,16 +49,12 @@ def manual_block(x, params):
     from lsknet.module import lsk_forward
     from lsknet.ops import ConvSpec
 
-    n1 = ops.affine_channel_norm(
-        x, params.norm1.scale, params.norm1.shift, params.norm1.mean, params.norm1.var, 1e-5
-    )
+    n1 = ops.affine_channel_norm(x, params.norm1.scale, params.norm1.shift, params.norm1.mean, params.norm1.var)
     branch = ops.gelu(ops.pointwise_conv(n1, params.pre.weight, params.pre.bias))
     branch = lsk_forward(branch, params.lsk).y
     branch = ops.pointwise_conv(branch, params.post.weight, params.post.bias)
     y1 = x + branch * params.scale1[None, :, None, None]
-    n2 = ops.affine_channel_norm(
-        y1, params.norm2.scale, params.norm2.shift, params.norm2.mean, params.norm2.var, 1e-5
-    )
+    n2 = ops.affine_channel_norm(y1, params.norm2.scale, params.norm2.shift, params.norm2.mean, params.norm2.var)
     ffn = ops.pointwise_conv(n2, params.ffn.fc1.weight, params.ffn.fc1.bias)
     ffn = ops.depthwise_conv(ffn, params.ffn.dw.weight, params.ffn.dw.bias, ConvSpec(3, 1))
     ffn = ops.pointwise_conv(ops.gelu(ffn), params.ffn.fc2.weight, params.ffn.fc2.bias)

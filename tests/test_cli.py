@@ -225,12 +225,12 @@ class TestGradcheckCommand:
         assert err_value < 1e-6
 
     def test_all_ops_pass(self, capsys):
-        assert main(["gradcheck", "--all", "--seed", "0"]) == 0
+        assert main(["gradcheck", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out and out.count("PASS") >= 15
 
     def test_all_ops_report_errors_in_one_column(self, capsys):
-        assert main(["gradcheck", "--all"]) == 0
+        assert main(["gradcheck"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) >= 15
         assert len({line.index("max_rel_err=") for line in lines}) == 1

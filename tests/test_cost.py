@@ -61,10 +61,10 @@ class TestDepthwiseClosedForm:
             assert rep.flops == 2 * h * w * rep.params
 
 
-def plan_convs(stages, c=64, c_mid=32, h=1, w=1):
+def plan_convs(stages, c=64, h=1, w=1):
     """The ``convs`` node of the walk over the default module of a plan: the
     cost the plan search ranks by."""
-    return dict(cost_lsk_module(init_lsk_params(validate_plan(stages), c, c_mid), h, w).breakdown)["convs"]
+    return dict(cost_lsk_module(init_lsk_params(validate_plan(stages), c), h, w).breakdown)["convs"]
 
 
 class TestPlanCosts:
@@ -95,7 +95,7 @@ class TestPlanCosts:
         assert p1 < p2 < p3
 
     def test_breakdown_sums_exactly(self):
-        rep = plan_convs([(3, 1), (5, 2), (7, 3)], 32, 16, 8, 8)
+        rep = plan_convs([(3, 1), (5, 2), (7, 3)], 32, 8, 8)
         rep.validate()
 
 
@@ -301,18 +301,20 @@ def test_one_config_builds_one_tree():
 @settings(max_examples=30, deadline=None)
 @given(
     c=st.integers(min_value=1, max_value=12),
-    c_mid=st.integers(min_value=1, max_value=12),
-    select_kernel=st.sampled_from([1, 3, 5, 7]),
     mode=st.sampled_from(list(SelectionMode)),
     pooling=st.sampled_from([("avg", "max"), ("avg",), ("max",)]),
     plan=st.sampled_from(PLANS),
 )
-def test_module_params_match_initialised_arrays(c, c_mid, select_kernel, mode, pooling, plan):
-    """Any branch width and selection kernel, not only the backbone's c // 2
-    and 7: the module walk over the shape-only tree counts exactly the
-    learnable array sizes of the seeded module."""
+def test_module_params_match_initialised_arrays(c, mode, pooling, plan):
+    """Every mixer is max(c // 2, 1) wide and a spatial module's selection
+    conv is 7x7, as in the released module; the module walk over the
+    shape-only tree counts exactly the learnable array sizes of the seeded
+    module."""
     plan = validate_plan(plan)
-    seeded = init_lsk_params(plan, c, c_mid, select_kernel, pooling, mode, np.random.default_rng(0))
-    report = cost_lsk_module(init_lsk_params(plan, c, c_mid, select_kernel, pooling, mode), 5, 7)
+    seeded = init_lsk_params(plan, c, pooling, mode, np.random.default_rng(0))
+    assert all(conv.weight.shape == (max(c // 2, 1), c) for conv in seeded.mix)
+    if mode is SelectionMode.SPATIAL:
+        assert seeded.select.weight.shape == (plan.n_kernels, len(pooling), 7, 7)
+    report = cost_lsk_module(init_lsk_params(plan, c, pooling, mode), 5, 7)
     assert report.params == sum(a.size for _, a in parameter_arrays(seeded))
     report.validate()

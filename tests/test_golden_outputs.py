@@ -13,15 +13,22 @@ order, bounds and float32 rounding) as well as the layout.  The ``lsk
 analyze`` digests likewise pin the two CSV reports over a seeded corpus that
 goes through ``save_record`` and ``load_record``, so they catch a change of
 the mask files' round trip or of the analysis arithmetic.
+
+The API digest pins the public callables of every ``lsknet`` submodule: the
+names, kinds and default presence of their parameters.  A new option, or a
+removed one, fails it until the digest is updated on purpose.
 """
 
 import hashlib
+import importlib
+import inspect
 import io
 import struct
 
 import numpy as np
 import pytest
 
+import lsknet
 from lsknet.backbone import ActivationRecord, BackboneConfig, init_backbone_params, named_arrays
 from lsknet.cli import main
 from lsknet.cost import cost_backbone, report_to_kv
@@ -149,3 +156,47 @@ def test_analyze_report_digest(tmp_path, capsys):
     assert "skipped 1 malformed line(s)" in capsys.readouterr().err
     digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ANALYZE_SHA256}
     assert digests == ANALYZE_SHA256
+
+
+# api_listing() of the public callables
+API_SHA256 = "54984a346769f9e54b98792b1fc55f510f4fee0c1fad38d696dc5232f6e147e9"
+
+
+def api_listing() -> str:
+    """One line per public callable of each ``lsknet`` submodule with its
+    parameters' names and kinds, and ``=Ellipsis`` where one has a default.  A
+    module's public names are its ``__all__``, or every public name it
+    defines when it has none (``errors``, ``cli``).  A class is listed by the
+    ``__init__`` it defines, so dataclass fields count; one inherited from
+    Python itself is left out.  Annotations and default values are left out
+    too, as their text varies with the Python version."""
+    lines = []
+    for sub in (name for name in lsknet.__all__ if name != "__version__"):
+        module = importlib.import_module(f"lsknet.{sub}")
+        names = getattr(module, "__all__", None) or [
+            name for name, value in vars(module).items()
+            if not name.startswith("_") and getattr(value, "__module__", None) == module.__name__
+        ]
+        for name in names:
+            obj = getattr(module, name)
+            if isinstance(obj, type):
+                owner = next(k for k in obj.__mro__ if "__init__" in vars(k))
+                obj = owner.__init__ if owner.__module__.startswith("lsknet") else None
+                if obj is None:
+                    lines.append(f"{sub}.{name}: inherited __init__")
+                    continue
+            elif not callable(obj):
+                continue
+            sig = inspect.signature(obj)
+            params = [
+                p.replace(annotation=p.empty, default=p.empty if p.default is p.empty else ...)
+                for p in sig.parameters.values()
+            ]
+            lines.append(f"{sub}.{name}{sig.replace(parameters=params, return_annotation=sig.empty)}")
+    return "\n".join(lines)
+
+
+def test_public_api_digest():
+    listing = api_listing()
+    digest = hashlib.sha256(listing.encode()).hexdigest()
+    assert digest == API_SHA256, f"public API changed; update API_SHA256 on purpose:\n{listing}"

@@ -1,5 +1,5 @@
 """The gradcheck registry covers every backward op, checks the op that
-``lsknet.ops`` holds when it runs, and `lsk gradcheck --all` reports each
+``lsknet.ops`` holds when it runs, and `lsk gradcheck` reports each
 registered case once, in registry order."""
 
 import numpy as np
@@ -40,6 +40,6 @@ def test_perturbed_backward_fails_its_cases(backward, monkeypatch):
 
 
 def test_cli_prints_one_line_per_case_in_order(capsys):
-    assert main(["gradcheck", "--all"]) == 0
+    assert main(["gradcheck"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == available_checks()

@@ -74,6 +74,15 @@ class TestTensorRoundTrip:
         assert peak < 1 << 20, f"peak {peak} B for a {x.nbytes} B tensor"
         assert path.stat().st_size == 40 + x.nbytes
 
+    def test_read_holds_only_the_tensor(self, tmp_path):
+        """The finiteness check reads a chunk at a time: no whole-tensor
+        boolean mask is held beside the array read."""
+        x = np.zeros((1, 256, 128, 128), dtype=np.float32)  # 16 MiB
+        path = tmp_path / "t.lskt"
+        write_tensor(path, x)
+        peak = peak_allocation(read_tensor, path)
+        assert peak < x.nbytes + (1 << 20), f"peak {peak} B for a {x.nbytes} B tensor"
+
     def test_non_contiguous_slice_round_trip(self, rng):
         masks = rng.standard_normal((2, 3, 5, 7)).astype(np.float32)
         part = masks[:, 1:2]
@@ -135,11 +144,11 @@ class TestWeights:
             "stem.conv.weight": rng.standard_normal((8, 3, 7, 7)).astype(np.float32),
         }
         buf = io.BytesIO()
-        manifest = write_weights(buf, arrays)
+        entries = write_weights(buf, arrays)
         buf.seek(0)
-        loaded, manifest2 = read_weights(buf)
+        loaded, entries2 = read_weights(buf)
         assert list(loaded) == list(arrays)
-        assert manifest.entries == manifest2.entries
+        assert entries == entries2
         for name in arrays:
             assert (arrays[name] == loaded[name]).all()
 
@@ -228,8 +237,8 @@ class TestWeights:
         entries = b'"entries":[{"name":"a","offset":0,"shape":[1]}]'
         with pytest.raises(ManifestError, match=r"w\.lskw.*format_version 99"):
             read_weights(weights_file(b'{"format_version":99,' + entries + b"}"))
-        _, manifest = read_weights(weights_file(b"{" + entries + b"}"))
-        assert manifest.format_version == 1  # a missing key reads as version 1
+        _, read = read_weights(weights_file(b"{" + entries + b"}"))
+        assert read == {"a": (0, (1,))}  # a missing key reads as version 1
 
     def test_read_peak_is_about_one_file_size(self, tmp_path):
         """Each tensor is read straight into its own array: no whole-payload
@@ -768,3 +777,33 @@ def test_save_record_refuses_what_it_cannot_round_trip(tmp_path, masks):
         save_record(rec, tmp_path / "img")
     assert type(info.value) is FormatError
     assert not (tmp_path / "img").exists()  # nothing written, not even the good block
+
+
+@pytest.mark.parametrize(
+    "rf, key, message",
+    [
+        ((23, 5), (1, 1), r"rf \[23, 5\] must strictly ascend"),
+        ((0, 23), (1, 1), r"rf \[0, 23\] must list positive"),
+        ((5.0, 23), (1, 1), "rf value must be a JSON integer, got 5.0"),
+        ((True, 23), (1, 1), "rf value must be a JSON integer, got True"),
+        ((5, 23), (0, 1), r"blocks \[\[0, 1\]\] must be pairs of positive indices"),
+    ],
+    ids=["descending", "zero", "float", "bool", "zero-index"],
+)
+def test_save_record_refuses_a_manifest_load_record_refuses(tmp_path, rf, key, message):
+    """``rf`` and the block keys pass the reader's checks before any path is
+    created, so a record that would not load leaves no directory."""
+    rec = ActivationRecord(rf=rf)
+    rec.masks[key] = np.full((1, 2, 4, 4), 0.5, np.float32)
+    with pytest.raises(FormatError, match=f"^save_record: manifest: {message}"):
+        save_record(rec, tmp_path / "img")
+    assert not (tmp_path / "img").exists()
+
+
+def test_save_record_writes_numpy_integers_as_json_integers(tmp_path):
+    rec = ActivationRecord(rf=(np.int64(5), 23))
+    rec.masks[(np.int64(1), 1)] = np.full((1, 2, 4, 4), 0.5, np.float32)
+    save_record(rec, tmp_path / "img")
+    loaded = load_record(tmp_path / "img")
+    assert loaded.rf == (5, 23) and loaded.block_keys() == [(1, 1)]
+    assert (loaded.masks[(1, 1)] == rec.masks[(1, 1)]).all()

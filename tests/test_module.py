@@ -25,24 +25,22 @@ from conftest import peak_allocation
 from oracles import lsk_composition, sigmoid_ref
 
 
-def make_params(plan_seq, c_in, c_mid, q=3, mode=SelectionMode.SPATIAL, seed=0, dtype=np.float64):
+def make_params(plan_seq, c_in, mode=SelectionMode.SPATIAL, seed=0, dtype=np.float64):
     plan = validate_plan(plan_seq)
-    params = init_lsk_params(
-        plan, c_in, c_mid, select_kernel=q, mode=mode, rng=np.random.default_rng(seed)
-    )
+    params = init_lsk_params(plan, c_in, mode=mode, rng=np.random.default_rng(seed))
     return params_astype(params, dtype)
 
 
 class TestForwardContracts:
     def test_shape_contract_two_kernels(self, rng):
-        params = make_params([(5, 1), (7, 3)], c_in=64, c_mid=32, q=7)
+        params = make_params([(5, 1), (7, 3)], c_in=64)
         x = rng.uniform(-1, 1, size=(1, 64, 32, 32))
         out = lsk_forward(x, params)
         assert out.y.shape == (1, 64, 32, 32)
         assert out.masks.shape == (1, 2, 32, 32)
 
     def test_zero_selection_conv_gives_masks_of_exactly_half(self, rng):
-        params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2)
+        params = make_params([(3, 1), (5, 2)], c_in=4)
         params.select.weight[...] = 0.0
         params.select.bias[...] = 0.0
         x = rng.uniform(-1, 1, size=(2, 4, 6, 6))
@@ -59,25 +57,25 @@ class TestForwardContracts:
         np.testing.assert_allclose(out.y, expected, atol=1e-12)
 
     def test_zero_input_annihilates_output(self, rng):
-        params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, seed=3)
+        params = make_params([(3, 1), (5, 2)], c_in=4, seed=3)
         x = np.zeros((1, 4, 5, 5))
         out = lsk_forward(x, params)
         assert not out.y.any()
 
     def test_masks_strictly_inside_unit_interval(self, rng):
-        params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, seed=1)
+        params = make_params([(3, 1), (5, 2)], c_in=4, seed=1)
         x = rng.uniform(-2, 2, size=(1, 4, 8, 8))
         masks = lsk_forward(x, params).masks
         assert (masks > 0.0).all() and (masks < 1.0).all()
 
     def test_channel_count_mismatch(self, rng):
-        params = make_params([(3, 1)], c_in=4, c_mid=2)
+        params = make_params([(3, 1)], c_in=4)
         with pytest.raises(ShapeError, match="channels"):
             lsk_forward(rng.uniform(-1, 1, size=(1, 3, 5, 5)), params)
 
     def test_empty_pooling_rejected(self):
         with pytest.raises(ShapeError, match="pooling"):
-            init_lsk_params(validate_plan([(3, 1)]), 4, 2, pooling=())
+            init_lsk_params(validate_plan([(3, 1)]), 4, pooling=())
 
 
 def _dw_chain(x, params):
@@ -93,7 +91,7 @@ class TestCompositionOracle:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_straight_line_composition(self, seed):
         rng = np.random.default_rng(seed)
-        params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, q=3, seed=seed + 50)
+        params = make_params([(3, 1), (5, 2)], c_in=4, seed=seed + 50)
         x = rng.uniform(-2, 2, size=(1, 4, 6, 6))
         out = lsk_forward(x, params)
         ref_y, ref_masks = lsk_composition(x, params)
@@ -102,7 +100,7 @@ class TestCompositionOracle:
 
     def test_matches_composition_with_wide_selection_kernel(self):
         rng = np.random.default_rng(99)
-        params = make_params([(5, 1), (7, 3)], c_in=6, c_mid=3, q=7, seed=7)
+        params = make_params([(5, 1), (7, 3)], c_in=6, seed=7)
         x = rng.uniform(-2, 2, size=(2, 6, 8, 8))
         out = lsk_forward(x, params)
         ref_y, _ = lsk_composition(x, params)
@@ -111,7 +109,7 @@ class TestCompositionOracle:
 
 class TestModes:
     def test_none_mode_sums_branches_unweighted(self, rng):
-        params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, mode=SelectionMode.NONE, seed=2)
+        params = make_params([(3, 1), (5, 2)], c_in=4, mode=SelectionMode.NONE, seed=2)
         x = rng.uniform(-1, 1, size=(1, 4, 6, 6))
         out = lsk_forward(x, params)
         assert out.masks is None
@@ -127,7 +125,7 @@ class TestModes:
     def test_saturated_single_kernel_matches_none_mode(self, rng):
         # one branch with the selection logit pushed to +inf (bias 20):
         # the mask saturates at 1 and spatial selection degenerates to a sum
-        params = make_params([(5, 1)], c_in=4, c_mid=2, seed=4)
+        params = make_params([(5, 1)], c_in=4, seed=4)
         params.select.bias[...] = 20.0
         x = rng.uniform(-1, 1, size=(1, 4, 6, 6))
         spatial = lsk_forward(x, params).y
@@ -136,7 +134,7 @@ class TestModes:
         np.testing.assert_allclose(spatial, unweighted, atol=1e-6)
 
     def test_channel_mode_shapes_and_branch_softmax(self, rng):
-        params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, mode=SelectionMode.CHANNEL, seed=5)
+        params = make_params([(3, 1), (5, 2)], c_in=4, mode=SelectionMode.CHANNEL, seed=5)
         x = rng.uniform(-1, 1, size=(2, 4, 6, 6))
         out = lsk_forward(x, params)
         assert out.y.shape == x.shape
@@ -149,7 +147,7 @@ class TestModes:
     def test_mode_is_read_off_the_arrays(self, mode):
         """Only a spatial module holds a selection conv and a pooling set, and
         only a channel module holds the squeeze and expand convs."""
-        params = make_params([(3, 1)], c_in=4, c_mid=2, mode=mode)
+        params = make_params([(3, 1)], c_in=4, mode=mode)
         assert params.mode is mode
         names = [name for name, _ in parameter_arrays(params)]
         spatial = mode is SelectionMode.SPATIAL
@@ -159,15 +157,15 @@ class TestModes:
         assert any(name.startswith("cs_") for name in names) == (mode is SelectionMode.CHANNEL)
 
     def test_select_conv_and_channel_selection_together_rejected(self, rng):
-        spatial = make_params([(3, 1)], c_in=4, c_mid=2)
-        channel = make_params([(3, 1)], c_in=4, c_mid=2, mode=SelectionMode.CHANNEL)
+        spatial = make_params([(3, 1)], c_in=4)
+        channel = make_params([(3, 1)], c_in=4, mode=SelectionMode.CHANNEL)
         both = replace(spatial, cs_squeeze=channel.cs_squeeze, cs_expand=channel.cs_expand)
         with pytest.raises(ShapeError, match="not both"):
             lsk_forward(rng.uniform(-1, 1, size=(1, 4, 5, 5)), both)
 
     @pytest.mark.parametrize("missing", ["cs_squeeze", "cs_expand"])
     def test_channel_selection_needs_both_convs(self, missing):
-        params = make_params([(3, 1)], c_in=4, c_mid=2, mode=SelectionMode.CHANNEL)
+        params = make_params([(3, 1)], c_in=4, mode=SelectionMode.CHANNEL)
         with pytest.raises(ShapeError, match="both its squeeze and its expand"):
             replace(params, **{missing: None}).validate()
 
@@ -176,16 +174,14 @@ class TestModes:
         """The pooling-set axis: a one-descriptor selection conv still yields
         per-branch masks of the right shape."""
         plan = validate_plan([(3, 1), (5, 2)])
-        params = init_lsk_params(
-            plan, 4, 2, select_kernel=3, pooling=pooling, rng=np.random.default_rng(0)
-        )
+        params = init_lsk_params(plan, 4, pooling=pooling, rng=np.random.default_rng(0))
         assert params.select.weight.shape[1] == 1 and params.pooling == pooling
         x = rng.uniform(-1, 1, size=(1, 4, 6, 6))
         out = lsk_forward(x.astype(np.float32), params)
         assert out.masks.shape == (1, 2, 6, 6)
 
     def test_pooling_set_mismatch_with_params(self, rng):
-        params = make_params([(3, 1)], c_in=4, c_mid=2)  # built for avg+max
+        params = make_params([(3, 1)], c_in=4)  # built for avg+max
         for pooling in [("avg",), ()]:
             with pytest.raises(ShapeError, match="pooling"):
                 lsk_forward(rng.uniform(-1, 1, size=(1, 4, 5, 5)), replace(params, pooling=pooling))
@@ -193,7 +189,7 @@ class TestModes:
 
 class TestBackward:
     def test_zero_grad_y_gives_zero_gradients(self, rng):
-        params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, seed=6)
+        params = make_params([(3, 1), (5, 2)], c_in=4, seed=6)
         x = rng.uniform(-1, 1, size=(1, 4, 6, 6))
         out = lsk_forward(x, params)
         gx, grads = lsk_backward(np.zeros_like(out.y), out.state)
@@ -205,7 +201,7 @@ class TestBackward:
     def test_one_gradient_per_parameter_array(self, rng, built):
         """Keys are the parameter_arrays() names in every mode, and every
         selection array the mode holds gets a non-zero gradient."""
-        params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, mode=built, seed=3)
+        params = make_params([(3, 1), (5, 2)], c_in=4, mode=built, seed=3)
         arrays = dict(parameter_arrays(params))
         x = rng.uniform(-1, 1, size=(1, 4, 6, 6))
         out = lsk_forward(x, params)
@@ -224,15 +220,15 @@ class TestBackward:
         m, mb = 1.3, -0.2  # mixer
         sa, sm, sb = 0.4, -0.3, 0.05  # selection taps (avg, max) and bias
         f, fb = 0.9, 0.2  # fusion
-        params = make_params([(3, 1)], c_in=1, c_mid=1, q=3)
+        params = make_params([(3, 1)], c_in=1)
         params.dw[0].weight[...] = 0.0
         params.dw[0].weight[0, 1, 1] = wc
         params.dw[0].bias[...] = bd
         params.mix[0].weight[...] = m
         params.mix[0].bias[...] = mb
         params.select.weight[...] = 0.0
-        params.select.weight[0, 0, 1, 1] = sa
-        params.select.weight[0, 1, 1, 1] = sm
+        params.select.weight[0, 0, 3, 3] = sa
+        params.select.weight[0, 1, 3, 3] = sm
         params.select.bias[...] = sb
         params.fuse.weight[...] = f
         params.fuse.bias[...] = fb
@@ -259,7 +255,7 @@ class TestInputDependence:
         """Left half white noise, right half constant: the selection masks
         must differ between the regions (the mechanism is input-dependent)."""
         rng = np.random.default_rng(11)
-        params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, q=3, seed=12)
+        params = make_params([(3, 1), (5, 2)], c_in=4, seed=12)
         x = np.full((1, 4, 16, 16), 0.5)
         x[:, :, :, :8] = rng.standard_normal((1, 4, 16, 8))
         masks = lsk_forward(x, params).masks
@@ -269,7 +265,7 @@ class TestInputDependence:
         assert np.abs(left - right).max() > 1e-3
 
     def test_forward_determinism(self, rng):
-        params = make_params([(3, 1), (5, 2)], c_in=4, c_mid=2, seed=8, dtype=np.float32)
+        params = make_params([(3, 1), (5, 2)], c_in=4, seed=8, dtype=np.float32)
         x = rng.uniform(-1, 1, size=(2, 4, 8, 8)).astype(np.float32)
         a = lsk_forward(x, params).y
         b = lsk_forward(x, params).y
@@ -277,15 +273,15 @@ class TestInputDependence:
 
 
 @pytest.mark.parametrize(
-    "mode, c_in, c_mid, side",
-    [(SelectionMode.CHANNEL, 2, 1, 5), (SelectionMode.SPATIAL, 4, 2, 1), (SelectionMode.NONE, 4, 2, 1)],
+    "mode, c_in, side",
+    [(SelectionMode.CHANNEL, 2, 5), (SelectionMode.SPATIAL, 4, 1), (SelectionMode.NONE, 4, 1)],
     ids=["channel-c_mid1", "spatial-1x1", "none-1x1"],
 )
-def test_input_gradient_where_weight_shapes_coincide(mode, c_in, c_mid, side):
+def test_input_gradient_where_weight_shapes_coincide(mode, c_in, side):
     """A per-pixel branch weight (n, 1, h, w) and a per-channel one
     (n, c_mid, 1, 1) have the same shape when c_mid = 1 or h = w = 1; the
     input gradient still matches central differences."""
-    params = make_params([(3, 1), (5, 2)], c_in=c_in, c_mid=c_mid, mode=mode, seed=11)
+    params = make_params([(3, 1), (5, 2)], c_in=c_in, mode=mode, seed=11)
     rng = np.random.default_rng(12)
     inputs = {"x": rng.uniform(-1, 1, size=(2, c_in, side, side))}
     probe = rng.uniform(-1, 1, size=inputs["x"].shape)

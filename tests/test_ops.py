@@ -624,17 +624,15 @@ class TestDepthwiseMemory:
 class TestNorms:
     def test_identity_configuration(self, rng):
         x = rand(rng, (2, 3, 4, 4))
-        out = ops.affine_channel_norm(
-            x, np.ones(3), np.zeros(3), np.zeros(3), np.ones(3), eps=0.0
-        )
+        out = ops.affine_channel_norm(x, np.ones(3), np.zeros(3), np.zeros(3), np.full(3, 1 - ops.NORM_EPS))
         np.testing.assert_allclose(out, x, atol=1e-12)
 
     def test_matches_loop_oracle(self, rng):
         x = rand(rng, (2, 4, 3, 3))
         scale, shift = rand(rng, (4,)), rand(rng, (4,))
         mean, var = rand(rng, (4,)), np.abs(rand(rng, (4,))) + 0.1
-        out = ops.affine_channel_norm(x, scale, shift, mean, var, eps=1e-5)
-        ref = affine_norm_loops(x, scale, shift, mean, var, 1e-5)
+        out = ops.affine_channel_norm(x, scale, shift, mean, var)
+        ref = affine_norm_loops(x, scale, shift, mean, var, ops.NORM_EPS)
         np.testing.assert_allclose(out, ref, atol=1e-6)
 
     def test_batch_norm_zero_mean_unit_var(self, rng):
