@@ -252,9 +252,9 @@ def params_from_arrays(config: BackboneConfig, arrays: dict[str, np.ndarray]) ->
     """Rebuild structured params from a flat name -> array map.
 
     Every expected tensor must be present with exactly the expected shape,
-    and no stored norm variance negative (every feature would be NaN); the
-    first offending tensor is named in the error.  The result holds the
-    caller's float32 arrays themselves (no copy) and a cast of any other.
+    and no stored norm variance negative or NaN (every feature would be
+    NaN); the first offending tensor is named in the error.  The result holds
+    the caller's float32 arrays themselves (no copy) and a cast of any other.
     """
     template = config.shape_tree
     expected = named_arrays(template)
@@ -265,8 +265,8 @@ def params_from_arrays(config: BackboneConfig, arrays: dict[str, np.ndarray]) ->
             raise WeightMismatchError(
                 f"tensor {name!r} has shape {tuple(arrays[name].shape)}, expected {target.shape}"
             )
-        if name.endswith(".var") and (arrays[name] < 0).any():
-            raise WeightMismatchError(f"tensor {name!r} holds a negative variance")
+        if name.endswith(".var") and not (arrays[name] >= 0).all():
+            raise WeightMismatchError(f"tensor {name!r} holds a negative or NaN variance")
     extra = set(arrays) - set(expected)
     if extra:
         raise WeightMismatchError(f"unexpected tensor(s) in weights: {sorted(extra)[:5]}")
@@ -351,13 +351,14 @@ def _conv_norm_forward(x: Tensor4, p: ConvNormParams, train_norm: bool, keep_sta
     return y, (_ConvNormState(p, x, norm_cache) if keep_state else None)
 
 
-def _conv_norm_backward(grad: Tensor4, state: _ConvNormState) -> tuple[Tensor4, dict[str, np.ndarray]]:
-    """``(grad_x, grads)`` of :func:`_conv_norm_forward`, keyed ``conv.*`` and
-    ``norm.*``."""
+def _conv_norm_backward(grad: Tensor4, state: _ConvNormState) -> tuple[Tensor4, ConvNormParams]:
+    """``(grad_x, grads)`` of :func:`_conv_norm_forward`: ``grads`` is a
+    :class:`ConvNormParams` with the conv's and the norm's gradients, the
+    stored norm statistics ``None`` and the layer's stride."""
     p = state.params
-    g_conv, g_scale, g_shift = norm_backward(grad, p.norm, state.norm_cache)
-    g_in, g_w, g_b = ops.conv2d_backward(g_conv, state.x, p.conv.weight, p.stride)
-    return g_in, {"norm.scale": g_scale, "norm.shift": g_shift, "conv.weight": g_w, "conv.bias": g_b}
+    g_conv, *norm = norm_backward(grad, p.norm, state.norm_cache)
+    g_in, *conv = ops.conv2d_backward(g_conv, state.x, p.conv.weight, p.stride)
+    return g_in, ConvNormParams(ConvParams(*conv), NormParams(*norm, None, None), p.stride)
 
 
 def backbone_backward(grad_stage4: Tensor4, state: BackboneState) -> tuple[Tensor4, dict[str, np.ndarray]]:
@@ -369,5 +370,5 @@ def backbone_backward(grad_stage4: Tensor4, state: BackboneState) -> tuple[Tenso
     grad = grad_stage4
     for prefix, backward, layer_state in reversed(state.layers):
         grad, layer_grads = backward(grad, layer_state)
-        grads.update(prefixed(prefix, layer_grads.items()))
+        grads.update(prefixed(prefix, parameter_arrays(layer_grads)))
     return grad, grads

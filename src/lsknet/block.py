@@ -34,7 +34,8 @@ input and fused map.  Only two sums change order against the whole-width
 FFN, ``fc2``'s forward sum and ``fc1``'s input-gradient sum, and only in
 blocks with two or more groups.  The weight names below a block's prefix are
 read off its field tree (:func:`~lsknet.module.parameter_arrays`:
-``pre.weight``, ``ffn.fc1.bias``, ``norm2.var``, ...).
+``pre.weight``, ``ffn.fc1.bias``, ``norm2.var``, ...), and so are the names
+of the gradient tree :func:`block_backward` returns.
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ from .module import (
     init_lsk_params,
     lsk_backward,
     lsk_forward,
-    prefixed,
 )
 from .ops import ConvSpec, Tensor4
 from .plan import DecompositionPlan
@@ -256,28 +256,29 @@ def block_forward(
     return LayerOutput(y=y, masks=masks, state=BlockState(params=params, x=x, **kept) if keep_state else None)
 
 
-def _joined(parts: list[np.ndarray], axis: int = 0) -> np.ndarray:
+def _joined(parts: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
     """The per-group gradient slices as one array; a single group's is
     returned as it is, not copied (stage-4 FFN weights are 4 MiB each)."""
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
-def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[str, np.ndarray]]:
-    """Returns ``(grad_x, grads)``: ``grads`` is keyed by the names
-    :func:`~lsknet.module.parameter_arrays` reads off the block and covers
-    every learnable array (all but the stored norm statistics)."""
+def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, BlockParams]:
+    """Returns ``(grad_x, grads)``: ``grads`` is a :class:`BlockParams`
+    holding each learnable's gradient in its place, the selection module's
+    as :func:`~lsknet.module.lsk_backward` returns it and the stored norm
+    statistics ``None`` (``NormParams(scale, shift, None, None)``), so
+    :func:`~lsknet.module.parameter_arrays` names the gradients as it names
+    the weights."""
     p = state.params
     if grad_y.shape != state.x.shape:
         raise ShapeError(f"block_backward: grad_y {grad_y.shape} != input {state.x.shape}")
-    grads: dict[str, np.ndarray] = {}
 
     # FFN half: y = y1 + scale2 * fc2_out
-    grad_fc2_out, grad_scale = ops.broadcast_mask_mul_backward(grad_y, state.fc2_out, p.scale2.reshape(1, -1, 1, 1))
-    grads["scale2"] = grad_scale.reshape(-1)
+    grad_fc2_out, grad_scale2 = ops.broadcast_mask_mul_backward(grad_y, state.fc2_out, p.scale2.reshape(1, -1, 1, 1))
     ffn = p.ffn
     normed2 = norm_output(p.norm2, state.norm2_cache)
     grad_normed2 = None
-    fc2_w, dw_w, dw_b, fc1_w, fc1_b = [], [], [], [], []
+    fc2_w, dw, fc1 = [], [], []  # per group: fc2's weight columns, the dw conv's and fc1's (weight, bias)
     groups = ffn_groups(ffn.fc1.weight.shape[0], normed2)
     for g, dw_out in zip(groups, state.dw_out, strict=True):
         grad, w, fc2_b = ops.pointwise_conv_backward(grad_fc2_out, ops.gelu(dw_out), ffn.fc2.weight[:, g])
@@ -286,40 +287,43 @@ def block_backward(grad_y: Tensor4, state: BlockState) -> tuple[Tensor4, dict[st
         # the group's fc1 output is rebuilt by the forward's call and freed
         # once the depth-wise backward has read it
         fc1_out = ops.pointwise_conv(normed2, ffn.fc1.weight[g], ffn.fc1.bias[g])
-        grad, w, b = ops.depthwise_conv_backward(grad, fc1_out, ffn.dw.weight[g], _FFN_SPEC)
+        grad, *conv = ops.depthwise_conv_backward(grad, fc1_out, ffn.dw.weight[g], _FFN_SPEC)
         del fc1_out
-        dw_w.append(w)
-        dw_b.append(b)
-        grad, w, b = ops.pointwise_conv_backward(grad, normed2, ffn.fc1.weight[g])
-        fc1_w.append(w)
-        fc1_b.append(b)
+        dw.append(conv)
+        grad, *conv = ops.pointwise_conv_backward(grad, normed2, ffn.fc1.weight[g])
+        fc1.append(conv)
         if grad_normed2 is None:
             grad_normed2 = grad
         else:
             grad_normed2 += grad
     del grad, normed2
-    grads["ffn.fc2.weight"] = _joined(fc2_w, axis=1)
-    grads["ffn.fc2.bias"] = fc2_b  # every group's call sums the same grad_fc2_out
-    grads["ffn.dw.weight"] = _joined(dw_w)
-    grads["ffn.dw.bias"] = _joined(dw_b)
-    grads["ffn.fc1.weight"] = _joined(fc1_w)
-    grads["ffn.fc1.bias"] = _joined(fc1_b)
-    grad_y1, grads["norm2.scale"], grads["norm2.shift"] = norm_backward(grad_normed2, p.norm2, state.norm2_cache)
+    grad_y1, *norm2 = norm_backward(grad_normed2, p.norm2, state.norm2_cache)
     grad_y1 += grad_y  # the residual path
 
     # selection half: y1 = x + scale1 * post_out
-    grad_post_out, grad_scale = ops.broadcast_mask_mul_backward(grad_y1, state.post_out, p.scale1.reshape(1, -1, 1, 1))
-    grads["scale1"] = grad_scale.reshape(-1)
+    grad_post_out, grad_scale1 = ops.broadcast_mask_mul_backward(grad_y1, state.post_out, p.scale1.reshape(1, -1, 1, 1))
     lsk = state.lsk_state
-    grad_lsk_y, grads["post.weight"], grads["post.bias"] = ops.pointwise_conv_backward(
+    grad_lsk_y, *post = ops.pointwise_conv_backward(
         grad_post_out, ops.broadcast_mask_mul(lsk.u[0], lsk.fused), p.post.weight  # the LSK output
     )
     grad_gelu1, lsk_grads = lsk_backward(grad_lsk_y, lsk)
-    grads.update(prefixed("lsk", lsk_grads.items()))
     grad_pre_out = ops.gelu_backward(grad_gelu1, state.pre_out)
-    grad_normed1, grads["pre.weight"], grads["pre.bias"] = ops.pointwise_conv_backward(
+    grad_normed1, *pre = ops.pointwise_conv_backward(
         grad_pre_out, norm_output(p.norm1, state.norm1_cache), p.pre.weight
     )
-    grad_x, grads["norm1.scale"], grads["norm1.shift"] = norm_backward(grad_normed1, p.norm1, state.norm1_cache)
+    grad_x, *norm1 = norm_backward(grad_normed1, p.norm1, state.norm1_cache)
     grad_x += grad_y1  # the residual path
-    return grad_x, grads
+    return grad_x, BlockParams(
+        norm1=NormParams(*norm1, None, None),
+        pre=ConvParams(*pre),
+        lsk=lsk_grads,
+        post=ConvParams(*post),
+        scale1=grad_scale1.reshape(-1),
+        norm2=NormParams(*norm2, None, None),
+        ffn=FfnParams(
+            fc1=ConvParams(*map(_joined, zip(*fc1))),
+            dw=ConvParams(*map(_joined, zip(*dw))),
+            fc2=ConvParams(_joined(fc2_w, axis=1), fc2_b),  # every group's call sums the same grad_fc2_out
+        ),
+        scale2=grad_scale2.reshape(-1),
+    )

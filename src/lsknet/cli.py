@@ -257,22 +257,20 @@ def cmd_forward(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .gradcheck import available_checks, run_check
+    from .gradcheck import available_checks, run_suite
 
-    names = available_checks() if args.op is None else [args.op]
     if args.op is not None and args.op not in available_checks():
         print(f"unknown op {args.op!r}; available: {', '.join(available_checks())}", file=sys.stderr)
         return EXIT_USAGE
     width = max(map(len, available_checks()))  # every line's max_rel_err= in one column
     failures = 0
-    for name in names:
-        result = run_check(name, seed=args.seed)
+    for result in run_suite(None if args.op is None else [args.op], seed=args.seed):
         status = "PASS" if result.passed else "FAIL"
         detail = ""
         if not result.passed:
             detail = f"  (worst input {result.worst_input!r}, flat index {result.worst_index})"
             failures += 1
-        print(f"{name:<{width}} max_rel_err={result.max_rel_error:.3e}  {status}{detail}")
+        print(f"{result.name:<{width}} max_rel_err={result.max_rel_error:.3e}  {status}{detail}")
     return EXIT_OK if failures == 0 else EXIT_FAILURE
 
 

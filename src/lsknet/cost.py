@@ -10,7 +10,7 @@ stage by stage: the embedding at ceil(side / stride), then the blocks there.
 The plan search ranks a plan by the ``convs`` node of the walk over
 ``init_lsk_params(plan, 64)``.
 
-Counting rules (also embedded in every report's ``conventions`` field):
+Counting rules (also read from every report's ``conventions`` property):
 
 * ``params`` counts every learnable value: conv weights, biases, norm scale
   and shift, residual scales.  Norm running statistics are buffers, not
@@ -81,7 +81,11 @@ class CostReport:
     flops: int
     macs: int = 0
     breakdown: tuple[tuple[str, "CostReport"], ...] = ()
-    conventions: tuple[str, ...] = CONVENTIONS
+
+    @property
+    def conventions(self) -> tuple[str, ...]:
+        """The counting rules every report follows: :data:`CONVENTIONS`."""
+        return CONVENTIONS
 
     def __post_init__(self):
         if self.params < 0 or self.flops < 0 or self.macs < 0:

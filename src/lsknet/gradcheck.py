@@ -148,19 +148,17 @@ def _layer_case(rng, params, forward, backward, cat_of=None) -> _Case:
     """Case over the input and every learnable array of one layer.
 
     ``forward(x, params)`` returns an output with ``y`` and ``state``, and
-    ``backward(grad_y, state)`` returns ``(grad_x, grads)`` keyed by the names
-    of ``parameter_arrays(params)``; the arrays it returns a gradient for are
-    the learnables, drawn after the input in listing order.  ``cat_of(state)``
-    is the input of a channel max-pool whose winners must stay well separated
-    from the FD step.
+    ``backward(grad_y, state)`` returns ``(grad_x, grads)`` with ``grads`` a
+    tree of the layer's own type; the arrays :func:`parameter_arrays` finds
+    in it are the learnables, named as in ``params`` and drawn after the
+    input in listing order.  ``cat_of(state)`` is the input of a channel
+    max-pool whose winners must stay well separated from the FD step.
     """
     arrays = dict(parameter_arrays(params))
     inputs: dict[str, np.ndarray] = {"x": _uniform(rng, (1, 4, 5, 5))}
     out = forward(inputs["x"], params)
-    learnable = backward(np.zeros_like(out.y), out.state)[1]
-    for name, arr in arrays.items():
-        if name in learnable:
-            inputs[name] = _uniform(rng, arr.shape, scale=0.5)
+    learnable = dict(parameter_arrays(backward(np.zeros_like(out.y), out.state)[1]))
+    inputs |= {name: _uniform(rng, grad.shape, scale=0.5) for name, grad in learnable.items()}
 
     def load(v) -> None:
         for name in learnable:
@@ -173,7 +171,7 @@ def _layer_case(rng, params, forward, backward, cat_of=None) -> _Case:
     def analytic(v, probe):
         load(v)
         grad_x, grads = backward(probe, forward(v["x"], params).state)
-        return {"x": grad_x, **grads}
+        return {"x": grad_x, **dict(parameter_arrays(grads))}
 
     if cat_of is not None:
         for _ in range(64):

@@ -29,7 +29,8 @@ backward passes start every gradient from its first term.
 
 Every conv is one :class:`ConvParams` leaf, and :func:`parameter_arrays`
 reads the weight-file names of any layer off its field tree (``dw0.weight``,
-``fuse.bias``, ...).
+``fuse.bias``, ...).  Each backward returns its gradients as a tree of the
+layer's own type, so the same walk names them.
 """
 
 from __future__ import annotations
@@ -317,23 +318,23 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
     return LayerOutput(y=y, masks=masks, state=LskState(params=params, **kept) if keep_state else None)
 
 
-def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, np.ndarray]]:
+def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, LskModuleParams]:
     """Chain-rule pass through the whole module for a sum-reduction loss.
 
-    Returns ``(grad_x, grads)``: ``grads`` holds one gradient per entry of
-    :func:`parameter_arrays` of the module, keyed by its name.
+    Returns ``(grad_x, grads)``: ``grads`` is a copy of the module's
+    :class:`LskModuleParams` holding each conv's gradient in its place, with
+    the plan and the pooling set kept and the convs the mode lacks ``None``,
+    so :func:`parameter_arrays` names the gradients as it names the weights.
     """
     params = state.params
     n = params.n_kernels
     if grad_y.shape != state.u[0].shape:
         raise ShapeError(f"lsk_backward: grad_y shape {grad_y.shape} != forward input {state.u[0].shape}")
-    grads: dict[str, np.ndarray] = {}
+    select = squeeze = expand = None  # the selection convs' gradients, in the modes that hold them
 
     # y = x * fused, with x = u[0]
     grad_x, grad_fused = ops.broadcast_mask_mul_backward(grad_y, state.u[0], state.fused)
-    grad_weighted, grads["fuse.weight"], grads["fuse.bias"] = ops.pointwise_conv_backward(
-        grad_fused, state.weighted, params.fuse.weight
-    )
+    grad_weighted, *fuse = ops.pointwise_conv_backward(grad_fused, state.weighted, params.fuse.weight)
 
     if state.weights is None:  # the branches were summed unweighted
         grad_mixed = [grad_weighted] * n
@@ -342,9 +343,8 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
         grad_mixed, grad_weights = zip(*pairs)
     if params.mode is SelectionMode.SPATIAL:
         grad_logits = ops.sigmoid_backward(ops.concat_channels(grad_weights), state.masks)
-        grad_pooled, grads["select.weight"], grads["select.bias"] = ops.conv2d_backward(
-            grad_logits, state.pooled, params.select.weight
-        )
+        grad_pooled, w, b = ops.conv2d_backward(grad_logits, state.pooled, params.select.weight)
+        select = ConvParams(w, b)
         desc_grads = ops.concat_channels_backward(grad_pooled, [1] * len(params.pooling))
         cat = ops.concat_channels(state.u_mixed)
         grad_cat = ops.channel_pool_backward(desc_grads[0], cat, params.pooling[0])
@@ -361,29 +361,25 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, dict[str, n
             grad_logits.reshape(len(a), -1, 1, 1), ops.gelu(state.cs_pre), expand.weight.reshape(n * params.c_mid, -1)
         )
         grad_pre = ops.gelu_backward(grad_hidden, state.cs_pre)
-        grad_sum, grads["cs_squeeze.weight"], grads["cs_squeeze.bias"] = ops.pointwise_conv_backward(
-            grad_pre, state.cs_sum, params.cs_squeeze.weight
-        )
-        grads["cs_expand.weight"] = grad_exp_w.reshape(expand.weight.shape)
-        grads["cs_expand.bias"] = grad_exp_b.reshape(expand.bias.shape)
+        grad_sum, w, b = ops.pointwise_conv_backward(grad_pre, state.cs_sum, params.cs_squeeze.weight)
+        squeeze = ConvParams(w, b)
+        expand = ConvParams(grad_exp_w.reshape(expand.weight.shape), grad_exp_b.reshape(expand.bias.shape))
         for g_m, m in zip(grad_mixed, state.u_mixed):
             g_m += ops.global_avg_pool_backward(grad_sum, m)
 
-    # mixers, then the depth-wise chain in reverse; stage i's input u[i] also
-    # feeds mixer i - 1, or the gate for i = 0, so their gradients join there
-    grad_u = []  # mixer i's gradient on u[i + 1]
-    for i in range(n):
-        g_u, grads[f"mix{i}.weight"], grads[f"mix{i}.bias"] = ops.pointwise_conv_backward(
-            grad_mixed[i], state.u[i + 1], params.mix[i].weight
-        )
-        grad_u.append(g_u)
-    grad = grad_u[-1]
+    # mixers[i] is mixer i's (gradient on u[i + 1], weight, bias); then the depth-wise chain
+    # in reverse, where stage i's input u[i] also feeds mixer i - 1 (or the gate for i = 0)
+    mixers = [ops.pointwise_conv_backward(g, u, conv.weight) for g, u, conv in zip(grad_mixed, state.u[1:], params.mix)]
+    grad = mixers[-1][0]
+    dw = []
     for i in range(n - 1, -1, -1):
-        grad, grads[f"dw{i}.weight"], grads[f"dw{i}.bias"] = ops.depthwise_conv_backward(
-            grad, state.u[i], params.dw[i].weight, params.plan.stages[i]
-        )
-        grad += grad_u[i - 1] if i else grad_x
-    return grad, grads
+        grad, *conv = ops.depthwise_conv_backward(grad, state.u[i], params.dw[i].weight, params.plan.stages[i])
+        dw.insert(0, ConvParams(*conv))
+        grad += mixers[i - 1][0] if i else grad_x
+    mix = [ConvParams(w, b) for _, w, b in mixers]
+    return grad, replace(
+        params, dw=dw, mix=mix, select=select, fuse=ConvParams(*fuse), cs_squeeze=squeeze, cs_expand=expand
+    )
 
 
 def params_map(tree, fn):

@@ -64,6 +64,7 @@ runs are bit-identical.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -124,6 +125,11 @@ class ConvSpec:
     dilation: int = 1
 
     def __post_init__(self):
+        for name in ("kernel", "dilation"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ShapeError(f"ConvSpec: {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer is stored as an int
         if self.kernel < 1 or self.kernel % 2 == 0:
             raise ShapeError(f"ConvSpec: kernel must be odd and positive, got {self.kernel}")
         if self.dilation < 1:

@@ -16,6 +16,7 @@ and the cumulative receptive field obeys
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -49,8 +50,12 @@ class DecompositionPlan:
 
 
 def _as_spec(stage: ConvSpec | tuple[int, int]) -> ConvSpec:
-    """One plan stage: an odd kernel size k >= 3 and a dilation d >= 1."""
+    """One plan stage: an odd integer kernel size k >= 3 and an integer
+    dilation d >= 1 (a bool is no integer here)."""
     k, d = (stage.kernel, stage.dilation) if isinstance(stage, ConvSpec) else stage
+    for what, name, value in (("kernel size", "k", k), ("dilation", "d", d)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise PlanError(f"{what} must be an integer, got {name}={value!r}")
     if k < 3 or k % 2 == 0:
         raise PlanError(f"kernel size must be an odd integer >= 3, got k={k}")
     if d < 1:

@@ -118,7 +118,11 @@ def _module_scope(rng, seed, train_module):
         out = lsk_forward(x, params)
         return out.y, out.state
 
-    return forward, lsk_backward, dict(parameter_arrays(params)), dataset.targets
+    def backward(grad, state):
+        grad_x, grads = lsk_backward(grad, state)
+        return grad_x, dict(parameter_arrays(grads))
+
+    return forward, backward, dict(parameter_arrays(params)), dataset.targets
 
 
 def _backbone_scope(seed):
@@ -141,10 +145,12 @@ def _descend(forward, backward, arrays, targets, rng, steps, lr) -> list[float]:
     pooled features.
 
     ``forward()`` returns ``(features, state)`` and ``backward(grad_features,
-    state)`` returns ``(grad_input, grads)`` with ``grads`` keyed by names of
-    ``arrays``; every step moves those arrays and the head, which is drawn
-    from ``rng`` once the first features are known.  With no ``arrays`` only
-    the head trains.
+    state)`` returns ``(grad_input, grads)`` with ``grads`` a flat name ->
+    gradient dict keyed by names of ``arrays`` (the module scope flattens its
+    gradient tree with :func:`~lsknet.module.parameter_arrays`, the walk that
+    named ``arrays``); every step moves those arrays and the head, which is
+    drawn from ``rng`` once the first features are known.  With no
+    ``arrays`` only the head trains.
     """
     m = targets.shape[0]
     feat, state = forward()

@@ -160,6 +160,7 @@ class TestBlock:
         out = block_forward(x, params, train_norm=train_norm)
         assert len(out.state.dw_out) == 4
         grad_x, grads = block_backward(probe, out.state)
+        grads = dict(parameter_arrays(grads))
 
         arrays = dict(parameter_arrays(params))
         assert set(grads) == {k for k in arrays if not k.endswith((".mean", ".var"))}
@@ -524,7 +525,9 @@ class TestWeightPlumbing:
 
     def test_negative_variance_is_named(self):
         """A stored variance below 0 would make every feature NaN; the loader
-        refuses it after a write/read round trip, naming the first such tensor."""
+        refuses it after a write/read round trip, naming the first such tensor.
+        A NaN variance, which the writer already refuses, is refused alike
+        when passed straight to the loader."""
         arrays = named_arrays(init_backbone_params(TINY, seed=0))
         arrays["stage1.block0.norm1.var"][0] = -1.0
         arrays["down2.norm.var"][:] = -1.0
@@ -532,8 +535,13 @@ class TestWeightPlumbing:
         write_weights(buf, arrays)
         buf.seek(0)
         loaded, _ = read_weights(buf)
-        with pytest.raises(WeightMismatchError, match=r"'stage1\.block0\.norm1\.var' holds a negative variance"):
+        match = r"'stage1\.block0\.norm1\.var' holds a negative or NaN variance"
+        with pytest.raises(WeightMismatchError, match=match):
             params_from_arrays(TINY, loaded)
+        arrays = named_arrays(init_backbone_params(TINY, seed=0))
+        arrays["stage1.block0.norm1.var"][1] = np.nan
+        with pytest.raises(WeightMismatchError, match=match):
+            params_from_arrays(TINY, arrays)
 
     def test_extra_tensor_rejected(self):
         arrays = dict(named_arrays(init_backbone_params(TINY, seed=0)))
@@ -547,26 +555,40 @@ MODES = [SelectionMode.SPATIAL, SelectionMode.CHANNEL, SelectionMode.NONE]
 
 class TestBackboneBackward:
     def test_gradients_cover_every_learnable(self, rng):
-        self._check_gradients_cover_every_learnable(rng, SelectionMode.SPATIAL, False)
+        self._check_gradients_cover_every_learnable(rng, TINY, False)
 
     @pytest.mark.parametrize("train_norm", [False, True])
     @pytest.mark.parametrize("mode", MODES)
-    def test_gradients_cover_every_learnable_per_mode(self, rng, mode, train_norm):
-        self._check_gradients_cover_every_learnable(rng, mode, train_norm)
+    @settings(max_examples=10, deadline=None)
+    @given(
+        channels=st.tuples(*[st.integers(4, 16)] * 4),
+        depths=st.tuples(*[st.integers(1, 2)] * 4),
+        pooling=st.sampled_from([("avg", "max"), ("avg",), ("max",)]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_gradients_cover_every_learnable_per_mode(self, mode, train_norm, channels, depths, pooling, seed):
+        """Random small configs in every mode, under both norm kinds."""
+        cfg = BackboneConfig(channels=channels, depths=depths, selection_mode=mode, pooling=pooling)
+        self._check_gradients_cover_every_learnable(np.random.default_rng(seed), cfg, train_norm)
 
     @staticmethod
-    def _check_gradients_cover_every_learnable(rng, mode, train_norm):
-        params = init_backbone_params(replace(TINY, selection_mode=mode), seed=1)
+    def _check_gradients_cover_every_learnable(rng, config, train_norm):
+        """The gradients' names, shapes and dtypes are those of the learnable
+        entries of named_arrays, and every layer's backward returns a tree of
+        the layer's own parameter type."""
+        params = init_backbone_params(config, seed=1)
         x = rng.uniform(-1, 1, size=(1, 3, 32, 32)).astype(np.float32)
         out = backbone_forward(x, params, keep_state=True, train_norm=train_norm)
         grad = np.ones_like(out.features[3])
         gx, grads = backbone_backward(grad, out.state)
         assert gx.shape == x.shape and gx.dtype == x.dtype
-        arrays = named_arrays(params)
-        learnables = {name for name in arrays if not name.endswith((".mean", ".var"))}
-        assert set(grads) == learnables
-        for name, g in grads.items():
-            assert (g.shape, g.dtype) == (arrays[name].shape, arrays[name].dtype), name
+        learnables = {name: arr for name, arr in named_arrays(params).items() if not name.endswith((".mean", ".var"))}
+        assert {name: (g.shape, g.dtype) for name, g in grads.items()} == {
+            name: (arr.shape, arr.dtype) for name, arr in learnables.items()
+        }
+        for prefix, backward, layer_state in reversed(out.state.layers):
+            grad, tree = backward(grad, layer_state)
+            assert type(tree) is type(layer_state.params), prefix
 
     def test_training_state_keeps_each_value_once(self):
         """A kept training state holds no array that another kept array gives

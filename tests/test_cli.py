@@ -212,7 +212,7 @@ class TestForwardCommand:
         rc = main(["forward", "--input", str(lskt_input), "--variant", "T",
                    "--out", str(tmp_path / "f"), "--weights", str(wpath)])
         assert rc == 1
-        assert "'stage2.block1.norm2.var' holds a negative variance" in capsys.readouterr().err
+        assert "'stage2.block1.norm2.var' holds a negative or NaN variance" in capsys.readouterr().err
         assert not (tmp_path / "f").exists()
 
 

@@ -159,7 +159,7 @@ def test_analyze_report_digest(tmp_path, capsys):
 
 
 # api_listing() of the public callables
-API_SHA256 = "54984a346769f9e54b98792b1fc55f510f4fee0c1fad38d696dc5232f6e147e9"
+API_SHA256 = "9f57e461bfbc094fc9b2bc1a6dff4d9d0edafe35bf5821bf8b668ed38f4b36f2"
 
 
 def api_listing() -> str:

@@ -1,11 +1,12 @@
 """Receptive-field arithmetic and plan enumeration, including the published
 sequence/RF pairs the implementation must reproduce exactly."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lsknet.errors import PlanError
+from lsknet.errors import PlanError, ShapeError
 from lsknet.ops import ConvSpec
 from lsknet.plan import enumerate_plans, validate_plan
 
@@ -114,6 +115,29 @@ def test_rf_recursion_is_exact_integer_math(k1, dk, d2):
     else:
         plan = validate_plan([(k1, 1), (k2, d2)])
         assert plan.rf_per_stage == (k1, d2 * (k2 - 1) + k1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    bad=st.one_of(st.floats(), st.booleans()),
+    slot=st.sampled_from(["k", "d"]),
+    second=st.booleans(),
+)
+def test_non_integer_stage_values_are_refused(bad, slot, second):
+    """A float (3.0 included) or a bool as a kernel size or a dilation, in the
+    first or a later stage, is a PlanError naming the slot, and a ConvSpec
+    refuses it with a ShapeError."""
+    stage = (bad, 2 if second else 1) if slot == "k" else (5 if second else 3, bad)
+    with pytest.raises(PlanError, match=f"must be an integer, got {slot}="):
+        validate_plan([(3, 1), stage] if second else [stage])
+    with pytest.raises(ShapeError, match="must be an integer"):
+        ConvSpec(*((bad, 1) if slot == "k" else (3, bad)))
+
+
+def test_numpy_integer_stage_values_are_stored_as_ints():
+    plan = validate_plan([(np.int64(3), np.int32(1)), (np.int16(5), np.uint8(2))])
+    assert [type(v) for spec in plan.stages for v in (spec.kernel, spec.dilation)] == [int] * 4
+    assert plan.rf_per_stage == (3, 11) and str(plan) == "(3,1) -> (5,2)"
 
 
 def test_plan_logic_is_input_independent():
