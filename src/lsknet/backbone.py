@@ -299,8 +299,12 @@ class BackboneOutput:
 
 
 def check_input_size(h: int, w: int, where: str) -> None:
-    """Refuse input sides that are not positive multiples of the product of
-    the stem's and the three downsamplers' strides (32)."""
+    """Refuse input sides that are not integers (a bool is none here) or not
+    positive multiples of the product of the stem's and the three
+    downsamplers' strides (32)."""
+    for name, side in (("h", h), ("w", w)):
+        if isinstance(side, bool) or not isinstance(side, numbers.Integral):
+            raise ShapeError(f"{where}: spatial dims must be integers, got {name}={side!r}")
     m = STEM_STRIDE * DOWN_STRIDE**3
     if min(h, w) < 1 or h % m or w % m:
         raise ShapeError(f"{where}: spatial dims {h}x{w} not positive and divisible by {m}")

@@ -32,6 +32,7 @@ Counting rules (also read from every report's ``conventions`` property):
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -88,6 +89,11 @@ class CostReport:
         return CONVENTIONS
 
     def __post_init__(self):
+        for name in ("params", "flops", "macs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ShapeError(f"CostReport: {name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # a numpy integer is stored as an int
         if self.params < 0 or self.flops < 0 or self.macs < 0:
             raise ShapeError("CostReport: negative counts are invalid")
 

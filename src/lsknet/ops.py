@@ -12,6 +12,12 @@ axes.
 Backward functions return gradients of a sum-reduction loss, i.e. they
 contract the upstream gradient ``grad_out`` with the local Jacobian.
 
+Every backward refuses what its forward refuses: the pair shares one check
+of its arguments, and a ``grad_out`` not shaped like the forward's output is
+refused in one wording, naming the op and both shapes.  Inputs that a layer
+casts its weights to, and pooled inputs whose gradient takes their dtype,
+are float32 or float64.
+
 Channel mixing (``pointwise_conv``, ``conv2d`` and their backward passes) is
 one BLAS matrix product per batch item; the dense conv first gathers its
 strided windows into an im2col buffer of shape ``(n, c*k*k, oh*ow)``.
@@ -158,19 +164,31 @@ def check_tensor4(x: np.ndarray, name: str = "tensor") -> np.ndarray:
 
 
 def check_float_input(x: np.ndarray, where: str) -> np.ndarray:
-    """:func:`check_tensor4` plus a float dtype: a layer casts its weights to
-    its input's dtype, which truncates them for an integer or boolean one."""
+    """:func:`check_tensor4` plus a float32 or float64 dtype: a layer casts
+    its weights to its input's dtype, which truncates them for an integer or
+    boolean one and runs the layer in another precision for any other float."""
     check_tensor4(x, f"{where}: x")
-    if x.dtype.kind != "f":
-        raise ShapeError(f"{where}: expected a float input, got dtype {x.dtype}")
+    if x.dtype not in (np.float32, np.float64):
+        raise ShapeError(f"{where}: expected a float32 or float64 input, got dtype {x.dtype}")
     return x
 
 
-def _check_vector(v: np.ndarray, length: int, name: str) -> np.ndarray:
-    if not isinstance(v, np.ndarray) or v.ndim != 1 or v.shape[0] != length:
-        got = getattr(v, "shape", type(v).__name__)
-        raise ShapeError(f"{name}: expected vector of length {length}, got {got}")
-    return v
+def _check_grad(where: str, grad_out: np.ndarray, x: np.ndarray, want: tuple | None = None) -> None:
+    """Check a backward op's ``grad_out`` and ``x`` and that ``grad_out`` has
+    the shape of the forward's output, ``want`` (``x.shape`` unless given)."""
+    check_tensor4(grad_out, f"{where}: grad_out")
+    check_tensor4(x, f"{where}: x")
+    want = x.shape if want is None else want
+    if grad_out.shape != want:
+        raise ShapeError(f"{where}: grad_out {grad_out.shape} != expected {want}")
+
+
+def _check_vectors(where: str, length: int, **vectors: np.ndarray) -> None:
+    """Check that each named vector is 1-D with ``length`` entries."""
+    for name, v in vectors.items():
+        if not isinstance(v, np.ndarray) or v.ndim != 1 or v.shape[0] != length:
+            got = getattr(v, "shape", type(v).__name__)
+            raise ShapeError(f"{where}: {name}: expected vector of length {length}, got {got}")
 
 
 def _pad2d(x: np.ndarray, pad: int) -> np.ndarray:
@@ -195,12 +213,17 @@ def _pad2d(x: np.ndarray, pad: int) -> np.ndarray:
 _DW_TILE_BYTES = 1 << 20
 
 
-def _dw_kept(spec: ConvSpec, h: int, w: int) -> tuple[slice, slice]:
-    """Kernel rows and columns whose taps can reach an h x w image; a tap
-    whose offset is at least the map size reads only padding."""
+def _dw_kept(where: str, x: np.ndarray, weights: np.ndarray, spec: ConvSpec):
+    """Check the (c, k, k) weights; return the kernel rows and columns whose
+    taps can reach x's h x w image (a tap whose offset is at least the map
+    size reads only padding), and those taps in x's dtype."""
+    n, c, h, w = x.shape
     k, d, pad = spec.kernel, spec.dilation, spec.padding
+    if weights.shape != (c, k, k):
+        raise ShapeError(f"{where}: weights shape {weights.shape} does not match channels {c} and kernel {k}")
     dr, dc = (max(0, (pad - size) // d + 1) for size in (h, w))
-    return slice(dr, k - dr), slice(dc, k - dc)
+    rows, cols = slice(dr, k - dr), slice(dc, k - dc)
+    return rows, cols, weights[:, rows, cols].astype(x.dtype)
 
 
 def _dw_correlate(
@@ -285,15 +308,8 @@ def depthwise_conv(x: Tensor4, weights: np.ndarray, bias: np.ndarray, spec: Conv
     parameter count.
     """
     check_float_input(x, "depthwise_conv")
-    n, c, h, w = x.shape
-    if weights.ndim != 3 or weights.shape != (c, spec.kernel, spec.kernel):
-        raise ShapeError(
-            f"depthwise_conv: weights shape {weights.shape} does not match "
-            f"channels {c} and kernel {spec.kernel}"
-        )
-    _check_vector(bias, c, "depthwise_conv: bias")
-    rows, cols = _dw_kept(spec, h, w)
-    taps = weights[:, rows, cols].astype(x.dtype)
+    taps = _dw_kept("depthwise_conv", x, weights, spec)[2]
+    _check_vectors("depthwise_conv", x.shape[1], bias=bias)
     return _dw_correlate(x, taps, bias.astype(x.dtype, copy=False), spec.dilation)[0]
 
 
@@ -306,17 +322,9 @@ def depthwise_conv_backward(
     the kernel flipped; the weight gradient multiplies the same column
     gathers of ``grad_out`` by ``x`` shifted down by each kernel row.
     """
-    check_tensor4(grad_out, "depthwise_conv_backward: grad_out")
     check_float_input(x, "depthwise_conv_backward")
-    if grad_out.shape != x.shape:
-        raise ShapeError(
-            f"depthwise_conv_backward: grad_out {grad_out.shape} != x {x.shape}"
-        )
-    n, c, h, w = x.shape
-    if weights.shape != (c, spec.kernel, spec.kernel):
-        raise ShapeError(f"depthwise_conv_backward: weights shape {weights.shape} invalid")
-    rows, cols = _dw_kept(spec, h, w)
-    taps = weights[:, rows, cols].astype(x.dtype)
+    _check_grad("depthwise_conv_backward", grad_out, x)
+    rows, cols, taps = _dw_kept("depthwise_conv_backward", x, weights, spec)
     grad_x, grad_taps = _dw_correlate(grad_out, taps[:, ::-1, ::-1], None, spec.dilation, against=x)
     grad_w = np.zeros_like(weights)
     grad_w[:, rows, cols] = grad_taps[:, ::-1, ::-1]
@@ -391,7 +399,7 @@ def conv2d(
     check_float_input(x, "conv2d")
     n, c, h, w = x.shape
     c_out, k = _check_conv2d_args("conv2d", c, weights, stride)
-    _check_vector(bias, c_out, "conv2d: bias")
+    _check_vectors("conv2d", c_out, bias=bias)
     oh, ow = conv_out_size(h, stride), conv_out_size(w, stride)
     patches = _im2col(_pad2d(x, k // 2), k, stride, oh, ow)
     wmat = weights.reshape(c_out, c * k * k).astype(x.dtype, copy=False)
@@ -407,16 +415,11 @@ def conv2d_backward(
     stride: int = 1,
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Gradients of conv2d w.r.t. input, weights and bias."""
-    check_tensor4(grad_out, "conv2d_backward: grad_out")
     check_float_input(x, "conv2d_backward")
     n, c, h, w = x.shape
     c_out, k = _check_conv2d_args("conv2d_backward", c, weights, stride)
-    oh, ow = grad_out.shape[2], grad_out.shape[3]
-    expected = (conv_out_size(h, stride), conv_out_size(w, stride))
-    if grad_out.shape != (n, c_out, *expected):
-        raise ShapeError(
-            f"conv2d_backward: grad_out shape {grad_out.shape} != expected {(n, c_out, *expected)}"
-        )
+    oh, ow = conv_out_size(h, stride), conv_out_size(w, stride)
+    _check_grad("conv2d_backward", grad_out, x, (n, c_out, oh, ow))
     pad = k // 2
     xp = _pad2d(x, pad)
     g = grad_out.reshape(n, c_out, oh * ow)
@@ -437,6 +440,13 @@ def conv2d_backward(
 # point-wise (1x1) convolution
 # ---------------------------------------------------------------------------
 
+def _check_pointwise_weights(where: str, c: int, weights: np.ndarray) -> int:
+    """Check (c_out, c) weights for ``c`` input channels; return c_out."""
+    if weights.ndim != 2 or weights.shape[1] != c:
+        raise ShapeError(f"{where}: weights shape {weights.shape} does not match input channels {c}")
+    return weights.shape[0]
+
+
 def pointwise_conv(x: Tensor4, weights: np.ndarray, bias: np.ndarray | None) -> Tensor4:
     """1x1 convolution: pure per-pixel channel mixing with weights (c_out, c_in).
 
@@ -444,29 +454,20 @@ def pointwise_conv(x: Tensor4, weights: np.ndarray, bias: np.ndarray | None) -> 
     channels that the caller adds up (the block's grouped FFN)."""
     check_tensor4(x, "pointwise_conv: x")
     n, c, h, w = x.shape
-    if weights.ndim != 2 or weights.shape[1] != c:
-        raise ShapeError(
-            f"pointwise_conv: weights shape {weights.shape} does not match input channels {c}"
-        )
-    c_out = weights.shape[0]
+    c_out = _check_pointwise_weights("pointwise_conv", c, weights)
     out = np.matmul(weights, x.reshape(n, c, h * w)).reshape(n, c_out, h, w)
     if bias is not None:
-        out += _check_vector(bias, c_out, "pointwise_conv: bias")[None, :, None, None]
+        _check_vectors("pointwise_conv", c_out, bias=bias)
+        out += bias[None, :, None, None]
     return out
 
 
 def pointwise_conv_backward(
     grad_out: Tensor4, x: Tensor4, weights: np.ndarray
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
-    check_tensor4(grad_out, "pointwise_conv_backward: grad_out")
-    check_tensor4(x, "pointwise_conv_backward: x")
-    if grad_out.shape[0] != x.shape[0] or grad_out.shape[2:] != x.shape[2:]:
-        raise ShapeError(
-            f"pointwise_conv_backward: grad_out {grad_out.shape} inconsistent with x {x.shape}"
-        )
-    if weights.shape != (grad_out.shape[1], x.shape[1]):
-        raise ShapeError(f"pointwise_conv_backward: weights shape {weights.shape} invalid")
-    n, c, h, w = x.shape
+    n, c, h, w = check_tensor4(x, "pointwise_conv_backward: x").shape
+    c_out = _check_pointwise_weights("pointwise_conv_backward", c, weights)
+    _check_grad("pointwise_conv_backward", grad_out, x, (n, c_out, h, w))
     g = grad_out.reshape(n, -1, h * w)
     grad_x = np.matmul(weights.T, g).reshape(x.shape)
     grad_w = _batch_matmul_sum(g, x.reshape(n, c, h * w).transpose(0, 2, 1))
@@ -494,13 +495,8 @@ def channel_pool_backward(grad_out: Tensor4, x: Tensor4, mode: str) -> Tensor4:
     Max pooling routes the gradient to the lowest-index channel attaining the
     maximum, so ties resolve deterministically.
     """
-    check_tensor4(grad_out, "channel_pool_backward: grad_out")
-    check_float_input(x, "channel_pool_backward")
-    n, c, h, w = x.shape
-    if grad_out.shape != (n, 1, h, w):
-        raise ShapeError(
-            f"channel_pool_backward: grad_out {grad_out.shape} != expected {(n, 1, h, w)}"
-        )
+    n, c, h, w = check_float_input(x, "channel_pool_backward").shape
+    _check_grad("channel_pool_backward", grad_out, x, (n, 1, h, w))
     if mode == "avg":
         return (np.broadcast_to(grad_out, x.shape) / x.dtype.type(c)).astype(x.dtype, copy=False)
     if mode == "max":
@@ -508,7 +504,7 @@ def channel_pool_backward(grad_out: Tensor4, x: Tensor4, mode: str) -> Tensor4:
         grad_x = np.zeros_like(x)
         np.put_along_axis(grad_x, winner[:, None, :, :], grad_out, axis=1)
         return grad_x
-    raise ShapeError(f"channel_pool_backward: unknown mode {mode!r}")
+    raise ShapeError(f"channel_pool_backward: unknown mode {mode!r} (want 'avg' or 'max')")
 
 
 # ---------------------------------------------------------------------------
@@ -542,10 +538,8 @@ def sigmoid(x: Tensor4) -> Tensor4:
 
 def sigmoid_backward(grad_out: Tensor4, y: Tensor4) -> Tensor4:
     """Backward of sigmoid given its saved output ``y``."""
-    check_tensor4(grad_out, "sigmoid_backward: grad_out")
     check_tensor4(y, "sigmoid_backward: y")
-    if grad_out.shape != y.shape:
-        raise ShapeError(f"sigmoid_backward: shape mismatch {grad_out.shape} vs {y.shape}")
+    _check_grad("sigmoid_backward", grad_out, y)
     return grad_out * y * (1.0 - y)
 
 
@@ -575,10 +569,7 @@ def gelu_backward(grad_out: Tensor4, x: Tensor4) -> Tensor4:
     factored so that it needs three full-size buffers, the result included.
     The result has the dtype of ``np.result_type(grad_out, x)``.
     """
-    check_tensor4(grad_out, "gelu_backward: grad_out")
-    check_tensor4(x, "gelu_backward: x")
-    if grad_out.shape != x.shape:
-        raise ShapeError(f"gelu_backward: shape mismatch {grad_out.shape} vs {x.shape}")
+    _check_grad("gelu_backward", grad_out, x)
     out = np.multiply(x, x, dtype=np.result_type(grad_out, x, 0.5))
     t = out * (_GELU_SCALE * _GELU_COEFF)
     t += _GELU_SCALE
@@ -610,11 +601,15 @@ def concat_channels(parts: Sequence[Tensor4]) -> Tensor4:
 
 
 def concat_channels_backward(grad_out: Tensor4, channel_sizes: Iterable[int]) -> list[Tensor4]:
+    """Split ``grad_out`` into the concatenated parts' gradients; like the
+    parts, each size is a positive integer, and they sum to its channels."""
     check_tensor4(grad_out, "concat_channels_backward: grad_out")
     sizes = list(channel_sizes)
-    if sum(sizes) != grad_out.shape[1]:
+    positive = all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s > 0 for s in sizes)
+    if not positive or sum(sizes) != grad_out.shape[1]:
         raise ShapeError(
-            f"concat_channels_backward: sizes {sizes} do not sum to {grad_out.shape[1]} channels"
+            f"concat_channels_backward: sizes {sizes} are not positive integers summing to "
+            f"{grad_out.shape[1]} channels"
         )
     grads, start = [], 0
     for s in sizes:
@@ -648,12 +643,8 @@ def broadcast_mask_mul_backward(
     """The mask's gradient sums ``grad_out * x`` over exactly the axes along
     which the mask broadcasts, so it keeps the mask's shape (a full-size
     mask's is that product as it is: no extra pass)."""
-    check_tensor4(grad_out, "broadcast_mask_mul_backward: grad_out")
     _check_mask(x, mask, "broadcast_mask_mul_backward")
-    if grad_out.shape != x.shape:
-        raise ShapeError(
-            f"broadcast_mask_mul_backward: grad_out {grad_out.shape} != x {x.shape}"
-        )
+    _check_grad("broadcast_mask_mul_backward", grad_out, x)
     grad_x = grad_out * mask
     spread = tuple(a for a in range(4) if mask.shape[a] < x.shape[a])
     grad_mask = grad_out * x
@@ -677,9 +668,7 @@ def affine_channel_norm(
     mean 0, var 1 - NORM_EPS, scale 1 and shift 0 this is the identity.
     """
     check_tensor4(x, "affine_channel_norm: x")
-    c = x.shape[1]
-    for name, v in (("scale", scale), ("shift", shift), ("mean", mean), ("var", var)):
-        _check_vector(v, c, f"affine_channel_norm: {name}")
+    _check_vectors("affine_channel_norm", x.shape[1], scale=scale, shift=shift, mean=mean, var=var)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     return (x - mean[None, :, None, None]) * (scale * inv)[None, :, None, None] + shift[
         None, :, None, None
@@ -690,10 +679,8 @@ def _affine_norm_backward(grad_out, x, scale, mean, var, where: str):
     """The three gradients of :func:`affine_channel_norm_backward` and the
     centred input ``x - mean`` formed on the way, which
     :func:`batch_norm_backward` reuses; errors are named after ``where``."""
-    check_tensor4(grad_out, f"{where}: grad_out")
-    check_tensor4(x, f"{where}: x")
-    if grad_out.shape != x.shape:
-        raise ShapeError(f"{where}: grad_out {grad_out.shape} != x {x.shape}")
+    _check_grad(where, grad_out, x)
+    _check_vectors(where, x.shape[1], scale=scale, mean=mean, var=var)
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     grad_x = grad_out * (scale * inv)[None, :, None, None]
     centered = x - mean[None, :, None, None]
@@ -753,10 +740,6 @@ def global_avg_pool(x: Tensor4) -> Tensor4:
 
 
 def global_avg_pool_backward(grad_out: Tensor4, x: Tensor4) -> Tensor4:
-    check_tensor4(grad_out, "global_avg_pool_backward: grad_out")
     n, c, h, w = check_float_input(x, "global_avg_pool_backward").shape
-    if grad_out.shape != (n, c, 1, 1):
-        raise ShapeError(
-            f"global_avg_pool_backward: grad_out {grad_out.shape} != expected {(n, c, 1, 1)}"
-        )
+    _check_grad("global_avg_pool_backward", grad_out, x, (n, c, 1, 1))
     return (np.broadcast_to(grad_out, x.shape) / x.dtype.type(h * w)).astype(x.dtype, copy=False)

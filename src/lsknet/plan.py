@@ -17,6 +17,7 @@ and the cumulative receptive field obeys
 from __future__ import annotations
 
 import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -49,10 +50,17 @@ class DecompositionPlan:
         return " -> ".join(f"({k},{d})" for k, d in self.sequence())
 
 
-def _as_spec(stage: ConvSpec | tuple[int, int]) -> ConvSpec:
-    """One plan stage: an odd integer kernel size k >= 3 and an integer
-    dilation d >= 1 (a bool is no integer here)."""
-    k, d = (stage.kernel, stage.dilation) if isinstance(stage, ConvSpec) else stage
+def _as_spec(i: int, stage: ConvSpec | tuple[int, int]) -> ConvSpec:
+    """Stage ``i`` (from 1) of a plan: a ConvSpec or a (k, d) pair of an odd
+    integer kernel size k >= 3 and an integer dilation d >= 1 (a bool is no
+    integer here)."""
+    if isinstance(stage, ConvSpec):
+        k, d = stage.kernel, stage.dilation
+    else:
+        try:
+            k, d = stage
+        except (TypeError, ValueError):
+            raise PlanError(f"stage {i} must be a (k, d) pair or a ConvSpec, got {stage!r}") from None
     for what, name, value in (("kernel size", "k", k), ("dilation", "d", d)):
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise PlanError(f"{what} must be an integer, got {name}={value!r}")
@@ -66,9 +74,12 @@ def _as_spec(stage: ConvSpec | tuple[int, int]) -> ConvSpec:
 def validate_plan(stages: Sequence[ConvSpec | tuple[int, int]]) -> DecompositionPlan:
     """Check the construction constraints and fill in receptive fields.
 
-    Raises :class:`PlanError` naming the first violated inequality.
+    Raises :class:`PlanError` naming the first violated inequality, the
+    first stage that is not a (k, d) pair, or a plan that is not a sequence.
     """
-    specs = [_as_spec(s) for s in stages]
+    if not isinstance(stages, Iterable):
+        raise PlanError(f"a decomposition plan must be a sequence of stages, got {stages!r}")
+    specs = [_as_spec(i, s) for i, s in enumerate(stages, start=1)]
     if not specs:
         raise PlanError("a decomposition plan needs at least one stage")
     if specs[0].dilation != 1:

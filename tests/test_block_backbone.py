@@ -319,7 +319,7 @@ class TestBackboneForward:
         with pytest.raises(ShapeError, match="3 input channels"):
             backbone_forward(rng.uniform(-1, 1, size=(1, 4, 32, 32)).astype(np.float32), params)
 
-    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.bool_])
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint8, np.bool_, np.float16, np.longdouble])
     @pytest.mark.parametrize(
         "forward,make_params,shape",
         [
@@ -331,9 +331,9 @@ class TestBackboneForward:
     )
     def test_non_float_input_rejected(self, dtype, forward, make_params, shape):
         """A layer casts its weights to the input's dtype, so an integer or
-        boolean input would run with truncated weights: every entry point
-        refuses it."""
-        message = f"{forward.__name__}: expected a float input, got dtype {np.dtype(dtype)}"
+        boolean input would run with truncated weights and a float16 or
+        longdouble one in another precision: every entry point refuses it."""
+        message = f"{forward.__name__}: expected a float32 or float64 input, got dtype {np.dtype(dtype)}"
         with pytest.raises(ShapeError, match=message):
             forward(np.ones(shape, dtype=dtype), make_params())
 

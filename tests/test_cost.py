@@ -18,6 +18,7 @@ from lsknet.backbone import (
 )
 from lsknet.block import init_block_params
 from lsknet.cost import (
+    CostReport,
     cost_backbone,
     cost_block,
     cost_depthwise,
@@ -185,6 +186,32 @@ class TestRendering:
         rep = cost_depthwise(4, ConvSpec(3, 1), 2, 2)
         text = report_to_text(rep, "dw")
         assert "conventions:" in text and "params=" in text
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    bad=st.one_of(st.floats(), st.booleans()),
+    slot=st.sampled_from(["h", "w"]),
+    count=st.sampled_from(["params", "flops", "macs"]),
+    good=st.sampled_from([np.int64, np.int32, np.uint8, int]),
+)
+def test_counts_are_integers(bad, slot, count, good):
+    """A side that is a float (64.0 included) or a bool is refused by name,
+    so is a count that is one, and a module cost at a float side fails on its
+    first count: no report counts fractional pixels.  A numpy integer count
+    is stored as an int."""
+    h, w = (bad, 64) if slot == "h" else (64, bad)
+    cfg = BackboneConfig(channels=(4, 4, 8, 8), depths=(1, 1, 1, 1), ffn_ratios=(2, 2, 2, 2))
+    with pytest.raises(ShapeError, match=rf"^cost_backbone: spatial dims must be integers, got {slot}="):
+        cost_backbone(cfg, h, w)
+    if not isinstance(bad, bool):  # a bool side multiplies as 0 or 1
+        with pytest.raises(ShapeError, match=r"^CostReport: flops must be an integer, got "):
+            cost_lsk_module(init_lsk_params(validate_plan([(5, 1), (7, 3)]), 8), h, w)
+    counts = dict(params=good(3), flops=good(6), macs=good(2))
+    report = CostReport(**counts)
+    assert [type(getattr(report, name)) for name in counts] == [int] * 3
+    with pytest.raises(ShapeError, match=rf"^CostReport: {count} must be an integer, got "):
+        CostReport(**{**counts, count: bad})
 
 
 @settings(max_examples=30, deadline=None)

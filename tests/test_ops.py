@@ -3,6 +3,7 @@ shape validation, and determinism."""
 
 import inspect
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -206,7 +207,7 @@ def test_depthwise_tile_budget_keeps_bits(n, c, h, w, kernel, dilation, seed):
         np.testing.assert_array_equal(got_grad_x, grad_x)
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_])
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_, np.float16, np.longdouble])
 @pytest.mark.parametrize(
     "name, call",
     [
@@ -226,12 +227,13 @@ def test_depthwise_tile_budget_keeps_bits(n, c, h, w, kernel, dilation, seed):
 def test_convs_reject_non_float_input(dtype, name, call):
     """The convs cast their weights to the input's dtype, so an integer or
     boolean input would run with its 0.4 taps truncated to zero (or fail
-    inside numpy's casting): each refuses it by name."""
-    with pytest.raises(ShapeError, match=f"{name}: expected a float input, got dtype {np.dtype(dtype)}"):
+    inside numpy's casting), and a float16 or longdouble one in another
+    precision: each refuses it by name."""
+    with pytest.raises(ShapeError, match=f"{name}: expected a float32 or float64 input, got dtype {np.dtype(dtype)}"):
         call(np.ones((1, 1, 3, 3), dtype=dtype))
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_])
+@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_, np.float16, np.longdouble])
 @pytest.mark.parametrize(
     "name, call",
     [
@@ -242,9 +244,10 @@ def test_convs_reject_non_float_input(dtype, name, call):
 )
 def test_average_pool_backwards_reject_non_float_input(dtype, name, call):
     """Both average-pool backwards give the gradient x's dtype, so an integer
-    ``x`` would turn each 0.25 share into 0 and a boolean one into True: each
-    refuses it by name."""
-    with pytest.raises(ShapeError, match=f"{name}: expected a float input, got dtype {np.dtype(dtype)}"):
+    ``x`` would turn each 0.25 share into 0, a boolean one into True and a
+    float16 or longdouble one into another precision: each refuses it by
+    name."""
+    with pytest.raises(ShapeError, match=f"{name}: expected a float32 or float64 input, got dtype {np.dtype(dtype)}"):
         call(np.ones((1, 4, 2, 2), dtype=dtype))
 
 
@@ -457,23 +460,61 @@ class TestElementwiseAndScalars:
         assert out.dtype == expected
         assert (out == 0.5).all()
 
-    # the arguments of each backward op, built from one 2-D array ``a`` and
-    # one vector ``v`` whose length matches a's second axis
+    # Every backward op: the shape of its forward's output for an input of
+    # X_SHAPE, and its arguments built from a gradient ``g``, an input ``x``
+    # and a vector ``v`` whose length matches x's second axis
+    X_SHAPE = (2, 4, 5, 5)
     BACKWARD_ARGS = {
-        "sigmoid_backward": lambda a, v: (a, a),
-        "gelu_backward": lambda a, v: (a, a),
-        "broadcast_mask_mul_backward": lambda a, v: (a, a, a[:, :1]),
-        "concat_channels_backward": lambda a, v: (a, [1, 3]),
-        "affine_channel_norm_backward": lambda a, v: (a, a, v, v, v * v + 1.0),
-        "batch_norm_backward": lambda a, v: (a, a, v, v, v * v + 1.0),
-        "global_avg_pool_backward": lambda a, v: (a, a),
+        "depthwise_conv_backward": ((2, 4, 5, 5), lambda g, x, v: (g, x, np.ones((4, 3, 3)), ConvSpec(3))),
+        "conv2d_backward": ((2, 3, 3, 3), lambda g, x, v: (g, x, np.ones((3, 4, 3, 3)), 2)),
+        "pointwise_conv_backward": ((2, 3, 5, 5), lambda g, x, v: (g, x, np.ones((3, 4)))),
+        "channel_pool_backward": ((2, 1, 5, 5), lambda g, x, v: (g, x, "max")),
+        "sigmoid_backward": ((2, 4, 5, 5), lambda g, x, v: (g, x)),
+        "gelu_backward": ((2, 4, 5, 5), lambda g, x, v: (g, x)),
+        "broadcast_mask_mul_backward": ((2, 4, 5, 5), lambda g, x, v: (g, x, x[:, :1])),
+        "concat_channels_backward": ((2, 4, 5, 5), lambda g, x, v: (g, [1, 3])),
+        "affine_channel_norm_backward": ((2, 4, 5, 5), lambda g, x, v: (g, x, v, v, v * v + 1.0)),
+        "batch_norm_backward": ((2, 4, 5, 5), lambda g, x, v: (g, x, v, v, v * v + 1.0)),
+        "global_avg_pool_backward": ((2, 4, 1, 1), lambda g, x, v: (g, x)),
     }
+
+    def test_registry_names_every_backward_op(self):
+        assert set(self.BACKWARD_ARGS) == {name for name in ops.__all__ if name.endswith("_backward")}
 
     @pytest.mark.parametrize("op", list(BACKWARD_ARGS))
     def test_backward_rejects_non_4d(self, rng, op):
         a = rand(rng, (3, 4))
         with pytest.raises(ShapeError, match=op):
-            getattr(ops, op)(*self.BACKWARD_ARGS[op](a, rand(rng, (4,))))
+            getattr(ops, op)(*self.BACKWARD_ARGS[op][1](a, a, rand(rng, (4,))))
+
+    @pytest.mark.parametrize("op", list(BACKWARD_ARGS))
+    def test_backward_refuses_what_its_forward_refuses(self, rng, op):
+        """The forward's output shape is the one ``grad_out`` accepted; one
+        dim off is refused in one wording.  The concat's sizes are positive
+        integers summing to the channels, as its parts are, and the norms'
+        vectors have one entry per channel, as the forward's do."""
+        fn, (out_shape, build) = getattr(ops, op), self.BACKWARD_ARGS[op]
+        x, v = rand(rng, self.X_SHAPE), rand(rng, (self.X_SHAPE[1],))
+        fn(*build(rand(rng, out_shape), x, v))
+        if op == "concat_channels_backward":
+            for sizes in ([1, 1], [2, 2], [-1, 4], [0, 3]):
+                message = rf"^{op}: sizes \[.*\] are not positive integers summing to 3 channels$"
+                with pytest.raises(ShapeError, match=message):
+                    fn(rand(rng, (2, 3, 5, 5)), sizes)
+            return
+        for axis in range(4):
+            bad = tuple(d + (a == axis) for a, d in enumerate(out_shape))
+            message = rf"^{op}: grad_out {re.escape(str(bad))} != expected {re.escape(str(out_shape))}$"
+            with pytest.raises(ShapeError, match=message):
+                fn(*build(rand(rng, bad), x, v))
+        if op.endswith("norm_backward"):
+            names = list(inspect.signature(fn).parameters)
+            for i in (2, 3, 4):  # scale, mean and var
+                args = list(build(rand(rng, out_shape), x, v))
+                args[i] = np.ones(1)
+                message = rf"^{op}: {names[i]}: expected vector of length 4, got \(1,\)$"
+                with pytest.raises(ShapeError, match=message):
+                    fn(*args)
 
     def test_elementwise_requires_matching_shapes(self, rng):
         with pytest.raises(ShapeError, match="mismatch"):

@@ -117,16 +117,38 @@ def test_rf_recursion_is_exact_integer_math(k1, dk, d2):
         assert plan.rf_per_stage == (k1, d2 * (k2 - 1) + k1)
 
 
-@settings(max_examples=60, deadline=None)
+# stages that are not (k, d) pairs: no iterable, or one of another length
+NOT_PAIRS = st.one_of(
+    st.none(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=1),
+    st.tuples(st.integers(3, 9)),
+    st.tuples(st.integers(3, 9), st.integers(1, 3), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=90, deadline=None)
 @given(
     bad=st.one_of(st.floats(), st.booleans()),
-    slot=st.sampled_from(["k", "d"]),
+    slot=st.sampled_from(["k", "d", "pair"]),
+    not_pair=NOT_PAIRS,
     second=st.booleans(),
 )
-def test_non_integer_stage_values_are_refused(bad, slot, second):
+def test_non_integer_stage_values_are_refused(bad, slot, not_pair, second):
     """A float (3.0 included) or a bool as a kernel size or a dilation, in the
     first or a later stage, is a PlanError naming the slot, and a ConvSpec
-    refuses it with a ShapeError."""
+    refuses it with a ShapeError.  A stage that is not a (k, d) pair is a
+    PlanError naming the stage, and a plan that is no sequence at all one
+    saying so."""
+    if slot == "pair":
+        plan = [(3, 1), not_pair] if second else [not_pair]
+        with pytest.raises(PlanError, match=rf"^stage {len(plan)} must be a \(k, d\) pair or a ConvSpec, got "):
+            validate_plan(plan)
+        if not isinstance(not_pair, (str, tuple)):
+            with pytest.raises(PlanError, match="^a decomposition plan must be a sequence of stages, got "):
+                validate_plan(not_pair)
+        return
     stage = (bad, 2 if second else 1) if slot == "k" else (5 if second else 3, bad)
     with pytest.raises(PlanError, match=f"must be an integer, got {slot}="):
         validate_plan([(3, 1), stage] if second else [stage])
