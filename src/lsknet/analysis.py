@@ -231,7 +231,8 @@ def analyze_images(
 
     An image counts for a category only when every box it contains is of
     that category (single-category images) and their total area is positive;
-    one such set serves both metrics.  Each eligible record is reduced once.
+    one such set serves both metrics.  Each eligible record is reduced once;
+    one that holds no mask blocks is refused, naming the category.
     """
     eligible: dict[str, list[tuple[ActivationRecord, float]]] = {}
     for rec, boxes in images:
@@ -251,6 +252,8 @@ def analyze_images(
         counts = sorted({rec.n_kernels for rec, _ in pairs})
         if len(counts) > 1:  # one count decides whether differences are computed, in any image order
             raise AnalysisError(f"category {category!r}: records hold different kernel counts {counts}")
+        if not all(rec.masks for rec, _ in pairs):  # its R_c would read 0 for want of masks
+            raise AnalysisError(f"category {category!r}: a record holds no mask blocks")
         terms = [_record_terms(rec) for rec, _ in pairs]
         raw = float(np.mean([t[0] / area for t, (_, area) in zip(terms, pairs)]))
         stats.append(

@@ -146,10 +146,9 @@ class BackboneConfig:
 
     @classmethod
     def variant(cls, name: str, **overrides) -> "BackboneConfig":
-        key = name.upper()
-        if key not in _PRESETS:
+        if not isinstance(name, str) or name.upper() not in _PRESETS:
             raise ShapeError(f"unknown backbone variant {name!r} (known: {sorted(_PRESETS)})")
-        channels, depths = _PRESETS[key]
+        channels, depths = _PRESETS[name.upper()]
         return cls(channels=channels, depths=depths, **overrides)
 
 
@@ -298,16 +297,22 @@ class BackboneOutput:
     state: BackboneState | None
 
 
+def _check_sides(h: int, w: int, where: str, multiple: int = 1) -> None:
+    """Refuse sides that are not integers (a bool is none here) or not
+    positive multiples of ``multiple``."""
+    for name, side in (("h", h), ("w", w)):
+        if isinstance(side, bool) or not isinstance(side, numbers.Integral):
+            raise ShapeError(f"{where}: spatial dims must be integers, got {name}={side!r}")
+    if min(h, w) < 1 or h % multiple or w % multiple:
+        divisible = f" and divisible by {multiple}" if multiple > 1 else ""
+        raise ShapeError(f"{where}: spatial dims {h}x{w} not positive{divisible}")
+
+
 def check_input_size(h: int, w: int, where: str) -> None:
     """Refuse input sides that are not integers (a bool is none here) or not
     positive multiples of the product of the stem's and the three
     downsamplers' strides (32)."""
-    for name, side in (("h", h), ("w", w)):
-        if isinstance(side, bool) or not isinstance(side, numbers.Integral):
-            raise ShapeError(f"{where}: spatial dims must be integers, got {name}={side!r}")
-    m = STEM_STRIDE * DOWN_STRIDE**3
-    if min(h, w) < 1 or h % m or w % m:
-        raise ShapeError(f"{where}: spatial dims {h}x{w} not positive and divisible by {m}")
+    _check_sides(h, w, where, STEM_STRIDE * DOWN_STRIDE**3)
 
 
 def backbone_forward(

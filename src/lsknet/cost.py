@@ -38,7 +38,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .backbone import BackboneConfig, ConvNormParams, EMBED_NAMES, check_input_size
+from .backbone import BackboneConfig, ConvNormParams, EMBED_NAMES, _check_sides, check_input_size
 from .block import BlockParams, NormParams
 from .errors import ShapeError
 from .module import ConvParams, LskModuleParams, SelectionMode
@@ -168,7 +168,8 @@ def cost_elementwise(c: int, h: int, w: int, n_ops: int = 1) -> CostReport:
 def cost_lsk_module(params: LskModuleParams, h: int, w: int) -> CostReport:
     """Full module cost: its convs, then the pooling, mask activation and
     branch weighting of the selection mode whose arrays it holds, and the
-    final input gating."""
+    final input gating.  Sides that are not positive integers are refused."""
+    _check_sides(h, w, "cost_lsk_module")
     hw = h * w
     n = params.n_kernels
     c, c_mid = params.c_in, params.c_mid
@@ -195,7 +196,9 @@ def cost_lsk_module(params: LskModuleParams, h: int, w: int) -> CostReport:
 
 
 def cost_block(params: BlockParams, h: int, w: int) -> CostReport:
-    """One backbone block: LK-selection sub-block plus FFN sub-block."""
+    """One backbone block: LK-selection sub-block plus FFN sub-block, at
+    positive integer sides."""
+    _check_sides(h, w, "cost_block")
     hw = h * w
     c, hidden = params.scale1.size, params.ffn.fc1.weight.shape[0]
     selection = combine(

@@ -388,8 +388,9 @@ RECORD_MANIFEST = "manifest.json"
 
 def _record_keys(doc: dict, where: str) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     """``rf`` and the block keys of a record manifest ``doc``: JSON integers,
-    ``rf`` non-empty, positive and strictly ascending, every key a pair of
-    positive indices; else a ManifestError naming ``where``."""
+    ``rf`` non-empty, positive and strictly ascending, at least one key and
+    every key a pair of positive indices; else a ManifestError naming
+    ``where``."""
     try:
         rf = tuple(_json_int(v, where, "rf value") for v in doc["rf"])
         blocks = [tuple(_json_int(i, where, "block index") for i in pair) for pair in doc["blocks"]]
@@ -399,6 +400,8 @@ def _record_keys(doc: dict, where: str) -> tuple[tuple[int, ...], list[tuple[int
         raise ManifestError(f"{where}: rf {list(rf)} must list positive receptive fields")
     if any(a >= b for a, b in zip(rf, rf[1:])):
         raise ManifestError(f"{where}: rf {list(rf)} must strictly ascend")
+    if not blocks:
+        raise ManifestError(f"{where}: blocks [] must list at least one block")
     if any(len(key) != 2 or min(key) < 1 for key in blocks):
         raise ManifestError(f"{where}: blocks {doc['blocks']} must be pairs of positive indices")
     return rf, blocks

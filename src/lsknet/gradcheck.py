@@ -124,8 +124,8 @@ def _winners_apart(x: np.ndarray, margin: float) -> bool:
 def _case_channel_pool_max(rng) -> _Case:
     draw = _op(
         [("x", (2, 5, 3, 3))],
-        lambda x: ops.channel_pool(x, "max"),
-        lambda g, x: (ops.channel_pool_backward(g, x, "max"),),
+        lambda x: ops.channel_pool(x, ("max",)),
+        lambda g, x: (ops.channel_pool_backward(g, x, ("max",)),),
     )
     # resample until the winner-vs-runner-up margin dwarfs the FD step
     while True:
@@ -185,7 +185,7 @@ def _layer_case(rng, params, forward, backward, cat_of=None) -> _Case:
 def _module_case(rng, mode: SelectionMode) -> _Case:
     plan = validate_plan([(3, 1), (5, 2)])
     base = init_lsk_params(plan, c_in=4, mode=mode, rng=rng)
-    cat_of = (lambda state: ops.concat_channels(state.u_mixed)) if mode is SelectionMode.SPATIAL else None
+    cat_of = (lambda state: state.u_mixed) if mode is SelectionMode.SPATIAL else None
     return _layer_case(rng, params_astype(base, np.float64), lsk_forward, lsk_backward, cat_of)
 
 
@@ -194,7 +194,7 @@ def _block_case(rng) -> _Case:
     base = init_block_params(plan, c=4, ffn_ratio=2.0, rng=rng)
     return _layer_case(
         rng, params_astype(base, np.float64), block_forward, block_backward,
-        lambda state: ops.concat_channels(state.lsk_state.u_mixed),
+        lambda state: state.lsk_state.u_mixed,
     )
 
 
@@ -217,8 +217,8 @@ _CASES: dict[str, Callable[[np.random.Generator], _Case]] = {
     ),
     "channel_pool_avg": _op(
         [("x", (2, 5, 3, 3))],
-        lambda x: ops.channel_pool(x, "avg"),
-        lambda g, x: (ops.channel_pool_backward(g, x, "avg"),),
+        lambda x: ops.channel_pool(x, ("avg",)),
+        lambda g, x: (ops.channel_pool_backward(g, x, ("avg",)),),
     ),
     "channel_pool_max": _case_channel_pool_max,
     "broadcast_mask_mul_full": _op(
@@ -233,11 +233,6 @@ _CASES: dict[str, Callable[[np.random.Generator], _Case]] = {
     ),
     "gelu": _op(
         [("x", (2, 3, 4, 4), 3.0)], lambda x: ops.gelu(x), lambda g, x: (ops.gelu_backward(g, x),)
-    ),
-    "concat_channels": _op(
-        [("a", (2, 2, 3, 3)), ("b", (2, 3, 3, 3)), ("c", (2, 1, 3, 3))],
-        lambda a, b, c: ops.concat_channels([a, b, c]),
-        lambda g, a, b, c: ops.concat_channels_backward(g, [2, 3, 1]),
     ),
     "broadcast_mask_mul": _op(
         [("x", (2, 4, 3, 3)), ("m", (2, 1, 3, 3))],

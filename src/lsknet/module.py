@@ -4,9 +4,10 @@ Forward pipeline (spatial selection, the reference mode):
 
 1. run the input through the plan's depth-wise stages, keeping every
    intermediate as a branch feature with its own receptive field;
-2. mix each branch with a per-branch 1x1 conv down to the branch width;
-3. concatenate the branches and pool across channels (average / maximum)
-   into single-channel spatial descriptors;
+2. mix each branch with a per-branch 1x1 conv down to the branch width and
+   concatenate the mixed branches into one tensor;
+3. pool that tensor across channels (average / maximum) into single-channel
+   spatial descriptors;
 4. a small dense conv turns the stacked descriptors into one attention map
    per branch; a sigmoid turns each map into an independent mask in (0, 1);
 5. the masked branches are summed, fused back to the input width by a 1x1
@@ -16,14 +17,15 @@ Forward pipeline (spatial selection, the reference mode):
 weights with a softmax across branches, and ``none`` sums the branches
 unweighted; both exist for comparison runs.  A mode only produces the branch
 weights (a mask (n, 1, h, w) or a softmax slice (n, c_mid, 1, 1) per branch,
-or none), which one loop weighs and sums.  A module's mode is read off the
-convs it holds (a selection conv means spatial, the squeeze and expand convs
-mean channel, neither means none), and a spatial module stores its own
-pooling set, so :func:`lsk_forward` takes only the input and the parameters.
-It frees each intermediate after its last use and builds the backward's
-state only when ``keep_state`` is set; both modes run the same ops in the
-same order.  The state keeps each value once: the input is ``u[0]``, and the
-backward concatenates the mixed branches and takes the channel GELU again.
+or none), which one loop weighs and sums, reading each branch as a channel
+slice of the concatenation.  A module's mode is read off the convs it holds
+(a selection conv means spatial, the squeeze and expand convs mean channel,
+neither means none), and a spatial module stores its own pooling set, so
+:func:`lsk_forward` takes only the input and the parameters.  It frees each
+intermediate after its last use and builds the backward's state only when
+``keep_state`` is set; both modes run the same ops in the same order.  The
+state keeps each value once: the input is ``u[0]``, the state keeps the
+concatenated branches once, and the backward takes the channel GELU again.
 The module and the block return the same :class:`LayerOutput`, and their
 backward passes start every gradient from its first term.
 
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
+from functools import reduce
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -231,7 +234,7 @@ class LskState:
 
     params: LskModuleParams
     u: list[Tensor4]  # u[0] = the input, u[i] = output of stage i
-    u_mixed: list[Tensor4]
+    u_mixed: Tensor4  # the mixed branches, concatenated along the channels
     weighted: Tensor4
     fused: Tensor4
     weights: list[Tensor4] | None = None  # per branch; None: summed unweighted
@@ -281,22 +284,21 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
     for conv, spec in zip(params.dw, params.plan.stages):
         u.append(ops.depthwise_conv(u[-1], conv.weight, conv.bias, spec))
     keep(u=u[:])
-    # each stage output u[i + 1] is dropped once mixer i has read it
-    mixed = [ops.pointwise_conv(u.pop(1), conv.weight, conv.bias) for conv in params.mix]
+    # each stage output u[i + 1] is dropped once mixer i has read it, and the
+    # mixers' outputs once they are concatenated
+    mixed = np.concatenate([ops.pointwise_conv(u.pop(1), conv.weight, conv.bias) for conv in params.mix], axis=1)
     keep(u_mixed=mixed)
+    branches = np.split(mixed, n, axis=1)
 
     masks = weights = None
     if mode is SelectionMode.SPATIAL:
-        h = ops.concat_channels(mixed)
-        h = ops.concat_channels([ops.channel_pool(h, m) for m in params.pooling])
+        h = ops.channel_pool(mixed, params.pooling)
         keep(pooled=h)
         masks = ops.sigmoid(ops.conv2d(h, params.select.weight, params.select.bias))
         keep(masks=masks)
-        weights = [masks[:, i : i + 1] for i in range(n)]
+        weights = np.split(masks, n, axis=1)
     elif mode is SelectionMode.CHANNEL:
-        h = ops.global_avg_pool(mixed[0])
-        for i in range(1, n):
-            h = ops.add(h, ops.global_avg_pool(mixed[i]))
+        h = reduce(ops.add, np.split(ops.global_avg_pool(mixed), n, axis=1))
         keep(cs_sum=h)
         h = ops.pointwise_conv(h, params.cs_squeeze.weight, params.cs_squeeze.bias)
         keep(cs_pre=h)
@@ -305,11 +307,9 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
         a = _softmax_branches(h.reshape(len(h), n, -1, 1, 1))
         weights = [a[:, i] for i in range(n)]
     keep(weights=weights)
-    weigh = (lambda i: mixed[i]) if weights is None else (lambda i: ops.broadcast_mask_mul(mixed[i], weights[i]))
-    h = weigh(0)
-    for i in range(1, n):
-        h = ops.add(h, weigh(i))
-    del mixed
+    weigh = (lambda i: branches[i]) if weights is None else (lambda i: ops.broadcast_mask_mul(branches[i], weights[i]))
+    h = reduce(ops.add, map(weigh, range(n)))  # in branch order
+    del mixed, branches
 
     keep(weighted=h)
     h = ops.pointwise_conv(h, params.fuse.weight, params.fuse.bias)
@@ -336,22 +336,18 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, LskModulePa
     grad_x, grad_fused = ops.broadcast_mask_mul_backward(grad_y, state.u[0], state.fused)
     grad_weighted, *fuse = ops.pointwise_conv_backward(grad_fused, state.weighted, params.fuse.weight)
 
+    branches = np.split(state.u_mixed, n, axis=1)
     if state.weights is None:  # the branches were summed unweighted
         grad_mixed = [grad_weighted] * n
     else:
-        pairs = [ops.broadcast_mask_mul_backward(grad_weighted, m, w) for m, w in zip(state.u_mixed, state.weights)]
+        pairs = [ops.broadcast_mask_mul_backward(grad_weighted, m, w) for m, w in zip(branches, state.weights)]
         grad_mixed, grad_weights = zip(*pairs)
     if params.mode is SelectionMode.SPATIAL:
-        grad_logits = ops.sigmoid_backward(ops.concat_channels(grad_weights), state.masks)
+        grad_logits = ops.sigmoid_backward(np.concatenate(grad_weights, axis=1), state.masks)
         grad_pooled, w, b = ops.conv2d_backward(grad_logits, state.pooled, params.select.weight)
         select = ConvParams(w, b)
-        desc_grads = ops.concat_channels_backward(grad_pooled, [1] * len(params.pooling))
-        cat = ops.concat_channels(state.u_mixed)
-        grad_cat = ops.channel_pool_backward(desc_grads[0], cat, params.pooling[0])
-        for mode_name, g_desc in zip(params.pooling[1:], desc_grads[1:]):
-            grad_cat += ops.channel_pool_backward(g_desc, cat, mode_name)
-        del cat
-        for g_m, g_part in zip(grad_mixed, ops.concat_channels_backward(grad_cat, [params.c_mid] * n)):
+        grad_cat = ops.channel_pool_backward(grad_pooled, state.u_mixed, params.pooling)
+        for g_m, g_part in zip(grad_mixed, np.split(grad_cat, n, axis=1)):
             g_m += g_part
     elif params.mode is SelectionMode.CHANNEL:
         a, grad_a = np.stack(state.weights, axis=1), np.stack(grad_weights, axis=1)  # (n_batch, n, c_mid, 1, 1)
@@ -364,7 +360,7 @@ def lsk_backward(grad_y: Tensor4, state: LskState) -> tuple[Tensor4, LskModulePa
         grad_sum, w, b = ops.pointwise_conv_backward(grad_pre, state.cs_sum, params.cs_squeeze.weight)
         squeeze = ConvParams(w, b)
         expand = ConvParams(grad_exp_w.reshape(expand.weight.shape), grad_exp_b.reshape(expand.bias.shape))
-        for g_m, m in zip(grad_mixed, state.u_mixed):
+        for g_m, m in zip(grad_mixed, branches):
             g_m += ops.global_avg_pool_backward(grad_sum, m)
 
     # mixers[i] is mixer i's (gradient on u[i + 1], weight, bias); then the depth-wise chain

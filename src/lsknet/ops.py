@@ -21,6 +21,8 @@ are float32 or float64.
 Channel mixing (``pointwise_conv``, ``conv2d`` and their backward passes) is
 one BLAS matrix product per batch item; the dense conv first gathers its
 strided windows into an im2col buffer of shape ``(n, c*k*k, oh*ow)``.
+``channel_pool`` pools the channels once per mode of a pooling set and
+stacks the maps in one call; its backward adds the per-mode terms.
 
 Depth-wise convolution runs on BLAS too, lowered along one axis only (MEC,
 Cho & Brand, ICML 2017).  Taps that can only read padding are dropped
@@ -64,7 +66,7 @@ which an output element is summed (the backbone tests check this under one
 and two threads).  Tile shapes depend only on the tensor shapes and the
 tile byte budget.  Everything else accumulates in a fixed order (batch items
 in index order, depth-wise kernel rows in index order and their weight
-gradients over bands in index order, branches in list order), so repeated
+gradients over bands in index order, pooling modes in set order), so repeated
 runs are bit-identical.
 """
 
@@ -72,7 +74,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -97,8 +99,6 @@ __all__ = [
     "sigmoid_backward",
     "gelu",
     "gelu_backward",
-    "concat_channels",
-    "concat_channels_backward",
     "broadcast_mask_mul",
     "broadcast_mask_mul_backward",
     "affine_channel_norm",
@@ -479,32 +479,43 @@ def pointwise_conv_backward(
 # channel pooling (the spatial-descriptor step)
 # ---------------------------------------------------------------------------
 
-def channel_pool(x: Tensor4, mode: str) -> Tensor4:
-    """Collapse channels to a single (n,1,h,w) map: arithmetic mean or maximum."""
+def _check_pooling(where: str, pooling: Sequence[str]) -> None:
+    """Check that ``pooling`` is a non-empty sequence of modes (a bare
+    string is not one), each ``"avg"`` or ``"max"``."""
+    if isinstance(pooling, str) or not pooling or any(m not in ("avg", "max") for m in pooling):
+        raise ShapeError(f"{where}: pooling must be a non-empty sequence of 'avg' and 'max', got {pooling!r}")
+
+
+def channel_pool(x: Tensor4, pooling: Sequence[str]) -> Tensor4:
+    """Collapse the channels into one map per mode of ``pooling`` (``avg``
+    the arithmetic mean, ``max`` the maximum), stacked in ``pooling`` order
+    as (n, len(pooling), h, w)."""
     check_tensor4(x, "channel_pool: x")
-    if mode == "avg":
-        return x.mean(axis=1, keepdims=True)
-    if mode == "max":
-        return x.max(axis=1, keepdims=True)
-    raise ShapeError(f"channel_pool: unknown mode {mode!r} (want 'avg' or 'max')")
+    _check_pooling("channel_pool", pooling)
+    return np.stack([x.mean(axis=1) if m == "avg" else x.max(axis=1) for m in pooling], axis=1)
 
 
-def channel_pool_backward(grad_out: Tensor4, x: Tensor4, mode: str) -> Tensor4:
-    """Backward of channel_pool.
+def channel_pool_backward(grad_out: Tensor4, x: Tensor4, pooling: Sequence[str]) -> Tensor4:
+    """Backward of channel_pool: x's gradient is the per-mode terms added
+    in ``pooling`` order.
 
-    Max pooling routes the gradient to the lowest-index channel attaining the
-    maximum, so ties resolve deterministically.
+    Average pooling spreads its map's gradient evenly over the channels; max
+    pooling routes it to the lowest-index channel attaining the maximum, so
+    ties resolve deterministically.
     """
     n, c, h, w = check_float_input(x, "channel_pool_backward").shape
-    _check_grad("channel_pool_backward", grad_out, x, (n, 1, h, w))
-    if mode == "avg":
-        return (np.broadcast_to(grad_out, x.shape) / x.dtype.type(c)).astype(x.dtype, copy=False)
-    if mode == "max":
-        winner = np.argmax(x, axis=1)  # first occurrence wins
-        grad_x = np.zeros_like(x)
-        np.put_along_axis(grad_x, winner[:, None, :, :], grad_out, axis=1)
-        return grad_x
-    raise ShapeError(f"channel_pool_backward: unknown mode {mode!r} (want 'avg' or 'max')")
+    _check_pooling("channel_pool_backward", pooling)
+    _check_grad("channel_pool_backward", grad_out, x, (n, len(pooling), h, w))
+    grad_x = None
+    for i, mode in enumerate(pooling):
+        g = grad_out[:, i : i + 1]
+        if mode == "avg":
+            term = (np.broadcast_to(g, x.shape) / x.dtype.type(c)).astype(x.dtype, copy=False)
+        else:
+            term = np.zeros_like(x)
+            np.put_along_axis(term, np.argmax(x, axis=1)[:, None], g, axis=1)  # first occurrence wins
+        grad_x = term if grad_x is None else np.add(grad_x, term, out=grad_x)
+    return grad_x
 
 
 # ---------------------------------------------------------------------------
@@ -584,38 +595,6 @@ def gelu_backward(grad_out: Tensor4, x: Tensor4) -> Tensor4:
     out *= t
     out *= grad_out
     return out
-
-
-def concat_channels(parts: Sequence[Tensor4]) -> Tensor4:
-    """Concatenate along the channel axis; batch and spatial dims must agree."""
-    if not parts:
-        raise ShapeError("concat_channels: empty input list")
-    first = check_tensor4(parts[0], "concat_channels: parts[0]")
-    for idx, p in enumerate(parts[1:], start=1):
-        check_tensor4(p, f"concat_channels: parts[{idx}]")
-        if p.shape[0] != first.shape[0] or p.shape[2:] != first.shape[2:]:
-            raise ShapeError(
-                f"concat_channels: parts[{idx}] shape {p.shape} does not match {first.shape}"
-            )
-    return np.concatenate(parts, axis=1)
-
-
-def concat_channels_backward(grad_out: Tensor4, channel_sizes: Iterable[int]) -> list[Tensor4]:
-    """Split ``grad_out`` into the concatenated parts' gradients; like the
-    parts, each size is a positive integer, and they sum to its channels."""
-    check_tensor4(grad_out, "concat_channels_backward: grad_out")
-    sizes = list(channel_sizes)
-    positive = all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s > 0 for s in sizes)
-    if not positive or sum(sizes) != grad_out.shape[1]:
-        raise ShapeError(
-            f"concat_channels_backward: sizes {sizes} are not positive integers summing to "
-            f"{grad_out.shape[1]} channels"
-        )
-    grads, start = [], 0
-    for s in sizes:
-        grads.append(np.ascontiguousarray(grad_out[:, start : start + s]))
-        start += s
-    return grads
 
 
 def _check_mask(x: Tensor4, mask: Tensor4, name: str) -> None:

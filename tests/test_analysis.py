@@ -148,11 +148,14 @@ class TestRcRatio:
         assert "category plane excluded: no eligible single-category images" in messages
 
     def test_record_without_blocks(self):
+        """A record without masks has no selection differences, and an
+        image it stands for is refused by category rather than read as an
+        R_c of 0; it counts for no category it is not eligible for."""
         rec = record([5, 23], {})
         assert compute_selection_diff([rec], "ship") == []
-        # a unit-area box makes r_c_raw the record's activation sum
-        stats, diffs = analyze_images([(rec, [box(0, 0, 1, 1)])])
-        assert stats[0].r_c_raw == 0.0 and diffs == {"ship": []}
+        with pytest.raises(AnalysisError, match=r"^category 'ship': a record holds no mask blocks$"):
+            analyze_images([(rec, [box(0, 0, 1, 1)])])
+        assert analyze_images([(rec, [box(0, 0, 1, 1), box(0, 0, 1, 1, "plane")])]) == ([], {})
 
     def test_activation_sum_weights_by_rf(self):
         rec = record([5, 23], {(1, 1): const_masks([1.0, 1.0], 2, 2)})

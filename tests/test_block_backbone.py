@@ -202,8 +202,10 @@ class TestBackboneConfig:
         assert cfg.depths == (2, 2, 4, 2)
 
     def test_unknown_variant(self):
-        with pytest.raises(ShapeError, match="variant"):
-            BackboneConfig.variant("XL")
+        """An unknown name, or a value that is no name at all, is refused the same way."""
+        for name in ("XL", None, 3):
+            with pytest.raises(ShapeError, match=rf"^unknown backbone variant {name!r} \(known: "):
+                BackboneConfig.variant(name)
 
     def test_bad_stage_count(self):
         with pytest.raises(ShapeError):

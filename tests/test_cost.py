@@ -197,21 +197,35 @@ class TestRendering:
 )
 def test_counts_are_integers(bad, slot, count, good):
     """A side that is a float (64.0 included) or a bool is refused by name,
-    so is a count that is one, and a module cost at a float side fails on its
-    first count: no report counts fractional pixels.  A numpy integer count
-    is stored as an int."""
+    by the backbone and the module cost alike, and so is a count that is
+    one: no report counts fractional pixels.  A numpy integer count is
+    stored as an int."""
     h, w = (bad, 64) if slot == "h" else (64, bad)
     cfg = BackboneConfig(channels=(4, 4, 8, 8), depths=(1, 1, 1, 1), ffn_ratios=(2, 2, 2, 2))
     with pytest.raises(ShapeError, match=rf"^cost_backbone: spatial dims must be integers, got {slot}="):
         cost_backbone(cfg, h, w)
-    if not isinstance(bad, bool):  # a bool side multiplies as 0 or 1
-        with pytest.raises(ShapeError, match=r"^CostReport: flops must be an integer, got "):
-            cost_lsk_module(init_lsk_params(validate_plan([(5, 1), (7, 3)]), 8), h, w)
+    with pytest.raises(ShapeError, match=rf"^cost_lsk_module: spatial dims must be integers, got {slot}="):
+        cost_lsk_module(init_lsk_params(validate_plan([(5, 1), (7, 3)]), 8), h, w)
     counts = dict(params=good(3), flops=good(6), macs=good(2))
     report = CostReport(**counts)
     assert [type(getattr(report, name)) for name in counts] == [int] * 3
     with pytest.raises(ShapeError, match=rf"^CostReport: {count} must be an integer, got "):
         CostReport(**{**counts, count: bad})
+
+
+@pytest.mark.parametrize("fn", [cost_lsk_module, cost_block], ids=["module", "block"])
+@pytest.mark.parametrize(
+    "side, message",
+    [(True, "must be integers, got h=True"), (0, "0x64 not positive$"), (-1, "-1x64 not positive$")],
+    ids=["bool", "zero", "negative"],
+)
+def test_layer_costs_refuse_sides_that_are_not_positive_integers(fn, side, message):
+    """A bool side would count as a 1-pixel map and a non-positive one as
+    zero or negative work; both layer costs refuse them by name."""
+    plan = validate_plan([(5, 1), (7, 3)])
+    params = init_lsk_params(plan, 8) if fn is cost_lsk_module else init_block_params(plan, c=8, ffn_ratio=2.0)
+    with pytest.raises(ShapeError, match=f"^{fn.__name__}: spatial dims {message}"):
+        fn(params, side, 64)
 
 
 @settings(max_examples=30, deadline=None)

@@ -159,7 +159,7 @@ def test_analyze_report_digest(tmp_path, capsys):
 
 
 # api_listing() of the public callables
-API_SHA256 = "9f57e461bfbc094fc9b2bc1a6dff4d9d0edafe35bf5821bf8b668ed38f4b36f2"
+API_SHA256 = "eab03100b243043d408a50f2ee231f2669aa7e402d876cd5d0d3c8b952b131ac"
 
 
 def api_listing() -> str:

@@ -54,14 +54,14 @@ def test_max_pool_ties_route_to_lowest_index():
     x = np.zeros((1, 3, 1, 1))
     x[0, 0] = x[0, 2] = 5.0  # tie between channels 0 and 2
     g = np.ones((1, 1, 1, 1))
-    gx = ops.channel_pool_backward(g, x, "max")
+    gx = ops.channel_pool_backward(g, x, ("max",))
     assert gx[0, 0, 0, 0] == 1.0 and gx[0, 1, 0, 0] == 0.0 and gx[0, 2, 0, 0] == 0.0
 
 
 def test_avg_pool_backward_spreads_evenly(rng):
     x = rng.uniform(-1, 1, size=(1, 4, 2, 2))
     g = rng.uniform(-1, 1, size=(1, 1, 2, 2))
-    gx = ops.channel_pool_backward(g, x, "avg")
+    gx = ops.channel_pool_backward(g, x, ("avg",))
     np.testing.assert_allclose(gx, np.broadcast_to(g / 4.0, x.shape), atol=1e-12)
 
 

@@ -419,6 +419,11 @@ class TestRecords:
         with pytest.raises(ManifestError, match="img.*rf"):
             load_record(directory)
 
+    def test_manifest_listing_no_block(self, rng, tmp_path):
+        directory = self._manifest_case(rng, tmp_path, blocks=[])
+        with pytest.raises(ManifestError, match=r"img: blocks \[\] must list at least one block"):
+            load_record(directory)
+
     def test_manifest_listing_a_block_twice(self, rng, tmp_path):
         directory = self._manifest_case(rng, tmp_path, blocks=[[1, 1], [1, 1]])
         with pytest.raises(ManifestError, match=r"img.*block \(1, 1\) is listed twice"):
@@ -787,14 +792,17 @@ def test_save_record_refuses_what_it_cannot_round_trip(tmp_path, masks):
         ((5.0, 23), (1, 1), "rf value must be a JSON integer, got 5.0"),
         ((True, 23), (1, 1), "rf value must be a JSON integer, got True"),
         ((5, 23), (0, 1), r"blocks \[\[0, 1\]\] must be pairs of positive indices"),
+        ((5, 23), None, r"blocks \[\] must list at least one block"),
     ],
-    ids=["descending", "zero", "float", "bool", "zero-index"],
+    ids=["descending", "zero", "float", "bool", "zero-index", "no-blocks"],
 )
 def test_save_record_refuses_a_manifest_load_record_refuses(tmp_path, rf, key, message):
     """``rf`` and the block keys pass the reader's checks before any path is
-    created, so a record that would not load leaves no directory."""
+    created, so a record that would not load leaves no directory.  A record
+    with no block (``key`` None) has no masks to analyse."""
     rec = ActivationRecord(rf=rf)
-    rec.masks[key] = np.full((1, 2, 4, 4), 0.5, np.float32)
+    if key is not None:
+        rec.masks[key] = np.full((1, 2, 4, 4), 0.5, np.float32)
     with pytest.raises(FormatError, match=f"^save_record: manifest: {message}"):
         save_record(rec, tmp_path / "img")
     assert not (tmp_path / "img").exists()

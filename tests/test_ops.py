@@ -238,7 +238,7 @@ def test_convs_reject_non_float_input(dtype, name, call):
     "name, call",
     [
         ("global_avg_pool_backward", lambda x: ops.global_avg_pool_backward(np.ones((1, 4, 1, 1)), x)),
-        ("channel_pool_backward", lambda x: ops.channel_pool_backward(np.ones((1, 1, 2, 2)), x, "avg")),
+        ("channel_pool_backward", lambda x: ops.channel_pool_backward(np.ones((1, 1, 2, 2)), x, ("avg",))),
     ],
     ids=["global_avg_pool_backward", "channel_pool_backward"],
 )
@@ -401,24 +401,66 @@ class TestChannelPool:
     def test_single_channel_identity(self, rng):
         x = rand(rng, (2, 1, 3, 3))
         for mode in ("avg", "max"):
-            np.testing.assert_array_equal(ops.channel_pool(x, mode), x)
+            np.testing.assert_array_equal(ops.channel_pool(x, (mode,)), x)
 
     def test_two_channel_values(self):
         x = np.zeros((1, 2, 1, 1))
         x[0, 0], x[0, 1] = 1.0, 3.0
-        assert ops.channel_pool(x, "avg")[0, 0, 0, 0] == 2.0
-        assert ops.channel_pool(x, "max")[0, 0, 0, 0] == 3.0
+        np.testing.assert_array_equal(ops.channel_pool(x, ("avg", "max", "avg")).reshape(-1), [2.0, 3.0, 2.0])
 
     def test_matches_loop_oracle(self, rng):
         x = rand(rng, (2, 7, 4, 4))
         for mode in ("avg", "max"):
             np.testing.assert_allclose(
-                ops.channel_pool(x, mode), channel_pool_loops(x, mode), atol=1e-12
+                ops.channel_pool(x, (mode,)), channel_pool_loops(x, mode), atol=1e-12
             )
 
     def test_unknown_mode(self, rng):
-        with pytest.raises(ShapeError):
-            ops.channel_pool(rand(rng, (1, 2, 2, 2)), "median")
+        """A pooling set is a non-empty sequence of modes; a bare string
+        would be read as its letters, so it is refused by name as well."""
+        x = rand(rng, (1, 2, 2, 2))
+        message = r"pooling must be a non-empty sequence of 'avg' and 'max', got "
+        for pooling in [("median",), ("avg", "min"), (), "avg", "max"]:
+            with pytest.raises(ShapeError, match=f"^channel_pool: {message}"):
+                ops.channel_pool(x, pooling)
+            with pytest.raises(ShapeError, match=f"^channel_pool_backward: {message}"):
+                ops.channel_pool_backward(np.ones((1, 1, 2, 2)), x, pooling)
+
+    @staticmethod
+    def backward_loops(g, x, pooling):
+        """x's gradient, one element at a time in float64: per mode in order,
+        avg adds g/c to every channel, max adds g to the lowest-index winner."""
+        n, c, h, w = x.shape
+        out = np.zeros(x.shape)
+        for i, mode in enumerate(pooling):
+            for b, row, col in itertools.product(range(n), range(h), range(w)):
+                vals = [float(x[b, ch, row, col]) for ch in range(c)]
+                for ch in range(c) if mode == "avg" else [vals.index(max(vals))]:
+                    out[b, ch, row, col] += float(g[b, i, row, col]) / (c if mode == "avg" else 1)
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 2),
+        widths=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+        pooling=st.sampled_from([("avg",), ("max",), ("avg", "max"), ("max", "avg")]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_pooling_set_matches_per_mode_loops(self, n, widths, pooling, dtype, seed):
+        """The concatenated branches pool into one stacked map per mode, and
+        the gradient adds the per-mode terms.  Values rounded to tenths tie
+        often, so the max gradient's lowest-index rule is exercised."""
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([np.round(rng.uniform(-2, 2, (n, c, 3, 4)), 1) for c in widths], axis=1).astype(dtype)
+        g = rng.uniform(-1, 1, (n, len(pooling), 3, 4)).astype(dtype)
+        tol = 1e-12 if dtype is np.float64 else 1e-6
+        out = ops.channel_pool(x, pooling)
+        assert out.dtype == dtype
+        np.testing.assert_allclose(out, np.concatenate([channel_pool_loops(x, m) for m in pooling], axis=1), atol=tol)
+        grad_x = ops.channel_pool_backward(g, x, pooling)
+        assert grad_x.dtype == dtype
+        np.testing.assert_allclose(grad_x, self.backward_loops(g, x, pooling), atol=tol)
 
 
 class TestElementwiseAndScalars:
@@ -468,11 +510,10 @@ class TestElementwiseAndScalars:
         "depthwise_conv_backward": ((2, 4, 5, 5), lambda g, x, v: (g, x, np.ones((4, 3, 3)), ConvSpec(3))),
         "conv2d_backward": ((2, 3, 3, 3), lambda g, x, v: (g, x, np.ones((3, 4, 3, 3)), 2)),
         "pointwise_conv_backward": ((2, 3, 5, 5), lambda g, x, v: (g, x, np.ones((3, 4)))),
-        "channel_pool_backward": ((2, 1, 5, 5), lambda g, x, v: (g, x, "max")),
+        "channel_pool_backward": ((2, 2, 5, 5), lambda g, x, v: (g, x, ("avg", "max"))),
         "sigmoid_backward": ((2, 4, 5, 5), lambda g, x, v: (g, x)),
         "gelu_backward": ((2, 4, 5, 5), lambda g, x, v: (g, x)),
         "broadcast_mask_mul_backward": ((2, 4, 5, 5), lambda g, x, v: (g, x, x[:, :1])),
-        "concat_channels_backward": ((2, 4, 5, 5), lambda g, x, v: (g, [1, 3])),
         "affine_channel_norm_backward": ((2, 4, 5, 5), lambda g, x, v: (g, x, v, v, v * v + 1.0)),
         "batch_norm_backward": ((2, 4, 5, 5), lambda g, x, v: (g, x, v, v, v * v + 1.0)),
         "global_avg_pool_backward": ((2, 4, 1, 1), lambda g, x, v: (g, x)),
@@ -490,18 +531,11 @@ class TestElementwiseAndScalars:
     @pytest.mark.parametrize("op", list(BACKWARD_ARGS))
     def test_backward_refuses_what_its_forward_refuses(self, rng, op):
         """The forward's output shape is the one ``grad_out`` accepted; one
-        dim off is refused in one wording.  The concat's sizes are positive
-        integers summing to the channels, as its parts are, and the norms'
-        vectors have one entry per channel, as the forward's do."""
+        dim off is refused in one wording.  The norms' vectors have one entry
+        per channel, as the forward's do."""
         fn, (out_shape, build) = getattr(ops, op), self.BACKWARD_ARGS[op]
         x, v = rand(rng, self.X_SHAPE), rand(rng, (self.X_SHAPE[1],))
         fn(*build(rand(rng, out_shape), x, v))
-        if op == "concat_channels_backward":
-            for sizes in ([1, 1], [2, 2], [-1, 4], [0, 3]):
-                message = rf"^{op}: sizes \[.*\] are not positive integers summing to 3 channels$"
-                with pytest.raises(ShapeError, match=message):
-                    fn(rand(rng, (2, 3, 5, 5)), sizes)
-            return
         for axis in range(4):
             bad = tuple(d + (a == axis) for a, d in enumerate(out_shape))
             message = rf"^{op}: grad_out {re.escape(str(bad))} != expected {re.escape(str(out_shape))}$"
@@ -524,13 +558,6 @@ class TestElementwiseAndScalars:
         # a (n,1,h,w) against (n,c,h,w) must fail in add
         with pytest.raises(ShapeError):
             ops.add(rand(rng, (1, 1, 3, 3)), rand(rng, (1, 4, 3, 3)))
-
-    def test_concat_preserves_order(self, rng):
-        a, b = rand(rng, (1, 2, 4, 4)), rand(rng, (1, 3, 4, 4))
-        out = ops.concat_channels([a, b])
-        assert out.shape == (1, 5, 4, 4)
-        np.testing.assert_array_equal(out[:, :2], a)
-        np.testing.assert_array_equal(out[:, 2:], b)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -770,7 +797,7 @@ class TestDeterminismAndFiniteness:
     def test_finite_in_finite_out(self, c, hw):
         rng = np.random.default_rng(c * 100 + hw)
         x = rng.uniform(-50, 50, size=(1, c, hw, hw)).astype(np.float32)
-        for out in (ops.sigmoid(x), ops.gelu(x), ops.channel_pool(x, "avg")):
+        for out in (ops.sigmoid(x), ops.gelu(x), ops.channel_pool(x, ("avg",))):
             assert np.isfinite(out).all()
 
 
@@ -805,4 +832,4 @@ def test_shape_preservation_property(seed):
         h,
         w,
     )
-    assert ops.channel_pool(x, "max").shape == (n, 1, h, w)
+    assert ops.channel_pool(x, ("max",)).shape == (n, 1, h, w)
