@@ -323,10 +323,10 @@ def backbone_forward(
 ) -> BackboneOutput:
     """Run the whole backbone; see :func:`check_input_size` for the input sides.
 
-    The input must be a finite float array: an integer or boolean dtype is a
-    :class:`ShapeError` and a NaN or Inf entry an :class:`LskError`, both
+    The input must be a finite float32 or float64 array: any other dtype is
+    a :class:`ShapeError` and a NaN or Inf entry an :class:`LskError`, both
     raised before any layer runs."""
-    ops.check_float_input(x, "backbone_forward")
+    ops.check_tensor4(x, "backbone_forward")
     n, c, h, w = x.shape
     if c != 3:
         raise ShapeError(f"backbone_forward: expected 3 input channels, got {c}")

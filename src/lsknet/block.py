@@ -206,7 +206,7 @@ def norm_backward(grad, norm: NormParams, cache):
 def block_forward(
     x: Tensor4, params: BlockParams, train_norm: bool = False, keep_state: bool = True
 ) -> LayerOutput:
-    ops.check_float_input(x, "block_forward")
+    ops.check_tensor4(x, "block_forward")
     if x.shape[1] != params.c:
         raise ShapeError(f"block_forward: input has {x.shape[1]} channels, block expects {params.c}")
 

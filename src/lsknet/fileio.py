@@ -22,6 +22,12 @@ and grayscale is replicated to three channels.
 Readers never read past declared lengths; every malformed input maps to a
 distinct error kind (bad magic, truncation, dim overflow, manifest problems);
 a payload holding NaN or Inf is a format error, found by one chunked check.
+No reader allocates a length a file declares before checking it against the
+bytes left: a tensor or weights file's, path or stream, by one seek to its
+end and back, a mask file's by ``os.fstat`` of its descriptor.  A tensor
+stream that cannot seek is read in bounded chunks; a weights file that
+cannot seek (a pipe) is a FormatError, as its tensors are read at their
+offsets.
 
 Paths are opened by one helper and closed on exit (reads unbuffered, writes
 buffered); a stream is used as given and left open.  Every reader error names
@@ -29,7 +35,8 @@ the path, or ``stream``.  Every read is first one direct call: a tensor is one
 read of its 40-byte header and one ``readinto`` straight into the returned
 array; a record is ``os.read`` of its manifest to the end, then per mask file
 one ``os.open``, one ``os.readv`` and one ``os.close`` (a block's first file
-reads its header alone, as it sets the block's shape).  Only a short read (a
+reads its header alone, as it sets the block's shape, and takes one
+``os.fstat`` to check its size against it).  Only a short read (a
 truncated file, a pipe, or a payload above one system call's limit) enters the
 one fill loop, so a record of B blocks of k kernels takes 2 + B * (k + 1)
 reads.  ``os.readv`` exists on POSIX only, so loading a record needs it.
@@ -81,6 +88,8 @@ FORMAT_VERSION = 1  # the one manifest layout the readers know; a missing key me
 _F4 = np.dtype("<f4")
 _TENSOR_HEADER = 40  # magic plus four u64 dims
 _FINITE_CHUNK = 1 << 16  # values per finiteness check
+_READ_CHUNK = 1 << 14  # bytes per read of a stream that cannot seek
+_MANIFEST_CHUNK = 1 << 12  # bytes per read of a record manifest, a few hundred long
 WeightEntries = dict[str, tuple[int, tuple[int, ...]]]  # name -> (byte offset, shape), in file order
 
 
@@ -227,6 +236,17 @@ def _tensor_dims(header: bytes, what: str) -> tuple[int, int, int, int]:
     return dims
 
 
+def _bytes_left(fh) -> int | None:
+    """The bytes after ``fh``'s position, found by one seek to its end and
+    back, or None if it cannot seek (a pipe)."""
+    if not fh.seekable():
+        return None
+    here = fh.tell()
+    end = fh.seek(0, os.SEEK_END)
+    fh.seek(here)
+    return end - here
+
+
 def read_tensor(target) -> np.ndarray:
     """Read an LSKT file back into a float32 (n, c, h, w) array."""
     what = f"tensor {_name(target)}"
@@ -234,7 +254,19 @@ def read_tensor(target) -> np.ndarray:
         header = bytearray(_TENSOR_HEADER)
         got = _fill(fh.readinto, (header,))
         dims = _tensor_dims(header[:got], what)
-        out = _read_stream(fh, np.empty(dims, dtype=_F4), f"{what} payload")
+        want = math.prod(dims) * _F4.itemsize
+        left = _bytes_left(fh)
+        if left is None:  # grown a chunk at a time, so a stream that ends early costs what it held
+            buf = bytearray()
+            while len(buf) < want and (chunk := fh.read(min(_READ_CHUNK, want - len(buf)))):
+                buf += chunk
+            if len(buf) < want:
+                raise _truncated(f"{what} payload", want, len(buf))
+            out = np.frombuffer(buf, dtype=_F4).reshape(dims)
+        elif left < want:  # checked before an array of the size the header claims is made
+            raise _truncated(f"{what} payload", want, left)
+        else:
+            out = _read_stream(fh, np.empty(dims, dtype=_F4), f"{what} payload")
     return _finite(out, what)
 
 
@@ -279,17 +311,18 @@ def read_weights(target) -> tuple[dict[str, np.ndarray], WeightEntries]:
         if magic != WEIGHTS_MAGIC:
             raise BadMagicError(f"{where}: not a weights file: magic {magic!r}")
         (manifest_len,) = struct.unpack("<I", _read_stream(fh, bytearray(4), f"{where} manifest length"))
+        left = _bytes_left(fh)
+        if left is None:
+            raise FormatError(f"{where}: tensors are read at their offsets, so the file must be seekable")
         start = fh.tell()
-        size = fh.seek(0, os.SEEK_END)
-        if manifest_len > size - start:  # checked before a buffer of the length the file claims is made
-            raise _truncated(f"{where} manifest", manifest_len, size - start)
-        fh.seek(start)
+        if manifest_len > left:  # checked before a buffer of the length the file claims is made
+            raise _truncated(f"{where} manifest", manifest_len, left)
         manifest_raw = _read_stream(fh, bytearray(manifest_len), f"{where} manifest")
         doc = _manifest(manifest_raw, where, f"{where}: manifest is not valid UTF-8 JSON")
         if not isinstance(doc.get("entries"), list):  # absent, or nothing to iterate
             raise ManifestError(f"{where}: manifest missing 'entries'")
         start += manifest_len
-        payload_len = size - start
+        payload_len = left - manifest_len
 
         entries: WeightEntries = {}
         spans: list[tuple[int, int, str]] = []
@@ -462,10 +495,12 @@ def load_record(directory: str | Path) -> ActivationRecord:
 
     A block's k files are read straight into one (k, n, h, w) array, whose
     (n, k, h, w) transpose becomes the block's masks (C-contiguous if n = 1).
-    The first file's header sets the block's shape; every later file's header
-    is read with its payload by one ``os.readv`` and must equal the first byte
-    for byte, and only a header that differs is parsed, to name what is wrong
-    with it.  Error messages are built only when a check fails.
+    The first file's header sets the block's shape, and its size, from one
+    ``os.fstat``, must hold that payload before the array is made; every
+    later file's header is read with its payload by one ``os.readv`` and
+    must equal the first byte for byte, and only a header that differs is
+    parsed, to name what is wrong with it.  Error messages are built only
+    when a check fails.
     """
     src = Path(directory)
     # joining strings, not Paths: a Path join costs a third of a mask read
@@ -475,7 +510,7 @@ def load_record(directory: str | Path) -> ActivationRecord:
         fd = os.open(base + RECORD_MANIFEST, os.O_RDONLY)
         try:
             chunks = []
-            while chunk := os.read(fd, 1 << 16):
+            while chunk := os.read(fd, _MANIFEST_CHUNK):
                 chunks.append(chunk)
         finally:
             os.close(fd)
@@ -502,8 +537,11 @@ def load_record(directory: str | Path) -> ActivationRecord:
                         if dims[1] != 1:
                             raise _shape_error(stage, depth, folder, name, dims, (dims[0], 1, *dims[2:]))
                         first = bytes(header)
+                        payload = math.prod(dims) * _F4.itemsize
+                        left = os.fstat(fd).st_size - _TENSOR_HEADER
+                        if left < payload:  # checked before the block's array is made
+                            raise _truncated(f"mask file {name} in {folder}", payload, left)
                         planes = np.empty((len(rf), dims[0], *dims[2:]), dtype=_F4)
-                        payload = planes[0].nbytes
                         buffers, want = (planes[0],), payload
                     else:
                         buffers, want = (header, planes[plane]), _TENSOR_HEADER + payload

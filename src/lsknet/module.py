@@ -268,7 +268,7 @@ def lsk_forward(x: Tensor4, params: LskModuleParams, keep_state: bool = True) ->
     Masks are the per-branch sigmoid maps, stacked as (n, n_kernels, h, w);
     they are produced by the spatial mode only.
     """
-    ops.check_float_input(x, "lsk_forward")
+    ops.check_tensor4(x, "lsk_forward")
     params.validate()
     if x.shape[1] != params.c_in:
         raise ShapeError(f"lsk_forward: input has {x.shape[1]} channels, module expects {params.c_in}")

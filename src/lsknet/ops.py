@@ -12,11 +12,12 @@ axes.
 Backward functions return gradients of a sum-reduction loss, i.e. they
 contract the upstream gradient ``grad_out`` with the local Jacobian.
 
-Every backward refuses what its forward refuses: the pair shares one check
-of its arguments, and a ``grad_out`` not shaped like the forward's output is
-refused in one wording, naming the op and both shapes.  Inputs that a layer
-casts its weights to, and pooled inputs whose gradient takes their dtype,
-are float32 or float64.
+Every array an op reads (``x``, ``grad_out``, a mask, both addends of
+:func:`add`) passes :func:`check_tensor4`: rank 4, positive dims and a
+float32 or float64 dtype, else a :class:`ShapeError` naming the op and the
+argument.  Every backward refuses what its forward refuses: the pair shares
+one check of its arguments, and a ``grad_out`` not shaped like the forward's
+output is refused in one wording, naming the op and both shapes.
 
 Channel mixing (``pointwise_conv``, ``conv2d`` and their backward passes) is
 one BLAS matrix product per batch item; the dense conv first gathers its
@@ -84,7 +85,6 @@ __all__ = [
     "ConvSpec",
     "Tensor4",
     "check_tensor4",
-    "check_float_input",
     "depthwise_conv",
     "depthwise_conv_backward",
     "conv2d",
@@ -153,23 +153,19 @@ class ConvSpec:
 
 
 def check_tensor4(x: np.ndarray, name: str = "tensor") -> np.ndarray:
-    """Validate the rank-4 layout contract and return ``x`` unchanged."""
+    """Check that ``x`` is a rank-4 ndarray with positive dims and a float32
+    or float64 dtype, and return it unchanged; ``name`` leads the message.
+    Ops and layers cast weights to the input's dtype, so an integer or
+    boolean input would truncate them and any other float would run in
+    another precision."""
     if not isinstance(x, np.ndarray):
         raise ShapeError(f"{name}: expected ndarray, got {type(x).__name__}")
     if x.ndim != 4:
         raise ShapeError(f"{name}: expected 4 dims (n,c,h,w), got shape {x.shape}")
     if any(d < 1 for d in x.shape):
         raise ShapeError(f"{name}: all dims must be >= 1, got shape {x.shape}")
-    return x
-
-
-def check_float_input(x: np.ndarray, where: str) -> np.ndarray:
-    """:func:`check_tensor4` plus a float32 or float64 dtype: a layer casts
-    its weights to its input's dtype, which truncates them for an integer or
-    boolean one and runs the layer in another precision for any other float."""
-    check_tensor4(x, f"{where}: x")
     if x.dtype not in (np.float32, np.float64):
-        raise ShapeError(f"{where}: expected a float32 or float64 input, got dtype {x.dtype}")
+        raise ShapeError(f"{name}: expected a float32 or float64 input, got dtype {x.dtype}")
     return x
 
 
@@ -307,7 +303,7 @@ def depthwise_conv(x: Tensor4, weights: np.ndarray, bias: np.ndarray, spec: Conv
     matching input channel.  Dilation spreads the taps without changing the
     parameter count.
     """
-    check_float_input(x, "depthwise_conv")
+    check_tensor4(x, "depthwise_conv: x")
     taps = _dw_kept("depthwise_conv", x, weights, spec)[2]
     _check_vectors("depthwise_conv", x.shape[1], bias=bias)
     return _dw_correlate(x, taps, bias.astype(x.dtype, copy=False), spec.dilation)[0]
@@ -322,7 +318,6 @@ def depthwise_conv_backward(
     the kernel flipped; the weight gradient multiplies the same column
     gathers of ``grad_out`` by ``x`` shifted down by each kernel row.
     """
-    check_float_input(x, "depthwise_conv_backward")
     _check_grad("depthwise_conv_backward", grad_out, x)
     rows, cols, taps = _dw_kept("depthwise_conv_backward", x, weights, spec)
     grad_x, grad_taps = _dw_correlate(grad_out, taps[:, ::-1, ::-1], None, spec.dilation, against=x)
@@ -396,7 +391,7 @@ def conv2d(
     stride: int = 1,
 ) -> Tensor4:
     """Dense convolution padded by k // 2: weights (c_out, c_in, k, k), odd k, stride >= 1."""
-    check_float_input(x, "conv2d")
+    check_tensor4(x, "conv2d: x")
     n, c, h, w = x.shape
     c_out, k = _check_conv2d_args("conv2d", c, weights, stride)
     _check_vectors("conv2d", c_out, bias=bias)
@@ -415,7 +410,7 @@ def conv2d_backward(
     stride: int = 1,
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Gradients of conv2d w.r.t. input, weights and bias."""
-    check_float_input(x, "conv2d_backward")
+    check_tensor4(x, "conv2d_backward: x")
     n, c, h, w = x.shape
     c_out, k = _check_conv2d_args("conv2d_backward", c, weights, stride)
     oh, ow = conv_out_size(h, stride), conv_out_size(w, stride)
@@ -503,7 +498,7 @@ def channel_pool_backward(grad_out: Tensor4, x: Tensor4, pooling: Sequence[str])
     pooling routes it to the lowest-index channel attaining the maximum, so
     ties resolve deterministically.
     """
-    n, c, h, w = check_float_input(x, "channel_pool_backward").shape
+    n, c, h, w = check_tensor4(x, "channel_pool_backward: x").shape
     _check_pooling("channel_pool_backward", pooling)
     _check_grad("channel_pool_backward", grad_out, x, (n, len(pooling), h, w))
     grad_x = None
@@ -532,13 +527,8 @@ def add(a: Tensor4, b: Tensor4) -> Tensor4:
 
 
 def sigmoid(x: Tensor4) -> Tensor4:
-    """Numerically stable logistic function; sigmoid(0) is exactly 0.5.
-
-    The result has the dtype of ``np.result_type(x, 0.5)``: floats keep
-    their dtype and integers give float64.
-    """
+    """Numerically stable logistic function; sigmoid(0) is exactly 0.5."""
     check_tensor4(x, "sigmoid: x")
-    x = np.asarray(x, dtype=np.result_type(x, 0.5))
     # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e) below
     e = np.exp(-np.abs(x))
     out = np.where(x >= 0, 1.0, e)
@@ -561,7 +551,7 @@ def gelu(x: Tensor4) -> Tensor4:
     result, the only full-size buffer.
     """
     check_tensor4(x, "gelu: x")
-    out = np.multiply(x, x, dtype=np.result_type(x, 0.5))
+    out = np.multiply(x, x)
     out *= _GELU_SCALE * _GELU_COEFF
     out += _GELU_SCALE
     out *= x
@@ -581,7 +571,7 @@ def gelu_backward(grad_out: Tensor4, x: Tensor4) -> Tensor4:
     The result has the dtype of ``np.result_type(grad_out, x)``.
     """
     _check_grad("gelu_backward", grad_out, x)
-    out = np.multiply(x, x, dtype=np.result_type(grad_out, x, 0.5))
+    out = np.multiply(x, x, dtype=np.result_type(grad_out, x))
     t = out * (_GELU_SCALE * _GELU_COEFF)
     t += _GELU_SCALE
     t *= x
@@ -719,6 +709,6 @@ def global_avg_pool(x: Tensor4) -> Tensor4:
 
 
 def global_avg_pool_backward(grad_out: Tensor4, x: Tensor4) -> Tensor4:
-    n, c, h, w = check_float_input(x, "global_avg_pool_backward").shape
+    n, c, h, w = check_tensor4(x, "global_avg_pool_backward: x").shape
     _check_grad("global_avg_pool_backward", grad_out, x, (n, c, 1, 1))
     return (np.broadcast_to(grad_out, x.shape) / x.dtype.type(h * w)).astype(x.dtype, copy=False)

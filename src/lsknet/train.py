@@ -19,6 +19,7 @@ Each scope only builds its forward, backward and trainable arrays; one loop,
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +55,22 @@ class ToyProblem:
     targets: np.ndarray  # (m,) float32
 
 
+def _check_count(where: str, least: int, **counts) -> None:
+    """Refuse each named count that is not an integer >= ``least``; a bool
+    is none here."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            raise ShapeError(f"{where}: {name} must be an integer >= {least}, got {value!r}")
+
+
 def make_synthetic_dataset(
     n_samples: int, channels: int, h: int, w: int, seed: int = 0
 ) -> ToyProblem:
     """Random inputs with random scalar targets; capped at 16 samples."""
-    if n_samples < 1 or n_samples > MAX_SAMPLES:
-        raise ShapeError(f"toy datasets hold 1..{MAX_SAMPLES} samples, got {n_samples}")
+    _check_count("make_synthetic_dataset", 1, n_samples=n_samples, channels=channels, h=h, w=w)
+    _check_count("make_synthetic_dataset", 0, seed=seed)
+    if n_samples > MAX_SAMPLES:
+        raise ShapeError(f"make_synthetic_dataset: toy datasets hold 1..{MAX_SAMPLES} samples, got {n_samples}")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n_samples, channels, h, w)).astype(np.float32)
     t = rng.uniform(0.2, 0.8, size=n_samples).astype(np.float32)
@@ -85,16 +96,16 @@ def toy_train(
 
     ``losses[k]`` is the loss after ``k`` updates, so the list holds
     ``steps + 1`` values and ``losses[-1]`` is the final loss.  ``lr=None``
-    takes the scope's ``DEFAULT_LR``; any other ``lr`` must be a finite number
-    >= 0 (0 keeps the loss constant, a negative rate would ascend).
+    takes the scope's ``DEFAULT_LR``; any other ``lr`` must be a finite real
+    number >= 0 and not a bool (0 keeps the loss constant, a negative rate
+    would ascend).  ``steps`` and ``seed`` are integers >= 0, not bools.
     """
     if scope not in DEFAULT_LR:
         raise ShapeError(f"toy_train: unknown scope {scope!r} (want head|module|backbone)")
-    if steps < 0:
-        raise ShapeError(f"toy_train: steps must be >= 0, got {steps}")
+    _check_count("toy_train", 0, steps=steps, seed=seed)
     if lr is None:
         lr = DEFAULT_LR[scope]
-    elif not (math.isfinite(lr) and lr >= 0):
+    elif isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not (math.isfinite(lr) and lr >= 0):
         raise ShapeError(f"toy_train: lr must be a finite number >= 0, got {lr!r}")
     rng = np.random.default_rng(seed)
     if scope == "backbone":

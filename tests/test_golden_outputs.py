@@ -159,7 +159,7 @@ def test_analyze_report_digest(tmp_path, capsys):
 
 
 # api_listing() of the public callables
-API_SHA256 = "eab03100b243043d408a50f2ee231f2669aa7e402d876cd5d0d3c8b952b131ac"
+API_SHA256 = "d1f2f5abdb19c25e08436067994e1304a05f3fa77939b5043b91bb7fce91c288"
 
 
 def api_listing() -> str:

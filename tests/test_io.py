@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lsknet.backbone import ActivationRecord, BackboneConfig, init_backbone_params, named_arrays
@@ -815,3 +815,73 @@ def test_save_record_writes_numpy_integers_as_json_integers(tmp_path):
     loaded = load_record(tmp_path / "img")
     assert loaded.rf == (5, 23) and loaded.block_keys() == [(1, 1)]
     assert (loaded.masks[(1, 1)] == rec.masks[(1, 1)]).all()
+
+
+class _Unseekable(io.RawIOBase):
+    """A stream that cannot seek, as a pipe is."""
+
+    def __init__(self, raw: bytes):
+        self._src = io.BytesIO(raw)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        return self._src.readinto(buf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    reader=st.sampled_from(
+        ["tensor path", "tensor stream", "tensor pipe", "weights path", "weights stream", "weights pipe", "image path",
+         "record"]
+    ),
+    shape=st.tuples(st.integers(1, 2), st.integers(1, 3), st.integers(1, 6), st.integers(1, 6)),
+    seed=st.integers(0, 2**31 - 1),
+    which=st.integers(0, 12),
+    cut=st.none() | st.integers(0, 1 << 16),
+    edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), min_size=1, max_size=4),
+)
+# a one-element tensor whose last dim now declares 2**26 + 1 values
+@example(reader="tensor stream", shape=(1, 1, 1, 1), seed=0, which=0, cut=None, edits=[(35, 4)])
+@example(reader="record", shape=(1, 1, 1, 1), seed=0, which=0, cut=None, edits=[(35, 4)])
+def test_damaged_file_loads_or_is_named_within_its_size(reader, shape, seed, which, cut, edits):
+    """A valid LSKT, LSKW or PPM file or record directory with one file cut
+    anywhere (``cut``), or else with 1-4 bytes overwritten (``edits``; both
+    positions taken modulo the file's length), either loads or raises an
+    LskError subclass, and the reader traces no more than the bytes it was
+    given plus 64 KiB: no declared length is allocated unchecked."""
+    kind, _, how = reader.partition(" ")
+    x = np.random.default_rng(seed).standard_normal(shape).astype(np.float32)
+    with tempfile.TemporaryDirectory() as directory:
+        root = Path(directory)
+        if kind == "record":
+            save_record(_random_record(shape[0], shape[1], [shape[2:], shape[:1:-1]], np.float32, seed), root)
+        elif kind == "tensor":
+            write_tensor(root / "file", x)
+        elif kind == "image":
+            (root / "file").write_bytes(b"P6\n%d %d\n255\n" % shape[2:] + bytes(range(3 * shape[2] * shape[3])))
+        else:
+            write_weights(root / "file", {"a": x, "b": x[0, :, 0, 0]})
+        files = sorted(root.iterdir())
+        path = files[which % len(files)]
+        raw = bytearray(path.read_bytes())
+        if cut is not None:
+            del raw[cut % len(raw) :]
+        for at, value in [] if cut is not None else edits:
+            raw[at % len(raw)] = value
+        path.write_bytes(raw)
+        given = sum(f.stat().st_size for f in files)
+        target = {"path": path, "stream": io.BytesIO(raw), "pipe": _Unseekable(bytes(raw)), "": root}[how]
+        load = {"tensor": read_tensor, "weights": read_weights, "image": read_image, "record": load_record}[kind]
+        errors = []
+
+        def run():
+            try:
+                load(target)
+            except LskError as exc:
+                errors.append(exc)
+
+        peak = peak_allocation(run)
+    assert all(type(exc) is not LskError for exc in errors), errors
+    assert peak < given + (64 << 10), f"peak {peak} B for {given} B given"

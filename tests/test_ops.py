@@ -207,48 +207,88 @@ def test_depthwise_tile_budget_keeps_bits(n, c, h, w, kernel, dilation, seed):
         np.testing.assert_array_equal(got_grad_x, grad_x)
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_, np.float16, np.longdouble])
-@pytest.mark.parametrize(
-    "name, call",
-    [
-        ("depthwise_conv", lambda x: ops.depthwise_conv(x, np.full((1, 3, 3), 0.4), np.zeros(1), ConvSpec(3))),
-        (
-            "depthwise_conv_backward",
-            lambda x: ops.depthwise_conv_backward(np.ones((1, 1, 3, 3)), x, np.full((1, 3, 3), 0.4), ConvSpec(3)),
-        ),
-        ("conv2d", lambda x: ops.conv2d(x, np.full((2, 1, 3, 3), 0.4), np.zeros(2))),
-        (
-            "conv2d_backward",
-            lambda x: ops.conv2d_backward(np.ones((1, 2, 3, 3)), x, np.full((2, 1, 3, 3), 0.4)),
-        ),
-    ],
-    ids=["depthwise_conv", "depthwise_conv_backward", "conv2d", "conv2d_backward"],
-)
-def test_convs_reject_non_float_input(dtype, name, call):
+# The dtype-refusal table: one valid float64 call of every op, by keyword.
+# Each 4-D array argument of a call but conv2d's weights, which are cast to
+# x's dtype, is refused in turn in every dtype of NON_FLOAT_DTYPES
+_X, _V = np.ones((1, 2, 3, 3)), np.ones(2)
+NON_FLOAT_DTYPES = [np.int64, np.int32, np.bool_, np.float16, np.longdouble]
+VALID_CALLS = {
+    "depthwise_conv": dict(x=_X, weights=np.full((2, 3, 3), 0.4), bias=_V, spec=ConvSpec(3)),
+    "depthwise_conv_backward": dict(grad_out=_X, x=_X, weights=np.full((2, 3, 3), 0.4), spec=ConvSpec(3)),
+    "conv2d": dict(x=_X, weights=np.full((2, 2, 3, 3), 0.4), bias=_V),
+    "conv2d_backward": dict(grad_out=_X, x=_X, weights=np.full((2, 2, 3, 3), 0.4)),
+    "pointwise_conv": dict(x=_X, weights=np.ones((2, 2)), bias=_V),
+    "pointwise_conv_backward": dict(grad_out=_X, x=_X, weights=np.ones((2, 2))),
+    "channel_pool": dict(x=_X, pooling=("avg", "max")),
+    "channel_pool_backward": dict(grad_out=_X, x=_X, pooling=("avg", "max")),
+    "add": dict(a=_X, b=_X),
+    "sigmoid": dict(x=_X),
+    "sigmoid_backward": dict(grad_out=_X, y=_X),
+    "gelu": dict(x=_X),
+    "gelu_backward": dict(grad_out=_X, x=_X),
+    "broadcast_mask_mul": dict(x=_X, mask=_X[:, :1]),
+    "broadcast_mask_mul_backward": dict(grad_out=_X, x=_X, mask=_X[:, :1]),
+    "affine_channel_norm": dict(x=_X, scale=_V, shift=_V, mean=_V, var=_V),
+    "affine_channel_norm_backward": dict(grad_out=_X, x=_X, scale=_V, mean=_V, var=_V),
+    "batch_norm": dict(x=_X, scale=_V, shift=_V),
+    "batch_norm_backward": dict(grad_out=_X, x=_X, scale=_V, mean=_V, var=_V),
+    "global_avg_pool": dict(x=_X),
+    "global_avg_pool_backward": dict(grad_out=_X[:, :, :1, :1], x=_X),
+}
+REFUSALS = [
+    (op, arg) for op, call in VALID_CALLS.items()
+    for arg, value in call.items() if isinstance(value, np.ndarray) and value.ndim == 4 and arg != "weights"
+]
+
+
+def assert_refuses(op, arg, dtype):
+    """``op``'s valid call runs, and with ``arg`` cast to ``dtype`` it is
+    refused by a ShapeError naming the op and the argument."""
+    call = VALID_CALLS[op]
+    getattr(ops, op)(**call)
+    message = f"^{op}: {arg}: expected a float32 or float64 input, got dtype {np.dtype(dtype)}$"
+    with pytest.raises(ShapeError, match=message):
+        getattr(ops, op)(**dict(call, **{arg: call[arg].astype(dtype)}))
+
+
+@pytest.mark.parametrize("dtype", NON_FLOAT_DTYPES)
+@pytest.mark.parametrize("op, arg", REFUSALS, ids=[f"{op}-{arg}" for op, arg in REFUSALS])
+def test_ops_refuse_non_float_arrays(op, arg, dtype):
+    """Every array an op reads is float32 or float64: any other dtype would
+    be promoted silently (``add`` of two bool maps is their logical OR)."""
+    assert_refuses(op, arg, dtype)
+
+
+def test_refusal_table_covers_every_array_argument():
+    """Every function in ``ops.__all__`` but the check itself and
+    ``conv_out_size``, which takes sizes, has a row refusing each of its
+    Tensor4 arguments, so no new op can land with a rank-only check."""
+    for name in ops.__all__:
+        fn = getattr(ops, name)
+        if not inspect.isfunction(fn) or name in ("check_tensor4", "conv_out_size"):
+            continue
+        assert name in VALID_CALLS, f"{name} has no row in the dtype-refusal table"
+        tensors = [p for p, param in inspect.signature(fn).parameters.items() if param.annotation == "Tensor4"]
+        assert [arg for op, arg in REFUSALS if op == name] == tensors, name
+
+
+@pytest.mark.parametrize("dtype", NON_FLOAT_DTYPES)
+@pytest.mark.parametrize("name", ["depthwise_conv", "depthwise_conv_backward", "conv2d", "conv2d_backward"])
+def test_convs_reject_non_float_input(dtype, name):
     """The convs cast their weights to the input's dtype, so an integer or
     boolean input would run with its 0.4 taps truncated to zero (or fail
     inside numpy's casting), and a float16 or longdouble one in another
-    precision: each refuses it by name."""
-    with pytest.raises(ShapeError, match=f"{name}: expected a float32 or float64 input, got dtype {np.dtype(dtype)}"):
-        call(np.ones((1, 1, 3, 3), dtype=dtype))
+    precision."""
+    assert_refuses(name, "x", dtype)
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_, np.float16, np.longdouble])
-@pytest.mark.parametrize(
-    "name, call",
-    [
-        ("global_avg_pool_backward", lambda x: ops.global_avg_pool_backward(np.ones((1, 4, 1, 1)), x)),
-        ("channel_pool_backward", lambda x: ops.channel_pool_backward(np.ones((1, 1, 2, 2)), x, ("avg",))),
-    ],
-    ids=["global_avg_pool_backward", "channel_pool_backward"],
-)
-def test_average_pool_backwards_reject_non_float_input(dtype, name, call):
+@pytest.mark.parametrize("dtype", NON_FLOAT_DTYPES)
+@pytest.mark.parametrize("name", ["global_avg_pool_backward", "channel_pool_backward"])
+def test_average_pool_backwards_reject_non_float_input(dtype, name):
     """Both average-pool backwards give the gradient x's dtype, so an integer
     ``x`` would turn each 0.25 share into 0, a boolean one into True and a
-    float16 or longdouble one into another precision: each refuses it by
-    name."""
-    with pytest.raises(ShapeError, match=f"{name}: expected a float32 or float64 input, got dtype {np.dtype(dtype)}"):
-        call(np.ones((1, 4, 2, 2), dtype=dtype))
+    float16 or longdouble one into another precision."""
+    assert_refuses(name, "x", dtype)
 
 
 class TestConv2d:
@@ -495,7 +535,7 @@ class TestElementwiseAndScalars:
             ops.sigmoid(rand(rng, (2, 3, 4)))
 
     @pytest.mark.parametrize(
-        "dtype, expected", [(np.int64, np.float64), (np.float32, np.float32), (np.float64, np.float64)]
+        "dtype, expected", [(np.float32, np.float32), (np.float64, np.float64)]
     )
     def test_sigmoid_result_dtype(self, dtype, expected):
         out = ops.sigmoid(np.zeros((1, 1, 1, 2), dtype=dtype))

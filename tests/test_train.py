@@ -47,6 +47,13 @@ def test_divergence_raises_with_step_index():
 def test_dataset_size_cap():
     with pytest.raises(ShapeError):
         make_synthetic_dataset(17, 3, 8, 8)
+    good = dict(n_samples=2, channels=3, h=8, w=8, seed=0)
+    for name, bad in [
+        ("n_samples", 0), ("n_samples", True), ("channels", 2.5), ("h", 0), ("w", -1), ("w", True),
+        ("seed", -1), ("seed", True),
+    ]:
+        with pytest.raises(ShapeError, match=f"make_synthetic_dataset: {name} must be an integer"):
+            make_synthetic_dataset(**dict(good, **{name: bad}))
 
 
 def test_unknown_scope():
@@ -55,12 +62,13 @@ def test_unknown_scope():
 
 
 def test_negative_steps_rejected():
-    with pytest.raises(ShapeError, match="steps"):
-        toy_train(steps=-1)
+    for name, bad in [("steps", -1), ("steps", True), ("steps", 2.5), ("seed", -1), ("seed", True)]:
+        with pytest.raises(ShapeError, match=f"toy_train: {name} must be an integer >= 0"):
+            toy_train(**{name: bad})
     assert len(toy_train(steps=0, lr=0.1)) == 1
 
 
-@pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -0.5])
+@pytest.mark.parametrize("lr", [float("nan"), float("inf"), float("-inf"), -0.5, True, "0.5"])
 def test_learning_rate_must_be_finite_and_not_negative(lr):
     with pytest.raises(ShapeError, match="lr"):
         toy_train(steps=1, lr=lr)
