@@ -29,17 +29,27 @@ stream that cannot seek is read in bounded chunks; a weights file that
 cannot seek (a pipe) is a FormatError, as its tensors are read at their
 offsets.
 
-Paths are opened by one helper and closed on exit (reads unbuffered, writes
-buffered); a stream is used as given and left open.  Every reader error names
-the path, or ``stream``.  Every read is first one direct call: a tensor is one
-read of its 40-byte header and one ``readinto`` straight into the returned
-array; a record is ``os.read`` of its manifest to the end, then per mask file
-one ``os.open``, one ``os.readv`` and one ``os.close`` (a block's first file
-reads its header alone, as it sets the block's shape, and takes one
-``os.fstat`` to check its size against it).  Only a short read (a
-truncated file, a pipe, or a payload above one system call's limit) enters the
-one fill loop, so a record of B blocks of k kernels takes 2 + B * (k + 1)
-reads.  ``os.readv`` exists on POSIX only, so loading a record needs it.
+Tensor and weight paths are opened by one helper and closed on exit (reads
+unbuffered, writes buffered); a stream is used as given and left open.  Every
+reader error names the path, or ``stream``.  Every read is first one direct
+call: a tensor is one read of its 40-byte header and one ``readinto``
+straight into the returned array; a record is ``os.read`` of its manifest to
+the end, then per mask file one ``os.open``, one ``os.readv`` and one
+``os.close`` (a block's first file reads its header alone, as it sets the
+block's shape, and takes one ``os.fstat`` to check its size against it).
+Only a short read (a truncated file, a pipe, or a payload above one system
+call's limit) enters the one fill loop, so a record of B blocks of k kernels
+takes 2 + B * (k + 1) reads.
+
+A record is written the same way: per file one ``os.open``, one
+``os.writev`` (of the block's 40-byte header, built once, and the plane, or
+of the manifest) and one ``os.close``, so a record of B blocks of k kernels
+takes B * k + 1 of each.  Only a short write enters a loop.  An existing
+manifest is removed before the first mask file is written and the new one is
+written last, so a save that fails part way leaves a directory that
+:func:`load_record` refuses, not a mix of old and new planes that it would
+read.  ``os.readv`` and ``os.writev`` exist on POSIX only, so loading and
+saving a record need them.
 
 Writing refuses what the readers refuse, before any byte is written or any
 path created: values that are not finite as float32 (NaN, Inf, or a float64
@@ -95,8 +105,7 @@ WeightEntries = dict[str, tuple[int, tuple[int, ...]]]  # name -> (byte offset, 
 
 def _opened(target, mode: str):
     """``target`` ready for ``with``: a path opened (reads unbuffered, writes
-    buffered) and closed on exit, or a stream as given and left open.  Not a
-    generator: its frames would cost ``save_record`` about 6%."""
+    buffered) and closed on exit, or a stream as given and left open."""
     if isinstance(target, (str, Path)):
         return open(target, mode, buffering=0 if "r" in mode else -1)
     return nullcontext(target)
@@ -206,15 +215,11 @@ def write_tensor(target, x: np.ndarray) -> None:
     binary stream)."""
     if x.ndim != 4:
         raise FormatError(f"write_tensor: expected rank-4 array, got shape {x.shape}")
-    _write_tensor(target, _float32(x, f"write_tensor: tensor {_name(target)}"))
-
-
-def _write_tensor(target, x: np.ndarray) -> None:
-    """:func:`write_tensor` without its checks, for arrays already checked."""
+    x = _float32(x, f"write_tensor: tensor {_name(target)}")
     with _opened(target, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<4Q", *x.shape))
-        fh.write(np.ascontiguousarray(x, dtype=_F4))
+        fh.write(x)
 
 
 def _tensor_dims(header: bytes, what: str) -> tuple[int, int, int, int]:
@@ -446,7 +451,8 @@ def _json_ints(values) -> list:
 
 
 def save_record(record: ActivationRecord, directory: str | Path) -> list[Path]:
-    """Write one LSKT file per (block, kernel) mask: ``B_<stage>_<depth>_<n>``.
+    """Write one LSKT file per (block, kernel) mask: ``B_<stage>_<depth>_<n>``;
+    return their paths.
 
     A manifest.json carries the per-kernel receptive fields and block keys
     (numpy integers as JSON integers) so the analysis stage can rebuild the
@@ -454,6 +460,13 @@ def save_record(record: ActivationRecord, directory: str | Path) -> list[Path]:
     checks, else a ManifestError names the field, and every block must be a
     4-D (n, len(rf), h, w) stack finite as float32, else a FormatError names
     the block: the reader would refuse the files or drop planes.
+
+    A block is converted to float32 once and its header built once; each
+    file is then one ``os.open``, one ``os.writev`` of the header and the
+    plane, and one ``os.close``.  An old manifest.json in ``directory`` is
+    removed before the first mask file is written, and the new one is
+    written last, so a save that fails part way over an existing record
+    leaves no manifest and the directory no longer loads.
     """
     doc = {
         "format_version": FORMAT_VERSION,
@@ -472,14 +485,43 @@ def save_record(record: ActivationRecord, directory: str | Path) -> list[Path]:
         blocks[block] = _float32(masks, f"save_record: block {block}")  # converted once per block
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    # joining strings, not Paths, as load_record does
+    base = os.path.join(str(out), "")
+    try:  # an old manifest would vouch for a half-written record
+        os.unlink(base + RECORD_MANIFEST)
+    except FileNotFoundError:
+        pass
+    names: list[str] = []
     for block, masks in blocks.items():
+        n, _, h, w = masks.shape
+        header = TENSOR_MAGIC + struct.pack("<4Q", n, 1, h, w)
+        size = _TENSOR_HEADER + n * h * w * _F4.itemsize
         for n_idx in range(record.n_kernels):
-            path = out / f"{block}_{n_idx + 1}.lskt"
-            _write_tensor(path, masks[:, n_idx : n_idx + 1])  # checked above
-            written.append(path)
-    (out / RECORD_MANIFEST).write_text(json.dumps(doc, indent=1))
-    return written
+            name = f"{block}_{n_idx + 1}.lskt"
+            _write_file(base + name, (header, np.ascontiguousarray(masks[:, n_idx])), size)
+            names.append(name)
+    manifest = json.dumps(doc, indent=1).encode("utf-8")
+    _write_file(base + RECORD_MANIFEST, (manifest,), len(manifest))
+    return [out / name for name in names]
+
+
+def _write_file(path: str, parts, size: int) -> None:
+    """Create or truncate the file ``path`` and write ``parts``, contiguous
+    bytes-like objects of ``size`` bytes in all, in order: one ``os.open``,
+    one ``os.writev`` and one ``os.close``.  Only a short write (a pipe, or a
+    total above one system call's limit) enters a loop, which goes on from
+    where the write stopped, as :func:`_fill` does for reads."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        sent = os.writev(fd, parts)
+        if sent < size:
+            for part in parts:
+                view = memoryview(part).cast("B")
+                view, sent = view[min(sent, len(view)) :], max(sent - len(view), 0)
+                while view:
+                    view = view[os.writev(fd, (view,)) :]
+    finally:
+        os.close(fd)
 
 
 def _shape_error(stage: int, depth: int, folder: str, name: str, dims, want) -> FormatError:

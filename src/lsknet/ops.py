@@ -17,7 +17,10 @@ Every array an op reads (``x``, ``grad_out``, a mask, both addends of
 float32 or float64 dtype, else a :class:`ShapeError` naming the op and the
 argument.  Every backward refuses what its forward refuses: the pair shares
 one check of its arguments, and a ``grad_out`` not shaped like the forward's
-output is refused in one wording, naming the op and both shapes.
+output is refused in one wording, naming the op and both shapes.  Every op
+computes in x's dtype: weights and per-channel vectors of another float
+dtype are cast to it, and a weight or scale gradient is returned in the
+dtype of its weight or scale.
 
 Channel mixing (``pointwise_conv``, ``conv2d`` and their backward passes) is
 one BLAS matrix product per batch item; the dense conv first gathers its
@@ -155,9 +158,9 @@ class ConvSpec:
 def check_tensor4(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     """Check that ``x`` is a rank-4 ndarray with positive dims and a float32
     or float64 dtype, and return it unchanged; ``name`` leads the message.
-    Ops and layers cast weights to the input's dtype, so an integer or
-    boolean input would truncate them and any other float would run in
-    another precision."""
+    Every op computes in x's dtype and casts its weights and vectors to it,
+    so an integer or boolean input would truncate them and any other float
+    would run in another precision."""
     if not isinstance(x, np.ndarray):
         raise ShapeError(f"{name}: expected ndarray, got {type(x).__name__}")
     if x.ndim != 4:
@@ -422,7 +425,8 @@ def conv2d_backward(
     grad_w = _batch_matmul_sum(g, patches.transpose(0, 2, 1))
     grad_w = grad_w.reshape(weights.shape).astype(weights.dtype, copy=False)
     del patches  # grad_patches has the same size; do not hold both
-    grad_patches = np.matmul(weights.reshape(c_out, c * k * k).T, g).reshape(n, c, k, k, oh, ow)
+    wmat = weights.reshape(c_out, c * k * k).astype(x.dtype, copy=False)
+    grad_patches = np.matmul(wmat.T, g).reshape(n, c, k, k, oh, ow)
     grad_xp = np.zeros_like(xp)
     for i, j, rows, cols in _conv_taps(k, stride, oh, ow):
         grad_xp[:, :, rows, cols] += grad_patches[:, :, i, j]
@@ -450,7 +454,7 @@ def pointwise_conv(x: Tensor4, weights: np.ndarray, bias: np.ndarray | None) -> 
     check_tensor4(x, "pointwise_conv: x")
     n, c, h, w = x.shape
     c_out = _check_pointwise_weights("pointwise_conv", c, weights)
-    out = np.matmul(weights, x.reshape(n, c, h * w)).reshape(n, c_out, h, w)
+    out = np.matmul(weights.astype(x.dtype, copy=False), x.reshape(n, c, h * w)).reshape(n, c_out, h, w)
     if bias is not None:
         _check_vectors("pointwise_conv", c_out, bias=bias)
         out += bias[None, :, None, None]
@@ -464,8 +468,9 @@ def pointwise_conv_backward(
     c_out = _check_pointwise_weights("pointwise_conv_backward", c, weights)
     _check_grad("pointwise_conv_backward", grad_out, x, (n, c_out, h, w))
     g = grad_out.reshape(n, -1, h * w)
-    grad_x = np.matmul(weights.T, g).reshape(x.shape)
+    grad_x = np.matmul(weights.astype(x.dtype, copy=False).T, g).reshape(x.shape)
     grad_w = _batch_matmul_sum(g, x.reshape(n, c, h * w).transpose(0, 2, 1))
+    grad_w = grad_w.astype(weights.dtype, copy=False)
     grad_b = grad_out.sum(axis=(0, 2, 3))
     return grad_x, grad_w, grad_b
 
@@ -603,7 +608,7 @@ def broadcast_mask_mul(x: Tensor4, mask: Tensor4) -> Tensor4:
     it is explicit so that add() can keep rejecting shape mismatches.
     """
     _check_mask(x, mask, "broadcast_mask_mul")
-    return x * mask
+    return x * mask.astype(x.dtype, copy=False)
 
 
 def broadcast_mask_mul_backward(
@@ -614,10 +619,11 @@ def broadcast_mask_mul_backward(
     mask's is that product as it is: no extra pass)."""
     _check_mask(x, mask, "broadcast_mask_mul_backward")
     _check_grad("broadcast_mask_mul_backward", grad_out, x)
-    grad_x = grad_out * mask
+    grad_x = grad_out * mask.astype(x.dtype, copy=False)
     spread = tuple(a for a in range(4) if mask.shape[a] < x.shape[a])
     grad_mask = grad_out * x
-    return grad_x, grad_mask.sum(axis=spread, keepdims=True) if spread else grad_mask
+    grad_mask = grad_mask.sum(axis=spread, keepdims=True) if spread else grad_mask
+    return grad_x, grad_mask.astype(mask.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +644,7 @@ def affine_channel_norm(
     """
     check_tensor4(x, "affine_channel_norm: x")
     _check_vectors("affine_channel_norm", x.shape[1], scale=scale, shift=shift, mean=mean, var=var)
+    scale, shift, mean, var = (v.astype(x.dtype, copy=False) for v in (scale, shift, mean, var))
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     return (x - mean[None, :, None, None]) * (scale * inv)[None, :, None, None] + shift[
         None, :, None, None
@@ -645,11 +652,12 @@ def affine_channel_norm(
 
 
 def _affine_norm_backward(grad_out, x, scale, mean, var, where: str):
-    """The three gradients of :func:`affine_channel_norm_backward` and the
-    centred input ``x - mean`` formed on the way, which
+    """The three gradients of :func:`affine_channel_norm_backward`, all in
+    x's dtype, and the centred input ``x - mean`` formed on the way, which
     :func:`batch_norm_backward` reuses; errors are named after ``where``."""
     _check_grad(where, grad_out, x)
     _check_vectors(where, x.shape[1], scale=scale, mean=mean, var=var)
+    scale, mean, var = (v.astype(x.dtype, copy=False) for v in (scale, mean, var))
     inv = 1.0 / np.sqrt(var + NORM_EPS)
     grad_x = grad_out * (scale * inv)[None, :, None, None]
     centered = x - mean[None, :, None, None]
@@ -667,7 +675,10 @@ def affine_channel_norm_backward(
 ) -> tuple[Tensor4, np.ndarray, np.ndarray]:
     """Gradients w.r.t. x, scale and shift.  mean/var are stored statistics
     and treated as constants."""
-    return _affine_norm_backward(grad_out, x, scale, mean, var, "affine_channel_norm_backward")[:3]
+    grad_x, grad_scale, grad_shift, _ = _affine_norm_backward(
+        grad_out, x, scale, mean, var, "affine_channel_norm_backward"
+    )
+    return grad_x, grad_scale.astype(scale.dtype, copy=False), grad_shift
 
 
 def batch_norm(
@@ -694,12 +705,13 @@ def batch_norm_backward(
     )
     n, _, h, w = x.shape
     m = n * h * w
-    inv = 1.0 / np.sqrt(var + NORM_EPS)
-    grad_mean = -scale * inv * grad_shift  # dL/dmean = -scale * inv * sum(grad_out)
-    grad_var = -0.5 * scale * inv * inv * grad_scale  # -scale * inv**3 * sum(grad_out * (x - mean)) / 2
+    scale_x = scale.astype(x.dtype, copy=False)
+    inv = 1.0 / np.sqrt(var.astype(x.dtype, copy=False) + NORM_EPS)
+    grad_mean = -scale_x * inv * grad_shift  # dL/dmean = -scale * inv * sum(grad_out)
+    grad_var = -0.5 * scale_x * inv * inv * grad_scale  # -scale * inv**3 * sum(grad_out * (x - mean)) / 2
     grad_x += centered * (2.0 * grad_var / m)[None, :, None, None]
     grad_x += (grad_mean / m)[None, :, None, None]
-    return grad_x, grad_scale, grad_shift
+    return grad_x, grad_scale.astype(scale.dtype, copy=False), grad_shift
 
 
 def global_avg_pool(x: Tensor4) -> Tensor4:

@@ -617,6 +617,20 @@ class TestBackboneBackward:
             assert not np.shares_memory(arr, before[name]), name
         assert cast.config is params.config and cast.config == replace(TINY, selection_mode=mode)
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_float32_input_runs_in_float32_under_float64_params(self, mode):
+        """Every op casts its weights and vectors to the input's dtype, so
+        float64 copies of the parameters give a float32 input the float32
+        parameters' features, bit for bit, with stored and batch statistics."""
+        params = init_backbone_params(replace(TINY, selection_mode=mode), seed=1)
+        wide = backbone_params_astype(params, np.float64)
+        x = np.random.default_rng(3).uniform(-1, 1, size=(2, 3, 32, 32)).astype(np.float32)
+        for train_norm in (False, True):
+            want = backbone_forward(x, params, train_norm=train_norm).features
+            got = backbone_forward(x, wide, train_norm=train_norm).features
+            assert [f.dtype for f in got] == [np.dtype(np.float32)] * 4
+            assert all((a == b).all() for a, b in zip(got, want))
+
     @pytest.mark.parametrize("train_norm", [False, True])
     def test_spot_check_against_finite_difference(self, rng, train_norm):
         """Full-chain sanity: sampled parameters of a tiny backbone agree with

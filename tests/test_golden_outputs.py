@@ -12,7 +12,9 @@ The payload digests are the one exception: they hash the whole LSKW file of
 order, bounds and float32 rounding) as well as the layout.  The ``lsk
 analyze`` digests likewise pin the two CSV reports over a seeded corpus that
 goes through ``save_record`` and ``load_record``, so they catch a change of
-the mask files' round trip or of the analysis arithmetic.
+the mask files' round trip or of the analysis arithmetic.  The record-bytes
+digest pins the files ``save_record`` writes for that corpus, every name and
+byte of them, which a lossless round trip alone would not.
 
 The API digest pins the public callables of every ``lsknet`` submodule: the
 names, kinds and default presence of their parameters.  A new option, or a
@@ -146,6 +148,27 @@ def write_analyze_corpus(root):
         if j == 3:
             lines.append("1.0 2.0 3.0 4.0 5.0 6.0 7.0 plane 0")  # seven coordinates
         (root / "annotations" / f"img{j}.txt").write_text("\n".join(lines) + "\n")
+
+
+# tree_digest() of the masks/ tree that write_analyze_corpus() saves
+RECORD_TREE_SHA256 = "4f14d74afcc58428264f6bccec2d9865816304813f23b9f37222afd227efedc8"
+
+
+def tree_digest(root) -> str:
+    """sha256 over the files under ``root`` in order of their relative
+    names: each name, its byte length and its bytes."""
+    h = hashlib.sha256()
+    for name in sorted(p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()):
+        data = (root / name).read_bytes()
+        h.update(f"{name}\n{len(data)}\n".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def test_saved_record_bytes_digest(tmp_path):
+    write_analyze_corpus(tmp_path)
+    assert len(list((tmp_path / "masks").rglob("*.lskt"))) == 64
+    assert tree_digest(tmp_path / "masks") == RECORD_TREE_SHA256
 
 
 def test_analyze_report_digest(tmp_path, capsys):

@@ -1,11 +1,14 @@
 """Binary formats: bit-exact round trips, truncation fuzzing, image decoding
 and weight-file validation."""
 
+import builtins
 import copy
+import errno
 import io
 import json
 import os
 import re
+import stat
 import struct
 import sys
 import tempfile
@@ -736,6 +739,101 @@ def test_load_record_takes_one_read_per_file_and_one_per_block_header(tmp_path, 
     monkeypatch.undo()
     assert calls[:2] == ["read", "read"]
     assert len(calls) == 2 + blocks * (k + 1)
+
+
+def test_save_record_takes_one_open_writev_and_close_per_file(tmp_path, monkeypatch):
+    """Each mask file, then the manifest, is one ``os.open``, one
+    ``os.writev`` and one ``os.close``; nothing goes through the builtin
+    ``open``.  Only a short write would take more."""
+    blocks, k = 3, 3
+    rec = _random_record(2, k, [(4, 4), (2, 3), (1, 1)], np.float32, 0)
+    calls = []  # (function, first argument)
+
+    def refuse(path, *args, **kwargs):
+        raise AssertionError(f"builtin open of {path}")
+
+    for fn in ("open", "writev", "close"):
+        monkeypatch.setattr(os, fn, lambda a, *rest, _fn=getattr(os, fn), _name=fn: calls.append((_name, a)) or _fn(a, *rest))
+    monkeypatch.setattr(builtins, "open", refuse)
+    monkeypatch.setattr(io, "open", refuse)
+    files = save_record(rec, tmp_path)
+    monkeypatch.undo()
+    assert [name for name, _ in calls] == ["open", "writev", "close"] * (blocks * k + 1)
+    opened = [Path(path).name for name, path in calls if name == "open"]
+    assert opened == [*(f.name for f in files), "manifest.json"]
+    loaded = load_record(tmp_path)
+    assert all((loaded.masks[key] == masks).all() for key, masks in rec.masks.items())
+
+
+def test_seven_byte_writes_round_trip_bit_exact(tmp_path, monkeypatch):
+    """An ``os.writev`` that takes at most 7 bytes per call, as a pipe or a
+    full disk may, is continued until every byte of every file is out: the
+    files equal those of an unhindered save and load back bit for bit."""
+    rec = _random_record(2, 3, [(4, 4), (2, 3), (1, 1)], np.float32, 1)
+    expected = save_record(rec, tmp_path / "whole")
+    writes = []
+
+    def seven(fd, buffers, _writev=os.writev):
+        head = b"".join(bytes(memoryview(b).cast("B")) for b in buffers)[:7]
+        writes.append(len(head))
+        return _writev(fd, [head])
+
+    monkeypatch.setattr(os, "writev", seven)
+    files = save_record(rec, tmp_path / "short")
+    monkeypatch.undo()
+    assert len(writes) > len(files) + 1 and max(writes) == 7
+    for name in [*(f.name for f in expected), "manifest.json"]:
+        assert (tmp_path / "short" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+    loaded = load_record(tmp_path / "short")
+    for key, masks in rec.masks.items():
+        assert (loaded.masks[key].view(np.uint32) == masks.view(np.uint32)).all()
+
+
+def test_saved_files_get_the_mode_open_gives(tmp_path):
+    """Under a umask of 0o027, mask files and the manifest get the mode bits
+    that ``open(path, "wb")`` gives a new file."""
+    rec = _random_record(1, 2, [(2, 2)], np.float32, 2)
+    old = os.umask(0o027)
+    try:
+        files = save_record(rec, tmp_path / "img")
+        with open(tmp_path / "plain", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    want = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+    assert want == 0o640
+    for path in [*files, tmp_path / "img" / "manifest.json"]:
+        assert stat.S_IMODE(os.stat(path).st_mode) == want
+
+
+@pytest.mark.parametrize("failing", [1, 4, 8, 9], ids=["first", "fourth", "last-mask", "manifest"])
+def test_failed_save_over_a_record_does_not_load(tmp_path, monkeypatch, failing):
+    """A save that fails at its ``failing``-th file write over an existing
+    record leaves no manifest that vouches for the mix of new and old planes:
+    loading is a ManifestError until a save succeeds."""
+    def record(value):
+        rec = ActivationRecord(rf=(5, 23))
+        for key, side in {(1, 1): 4, (1, 2): 4, (2, 1): 2, (3, 1): 1}.items():
+            rec.masks[key] = np.full((1, 2, side, side), value, np.float32)
+        return rec
+
+    save_record(record(0.25), tmp_path)
+    writes = []
+
+    def full_disk(fd, buffers, _writev=os.writev):
+        writes.append(fd)
+        if len(writes) == failing:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return _writev(fd, buffers)
+
+    monkeypatch.setattr(os, "writev", full_disk)
+    with pytest.raises(OSError, match="No space left"):
+        save_record(record(0.75), tmp_path)
+    monkeypatch.undo()
+    with pytest.raises(ManifestError):
+        load_record(tmp_path)
+    save_record(record(0.75), tmp_path)
+    assert all((m == 0.75).all() for m in load_record(tmp_path).masks.values())
 
 
 @pytest.mark.parametrize("as_path", [True, False], ids=["path", "stream"])

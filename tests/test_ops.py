@@ -827,10 +827,41 @@ class TestDeterminismAndFiniteness:
             *ops.depthwise_conv_backward(np.ones_like(u), x, dw, ConvSpec(7, 3)),
         ]
         assert [o.dtype for o in outs] == [np.dtype(dtype)] * 12
-        # a weight gradient keeps the dtype of the weights
+        # weights and vectors of the other dtype: each op gives what it gives
+        # for them cast to x's dtype first, bit for bit, except that a weight
+        # or scale gradient keeps the dtype of its weight or scale
         other = np.float64 if dtype is np.float32 else np.float32
-        grads = ops.depthwise_conv_backward(np.ones_like(u), x, dw.astype(other), ConvSpec(7, 3))
-        assert [a.dtype for a in grads] == [np.dtype(dtype), np.dtype(other), np.dtype(dtype)]
+        scale, shift, mean = (rand(rng, (3,)) for _ in range(3))
+        var = np.abs(rand(rng, (3,))) + 0.5
+        gamma = rand(rng, (1, 3, 1, 1))  # a residual scale
+        spec = ConvSpec(7, 3)
+        rows = {  # op, its arguments after x, the dtypes of its outputs (x's: None)
+            "pointwise_conv": (ops.pointwise_conv, (pw, pb), [None]),
+            "pointwise_conv_backward": (lambda x, w: ops.pointwise_conv_backward(np.ones_like(y), x, w), (pw,),
+                                        [None, other, None]),
+            "conv2d": (lambda x, w, b: ops.conv2d(x, w, b, stride=2), (cw, cb), [None]),
+            "conv2d_backward": (lambda x, w: ops.conv2d_backward(np.ones_like(z), x, w, stride=2), (cw,),
+                                [None, other, None]),
+            "depthwise_conv": (lambda x, w, b: ops.depthwise_conv(x, w, b, spec), (dw, db), [None]),
+            "depthwise_conv_backward": (lambda x, w: ops.depthwise_conv_backward(np.ones_like(u), x, w, spec),
+                                        (dw,), [None, other, None]),
+            "affine_channel_norm": (ops.affine_channel_norm, (scale, shift, mean, var), [None]),
+            "affine_channel_norm_backward": (lambda x, *v: ops.affine_channel_norm_backward(np.ones_like(x), x, *v),
+                                             (scale, mean, var), [None, other, None]),
+            "broadcast_mask_mul": (ops.broadcast_mask_mul, (gamma,), [None]),
+            "broadcast_mask_mul_backward": (lambda x, m: ops.broadcast_mask_mul_backward(np.ones_like(x), x, m),
+                                            (gamma,), [None, other]),
+            "batch_norm": (ops.batch_norm, (scale, shift), [None, None, None]),
+            "batch_norm_backward": (lambda x, *v: ops.batch_norm_backward(np.ones_like(x), x, *v),
+                                    (scale, mean, var), [None, other, None]),
+        }
+        for name, (op, args, dtypes) in rows.items():
+            mixed = op(x, *(a.astype(other) for a in args))
+            cast = op(x, *(a.astype(other).astype(dtype) for a in args))
+            mixed, cast = (o if isinstance(o, tuple) else (o,) for o in (mixed, cast))
+            assert [o.dtype for o in mixed] == [np.dtype(d or dtype) for d in dtypes], name
+            for got, want in zip(mixed, cast):
+                assert (got == want.astype(got.dtype)).all(), name
 
     @given(st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=6))
     @settings(max_examples=25, deadline=None)
